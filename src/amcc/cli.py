@@ -162,7 +162,7 @@ def cmd_nosignaling(args):
 
 def cmd_parity_scan(args):
     sc = bell_scenario(args.parties, args.settings, 2)
-    scan = parity_scan(sc, threads=args.threads)
+    scan = parity_scan(sc)
     examples = [vector_hex(v, scan.n_contexts) for v in scan.examples]
     if args.json:
         _print_doc(
@@ -173,7 +173,6 @@ def cmd_parity_scan(args):
                 "unsatisfiable": scan.unsatisfiable,
                 "rank": scan.rank,
                 "unsatisfiable_examples": examples,
-                "kernel": scan.kernel,
             }
         )
         return
@@ -183,7 +182,6 @@ def cmd_parity_scan(args):
     )
     print(f"satisfiable: {scan.satisfiable} (= 2^{scan.rank})")
     print(f"unsatisfiable: {scan.unsatisfiable}")
-    print(f"kernel: {scan.kernel}")
     print(f"unsatisfiable examples: {' '.join(examples)}")
 
 
@@ -238,7 +236,7 @@ def cmd_search_plans(args):
     else:
         raise PreconditionError("--vector is required away from the (4,2,2) scenario")
     counts = tuple(int(c) for c in args.counts.split(","))
-    hits = search_plans(base, counts, args.trials, args.seed, threads=args.threads)
+    hits = search_plans(base, counts, args.trials, args.seed)
     _print_doc(
         {
             "scenario": scenario_to_json(sc),
@@ -295,7 +293,6 @@ def build_parser():
     p = sub.add_parser("parity-scan", help="scan all parity vectors of a scenario")
     p.add_argument("parties", type=int)
     p.add_argument("settings", type=int)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.set_defaults(fn=cmd_parity_scan)
 
@@ -340,7 +337,6 @@ def build_parser():
     )
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=cmd_search_plans)
 
     p = sub.add_parser("verify-paper", help="run the bundled reproduction suite")

@@ -10,7 +10,6 @@ possibilistically no-signaling.
 
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -132,9 +131,13 @@ def search_plans(base, counts, trials, seed, threads=1):
     opposite parity class with an independent substream derived from
     (seed, trial). A plan is a hit when its support is strongly
     contextual and possibilistically no-signaling. Hits are returned in
-    trial order; the result depends only on (base, counts, trials, seed),
-    never on the thread count.
+    trial order; the result depends only on (base, counts, trials, seed).
+
+    Trials run one after another. `threads` is kept so that existing callers
+    passing threads=1 still work; any other value raises PreconditionError.
     """
+    if threads != 1:
+        raise PreconditionError(f"threads must be 1, not {threads!r}")
     sc = base.scenario
     if len(counts) != sc.n_contexts:
         raise PreconditionError("need one addition count per context")
@@ -148,7 +151,8 @@ def search_plans(base, counts, trials, seed, threads=1):
     if trials < 0:
         raise PreconditionError("trials must be nonnegative")
 
-    def run_trial(trial):
+    hits = []
+    for trial in range(trials):
         rng = random.Random(seed * 1_000_003 + trial)
         additions = tuple(
             tuple(sorted(rng.sample(opposite[ci], count))) if count else ()
@@ -157,17 +161,9 @@ def search_plans(base, counts, trials, seed, threads=1):
         plan = AugmentationPlan(base=base, additions=additions)
         support = apply_plan(plan)
         is_sc, _ = strong_contextuality(support)
-        if not is_sc:
-            return None
-        ns_ok, _ = possibilistic_no_signaling(support)
-        return plan if ns_ok else None
-
-    if threads > 1 and trials > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_trial, range(trials)))
-    else:
-        results = [run_trial(trial) for trial in range(trials)]
-    return [plan for plan in results if plan is not None]
+        if is_sc and possibilistic_no_signaling(support)[0]:
+            hits.append(plan)
+    return hits
 
 
 @dataclass(frozen=True)

@@ -1,121 +1,31 @@
-"""Hot integer kernels with numba and pure-numpy implementations.
+"""The two integer scans of the possibilistic layer, in numpy.
 
-Two scans dominate runtime: marking which parity-pattern values are realized
-by some global assignment, and marking which global assignments are compatible
-with a per-context support. Both are pure bit/index work, so they compile
-cleanly; the exact-rational lanes (LP, affine solving) never come through
-here.
-
-AMCC_KERNELS=auto (default) uses numba when importable, numpy otherwise;
-=numba insists on numba (ImportError if missing); =numpy forces the fallback.
-Exact-rational code is unaffected by this switch.
+Two scans dominate the integer work: marking which parity-pattern values are
+realized by some global assignment, and marking which global assignments are
+compatible with a per-context support. Both are pure bit/index work; the
+exact-rational code (LP, affine solving) never comes through here.
 """
-
-import os
 
 import numpy as np
 
-__all__ = [
-    "KERNELS",
-    "HAVE_NUMBA",
-    "available_kernels",
-    "scan_satisfiable",
-    "compatible_mask",
-]
+__all__ = ["KERNELS", "scan_satisfiable", "compatible_mask"]
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-_choice = os.environ.get("AMCC_KERNELS", "auto").strip().lower()
-if _choice not in ("auto", "numba", "numpy"):
-    raise ValueError(f"AMCC_KERNELS must be auto, numba or numpy, not {_choice!r}")
-if _choice == "numba" and not HAVE_NUMBA:
-    raise ImportError("AMCC_KERNELS=numba but numba is not importable")
-KERNELS = "numpy" if _choice == "numpy" or not HAVE_NUMBA else "numba"
+KERNELS = "numpy"  # the one implementation, reported by benchmark records
 
 
-def available_kernels():
-    """Kernel families importable right now, for benchmarks and tests."""
-    return ("numba", "numpy") if HAVE_NUMBA else ("numpy",)
-
-
-# ---------------------------------------------------------------------------
-# satisfiability scan over parity-pattern values
-
-
-def _scan_satisfiable_numpy(patterns, lo, hi):
-    return np.isin(np.arange(lo, hi, dtype=np.int64), np.unique(patterns))
-
-
-def _scan_satisfiable_plain(patterns, lo, hi):
-    # reference double loop; numba compiles this same body
-    out = np.zeros(hi - lo, dtype=np.bool_)
-    for v in range(lo, hi):
-        for g in range(patterns.shape[0]):
-            if patterns[g] == v:
-                out[v - lo] = True
-                break
-    return out
-
-
-if HAVE_NUMBA:
-    _scan_satisfiable_numba = njit(cache=True, nogil=True)(_scan_satisfiable_plain)
-
-
-def scan_satisfiable(patterns, lo, hi, kernel=None):
-    """Boolean mask over the value range [lo, hi): True where some entry of
+def scan_satisfiable(patterns, n_values):
+    """Boolean mask over the values [0, n_values): True where some entry of
     `patterns` equals the value. `patterns` is int64, one entry per global
     assignment."""
-    k = KERNELS if kernel is None else kernel
-    patterns = np.ascontiguousarray(patterns, dtype=np.int64)
-    if k == "numba":
-        return _scan_satisfiable_numba(patterns, lo, hi)
-    if k == "numpy":
-        return _scan_satisfiable_numpy(patterns, lo, hi)
-    raise ValueError(f"unknown kernel {k!r}")
+    patterns = np.asarray(patterns, dtype=np.int64)
+    return np.isin(np.arange(n_values, dtype=np.int64), np.unique(patterns))
 
 
-# ---------------------------------------------------------------------------
-# global-assignment compatibility against a support
-
-
-def _compatible_mask_numpy(support, table, lo, hi):
-    cols = table[:, lo:hi]
-    return support[np.arange(table.shape[0])[:, None], cols].all(axis=0)
-
-
-def _compatible_mask_plain(support, table, lo, hi):
-    n_contexts = table.shape[0]
-    out = np.zeros(hi - lo, dtype=np.bool_)
-    for g in range(lo, hi):
-        ok = True
-        for c in range(n_contexts):
-            if not support[c, table[c, g]]:
-                ok = False
-                break
-        out[g - lo] = ok
-    return out
-
-
-if HAVE_NUMBA:
-    _compatible_mask_numba = njit(cache=True, nogil=True)(_compatible_mask_plain)
-
-
-def compatible_mask(support, table, lo, hi, kernel=None):
-    """Boolean mask over global assignments [lo, hi): True where every
-    context's restriction lands inside the support.
+def compatible_mask(support, table):
+    """Boolean mask over global assignments: True where every context's
+    restriction lands inside the support.
 
     support: bool (n_contexts, max_section_size), padded with False.
-    table:   int32 (n_contexts, n_globals) restriction table."""
-    k = KERNELS if kernel is None else kernel
-    support = np.ascontiguousarray(support, dtype=np.bool_)
-    table = np.ascontiguousarray(table, dtype=np.int32)
-    if k == "numba":
-        return _compatible_mask_numba(support, table, lo, hi)
-    if k == "numpy":
-        return _compatible_mask_numpy(support, table, lo, hi)
-    raise ValueError(f"unknown kernel {k!r}")
+    table:   int (n_contexts, n_globals) restriction table."""
+    support = np.asarray(support, dtype=np.bool_)
+    return support[np.arange(table.shape[0])[:, None], table].all(axis=0)

@@ -7,17 +7,16 @@ target (LSB = context 0, contexts in canonical cover order), so the
 
 Satisfiability is decided twice on every call: by GF(2) elimination against
 the measurement column vectors, and by brute enumeration of global
-assignments through the compiled pattern scan. Disagreement raises, so the
+assignments through the numpy pattern scan. Disagreement raises, so the
 two routes police each other permanently.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError, ResourceLimitError, VerificationError
-from .kernels import KERNELS, scan_satisfiable
+from .kernels import scan_satisfiable
 from .model import EmpiricalModel, _parity_tables
 from .scenario import global_size
 
@@ -178,37 +177,26 @@ class ParityScan:
     unsatisfiable: int
     rank: int
     examples: tuple  # first few unsatisfiable vectors, ascending
-    kernel: str
 
 
-def parity_scan(scenario, threads=1, examples=8, kernel=None):
+def parity_scan(scenario, threads=1, examples=8):
     """Classify every parity vector of the scenario as satisfiable or not.
 
     The enumeration count is cross-checked against the elimination count
     2^contexts - 2^rank, and each collected example is re-verified by
-    elimination; any mismatch raises."""
+    elimination; any mismatch raises.
+
+    The scan is single-threaded. `threads` is kept so that existing callers
+    passing threads=1 still work; any other value raises PreconditionError."""
+    if threads != 1:
+        raise PreconditionError(f"threads must be 1, not {threads!r}")
     _require_binary(scenario)
     n_vec = 1 << scenario.n_contexts
     if n_vec > MAX_SCAN_VECTORS:
         raise ResourceLimitError(
             f"{n_vec} parity vectors exceeds the scan limit {MAX_SCAN_VECTORS}"
         )
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    pats = parity_patterns(scenario)
-    used = KERNELS if kernel is None else kernel
-    if threads == 1:
-        sat = scan_satisfiable(pats, 0, n_vec, kernel=used)
-    else:
-        bounds = [n_vec * i // threads for i in range(threads + 1)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(
-                    lambda ab: scan_satisfiable(pats, ab[0], ab[1], kernel=used),
-                    zip(bounds, bounds[1:]),
-                )
-            )
-        sat = np.concatenate(parts)
+    sat = scan_satisfiable(parity_patterns(scenario), n_vec)
     n_sat = int(sat.sum())
     n_unsat = n_vec - n_sat
     cols = column_vectors(scenario)
@@ -232,7 +220,6 @@ def parity_scan(scenario, threads=1, examples=8, kernel=None):
         unsatisfiable=n_unsat,
         rank=rank,
         examples=ex,
-        kernel=used,
     )
 
 

@@ -3,9 +3,10 @@
 A support model remembers only which sections are possible in each context,
 as a bitmask over section indices. Strong contextuality is the statement that
 no global assignment restricts into every context's support. Two independent
-routes decide it: the compiled compatibility scan over the restriction table,
-and direct evaluation of the support's Boolean formula on every assignment;
-`strong_contextuality` cross-checks them.
+routes decide it: the numpy compatibility scan over the restriction table, and
+evaluation of the support's Boolean formula on every assignment. At run time
+`strong_contextuality` uses the scan and re-checks its witness context by
+context; the formula route is the oracle the tests compare the scan against.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,6 @@ from .kernels import compatible_mask
 from .model import EmpiricalModel
 from .rational import Rat, ZERO, rat
 from .scenario import (
-    global_outcomes,
     global_size,
     restriction_table,
     scenario_from_json,
@@ -105,7 +105,7 @@ def _support_bool(support):
     return arr
 
 
-def compatible_globals(support, kernel=None):
+def compatible_globals(support):
     """Global assignments whose every restriction is possible, as a sorted
     list of packed indices."""
     sc = support.scenario
@@ -114,30 +114,27 @@ def compatible_globals(support, kernel=None):
         raise ResourceLimitError(
             f"{ng} global assignments exceeds the scan limit {MAX_GLOBALS}"
         )
-    mask = compatible_mask(_support_bool(support), restriction_table(sc), 0, ng, kernel=kernel)
+    mask = compatible_mask(_support_bool(support), restriction_table(sc))
     return [int(g) for g in np.nonzero(mask)[0]]
 
 
-def strong_contextuality(support, kernel=None):
+def strong_contextuality(support):
     """(True, None) when no global assignment is compatible with the support,
-    else (False, example global index). The compiled scan is cross-checked
-    against Boolean-formula evaluation on every assignment."""
-    globals_found = compatible_globals(support, kernel=kernel)
-    formula = formula_of(support)
+    else (False, example global index). The example is re-checked against
+    every context's support before it is returned."""
+    found = compatible_globals(support)
+    if not found:
+        return True, None
+    gi = found[0]
     sc = support.scenario
-    by_formula = [
-        gi
-        for gi in range(global_size(sc))
-        if formula.evaluate(global_outcomes(sc, gi))
-    ]
-    if globals_found != by_formula:
+    table = restriction_table(sc)
+    bad = [ci for ci in range(sc.n_contexts) if not support.possible(ci, int(table[ci, gi]))]
+    if bad:
         raise VerificationError(
-            "compatibility scan and formula evaluation disagree",
-            details={"scan": globals_found, "formula": by_formula},
+            "compatibility scan returned an incompatible global assignment",
+            details={"global": gi, "contexts": bad},
         )
-    if globals_found:
-        return False, globals_found[0]
-    return True, None
+    return False, gi
 
 
 def possibilistic_no_signaling(support):
@@ -188,8 +185,8 @@ class BooleanProposition:
 @dataclass(frozen=True)
 class BooleanFormula:
     """Conjunction of one proposition per context. Satisfying assignments are
-    exactly the compatible globals, which strong_contextuality exploits as an
-    independent decision route."""
+    exactly the compatible globals, so the tests use it as an independent
+    oracle for the compatibility scan."""
 
     scenario: object
     propositions: tuple

@@ -240,7 +240,7 @@ def _check_scan_422():
     t0 = perf_counter()
     decided = _decider_mask(sc)
     decider_s = perf_counter() - t0
-    mask = scan_satisfiable(parity_patterns(sc), 0, 1 << sc.n_contexts)
+    mask = scan_satisfiable(parity_patterns(sc), 1 << sc.n_contexts)
     disagreements = sum(1 for a, b in zip(mask, decided) if bool(a) != b)
     passed = (
         scan.unsatisfiable == 65504

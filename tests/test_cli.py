@@ -209,14 +209,29 @@ def test_parity_scan_text(run):
 
 
 def test_parity_scan_json(run):
-    code, out, _ = run("parity-scan", "4", "2", "--json", "--threads", "2")
+    code, out, _ = run("parity-scan", "4", "2", "--json")
     assert code == 0
     doc = json.loads(out)
+    assert "kernel" not in doc
     assert doc["total"] == 65536
     assert doc["satisfiable"] == 32
     assert doc["unsatisfiable"] == 65504
     assert doc["rank"] == 5
     assert len(doc["unsatisfiable_examples"]) == 8
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("parity-scan", "2", "2"),
+        ("search-plans", "--counts", "0,0,0,0", "--trials", "1", "--seed", "1"),
+    ],
+)
+def test_threads_flag_is_not_accepted(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
 
 def test_parity_scan_resource_limit(run):

@@ -90,14 +90,15 @@ def test_plan_json_roundtrip():
 # the seeded search
 
 
-def test_search_is_deterministic_and_thread_invariant():
+def test_search_is_deterministic_and_single_threaded():
     base = _base_system()
     counts = plan_counts(reference_plan())
     first = search_plans(base, counts, trials=20, seed=7)
-    again = search_plans(base, counts, trials=20, seed=7)
-    threaded = search_plans(base, counts, trials=20, seed=7, threads=4)
-    assert first == again == threaded
+    again = search_plans(base, counts, trials=20, seed=7, threads=1)
+    assert first == again
     assert all(plan_counts(p) == counts for p in first)
+    with pytest.raises(PreconditionError, match="threads must be 1"):
+        search_plans(base, counts, trials=20, seed=7, threads=2)
 
 
 def test_search_at_the_reference_profile_keeps_every_trial():

@@ -1,61 +1,30 @@
-"""Kernel lanes must agree bit-for-bit and honor the selection flag."""
-
-import os
-import subprocess
-import sys
+"""Both numpy scans must agree bit-for-bit with plain reference loops."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amcc.kernels import (
-    HAVE_NUMBA,
-    KERNELS,
-    available_kernels,
-    compatible_mask,
-    scan_satisfiable,
-)
+from amcc.kernels import compatible_mask, scan_satisfiable
 from amcc.parity import parity_patterns
 from amcc.scenario import bell_scenario, global_size, restriction_table, section_size
-
-
-def test_available_kernels_lists_numpy_last():
-    ks = available_kernels()
-    assert ks[-1] == "numpy"
-    assert KERNELS in ks
-    if HAVE_NUMBA:
-        assert ks == ("numba", "numpy")
 
 
 @given(st.lists(st.integers(0, 63), min_size=1, max_size=50))
 @settings(max_examples=40, deadline=None)
 def test_scan_lanes_agree_on_random_patterns(values):
     patterns = np.array(values, dtype=np.int64)
-    want = np.isin(np.arange(64), np.array(sorted(set(values))))
-    for k in available_kernels():
-        mask = scan_satisfiable(patterns, 0, 64, kernel=k)
-        assert mask.dtype == np.bool_
-        assert (mask == want).all()
-
-
-def test_scan_respects_the_window():
-    patterns = np.array([3, 9], dtype=np.int64)
-    for k in available_kernels():
-        mask = scan_satisfiable(patterns, 2, 6, kernel=k)
-        assert mask.tolist() == [False, True, False, False]
+    mask = scan_satisfiable(patterns, 64)
+    assert mask.dtype == np.bool_
+    assert mask.tolist() == [v in values for v in range(64)]
 
 
 def test_scan_lanes_agree_on_a_real_pattern_set():
     sc = bell_scenario(3, 2, 2)
     patterns = parity_patterns(sc)
-    masks = [
-        scan_satisfiable(patterns, 0, 1 << sc.n_contexts, kernel=k)
-        for k in available_kernels()
-    ]
-    assert int(masks[0].sum()) == 16
-    for mask in masks[1:]:
-        assert (mask == masks[0]).all()
+    mask = scan_satisfiable(patterns, 1 << sc.n_contexts)
+    assert int(mask.sum()) == 16
+    seen = set(patterns.tolist())
+    assert mask.tolist() == [v in seen for v in range(1 << sc.n_contexts)]
 
 
 def _support_array(sc, bits):
@@ -75,62 +44,17 @@ def test_compatible_lanes_agree_on_random_supports(bits):
     sc = bell_scenario(2, 2, 2)
     sup = _support_array(sc, bits)
     table = restriction_table(sc)
-    ng = global_size(sc)
     want = [
-        all(sup[ci, table[ci, g]] for ci in range(sc.n_contexts)) for g in range(ng)
+        all(sup[ci, table[ci, g]] for ci in range(sc.n_contexts))
+        for g in range(global_size(sc))
     ]
-    for k in available_kernels():
-        mask = compatible_mask(sup, table, 0, ng, kernel=k)
-        assert mask.tolist() == want
+    assert compatible_mask(sup, table).tolist() == want
 
 
 def test_compatible_mask_full_and_empty_supports():
     sc = bell_scenario(2, 2, 2)
     table = restriction_table(sc)
-    ng = global_size(sc)
-    full = _support_array(sc, 2**16 - 1)
-    empty = _support_array(sc, 0)
-    for k in available_kernels():
-        assert compatible_mask(full, table, 0, ng, kernel=k).all()
-        assert not compatible_mask(empty, table, 0, ng, kernel=k).any()
-
-
-def test_compatible_mask_respects_the_window():
-    sc = bell_scenario(2, 2, 2)
-    table = restriction_table(sc)
-    full = _support_array(sc, 2**16 - 1)
-    for k in available_kernels():
-        mask = compatible_mask(full, table, 3, 7, kernel=k)
-        assert mask.shape == (4,)
-        assert mask.all()
-
-
-def test_unknown_kernel_is_rejected():
-    patterns = np.zeros(1, dtype=np.int64)
-    with pytest.raises(ValueError, match="unknown kernel"):
-        scan_satisfiable(patterns, 0, 2, kernel="cuda")
-    sc = bell_scenario(2, 2, 2)
-    with pytest.raises(ValueError, match="unknown kernel"):
-        compatible_mask(
-            _support_array(sc, 0), restriction_table(sc), 0, 1, kernel="cuda"
-        )
-
-
-def _import_kernels(env_value):
-    code = "import amcc.kernels as K; print(K.KERNELS)"
-    env = dict(os.environ, AMCC_KERNELS=env_value)
-    return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-
-
-def test_env_flag_forces_the_numpy_lane():
-    proc = _import_kernels("numpy")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "numpy"
-
-
-def test_env_flag_rejects_unknown_values():
-    proc = _import_kernels("cuda")
-    assert proc.returncode != 0
-    assert "AMCC_KERNELS" in proc.stderr
+    full = compatible_mask(_support_array(sc, 2**16 - 1), table)
+    assert full.shape == (global_size(sc),)
+    assert full.all()
+    assert not compatible_mask(_support_array(sc, 0), table).any()

@@ -82,13 +82,12 @@ def test_scan_examples_are_the_smallest_unsatisfiable_vectors():
         assert parity_satisfiable(sys_) == (v not in scan.examples)
 
 
-def test_threaded_scan_matches_single_thread():
+def test_scan_accepts_only_one_thread():
     sc = bell_scenario(3, 2, 2)
-    single = parity_scan(sc, threads=1)
-    multi = parity_scan(sc, threads=4)
-    assert (single.satisfiable, single.examples) == (multi.satisfiable, multi.examples)
-    with pytest.raises(ValueError, match="threads"):
-        parity_scan(sc, threads=0)
+    assert parity_scan(sc, threads=1) == parity_scan(sc)
+    for threads in (0, 2):
+        with pytest.raises(PreconditionError, match="threads must be 1"):
+            parity_scan(sc, threads=threads)
 
 
 def test_reference_vector_is_unsatisfiable():

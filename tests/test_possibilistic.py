@@ -1,10 +1,13 @@
 """Support models, strong contextuality and the Boolean-formula route."""
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from amcc.errors import ResourceLimitError
+from amcc import possibilistic
+from amcc.csp import AugmentationPlan, apply_plan, opposite_sections, reference_plan
+from amcc.errors import ResourceLimitError, VerificationError
 from amcc.model import (
     deterministic_model,
     ghz_322,
@@ -12,6 +15,7 @@ from amcc.model import (
     pr_box,
     uniform_model,
 )
+from amcc.parity import parity_system_from_vector
 from amcc.possibilistic import (
     BooleanFormula,
     BooleanProposition,
@@ -27,7 +31,13 @@ from amcc.possibilistic import (
     uniform_on_support,
 )
 from amcc.rational import rat
-from amcc.scenario import MeasurementScenario, bell_scenario, global_size
+from amcc.scenario import (
+    MeasurementScenario,
+    bell_scenario,
+    global_outcomes,
+    global_size,
+    section_size,
+)
 
 
 def test_support_of_pr_box_keeps_the_xor_sections():
@@ -76,17 +86,52 @@ def test_known_strongly_contextual_models():
         assert verdict is True
 
 
-def test_formula_evaluation_matches_the_scan():
-    sup = support_of(pr_box(3))
-    formula = formula_of(sup)
-    sc = sup.scenario
-    from amcc.scenario import global_outcomes
+def _random_supports(parties):
+    sc = bell_scenario(parties, 2, 2)
+    masks = [st.integers(1, (1 << section_size(sc, ci)) - 1) for ci in range(sc.n_contexts)]
+    return st.tuples(*masks).map(lambda m: SupportModel(sc, m))
 
+
+@st.composite
+def _augmented_parity_supports(draw):
+    sc = bell_scenario(4, 2, 2)
+    base = parity_system_from_vector(sc, draw(st.integers(0, (1 << sc.n_contexts) - 1)))
+    additions = tuple(
+        tuple(sorted(draw(st.lists(st.sampled_from(opposite_sections(base, ci)),
+                                   unique=True, max_size=3))))
+        for ci in range(sc.n_contexts)
+    )
+    return apply_plan(AugmentationPlan(base, additions))
+
+
+@given(st.one_of(_random_supports(2), _random_supports(3), _augmented_parity_supports()))
+@example(support_of(pr_box(3)))
+@example(apply_plan(reference_plan()))
+@settings(max_examples=60, deadline=None)
+def test_formula_evaluation_matches_the_scan(sup):
+    # the Boolean formula is the oracle for the compatibility scan
+    sc = sup.scenario
+    formula = formula_of(sup)
     sat = [
         gi for gi in range(global_size(sc))
         if formula.evaluate(global_outcomes(sc, gi))
     ]
     assert sat == compatible_globals(sup)
+    assert strong_contextuality(sup) == ((False, sat[0]) if sat else (True, None))
+
+
+def test_an_incompatible_scan_witness_raises(monkeypatch):
+    sup = support_of(pr_box(0))  # strongly contextual: no global is compatible
+
+    def wrong_mask(support, table):
+        mask = np.zeros(table.shape[1], dtype=np.bool_)
+        mask[5] = True
+        return mask
+
+    monkeypatch.setattr(possibilistic, "compatible_mask", wrong_mask)
+    with pytest.raises(VerificationError, match="incompatible global") as exc:
+        strong_contextuality(sup)
+    assert exc.value.details["global"] == 5
 
 
 def test_formula_strings_read_as_disjunctions_of_conjunctions():
