@@ -1,10 +1,10 @@
 """Exact contextuality toolkit.
 
 Empirical models carry exact rational weights; the contextual fraction
-comes from a two-phase rational simplex with a verified decomposition;
-possibilistic strong contextuality, parity-vector scans, affine support
-solving, and the bundled reference reconstruction round out the
-pipeline. All headline quantities can be recomputed with the
+comes from an exact single-phase simplex, certified by its dual prices and
+a verified decomposition; possibilistic strong contextuality, parity-vector
+scans, affine support solving, and the bundled reference reconstruction
+round out the pipeline. All headline quantities can be recomputed with the
 `verify-paper` CLI subcommand.
 """
 
@@ -26,7 +26,7 @@ from .csp import (
     search_plans,
 )
 from .errors import PreconditionError, ResourceLimitError, VerificationError
-from .lp import CfResult, LinearProgram, contextual_fraction, is_noncontextual, simplex_solve
+from .lp import CfResult, contextual_fraction, simplex_solve
 from .model import (
     EmpiricalModel,
     corpus,
@@ -58,7 +58,7 @@ from .possibilistic import (
     support_of,
     support_to_json,
 )
-from .rational import BACKEND, Rat, rat, rat_from_str, rat_str
+from .rational import BACKEND, rat, rat_from_str, rat_str
 from .scenario import MeasurementScenario, bell_scenario
 from .verify import covering_ncf, chsh_cf, random_no_signaling_model, run_checks
 

@@ -242,8 +242,9 @@ def solve_support(support):
     support, or None when the equality system is infeasible. Nonnegativity is
     not imposed here; for one-parameter families use parameter_bounds."""
     sc = support.scenario
+    rows = ns_equations(sc, support)
     elim = _Elimination()
-    for row, rhs in ns_equations(sc, support):
+    for row, rhs in rows:
         elim.add(row, rhs)
         if elim.infeasible:
             return None
@@ -273,7 +274,7 @@ def solve_support(support):
     )
     if family.dimension == 1:
         family = _normalize_single_parameter(family)
-    _check_family(family)
+    _check_family(family, rows)
     return family
 
 
@@ -309,9 +310,10 @@ def _normalize_single_parameter(family):
     )
 
 
-def _check_family(family):
-    """Re-verify the defining invariants: the base solves every equation and
-    each direction solves the homogeneous system; all vanish off-support."""
+def _check_family(family, rows):
+    """Re-verify the defining invariants: the base solves every equation in
+    rows (the family support's ns_equations) and each direction solves the
+    homogeneous system; all vanish off-support."""
     sc = family.scenario
     offs = slot_offsets(sc)
     for ci in range(sc.n_contexts):
@@ -323,7 +325,7 @@ def _check_family(family):
                         "family has weight outside the support",
                         details={"context": ci, "section": si},
                     )
-    for row, rhs in ns_equations(sc, family.support):
+    for row, rhs in rows:
         acc = ZERO
         for slot, c in row.items():
             acc += c * family.base[slot]
@@ -472,7 +474,7 @@ def family_from_json(doc):
         directions=dirs,
         parameters=tuple(doc["parameters"]),
     )
-    _check_family(family)
+    _check_family(family, ns_equations(sc, support))
     return family
 
 

@@ -7,24 +7,31 @@ The noncontextual fraction of a model is the value of
 where M is the 0/1 incidence matrix (slot, global assignment) and v stacks
 the model's weights in slot order. The inequality form is used deliberately:
 its residual v - M b stays componentwise nonnegative, which is what turns the
-optimum into a convex decomposition of the model. The equality feasibility
-form M d = v is kept separate in is_noncontextual.
+optimum into a convex decomposition of the model. Its dual prices the slots:
 
-The solver is a two-phase tableau simplex with explicit slack, surplus and
-artificial variables and Bland's anti-cycling rule; these polytopes are
-massively degenerate (strongly contextual models sit on many zero slots), so
-an anti-cycling rule is not optional. All arithmetic is exact; the reported
-fraction is a rational number, not a float estimate.
+    minimize  v . y   subject to  M^T y >= 1,  y >= 0
+
+(Abramsky, Barbosa and Mansfield, PRL 119, 050504, 2017).
+
+The solver is a single-phase tableau simplex started from the slack basis,
+which is feasible because v >= 0, with Bland's anti-cycling rule; these
+polytopes are massively degenerate (strongly contextual models sit on many
+zero slots), so an anti-cycling rule is not optional. All arithmetic is
+exact. The optimal prices are read off the final objective row and every
+fraction is returned only after they certify optimality exactly, and after
+the decomposition recomposes the model.
 """
 
 from dataclasses import dataclass
+from math import lcm
+
+import numpy as np
 
 from .errors import PreconditionError, VerificationError
 from .model import EmpiricalModel, is_no_signaling
 from .rational import ONE, ZERO, rat, rat_str
 from .scenario import (
     global_outcomes,
-    global_size,
     incidence_matrix,
     restrict,
     section_index,
@@ -32,140 +39,51 @@ from .scenario import (
 )
 
 __all__ = [
-    "LinearProgram",
-    "LpSolution",
     "simplex_solve",
     "CfResult",
     "contextual_fraction",
-    "is_noncontextual",
     "stacked_weights",
 ]
 
-LESS = "<="
-EQUAL = "="
-GREATER = ">="
 
+def simplex_solve(incidence, rhs):
+    """maximize 1 . x subject to incidence x <= rhs, x >= 0, exactly.
 
-@dataclass(frozen=True)
-class LinearProgram:
-    """maximize objective . x subject to rows, with every variable >= 0."""
-
-    objective: tuple
-    matrix: tuple  # rows of coefficients
-    rhs: tuple
-    senses: tuple  # per row: "<=", "=" or ">="
-
-    def __post_init__(self):
-        n = len(self.objective)
-        if not (len(self.matrix) == len(self.rhs) == len(self.senses)):
-            raise ValueError("matrix, rhs and senses must have equal length")
-        for row in self.matrix:
-            if len(row) != n:
-                raise ValueError("every row must match the objective length")
-        for s in self.senses:
-            if s not in (LESS, EQUAL, GREATER):
-                raise ValueError(f"unknown constraint sense {s!r}")
-
-
-@dataclass(frozen=True)
-class LpSolution:
-    status: str  # optimal | infeasible | unbounded
-    value: object  # objective value when optimal
-    x: tuple  # variable assignment when optimal
-    pivots: int
-
-
-def simplex_solve(lp):
-    """Two-phase exact simplex. Returns an LpSolution whose assignment
-    satisfies every constraint exactly when status is optimal."""
-    n = len(lp.objective)
-    m = len(lp.matrix)
-    rows = []
-    senses = []
-    for i in range(m):
-        coeffs = [rat(x) for x in lp.matrix[i]]
-        b = rat(lp.rhs[i])
-        s = lp.senses[i]
-        if b < 0:
-            coeffs = [-x for x in coeffs]
-            b = -b
-            s = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}[s]
-        rows.append((coeffs, b))
-        senses.append(s)
-
-    # column layout: n structural, then one slack/surplus per inequality row,
-    # then one artificial per "=" or ">=" row
-    slack_of = {}
-    k = n
-    for i, s in enumerate(senses):
-        if s in (LESS, GREATER):
-            slack_of[i] = k
-            k += 1
-    art_of = {}
-    for i, s in enumerate(senses):
-        if s in (EQUAL, GREATER):
-            art_of[i] = k
-            k += 1
-    width = k
-
+    incidence is a 0/1 array with one column per variable, every column
+    nonzero; rhs is a nonnegative rational per row. Columns are laid out
+    as the structural variables, then one slack per row. Returns
+    (value, x, prices, pivots), where prices are the optimal dual values
+    of the rows."""
+    m, n = incidence.shape
+    width = n + m
+    unit = (ZERO, ONE)
     tableau = []
-    basis = []
-    for i, (coeffs, b) in enumerate(rows):
-        row = coeffs + [ZERO] * (width - n) + [b]
-        if i in slack_of:
-            row[slack_of[i]] = ONE if senses[i] == LESS else -ONE
-        if i in art_of:
-            row[art_of[i]] = ONE
-            basis.append(art_of[i])
-        else:
-            basis.append(slack_of[i])
+    for i, (coeffs, b) in enumerate(zip(incidence.tolist(), rhs)):
+        b = rat(b)
+        if b < 0:
+            raise PreconditionError(f"right-hand side {rat_str(b)} of row {i} is negative")
+        row = [unit[a] for a in coeffs] + [ZERO] * (m + 1)
+        row[n + i] = ONE
+        row[-1] = b
         tableau.append(row)
-
-    pivots = 0
-    if art_of:
-        # phase 1: maximize minus the sum of artificials, starting value
-        # -(sum of their rhs); feasible iff it reaches 0
-        obj = [ZERO] * (width + 1)
-        for i in art_of:
-            row = tableau[i]
-            for j in range(width + 1):
-                obj[j] -= row[j]
-        for i in art_of:
-            obj[art_of[i]] = ZERO
-        pivots += _run(tableau, obj, basis, width, phase_one=True)
-        if obj[-1] != 0:
-            return LpSolution(status="infeasible", value=None, x=(), pivots=pivots)
-        pivots += _expel_artificials(tableau, basis, set(art_of.values()))
-
-    barred = frozenset(art_of.values())
-    obj = [-rat(c) for c in lp.objective] + [ZERO] * (width - n + 1)
-    for i, bv in enumerate(basis):
-        f = obj[bv]
-        if f:
-            row = tableau[i]
-            for j in range(width + 1):
-                if row[j]:
-                    obj[j] -= f * row[j]
-    count = _run(tableau, obj, basis, width, barred=barred)
-    if count is None:
-        return LpSolution(status="unbounded", value=None, x=(), pivots=pivots)
-    pivots += count
+    basis = list(range(n, width))
+    obj = [-ONE] * n + [ZERO] * (m + 1)
+    pivots = _run(tableau, obj, basis, width)
     x = [ZERO] * n
     for i, bv in enumerate(basis):
         if bv < n:
             x[bv] = tableau[i][-1]
-    return LpSolution(status="optimal", value=obj[-1], x=tuple(x), pivots=pivots)
+    return obj[-1], tuple(x), tuple(obj[n:width]), pivots
 
 
-def _run(tableau, obj, basis, width, phase_one=False, barred=frozenset()):
-    """Pivot to optimality with Bland's rule. Returns the pivot count, or
-    None when the objective is unbounded (never in phase 1)."""
+def _run(tableau, obj, basis, width):
+    """Pivot to optimality with Bland's rule. Returns the pivot count."""
     m = len(tableau)
     pivots = 0
     while True:
         enter = None
         for j in range(width):
-            if j not in barred and obj[j] < 0:
+            if obj[j] < 0:
                 enter = j
                 break
         if enter is None:
@@ -179,9 +97,7 @@ def _run(tableau, obj, basis, width, phase_one=False, barred=frozenset()):
                 if leave is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     leave, best = i, ratio
         if leave is None:
-            if phase_one:
-                raise VerificationError("phase-1 objective unbounded")
-            return None
+            raise VerificationError("fraction LP is unbounded", details={"column": enter})
         _pivot(tableau, obj, basis, leave, enter)
         pivots += 1
 
@@ -206,28 +122,6 @@ def _pivot(tableau, obj, basis, r, e):
             if pv:
                 obj[j] -= f * pv
     basis[r] = e
-
-
-def _expel_artificials(tableau, basis, art_cols):
-    """Pivot basic artificials (all at value 0 after phase 1) onto any
-    non-artificial column; rows with no such column are redundant and are
-    zeroed in place."""
-    pivots = 0
-    dummy = [ZERO] * (len(tableau[0]))
-    for i in range(len(tableau)):
-        if basis[i] not in art_cols:
-            continue
-        row = tableau[i]
-        enter = next(
-            (j for j in range(len(row) - 1) if j not in art_cols and row[j] != 0),
-            None,
-        )
-        if enter is None:
-            # redundant constraint; leave the zero row, it can never pivot
-            continue
-        _pivot(tableau, dummy, basis, i, enter)
-        pivots += 1
-    return pivots
 
 
 def stacked_weights(model):
@@ -257,6 +151,7 @@ class CfResult:
     noncontextual: object  # EmpiricalModel or None
     strongly_contextual: object  # EmpiricalModel or None
     pivots: int
+    prices: tuple  # optimal dual price per slot, certifying ncf
 
 
 def contextual_fraction(model):
@@ -266,31 +161,19 @@ def contextual_fraction(model):
 
     where the noncontextual part is the normalized optimal mixture of global
     assignments and the strongly contextual part is the normalized residual.
-    Either part is None when its coefficient is zero. The decomposition is
-    re-verified entrywise before returning."""
+    Either part is None when its coefficient is zero. The dual prices and
+    the decomposition are re-verified exactly before returning."""
     _require_no_signaling(model)
     sc = model.scenario
-    ng = global_size(sc)
     mat = incidence_matrix(sc)
-    A = [[ONE if x else ZERO for x in mat[i]] for i in range(mat.shape[0])]
     v = stacked_weights(model)
-    sol = simplex_solve(
-        LinearProgram(
-            objective=(ONE,) * ng,
-            matrix=tuple(tuple(r) for r in A),
-            rhs=tuple(v),
-            senses=(LESS,) * len(v),
-        )
-    )
-    if sol.status != "optimal":
-        raise VerificationError(f"fraction LP ended {sol.status}")
-    ncf = sol.value
+    ncf, dist, prices, pivots = simplex_solve(mat, v)
     cf = ONE - ncf
     if ncf < 0 or cf < 0:
         raise VerificationError("noncontextual fraction outside [0, 1]",
                                 details={"ncf": ncf})
-    dist = sol.x
-    used = [(gi, dist[gi]) for gi in range(ng) if dist[gi]]
+    _check_prices(mat, v, prices, ncf)
+    used = [(gi, w) for gi, w in enumerate(dist) if w]
     slots_of = {
         gi: [
             section_index(sc, ci, restrict(sc, global_outcomes(sc, gi), ctx))
@@ -329,8 +212,37 @@ def contextual_fraction(model):
         distribution=dist,
         noncontextual=noncontextual,
         strongly_contextual=strongly_contextual,
-        pivots=sol.pivots,
+        pivots=pivots,
+        prices=prices,
     )
+
+
+def _check_prices(incidence, weights, prices, ncf):
+    """Dual certificate, checked exactly from the incidence matrix: prices
+    are nonnegative, every global assignment collects at least 1 over its
+    slots, and the priced weights total ncf. By weak duality no dominated
+    mixture of global assignments is heavier than ncf."""
+    if any(y < 0 for y in prices):
+        raise VerificationError("a slot price is negative")
+    # sums over a common denominator: at (4,2,2) 0.3 ms, against 10 ms
+    # for the same sums of Fractions
+    den = lcm(*(y.denominator for y in prices))
+    scaled = np.array([y.numerator * (den // y.denominator) for y in prices], dtype=object)
+    # slots of global g: the rows of incidence column g, one per context
+    slots = np.nonzero(incidence.T)[1].reshape(incidence.shape[1], -1)
+    collected = scaled[slots].sum(axis=1)
+    for g, total in enumerate(collected):
+        if total < den:
+            raise VerificationError(
+                "a global assignment collects price below 1",
+                details={"global": g, "price": rat(total, den)},
+            )
+    cost = sum((w * y for w, y in zip(weights, prices)), ZERO)
+    if cost != ncf:
+        raise VerificationError(
+            "priced weights differ from the noncontextual fraction",
+            details={"cost": cost, "ncf": ncf},
+        )
 
 
 def _check_decomposition(model, ncf, nc_part, cf, sc_part):
@@ -346,26 +258,3 @@ def _check_decomposition(model, ncf, nc_part, cf, sc_part):
                     "decomposition does not recompose the model",
                     details={"context": ci, "section": si},
                 )
-
-
-def is_noncontextual(model):
-    """True iff some distribution d over global assignments reproduces the
-    model exactly: M d = v, d >= 0 feasible. Solved in the equality form, so
-    this is an independent check of contextual_fraction's cf == 0."""
-    _require_no_signaling(model)
-    sc = model.scenario
-    ng = global_size(sc)
-    mat = incidence_matrix(sc)
-    A = tuple(
-        tuple(ONE if x else ZERO for x in mat[i]) for i in range(mat.shape[0])
-    )
-    v = tuple(stacked_weights(model))
-    sol = simplex_solve(
-        LinearProgram(
-            objective=(ZERO,) * ng,
-            matrix=A,
-            rhs=v,
-            senses=(EQUAL,) * len(v),
-        )
-    )
-    return sol.status == "optimal"

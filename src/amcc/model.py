@@ -6,10 +6,11 @@ weights are exact rationals; serialization uses "a/b" strings.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, product
 
 from .errors import PreconditionError
-from .rational import ONE, ZERO, Rat, rat, rat_str
+from .rational import ONE, ZERO, rat, rat_str
 from .scenario import (
     MeasurementScenario,
     bell_scenario,
@@ -173,7 +174,7 @@ def is_maximal_marginals(model):
     for ms in party_setting_subsets(sc):
         ci = context_containing(sc, ms)
         marg = marginalize(model, ci, ms)
-        expected = Rat(1, len(marg.weights))
+        expected = Fraction(1, len(marg.weights))
         for i, w in enumerate(marg.weights):
             if w != expected:
                 outs = []
@@ -208,7 +209,7 @@ def _parity_tables(scenario, parities):
             for si in range(size)
             if sum(section_outcomes(scenario, ci, si)) % 2 == parities[ci]
         ]
-        w = Rat(1, len(keep))
+        w = Fraction(1, len(keep))
         row = [ZERO] * size
         for si in keep:
             row[si] = w
@@ -259,7 +260,7 @@ def uniform_model(scenario):
     rows = []
     for ci in range(scenario.n_contexts):
         size = section_size(scenario, ci)
-        rows.append((Rat(1, size),) * size)
+        rows.append((Fraction(1, size),) * size)
     return EmpiricalModel(scenario, tuple(rows))
 
 

@@ -5,10 +5,10 @@ to equal a target bit. Packed form: bit ci of the vector is context ci's
 target (LSB = context 0, contexts in canonical cover order), so the
 (4,2,2) system with odd targets on contexts 10, 11, 12 is 0x1c00.
 
-Satisfiability is decided twice on every call: by GF(2) elimination against
-the measurement column vectors, and by brute enumeration of global
-assignments through the numpy pattern scan. Disagreement raises, so the
-two routes police each other permanently.
+Satisfiability of one system is decided by GF(2) elimination against the
+measurement column vectors. Brute enumeration of global assignments through
+the numpy pattern scan finds witnesses (parity_witness) and classifies whole
+scenarios (parity_scan), whose count is cross-checked against the rank.
 """
 
 from dataclasses import dataclass
@@ -139,34 +139,16 @@ def parity_patterns(scenario):
     return pat
 
 
-def _satisfiable_by_elimination(system):
-    return in_gf2_span(system.vector, column_vectors(system.scenario))
-
-
-def _satisfiable_by_enumeration(system):
-    pats = parity_patterns(system.scenario)
-    hits = np.nonzero(pats == system.vector)[0]
-    return (True, int(hits[0])) if hits.size else (False, None)
-
-
 def parity_satisfiable(system):
-    """True iff some global assignment meets every context's parity target.
-    Decided by both elimination and enumeration; disagreement raises."""
-    by_elim = _satisfiable_by_elimination(system)
-    by_enum, _ = _satisfiable_by_enumeration(system)
-    if by_elim != by_enum:
-        raise VerificationError(
-            "parity satisfiability routes disagree",
-            details={"elimination": by_elim, "enumeration": by_enum,
-                     "vector": system.vector},
-        )
-    return by_elim
+    """True iff some global assignment meets every context's parity target,
+    i.e. the target vector lies in the GF(2) span of the column vectors."""
+    return in_gf2_span(system.vector, column_vectors(system.scenario))
 
 
 def parity_witness(system):
     """A satisfying global assignment index, or None."""
-    _, witness = _satisfiable_by_enumeration(system)
-    return witness
+    hits = np.nonzero(parity_patterns(system.scenario) == system.vector)[0]
+    return int(hits[0]) if hits.size else None
 
 
 @dataclass(frozen=True)

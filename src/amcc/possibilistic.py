@@ -10,6 +10,7 @@ context; the formula route is the oracle the tests compare the scan against.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import ResourceLimitError, VerificationError
 from .kernels import compatible_mask
 from .model import EmpiricalModel
-from .rational import Rat, ZERO, rat
+from .rational import ZERO, rat
 from .scenario import (
     global_size,
     restriction_table,
@@ -87,7 +88,7 @@ def uniform_on_support(support):
     rows = []
     for ci in range(sc.n_contexts):
         secs = support_sections(support, ci)
-        w = Rat(1, len(secs))
+        w = Fraction(1, len(secs))
         row = [ZERO] * section_size(sc, ci)
         for si in secs:
             row[si] = w

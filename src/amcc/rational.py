@@ -1,54 +1,31 @@
-"""Exact rational arithmetic backend.
+"""Exact rational arithmetic.
 
-Every probabilistic quantity in this package is an exact rational; floats only
-ever appear in display strings. The backend is gmpy2.mpq when importable
-(roughly 6x faster on the big simplex tableaus), falling back to
-fractions.Fraction. Both are exact and expose .numerator/.denominator, so the
-rest of the code never needs to know which one it got. Set
-AMCC_RATIONAL=fraction to force the stdlib backend, AMCC_RATIONAL=gmpy2 to
-insist on gmpy2 (import error if absent).
+Every probabilistic quantity in this package is a fractions.Fraction;
+floats only ever appear in display strings. Values are built with rat(),
+which refuses floats, and serialized as "a/b" strings.
 """
 
-import os
 from fractions import Fraction
 
-__all__ = ["Rat", "BACKEND", "rat", "rat_str", "rat_from_str", "as_float"]
+__all__ = ["BACKEND", "rat", "rat_str", "rat_from_str", "as_float"]
 
-_choice = os.environ.get("AMCC_RATIONAL", "auto").strip().lower()
-if _choice not in ("auto", "gmpy2", "fraction"):
-    raise ValueError(f"AMCC_RATIONAL must be auto, gmpy2 or fraction, not {_choice!r}")
+BACKEND = "fraction"  # the one rational type; perfbench records it
 
-if _choice == "fraction":
-    Rat = Fraction
-    BACKEND = "fraction"
-else:
-    try:
-        from gmpy2 import mpq as Rat  # type: ignore[no-redef]
-
-        BACKEND = "gmpy2"
-    except ImportError:
-        if _choice == "gmpy2":
-            raise
-        Rat = Fraction  # type: ignore[misc]
-        BACKEND = "fraction"
-
-ZERO = Rat(0)
-ONE = Rat(1)
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def rat(value, den=None):
-    """Coerce to the backend rational. Accepts ints, strings like "3/16",
-    Fractions, backend rationals, and an optional explicit denominator."""
+    """Coerce to a Fraction. Accepts ints, strings like "3/16", rationals,
+    and an optional explicit denominator."""
     if den is not None:
-        return Rat(value, den)
+        return Fraction(value, den)
     if isinstance(value, str):
         return rat_from_str(value)
     if isinstance(value, float):
         # floats are almost always a bug upstream; refuse silently lossy input
         raise TypeError("refusing float input; pass a string or numerator/denominator")
-    if isinstance(value, Fraction):
-        return Rat(value.numerator, value.denominator)
-    return Rat(value)
+    return Fraction(value)
 
 
 def rat_from_str(text):
@@ -62,8 +39,8 @@ def rat_from_str(text):
         d = int(den.strip())
         if d == 0:
             raise ValueError(f"zero denominator in {text!r}")
-        return Rat(n, d)
-    return Rat(int(s))
+        return Fraction(n, d)
+    return Fraction(int(s))
 
 
 def rat_str(value):

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import amcc.cli  # noqa: F401  loads every module the tracer wraps
 import amcc.kernels
+import amcc.rational
 from amcc.csp import plan_counts, reference_plan
+from amcc.model import parity_amcc_422
 from amcc.scenario import bell_scenario
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -31,4 +33,23 @@ def test_benchmark_tracer_binds_and_traced_ops_run(monkeypatch):
     assert {span[0] for span in tracer.spans} >= {
         "kernels.compatible_mask",
         "kernels.scan_satisfiable",
+    }
+
+
+def test_benchmark_tracer_sees_the_fraction_lp(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert amcc.rational.BACKEND == "fraction"
+        assert amcc.affine.classify(parity_amcc_422()).verdict == "AMCC"
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["lp.pivots"] > 0
+    assert {span[0] for span in tracer.spans} >= {
+        "affine.classify",
+        "lp.contextual_fraction",
+        "lp.simplex_solve",
     }

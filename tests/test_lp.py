@@ -1,18 +1,17 @@
 """Exact simplex and contextual-fraction tests with frozen values."""
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amcc.errors import PreconditionError
+import amcc.lp
+from amcc.errors import PreconditionError, VerificationError
 from amcc.lp import (
-    EQUAL,
-    GREATER,
-    LESS,
     CfResult,
-    LinearProgram,
     contextual_fraction,
-    is_noncontextual,
     simplex_solve,
     stacked_weights,
 )
@@ -25,102 +24,44 @@ from amcc.model import (
     uniform_model,
 )
 from amcc.rational import ONE, ZERO, rat
-from amcc.scenario import bell_scenario
+from amcc.scenario import bell_scenario, incidence_matrix
+from amcc.verify import covering_ncf, random_no_signaling_model
 
 
 # ---------------------------------------------------------------------------
-# raw simplex
+# raw simplex: maximize 1 . x subject to A x <= b, x >= 0
 
 
 def test_simplex_box_maximum():
     # max x + y with x <= 2, y <= 3
-    lp = LinearProgram(
-        objective=(1, 1),
-        matrix=((1, 0), (0, 1)),
-        rhs=(2, 3),
-        senses=(LESS, LESS),
-    )
-    sol = simplex_solve(lp)
-    assert sol.status == "optimal"
-    assert sol.value == rat(5)
-    assert sol.x == (rat(2), rat(3))
+    value, x, prices, pivots = simplex_solve(np.eye(2, dtype=np.uint8), (2, 3))
+    assert value == rat(5)
+    assert x == (rat(2), rat(3))
+    assert prices == (ONE, ONE)
+    assert pivots == 2
 
 
 def test_simplex_fractional_vertex():
-    # max x + y with 2x + y <= 4, x + 2y <= 4: optimum at x = y = 4/3
-    lp = LinearProgram(
-        objective=(1, 1),
-        matrix=((2, 1), (1, 2)),
-        rhs=(4, 4),
-        senses=(LESS, LESS),
-    )
-    sol = simplex_solve(lp)
-    assert sol.status == "optimal"
-    assert sol.value == rat(8, 3)
-    assert sol.x == (rat(4, 3), rat(4, 3))
-
-
-def test_simplex_equality_and_greater_rows():
-    # max x + 2y with x + y = 1, y >= 1/4
-    lp = LinearProgram(
-        objective=(1, 2),
-        matrix=((1, 1), (0, 1)),
-        rhs=(1, rat(1, 4)),
-        senses=(EQUAL, GREATER),
-    )
-    sol = simplex_solve(lp)
-    assert sol.status == "optimal"
-    assert sol.value == rat(2)
-    assert sol.x == (rat(0), rat(1))
-
-
-def test_simplex_negative_rhs_is_normalized():
-    # max x with -x <= -2 (i.e. x >= 2) and x <= 5
-    lp = LinearProgram(
-        objective=(1,),
-        matrix=((-1,), (1,)),
-        rhs=(-2, 5),
-        senses=(LESS, LESS),
-    )
-    sol = simplex_solve(lp)
-    assert sol.status == "optimal"
-    assert sol.value == rat(5)
-
-
-def test_simplex_infeasible():
-    lp = LinearProgram(
-        objective=(1,),
-        matrix=((1,), (1,)),
-        rhs=(1, 3),
-        senses=(LESS, GREATER),
-    )
-    assert simplex_solve(lp).status == "infeasible"
-
-
-def test_simplex_unbounded():
-    lp = LinearProgram(
-        objective=(1, 0),
-        matrix=((0, 1),),
-        rhs=(1,),
-        senses=(LESS,),
-    )
-    assert simplex_solve(lp).status == "unbounded"
+    # max x + y + z with x + y <= 1, y + z <= 1, x + z <= 1: the unique
+    # optimum is x = y = z = 1/2, priced 1/2 per row
+    a = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=np.uint8)
+    value, x, prices, _ = simplex_solve(a, (1, 1, 1))
+    assert value == rat(3, 2)
+    assert x == (rat(1, 2),) * 3
+    assert prices == (rat(1, 2),) * 3
 
 
 def test_simplex_exactness_on_awkward_rationals():
-    # max x with 3x <= 1: the answer is exactly 1/3, no rounding
-    lp = LinearProgram(objective=(1,), matrix=((3,),), rhs=(1,), senses=(LESS,))
-    sol = simplex_solve(lp)
-    assert sol.value == rat(1, 3)
+    # max x with x <= 1/3: the answer is exactly 1/3, no rounding
+    value, x, _, _ = simplex_solve(np.ones((1, 1), dtype=np.uint8), (rat(1, 3),))
+    assert value == rat(1, 3)
+    assert x == (rat(1, 3),)
 
 
-def test_linear_program_shape_validation():
-    with pytest.raises(ValueError):
-        LinearProgram(objective=(1,), matrix=((1, 2),), rhs=(1,), senses=(LESS,))
-    with pytest.raises(ValueError):
-        LinearProgram(objective=(1,), matrix=((1,),), rhs=(1, 2), senses=(LESS,))
-    with pytest.raises(ValueError):
-        LinearProgram(objective=(1,), matrix=((1,),), rhs=(1,), senses=("<",))
+def test_simplex_rejects_a_negative_rhs():
+    # the slack basis is the starting point, so b >= 0 is required
+    with pytest.raises(PreconditionError, match="negative"):
+        simplex_solve(np.ones((1, 1), dtype=np.uint8), (rat(-1, 2),))
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +134,9 @@ def test_fraction_agrees_with_the_equality_feasibility_route():
     ]
     for model in models:
         res = contextual_fraction(model)
-        assert (res.cf == ZERO) == is_noncontextual(model)
+        # covering_ncf prices the slots by its own tableau, sharing no code
+        # with the simplex
+        assert (res.cf == ZERO) == (covering_ncf(model)[0] == ONE)
 
 
 def test_signaling_model_is_rejected():
@@ -206,8 +149,6 @@ def test_signaling_model_is_rejected():
     bad = type(det)(sc, tuple(tuple(r) for r in rows))
     with pytest.raises(PreconditionError, match="signaling"):
         contextual_fraction(bad)
-    with pytest.raises(PreconditionError, match="signaling"):
-        is_noncontextual(bad)
 
 
 def test_stacked_weights_are_context_major():
@@ -237,3 +178,50 @@ def test_cf_result_has_pivot_count():
     res = contextual_fraction(pr_box(0))
     assert isinstance(res, CfResult)
     assert res.pivots >= 1
+
+
+def _certified(model, res):
+    """The three dual-certificate conditions, recomputed here from the
+    incidence matrix."""
+    inc = incidence_matrix(model.scenario)
+    y = res.prices
+    assert len(y) == inc.shape[0]
+    assert all(p >= 0 for p in y)
+    for g in range(inc.shape[1]):
+        assert sum((y[s] for s in np.nonzero(inc[:, g])[0]), ZERO) >= 1
+    assert sum((w * p for w, p in zip(stacked_weights(model), y)), ZERO) == res.ncf
+
+
+@given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_every_fraction_carries_a_valid_dual_certificate(parties, seed):
+    model = random_no_signaling_model(bell_scenario(parties, 2, 2), random.Random(seed))
+    res = contextual_fraction(model)
+    _certified(model, res)
+    if parties == 2:
+        # the covering oracle's tableau takes about 10 s per (3,2,2) model
+        assert res.ncf == covering_ncf(model)[0]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda y: (-ONE,) + y[1:], "negative"),
+        (lambda y: (ZERO,) * len(y), "below 1"),
+        (lambda y: (y[0] + 1,) + y[1:], "priced weights"),
+    ],
+    ids=["negative", "uncovered", "overpriced"],
+)
+def test_a_bad_price_vector_is_refused(monkeypatch, corrupt, message):
+    solve = amcc.lp.simplex_solve
+
+    def bad_solve(incidence, rhs):
+        value, x, prices, pivots = solve(incidence, rhs)
+        return value, x, corrupt(prices), pivots
+
+    monkeypatch.setattr(amcc.lp, "simplex_solve", bad_solve)
+    # 3/4 PR + 1/4 uniform: ncf 1/2 and slot 0 carries weight 1/4
+    sc = bell_scenario(2, 2, 2)
+    model = mix_models([(rat(3, 4), pr_box(0)), (rat(1, 4), uniform_model(sc))])
+    with pytest.raises(VerificationError, match=message):
+        contextual_fraction(model)
