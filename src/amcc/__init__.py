@@ -1,11 +1,12 @@
 """Exact contextuality toolkit.
 
 Empirical models carry exact rational weights; the contextual fraction
-comes from an exact single-phase simplex, certified by its dual prices and
-a verified decomposition; possibilistic strong contextuality, parity-vector
-scans, affine support solving, and the bundled reference reconstruction
-round out the pipeline. All headline quantities can be recomputed with the
-`verify-paper` CLI subcommand.
+comes from an exact single-phase simplex on a fraction-free integer
+tableau, certified by its dual prices and a verified decomposition;
+possibilistic strong contextuality, parity-vector scans, affine support
+solving, and the bundled reference reconstruction round out the pipeline.
+All headline quantities can be recomputed with the `verify-paper` CLI
+subcommand.
 """
 
 from .affine import (

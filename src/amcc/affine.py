@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .errors import PreconditionError, VerificationError
-from .model import EmpiricalModel, is_maximal_marginals, render_table_csv
+from .model import EmpiricalModel, render_table_csv, uniform_marginals
 from .lp import contextual_fraction, stacked_weights
 from .rational import ONE, ZERO, rat, rat_str
 from .scenario import (
@@ -497,7 +497,8 @@ def classify(model):
     AMCC when cf = 1 with maximal marginals, non-AMCC when cf = 1 without,
     otherwise not maximal."""
     res = contextual_fraction(model)
-    mm, wit = is_maximal_marginals(model)
+    # contextual_fraction has already refused a signaling model
+    mm, wit = uniform_marginals(model)
     if res.cf == 1:
         kind = "maximally_contextual"
         verdict = "AMCC" if mm else "non-AMCC"

@@ -16,10 +16,13 @@ optimum into a convex decomposition of the model. Its dual prices the slots:
 The solver is a single-phase tableau simplex started from the slack basis,
 which is feasible because v >= 0, with Bland's anti-cycling rule; these
 polytopes are massively degenerate (strongly contextual models sit on many
-zero slots), so an anti-cycling rule is not optional. All arithmetic is
-exact. The optimal prices are read off the final objective row and every
-fraction is returned only after they certify optimality exactly, and after
-the decomposition recomposes the model.
+zero slots), so an anti-cycling rule is not optional. The tableau holds
+Python ints, v scaled by the lcm of its denominators; each pivot divides
+exactly by the previous one (Edmonds' integer-preserving pivoting) and
+the ratio test cross-multiplies, so the pivots are a Fraction tableau's.
+The optimal prices are read off the final objective row and every
+fraction is returned only after they certify optimality exactly, and
+after the decomposition recomposes the model.
 """
 
 from dataclasses import dataclass
@@ -56,72 +59,71 @@ def simplex_solve(incidence, rhs):
     of the rows."""
     m, n = incidence.shape
     width = n + m
-    unit = (ZERO, ONE)
+    rhs = [rat(b) for b in rhs]
+    scale = lcm(*(b.denominator for b in rhs))
     tableau = []
-    for i, (coeffs, b) in enumerate(zip(incidence.tolist(), rhs)):
-        b = rat(b)
+    for i, (row, b) in enumerate(zip(incidence.tolist(), rhs)):
         if b < 0:
             raise PreconditionError(f"right-hand side {rat_str(b)} of row {i} is negative")
-        row = [unit[a] for a in coeffs] + [ZERO] * (m + 1)
-        row[n + i] = ONE
-        row[-1] = b
+        row += [0] * (m + 1)
+        row[n + i] = 1
+        row[-1] = b.numerator * (scale // b.denominator)
         tableau.append(row)
+    tableau.append([-1] * n + [0] * (m + 1))
     basis = list(range(n, width))
-    obj = [-ONE] * n + [ZERO] * (m + 1)
-    pivots = _run(tableau, obj, basis, width)
+    det, pivots = _run(tableau, basis, width)
+    obj = tableau[-1]
     x = [ZERO] * n
     for i, bv in enumerate(basis):
         if bv < n:
-            x[bv] = tableau[i][-1]
-    return obj[-1], tuple(x), tuple(obj[n:width]), pivots
+            x[bv] = rat(tableau[i][-1], det * scale)
+    return rat(obj[-1], det * scale), tuple(x), tuple(rat(y, det) for y in obj[n:width]), pivots
 
 
-def _run(tableau, obj, basis, width):
-    """Pivot to optimality with Bland's rule. Returns the pivot count."""
-    m = len(tableau)
+def _run(tableau, basis, width):
+    """Pivot to optimality with Bland's rule on an integer tableau whose
+    last row is the objective. Stored entries are the true ones times det,
+    the previous pivot (Edmonds; Bareiss, Math. Comp. 22, 1968); det > 0
+    keeps every sign. Returns (det, pivot count)."""
+    obj = tableau[-1]
+    det = 1
     pivots = 0
     while True:
-        enter = None
-        for j in range(width):
-            if obj[j] < 0:
-                enter = j
-                break
+        enter = next((j for j in range(width) if obj[j] < 0), None)
         if enter is None:
-            return pivots
+            return det, pivots
         leave = None
-        best = None
-        for i in range(m):
-            a = tableau[i][enter]
+        for i, (row, bi) in enumerate(zip(tableau, basis)):
+            a = row[enter]
             if a > 0:
-                ratio = tableau[i][-1] / a
-                if leave is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    leave, best = i, ratio
+                # b / a against best_b / best_a, cross-multiplied as a > 0
+                d = -1 if leave is None else row[-1] * best_a - best_b * a
+                if d < 0 or (d == 0 and bi < basis[leave]):
+                    leave, best_b, best_a = i, row[-1], a
         if leave is None:
             raise VerificationError("fraction LP is unbounded", details={"column": enter})
-        _pivot(tableau, obj, basis, leave, enter)
+        det = _pivot(tableau, tableau[leave], enter, det)
+        basis[leave] = enter
         pivots += 1
 
 
-def _pivot(tableau, obj, basis, r, e):
-    prow = tableau[r]
+def _pivot(tableau, prow, e, det):
+    """row <- (p * row - f * prow) // det for every row but prow, where
+    p = prow[e] and f = row[e]; returns p, the next det."""
     p = prow[e]
-    if p != ONE:
-        prow = [x / p for x in prow]
-        tableau[r] = prow
+    nonzero = [(j, v) for j, v in enumerate(prow) if v]
     for row in tableau:
         if row is prow:
             continue
         f = row[e]
-        if f:
-            for j, pv in enumerate(prow):
-                if pv:
-                    row[j] -= f * pv
-    f = obj[e]
-    if f:
-        for j, pv in enumerate(prow):
-            if pv:
-                obj[j] -= f * pv
-    basis[r] = e
+        if p == det:
+            # det divides f * v because it divides p * row[j] - f * v
+            if f:
+                for j, v in nonzero:
+                    row[j] -= f * v // det
+        else:
+            row[:] = [(p * x - f * v) // det for x, v in zip(row, prow)]
+    return p
 
 
 def stacked_weights(model):

@@ -32,6 +32,7 @@ __all__ = [
     "party_setting_subsets",
     "is_no_signaling",
     "is_maximal_marginals",
+    "uniform_marginals",
     "pr_box",
     "ghz_322",
     "parity_amcc_422",
@@ -165,12 +166,18 @@ def is_maximal_marginals(model):
 
     Precondition: the model is no-signaling (the marginal of a measurement
     subset is otherwise context-dependent) and carries party structure."""
+    if model.scenario.parties is not None:  # else uniform_marginals refuses it
+        ok, wit = is_no_signaling(model)
+        if not ok:
+            raise PreconditionError(f"model is signaling: marginals disagree at {wit}")
+    return uniform_marginals(model)
+
+
+def uniform_marginals(model):
+    """is_maximal_marginals for a model known to be no-signaling."""
     sc = model.scenario
     if sc.parties is None:
         raise PreconditionError("maximal-marginals check needs party structure")
-    ok, wit = is_no_signaling(model)
-    if not ok:
-        raise PreconditionError(f"model is signaling: marginals disagree at {wit}")
     for ms in party_setting_subsets(sc):
         ci = context_containing(sc, ms)
         marg = marginalize(model, ci, ms)

@@ -134,15 +134,19 @@ def covering_ncf(model):
         if pivot_row is None:
             raise VerificationError("covering program must be bounded")
         piv = tableau[pivot_row][enter]
-        tableau[pivot_row] = [x / piv for x in tableau[pivot_row]]
-        for i in range(n_rows):
-            if i != pivot_row and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                row, prow = tableau[i], tableau[pivot_row]
-                tableau[i] = [x - f * p for x, p in zip(row, prow)]
+        prow = tableau[pivot_row] = [x / piv for x in tableau[pivot_row]]
+        # only the pivot row's nonzeros change any other row
+        nonzero = [(j, p) for j, p in enumerate(prow) if p]
+        for i, row in enumerate(tableau):
+            f = row[enter]
+            if i != pivot_row and f != 0:
+                for j, p in nonzero:
+                    row[j] -= f * p
         fm, fu = obj[enter]
-        prow = tableau[pivot_row]
-        obj = [(m - fm * p, u - fu * p) for (m, u), p in zip(obj, prow)]
+        for j, p in nonzero:
+            if j < width:
+                m, u = obj[j]
+                obj[j] = (m - fm * p, u - fu * p)
         basis[pivot_row] = enter
 
     prices = [ZERO] * n_y

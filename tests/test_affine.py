@@ -71,6 +71,18 @@ def test_closed_form_needs_party_structure():
         ns_dimension_closed_form(sc)
 
 
+def test_classify_needs_party_structure():
+    from amcc.scenario import MeasurementScenario
+
+    sc = MeasurementScenario(
+        measurements=("a", "b", "c"),
+        outcomes=(2, 2, 2),
+        cover=((0, 1), (1, 2), (0, 2)),
+    )
+    with pytest.raises(PreconditionError, match="party structure"):
+        classify(uniform_model(sc))
+
+
 # ---------------------------------------------------------------------------
 # the one-parameter family over the reference support
 

@@ -48,6 +48,8 @@ def test_benchmark_tracer_sees_the_fraction_lp(monkeypatch):
     finally:
         tracer.uninstall()
     assert tracer.counts["lp.pivots"] > 0
+    # contextual_fraction checks no-signaling; the marginal check reuses it
+    assert tracer.layer_metrics()["model.is_no_signaling.calls_per_classify"] == 1
     assert {span[0] for span in tracer.spans} >= {
         "affine.classify",
         "lp.contextual_fraction",

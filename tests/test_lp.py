@@ -1,10 +1,12 @@
 """Exact simplex and contextual-fraction tests with frozen values."""
 
+import hashlib
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import amcc.lp
@@ -23,7 +25,7 @@ from amcc.model import (
     pr_box,
     uniform_model,
 )
-from amcc.rational import ONE, ZERO, rat
+from amcc.rational import ONE, ZERO, rat, rat_str
 from amcc.scenario import bell_scenario, incidence_matrix
 from amcc.verify import covering_ncf, random_no_signaling_model
 
@@ -62,6 +64,113 @@ def test_simplex_rejects_a_negative_rhs():
     # the slack basis is the starting point, so b >= 0 is required
     with pytest.raises(PreconditionError, match="negative"):
         simplex_solve(np.ones((1, 1), dtype=np.uint8), (rat(-1, 2),))
+
+
+# ---------------------------------------------------------------------------
+# reference: the dense Fraction tableau the integer kernel replaced, with the
+# same Bland rule, so values, vertices, prices and pivot counts must match
+
+
+def _fraction_simplex(incidence, rhs):
+    m, n = incidence.shape
+    width = n + m
+    tableau = []
+    for i, (coeffs, b) in enumerate(zip(incidence.tolist(), rhs)):
+        row = [Fraction(a) for a in coeffs] + [ZERO] * (m + 1)
+        row[n + i] = ONE
+        row[-1] = Fraction(b)
+        tableau.append(row)
+    basis = list(range(n, width))
+    obj = [-ONE] * n + [ZERO] * (m + 1)
+    pivots = 0
+    while True:
+        enter = next((j for j in range(width) if obj[j] < 0), None)
+        if enter is None:
+            break
+        leave = best = None
+        for i in range(m):
+            a = tableau[i][enter]
+            if a > 0:
+                ratio = tableau[i][-1] / a
+                if leave is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    leave, best = i, ratio
+        prow = tableau[leave] = [x / tableau[leave][enter] for x in tableau[leave]]
+        for row in tableau + [obj]:
+            if row is not prow and row[enter]:
+                f = row[enter]
+                row[:] = [x - f * v for x, v in zip(row, prow)]
+        basis[leave] = enter
+        pivots += 1
+    x = [ZERO] * n
+    for i, bv in enumerate(basis):
+        if bv < n:
+            x[bv] = tableau[i][-1]
+    return obj[-1], tuple(x), tuple(obj[n:width]), pivots
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+
+
+@st.composite
+def _zero_one_programs(draw):
+    """0/1 matrices up to 8 x 12 with every column nonzero, and a rhs with
+    zeros (degenerate pivots) over distinct prime denominators."""
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 12))
+    masks = draw(st.lists(st.integers(1, 2**m - 1), min_size=n, max_size=n))
+    incidence = np.array([[mask >> i & 1 for mask in masks] for i in range(m)], dtype=np.uint8)
+    primes = draw(st.permutations(PRIMES))[:m]
+    rhs = [Fraction(draw(st.one_of(st.just(0), st.integers(1, 3 * p))), p) for p in primes]
+    return incidence, rhs
+
+
+@st.composite
+def _model_programs(draw):
+    parties = draw(st.sampled_from([2, 3]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    model = random_no_signaling_model(bell_scenario(parties, 2, 2), rng)
+    return incidence_matrix(model.scenario), stacked_weights(model)
+
+
+# about one random 0/1 program in forty takes a pivot whose true value is
+# not 1, the only pivots that rescale every row; this one always runs
+NON_UNIT_PIVOT = (
+    np.array([[1, 1, 1, 0, 1, 1], [0, 0, 1, 1, 0, 1], [1, 0, 0, 0, 0, 0], [0, 1, 0, 1, 1, 1]],
+             dtype=np.uint8),
+    [Fraction(18, 7), Fraction(18, 11), ZERO, Fraction(41, 19)],
+)
+
+
+@given(st.one_of(_zero_one_programs(), _model_programs()))
+@example(NON_UNIT_PIVOT)
+@settings(max_examples=80, deadline=None)
+def test_integer_kernel_matches_the_fraction_tableau(program):
+    incidence, rhs = program
+    assert simplex_solve(incidence, rhs) == _fraction_simplex(incidence, rhs)
+
+
+# sha256 over rat_str of ncf, every distribution entry and every price, and
+# the pivot count, of parity_amcc_422 and random_no_signaling_model at
+# (2,2,2) seeds 0-11, (3,2,2) seeds 0-11 and (4,2,2) seeds 0-9, as the dense
+# Fraction tableau computed them
+IDENTITY_DIGEST = "cf0249ee48f1f2e240228cc75e6a7afba17a2b98536844f15dfc656c49cdced6"
+
+
+def _identity_digest():
+    models = [parity_amcc_422()]
+    for parties, seeds in ((2, 12), (3, 12), (4, 10)):
+        sc = bell_scenario(parties, 2, 2)
+        models += [random_no_signaling_model(sc, random.Random(s)) for s in range(seeds)]
+    h = hashlib.sha256()
+    for model in models:
+        res = contextual_fraction(model)
+        fields = [res.ncf, *res.distribution, *res.prices]
+        h.update((" ".join(map(rat_str, fields)) + f" {res.pivots}\n").encode())
+    return h.hexdigest()
+
+
+def test_fractions_prices_and_pivots_are_pinned():
+    assert _identity_digest() == IDENTITY_DIGEST
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +308,16 @@ def test_every_fraction_carries_a_valid_dual_certificate(parties, seed):
     res = contextual_fraction(model)
     _certified(model, res)
     if parties == 2:
-        # the covering oracle's tableau takes about 10 s per (3,2,2) model
+        # the covering oracle takes about 1 s per (3,2,2) model, so three
+        # parties are compared at two fixed seeds below
         assert res.ncf == covering_ncf(model)[0]
+
+
+# seeds whose fractions, 1/2 and 13/21, are neither 0 nor 1
+@pytest.mark.parametrize("seed", [1, 3])
+def test_simplex_agrees_with_the_covering_oracle_at_three_parties(seed):
+    model = random_no_signaling_model(bell_scenario(3, 2, 2), random.Random(seed))
+    assert contextual_fraction(model).ncf == covering_ncf(model)[0]
 
 
 @pytest.mark.parametrize(
