@@ -9,17 +9,20 @@ parameter. For one-parameter families the parameter is renamed q and pinned
 to the first in-support slot of the first context (coefficient +1 there), and
 the exact nonnegativity interval of q is reported.
 
-Elimination is sparse (dict rows) with a preference for unit pivots, which
-keeps rational coefficient growth negligible at 256-variable scale.
+Elimination is sparse, each row a dict of integer numerators over one
+denominator, and prefers unit pivots, which keeps coefficient growth
+negligible at 256-variable scale; no per-entry Fraction is built.
 """
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import combinations, product
+from math import gcd, lcm
 
 from .errors import PreconditionError, VerificationError
 from .model import EmpiricalModel, render_table_csv, uniform_marginals
 from .lp import contextual_fraction, stacked_weights
-from .rational import ONE, ZERO, rat, rat_str
+from .rational import ZERO, rat, rat_str
 from .scenario import (
     scenario_from_json,
     scenario_to_json,
@@ -53,50 +56,51 @@ __all__ = [
 
 def ns_equations(scenario, support=None):
     """Sparse equality rows (dict slot -> coeff, rhs) for normalization and
-    all pairwise shared-marginal equalities. With a support, variables are
-    restricted to in-support slots (all others are pinned to zero)."""
+    all pairwise shared-marginal equalities, with integer coefficients 1/-1
+    and rhs 1/0. With a support, variables are restricted to in-support slots
+    (all others are pinned to zero)."""
     offs = slot_offsets(scenario)
-
-    def keep(ci, si):
-        return support is None or support.possible(ci, si)
-
+    kept = []
     rows = []
     for ci in range(scenario.n_contexts):
-        row = {
-            offs[ci] + si: ONE
+        sections = [
+            (offs[ci] + si, section_outcomes(scenario, ci, si))
             for si in range(section_size(scenario, ci))
-            if keep(ci, si)
-        }
-        rows.append((row, ONE))
+            if support is None or support.possible(ci, si)
+        ]
+        kept.append(sections)
+        rows.append(({slot: 1 for slot, _ in sections}, 1))
     for ci, cj in combinations(range(scenario.n_contexts), 2):
         ctx_i, ctx_j = scenario.cover[ci], scenario.cover[cj]
         shared = tuple(m for m in ctx_i if m in ctx_j)
         if not shared:
             continue
-        pos_i = [ctx_i.index(m) for m in shared]
-        pos_j = [ctx_j.index(m) for m in shared]
+        # one row per shared outcome tuple u: ci's slots (+1), then cj's (-1)
+        by_outcome = {}
+        for ctx, sections, sign in ((ctx_i, kept[ci], 1), (ctx_j, kept[cj], -1)):
+            pos = [ctx.index(m) for m in shared]
+            for slot, s in sections:
+                by_outcome.setdefault(tuple(s[p] for p in pos), {})[slot] = sign
         for u in product(*(range(scenario.outcomes[m]) for m in shared)):
-            row = {}
-            for si in range(section_size(scenario, ci)):
-                if keep(ci, si):
-                    s = section_outcomes(scenario, ci, si)
-                    if tuple(s[p] for p in pos_i) == u:
-                        row[offs[ci] + si] = ONE
-            for sj in range(section_size(scenario, cj)):
-                if keep(cj, sj):
-                    s = section_outcomes(scenario, cj, sj)
-                    if tuple(s[p] for p in pos_j) == u:
-                        row[offs[cj] + sj] = -ONE
-            if row:
-                rows.append((row, ZERO))
+            if u in by_outcome:
+                rows.append((by_outcome[u], 0))
     return rows
 
 
+def _lowest_terms(coeffs, rhs, den):
+    g = gcd(den, rhs, *coeffs.values())
+    if g == 1:
+        return coeffs, rhs, den
+    return {v: x // g for v, x in coeffs.items()}, rhs // g, den // g
+
+
 class _Elimination:
-    """Incremental sparse Gaussian elimination over exact rationals.
-    Pivot rows are normalized to coefficient 1 and keyed by pivot variable;
-    incoming rows are fully reduced before a pivot is chosen (unit
-    coefficients preferred, then lowest variable id, for determinism)."""
+    """Incremental sparse Gaussian elimination over exact rationals: a row is
+    (coeffs, rhs, den), integer numerators over one positive denominator.
+    Incoming rows are fully reduced, lowest pivot variable first, before a
+    pivot is chosen: units (|c| == den) first, then the lowest variable id,
+    for determinism. Pivot rows are keyed by pivot variable and stored
+    sign-fixed in lowest terms with coeffs[pivot] == den (coefficient 1)."""
 
     def __init__(self):
         self.pivot_rows = {}
@@ -104,57 +108,72 @@ class _Elimination:
         self.infeasible = False
 
     def add(self, row, rhs):
-        row = dict(row)
-        while True:
-            hits = sorted(v for v in row if v in self.pivot_rows)
-            if not hits:
-                break
-            v = hits[0]
-            c = row.pop(v)
-            prow, prhs = self.pivot_rows[v]
+        (rhs, *nums), den = _numerators([rhs, *row.values()])
+        coeffs = dict(zip(row, nums))
+        pivot_rows = self.pivot_rows
+        # pivot variables in the row; an entry is stale once it cancels out
+        hits = [v for v in coeffs if v in pivot_rows]
+        heapify(hits)
+        while hits:
+            v = heappop(hits)
+            if v not in coeffs:
+                continue
+            c = coeffs.pop(v)
+            prow, prhs, pden = pivot_rows[v]
+            # coeffs/den - (c/den) * prow/pden, over den * pden
+            if pden != 1:
+                coeffs = {w: x * pden for w, x in coeffs.items()}
+                rhs *= pden
+                den *= pden
             for w, pc in prow.items():
                 if w == v:
                     continue
-                nv = row.get(w, ZERO) - c * pc
-                if nv:
-                    row[w] = nv
+                x = coeffs.get(w)
+                if x is None:
+                    coeffs[w] = -c * pc
+                    if w in pivot_rows:
+                        heappush(hits, w)
+                elif x == c * pc:
+                    del coeffs[w]
                 else:
-                    row.pop(w, None)
-            rhs = rhs - c * prhs
-        if not row:
+                    coeffs[w] = x - c * pc
+            rhs -= c * prhs
+            if pden != 1:
+                coeffs, rhs, den = _lowest_terms(coeffs, rhs, den)
+        if not coeffs:
             if rhs != 0:
                 self.infeasible = True
             return
-        units = sorted(v for v, c in row.items() if c == 1 or c == -1)
-        pivot = units[0] if units else min(row)
-        c = row[pivot]
-        if c != ONE:
-            row = {v: x / c for v, x in row.items()}
-            rhs = rhs / c
-        self.pivot_rows[pivot] = (row, rhs)
+        units = [v for v, c in coeffs.items() if c == den or c == -den]
+        pivot = min(units) if units else min(coeffs)
+        c = coeffs[pivot]
+        if c < 0:
+            coeffs = {v: -x for v, x in coeffs.items()}
+            rhs, c = -rhs, -c
+        # dividing the true row by c/den leaves coeffs/c
+        self.pivot_rows[pivot] = _lowest_terms(coeffs, rhs, c)
         self.order.append(pivot)
 
     def back_substitute(self, variables):
         """Express every variable as (const, {free_var: coeff}); free
-        variables are those without a pivot row, ascending."""
+        variables are those without a pivot row, ascending. Expressions are
+        built as integers [const, coeff per free variable] over one den."""
         free = [v for v in variables if v not in self.pivot_rows]
-        exprs = {v: (ZERO, {v: ONE}) for v in free}
+        vecs = {v: ([0] + [int(f == v) for f in free], 1) for v in free}
         for v in reversed(self.order):
-            prow, prhs = self.pivot_rows[v]
-            const = prhs
-            coeffs = {}
-            for w, c in prow.items():
-                if w == v:
-                    continue
-                w_const, w_coeffs = exprs[w]
-                const -= c * w_const
-                for f, fc in w_coeffs.items():
-                    nv = coeffs.get(f, ZERO) - c * fc
-                    if nv:
-                        coeffs[f] = nv
-                    else:
-                        coeffs.pop(f, None)
-            exprs[v] = (const, coeffs)
+            prow, prhs, pden = self.pivot_rows[v]
+            terms = [(pc, vecs[w]) for w, pc in prow.items() if w != v]
+            den = lcm(*(d for _, (_, d) in terms))
+            acc = [prhs * den] + [0] * len(free)
+            for pc, (nums, d) in terms:
+                f = pc * (den // d)
+                acc = [a - f * x for a, x in zip(acc, nums)]
+            g = gcd(den * pden, *acc)
+            vecs[v] = [a // g for a in acc], den * pden // g
+        exprs = {
+            v: (rat(nums[0], den), {f: rat(x, den) for f, x in zip(free, nums[1:]) if x})
+            for v, (nums, den) in vecs.items()
+        }
         return free, exprs
 
 
@@ -313,7 +332,9 @@ def _normalize_single_parameter(family):
 def _check_family(family, rows):
     """Re-verify the defining invariants: the base solves every equation in
     rows (the family support's ns_equations) and each direction solves the
-    homogeneous system; all vanish off-support."""
+    homogeneous system; all vanish off-support. The vectors are scaled to
+    integer numerators over their lcm once, so each check is an integer dot
+    product."""
     sc = family.scenario
     offs = slot_offsets(sc)
     for ci in range(sc.n_contexts):
@@ -325,18 +346,19 @@ def _check_family(family, rows):
                         "family has weight outside the support",
                         details={"context": ci, "section": si},
                     )
+    (base, base_den), *directions = map(_numerators, (family.base, *family.directions))
     for row, rhs in rows:
-        acc = ZERO
-        for slot, c in row.items():
-            acc += c * family.base[slot]
-        if acc != rhs:
+        if sum(c * base[slot] for slot, c in row.items()) != rhs * base_den:
             raise VerificationError("family base violates an equality")
-        for d in family.directions:
-            acc = ZERO
-            for slot, c in row.items():
-                acc += c * d[slot]
-            if acc != 0:
+        for d, _ in directions:
+            if sum(c * d[slot] for slot, c in row.items()) != 0:
                 raise VerificationError("family direction violates homogeneity")
+
+
+def _numerators(vector):
+    """(integer numerators, their common denominator) of a rational vector."""
+    den = lcm(*(x.denominator for x in vector))
+    return [x.numerator * (den // x.denominator) for x in vector], den
 
 
 def parameter_bounds(family):

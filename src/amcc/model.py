@@ -8,6 +8,7 @@ weights are exact rationals; serialization uses "a/b" strings.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 from .errors import PreconditionError
 from .rational import ONE, ZERO, rat, rat_str
@@ -128,19 +129,35 @@ def is_no_signaling(model):
     """Check that overlapping contexts induce identical marginals.
 
     Returns (True, None) or (False, witness) where the witness names the first
-    violating pair: (ci, cj, shared measurements, outcome tuple, lhs, rhs)."""
+    violating pair: (ci, cj, shared measurements, outcome tuple, lhs, rhs).
+    The weights are compared as integer numerators over their common
+    denominator, with each context's sections decoded once."""
     sc = model.scenario
+    den = lcm(*(w.denominator for row in model.tables for w in row))
+    masses = [
+        [(section_outcomes(sc, ci, si), w.numerator * (den // w.denominator))
+         for si, w in enumerate(row) if w]
+        for ci, row in enumerate(model.tables)
+    ]
+
+    def marginal(ci, shared):
+        pos = [sc.cover[ci].index(m) for m in shared]
+        acc = {}
+        for s, w in masses[ci]:
+            u = tuple(s[p] for p in pos)
+            acc[u] = acc.get(u, 0) + w
+        return acc
+
     for ci, cj in combinations(range(sc.n_contexts), 2):
         shared = tuple(m for m in sc.cover[ci] if m in sc.cover[cj])
         if not shared:
             continue
-        mi = marginalize(model, ci, shared)
-        mj = marginalize(model, cj, shared)
-        if mi.weights != mj.weights:
+        mi, mj = marginal(ci, shared), marginal(cj, shared)
+        if mi != mj:
             for u in product(*(range(sc.outcomes[m]) for m in shared)):
-                a, b = mi.weight(u), mj.weight(u)
+                a, b = mi.get(u, 0), mj.get(u, 0)
                 if a != b:
-                    return False, (ci, cj, shared, u, a, b)
+                    return False, (ci, cj, shared, u, Fraction(a, den), Fraction(b, den))
     return True, None
 
 

@@ -1,10 +1,17 @@
 """No-signaling dimensions, affine families and model classification."""
 
+import hashlib
+import json
+import random
+from fractions import Fraction
+from math import gcd
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amcc.affine import (
+    _Elimination,
     classify,
     family_from_json,
     family_member_params,
@@ -13,11 +20,12 @@ from amcc.affine import (
     lin_str,
     ns_dimension,
     ns_dimension_closed_form,
+    ns_equations,
     parameter_bounds,
     solve_support,
 )
 from amcc.csp import AugmentationPlan, apply_plan, reference_plan
-from amcc.errors import PreconditionError
+from amcc.errors import PreconditionError, VerificationError
 from amcc.model import (
     context_containing,
     marginalize,
@@ -26,8 +34,10 @@ from amcc.model import (
     pr_box,
     uniform_model,
 )
-from amcc.rational import ONE, rat
-from amcc.scenario import bell_scenario
+from amcc.possibilistic import SupportModel, support_of
+from amcc.rational import ONE, ZERO, rat, rat_str
+from amcc.scenario import bell_scenario, section_size
+from amcc.verify import random_no_signaling_model
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +50,7 @@ def q_family():
 
 
 @pytest.mark.parametrize(
-    "parties,dim", [(2, 8), (3, 26), (4, 80)]
+    "parties,dim", [(2, 8), (3, 26), (4, 80), (5, 242)]
 )
 def test_ns_dimension_of_two_setting_bell_scenarios(parties, dim):
     sc = bell_scenario(parties, 2, 2)
@@ -84,6 +94,174 @@ def test_classify_needs_party_structure():
 
 
 # ---------------------------------------------------------------------------
+# reference: the Fraction elimination the integer one replaced, with the same
+# pivot rule, so pivot order, pivot rows and back substitution must match
+
+
+class _FractionElimination:
+    def __init__(self):
+        self.pivot_rows = {}
+        self.order = []
+        self.infeasible = False
+
+    def add(self, row, rhs):
+        row = dict(row)
+        while True:
+            hits = sorted(v for v in row if v in self.pivot_rows)
+            if not hits:
+                break
+            v = hits[0]
+            c = row.pop(v)
+            prow, prhs = self.pivot_rows[v]
+            for w, pc in prow.items():
+                if w == v:
+                    continue
+                nv = row.get(w, ZERO) - c * pc
+                if nv:
+                    row[w] = nv
+                else:
+                    row.pop(w, None)
+            rhs = rhs - c * prhs
+        if not row:
+            if rhs != 0:
+                self.infeasible = True
+            return
+        units = sorted(v for v, c in row.items() if c == 1 or c == -1)
+        pivot = units[0] if units else min(row)
+        c = row[pivot]
+        if c != ONE:
+            row = {v: x / c for v, x in row.items()}
+            rhs = rhs / c
+        self.pivot_rows[pivot] = (row, rhs)
+        self.order.append(pivot)
+
+    def back_substitute(self, variables):
+        free = [v for v in variables if v not in self.pivot_rows]
+        exprs = {v: (ZERO, {v: ONE}) for v in free}
+        for v in reversed(self.order):
+            prow, prhs = self.pivot_rows[v]
+            const = prhs
+            coeffs = {}
+            for w, c in prow.items():
+                if w == v:
+                    continue
+                w_const, w_coeffs = exprs[w]
+                const -= c * w_const
+                for f, fc in w_coeffs.items():
+                    nv = coeffs.get(f, ZERO) - c * fc
+                    if nv:
+                        coeffs[f] = nv
+                    else:
+                        coeffs.pop(f, None)
+            exprs[v] = (const, coeffs)
+        return free, exprs
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+_COEFFICIENTS = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 4))
+
+
+@st.composite
+def _rational_systems(draw):
+    """Up to 10 rows over up to 8 variables with small nonzero rational
+    coefficients and rhs over distinct prime denominators, plus up to three
+    repeated rows, some with a shifted (inconsistent) rhs."""
+    n = draw(st.integers(1, 8))
+    primes = draw(st.permutations(PRIMES))
+    rows = []
+    for p in primes[: draw(st.integers(1, 8))]:
+        row = draw(st.dictionaries(st.integers(0, n - 1), _COEFFICIENTS, min_size=1))
+        rows.append((row, Fraction(draw(st.integers(-3 * p, 3 * p)), p)))
+    for _ in range(draw(st.integers(0, 3))):
+        row, rhs = draw(st.sampled_from(rows))
+        shift = draw(st.sampled_from((0, 0, 1)))
+        rows.insert(draw(st.integers(0, len(rows))), (row, rhs + shift))
+    return rows
+
+
+@st.composite
+def _support_systems(draw):
+    """ns_equations of a random (3,2,2) support: a random model's, or
+    arbitrary section masks (often infeasible)."""
+    sc = bell_scenario(3, 2, 2)
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        support = support_of(random_no_signaling_model(sc, rng))
+    else:
+        masks = draw(st.lists(st.integers(1, 255), min_size=8, max_size=8))
+        support = SupportModel(sc, tuple(masks))
+    return ns_equations(sc, support)
+
+
+# no coefficient is a unit after the first row, so both pivots divide
+NON_UNIT_PIVOT = [
+    ({0: Fraction(2), 1: Fraction(3)}, Fraction(1)),
+    ({0: Fraction(1), 1: Fraction(1)}, Fraction(1, 3)),
+]
+
+
+@given(st.one_of(_rational_systems(), _support_systems()))
+@example(NON_UNIT_PIVOT)
+@settings(max_examples=80, deadline=None)
+def test_integer_elimination_matches_the_fraction_one(rows):
+    ref, elim = _FractionElimination(), _Elimination()
+    for row, rhs in rows:
+        ref.add({v: Fraction(c) for v, c in row.items()}, Fraction(rhs))
+        elim.add(row, rhs)
+        assert elim.infeasible == ref.infeasible
+    assert elim.order == ref.order
+    assert elim.pivot_rows.keys() == ref.pivot_rows.keys()
+    for v, (coeffs, rhs, den) in elim.pivot_rows.items():
+        assert coeffs[v] == den > 0
+        assert gcd(den, rhs, *coeffs.values()) == 1
+        as_fractions = {w: Fraction(c, den) for w, c in coeffs.items()}
+        assert (as_fractions, Fraction(rhs, den)) == ref.pivot_rows[v]
+    variables = sorted({v for row, _ in rows for v in row})
+    assert elim.back_substitute(variables) == ref.back_substitute(variables)
+
+
+# sha256 over one line per input, as the Fraction elimination computed them:
+# family_to_json of solve_support (sorted keys) with family_member_params of
+# the models known to lie in the family, for the reference plan, its
+# alternate final context and the supports of random_no_signaling_model at
+# (3,2,2) seeds 0-5 and (4,2,2) seeds 0-3; then ns_dimension of (n,2,2) for
+# n = 1-5, (2,3,2), (2,2,3) and (3,3,2)
+AFFINE_IDENTITY_DIGEST = "43e4f84cd9868806289e16c58d63709d729de87d1cf37c7b68cc152223161039"
+
+
+def _affine_identity_lines():
+    plan = reference_plan()
+    adds = list(plan.additions)
+    adds[12] = (0, 5, 6, 9, 12)
+    reference = apply_plan(plan)
+    q = solve_support(reference)
+    cases = [
+        (reference, [q.at(rat(1, 8)), q.at(rat(3, 16)), q.at(rat(1, 4))]),
+        (apply_plan(AugmentationPlan(plan.base, tuple(adds))), []),
+    ]
+    for parties, seeds in ((3, 6), (4, 4)):
+        sc = bell_scenario(parties, 2, 2)
+        for seed in range(seeds):
+            model = random_no_signaling_model(sc, random.Random(seed))
+            cases.append((support_of(model), [model]))
+    for support, models in cases:
+        family = solve_support(support)
+        params = [family_member_params(family, m) for m in models]
+        params = [None if p is None else [rat_str(t) for t in p] for p in params]
+        yield json.dumps([family_to_json(family), params], sort_keys=True)
+    dims = [(n, 2, 2) for n in range(1, 6)] + [(2, 3, 2), (2, 2, 3), (3, 3, 2)]
+    for dim in dims:
+        yield f"{dim} {ns_dimension(bell_scenario(*dim))}"
+
+
+def test_families_and_dimensions_are_pinned():
+    h = hashlib.sha256()
+    for line in _affine_identity_lines():
+        h.update((line + "\n").encode())
+    assert h.hexdigest() == AFFINE_IDENTITY_DIGEST
+
+
+# ---------------------------------------------------------------------------
 # the one-parameter family over the reference support
 
 
@@ -94,8 +272,6 @@ def test_reference_support_solves_to_one_parameter(q_family):
 
 
 def test_family_entries_use_the_four_letter_alphabet(q_family):
-    from amcc.scenario import section_size
-
     sc = q_family.scenario
     allowed = {
         (rat(0), (rat(0),)),
@@ -239,6 +415,23 @@ def test_family_json_validation(q_family):
     doc2["base"] = doc2["base"][:-1]
     with pytest.raises(ValueError, match="base length"):
         family_from_json(doc2)
+
+
+def test_family_check_refuses_a_corrupted_family(q_family):
+    # context 0 leads the slot order, so its section indices are slots
+    sections = range(section_size(q_family.scenario, 0))
+    on = next(si for si in sections if q_family.support.possible(0, si))
+    off = next(si for si in sections if not q_family.support.possible(0, si))
+    for key, slot, message in (
+        ("base", on, "violates an equality"),
+        ("directions", on, "homogeneity"),
+        ("base", off, "outside the support"),
+    ):
+        doc = family_to_json(q_family)
+        vector = doc["base"] if key == "base" else doc["directions"][0]
+        vector[slot] = rat_str(rat(vector[slot]) + rat(1, 8))
+        with pytest.raises(VerificationError, match=message):
+            family_from_json(doc)
 
 
 # ---------------------------------------------------------------------------

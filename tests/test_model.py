@@ -1,6 +1,9 @@
 """Empirical models: validation, marginals, reference corpus, serialization."""
 
 import json
+import random
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +37,7 @@ from amcc.scenario import (
     section_outcomes,
     section_size,
 )
+from amcc.verify import random_no_signaling_model
 
 
 def test_rows_must_be_distributions():
@@ -141,6 +145,53 @@ def test_signaling_witness_names_the_disagreeing_pair():
     assert (ci, cj) == (0, 1)
     assert shared == (0,)
     assert (a, b) == (ONE, rat(1, 2))
+
+
+# reference: the Fraction marginal comparison the integer check replaced
+
+
+def _fraction_is_no_signaling(model):
+    sc = model.scenario
+    for ci, cj in combinations(range(sc.n_contexts), 2):
+        shared = tuple(m for m in sc.cover[ci] if m in sc.cover[cj])
+        if not shared:
+            continue
+        mi = marginalize(model, ci, shared)
+        mj = marginalize(model, cj, shared)
+        if mi.weights != mj.weights:
+            for u in product(*(range(sc.outcomes[m]) for m in shared)):
+                a, b = mi.weight(u), mj.weight(u)
+                if a != b:
+                    return False, (ci, cj, shared, u, a, b)
+    return True, None
+
+
+@st.composite
+def _models(draw):
+    """Random no-signaling models at (2,2,2) and (3,2,2), some of them made
+    signaling by moving part of one section's mass to another section of
+    the same context."""
+    sc = bell_scenario(draw(st.sampled_from([2, 3])), 2, 2)
+    model = random_no_signaling_model(sc, random.Random(draw(st.integers(0, 2**32 - 1))))
+    if draw(st.booleans()):
+        ci = draw(st.integers(0, sc.n_contexts - 1))
+        row = list(model.tables[ci])
+        src = draw(st.sampled_from([si for si, w in enumerate(row) if w]))
+        dst = draw(st.sampled_from([si for si in range(len(row)) if si != src]))
+        moved = row[src] * Fraction(draw(st.integers(1, 4)), 4)
+        row[src] -= moved
+        row[dst] += moved
+        model = EmpiricalModel(sc, model.tables[:ci] + (tuple(row),) + model.tables[ci + 1 :])
+    return model
+
+
+@given(_models())
+@settings(max_examples=60, deadline=None)
+def test_integer_no_signaling_check_matches_the_fraction_one(model):
+    ok, wit = is_no_signaling(model)
+    assert (ok, wit) == _fraction_is_no_signaling(model)
+    if not ok:
+        assert all(type(x) is Fraction for x in wit[4:])
 
 
 def test_maximal_marginals_on_the_corpus():
