@@ -53,7 +53,6 @@ from .parity import (
 )
 from .possibilistic import (
     SupportModel,
-    formula_of,
     strong_contextuality,
     support_from_json,
     support_of,

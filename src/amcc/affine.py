@@ -389,16 +389,19 @@ def parameter_bounds(family):
 
 def family_member_params(family, model):
     """Parameter values at which the family hits the model exactly, or None
-    if the model is outside the family."""
+    if the model is outside the family. The final check recomposes every
+    slot from integer numerators over one denominator."""
     if model.scenario != family.scenario:
         raise PreconditionError("model and family scenarios differ")
-    target = stacked_weights(model)
+    (target, tden), (base, bden), *directions = map(
+        _numerators, (stacked_weights(model), family.base, *family.directions)
+    )
     elim = _Elimination()
     for slot, w in enumerate(target):
-        row = {k: d[slot] for k, d in enumerate(family.directions) if d[slot] != 0}
-        rhs = w - family.base[slot]
+        row = {k: d[slot] for k, d in enumerate(family.directions) if d[slot]}
+        rhs = w * bden - base[slot] * tden  # over tden * bden
         if row:
-            elim.add(row, rhs)
+            elim.add(row, rat(rhs, tden * bden))
         elif rhs != 0:
             return None
         if elim.infeasible:
@@ -407,13 +410,13 @@ def family_member_params(family, model):
     # constant part; the final entrywise check catches any mismatch
     _, exprs = elim.back_substitute(range(family.dimension))
     params = tuple(exprs[k][0] for k in range(family.dimension))
-    weights = list(family.base)
-    for t, d in zip(params, family.directions):
-        if t:
-            for slot, c in enumerate(d):
-                if c:
-                    weights[slot] += t * c
-    if weights != list(target):
+    terms = [(t, d, dden) for t, (d, dden) in zip(params, directions) if t]
+    den = lcm(tden, bden, *(t.denominator * dden for t, _, dden in terms))
+    weights = [b * (den // bden) for b in base]
+    for t, d, dden in terms:
+        f = t.numerator * (den // (t.denominator * dden))
+        weights = [x + f * c for x, c in zip(weights, d)]
+    if weights != [w * (den // tden) for w in target]:
         return None
     return params
 

@@ -78,18 +78,23 @@ def plan_counts(plan):
     return tuple(len(extra) for extra in plan.additions)
 
 
+@lru_cache(maxsize=64)
+def _parity_masks(system):
+    """Per context, the bitmask of the sections satisfying its parity equation."""
+    return tuple(
+        sum(1 << si for si in satisfying_sections(system, ci))
+        for ci in range(system.scenario.n_contexts)
+    )
+
+
 def apply_plan(plan):
     """Support allowing each context's parity class plus its additions."""
-    sc = plan.base.scenario
     masks = []
-    for ci in range(sc.n_contexts):
-        mask = 0
-        for si in satisfying_sections(plan.base, ci):
-            mask |= 1 << si
-        for si in plan.additions[ci]:
+    for mask, extra in zip(_parity_masks(plan.base), plan.additions):
+        for si in extra:
             mask |= 1 << si
         masks.append(mask)
-    return SupportModel(scenario=sc, masks=tuple(masks))
+    return SupportModel(scenario=plan.base.scenario, masks=tuple(masks))
 
 
 def plan_to_json(plan):

@@ -7,8 +7,8 @@ target (LSB = context 0, contexts in canonical cover order), so the
 
 Satisfiability of one system is decided by GF(2) elimination against the
 measurement column vectors. Brute enumeration of global assignments through
-the numpy pattern scan finds witnesses (parity_witness) and classifies whole
-scenarios (parity_scan), whose count is cross-checked against the rank.
+the numpy pattern scan classifies whole scenarios (parity_scan), whose count
+is cross-checked against the rank.
 """
 
 from dataclasses import dataclass
@@ -31,7 +31,6 @@ __all__ = [
     "in_gf2_span",
     "parity_patterns",
     "parity_satisfiable",
-    "parity_witness",
     "ParityScan",
     "parity_scan",
     "build_symmetric_model",
@@ -143,12 +142,6 @@ def parity_satisfiable(system):
     """True iff some global assignment meets every context's parity target,
     i.e. the target vector lies in the GF(2) span of the column vectors."""
     return in_gf2_span(system.vector, column_vectors(system.scenario))
-
-
-def parity_witness(system):
-    """A satisfying global assignment index, or None."""
-    hits = np.nonzero(parity_patterns(system.scenario) == system.vector)[0]
-    return int(hits[0]) if hits.size else None
 
 
 @dataclass(frozen=True)

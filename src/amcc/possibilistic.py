@@ -2,15 +2,22 @@
 
 A support model remembers only which sections are possible in each context,
 as a bitmask over section indices. Strong contextuality is the statement that
-no global assignment restricts into every context's support. Two independent
-routes decide it: the numpy compatibility scan over the restriction table, and
-evaluation of the support's Boolean formula on every assignment. At run time
-`strong_contextuality` uses the scan and re-checks its witness context by
-context; the formula route is the oracle the tests compare the scan against.
+no global assignment restricts into every context's support; the numpy
+compatibility scan over the restriction table decides it, and
+`strong_contextuality` re-checks the scan's witness context by context.
+
+Possibilistic no-signaling asks overlapping contexts to allow the same joint
+outcomes of their shared measurements. For each scenario one table per
+overlapping context pair is cached: the sorted shared-outcome keys, and for
+each section of either context the one-hot bit of its key. A support's
+projection is the OR of the bits of its mask's set sections, so a pair agrees
+when two ints are equal; otherwise the witness is the key at the lowest set
+bit of their XOR, the smallest outcome tuple that only one context allows.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -36,9 +43,6 @@ __all__ = [
     "compatible_globals",
     "strong_contextuality",
     "possibilistic_no_signaling",
-    "BooleanProposition",
-    "BooleanFormula",
-    "formula_of",
     "support_to_json",
     "support_from_json",
 ]
@@ -138,104 +142,55 @@ def strong_contextuality(support):
     return False, gi
 
 
+def _shared_keys(scenario, ci, shared):
+    """The shared-outcome tuple of each section of context ci, in section order."""
+    pos = [scenario.cover[ci].index(m) for m in shared]
+    outcomes = (section_outcomes(scenario, ci, si) for si in range(section_size(scenario, ci)))
+    return [tuple(s[p] for p in pos) for s in outcomes]
+
+
+@lru_cache(maxsize=64)
+def _pair_tables(scenario):
+    """One table per overlapping context pair, in pair order:
+    (ci, cj, shared, keys, bits_i, bits_j). `keys` holds, sorted, the
+    shared-outcome tuples that occur in either context, and bits_c[si] is the
+    one-hot bit of section si's key in `keys`."""
+    tables = []
+    for ci, cj in combinations(range(scenario.n_contexts), 2):
+        shared = tuple(m for m in scenario.cover[ci] if m in scenario.cover[cj])
+        if not shared:
+            continue
+        keys_i = _shared_keys(scenario, ci, shared)
+        keys_j = _shared_keys(scenario, cj, shared)
+        keys = tuple(sorted(set(keys_i) | set(keys_j)))
+        bit = {key: 1 << k for k, key in enumerate(keys)}
+        bits_i = tuple(bit[key] for key in keys_i)
+        bits_j = tuple(bit[key] for key in keys_j)
+        tables.append((ci, cj, shared, keys, bits_i, bits_j))
+    return tuple(tables)
+
+
 def possibilistic_no_signaling(support):
     """Check that overlapping contexts agree on which joint outcomes of their
     shared measurements are possible. Returns (True, None) or (False,
-    (ci, cj, shared, outcome tuple))."""
-    sc = support.scenario
-    for ci, cj in combinations(range(sc.n_contexts), 2):
-        shared = tuple(m for m in sc.cover[ci] if m in sc.cover[cj])
-        if not shared:
-            continue
-        seen_i = _projected_support(support, ci, shared)
-        seen_j = _projected_support(support, cj, shared)
-        if seen_i != seen_j:
-            u = sorted(seen_i ^ seen_j)[0]
-            return False, (ci, cj, shared, u)
+    (ci, cj, shared, outcome tuple)).
+
+    Each context's projection onto the shared measurements is an int: the OR
+    of the one-hot key bits of its possible sections, read from the cached
+    per-pair tables. The witness is the smallest shared-outcome tuple that
+    exactly one of the two contexts allows, i.e. the key at the lowest set
+    bit of the two projections' XOR."""
+    sections = [support_sections(support, ci) for ci in range(support.scenario.n_contexts)]
+    for ci, cj, shared, keys, bits_i, bits_j in _pair_tables(support.scenario):
+        a = b = 0
+        for si in sections[ci]:
+            a |= bits_i[si]
+        for si in sections[cj]:
+            b |= bits_j[si]
+        diff = a ^ b
+        if diff:
+            return False, (ci, cj, shared, keys[(diff & -diff).bit_length() - 1])
     return True, None
-
-
-def _projected_support(support, ci, measurements):
-    sc = support.scenario
-    ctx = sc.cover[ci]
-    pos = [ctx.index(m) for m in measurements]
-    seen = set()
-    for si in support_sections(support, ci):
-        s = section_outcomes(sc, ci, si)
-        seen.add(tuple(s[p] for p in pos))
-    return seen
-
-
-# ---------------------------------------------------------------------------
-# Boolean formulas
-
-
-@dataclass(frozen=True)
-class BooleanProposition:
-    """Disjunction, over a context's allowed sections, of the conjunction of
-    measurement=value literals describing each section."""
-
-    context: int
-    statements: tuple  # outcome tuples, one per allowed section
-
-    def __post_init__(self):
-        if not self.statements:
-            raise ValueError("a proposition needs at least one statement")
-
-
-@dataclass(frozen=True)
-class BooleanFormula:
-    """Conjunction of one proposition per context. Satisfying assignments are
-    exactly the compatible globals, so the tests use it as an independent
-    oracle for the compatibility scan."""
-
-    scenario: object
-    propositions: tuple
-
-    def __post_init__(self):
-        if len(self.propositions) != self.scenario.n_contexts:
-            raise ValueError("need exactly one proposition per context")
-        for ci, prop in enumerate(self.propositions):
-            if prop.context != ci:
-                raise ValueError("propositions must be listed in context order")
-
-    def evaluate(self, assignment):
-        """assignment: outcome tuple over every measurement."""
-        sc = self.scenario
-        if len(assignment) != len(sc.measurements):
-            raise ValueError("assignment must cover every measurement")
-        for ci, prop in enumerate(self.propositions):
-            got = tuple(assignment[m] for m in sc.cover[ci])
-            if got not in prop.statements:
-                return False
-        return True
-
-    def proposition_str(self, ci):
-        sc = self.scenario
-        names = [sc.measurements[m] for m in sc.cover[ci]]
-        parts = []
-        for outs in self.propositions[ci].statements:
-            lits = " & ".join(f"{n}={v}" for n, v in zip(names, outs))
-            parts.append("(" + lits + ")")
-        return " | ".join(parts)
-
-    def __str__(self):
-        return "\n".join(self.proposition_str(ci) for ci in range(len(self.propositions)))
-
-
-def formula_of(support):
-    sc = support.scenario
-    props = []
-    for ci in range(sc.n_contexts):
-        props.append(
-            BooleanProposition(
-                context=ci,
-                statements=tuple(
-                    section_outcomes(sc, ci, si) for si in support_sections(support, ci)
-                ),
-            )
-        )
-    return BooleanFormula(sc, tuple(props))
 
 
 # ---------------------------------------------------------------------------

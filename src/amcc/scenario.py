@@ -45,7 +45,8 @@ __all__ = [
 class MeasurementScenario:
     """measurements: label per measurement; outcomes: arity per measurement;
     cover: contexts as sorted tuples of measurement indices; parties: party
-    index per measurement for Bell-type scenarios, None otherwise."""
+    index per measurement for Bell-type scenarios, None otherwise. The
+    section count of each context is kept in `section_sizes`."""
 
     measurements: tuple
     outcomes: tuple
@@ -94,6 +95,12 @@ class MeasurementScenario:
                     raise ValueError(f"context {a} is a strict subset of {b}")
         if self.parties is not None and len(self.parties) != n:
             raise ValueError("parties must list one party per measurement")
+        # not a field, so equality and hashing ignore it
+        object.__setattr__(
+            self,
+            "section_sizes",
+            tuple(prod(self.outcomes[m] for m in ctx) for ctx in self.cover),
+        )
 
     @property
     def n_contexts(self):
@@ -124,7 +131,7 @@ def bell_scenario(parties, settings, outcomes):
 
 
 def section_size(scenario, ci):
-    return prod(scenario.outcomes[m] for m in scenario.cover[ci])
+    return scenario.section_sizes[ci]
 
 
 def section_outcomes(scenario, ci, si):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -24,17 +25,19 @@ from amcc.affine import (
     parameter_bounds,
     solve_support,
 )
-from amcc.csp import AugmentationPlan, apply_plan, reference_plan
+from amcc.csp import AugmentationPlan, apply_plan, plan_counts, reference_plan, search_plans
 from amcc.errors import PreconditionError, VerificationError
 from amcc.model import (
+    EmpiricalModel,
     context_containing,
+    deterministic_model,
     marginalize,
     mix_models,
     parity_amcc_422,
     pr_box,
     uniform_model,
 )
-from amcc.possibilistic import SupportModel, support_of
+from amcc.possibilistic import SupportModel, compatible_globals, support_of
 from amcc.rational import ONE, ZERO, rat, rat_str
 from amcc.scenario import bell_scenario, section_size
 from amcc.verify import random_no_signaling_model
@@ -352,6 +355,110 @@ def test_membership_rejects_outside_models(q_family):
     assert family_member_params(q_family, uniform_model(sc)) is None
     with pytest.raises(PreconditionError, match="scenarios differ"):
         family_member_params(q_family, pr_box(0))
+
+
+def _fraction_member_params(family, model):
+    # the Fraction recomposition family_member_params used before its final
+    # check moved to integer numerators; kept as the oracle
+    target = [w for row in model.tables for w in row]
+    elim = _Elimination()
+    for slot, w in enumerate(target):
+        row = {k: d[slot] for k, d in enumerate(family.directions) if d[slot] != 0}
+        rhs = w - family.base[slot]
+        if row:
+            elim.add(row, rhs)
+        elif rhs != 0:
+            return None
+        if elim.infeasible:
+            return None
+    _, exprs = elim.back_substitute(range(family.dimension))
+    params = tuple(exprs[k][0] for k in range(family.dimension))
+    weights = list(family.base)
+    for t, d in zip(params, family.directions):
+        if t:
+            for slot, c in enumerate(d):
+                if c:
+                    weights[slot] += t * c
+    if weights != target:
+        return None
+    return params
+
+
+def _signaling_variant(model, rng):
+    # move half of one possible section's weight onto another possible
+    # section of the same context: same support, usually signaling
+    tables = [list(row) for row in model.tables]
+    for ci in rng.sample(range(len(tables)), len(tables)):
+        possible = [si for si, w in enumerate(tables[ci]) if w]
+        if len(possible) > 1:
+            a, b = rng.sample(possible, 2)
+            tables[ci][a], tables[ci][b] = tables[ci][a] / 2, tables[ci][b] + tables[ci][a] / 2
+            return EmpiricalModel(model.scenario, tuple(map(tuple, tables)))
+    return model
+
+
+def _membership_cases(kind, seed):
+    rng = random.Random(seed)
+    if kind == "reference":
+        family = solve_support(apply_plan(reference_plan()))
+        inside = [family.at(rat(rng.randint(8, 16), 64)) for _ in range(2)]
+        return family, inside + [uniform_model(family.scenario)]
+    if kind == "hit":
+        plan = reference_plan()
+        hits = search_plans(plan.base, plan_counts(plan), 3, seed)
+        family = solve_support(apply_plan(rng.choice(hits)))
+        if family is None:
+            return None, []
+        models = [parity_amcc_422(), uniform_model(family.scenario)]
+        return family, models + [family.at(*(ZERO,) * family.dimension)]
+    sc = bell_scenario(kind, 2, 2)
+    model = random_no_signaling_model(sc, rng)
+    support = support_of(model)
+    family = solve_support(support)
+    models = [model, _signaling_variant(model, rng), uniform_model(sc)]
+    found = compatible_globals(support)
+    if found:
+        # a compatible point mass lies in the family, and so do mixtures with it
+        point = deterministic_model(sc, rng.choice(found))
+        w = rat(rng.randint(1, 9), 10)
+        models += [point, mix_models([(w, model), (1 - w, point)])]
+    return family, models
+
+
+@given(
+    st.sampled_from(["reference", "hit", 3, 4]),
+    st.integers(0, 10**6),
+    st.integers(1, 6),
+    st.integers(1, 6),
+)
+@settings(max_examples=25, deadline=None)
+def test_integer_member_check_matches_the_fraction_recomposition(kind, seed, num, den):
+    family, models = _membership_cases(kind, seed)
+    if family is None:
+        return
+    # the same family with its directions rescaled: fractional directions
+    # and parameters
+    scale = rat(num, den)
+    scaled = replace(family, directions=tuple(
+        tuple(c * scale for c in d) for d in family.directions
+    ))
+    for fam in (family, scaled):
+        for model in models:
+            assert family_member_params(fam, model) == _fraction_member_params(fam, model)
+
+
+def test_member_check_refuses_a_wrong_solution(q_family, monkeypatch):
+    # the recomposition is the only check on the elimination's answer
+    solve = _Elimination.back_substitute
+
+    def shifted(self, variables):
+        free, exprs = solve(self, variables)
+        return free, {v: (c + rat(1, 3), co) for v, (c, co) in exprs.items()}
+
+    model = q_family.at(rat(3, 16))
+    assert family_member_params(q_family, model) == (rat(3, 16),)
+    monkeypatch.setattr(_Elimination, "back_substitute", shifted)
+    assert family_member_params(q_family, model) is None
 
 
 def test_alternate_final_context_additions_pin_the_family():

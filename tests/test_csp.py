@@ -1,5 +1,8 @@
 """Augmentation plans, the seeded search and reference-table reconstruction."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -137,6 +140,31 @@ def test_search_validation():
     with pytest.raises(PreconditionError, match="nonnegative"):
         search_plans(base, (0,) * 16, trials=-1, seed=0)
     assert search_plans(base, (0,) * 16, trials=0, seed=0) == []
+
+
+# sha256 over one line per search: the additions of every hit, at the
+# reference counts (30 trials; every trial is a hit) and at the reference
+# counts plus 2 capped at 8 (100 trials; some hits), seeds 1-3. The digest was
+# computed by running _search_identity_lines with the search still using the
+# set-based no-signaling check that the per-pair bit tables replaced.
+SEARCH_IDENTITY_DIGEST = "7b8ab1b83e4069a5bb1f4ac2212e8b3ed7ad70f0fa547a3c2abf1823d6750c8a"
+
+
+def _search_identity_lines():
+    plan = reference_plan()
+    counts = plan_counts(plan)
+    plus2 = tuple(min(c + 2, 8) for c in counts)
+    for name, profile, trials in (("reference", counts, 30), ("plus2", plus2, 100)):
+        for seed in (1, 2, 3):
+            hits = search_plans(plan.base, profile, trials, seed)
+            yield json.dumps([name, seed, [[list(a) for a in p.additions] for p in hits]])
+
+
+def test_search_hits_are_pinned():
+    h = hashlib.sha256()
+    for line in _search_identity_lines():
+        h.update((line + "\n").encode())
+    assert h.hexdigest() == SEARCH_IDENTITY_DIGEST
 
 
 @given(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))

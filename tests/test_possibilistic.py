@@ -1,4 +1,8 @@
-"""Support models, strong contextuality and the Boolean-formula route."""
+"""Support models, strong contextuality and possibilistic no-signaling,
+with the Boolean-formula route and the set-based projection as oracles."""
+
+from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -17,11 +21,8 @@ from amcc.model import (
 )
 from amcc.parity import parity_system_from_vector
 from amcc.possibilistic import (
-    BooleanFormula,
-    BooleanProposition,
     SupportModel,
     compatible_globals,
-    formula_of,
     possibilistic_no_signaling,
     strong_contextuality,
     support_from_json,
@@ -36,8 +37,110 @@ from amcc.scenario import (
     bell_scenario,
     global_outcomes,
     global_size,
+    restriction_table,
+    section_outcomes,
     section_size,
 )
+
+
+# ---------------------------------------------------------------------------
+# Boolean formulas: the oracle for the compatibility scan
+
+
+@dataclass(frozen=True)
+class BooleanProposition:
+    """Disjunction, over a context's allowed sections, of the conjunction of
+    measurement=value literals describing each section."""
+
+    context: int
+    statements: tuple  # outcome tuples, one per allowed section
+
+    def __post_init__(self):
+        if not self.statements:
+            raise ValueError("a proposition needs at least one statement")
+
+
+@dataclass(frozen=True)
+class BooleanFormula:
+    """Conjunction of one proposition per context. Satisfying assignments are
+    exactly the compatible globals."""
+
+    scenario: object
+    propositions: tuple
+
+    def __post_init__(self):
+        if len(self.propositions) != self.scenario.n_contexts:
+            raise ValueError("need exactly one proposition per context")
+        for ci, prop in enumerate(self.propositions):
+            if prop.context != ci:
+                raise ValueError("propositions must be listed in context order")
+
+    def evaluate(self, assignment):
+        """assignment: outcome tuple over every measurement."""
+        sc = self.scenario
+        if len(assignment) != len(sc.measurements):
+            raise ValueError("assignment must cover every measurement")
+        for ci, prop in enumerate(self.propositions):
+            got = tuple(assignment[m] for m in sc.cover[ci])
+            if got not in prop.statements:
+                return False
+        return True
+
+    def proposition_str(self, ci):
+        sc = self.scenario
+        names = [sc.measurements[m] for m in sc.cover[ci]]
+        parts = []
+        for outs in self.propositions[ci].statements:
+            lits = " & ".join(f"{n}={v}" for n, v in zip(names, outs))
+            parts.append("(" + lits + ")")
+        return " | ".join(parts)
+
+    def __str__(self):
+        return "\n".join(self.proposition_str(ci) for ci in range(len(self.propositions)))
+
+
+def formula_of(support):
+    sc = support.scenario
+    props = []
+    for ci in range(sc.n_contexts):
+        props.append(
+            BooleanProposition(
+                context=ci,
+                statements=tuple(
+                    section_outcomes(sc, ci, si) for si in support_sections(support, ci)
+                ),
+            )
+        )
+    return BooleanFormula(sc, tuple(props))
+
+
+# ---------------------------------------------------------------------------
+# set-based projections: the oracle for the per-pair bit tables
+
+
+def _projected_support(support, ci, measurements):
+    sc = support.scenario
+    ctx = sc.cover[ci]
+    pos = [ctx.index(m) for m in measurements]
+    seen = set()
+    for si in support_sections(support, ci):
+        s = section_outcomes(sc, ci, si)
+        seen.add(tuple(s[p] for p in pos))
+    return seen
+
+
+def _set_no_signaling(support):
+    sc = support.scenario
+    for ci, cj in combinations(range(sc.n_contexts), 2):
+        shared = tuple(m for m in sc.cover[ci] if m in sc.cover[cj])
+        if not shared:
+            continue
+        seen_i = _projected_support(support, ci, shared)
+        seen_j = _projected_support(support, cj, shared)
+        if seen_i != seen_j:
+            u = sorted(seen_i ^ seen_j)[0]
+            return False, (ci, cj, shared, u)
+    return True, None
 
 
 def test_support_of_pr_box_keeps_the_xor_sections():
@@ -86,10 +189,13 @@ def test_known_strongly_contextual_models():
         assert verdict is True
 
 
-def _random_supports(parties):
-    sc = bell_scenario(parties, 2, 2)
+def _arbitrary_supports(sc):
     masks = [st.integers(1, (1 << section_size(sc, ci)) - 1) for ci in range(sc.n_contexts)]
     return st.tuples(*masks).map(lambda m: SupportModel(sc, m))
+
+
+def _random_supports(parties):
+    return _arbitrary_supports(bell_scenario(parties, 2, 2))
 
 
 @st.composite
@@ -168,6 +274,44 @@ def test_possibilistic_no_signaling_verdicts():
     assert (ci, cj) == (0, 1)
     assert shared == (0,)
     assert outcome == (1,)
+
+
+# (2,2,3) has nine sections per context, so some shared keys are not bits 0/1
+NO_SIGNALING_SCENARIOS = tuple(
+    bell_scenario(*shape) for shape in ((2, 2, 2), (3, 2, 2), (4, 2, 2), (2, 2, 3))
+)
+
+
+@st.composite
+def _point_mass_supports(draw, sc):
+    # the support of a mixture of point masses is possibilistically
+    # no-signaling; toggling one section usually breaks that
+    table = restriction_table(sc)
+    masks = [0] * sc.n_contexts
+    for gi in draw(st.lists(st.integers(0, global_size(sc) - 1), min_size=1, max_size=4)):
+        for ci in range(sc.n_contexts):
+            masks[ci] |= 1 << int(table[ci, gi])
+    if draw(st.booleans()):
+        ci = draw(st.integers(0, sc.n_contexts - 1))
+        si = draw(st.integers(0, section_size(sc, ci) - 1))
+        if masks[ci] != 1 << si:
+            masks[ci] ^= 1 << si
+    return SupportModel(sc, tuple(masks))
+
+
+@given(
+    st.one_of(
+        *map(_arbitrary_supports, NO_SIGNALING_SCENARIOS),
+        *map(_point_mass_supports, NO_SIGNALING_SCENARIOS),
+        _augmented_parity_supports(),
+    )
+)
+@example(support_of(pr_box(0)))
+@example(apply_plan(reference_plan()))
+@example(SupportModel(bell_scenario(2, 2, 2), (0b0011, 0b1111, 0b1111, 0b1111)))
+@settings(max_examples=200, deadline=None)
+def test_bit_tables_match_the_set_projections(sup):
+    assert possibilistic_no_signaling(sup) == _set_no_signaling(sup)
 
 
 def test_uniform_on_support_spreads_mass_evenly():

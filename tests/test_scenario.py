@@ -1,5 +1,7 @@
 """Scenario construction, packing conventions, and serialization."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,6 +151,20 @@ def test_explicit_json_roundtrip():
     doc = scenario_to_json(sc)
     assert "cover" in doc
     assert scenario_from_json(doc) == sc
+
+
+def test_section_sizes_are_precomputed_outside_the_fields():
+    sc = MeasurementScenario(
+        measurements=("a", "b", "c"),
+        outcomes=(2, 3, 5),
+        cover=((0, 1), (0, 2), (1, 2)),
+    )
+    assert [section_size(sc, ci) for ci in range(3)] == [6, 10, 15]
+    assert sc.section_sizes == (6, 10, 15)
+    # equality, hashing and the fields are those of the four declared fields
+    assert "section_sizes" not in {f.name for f in fields(sc)}
+    twin = scenario_from_json(scenario_to_json(sc))
+    assert twin == sc and hash(twin) == hash(sc)
 
 
 def test_triangle_scenario_has_no_party_structure():
