@@ -16,7 +16,6 @@ negligible at 256-variable scale; no per-entry Fraction is built.
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import combinations, product
 from math import gcd, lcm
 
 from .errors import PreconditionError, VerificationError
@@ -24,9 +23,9 @@ from .model import EmpiricalModel, render_table_csv, uniform_marginals
 from .lp import contextual_fraction, stacked_weights
 from .rational import ZERO, rat, rat_str
 from .scenario import (
+    overlaps,
     scenario_from_json,
     scenario_to_json,
-    section_outcomes,
     section_size,
     slot_count,
     slot_offsets,
@@ -60,30 +59,19 @@ def ns_equations(scenario, support=None):
     and rhs 1/0. With a support, variables are restricted to in-support slots
     (all others are pinned to zero)."""
     offs = slot_offsets(scenario)
-    kept = []
-    rows = []
-    for ci in range(scenario.n_contexts):
-        sections = [
-            (offs[ci] + si, section_outcomes(scenario, ci, si))
-            for si in range(section_size(scenario, ci))
-            if support is None or support.possible(ci, si)
-        ]
-        kept.append(sections)
-        rows.append(({slot: 1 for slot, _ in sections}, 1))
-    for ci, cj in combinations(range(scenario.n_contexts), 2):
-        ctx_i, ctx_j = scenario.cover[ci], scenario.cover[cj]
-        shared = tuple(m for m in ctx_i if m in ctx_j)
-        if not shared:
-            continue
-        # one row per shared outcome tuple u: ci's slots (+1), then cj's (-1)
-        by_outcome = {}
-        for ctx, sections, sign in ((ctx_i, kept[ci], 1), (ctx_j, kept[cj], -1)):
-            pos = [ctx.index(m) for m in shared]
-            for slot, s in sections:
-                by_outcome.setdefault(tuple(s[p] for p in pos), {})[slot] = sign
-        for u in product(*(range(scenario.outcomes[m]) for m in shared)):
-            if u in by_outcome:
-                rows.append((by_outcome[u], 0))
+    kept = [
+        [si for si in range(section_size(scenario, ci))
+         if support is None or support.possible(ci, si)]
+        for ci in range(scenario.n_contexts)
+    ]
+    rows = [({offs[ci] + si: 1 for si in sections}, 1) for ci, sections in enumerate(kept)]
+    for ci, cj, _, proj_i, proj_j in overlaps(scenario):
+        # one row per shared outcome, ascending: ci's slots (+1), then cj's (-1)
+        buckets = {}
+        for c, proj, sign in ((ci, proj_i, 1), (cj, proj_j, -1)):
+            for si in kept[c]:
+                buckets.setdefault(proj[si], {})[offs[c] + si] = sign
+        rows.extend((buckets[k], 0) for k in sorted(buckets))
     return rows
 
 

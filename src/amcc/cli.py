@@ -63,6 +63,8 @@ def _load_json(path):
 def _decode(path, decoder, doc):
     try:
         return decoder(doc)
+    except ResourceLimitError:
+        raise
     except Exception as exc:
         raise _InputError(f"{path} does not decode: {exc}") from exc
 

@@ -33,13 +33,7 @@ import numpy as np
 from .errors import PreconditionError, VerificationError
 from .model import EmpiricalModel, is_no_signaling
 from .rational import ONE, ZERO, rat, rat_str
-from .scenario import (
-    global_outcomes,
-    incidence_matrix,
-    restrict,
-    section_index,
-    section_size,
-)
+from .scenario import incidence_matrix, restriction_table, section_size
 
 __all__ = [
     "simplex_solve",
@@ -176,13 +170,8 @@ def contextual_fraction(model):
                                 details={"ncf": ncf})
     _check_prices(mat, v, prices, ncf)
     used = [(gi, w) for gi, w in enumerate(dist) if w]
-    slots_of = {
-        gi: [
-            section_index(sc, ci, restrict(sc, global_outcomes(sc, gi), ctx))
-            for ci, ctx in enumerate(sc.cover)
-        ]
-        for gi, _ in used
-    }
+    table = restriction_table(sc)
+    slots_of = {gi: table[:, gi].tolist() for gi, _ in used}
     noncontextual = None
     if ncf > 0:
         rows = []

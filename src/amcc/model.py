@@ -8,7 +8,7 @@ weights are exact rationals; serialization uses "a/b" strings.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
+from math import lcm, prod
 
 from .errors import PreconditionError
 from .rational import ONE, ZERO, rat, rat_str
@@ -16,12 +16,15 @@ from .scenario import (
     MeasurementScenario,
     bell_scenario,
     global_outcomes,
+    overlaps,
+    projection,
     restrict,
     scenario_from_json,
     scenario_to_json,
     section_index,
     section_outcomes,
     section_size,
+    unpack,
 )
 
 __all__ = [
@@ -102,26 +105,13 @@ def marginalize(model, ci, measurements):
     """Marginal of context ci's distribution onto a subset of its
     measurements (order given by `measurements`)."""
     sc = model.scenario
-    ctx = sc.cover[ci]
     ms = tuple(measurements)
-    if any(m not in ctx for m in ms):
-        raise ValueError(f"measurements {ms} not all inside context {ctx}")
-    if len(set(ms)) != len(ms):
-        raise ValueError("repeated measurement in marginal subset")
+    proj = projection(sc, ci, ms)
     outs = tuple(sc.outcomes[m] for m in ms)
-    size = 1
-    for o in outs:
-        size *= o
-    acc = [ZERO] * size
-    pos = [ctx.index(m) for m in ms]
-    for si, w in enumerate(model.tables[ci]):
-        if w == 0:
-            continue
-        s = section_outcomes(sc, ci, si)
-        i = 0
-        for p, o in zip(pos, outs):
-            i = i * o + s[p]
-        acc[i] = acc[i] + w
+    acc = [ZERO] * prod(outs)
+    for p, w in zip(proj, model.tables[ci]):
+        if w:
+            acc[p] += w
     return MarginalTable(measurements=ms, outcomes=outs, weights=tuple(acc))
 
 
@@ -130,34 +120,24 @@ def is_no_signaling(model):
 
     Returns (True, None) or (False, witness) where the witness names the first
     violating pair: (ci, cj, shared measurements, outcome tuple, lhs, rhs).
-    The weights are compared as integer numerators over their common
-    denominator, with each context's sections decoded once."""
+    The weights are summed as integer numerators over their common
+    denominator, into lists indexed by the shared-outcome projection; the
+    outcome tuple is the first that differs in packed (= product) order."""
     sc = model.scenario
     den = lcm(*(w.denominator for row in model.tables for w in row))
-    masses = [
-        [(section_outcomes(sc, ci, si), w.numerator * (den // w.denominator))
-         for si, w in enumerate(row) if w]
-        for ci, row in enumerate(model.tables)
-    ]
-
-    def marginal(ci, shared):
-        pos = [sc.cover[ci].index(m) for m in shared]
-        acc = {}
-        for s, w in masses[ci]:
-            u = tuple(s[p] for p in pos)
-            acc[u] = acc.get(u, 0) + w
-        return acc
-
-    for ci, cj in combinations(range(sc.n_contexts), 2):
-        shared = tuple(m for m in sc.cover[ci] if m in sc.cover[cj])
-        if not shared:
-            continue
-        mi, mj = marginal(ci, shared), marginal(cj, shared)
+    nums = [[w.numerator * (den // w.denominator) for w in row] for row in model.tables]
+    for ci, cj, shared, proj_i, proj_j in overlaps(sc):
+        radices = [sc.outcomes[m] for m in shared]
+        mi = [0] * prod(radices)
+        mj = mi[:]
+        for p, w in zip(proj_i, nums[ci]):
+            mi[p] += w
+        for p, w in zip(proj_j, nums[cj]):
+            mj[p] += w
         if mi != mj:
-            for u in product(*(range(sc.outcomes[m]) for m in shared)):
-                a, b = mi.get(u, 0), mj.get(u, 0)
-                if a != b:
-                    return False, (ci, cj, shared, u, Fraction(a, den), Fraction(b, den))
+            k = next(k for k, (a, b) in enumerate(zip(mi, mj)) if a != b)
+            u = unpack(k, radices)
+            return False, (ci, cj, shared, u, Fraction(mi[k], den), Fraction(mj[k], den))
     return True, None
 
 
@@ -201,12 +181,7 @@ def uniform_marginals(model):
         expected = Fraction(1, len(marg.weights))
         for i, w in enumerate(marg.weights):
             if w != expected:
-                outs = []
-                rem = i
-                for o in reversed(marg.outcomes):
-                    outs.append(rem % o)
-                    rem //= o
-                return False, (ms, tuple(reversed(outs)), w, expected)
+                return False, (ms, unpack(i, marg.outcomes), w, expected)
     return True, None
 
 

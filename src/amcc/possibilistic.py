@@ -7,18 +7,17 @@ compatibility scan over the restriction table decides it, and
 `strong_contextuality` re-checks the scan's witness context by context.
 
 Possibilistic no-signaling asks overlapping contexts to allow the same joint
-outcomes of their shared measurements. For each scenario one table per
-overlapping context pair is cached: the sorted shared-outcome keys, and for
-each section of either context the one-hot bit of its key. A support's
-projection is the OR of the bits of its mask's set sections, so a pair agrees
-when two ints are equal; otherwise the witness is the key at the lowest set
-bit of their XOR, the smallest outcome tuple that only one context allows.
+outcomes of their shared measurements. It reads the scenario's `overlaps`,
+cached once more with each packed shared outcome p as the one-hot bit
+1 << p. A support's projection onto the shared measurements is the OR of the
+bits of its possible sections, so a pair agrees when two ints are equal;
+otherwise the witness is the outcome at the lowest set bit of their XOR, the
+first in packed order that only one context allows.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -28,11 +27,12 @@ from .model import EmpiricalModel
 from .rational import ZERO, rat
 from .scenario import (
     global_size,
+    overlaps,
     restriction_table,
     scenario_from_json,
     scenario_to_json,
-    section_outcomes,
     section_size,
+    unpack,
 )
 
 __all__ = [
@@ -101,13 +101,14 @@ def uniform_on_support(support):
 
 
 def _support_bool(support):
+    """bool (n_contexts, widest context): bit si of each context's mask. The
+    masks go through little-endian bytes, so any section count works."""
     sc = support.scenario
-    width = max(section_size(sc, ci) for ci in range(sc.n_contexts))
-    arr = np.zeros((sc.n_contexts, width), dtype=np.bool_)
-    for ci in range(sc.n_contexts):
-        for si in support_sections(support, ci):
-            arr[ci, si] = True
-    return arr
+    width = max(sc.section_sizes)
+    nbytes = (width + 7) // 8
+    raw = b"".join(mask.to_bytes(nbytes, "little") for mask in support.masks)
+    octets = np.frombuffer(raw, dtype=np.uint8).reshape(sc.n_contexts, nbytes)
+    return np.unpackbits(octets, axis=1, count=width, bitorder="little").astype(np.bool_)
 
 
 def compatible_globals(support):
@@ -142,32 +143,13 @@ def strong_contextuality(support):
     return False, gi
 
 
-def _shared_keys(scenario, ci, shared):
-    """The shared-outcome tuple of each section of context ci, in section order."""
-    pos = [scenario.cover[ci].index(m) for m in shared]
-    outcomes = (section_outcomes(scenario, ci, si) for si in range(section_size(scenario, ci)))
-    return [tuple(s[p] for p in pos) for s in outcomes]
-
-
 @lru_cache(maxsize=64)
-def _pair_tables(scenario):
-    """One table per overlapping context pair, in pair order:
-    (ci, cj, shared, keys, bits_i, bits_j). `keys` holds, sorted, the
-    shared-outcome tuples that occur in either context, and bits_c[si] is the
-    one-hot bit of section si's key in `keys`."""
-    tables = []
-    for ci, cj in combinations(range(scenario.n_contexts), 2):
-        shared = tuple(m for m in scenario.cover[ci] if m in scenario.cover[cj])
-        if not shared:
-            continue
-        keys_i = _shared_keys(scenario, ci, shared)
-        keys_j = _shared_keys(scenario, cj, shared)
-        keys = tuple(sorted(set(keys_i) | set(keys_j)))
-        bit = {key: 1 << k for k, key in enumerate(keys)}
-        bits_i = tuple(bit[key] for key in keys_i)
-        bits_j = tuple(bit[key] for key in keys_j)
-        tables.append((ci, cj, shared, keys, bits_i, bits_j))
-    return tuple(tables)
+def _pair_bits(scenario):
+    """overlaps(scenario) with each projection index p as its bit 1 << p."""
+    return tuple(
+        (ci, cj, shared, tuple(1 << p for p in proj_i), tuple(1 << p for p in proj_j))
+        for ci, cj, shared, proj_i, proj_j in overlaps(scenario)
+    )
 
 
 def possibilistic_no_signaling(support):
@@ -176,12 +158,12 @@ def possibilistic_no_signaling(support):
     (ci, cj, shared, outcome tuple)).
 
     Each context's projection onto the shared measurements is an int: the OR
-    of the one-hot key bits of its possible sections, read from the cached
-    per-pair tables. The witness is the smallest shared-outcome tuple that
-    exactly one of the two contexts allows, i.e. the key at the lowest set
-    bit of the two projections' XOR."""
-    sections = [support_sections(support, ci) for ci in range(support.scenario.n_contexts)]
-    for ci, cj, shared, keys, bits_i, bits_j in _pair_tables(support.scenario):
+    of the one-hot bits of its possible sections' packed shared outcomes. The
+    witness is the smallest shared-outcome tuple that exactly one of the two
+    contexts allows, unpacked from the lowest set bit of the XOR."""
+    sc = support.scenario
+    sections = [support_sections(support, ci) for ci in range(sc.n_contexts)]
+    for ci, cj, shared, bits_i, bits_j in _pair_bits(sc):
         a = b = 0
         for si in sections[ci]:
             a |= bits_i[si]
@@ -189,7 +171,8 @@ def possibilistic_no_signaling(support):
             b |= bits_j[si]
         diff = a ^ b
         if diff:
-            return False, (ci, cj, shared, keys[(diff & -diff).bit_length() - 1])
+            k = (diff & -diff).bit_length() - 1
+            return False, (ci, cj, shared, unpack(k, [sc.outcomes[m] for m in shared]))
     return True, None
 
 

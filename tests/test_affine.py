@@ -410,7 +410,11 @@ def _membership_cases(kind, seed):
         if family is None:
             return None, []
         models = [parity_amcc_422(), uniform_model(family.scenario)]
-        return family, models + [family.at(*(ZERO,) * family.dimension)]
+        # q = 0 is outside some one-parameter hit families; the low end is not
+        params = (ZERO,) * family.dimension
+        if family.dimension == 1:
+            params = (parameter_bounds(family)[0],)
+        return family, models + [family.at(*params)]
     sc = bell_scenario(kind, 2, 2)
     model = random_no_signaling_model(sc, rng)
     support = support_of(model)

@@ -104,6 +104,14 @@ def test_cf_rejects_a_signaling_model(run, signaling_file):
     assert "error:" in err and "signaling" in err
 
 
+def test_cf_refuses_an_oversized_scenario(run, tmp_path):
+    # the guard trips on parties and settings alone, before any context exists
+    doc = {"scenario": {"parties": 30, "settings": 2, "outcomes": 2}, "tables": []}
+    code, out, err = run("cf", _write_json(tmp_path / "big.json", doc))
+    assert code == 5 and out == ""
+    assert "resource limit:" in err and "contexts" in err
+
+
 # ---------------------------------------------------------------------------
 # classify
 

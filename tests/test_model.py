@@ -147,7 +147,20 @@ def test_signaling_witness_names_the_disagreeing_pair():
     assert (a, b) == (ONE, rat(1, 2))
 
 
-# reference: the Fraction marginal comparison the integer check replaced
+# reference: the Fraction marginal comparison the integer check replaced,
+# decoding sections by enumerating outcome tuples in packed order
+
+
+def _fraction_marginal(model, ci, shared):
+    sc = model.scenario
+    ctx = sc.cover[ci]
+    pos = [ctx.index(m) for m in shared]
+    acc = {}
+    sections = product(*(range(sc.outcomes[m]) for m in ctx))
+    for s, w in zip(sections, model.tables[ci]):
+        u = tuple(s[p] for p in pos)
+        acc[u] = acc.get(u, ZERO) + w
+    return acc
 
 
 def _fraction_is_no_signaling(model):
@@ -156,23 +169,35 @@ def _fraction_is_no_signaling(model):
         shared = tuple(m for m in sc.cover[ci] if m in sc.cover[cj])
         if not shared:
             continue
-        mi = marginalize(model, ci, shared)
-        mj = marginalize(model, cj, shared)
-        if mi.weights != mj.weights:
-            for u in product(*(range(sc.outcomes[m]) for m in shared)):
-                a, b = mi.weight(u), mj.weight(u)
-                if a != b:
-                    return False, (ci, cj, shared, u, a, b)
+        mi = _fraction_marginal(model, ci, shared)
+        mj = _fraction_marginal(model, cj, shared)
+        for u in product(*(range(sc.outcomes[m]) for m in shared)):
+            a, b = mi.get(u, ZERO), mj.get(u, ZERO)
+            if a != b:
+                return False, (ci, cj, shared, u, a, b)
     return True, None
 
 
 @st.composite
+def _point_mass_mixtures(draw):
+    """(2,2,3) mixtures of up to three point masses and the uniform model."""
+    sc = bell_scenario(2, 2, 3)
+    globals_ = draw(st.lists(st.integers(0, global_size(sc) - 1), max_size=3))
+    terms = [(rat(1, len(globals_) + 1), deterministic_model(sc, gi)) for gi in globals_]
+    return mix_models(terms + [(rat(1, len(globals_) + 1), uniform_model(sc))])
+
+
+@st.composite
 def _models(draw):
-    """Random no-signaling models at (2,2,2) and (3,2,2), some of them made
-    signaling by moving part of one section's mass to another section of
-    the same context."""
-    sc = bell_scenario(draw(st.sampled_from([2, 3])), 2, 2)
-    model = random_no_signaling_model(sc, random.Random(draw(st.integers(0, 2**32 - 1))))
+    """Random no-signaling models at (2,2,2) and (3,2,2) and (2,2,3) mixtures,
+    some of them made signaling by moving part of one section's mass to
+    another section of the same context."""
+    if draw(st.booleans()):
+        sc = bell_scenario(draw(st.sampled_from([2, 3])), 2, 2)
+        model = random_no_signaling_model(sc, random.Random(draw(st.integers(0, 2**32 - 1))))
+    else:
+        model = draw(_point_mass_mixtures())
+        sc = model.scenario
     if draw(st.booleans()):
         ci = draw(st.integers(0, sc.n_contexts - 1))
         row = list(model.tables[ci])

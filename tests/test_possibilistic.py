@@ -210,8 +210,24 @@ def _augmented_parity_supports(draw):
     return apply_plan(AugmentationPlan(base, additions))
 
 
-@given(st.one_of(_random_supports(2), _random_supports(3), _augmented_parity_supports()))
+# one context has 140 sections, so its mask does not fit a machine word
+WIDE_SCENARIO = MeasurementScenario(
+    measurements=("a", "b", "c"),
+    outcomes=(70, 2, 2),
+    cover=((0, 1), (1, 2)),
+)
+
+
+@given(
+    st.one_of(
+        _random_supports(2),
+        _random_supports(3),
+        _augmented_parity_supports(),
+        _arbitrary_supports(WIDE_SCENARIO),
+    )
+)
 @example(support_of(pr_box(3)))
+@example(SupportModel(WIDE_SCENARIO, (1 << 139 | 1 << 64, 0b0100)))
 @example(apply_plan(reference_plan()))
 @settings(max_examples=60, deadline=None)
 def test_formula_evaluation_matches_the_scan(sup):

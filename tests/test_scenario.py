@@ -1,22 +1,24 @@
 """Scenario construction, packing conventions, and serialization."""
 
 from dataclasses import fields
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amcc.errors import ResourceLimitError
 from amcc.scenario import (
+    MAX_BELL_CONTEXTS,
     MeasurementScenario,
     bell_scenario,
-    enumerate_global_sections,
-    global_index,
     global_outcomes,
     global_size,
     incidence_matrix,
+    overlaps,
+    projection,
     restrict,
-    restrict_context,
     restriction_table,
     scenario_from_json,
     scenario_to_json,
@@ -25,6 +27,7 @@ from amcc.scenario import (
     section_size,
     slot_count,
     slot_offsets,
+    unpack,
 )
 
 SMALL_BELL = st.tuples(
@@ -39,6 +42,58 @@ def triangle_scenario():
         outcomes=(2, 2, 2),
         cover=((0, 1), (0, 2), (1, 2)),
     )
+
+
+def mixed_arity_scenario():
+    """Binary and ternary measurements; a shared measurement sits at
+    different positions in the contexts that share it."""
+    return MeasurementScenario(
+        measurements=("a", "b", "c"),
+        outcomes=(2, 3, 2),
+        cover=((0, 1), (1, 2), (0, 2)),
+    )
+
+
+SCENARIOS = st.one_of(
+    SMALL_BELL.map(lambda shape: bell_scenario(*shape)),
+    st.just(triangle_scenario()),
+    st.just(mixed_arity_scenario()),
+)
+
+
+# ---------------------------------------------------------------------------
+# pointwise packing: the oracles for restriction_table and projection
+
+
+def global_index(scenario, outcomes):
+    if len(outcomes) != len(scenario.measurements):
+        raise ValueError("global assignment must cover every measurement")
+    gi = 0
+    for o, v in zip(scenario.outcomes, outcomes):
+        if not 0 <= v < o:
+            raise ValueError(f"outcome {v} out of range")
+        gi = gi * o + v
+    return gi
+
+
+def enumerate_global_sections(scenario):
+    """All global assignments in canonical order, as packed indices."""
+    return range(global_size(scenario))
+
+
+def restrict_context(scenario, gi, ci):
+    """Section index of global section gi inside context ci."""
+    if not 0 <= ci < scenario.n_contexts:
+        raise ValueError(f"unknown context index {ci}")
+    g = global_outcomes(scenario, gi)
+    return section_index(scenario, ci, tuple(g[m] for m in scenario.cover[ci]))
+
+
+def _pack(values, radices):
+    i = 0
+    for v, r in zip(values, radices):
+        i = i * r + v
+    return i
 
 
 def test_bell_222_layout():
@@ -101,10 +156,9 @@ def test_global_roundtrip(shape):
         assert global_index(sc, global_outcomes(sc, gi)) == gi
 
 
-@given(SMALL_BELL)
+@given(SCENARIOS)
 @settings(max_examples=20, deadline=None)
-def test_restriction_table_matches_pointwise_restriction(shape):
-    sc = bell_scenario(*shape)
+def test_restriction_table_matches_pointwise_restriction(sc):
     tab = restriction_table(sc)
     assert tab.shape == (sc.n_contexts, global_size(sc))
     for gi in enumerate_global_sections(sc):
@@ -112,6 +166,42 @@ def test_restriction_table_matches_pointwise_restriction(shape):
         for ci, ctx in enumerate(sc.cover):
             si = section_index(sc, ci, restrict(sc, g, ctx))
             assert tab[ci, gi] == si == restrict_context(sc, gi, ci)
+
+
+@given(SCENARIOS, st.data())
+@settings(max_examples=40, deadline=None)
+def test_projection_matches_pointwise_decoding(sc, data):
+    ci = data.draw(st.integers(0, sc.n_contexts - 1))
+    ctx = sc.cover[ci]
+    ms = data.draw(st.permutations(ctx))[: data.draw(st.integers(1, len(ctx)))]
+    radices = [sc.outcomes[m] for m in ms]
+    want = []
+    for si in range(section_size(sc, ci)):
+        s = section_outcomes(sc, ci, si)
+        u = tuple(s[ctx.index(m)] for m in ms)
+        want.append(_pack(u, radices))
+        assert unpack(want[-1], radices) == u
+    assert projection(sc, ci, ms) == tuple(want)
+
+
+@given(SCENARIOS)
+@settings(max_examples=20, deadline=None)
+def test_overlaps_list_every_sharing_pair_with_its_projections(sc):
+    want = []
+    for ci, cj in combinations(range(sc.n_contexts), 2):
+        shared = tuple(sorted(set(sc.cover[ci]) & set(sc.cover[cj])))
+        if not shared:
+            continue
+        radices = [sc.outcomes[m] for m in shared]
+        projs = []
+        for c in (ci, cj):
+            pos = [sc.cover[c].index(m) for m in shared]
+            projs.append(tuple(
+                _pack([section_outcomes(sc, c, si)[p] for p in pos], radices)
+                for si in range(section_size(sc, c))
+            ))
+        want.append((ci, cj, shared, *projs))
+    assert overlaps(sc) == tuple(want)
 
 
 def test_incidence_matrix_columns_hit_every_context_once():
@@ -185,6 +275,15 @@ def test_triangle_scenario_has_no_party_structure():
 def test_invalid_scenarios_are_rejected(kwargs):
     with pytest.raises(ValueError):
         MeasurementScenario(**kwargs)
+
+
+def test_bell_size_guard_trips_before_building():
+    # both trip on arithmetic alone; neither scenario is ever enumerated
+    assert bell_scenario(2, 8, 2).n_contexts == 64 <= MAX_BELL_CONTEXTS
+    with pytest.raises(ResourceLimitError, match="measurements"):
+        bell_scenario(10**9, 10**9, 2)
+    with pytest.raises(ResourceLimitError, match="contexts"):
+        bell_scenario(30, 2, 2)
 
 
 def test_out_of_range_lookups_are_rejected():
