@@ -68,10 +68,11 @@ class EmpiricalModel:
                 raise ValueError(
                     f"context {sc.cover[ci]} needs {want} weights, got {len(row)}"
                 )
-            row = tuple(rat(x) for x in row)
-            if any(x < 0 for x in row):
+            row = tuple(x if type(x) is Fraction else rat(x) for x in row)
+            if any(x.numerator < 0 for x in row):
                 raise ValueError(f"negative weight in context {sc.cover[ci]}")
-            if sum(row) != ONE:
+            den = lcm(*(x.denominator for x in row))
+            if sum(x.numerator * (den // x.denominator) for x in row) != den:
                 raise ValueError(f"context {sc.cover[ci]} weights must sum to 1")
             rows.append(row)
         object.__setattr__(self, "tables", tuple(rows))

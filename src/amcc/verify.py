@@ -4,19 +4,21 @@ Each check rebuilds one result through the public pipeline and compares
 it with the frozen expectation. Checks are independent; a crash or
 resource limit in one is reported in its row and the rest still run.
 The suite also carries two independent routes to the noncontextual mass
-of a (2,2,2) model: a covering program solved by a self-contained dense
-tableau, and a closed form from the eight two-party correlator bounds.
+of a (2,2,2) model: a covering program solved by a self-contained integer
+tableau that calls nothing in `lp`, and a closed form from the eight
+two-party correlator bounds.
 """
 
 import random
 from dataclasses import dataclass
+from math import lcm
 from time import perf_counter
 
 from .affine import classify, ns_dimension, ns_dimension_closed_form
 from .csp import reconstruct_tables
 from .errors import PreconditionError, VerificationError
 from .kernels import scan_satisfiable
-from .lp import contextual_fraction, stacked_weights
+from .lp import contextual_fraction
 from .model import (
     corpus,
     corpus_names,
@@ -36,7 +38,7 @@ from .parity import (
     parity_system_from_vector,
 )
 from .possibilistic import strong_contextuality, support_of
-from .rational import ONE, ZERO, rat, rat_str
+from .rational import ZERO, rat, rat_str
 from .scenario import bell_scenario, global_size, incidence_matrix
 
 REFERENCE_VECTOR_422 = 0x1C00  # parity targets 1 exactly at contexts 10..12
@@ -90,80 +92,89 @@ def covering_ncf(model):
     total price at least 1, at minimum total cost. Any feasible covering
     price bounds every dominated mass from above, so when the two
     optimal values agree the common value is certified optimal. Solved
-    here by a self-contained dense tableau over exact rationals extended
-    with a formal infinite penalty, sharing no code with the main solver.
+    here by a self-contained integer tableau, sharing no code with the
+    main solver: one row per global assignment (prices, surplus and
+    penalty columns, rhs 1), and the objective extended with a formal
+    infinite penalty as two integer rows, penalty multiples and unit
+    costs scaled by the lcm of the weights' denominators. Each pivot
+    divides exactly by the previous one (Edmonds; Bareiss, Math. Comp.
+    22, 1968), so every stored entry is the true one times det > 0.
     Returns (value, prices) after verifying feasibility exactly.
     """
     sc = model.scenario
-    inc = incidence_matrix(sc)
-    v = stacked_weights(model)
-    n_y = inc.shape[0]  # price variables, one per slot
-    n_rows = inc.shape[1]  # covering constraints, one per global assignment
+    cover = incidence_matrix(sc).T.tolist()  # the slots of each global
+    v = [w for row in model.tables for w in row]  # slot order
+    scale = lcm(*(w.denominator for w in v))
+    n_rows = len(cover)  # covering constraints, one per global assignment
+    n_y = len(cover[0])  # price variables, one per slot
     width = n_y + 2 * n_rows  # prices, surplus, penalty columns
 
     tableau = []
-    for g in range(n_rows):
-        row = [ONE if inc[s, g] else ZERO for s in range(n_y)]
-        row += [-ONE if i == g else ZERO for i in range(n_rows)]
-        row += [ONE if i == g else ZERO for i in range(n_rows)]
-        row.append(ONE)
+    for g, slots in enumerate(cover):
+        row = slots + [0] * (2 * n_rows + 1)
+        row[n_y + g] = -1
+        row[n_y + n_rows + g] = 1
+        row[width] = 1
         tableau.append(row)
     basis = [n_y + n_rows + g for g in range(n_rows)]
 
     # reduced costs live in the ordered extension {a*penalty + b}, kept as
-    # (a, b) pairs compared lexicographically; penalty columns cost (1, 0)
-    obj = []
-    for j in range(width):
-        unit = v[j] if j < n_y else ZERO
-        penalty = (ONE if n_y + n_rows <= j < width else ZERO) - sum(
-            (tableau[i][j] for i in range(n_rows)), ZERO
-        )
-        obj.append((penalty, unit))
+    # the rows (a, b * scale) compared lexicographically; penalty columns
+    # cost (1, 0)
+    penalty = [-sum(col) for col in zip(*tableau)]
+    for j in range(n_y + n_rows, width):
+        penalty[j] += 1
+    weights = [w.numerator * (scale // w.denominator) for w in v]
+    unit = weights + [0] * (2 * n_rows + 1)
 
+    det = 1
     while True:
-        enter = next((j for j in range(width) if obj[j] < (ZERO, ZERO)), None)
+        enter = next((j for j in range(width) if (penalty[j], unit[j]) < (0, 0)), None)
         if enter is None:
             break
-        ratio = pivot_row = tie = None
-        for i in range(n_rows):
-            coef = tableau[i][enter]
-            if coef > 0:
-                r = tableau[i][width] / coef
-                if ratio is None or r < ratio or (r == ratio and basis[i] < tie):
-                    ratio, pivot_row, tie = r, i, basis[i]
-        if pivot_row is None:
+        leave = None
+        for i, (row, bi) in enumerate(zip(tableau, basis)):
+            a = row[enter]
+            if a > 0:
+                # b / a against best_b / best_a, cross-multiplied as a > 0
+                d = -1 if leave is None else row[width] * best_a - best_b * a
+                if d < 0 or (d == 0 and bi < basis[leave]):
+                    leave, best_b, best_a = i, row[width], a
+        if leave is None:
             raise VerificationError("covering program must be bounded")
-        piv = tableau[pivot_row][enter]
-        prow = tableau[pivot_row] = [x / piv for x in tableau[pivot_row]]
-        # only the pivot row's nonzeros change any other row
-        nonzero = [(j, p) for j, p in enumerate(prow) if p]
-        for i, row in enumerate(tableau):
+        prow = tableau[leave]
+        p = prow[enter]
+        nonzero = [(j, x) for j, x in enumerate(prow) if x]
+        for row in (*tableau, penalty, unit):
+            if row is prow:
+                continue
+            # row <- (p * row - f * prow) // det; when p == det, det
+            # divides f * x because it divides p * row[j] - f * x
             f = row[enter]
-            if i != pivot_row and f != 0:
-                for j, p in nonzero:
-                    row[j] -= f * p
-        fm, fu = obj[enter]
-        for j, p in nonzero:
-            if j < width:
-                m, u = obj[j]
-                obj[j] = (m - fm * p, u - fu * p)
-        basis[pivot_row] = enter
+            if p == det:
+                if f:
+                    for j, x in nonzero:
+                        row[j] -= f * x // det
+            else:
+                row[:] = [(p * y - f * x) // det for y, x in zip(row, prow)]
+        det = p
+        basis[leave] = enter
 
-    prices = [ZERO] * n_y
-    for i, bi in enumerate(basis):
+    # prices are the basic rhs over det; the checks stay on numerators
+    prices = [0] * n_y
+    for row, bi in zip(tableau, basis):
         if bi < n_y:
-            prices[bi] = tableau[i][width]
-        elif bi >= n_y + n_rows and tableau[i][width] != 0:
+            prices[bi] = row[width]
+        elif bi >= n_y + n_rows and row[width] != 0:
             raise VerificationError("covering program must be feasible")
 
-    if any(p < 0 for p in prices):
+    if any(y < 0 for y in prices):
         raise VerificationError("covering prices must be nonnegative")
-    for g in range(n_rows):
-        collected = sum((prices[s] for s in range(n_y) if inc[s, g]), ZERO)
-        if collected < 1:
+    for g, slots in enumerate(cover):
+        if sum(y for y, s in zip(prices, slots) if s) < det:
             raise VerificationError(f"global assignment {g} is underpriced")
-    value = sum((v[s] * prices[s] for s in range(n_y)), ZERO)
-    return value, tuple(prices)
+    value = rat(sum(w * y for w, y in zip(weights, prices)), scale * det)
+    return value, tuple(rat(y, det) for y in prices)
 
 
 def chsh_cf(model):

@@ -307,14 +307,11 @@ def test_every_fraction_carries_a_valid_dual_certificate(parties, seed):
     model = random_no_signaling_model(bell_scenario(parties, 2, 2), random.Random(seed))
     res = contextual_fraction(model)
     _certified(model, res)
-    if parties == 2:
-        # the covering oracle takes about 1 s per (3,2,2) model, so three
-        # parties are compared at two fixed seeds below
-        assert res.ncf == covering_ncf(model)[0]
+    assert res.ncf == covering_ncf(model)[0]
 
 
-# seeds whose fractions, 1/2 and 13/21, are neither 0 nor 1
-@pytest.mark.parametrize("seed", [1, 3])
+# noncontextual fractions 0, 1/2, 13/21 and 1 among them
+@pytest.mark.parametrize("seed", range(12))
 def test_simplex_agrees_with_the_covering_oracle_at_three_parties(seed):
     model = random_no_signaling_model(bell_scenario(3, 2, 2), random.Random(seed))
     assert contextual_fraction(model).ncf == covering_ncf(model)[0]

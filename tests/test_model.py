@@ -43,12 +43,27 @@ from amcc.verify import random_no_signaling_model
 def test_rows_must_be_distributions():
     sc = bell_scenario(1, 1, 2)
     EmpiricalModel(sc, ((rat(1, 2), rat(1, 2)),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"context \(0,\) weights must sum to 1"):
         EmpiricalModel(sc, ((rat(1, 2), rat(1, 3)),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"negative weight in context \(0,\)"):
         EmpiricalModel(sc, ((rat(3, 2), rat(-1, 2)),))
-    with pytest.raises(ValueError):
+    # a negative entry is reported before a wrong sum
+    with pytest.raises(ValueError, match="negative weight"):
+        EmpiricalModel(sc, ((rat(1, 2), rat(-1, 3)),))
+    with pytest.raises(ValueError, match=r"context \(0,\) needs 2 weights, got 1"):
         EmpiricalModel(sc, ((rat(1),),))
+    with pytest.raises(ValueError, match="need one distribution per context"):
+        EmpiricalModel(sc, ())
+    # mixed denominators: exactly 1, and 1/1000 short of it
+    sc3 = bell_scenario(1, 1, 4)
+    row = (rat(1, 2), rat(1, 3), rat(1, 7), rat(1, 42))
+    assert EmpiricalModel(sc3, (row,)).tables == (row,)
+    with pytest.raises(ValueError, match="weights must sum to 1"):
+        EmpiricalModel(sc3, (row[:3] + (rat(1, 42) - rat(1, 1000),),))
+    # ints and strings are coerced; Fractions are kept as they are
+    model = EmpiricalModel(sc3, (("1/2", 0, rat(1, 4), rat(1, 4)),))
+    assert model.tables == ((rat(1, 2), ZERO, rat(1, 4), rat(1, 4)),)
+    assert all(type(x) is Fraction for x in model.tables[0])
 
 
 def test_model_refuses_floats():

@@ -1,22 +1,27 @@
 """The reproduction checks and their independent oracles."""
 
+import hashlib
 import random
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from amcc.errors import PreconditionError
+import amcc.lp
+from amcc.errors import PreconditionError, VerificationError
 from amcc.lp import contextual_fraction
 from amcc.model import (
+    corpus,
+    corpus_names,
     deterministic_model,
     is_no_signaling,
     mix_models,
     pr_box,
     uniform_model,
 )
-from amcc.rational import ONE, ZERO, rat
-from amcc.scenario import bell_scenario
+from amcc.rational import ONE, ZERO, rat, rat_str
+from amcc.scenario import bell_scenario, global_size, incidence_matrix
 from amcc.verify import (
     REFERENCE_VECTOR_422,
     check_names,
@@ -86,6 +91,167 @@ def test_three_fraction_routes_agree_on_random_models(seed):
     value, _ = covering_ncf(model)
     assert value == res.ncf
     assert chsh_cf(model) == res.cf
+
+
+# ---------------------------------------------------------------------------
+# reference: the dense Fraction tableau the integer covering oracle replaced,
+# with the same entering rule and tie-break, so values and prices must match
+
+
+def _fraction_covering(model):
+    sc = model.scenario
+    inc = incidence_matrix(sc)
+    v = [w for row in model.tables for w in row]
+    n_y = inc.shape[0]  # price variables, one per slot
+    n_rows = inc.shape[1]  # covering constraints, one per global assignment
+    width = n_y + 2 * n_rows  # prices, surplus, penalty columns
+
+    tableau = []
+    for g in range(n_rows):
+        row = [ONE if inc[s, g] else ZERO for s in range(n_y)]
+        row += [-ONE if i == g else ZERO for i in range(n_rows)]
+        row += [ONE if i == g else ZERO for i in range(n_rows)]
+        row.append(ONE)
+        tableau.append(row)
+    basis = [n_y + n_rows + g for g in range(n_rows)]
+
+    # reduced costs live in the ordered extension {a*penalty + b}, kept as
+    # (a, b) pairs compared lexicographically; penalty columns cost (1, 0)
+    obj = []
+    for j in range(width):
+        unit = v[j] if j < n_y else ZERO
+        penalty = (ONE if n_y + n_rows <= j < width else ZERO) - sum(
+            (tableau[i][j] for i in range(n_rows)), ZERO
+        )
+        obj.append((penalty, unit))
+
+    while True:
+        enter = next((j for j in range(width) if obj[j] < (ZERO, ZERO)), None)
+        if enter is None:
+            break
+        ratio = pivot_row = tie = None
+        for i in range(n_rows):
+            coef = tableau[i][enter]
+            if coef > 0:
+                r = tableau[i][width] / coef
+                if ratio is None or r < ratio or (r == ratio and basis[i] < tie):
+                    ratio, pivot_row, tie = r, i, basis[i]
+        if pivot_row is None:
+            raise VerificationError("covering program must be bounded")
+        piv = tableau[pivot_row][enter]
+        prow = tableau[pivot_row] = [x / piv for x in tableau[pivot_row]]
+        nonzero = [(j, p) for j, p in enumerate(prow) if p]
+        for i, row in enumerate(tableau):
+            f = row[enter]
+            if i != pivot_row and f != 0:
+                for j, p in nonzero:
+                    row[j] -= f * p
+        fm, fu = obj[enter]
+        for j, p in nonzero:
+            if j < width:
+                m, u = obj[j]
+                obj[j] = (m - fm * p, u - fu * p)
+        basis[pivot_row] = enter
+
+    prices = [ZERO] * n_y
+    for i, bi in enumerate(basis):
+        if bi < n_y:
+            prices[bi] = tableau[i][width]
+        elif bi >= n_y + n_rows and tableau[i][width] != 0:
+            raise VerificationError("covering program must be feasible")
+
+    if any(p < 0 for p in prices):
+        raise VerificationError("covering prices must be nonnegative")
+    for g in range(n_rows):
+        collected = sum((prices[s] for s in range(n_y) if inc[s, g]), ZERO)
+        if collected < 1:
+            raise VerificationError(f"global assignment {g} is underpriced")
+    value = sum((v[s] * prices[s] for s in range(n_y)), ZERO)
+    return value, tuple(prices)
+
+
+@st.composite
+def _covering_models(draw, parties):
+    """Random no-signaling models, the stock models and convex mixtures of
+    them."""
+    sc = bell_scenario(parties, 2, 2)
+
+    def ingredient():
+        kind = draw(st.sampled_from(["random", "pr_box", "uniform", "deterministic"]))
+        if kind == "random":
+            return random_no_signaling_model(sc, random.Random(draw(st.integers(0, 2**32 - 1))))
+        if kind == "pr_box" and parties == 2:
+            return pr_box(draw(st.integers(0, 7)))
+        if kind == "deterministic":
+            return deterministic_model(sc, draw(st.integers(0, global_size(sc) - 1)))
+        return uniform_model(sc)
+
+    terms = [ingredient() for _ in range(draw(st.integers(1, 3)))]
+    if len(terms) == 1:
+        return terms[0]
+    weights = [draw(st.integers(1, 8)) for _ in terms]
+    return mix_models([(rat(w, sum(weights)), m) for w, m in zip(weights, terms)])
+
+
+@given(_covering_models(2))
+@example(pr_box(3))
+@example(mix_models([(rat(3, 4), pr_box(0)), (rat(1, 4), uniform_model(bell_scenario(2, 2, 2)))]))
+@settings(max_examples=40, deadline=None)
+def test_integer_covering_matches_the_fraction_tableau(model):
+    assert covering_ncf(model) == _fraction_covering(model)
+
+
+# only at three parties do pivots other than det arise (COVERING_DIGEST
+# pins twelve such models); the Fraction tableau takes about 2 s a model
+@given(_covering_models(3))
+@settings(max_examples=2, deadline=None)
+def test_integer_covering_matches_the_fraction_tableau_at_three_parties(model):
+    assert covering_ncf(model) == _fraction_covering(model)
+
+
+# sha256 over rat_str of the covering value and every price of the
+# criterion-8 pool (the eleven (2,2,2) corpus models, then sixty
+# random_no_signaling_model draws from one Random(303)) and of (3,2,2)
+# random_no_signaling_model seeds 0-11, as the dense Fraction tableau
+# computed them
+COVERING_DIGEST = "82828baa17802a76dd3205c746beba917ce7ce59f5b03fe710175039f4a457bf"
+
+
+def _covering_identity_lines():
+    sc = bell_scenario(2, 2, 2)
+    models = [corpus(name) for name in corpus_names() if corpus(name).scenario == sc]
+    rng = random.Random(303)
+    models += [random_no_signaling_model(sc, rng) for _ in range(60)]
+    sc3 = bell_scenario(3, 2, 2)
+    models += [random_no_signaling_model(sc3, random.Random(s)) for s in range(12)]
+    for model in models:
+        value, prices = covering_ncf(model)
+        yield " ".join(map(rat_str, (value, *prices)))
+
+
+def _covering_digest():
+    h = hashlib.sha256()
+    for line in _covering_identity_lines():
+        h.update((line + "\n").encode())
+    return h.hexdigest()
+
+
+def test_covering_values_and_prices_are_pinned():
+    assert _covering_digest() == COVERING_DIGEST
+
+
+def test_covering_oracle_runs_without_the_main_solver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the covering oracle called the main solver")
+
+    # every binding of the solver's functions, in amcc.lp and in any module
+    # that imported them by name
+    for name in ("simplex_solve", "_run", "_pivot", "stacked_weights"):
+        original = getattr(amcc.lp, name)
+        for modname, module in list(sys.modules.items()):
+            if modname.split(".")[0] == "amcc" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, refuse)
+    assert _covering_digest() == COVERING_DIGEST
 
 
 # ---------------------------------------------------------------------------
