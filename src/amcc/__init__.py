@@ -2,7 +2,9 @@
 
 Empirical models carry exact rational weights; the contextual fraction
 comes from an exact single-phase simplex on a fraction-free integer
-tableau, certified by its dual prices and a verified decomposition;
+tableau, certified by its dual prices and a verified decomposition
+(`classify` runs the same simplex over the support's compatible global
+assignments only, and checks its prices on the full incidence matrix);
 possibilistic strong contextuality, parity-vector scans, affine support
 solving, and the bundled reference reconstruction round out the pipeline.
 All headline quantities can be recomputed with the `verify-paper` CLI
@@ -27,7 +29,7 @@ from .csp import (
     search_plans,
 )
 from .errors import PreconditionError, ResourceLimitError, VerificationError
-from .lp import CfResult, contextual_fraction, simplex_solve
+from .lp import CfResult, certified_fraction, contextual_fraction, simplex_solve
 from .model import (
     EmpiricalModel,
     corpus,

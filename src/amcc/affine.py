@@ -20,7 +20,7 @@ from math import gcd, lcm
 
 from .errors import PreconditionError, VerificationError
 from .model import EmpiricalModel, render_table_csv, uniform_marginals
-from .lp import contextual_fraction, stacked_weights
+from .lp import certified_fraction, stacked_weights
 from .rational import ZERO, rat, rat_str
 from .scenario import (
     overlaps,
@@ -508,19 +508,20 @@ class Classification:
 def classify(model):
     """Joint contextuality/marginals classification of a no-signaling model:
     AMCC when cf = 1 with maximal marginals, non-AMCC when cf = 1 without,
-    otherwise not maximal."""
-    res = contextual_fraction(model)
-    # contextual_fraction has already refused a signaling model
+    otherwise not maximal. The fraction is the presolved, price-certified
+    one of certified_fraction."""
+    ncf, cf, _ = certified_fraction(model)
+    # certified_fraction has already refused a signaling model
     mm, wit = uniform_marginals(model)
-    if res.cf == 1:
+    if cf == 1:
         kind = "maximally_contextual"
         verdict = "AMCC" if mm else "non-AMCC"
     else:
-        kind = "noncontextual" if res.cf == 0 else "contextual"
+        kind = "noncontextual" if cf == 0 else "contextual"
         verdict = "not maximal"
     return Classification(
-        cf=res.cf,
-        ncf=res.ncf,
+        cf=cf,
+        ncf=ncf,
         contextuality=kind,
         maximal_marginals=mm,
         marginal_witness=wit,

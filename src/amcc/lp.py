@@ -23,6 +23,11 @@ the ratio test cross-multiplies, so the pivots are a Fraction tableau's.
 The optimal prices are read off the final objective row and every
 fraction is returned only after they certify optimality exactly, and
 after the decomposition recomposes the model.
+
+`certified_fraction` is the cheap route to the value alone: a global
+assignment that restricts to a zero-weight slot is forced to weight 0, so
+it runs the same simplex over the support's compatible globals only, and
+its prices pass the same exact check on the full incidence matrix.
 """
 
 from dataclasses import dataclass
@@ -32,6 +37,7 @@ import numpy as np
 
 from .errors import PreconditionError, VerificationError
 from .model import EmpiricalModel, is_no_signaling
+from .possibilistic import compatible_globals, support_of
 from .rational import ONE, ZERO, rat, rat_str
 from .scenario import incidence_matrix, restriction_table, section_size
 
@@ -39,6 +45,7 @@ __all__ = [
     "simplex_solve",
     "CfResult",
     "contextual_fraction",
+    "certified_fraction",
     "stacked_weights",
 ]
 
@@ -208,27 +215,64 @@ def contextual_fraction(model):
     )
 
 
+def certified_fraction(model):
+    """(ncf, cf, prices) of a no-signaling model, where prices is an optimal
+    dual price per slot, without the decomposition.
+
+    Only the globals compatible with the model's support (Abramsky and
+    Brandenburger, New J. Phys. 13, 113036, 2011) can carry weight, so the
+    simplex runs over those columns and the slots they touch; with none,
+    ncf is 0 and no LP runs. The full price vector puts 1 on every
+    zero-weight slot, which costs nothing and covers every dropped global,
+    0 on every other slot the reduced LP did not see, and the reduced LP's
+    prices elsewhere. It is checked on the full incidence matrix before
+    returning, so a wrong compatible set raises VerificationError."""
+    _require_no_signaling(model)
+    kept = compatible_globals(support_of(model))
+    mat = incidence_matrix(model.scenario)
+    v = stacked_weights(model)
+    prices = [ZERO if w else ONE for w in v]
+    ncf = ZERO
+    if kept:
+        sub = mat[:, kept]
+        rows = np.flatnonzero(sub.any(axis=1)).tolist()
+        ncf, _, reduced, _ = simplex_solve(sub[rows], [v[r] for r in rows])
+        for r, y in zip(rows, reduced):
+            prices[r] = y
+    cf = ONE - ncf
+    if ncf < 0 or cf < 0:
+        raise VerificationError("noncontextual fraction outside [0, 1]",
+                                details={"ncf": ncf})
+    prices = tuple(prices)
+    _check_prices(mat, v, prices, ncf)
+    return ncf, cf, prices
+
+
 def _check_prices(incidence, weights, prices, ncf):
     """Dual certificate, checked exactly from the incidence matrix: prices
     are nonnegative, every global assignment collects at least 1 over its
     slots, and the priced weights total ncf. By weak duality no dominated
-    mixture of global assignments is heavier than ncf."""
-    if any(y < 0 for y in prices):
+    mixture of global assignments is heavier than ncf. Every sum runs on
+    integer numerators over a common denominator."""
+    if any(y.numerator < 0 for y in prices):
         raise VerificationError("a slot price is negative")
-    # sums over a common denominator: at (4,2,2) 0.3 ms, against 10 ms
-    # for the same sums of Fractions
     den = lcm(*(y.denominator for y in prices))
-    scaled = np.array([y.numerator * (den // y.denominator) for y in prices], dtype=object)
-    # slots of global g: the rows of incidence column g, one per context
-    slots = np.nonzero(incidence.T)[1].reshape(incidence.shape[1], -1)
-    collected = scaled[slots].sum(axis=1)
+    scaled = [y.numerator * (den // y.denominator) for y in prices]
+    # slots of global g: the rows of incidence column g, one per context;
+    # flatnonzero of a contiguous bool copy is 4x faster than nonzero of .T
+    m, ng = incidence.shape
+    ones = np.flatnonzero(np.ascontiguousarray(incidence.T, dtype=np.bool_))
+    slots = (ones % m).reshape(ng, -1)
+    collected = np.array(scaled, dtype=object)[slots].sum(axis=1)
     for g, total in enumerate(collected):
         if total < den:
             raise VerificationError(
                 "a global assignment collects price below 1",
                 details={"global": g, "price": rat(total, den)},
             )
-    cost = sum((w * y for w, y in zip(weights, prices)), ZERO)
+    wden = lcm(*(w.denominator for w in weights))
+    total = sum(w.numerator * (wden // w.denominator) * y for w, y in zip(weights, scaled) if y)
+    cost = rat(total, wden * den)
     if cost != ncf:
         raise VerificationError(
             "priced weights differ from the noncontextual fraction",

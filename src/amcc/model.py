@@ -7,6 +7,7 @@ weights are exact rationals; serialization uses "a/b" strings.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import lcm, prod
 
@@ -71,14 +72,21 @@ class EmpiricalModel:
             row = tuple(x if type(x) is Fraction else rat(x) for x in row)
             if any(x.numerator < 0 for x in row):
                 raise ValueError(f"negative weight in context {sc.cover[ci]}")
-            den = lcm(*(x.denominator for x in row))
-            if sum(x.numerator * (den // x.denominator) for x in row) != den:
+            den, nums = _over_lcm(row)
+            if sum(nums) != den:
                 raise ValueError(f"context {sc.cover[ci]} weights must sum to 1")
             rows.append(row)
         object.__setattr__(self, "tables", tuple(rows))
 
     def weight(self, ci, outcomes):
         return self.tables[ci][section_index(self.scenario, ci, outcomes)]
+
+
+def _over_lcm(row):
+    """(den, numerators) of a row of Fractions over the lcm den of their
+    denominators."""
+    den = lcm(*(x.denominator for x in row))
+    return den, [x.numerator * (den // x.denominator) for x in row]
 
 
 def empirical_model(scenario, rows):
@@ -172,18 +180,39 @@ def is_maximal_marginals(model):
 
 
 def uniform_marginals(model):
-    """is_maximal_marginals for a model known to be no-signaling."""
+    """is_maximal_marginals for a model known to be no-signaling.
+
+    Each context's weights are integer numerators over the row's lcm den,
+    summed into projection buckets; a marginal over k outcomes is uniform
+    when every bucket times k equals den."""
     sc = model.scenario
     if sc.parties is None:
         raise PreconditionError("maximal-marginals check needs party structure")
-    for ms in party_setting_subsets(sc):
-        ci = context_containing(sc, ms)
-        marg = marginalize(model, ci, ms)
-        expected = Fraction(1, len(marg.weights))
-        for i, w in enumerate(marg.weights):
-            if w != expected:
-                return False, (ms, unpack(i, marg.outcomes), w, expected)
+    rows = {}
+    for ms, ci, radices, proj in _party_marginals(sc):
+        if ci not in rows:
+            rows[ci] = _over_lcm(model.tables[ci])
+        den, nums = rows[ci]
+        k = prod(radices)
+        buckets = [0] * k
+        for p, w in zip(proj, nums):
+            buckets[p] += w
+        for i, b in enumerate(buckets):
+            if b * k != den:
+                return False, (ms, unpack(i, radices), Fraction(b, den), Fraction(1, k))
     return True, None
+
+
+@lru_cache(maxsize=64)
+def _party_marginals(scenario):
+    """(measurements, context, radices, projection) of every marginal the
+    maximal-marginals check reads, in party_setting_subsets order."""
+    out = []
+    for ms in party_setting_subsets(scenario):
+        ci = context_containing(scenario, ms)
+        radices = tuple(scenario.outcomes[m] for m in ms)
+        out.append((ms, ci, radices, projection(scenario, ci, ms)))
+    return tuple(out)
 
 
 def context_containing(scenario, measurements):
@@ -290,14 +319,24 @@ def mix_models(pairs):
         raise PreconditionError("mixture terms live on different scenarios")
     if any(w < 0 for w, _ in pairs) or sum(w for w, _ in pairs) != 1:
         raise PreconditionError("weights must be nonnegative and sum to 1")
-    tables = tuple(
-        tuple(
-            sum((w * m.tables[ci][si] for w, m in pairs), ZERO)
-            for si in range(section_size(sc, ci))
-        )
-        for ci in range(sc.n_contexts)
-    )
-    return EmpiricalModel(sc, tables)
+    tables = []
+    for ci in range(sc.n_contexts):
+        # term t is w.numerator * nums[si] / (w.denominator * den), summed
+        # over the lcm of those denominators
+        terms = []
+        for w, m in pairs:
+            if w:
+                den, nums = _over_lcm(m.tables[ci])
+                terms.append((w.numerator, w.denominator * den, nums))
+        total = lcm(*(d for _, d, _ in terms))
+        acc = [0] * section_size(sc, ci)
+        for a, d, nums in terms:
+            f = a * (total // d)
+            for si, x in enumerate(nums):
+                if x:
+                    acc[si] += f * x
+        tables.append(tuple(Fraction(x, total) for x in acc))
+    return EmpiricalModel(sc, tuple(tables))
 
 
 def corpus_names():

@@ -53,18 +53,28 @@ def test_benchmark_tracer_sees_the_fraction_lp(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
+    model = parity_amcc_422()
     tracer = tracing.Tracer()
     tracer.install()
     try:
         assert amcc.rational.BACKEND == "fraction"
-        assert amcc.affine.classify(parity_amcc_422()).verdict == "AMCC"
+        assert amcc.affine.classify(model).verdict == "AMCC"
+    finally:
+        tracer.uninstall()
+    assert "affine.classify" in {span[0] for span in tracer.spans}
+    # the fraction check refuses a signaling model; the marginal check reuses it
+    assert tracer.layer_metrics()["model.is_no_signaling.calls_per_classify"] == 1
+
+    # a strongly contextual model keeps no compatible global, so classify
+    # runs no LP; the full simplex is seen on contextual_fraction itself
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert amcc.lp.contextual_fraction(model).cf == 1
     finally:
         tracer.uninstall()
     assert tracer.counts["lp.pivots"] > 0
-    # contextual_fraction checks no-signaling; the marginal check reuses it
-    assert tracer.layer_metrics()["model.is_no_signaling.calls_per_classify"] == 1
     assert {span[0] for span in tracer.spans} >= {
-        "affine.classify",
         "lp.contextual_fraction",
         "lp.simplex_solve",
     }

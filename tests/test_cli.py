@@ -112,6 +112,23 @@ def test_cf_refuses_an_oversized_scenario(run, tmp_path):
     assert "resource limit:" in err and "contexts" in err
 
 
+def test_classify_refuses_an_oversized_scenario_before_any_allocation(run, tmp_path):
+    # a chain of 21 binary measurements, contexts {m_i, m_i+1}: a small,
+    # no-signaling model whose 2^21 global assignments trip the scan limit
+    # before the incidence matrix or any tableau is built
+    doc = {
+        "scenario": {
+            "measurements": [f"m{i}" for i in range(21)],
+            "outcomes": [2] * 21,
+            "cover": [[i, i + 1] for i in range(20)],
+        },
+        "tables": [["1/4"] * 4 for _ in range(20)],
+    }
+    code, out, err = run("classify", _write_json(tmp_path / "chain.json", doc))
+    assert code == 5 and out == ""
+    assert "resource limit:" in err and "2097152 global assignments" in err
+
+
 # ---------------------------------------------------------------------------
 # classify
 

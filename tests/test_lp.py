@@ -13,6 +13,7 @@ import amcc.lp
 from amcc.errors import PreconditionError, VerificationError
 from amcc.lp import (
     CfResult,
+    certified_fraction,
     contextual_fraction,
     simplex_solve,
     stacked_weights,
@@ -26,7 +27,8 @@ from amcc.model import (
     uniform_model,
 )
 from amcc.rational import ONE, ZERO, rat, rat_str
-from amcc.scenario import bell_scenario, incidence_matrix
+from amcc.possibilistic import compatible_globals, support_of
+from amcc.scenario import bell_scenario, global_size, incidence_matrix
 from amcc.verify import covering_ncf, random_no_signaling_model
 
 
@@ -289,16 +291,15 @@ def test_cf_result_has_pivot_count():
     assert res.pivots >= 1
 
 
-def _certified(model, res):
+def _certified(model, ncf, y):
     """The three dual-certificate conditions, recomputed here from the
     incidence matrix."""
     inc = incidence_matrix(model.scenario)
-    y = res.prices
     assert len(y) == inc.shape[0]
     assert all(p >= 0 for p in y)
     for g in range(inc.shape[1]):
         assert sum((y[s] for s in np.nonzero(inc[:, g])[0]), ZERO) >= 1
-    assert sum((w * p for w, p in zip(stacked_weights(model), y)), ZERO) == res.ncf
+    assert sum((w * p for w, p in zip(stacked_weights(model), y)), ZERO) == ncf
 
 
 @given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
@@ -306,7 +307,7 @@ def _certified(model, res):
 def test_every_fraction_carries_a_valid_dual_certificate(parties, seed):
     model = random_no_signaling_model(bell_scenario(parties, 2, 2), random.Random(seed))
     res = contextual_fraction(model)
-    _certified(model, res)
+    _certified(model, res.ncf, res.prices)
     assert res.ncf == covering_ncf(model)[0]
 
 
@@ -339,3 +340,62 @@ def test_a_bad_price_vector_is_refused(monkeypatch, corrupt, message):
     model = mix_models([(rat(3, 4), pr_box(0)), (rat(1, 4), uniform_model(sc))])
     with pytest.raises(VerificationError, match=message):
         contextual_fraction(model)
+
+
+# ---------------------------------------------------------------------------
+# the presolved fraction: the LP over the support's compatible globals only
+
+
+@st.composite
+def _presolve_models(draw):
+    """(2,2,2)-(4,2,2) models: random no-signaling ones, which keep few or no
+    compatible globals, dense mixtures with the uniform model, which keep
+    every global, and point masses, which keep exactly one. Dense mixtures
+    stop at (3,2,2): at (4,2,2) the full simplex took 2001 pivots (20 s on
+    a 2-core VM) on one, so the uniform model stands in for them there."""
+    kind = draw(st.sampled_from(["random", "dense", "point"]))
+    sc = bell_scenario(draw(st.sampled_from([2, 3] if kind == "dense" else [2, 3, 4])), 2, 2)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if kind == "point":
+        return deterministic_model(sc, rng.randrange(global_size(sc)))
+    model = random_no_signaling_model(sc, rng)
+    if kind == "dense":
+        t = rat(draw(st.integers(1, 7)), 8)
+        model = mix_models([(ONE - t, model), (t, uniform_model(sc))])
+    return model
+
+
+@given(_presolve_models())
+@example(parity_amcc_422())
+@example(uniform_model(bell_scenario(4, 2, 2)))
+@settings(max_examples=40, deadline=None)
+def test_presolved_fraction_matches_the_full_simplex(model):
+    ncf, cf, prices = certified_fraction(model)
+    res = contextual_fraction(model)
+    assert (ncf, cf) == (res.ncf, res.cf)
+    _certified(model, ncf, prices)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        mix_models([(rat(3, 4), pr_box(0)), (rat(1, 4), uniform_model(bell_scenario(2, 2, 2)))]),
+        deterministic_model(bell_scenario(3, 2, 2), 21),
+        uniform_model(bell_scenario(4, 2, 2)),
+    ],
+    ids=["noisy-pr-box", "point-mass", "uniform-422"],
+)
+def test_a_wrong_compatible_set_is_refused(monkeypatch, model):
+    assert compatible_globals(support_of(model))
+    assert contextual_fraction(model).ncf > 0
+    monkeypatch.setattr(amcc.lp, "compatible_globals", lambda support: [])
+    with pytest.raises(VerificationError, match="below 1"):
+        certified_fraction(model)
+
+
+def test_presolved_fraction_refuses_a_signaling_model():
+    det = deterministic_model(bell_scenario(2, 2, 2), 0)
+    rows = list(det.tables)
+    rows[1] = (rat(1, 2), ZERO, ZERO, rat(1, 2))
+    with pytest.raises(PreconditionError, match="model is signaling: contexts 0 and 1"):
+        certified_fraction(type(det)(det.scenario, tuple(rows)))

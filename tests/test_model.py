@@ -27,6 +27,7 @@ from amcc.model import (
     parity_amcc_422,
     party_setting_subsets,
     pr_box,
+    uniform_marginals,
     uniform_model,
 )
 from amcc.rational import ONE, ZERO, rat
@@ -36,6 +37,7 @@ from amcc.scenario import (
     global_size,
     section_outcomes,
     section_size,
+    unpack,
 )
 from amcc.verify import random_no_signaling_model
 
@@ -280,6 +282,73 @@ def test_maximal_marginals_requires_no_signaling():
     )
     with pytest.raises(PreconditionError):
         is_maximal_marginals(EmpiricalModel(sc, tables))
+
+
+# reference: the Fraction bodies the integer uniform_marginals and mix_models
+# replaced
+
+
+def _fraction_uniform_marginals(model):
+    sc = model.scenario
+    for ms in party_setting_subsets(sc):
+        ci = context_containing(sc, ms)
+        marg = marginalize(model, ci, ms)
+        expected = Fraction(1, len(marg.weights))
+        for i, w in enumerate(marg.weights):
+            if w != expected:
+                return False, (ms, unpack(i, marg.outcomes), w, expected)
+    return True, None
+
+
+def _fraction_mix(pairs):
+    sc = pairs[0][1].scenario
+    return tuple(
+        tuple(
+            sum((w * m.tables[ci][si] for w, m in pairs), ZERO)
+            for si in range(section_size(sc, ci))
+        )
+        for ci in range(sc.n_contexts)
+    )
+
+
+@st.composite
+def _mixture_terms(draw):
+    """(weight, model) pairs on one (2,2,2)-(4,2,2) or (2,2,3) scenario: one to
+    three of random no-signaling, uniform and point-mass models, weighted
+    over unlike denominators, some weights zero."""
+    sc = bell_scenario(*draw(st.sampled_from([(2, 2, 2), (3, 2, 2), (4, 2, 2), (2, 2, 3)])))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    makers = {
+        "random": lambda: random_no_signaling_model(sc, rng),
+        "uniform": lambda: uniform_model(sc),
+        "point": lambda: deterministic_model(sc, rng.randrange(global_size(sc))),
+    }
+    if sc.outcomes[0] != 2:
+        del makers["random"]  # binary outcomes only
+    kinds = draw(st.lists(st.sampled_from(sorted(makers)), min_size=1, max_size=3))
+    raw = [Fraction(draw(st.integers(0, 5)), draw(st.integers(1, 12))) for _ in kinds]
+    if not any(raw):
+        raw[0] = ONE
+    total = sum(raw)
+    return [(w / total, makers[kind]()) for w, kind in zip(raw, kinds)]
+
+
+@given(_mixture_terms())
+@settings(max_examples=60, deadline=None)
+def test_integer_mixture_matches_the_fraction_sum(pairs):
+    tables = mix_models(pairs).tables
+    assert tables == _fraction_mix(pairs)
+    assert all(type(x) is Fraction for row in tables for x in row)
+
+
+@given(_mixture_terms())
+@settings(max_examples=60, deadline=None)
+def test_integer_marginal_check_matches_the_fraction_one(pairs):
+    model = mix_models(pairs)
+    ok, wit = uniform_marginals(model)
+    assert (ok, wit) == _fraction_uniform_marginals(model)
+    if not ok:
+        assert all(type(x) is Fraction for x in wit[2:])
 
 
 def test_party_setting_subsets_cover_all_proper_sizes():
