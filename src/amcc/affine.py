@@ -9,19 +9,24 @@ parameter. For one-parameter families the parameter is renamed q and pinned
 to the first in-support slot of the first context (coefficient +1 there), and
 the exact nonnegativity interval of q is reported.
 
-Elimination is sparse, each row a dict of integer numerators over one
-denominator, and prefers unit pivots, which keeps coefficient growth
-negligible at 256-variable scale; no per-entry Fraction is built.
+Elimination is sparse Gauss-Jordan, each row a dict of integer numerators
+over one denominator, and prefers unit pivots, which keeps coefficient
+growth negligible at 256-variable scale; no per-entry Fraction is built.
+Pivot rows are kept fully reduced, so an incoming row is reduced in one
+pass and each pivot row reads off as its variable's expression in the free
+ones. The rows of an overlapping pair sum to the difference of the two
+contexts' normalization rows, so each pair's last row is implied by the
+rows before it; the elimination skips it, and only the family check reads
+the full system.
 """
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .errors import PreconditionError, VerificationError
 from .model import EmpiricalModel, render_table_csv, uniform_marginals
 from .lp import certified_fraction, stacked_weights
-from .rational import ZERO, rat, rat_str
+from .rational import ONE, ZERO, rat, rat_str
 from .scenario import (
     overlaps,
     scenario_from_json,
@@ -58,6 +63,16 @@ def ns_equations(scenario, support=None):
     all pairwise shared-marginal equalities, with integer coefficients 1/-1
     and rhs 1/0. With a support, variables are restricted to in-support slots
     (all others are pinned to zero)."""
+    return _ns_rows(scenario, support)[0]
+
+
+def _ns_rows(scenario, support=None):
+    """(rows, pruned): ns_equations, and the rows the elimination needs.
+
+    The rows of an overlapping pair (ci, cj) sum to norm_ci - norm_cj, with
+    rhs 1 - 1 = 0, so the pair's last row lies in the span of the rows
+    before it and always reduces to 0 = 0; pruned drops it and is otherwise
+    ns_equations in order."""
     offs = slot_offsets(scenario)
     kept = [
         [si for si in range(section_size(scenario, ci))
@@ -65,69 +80,81 @@ def ns_equations(scenario, support=None):
         for ci in range(scenario.n_contexts)
     ]
     rows = [({offs[ci] + si: 1 for si in sections}, 1) for ci, sections in enumerate(kept)]
+    pruned = list(rows)
     for ci, cj, _, proj_i, proj_j in overlaps(scenario):
         # one row per shared outcome, ascending: ci's slots (+1), then cj's (-1)
         buckets = {}
         for c, proj, sign in ((ci, proj_i, 1), (cj, proj_j, -1)):
             for si in kept[c]:
                 buckets.setdefault(proj[si], {})[offs[c] + si] = sign
-        rows.extend((buckets[k], 0) for k in sorted(buckets))
-    return rows
+        block = [(buckets[k], 0) for k in sorted(buckets)]
+        rows.extend(block)
+        pruned.extend(block[:-1])
+    return rows, pruned
 
 
 def _lowest_terms(coeffs, rhs, den):
+    """Divide a row in place, with its rhs and den, by their gcd; returns
+    the new (rhs, den)."""
     g = gcd(den, rhs, *coeffs.values())
-    if g == 1:
-        return coeffs, rhs, den
-    return {v: x // g for v, x in coeffs.items()}, rhs // g, den // g
+    if g != 1:
+        for w in coeffs:
+            coeffs[w] //= g
+        rhs //= g
+        den //= g
+    return rhs, den
+
+
+def _cancel(coeffs, rhs, c, v, prow, prhs, pden):
+    """Cancel v from the integer row (coeffs, rhs), in place: c is the
+    row's coefficient on v, already popped, and prow a pivot row with
+    coefficient pden on v. The row becomes coeffs * pden - c * prow, so its
+    denominator is to be scaled by pden. Returns the new rhs."""
+    if pden != 1:
+        for w in coeffs:
+            coeffs[w] *= pden
+        rhs *= pden
+    for w, pc in prow.items():
+        if w != v:
+            x = coeffs.get(w, 0) - c * pc
+            if x:
+                coeffs[w] = x
+            else:
+                del coeffs[w]
+    return rhs - c * prhs
 
 
 class _Elimination:
-    """Incremental sparse Gaussian elimination over exact rationals: a row is
-    (coeffs, rhs, den), integer numerators over one positive denominator.
-    Incoming rows are fully reduced, lowest pivot variable first, before a
-    pivot is chosen: units (|c| == den) first, then the lowest variable id,
-    for determinism. Pivot rows are keyed by pivot variable and stored
-    sign-fixed in lowest terms with coeffs[pivot] == den (coefficient 1)."""
+    """Incremental sparse Gauss-Jordan elimination over exact rationals: a
+    row is (coeffs, rhs, den), integer numerators over one positive
+    denominator. Pivot rows are keyed by pivot variable and stored
+    sign-fixed in lowest terms with coeffs[pivot] == den (coefficient 1),
+    and fully reduced: no pivot row holds another pivot variable. occurs
+    maps each other variable to a superset of the pivot variables whose
+    rows hold it.
+
+    An incoming row is reduced in one pass over the pivot variables it
+    holds, since a fully reduced pivot row brings in no other one. A
+    nonzero remainder becomes a pivot row, pivoting on a unit (|c| == den)
+    first, then on the lowest variable id, for determinism; its pivot is
+    then eliminated from every older pivot row that holds it. The remainder
+    of a row is unique however the pivot rows are stored, so the pivots are
+    those of forward elimination with the same rule."""
 
     def __init__(self):
         self.pivot_rows = {}
         self.order = []
         self.infeasible = False
+        self.occurs = {}
 
     def add(self, row, rhs):
         (rhs, *nums), den = _numerators([rhs, *row.values()])
         coeffs = dict(zip(row, nums))
         pivot_rows = self.pivot_rows
-        # pivot variables in the row; an entry is stale once it cancels out
-        hits = [v for v in coeffs if v in pivot_rows]
-        heapify(hits)
-        while hits:
-            v = heappop(hits)
-            if v not in coeffs:
-                continue
-            c = coeffs.pop(v)
+        for v in [v for v in coeffs if v in pivot_rows]:
             prow, prhs, pden = pivot_rows[v]
-            # coeffs/den - (c/den) * prow/pden, over den * pden
-            if pden != 1:
-                coeffs = {w: x * pden for w, x in coeffs.items()}
-                rhs *= pden
-                den *= pden
-            for w, pc in prow.items():
-                if w == v:
-                    continue
-                x = coeffs.get(w)
-                if x is None:
-                    coeffs[w] = -c * pc
-                    if w in pivot_rows:
-                        heappush(hits, w)
-                elif x == c * pc:
-                    del coeffs[w]
-                else:
-                    coeffs[w] = x - c * pc
-            rhs -= c * prhs
-            if pden != 1:
-                coeffs, rhs, den = _lowest_terms(coeffs, rhs, den)
+            rhs = _cancel(coeffs, rhs, coeffs.pop(v), v, prow, prhs, pden)
+            den *= pden
         if not coeffs:
             if rhs != 0:
                 self.infeasible = True
@@ -136,32 +163,45 @@ class _Elimination:
         pivot = min(units) if units else min(coeffs)
         c = coeffs[pivot]
         if c < 0:
-            coeffs = {v: -x for v, x in coeffs.items()}
+            for v in coeffs:
+                coeffs[v] = -coeffs[v]
             rhs, c = -rhs, -c
         # dividing the true row by c/den leaves coeffs/c
-        self.pivot_rows[pivot] = _lowest_terms(coeffs, rhs, c)
+        rhs, c = _lowest_terms(coeffs, rhs, c)
+        # the rows that held the pivot now hold the new row's variables,
+        # save any that cancelled; such a stale entry in occurs is skipped
+        # when its variable becomes a pivot
+        holders = self.occurs.pop(pivot, set())
+        for u in list(holders):
+            urow, urhs, uden = pivot_rows[u]
+            a = urow.pop(pivot, 0)
+            if not a:
+                holders.discard(u)
+                continue
+            urhs = _cancel(urow, urhs, a, pivot, coeffs, rhs, c)
+            uden *= c
+            if uden != 1:
+                urhs, uden = _lowest_terms(urow, urhs, uden)
+            pivot_rows[u] = urow, urhs, uden
+        holders.add(pivot)
+        for w in coeffs:
+            if w != pivot:
+                self.occurs.setdefault(w, set()).update(holders)
+        pivot_rows[pivot] = coeffs, rhs, c
         self.order.append(pivot)
 
     def back_substitute(self, variables):
         """Express every variable as (const, {free_var: coeff}); free
-        variables are those without a pivot row, ascending. Expressions are
-        built as integers [const, coeff per free variable] over one den."""
+        variables are those without a pivot row, ascending. A pivot row
+        holds only free variables besides its pivot v, so it reads off as
+        x_v = rhs/den - sum of c/den * x_f."""
         free = [v for v in variables if v not in self.pivot_rows]
-        vecs = {v: ([0] + [int(f == v) for f in free], 1) for v in free}
-        for v in reversed(self.order):
+        col = {f: k for k, f in enumerate(free)}
+        exprs = {v: (ZERO, {v: ONE}) for v in free}
+        for v in self.order:
             prow, prhs, pden = self.pivot_rows[v]
-            terms = [(pc, vecs[w]) for w, pc in prow.items() if w != v]
-            den = lcm(*(d for _, (_, d) in terms))
-            acc = [prhs * den] + [0] * len(free)
-            for pc, (nums, d) in terms:
-                f = pc * (den // d)
-                acc = [a - f * x for a, x in zip(acc, nums)]
-            g = gcd(den * pden, *acc)
-            vecs[v] = [a // g for a in acc], den * pden // g
-        exprs = {
-            v: (rat(nums[0], den), {f: rat(x, den) for f, x in zip(free, nums[1:]) if x})
-            for v, (nums, den) in vecs.items()
-        }
+            terms = sorted((w for w in prow if w != v), key=col.__getitem__)
+            exprs[v] = rat(prhs, pden), {w: rat(-prow[w], pden) for w in terms}
         return free, exprs
 
 
@@ -169,7 +209,7 @@ def ns_dimension(scenario):
     """Dimension of the affine space of no-signaling models: slot count minus
     the rank of the equality system, by exact elimination."""
     elim = _Elimination()
-    for row, rhs in ns_equations(scenario):
+    for row, rhs in _ns_rows(scenario)[1]:
         elim.add(row, rhs)
     if elim.infeasible:
         raise VerificationError("no-signaling system is inconsistent")
@@ -249,9 +289,9 @@ def solve_support(support):
     support, or None when the equality system is infeasible. Nonnegativity is
     not imposed here; for one-parameter families use parameter_bounds."""
     sc = support.scenario
-    rows = ns_equations(sc, support)
+    rows, pruned = _ns_rows(sc, support)
     elim = _Elimination()
-    for row, rhs in rows:
+    for row, rhs in pruned:
         elim.add(row, rhs)
         if elim.infeasible:
             return None

@@ -36,7 +36,7 @@ from math import lcm
 import numpy as np
 
 from .errors import PreconditionError, VerificationError
-from .model import EmpiricalModel, is_no_signaling
+from .model import EmpiricalModel, _mixed_row, _over_lcm, is_no_signaling
 from .possibilistic import compatible_globals, support_of
 from .rational import ONE, ZERO, rat, rat_str
 from .scenario import incidence_matrix, restriction_table, section_size
@@ -281,14 +281,15 @@ def _check_prices(incidence, weights, prices, ncf):
 
 
 def _check_decomposition(model, ncf, nc_part, cf, sc_part):
+    """ncf * nc_part + cf * sc_part recomposes the model slot by slot; a
+    part is None when its coefficient is zero. Each context's row is
+    compared on integer numerators over one denominator per side."""
+    parts = [(ncf, nc_part), (cf, sc_part)]
     for ci, row in enumerate(model.tables):
-        for si, w in enumerate(row):
-            acc = ZERO
-            if nc_part is not None:
-                acc += ncf * nc_part.tables[ci][si]
-            if sc_part is not None:
-                acc += cf * sc_part.tables[ci][si]
-            if acc != w:
+        den, target = _over_lcm(row)
+        total, acc = _mixed_row(model.scenario, parts, ci)
+        for si, (x, w) in enumerate(zip(acc, target)):
+            if x * den != w * total:
                 raise VerificationError(
                     "decomposition does not recompose the model",
                     details={"context": ci, "section": si},

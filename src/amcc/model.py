@@ -321,22 +321,30 @@ def mix_models(pairs):
         raise PreconditionError("weights must be nonnegative and sum to 1")
     tables = []
     for ci in range(sc.n_contexts):
-        # term t is w.numerator * nums[si] / (w.denominator * den), summed
-        # over the lcm of those denominators
-        terms = []
-        for w, m in pairs:
-            if w:
-                den, nums = _over_lcm(m.tables[ci])
-                terms.append((w.numerator, w.denominator * den, nums))
-        total = lcm(*(d for _, d, _ in terms))
-        acc = [0] * section_size(sc, ci)
-        for a, d, nums in terms:
-            f = a * (total // d)
-            for si, x in enumerate(nums):
-                if x:
-                    acc[si] += f * x
+        total, acc = _mixed_row(sc, pairs, ci)
         tables.append(tuple(Fraction(x, total) for x in acc))
     return EmpiricalModel(sc, tuple(tables))
+
+
+def _mixed_row(scenario, pairs, ci):
+    """(den, numerators) of context ci's row of the sum of w * m over the
+    (w, m) in pairs, with den the lcm of the terms' denominators. A term
+    with w == 0 is skipped, so its m may be None."""
+    # term t is w.numerator * nums[si] / (w.denominator * den), summed
+    # over the lcm of those denominators
+    terms = []
+    for w, m in pairs:
+        if w:
+            den, nums = _over_lcm(m.tables[ci])
+            terms.append((w.numerator, w.denominator * den, nums))
+    total = lcm(*(d for _, d, _ in terms))
+    acc = [0] * section_size(scenario, ci)
+    for a, d, nums in terms:
+        f = a * (total // d)
+        for si, x in enumerate(nums):
+            if x:
+                acc[si] += f * x
+    return total, acc
 
 
 def corpus_names():

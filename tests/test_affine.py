@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from amcc.affine import (
     _Elimination,
+    _ns_rows,
     classify,
     family_from_json,
     family_member_params,
@@ -39,7 +40,7 @@ from amcc.model import (
 )
 from amcc.possibilistic import SupportModel, compatible_globals, support_of
 from amcc.rational import ONE, ZERO, rat, rat_str
-from amcc.scenario import bell_scenario, section_size
+from amcc.scenario import bell_scenario, global_size, section_size
 from amcc.verify import random_no_signaling_model
 
 
@@ -183,17 +184,21 @@ def _rational_systems(draw):
 
 
 @st.composite
-def _support_systems(draw):
-    """ns_equations of a random (3,2,2) support: a random model's, or
-    arbitrary section masks (often infeasible)."""
-    sc = bell_scenario(3, 2, 2)
+def _supports(draw, dims=(3, 2, 2)):
+    """A support on bell_scenario(*dims): a random model's, or arbitrary
+    section masks (often infeasible). Past binary outcomes, where parity
+    blocks do not exist, the model is an even mixture of one to three
+    deterministic models."""
+    sc = bell_scenario(*dims)
     if draw(st.booleans()):
         rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-        support = support_of(random_no_signaling_model(sc, rng))
-    else:
-        masks = draw(st.lists(st.integers(1, 255), min_size=8, max_size=8))
-        support = SupportModel(sc, tuple(masks))
-    return ns_equations(sc, support)
+        if max(sc.outcomes) == 2:
+            return support_of(random_no_signaling_model(sc, rng))
+        points = [deterministic_model(sc, rng.randrange(global_size(sc)))
+                  for _ in range(rng.randint(1, 3))]
+        return support_of(mix_models([(rat(1, len(points)), m) for m in points]))
+    sizes = [section_size(sc, ci) for ci in range(sc.n_contexts)]
+    return SupportModel(sc, tuple(draw(st.integers(1, 2**n - 1)) for n in sizes))
 
 
 # no coefficient is a unit after the first row, so both pivots divide
@@ -203,7 +208,7 @@ NON_UNIT_PIVOT = [
 ]
 
 
-@given(st.one_of(_rational_systems(), _support_systems()))
+@given(st.one_of(_rational_systems(), _supports().map(lambda s: ns_equations(s.scenario, s))))
 @example(NON_UNIT_PIVOT)
 @settings(max_examples=80, deadline=None)
 def test_integer_elimination_matches_the_fraction_one(rows):
@@ -214,13 +219,34 @@ def test_integer_elimination_matches_the_fraction_one(rows):
         assert elim.infeasible == ref.infeasible
     assert elim.order == ref.order
     assert elim.pivot_rows.keys() == ref.pivot_rows.keys()
+    variables = sorted({v for row, _ in rows for v in row})
+    _, expected = ref.back_substitute(variables)
     for v, (coeffs, rhs, den) in elim.pivot_rows.items():
         assert coeffs[v] == den > 0
         assert gcd(den, rhs, *coeffs.values()) == 1
-        as_fractions = {w: Fraction(c, den) for w, c in coeffs.items()}
-        assert (as_fractions, Fraction(rhs, den)) == ref.pivot_rows[v]
-    variables = sorted({v for row, _ in rows for v in row})
+        # fully reduced: the row is x_v = rhs/den - sum c/den x_f over the
+        # free variables, the reference's back substitution of v
+        free_part = {w: Fraction(-c, den) for w, c in coeffs.items() if w != v}
+        assert (Fraction(rhs, den), free_part) == expected[v]
     assert elim.back_substitute(variables) == ref.back_substitute(variables)
+
+
+@given(st.sampled_from([(3, 2, 2), (2, 3, 2), (2, 2, 3)]).flatmap(_supports))
+@settings(max_examples=60, deadline=None)
+def test_pruned_rows_eliminate_like_all_of_ns_equations(support):
+    sc = support.scenario
+    rows, pruned = _ns_rows(sc, support)
+    assert rows == ns_equations(sc, support)
+    remaining = iter(rows)
+    assert all(row in remaining for row in pruned)  # a subsequence, in order
+    full, short = _Elimination(), _Elimination()
+    for row, rhs in rows:
+        full.add(row, rhs)
+    for row, rhs in pruned:
+        short.add(row, rhs)
+    assert short.order == full.order
+    assert short.pivot_rows == full.pivot_rows
+    assert short.infeasible == full.infeasible
 
 
 # sha256 over one line per input, as the Fraction elimination computed them:

@@ -234,6 +234,22 @@ def test_decomposition_recomposes_the_model():
             assert acc == w
 
 
+def test_a_decomposition_that_misses_the_model_is_refused():
+    sc = bell_scenario(2, 2, 2)
+    noisy = mix_models([(rat(7, 8), pr_box(0)), (rat(1, 8), uniform_model(sc))])
+    res = contextual_fraction(noisy)
+    amcc.lp._check_decomposition(noisy, res.ncf, res.noncontextual, res.cf, res.strongly_contextual)
+    # swapping two unequal weights of a row keeps the part a model
+    rows = [list(row) for row in res.strongly_contextual.tables]
+    ci, row = next((ci, row) for ci, row in enumerate(rows) if len(set(row)) > 1)
+    a = 1 + next(si for si, w in enumerate(row[1:]) if w != row[0])
+    row[0], row[a] = row[a], row[0]
+    wrong = type(noisy)(sc, tuple(map(tuple, rows)))
+    with pytest.raises(VerificationError, match="does not recompose") as err:
+        amcc.lp._check_decomposition(noisy, res.ncf, res.noncontextual, res.cf, wrong)
+    assert err.value.details == {"context": ci, "section": 0}
+
+
 def test_fraction_agrees_with_the_equality_feasibility_route():
     sc = bell_scenario(2, 2, 2)
     models = [
