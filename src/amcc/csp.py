@@ -4,8 +4,9 @@ A parity support can be enlarged context by context with sections drawn
 from the opposite parity class. This module builds such augmented
 supports, ships the reference augmentation whose one-parameter family of
 distributions is frozen in a bundled data file, and runs a seeded random
-search for further augmentations that remain strongly contextual and
-possibilistically no-signaling.
+search for further augmentations that remain strongly contextual. Every
+augmented parity support is possibilistically no-signaling (see
+`search_plans`), so the search checks strong contextuality alone.
 """
 
 import json
@@ -17,11 +18,7 @@ from importlib import resources
 from .affine import family_to_csv, lin_str, parameter_bounds, solve_support
 from .errors import PreconditionError, VerificationError
 from .parity import ParitySystem
-from .possibilistic import (
-    SupportModel,
-    possibilistic_no_signaling,
-    strong_contextuality,
-)
+from .possibilistic import SupportModel, strong_contextuality
 from .rational import rat, rat_str
 from .scenario import scenario_from_json, scenario_to_json, section_size
 
@@ -87,14 +84,19 @@ def _parity_masks(system):
     )
 
 
-def apply_plan(plan):
-    """Support allowing each context's parity class plus its additions."""
+def _augmented_masks(base, additions):
+    """Per context, the parity-class mask of base with the additions set."""
     masks = []
-    for mask, extra in zip(_parity_masks(plan.base), plan.additions):
+    for mask, extra in zip(_parity_masks(base), additions):
         for si in extra:
             mask |= 1 << si
         masks.append(mask)
-    return SupportModel(scenario=plan.base.scenario, masks=tuple(masks))
+    return tuple(masks)
+
+
+def apply_plan(plan):
+    """Support allowing each context's parity class plus its additions."""
+    return SupportModel(plan.base.scenario, _augmented_masks(plan.base, plan.additions))
 
 
 def plan_to_json(plan):
@@ -130,13 +132,25 @@ def reference_plan():
 
 
 def search_plans(base, counts, trials, seed, threads=1):
-    """Draw seeded random plans and keep those passing both filters.
+    """Draw seeded random plans and keep the strongly contextual ones.
 
     Each trial adds counts[ci] sections to context ci, sampled from the
     opposite parity class with an independent substream derived from
     (seed, trial). A plan is a hit when its support is strongly
-    contextual and possibilistically no-signaling. Hits are returned in
-    trial order; the result depends only on (base, counts, trials, seed).
+    contextual. Hits are returned in trial order; the result depends only
+    on (base, counts, trials, seed). Only hits are built as
+    AugmentationPlan, so only they pay its validation; the sampled
+    additions are sorted, unique and opposite by construction.
+
+    Every hit is possibilistically no-signaling, so no trial checks it:
+    - outcomes are binary (ParitySystem requires it);
+    - a context's parity class projects onto every outcome tuple of any
+      proper subset of its measurements, since flipping one outcome outside
+      the subset flips the parity;
+    - additions only add sections, so the projection stays complete;
+    - two contexts of an antichain cover share a proper subset of each.
+    So every overlapping pair allows every joint outcome of its shared
+    measurements, on both sides.
 
     Trials run one after another. `threads` is kept so that existing callers
     passing threads=1 still work; any other value raises PreconditionError.
@@ -163,11 +177,9 @@ def search_plans(base, counts, trials, seed, threads=1):
             tuple(sorted(rng.sample(opposite[ci], count))) if count else ()
             for ci, count in enumerate(counts)
         )
-        plan = AugmentationPlan(base=base, additions=additions)
-        support = apply_plan(plan)
-        is_sc, _ = strong_contextuality(support)
-        if is_sc and possibilistic_no_signaling(support)[0]:
-            hits.append(plan)
+        support = SupportModel(sc, _augmented_masks(base, additions))
+        if strong_contextuality(support)[0]:
+            hits.append(AugmentationPlan(base=base, additions=additions))
     return hits
 
 

@@ -16,6 +16,7 @@ from .rational import ONE, ZERO, rat, rat_str
 from .scenario import (
     MeasurementScenario,
     bell_scenario,
+    generating_overlaps,
     global_outcomes,
     overlaps,
     projection,
@@ -128,26 +129,37 @@ def is_no_signaling(model):
     """Check that overlapping contexts induce identical marginals.
 
     Returns (True, None) or (False, witness) where the witness names the first
-    violating pair: (ci, cj, shared measurements, outcome tuple, lhs, rhs).
-    The weights are summed as integer numerators over their common
-    denominator, into lists indexed by the shared-outcome projection; the
-    outcome tuple is the first that differs in packed (= product) order."""
+    violating pair in `overlaps` order: (ci, cj, shared measurements, outcome
+    tuple, lhs, rhs). The weights are summed as integer numerators over their
+    common denominator, into lists indexed by the shared-outcome projection;
+    the outcome tuple is the first that differs in packed (= product) order.
+
+    The verdict is decided on `generating_overlaps`, whose equalities imply
+    the rest (on a Bell cover, the pairs one party's setting apart). Only a
+    signaling model runs the same loop again over every pair, so that its
+    witness is the first violation in `overlaps` order."""
     sc = model.scenario
     den = lcm(*(w.denominator for row in model.tables for w in row))
     nums = [[w.numerator * (den // w.denominator) for w in row] for row in model.tables]
-    for ci, cj, shared, proj_i, proj_j in overlaps(sc):
-        radices = [sc.outcomes[m] for m in shared]
-        mi = [0] * prod(radices)
-        mj = mi[:]
-        for p, w in zip(proj_i, nums[ci]):
-            mi[p] += w
-        for p, w in zip(proj_j, nums[cj]):
-            mj[p] += w
-        if mi != mj:
-            k = next(k for k, (a, b) in enumerate(zip(mi, mj)) if a != b)
-            u = unpack(k, radices)
-            return False, (ci, cj, shared, u, Fraction(mi[k], den), Fraction(mj[k], den))
-    return True, None
+
+    def first_violation(pairs):
+        for ci, cj, shared, proj_i, proj_j in pairs:
+            radices = [sc.outcomes[m] for m in shared]
+            mi = [0] * prod(radices)
+            mj = mi[:]
+            for p, w in zip(proj_i, nums[ci]):
+                mi[p] += w
+            for p, w in zip(proj_j, nums[cj]):
+                mj[p] += w
+            if mi != mj:
+                k = next(k for k, (a, b) in enumerate(zip(mi, mj)) if a != b)
+                u = unpack(k, radices)
+                return ci, cj, shared, u, Fraction(mi[k], den), Fraction(mj[k], den)
+        return None
+
+    if first_violation(generating_overlaps(sc)) is None:
+        return True, None
+    return False, first_violation(overlaps(sc))
 
 
 def party_setting_subsets(scenario):
@@ -402,10 +414,6 @@ def _context_label(scenario, ci):
             settings.append(str(by_party[scenario.parties[m]].index(m)))
         return "(" + ",".join(settings) + ")"
     return "+".join(scenario.measurements[m] for m in scenario.cover[ci])
-
-
-def _csv_cells(scenario, ci, render):
-    return [render(si) for si in range(section_size(scenario, ci))]
 
 
 def model_to_csv(model):

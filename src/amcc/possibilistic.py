@@ -12,7 +12,8 @@ cached once more with each packed shared outcome p as the one-hot bit
 1 << p. A support's projection onto the shared measurements is the OR of the
 bits of its possible sections, so a pair agrees when two ints are equal;
 otherwise the witness is the outcome at the lowest set bit of their XOR, the
-first in packed order that only one context allows.
+first in packed order that only one context allows. The verdict is decided
+on the `generating_overlaps`, which imply the rest.
 """
 
 from dataclasses import dataclass
@@ -26,6 +27,7 @@ from .kernels import compatible_mask
 from .model import EmpiricalModel
 from .rational import ZERO, rat
 from .scenario import (
+    generating_overlaps,
     global_size,
     overlaps,
     restriction_table,
@@ -145,11 +147,12 @@ def strong_contextuality(support):
 
 @lru_cache(maxsize=64)
 def _pair_bits(scenario):
-    """overlaps(scenario) with each projection index p as its bit 1 << p."""
-    return tuple(
-        (ci, cj, shared, tuple(1 << p for p in proj_i), tuple(1 << p for p in proj_j))
-        for ci, cj, shared, proj_i, proj_j in overlaps(scenario)
-    )
+    """(ci, cj) -> (bits_i, bits_j) for every overlapping pair: its two
+    projections with each index p as the bit 1 << p."""
+    return {
+        (ci, cj): (tuple(1 << p for p in proj_i), tuple(1 << p for p in proj_j))
+        for ci, cj, _, proj_i, proj_j in overlaps(scenario)
+    }
 
 
 def possibilistic_no_signaling(support):
@@ -160,20 +163,33 @@ def possibilistic_no_signaling(support):
     Each context's projection onto the shared measurements is an int: the OR
     of the one-hot bits of its possible sections' packed shared outcomes. The
     witness is the smallest shared-outcome tuple that exactly one of the two
-    contexts allows, unpacked from the lowest set bit of the XOR."""
+    contexts allows, unpacked from the lowest set bit of the XOR.
+
+    The verdict is decided on `generating_overlaps`, whose equalities imply
+    the rest (on a Bell cover, the pairs one party's setting apart). Only a
+    failing support runs the same loop again over every pair, so that its
+    witness comes from the first failing pair in `overlaps` order."""
     sc = support.scenario
     sections = [support_sections(support, ci) for ci in range(sc.n_contexts)]
-    for ci, cj, shared, bits_i, bits_j in _pair_bits(sc):
-        a = b = 0
-        for si in sections[ci]:
-            a |= bits_i[si]
-        for si in sections[cj]:
-            b |= bits_j[si]
-        diff = a ^ b
-        if diff:
-            k = (diff & -diff).bit_length() - 1
-            return False, (ci, cj, shared, unpack(k, [sc.outcomes[m] for m in shared]))
-    return True, None
+    bits = _pair_bits(sc)
+
+    def first_violation(pairs):
+        for ci, cj, shared, _, _ in pairs:
+            bits_i, bits_j = bits[ci, cj]
+            a = b = 0
+            for si in sections[ci]:
+                a |= bits_i[si]
+            for si in sections[cj]:
+                b |= bits_j[si]
+            diff = a ^ b
+            if diff:
+                k = (diff & -diff).bit_length() - 1
+                return ci, cj, shared, unpack(k, [sc.outcomes[m] for m in shared])
+        return None
+
+    if first_violation(generating_overlaps(sc)) is None:
+        return True, None
+    return False, first_violation(overlaps(sc))
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,11 @@ subset's order; the cached `overlaps` holds those projections for every
 pair of contexts onto their shared measurements; `restriction_table` does
 the same for global sections onto each context. No-signaling, marginals,
 the affine equations and possibilistic no-signaling read these instead of
-decoding sections themselves.
+decoding sections themselves. `generating_overlaps` is the part of
+`overlaps` whose equalities imply all the others.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
@@ -47,6 +49,7 @@ __all__ = [
     "restrict",
     "projection",
     "overlaps",
+    "generating_overlaps",
     "restriction_table",
     "incidence_matrix",
     "slot_offsets",
@@ -260,6 +263,33 @@ def overlaps(scenario):
                 (ci, cj, shared, projection(scenario, ci, shared), projection(scenario, cj, shared))
             )
     return tuple(out)
+
+
+@lru_cache(maxsize=64)
+def generating_overlaps(scenario):
+    """The entries of overlaps(scenario) whose marginal equalities imply
+    every other entry's, in the same order.
+
+    On a full product cover (each context takes one measurement of every
+    party, and every setting tuple is a context) these are the pairs whose
+    contexts differ in one party's measurement. Contexts c and c' that
+    share the measurements S are joined by a walk that changes the parties
+    outside S one at a time; each step's pair shares S, so equal marginals
+    on its shared measurements give equal marginals on S, and so do equal
+    supports, since projecting twice is projecting once (Popescu and
+    Rohrlich, Found. Phys. 24, 379, 1994; Barrett et al., PRA 71, 022101,
+    2005). On any other cover every entry is returned: overlaps itself."""
+    pairs = overlaps(scenario)
+    parties = scenario.parties
+    if parties is None:
+        return pairs
+    n = len(set(parties))
+    product_cover = scenario.n_contexts == prod(Counter(parties).values()) and all(
+        len({parties[m] for m in ctx}) == len(ctx) == n for ctx in scenario.cover
+    )
+    if not product_cover:
+        return pairs
+    return tuple(pair for pair in pairs if len(pair[2]) == n - 1)
 
 
 @lru_cache(maxsize=64)

@@ -231,7 +231,11 @@ def test_integer_elimination_matches_the_fraction_one(rows):
     assert elim.back_substitute(variables) == ref.back_substitute(variables)
 
 
+# eliminating only the rows of the pairs one party's setting apart leaves
+# this support a different pivot set (variables 59 and 62 differ), so the
+# pruning keeps the rows of every overlapping pair
 @given(st.sampled_from([(3, 2, 2), (2, 3, 2), (2, 2, 3)]).flatmap(_supports))
+@example(SupportModel(bell_scenario(3, 2, 2), (150, 150, 214, 109, 121, 121, 105, 105)))
 @settings(max_examples=60, deadline=None)
 def test_pruned_rows_eliminate_like_all_of_ns_equations(support):
     sc = support.scenario

@@ -23,7 +23,12 @@ from amcc.csp import (
 from amcc.errors import PreconditionError, VerificationError
 from amcc.model import parity_amcc_422
 from amcc.parity import ParitySystem, parity_system_from_vector
-from amcc.possibilistic import compatible_globals, support_of, strong_contextuality
+from amcc.possibilistic import (
+    compatible_globals,
+    possibilistic_no_signaling,
+    strong_contextuality,
+    support_of,
+)
 from amcc.rational import rat
 from amcc.scenario import bell_scenario
 
@@ -150,21 +155,55 @@ def test_search_validation():
 SEARCH_IDENTITY_DIGEST = "7b8ab1b83e4069a5bb1f4ac2212e8b3ed7ad70f0fa547a3c2abf1823d6750c8a"
 
 
-def _search_identity_lines():
+@pytest.fixture(scope="module")
+def identity_searches():
     plan = reference_plan()
     counts = plan_counts(plan)
     plus2 = tuple(min(c + 2, 8) for c in counts)
-    for name, profile, trials in (("reference", counts, 30), ("plus2", plus2, 100)):
-        for seed in (1, 2, 3):
-            hits = search_plans(plan.base, profile, trials, seed)
-            yield json.dumps([name, seed, [[list(a) for a in p.additions] for p in hits]])
+    return [
+        (name, seed, search_plans(plan.base, profile, trials, seed))
+        for name, profile, trials in (("reference", counts, 30), ("plus2", plus2, 100))
+        for seed in (1, 2, 3)
+    ]
 
 
-def test_search_hits_are_pinned():
+def _search_identity_lines(searches):
+    for name, seed, hits in searches:
+        yield json.dumps([name, seed, [[list(a) for a in p.additions] for p in hits]])
+
+
+def test_search_hits_are_pinned(identity_searches):
     h = hashlib.sha256()
-    for line in _search_identity_lines():
+    for line in _search_identity_lines(identity_searches):
         h.update((line + "\n").encode())
     assert h.hexdigest() == SEARCH_IDENTITY_DIGEST
+
+
+def test_every_pinned_hit_is_possibilistically_no_signaling(identity_searches):
+    # the search runs no no-signaling filter, because on a parity base it
+    # cannot reject; the filter stays here as the oracle on every hit
+    for _, _, hits in identity_searches:
+        for plan in hits:
+            assert possibilistic_no_signaling(apply_plan(plan)) == (True, None)
+
+
+@st.composite
+def _augmented_plans(draw):
+    sc = bell_scenario(draw(st.sampled_from([3, 4])), 2, 2)
+    base = parity_system_from_vector(sc, draw(st.integers(0, (1 << sc.n_contexts) - 1)))
+    additions = tuple(
+        tuple(sorted(draw(st.sets(st.sampled_from(opposite_sections(base, ci))))))
+        for ci in range(sc.n_contexts)
+    )
+    return AugmentationPlan(base, additions)
+
+
+@given(_augmented_plans())
+@settings(max_examples=60, deadline=None)
+def test_every_augmented_parity_support_is_possibilistically_no_signaling(plan):
+    # why search_plans needs no no-signaling filter, checked on every draw
+    # rather than on hits alone
+    assert possibilistic_no_signaling(apply_plan(plan)) == (True, None)
 
 
 @given(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))

@@ -164,6 +164,18 @@ def test_signaling_witness_names_the_disagreeing_pair():
     assert (a, b) == (ONE, rat(1, 2))
 
 
+def test_signaling_witness_is_the_first_violation_in_overlaps_order():
+    # (3,2,2) context 3 is (0,1,1). Made deterministic, it first disagrees
+    # with context 0, two settings apart; the first pair one setting apart
+    # that fails is (1, 3)
+    sc = bell_scenario(3, 2, 2)
+    tables = list(uniform_model(sc).tables)
+    tables[3] = deterministic_model(sc, 0).tables[3]
+    ok, wit = is_no_signaling(EmpiricalModel(sc, tuple(tables)))
+    assert ok is False
+    assert wit == (0, 3, (0,), (0,), rat(1, 2), ONE)
+
+
 # reference: the Fraction marginal comparison the integer check replaced,
 # decoding sections by enumerating outcome tuples in packed order
 
@@ -195,40 +207,52 @@ def _fraction_is_no_signaling(model):
     return True, None
 
 
+# the no-signaling checks decide on the pairs one party's setting apart and
+# rescan every pair only on failure; these shapes cover two to four parties,
+# more settings and more outcomes
+NO_SIGNALING_SHAPES = ((2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 2, 3), (4, 2, 2))
+
+
 @st.composite
-def _point_mass_mixtures(draw):
-    """(2,2,3) mixtures of up to three point masses and the uniform model."""
-    sc = bell_scenario(2, 2, 3)
+def _point_mass_mixtures(draw, sc):
+    """Mixtures of up to three point masses and the uniform model."""
     globals_ = draw(st.lists(st.integers(0, global_size(sc) - 1), max_size=3))
     terms = [(rat(1, len(globals_) + 1), deterministic_model(sc, gi)) for gi in globals_]
     return mix_models(terms + [(rat(1, len(globals_) + 1), uniform_model(sc))])
 
 
 @st.composite
+def _no_signaling_models(draw, sc):
+    """A random no-signaling model or, always past binary outcomes, where
+    parity models do not exist, a mixture of point masses."""
+    if max(sc.outcomes) == 2 and draw(st.booleans()):
+        return random_no_signaling_model(sc, random.Random(draw(st.integers(0, 2**32 - 1))))
+    return draw(_point_mass_mixtures(sc))
+
+
+@st.composite
 def _models(draw):
-    """Random no-signaling models at (2,2,2) and (3,2,2) and (2,2,3) mixtures,
-    some of them made signaling by moving part of one section's mass to
-    another section of the same context."""
-    if draw(st.booleans()):
-        sc = bell_scenario(draw(st.sampled_from([2, 3])), 2, 2)
-        model = random_no_signaling_model(sc, random.Random(draw(st.integers(0, 2**32 - 1))))
-    else:
-        model = draw(_point_mass_mixtures())
-        sc = model.scenario
-    if draw(st.booleans()):
-        ci = draw(st.integers(0, sc.n_contexts - 1))
-        row = list(model.tables[ci])
+    """No-signaling models, some made signaling by moving part of one
+    section's mass to another section of the same context, or by taking
+    one context's row from another no-signaling model."""
+    sc = bell_scenario(*draw(st.sampled_from(NO_SIGNALING_SHAPES)))
+    model = draw(_no_signaling_models(sc))
+    change = draw(st.sampled_from(["none", "move", "swap"]))
+    ci = draw(st.integers(0, sc.n_contexts - 1))
+    row = list(model.tables[ci])
+    if change == "move":
         src = draw(st.sampled_from([si for si, w in enumerate(row) if w]))
         dst = draw(st.sampled_from([si for si in range(len(row)) if si != src]))
         moved = row[src] * Fraction(draw(st.integers(1, 4)), 4)
         row[src] -= moved
         row[dst] += moved
-        model = EmpiricalModel(sc, model.tables[:ci] + (tuple(row),) + model.tables[ci + 1 :])
-    return model
+    elif change == "swap":
+        row = draw(_no_signaling_models(sc)).tables[ci]
+    return EmpiricalModel(sc, model.tables[:ci] + (tuple(row),) + model.tables[ci + 1 :])
 
 
 @given(_models())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_integer_no_signaling_check_matches_the_fraction_one(model):
     ok, wit = is_no_signaling(model)
     assert (ok, wit) == _fraction_is_no_signaling(model)

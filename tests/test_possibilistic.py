@@ -292,27 +292,50 @@ def test_possibilistic_no_signaling_verdicts():
     assert outcome == (1,)
 
 
-# (2,2,3) has nine sections per context, so some shared keys are not bits 0/1
+# (2,2,3) has nine sections per context, so some shared keys are not bits
+# 0/1; the check decides on the pairs one party's setting apart and rescans
+# every pair only on failure, so two to four parties and three settings
+# are drawn too
 NO_SIGNALING_SCENARIOS = tuple(
-    bell_scenario(*shape) for shape in ((2, 2, 2), (3, 2, 2), (4, 2, 2), (2, 2, 3))
+    bell_scenario(*shape) for shape in ((2, 2, 2), (3, 2, 2), (2, 3, 2), (4, 2, 2), (2, 2, 3))
 )
 
 
-@st.composite
-def _point_mass_supports(draw, sc):
-    # the support of a mixture of point masses is possibilistically
-    # no-signaling; toggling one section usually breaks that
+def _point_mass_masks(draw, sc):
     table = restriction_table(sc)
     masks = [0] * sc.n_contexts
     for gi in draw(st.lists(st.integers(0, global_size(sc) - 1), min_size=1, max_size=4)):
         for ci in range(sc.n_contexts):
             masks[ci] |= 1 << int(table[ci, gi])
-    if draw(st.booleans()):
-        ci = draw(st.integers(0, sc.n_contexts - 1))
+    return masks
+
+
+@st.composite
+def _point_mass_supports(draw, sc):
+    # the support of a mixture of point masses is possibilistically
+    # no-signaling; toggling one section, or taking one context's mask from
+    # another such support, usually breaks that
+    masks = _point_mass_masks(draw, sc)
+    change = draw(st.sampled_from(["none", "toggle", "swap"]))
+    ci = draw(st.integers(0, sc.n_contexts - 1))
+    if change == "toggle":
         si = draw(st.integers(0, section_size(sc, ci) - 1))
         if masks[ci] != 1 << si:
             masks[ci] ^= 1 << si
+    elif change == "swap":
+        masks[ci] = _point_mass_masks(draw, sc)[ci]
     return SupportModel(sc, tuple(masks))
+
+
+def test_possibilistic_witness_is_the_first_failing_pair_in_overlaps_order():
+    # (3,2,2) context 3 is (0,1,1). Pinned to one section, it first disagrees
+    # with context 0, two settings apart; the first pair one setting apart
+    # that fails is (1, 3)
+    sc = bell_scenario(3, 2, 2)
+    masks = [(1 << 8) - 1] * sc.n_contexts
+    masks[3] = 1
+    ok, wit = possibilistic_no_signaling(SupportModel(sc, tuple(masks)))
+    assert (ok, wit) == (False, (0, 3, (0,), (1,)))
 
 
 @given(
