@@ -4,7 +4,7 @@ Empirical models carry exact rational weights; the contextual fraction
 comes from an exact single-phase simplex on a fraction-free integer
 tableau, certified by its dual prices and a verified decomposition
 (`classify` runs the same simplex over the support's compatible global
-assignments only, and checks its prices on the full incidence matrix);
+assignments only, and checks its prices over every global assignment);
 possibilistic strong contextuality, parity-vector scans, affine support
 solving, and the bundled reference reconstruction round out the pipeline.
 All headline quantities can be recomputed with the `verify-paper` CLI

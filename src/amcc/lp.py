@@ -24,22 +24,31 @@ The optimal prices are read off the final objective row and every
 fraction is returned only after they certify optimality exactly, and
 after the decomposition recomposes the model.
 
+The price check runs on integers: the prices over the lcm of their
+denominators, the weights from the model's integer view (each row's
+numerators over its own lcm). Global g's slots are slot_offsets +
+restriction_table[:, g], one per context, so what every global collects
+is one numpy sum over the restriction table, in int64 whenever the
+totals are bounded below 2**63 and on Python ints otherwise.
+
 `certified_fraction` is the cheap route to the value alone: a global
 assignment that restricts to a zero-weight slot is forced to weight 0, so
 it runs the same simplex over the support's compatible globals only, and
-its prices pass the same exact check on the full incidence matrix.
+its prices pass the same exact check over every global assignment.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import lcm
+from operator import mul
 
 import numpy as np
 
 from .errors import PreconditionError, VerificationError
-from .model import EmpiricalModel, _mixed_row, _over_lcm, is_no_signaling
+from .model import EmpiricalModel, _mixed_row, is_no_signaling
 from .possibilistic import compatible_globals, support_of
 from .rational import ONE, ZERO, rat, rat_str
-from .scenario import incidence_matrix, restriction_table, section_size
+from .scenario import incidence_matrix, restriction_table, section_size, slot_offsets
 
 __all__ = [
     "simplex_solve",
@@ -60,15 +69,15 @@ def simplex_solve(incidence, rhs):
     of the rows."""
     m, n = incidence.shape
     width = n + m
-    rhs = [rat(b) for b in rhs]
-    scale = lcm(*(b.denominator for b in rhs))
+    rhs = [(b if type(b) is Fraction else rat(b)).as_integer_ratio() for b in rhs]
+    scale = lcm(*{d for _, d in rhs})
     tableau = []
-    for i, (row, b) in enumerate(zip(incidence.tolist(), rhs)):
+    for i, (row, (b, d)) in enumerate(zip(incidence.tolist(), rhs)):
         if b < 0:
-            raise PreconditionError(f"right-hand side {rat_str(b)} of row {i} is negative")
+            raise PreconditionError(f"right-hand side {rat_str(rat(b, d))} of row {i} is negative")
         row += [0] * (m + 1)
         row[n + i] = 1
-        row[-1] = b.numerator * (scale // b.denominator)
+        row[-1] = b * (scale // d)
         tableau.append(row)
     tableau.append([-1] * n + [0] * (m + 1))
     basis = list(range(n, width))
@@ -175,7 +184,7 @@ def contextual_fraction(model):
     if ncf < 0 or cf < 0:
         raise VerificationError("noncontextual fraction outside [0, 1]",
                                 details={"ncf": ncf})
-    _check_prices(mat, v, prices, ncf)
+    _check_prices(model, prices, ncf)
     used = [(gi, w) for gi, w in enumerate(dist) if w]
     table = restriction_table(sc)
     slots_of = {gi: table[:, gi].tolist() for gi, _ in used}
@@ -225,15 +234,15 @@ def certified_fraction(model):
     ncf is 0 and no LP runs. The full price vector puts 1 on every
     zero-weight slot, which costs nothing and covers every dropped global,
     0 on every other slot the reduced LP did not see, and the reduced LP's
-    prices elsewhere. It is checked on the full incidence matrix before
+    prices elsewhere. It is checked over every global assignment before
     returning, so a wrong compatible set raises VerificationError."""
     _require_no_signaling(model)
     kept = compatible_globals(support_of(model))
     mat = incidence_matrix(model.scenario)
-    v = stacked_weights(model)
-    prices = [ZERO if w else ONE for w in v]
+    prices = [ZERO if x else ONE for _, nums in model._int_rows for x in nums]
     ncf = ZERO
     if kept:
+        v = stacked_weights(model)
         sub = mat[:, kept]
         rows = np.flatnonzero(sub.any(axis=1)).tolist()
         ncf, _, reduced, _ = simplex_solve(sub[rows], [v[r] for r in rows])
@@ -244,34 +253,44 @@ def certified_fraction(model):
         raise VerificationError("noncontextual fraction outside [0, 1]",
                                 details={"ncf": ncf})
     prices = tuple(prices)
-    _check_prices(mat, v, prices, ncf)
+    _check_prices(model, prices, ncf)
     return ncf, cf, prices
 
 
-def _check_prices(incidence, weights, prices, ncf):
-    """Dual certificate, checked exactly from the incidence matrix: prices
-    are nonnegative, every global assignment collects at least 1 over its
-    slots, and the priced weights total ncf. By weak duality no dominated
-    mixture of global assignments is heavier than ncf. Every sum runs on
-    integer numerators over a common denominator."""
-    if any(y.numerator < 0 for y in prices):
+def _check_prices(model, prices, ncf):
+    """Dual certificate, checked exactly: prices are nonnegative, every
+    global assignment collects at least 1 over its slots, and the priced
+    weights total ncf. By weak duality no dominated mixture of global
+    assignments is heavier than ncf.
+
+    The prices are integer numerators over the lcm den of their
+    denominators. Global g's slots are slot_offsets + restriction_table[:, g],
+    one per context, so one numpy sum over the table gives what every global
+    collects. No total exceeds n_contexts times the largest numerator; while
+    that bound and den are below 2**63 the sum runs in int64, otherwise on
+    Python ints. The priced weights are summed on the model's integer view,
+    each row over its own lcm."""
+    pairs = [y.as_integer_ratio() for y in prices]
+    den = lcm(*{d for _, d in pairs})
+    scaled = [n * (den // d) for n, d in pairs]
+    if min(scaled) < 0:
         raise VerificationError("a slot price is negative")
-    den = lcm(*(y.denominator for y in prices))
-    scaled = [y.numerator * (den // y.denominator) for y in prices]
-    # slots of global g: the rows of incidence column g, one per context;
-    # flatnonzero of a contiguous bool copy is 4x faster than nonzero of .T
-    m, ng = incidence.shape
-    ones = np.flatnonzero(np.ascontiguousarray(incidence.T, dtype=np.bool_))
-    slots = (ones % m).reshape(ng, -1)
-    collected = np.array(scaled, dtype=object)[slots].sum(axis=1)
-    for g, total in enumerate(collected):
-        if total < den:
-            raise VerificationError(
-                "a global assignment collects price below 1",
-                details={"global": g, "price": rat(total, den)},
-            )
-    wden = lcm(*(w.denominator for w in weights))
-    total = sum(w.numerator * (wden // w.denominator) * y for w, y in zip(weights, scaled) if y)
+    sc = model.scenario
+    table = restriction_table(sc)
+    dtype = np.int64 if max(den, sc.n_contexts * max(scaled)) < 2**63 else object
+    slots = np.array(slot_offsets(sc))[:, None] + table
+    collected = np.array(scaled, dtype=dtype)[slots].sum(axis=0)
+    short = np.flatnonzero(collected < den)
+    if short.size:
+        g = int(short[0])
+        raise VerificationError(
+            "a global assignment collects price below 1",
+            details={"global": g, "price": rat(int(collected[g]), den)},
+        )
+    wden = lcm(*(d for d, _ in model._int_rows))
+    total = 0
+    for off, (d, nums) in zip(slot_offsets(sc), model._int_rows):
+        total += (wden // d) * sum(map(mul, nums, scaled[off : off + len(nums)]))
     cost = rat(total, wden * den)
     if cost != ncf:
         raise VerificationError(
@@ -285,8 +304,7 @@ def _check_decomposition(model, ncf, nc_part, cf, sc_part):
     part is None when its coefficient is zero. Each context's row is
     compared on integer numerators over one denominator per side."""
     parts = [(ncf, nc_part), (cf, sc_part)]
-    for ci, row in enumerate(model.tables):
-        den, target = _over_lcm(row)
+    for ci, (den, target) in enumerate(model._int_rows):
         total, acc = _mixed_row(model.scenario, parts, ci)
         for si, (x, w) in enumerate(zip(acc, target)):
             if x * den != w * total:

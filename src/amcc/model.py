@@ -10,6 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import lcm, prod
+from operator import mul
 
 from .errors import PreconditionError
 from .rational import ONE, ZERO, rat, rat_str
@@ -32,7 +33,6 @@ from .scenario import (
 __all__ = [
     "EmpiricalModel",
     "MarginalTable",
-    "empirical_model",
     "marginalize",
     "context_containing",
     "party_setting_subsets",
@@ -64,6 +64,7 @@ class EmpiricalModel:
         if len(self.tables) != sc.n_contexts:
             raise ValueError("need one distribution per context")
         rows = []
+        int_rows = []
         for ci, row in enumerate(self.tables):
             want = section_size(sc, ci)
             if len(row) != want:
@@ -71,13 +72,17 @@ class EmpiricalModel:
                     f"context {sc.cover[ci]} needs {want} weights, got {len(row)}"
                 )
             row = tuple(x if type(x) is Fraction else rat(x) for x in row)
-            if any(x.numerator < 0 for x in row):
-                raise ValueError(f"negative weight in context {sc.cover[ci]}")
             den, nums = _over_lcm(row)
+            if min(nums) < 0:
+                raise ValueError(f"negative weight in context {sc.cover[ci]}")
             if sum(nums) != den:
                 raise ValueError(f"context {sc.cover[ci]} weights must sum to 1")
             rows.append(row)
+            int_rows.append((den, nums))
         object.__setattr__(self, "tables", tuple(rows))
+        # the integer view: (den, numerators) of each row over the lcm of its
+        # denominators. Not a field, so ==, hash and repr ignore it.
+        object.__setattr__(self, "_int_rows", tuple(int_rows))
 
     def weight(self, ci, outcomes):
         return self.tables[ci][section_index(self.scenario, ci, outcomes)]
@@ -85,14 +90,10 @@ class EmpiricalModel:
 
 def _over_lcm(row):
     """(den, numerators) of a row of Fractions over the lcm den of their
-    denominators."""
-    den = lcm(*(x.denominator for x in row))
-    return den, [x.numerator * (den // x.denominator) for x in row]
-
-
-def empirical_model(scenario, rows):
-    """Build a model coercing entries (ints, strings, rationals)."""
-    return EmpiricalModel(scenario, tuple(tuple(rat(x) for x in row) for row in rows))
+    denominators, the numerators as a tuple."""
+    nums, dens = zip(*map(Fraction.as_integer_ratio, row))
+    den = lcm(*set(dens))
+    return den, tuple(map(mul, nums, map(den.__floordiv__, dens)))
 
 
 @dataclass(frozen=True)
@@ -130,17 +131,18 @@ def is_no_signaling(model):
 
     Returns (True, None) or (False, witness) where the witness names the first
     violating pair in `overlaps` order: (ci, cj, shared measurements, outcome
-    tuple, lhs, rhs). The weights are summed as integer numerators over their
-    common denominator, into lists indexed by the shared-outcome projection;
-    the outcome tuple is the first that differs in packed (= product) order.
+    tuple, lhs, rhs). The weights are summed as integer numerators over the
+    lcm of the rows' denominators (from the model's integer view), into
+    lists indexed by the shared-outcome projection; the outcome tuple is the
+    first that differs in packed (= product) order.
 
     The verdict is decided on `generating_overlaps`, whose equalities imply
     the rest (on a Bell cover, the pairs one party's setting apart). Only a
     signaling model runs the same loop again over every pair, so that its
     witness is the first violation in `overlaps` order."""
     sc = model.scenario
-    den = lcm(*(w.denominator for row in model.tables for w in row))
-    nums = [[w.numerator * (den // w.denominator) for w in row] for row in model.tables]
+    den = lcm(*(d for d, _ in model._int_rows))
+    nums = [row if d == den else [x * (den // d) for x in row] for d, row in model._int_rows]
 
     def first_violation(pairs):
         for ci, cj, shared, proj_i, proj_j in pairs:
@@ -194,17 +196,14 @@ def is_maximal_marginals(model):
 def uniform_marginals(model):
     """is_maximal_marginals for a model known to be no-signaling.
 
-    Each context's weights are integer numerators over the row's lcm den,
-    summed into projection buckets; a marginal over k outcomes is uniform
-    when every bucket times k equals den."""
+    Each context's weights are integer numerators over the row's lcm den
+    (the model's integer view), summed into projection buckets; a marginal
+    over k outcomes is uniform when every bucket times k equals den."""
     sc = model.scenario
     if sc.parties is None:
         raise PreconditionError("maximal-marginals check needs party structure")
-    rows = {}
     for ms, ci, radices, proj in _party_marginals(sc):
-        if ci not in rows:
-            rows[ci] = _over_lcm(model.tables[ci])
-        den, nums = rows[ci]
+        den, nums = model._int_rows[ci]
         k = prod(radices)
         buckets = [0] * k
         for p, w in zip(proj, nums):
@@ -347,7 +346,7 @@ def _mixed_row(scenario, pairs, ci):
     terms = []
     for w, m in pairs:
         if w:
-            den, nums = _over_lcm(m.tables[ci])
+            den, nums = m._int_rows[ci]
             terms.append((w.numerator, w.denominator * den, nums))
     total = lcm(*(d for _, d, _ in terms))
     acc = [0] * section_size(scenario, ci)
@@ -398,10 +397,25 @@ def model_to_json(model):
 
 
 def model_from_json(doc):
+    """Decode a model document. Each distinct literal is parsed once per
+    call, keyed by (type, value) so that 1.0 is not taken for 1; the cells
+    are parsed in row order, so the first bad one is the one reported."""
     if not isinstance(doc, dict) or "scenario" not in doc or "tables" not in doc:
         raise ValueError("model JSON needs scenario and tables keys")
     sc = scenario_from_json(doc["scenario"])
-    return empirical_model(sc, doc["tables"])
+    parsed = {}
+
+    def parse(x):
+        key = (type(x), x)
+        try:
+            return parsed[key]
+        except KeyError:
+            value = parsed[key] = rat(x)
+            return value
+        except TypeError:  # an unhashable cell: rat reports it
+            return rat(x)
+
+    return EmpiricalModel(sc, tuple(tuple(map(parse, row)) for row in doc["tables"]))
 
 
 def _context_label(scenario, ci):

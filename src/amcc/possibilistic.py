@@ -72,11 +72,13 @@ class SupportModel:
 
 
 def support_of(model):
+    """The support of an empirical model, read from its integer view: bit si
+    of context ci's mask is set iff that numerator is nonzero."""
     masks = []
-    for row in model.tables:
+    for _, nums in model._int_rows:
         mask = 0
-        for si, w in enumerate(row):
-            if w != 0:
+        for si, x in enumerate(nums):
+            if x:
                 mask |= 1 << si
         masks.append(mask)
     return SupportModel(model.scenario, tuple(masks))

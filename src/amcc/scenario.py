@@ -40,6 +40,7 @@ __all__ = [
     "bell_scenario",
     "MAX_BELL_MEASUREMENTS",
     "MAX_BELL_CONTEXTS",
+    "MAX_TABLE_CELLS",
     "unpack",
     "section_size",
     "section_outcomes",
@@ -292,10 +293,27 @@ def generating_overlaps(scenario):
     return tuple(pair for pair in pairs if len(pair[2]) == n - 1)
 
 
+# cells of one restriction table or incidence matrix: (6,2,2)'s incidence
+# matrix has 2**24, (7,2,2)'s 2**28 (256 MiB of uint8)
+MAX_TABLE_CELLS = 1 << 26
+
+
+def _require_cells(what, rows, cols):
+    """Raise ResourceLimitError when a rows x cols array is over
+    MAX_TABLE_CELLS; called before the array is allocated."""
+    if rows * cols > MAX_TABLE_CELLS:
+        raise ResourceLimitError(
+            f"{what} of {rows} x {cols} = {rows * cols} cells is over the limit "
+            f"{MAX_TABLE_CELLS}"
+        )
+
+
 @lru_cache(maxsize=64)
 def restriction_table(scenario):
     """int32 array (n_contexts, n_globals): restriction_table[c, g] is the
-    section index of global g in context c. Read-only."""
+    section index of global g in context c. Read-only. Raises
+    ResourceLimitError, before allocating, past MAX_TABLE_CELLS entries."""
+    _require_cells("restriction table", scenario.n_contexts, global_size(scenario))
     globals_ = np.arange(global_size(scenario), dtype=np.int32)
     tab = np.empty((scenario.n_contexts, len(globals_)), dtype=np.int32)
     for ci, ctx in enumerate(scenario.cover):
@@ -322,7 +340,9 @@ def slot_count(scenario):
 def incidence_matrix(scenario):
     """0/1 matrix with one row per (context, section) slot and one column per
     global section; entry 1 iff the global restricts to that section. Rows
-    follow cover order then section order. Read-only uint8."""
+    follow cover order then section order. Read-only uint8. Raises
+    ResourceLimitError, before allocating, past MAX_TABLE_CELLS entries."""
+    _require_cells("incidence matrix", slot_count(scenario), global_size(scenario))
     tab = restriction_table(scenario)
     offs = slot_offsets(scenario)
     rows = slot_count(scenario)

@@ -8,7 +8,8 @@ import amcc.cli  # noqa: F401  loads every module the tracer wraps
 import amcc.kernels
 import amcc.rational
 from amcc.csp import plan_counts, reference_plan
-from amcc.model import parity_amcc_422
+from amcc.model import mix_models, parity_amcc_422, pr_box, uniform_model
+from amcc.rational import rat
 from amcc.scenario import bell_scenario
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -78,3 +79,20 @@ def test_benchmark_tracer_sees_the_fraction_lp(monkeypatch):
         "lp.contextual_fraction",
         "lp.simplex_solve",
     }
+
+
+def test_benchmark_tracer_sees_the_reduced_lp_of_classify(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    # 3/4 PR box + 1/4 uniform: every global is compatible with the support,
+    # so classify runs its simplex, reached through the module binding
+    model = mix_models([(rat(3, 4), pr_box(0)), (rat(1, 4), uniform_model(bell_scenario(2, 2, 2)))])
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert amcc.affine.classify(model).cf == rat(1, 2)
+    finally:
+        tracer.uninstall()
+    assert {span[0] for span in tracer.spans} >= {"affine.classify", "lp.simplex_solve"}
+    assert tracer.layer_metrics()["model.is_no_signaling.calls_per_classify"] == 1

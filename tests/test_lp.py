@@ -3,6 +3,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -415,3 +416,133 @@ def test_presolved_fraction_refuses_a_signaling_model():
     rows[1] = (rat(1, 2), ZERO, ZERO, rat(1, 2))
     with pytest.raises(PreconditionError, match="model is signaling: contexts 0 and 1"):
         certified_fraction(type(det)(det.scenario, tuple(rows)))
+
+
+# ---------------------------------------------------------------------------
+# the price check on integers, against the Fraction form it replaced
+
+
+def _fraction_check_prices(model, prices, ncf):
+    """The dual certificate in Fraction arithmetic, read off the incidence
+    matrix column by column: the same conditions in the same order, with
+    the same messages and details as amcc.lp._check_prices."""
+    if any(y < 0 for y in prices):
+        raise VerificationError("a slot price is negative")
+    inc = incidence_matrix(model.scenario)
+    for g in range(inc.shape[1]):
+        total = sum((prices[s] for s in np.flatnonzero(inc[:, g])), ZERO)
+        if total < 1:
+            raise VerificationError(
+                "a global assignment collects price below 1",
+                details={"global": g, "price": total},
+            )
+    cost = sum((w * y for w, y in zip(stacked_weights(model), prices)), ZERO)
+    if cost != ncf:
+        raise VerificationError(
+            "priced weights differ from the noncontextual fraction",
+            details={"cost": cost, "ncf": ncf},
+        )
+
+
+def _refusal(check, *args):
+    """(message, details) of the VerificationError check(*args) raises, or
+    None when it accepts."""
+    try:
+        check(*args)
+    except VerificationError as exc:
+        return str(exc), exc.details
+    return None
+
+
+@st.composite
+def _certificate_models(draw):
+    """Random no-signaling (2,2,2)-(4,2,2) models and mixtures of two of
+    them with random weights."""
+    sc = bell_scenario(draw(st.sampled_from([2, 3, 4])), 2, 2)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    model = random_no_signaling_model(sc, rng)
+    if draw(st.booleans()):
+        t = rat(draw(st.integers(1, 8)), 9)
+        model = mix_models([(t, model), (ONE - t, random_no_signaling_model(sc, rng))])
+    return model
+
+
+@given(_certificate_models())
+@example(parity_amcc_422())
+@example(mix_models([(rat(3, 4), pr_box(0)), (rat(1, 4), uniform_model(bell_scenario(2, 2, 2)))]))
+@settings(max_examples=40, deadline=None)
+def test_the_fraction_certificate_accepts_both_routes(model):
+    res = contextual_fraction(model)
+    _fraction_check_prices(model, res.prices, res.ncf)
+    ncf, _, prices = certified_fraction(model)
+    assert ncf == res.ncf
+    _fraction_check_prices(model, prices, ncf)
+
+
+def _short_global(model, prices):
+    """prices lowered on the slots of the global that collects least, so
+    that it collects 1 - 1/den, den the lcm of the price denominators; no
+    price goes below 0."""
+    inc = incidence_matrix(model.scenario)
+    den = lcm(*(y.denominator for y in prices))
+    slots = min(
+        (np.flatnonzero(inc[:, g]) for g in range(inc.shape[1])),
+        key=lambda slots: sum((prices[s] for s in slots), ZERO),
+    )
+    excess = sum((prices[s] for s in slots), ZERO) - 1 + rat(1, den)
+    out = list(prices)
+    for s in slots:
+        cut = min(out[s], excess)
+        out[s] -= cut
+        excess -= cut
+    return tuple(out)
+
+
+_MUTATIONS = {
+    "negative": lambda model, y, ncf: ((-y[0] - 1,) + y[1:], ncf),
+    "short-by-one-den": lambda model, y, ncf: (_short_global(model, y), ncf),
+    "cost-off": lambda model, y, ncf: (y, ncf + rat(1, 3 * ncf.denominator)),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
+@pytest.mark.parametrize(
+    "model",
+    [
+        mix_models([(rat(3, 4), pr_box(0)), (rat(1, 4), uniform_model(bell_scenario(2, 2, 2)))]),
+        random_no_signaling_model(bell_scenario(3, 2, 2), random.Random(1)),
+        deterministic_model(bell_scenario(3, 2, 2), 21),
+        parity_amcc_422(),
+    ],
+    ids=["noisy-pr-box", "random-322", "point-mass", "parity-amcc-422"],
+)
+def test_a_mutated_certificate_is_refused_as_the_fraction_form_refuses_it(model, mutation):
+    for ncf, prices in (
+        (contextual_fraction(model).ncf, contextual_fraction(model).prices),
+        certified_fraction(model)[::2],
+    ):
+        assert amcc.lp._check_prices(model, prices, ncf) is None
+        bad = _MUTATIONS[mutation](model, prices, ncf)
+        refusal = _refusal(amcc.lp._check_prices, model, *bad)
+        assert refusal is not None
+        assert refusal == _refusal(_fraction_check_prices, model, *bad)
+
+
+def test_prices_past_int64_are_checked_on_python_ints():
+    # raising a price of 1 on a zero-weight slot by 1/3**45 changes no
+    # condition, but puts the common price denominator past 2**63
+    model = random_no_signaling_model(bell_scenario(3, 2, 2), random.Random(1))
+    ncf, _, prices = certified_fraction(model)
+    s = stacked_weights(model).index(ZERO)
+    assert prices[s] == 1
+    tiny = rat(1, 3**45)
+    big = prices[:s] + (ONE + tiny,) + prices[s + 1 :]
+    assert amcc.lp._check_prices(model, big, ncf) is None
+    for bad in (
+        (big, ncf + tiny),
+        ((-tiny,) + big[1:], ncf),
+        (_short_global(model, big), ncf),
+    ):
+        refusal = _refusal(amcc.lp._check_prices, model, *bad)
+        assert refusal is not None
+        assert refusal == _refusal(_fraction_check_prices, model, *bad)

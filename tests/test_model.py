@@ -1,5 +1,6 @@
 """Empirical models: validation, marginals, reference corpus, serialization."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -30,6 +31,7 @@ from amcc.model import (
     uniform_marginals,
     uniform_model,
 )
+from amcc.model import _over_lcm
 from amcc.rational import ONE, ZERO, rat
 from amcc.scenario import (
     bell_scenario,
@@ -465,3 +467,62 @@ def test_deterministic_index_is_validated():
     sc = bell_scenario(2, 2, 2)
     with pytest.raises(ValueError):
         deterministic_model(sc, global_size(sc))
+
+
+# ---------------------------------------------------------------------------
+# the integer view the validation keeps, and parsing each literal once
+
+
+@given(_mixture_terms())
+@settings(max_examples=40, deadline=None)
+def test_the_integer_view_is_each_rows_numerators_over_its_lcm(pairs):
+    model = mix_models(pairs)
+    assert model._int_rows == tuple(_over_lcm(row) for row in model.tables)
+    for den, nums in model._int_rows:
+        assert sum(nums) == den and all(type(x) is int for x in nums)
+
+
+def test_equal_models_stay_equal_and_hash_alike():
+    sc = bell_scenario(2, 2, 2)
+    mixed = mix_models([(rat(1, 2), pr_box(0)), (rat(1, 2), uniform_model(sc))])
+    doc = model_to_json(mixed)
+    doc["tables"] = [[f"{2 * rat(x).numerator}/{2 * rat(x).denominator}" for x in row]
+                     for row in doc["tables"]]
+    decoded = model_from_json(doc)
+    assert decoded == mixed and hash(decoded) == hash(mixed)
+    assert repr(decoded) == repr(mixed)
+    assert [f.name for f in dataclasses.fields(EmpiricalModel)] == ["scenario", "tables"]
+    assert "_int_rows" not in repr(mixed)
+
+
+def test_model_json_parses_equal_literals_to_equal_weights():
+    doc = model_to_json(pr_box(0))
+    assert doc["tables"][0][0] == "1/2"
+    doc["tables"][0][0] = "2/4"
+    assert model_from_json(doc) == pr_box(0)
+
+
+def test_model_json_rejects_a_float_after_an_equal_int():
+    # 1 and 1.0 hash alike, so the once-per-literal parse keys on the type
+    doc = model_to_json(deterministic_model(bell_scenario(2, 2, 2), 0))
+    doc["tables"][0] = [1, 0, 0, 0]
+    doc["tables"][1] = [1.0, 0, 0, 0]
+    with pytest.raises(TypeError, match="float"):
+        model_from_json(doc)
+
+
+def test_model_json_names_the_first_bad_literal():
+    doc = model_to_json(pr_box(0))
+    doc["tables"][1][2] = "1/x"
+    doc["tables"][2][0] = "y"
+    with pytest.raises(ValueError) as exc:
+        model_from_json(doc)
+    with pytest.raises(ValueError) as first:
+        rat("1/x")
+    assert str(exc.value) == str(first.value)
+    doc["tables"][1][2] = ["1/2"]
+    with pytest.raises(TypeError) as exc:
+        model_from_json(doc)
+    with pytest.raises(TypeError) as first:
+        rat(["1/2"])
+    assert str(exc.value) == str(first.value)

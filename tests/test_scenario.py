@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from amcc.errors import ResourceLimitError
 from amcc.scenario import (
     MAX_BELL_CONTEXTS,
+    MAX_TABLE_CELLS,
     MeasurementScenario,
     bell_scenario,
     generating_overlaps,
@@ -336,6 +337,23 @@ def test_bell_size_guard_trips_before_building():
         bell_scenario(10**9, 10**9, 2)
     with pytest.raises(ResourceLimitError, match="contexts"):
         bell_scenario(30, 2, 2)
+
+
+def test_table_size_guard_trips_before_allocating():
+    # arithmetic only: (8,2,2) would ask for a 65536 x 65536 incidence
+    # matrix (4 GiB), (10,2,2) for 2^30 restriction-table cells
+    big = bell_scenario(8, 2, 2)
+    assert slot_count(big) * global_size(big) > MAX_TABLE_CELLS
+    with pytest.raises(ResourceLimitError, match="incidence matrix of 65536 x 65536"):
+        incidence_matrix(big)
+    huge = bell_scenario(10, 2, 2)
+    with pytest.raises(ResourceLimitError, match="incidence matrix"):
+        incidence_matrix(huge)
+    with pytest.raises(ResourceLimitError, match="restriction table of 1024 x 1048576"):
+        restriction_table(huge)
+    # (6,2,2) stays allowed: 4096 slots x 4096 globals
+    six = bell_scenario(6, 2, 2)
+    assert slot_count(six) * global_size(six) <= MAX_TABLE_CELLS
 
 
 def test_out_of_range_lookups_are_rejected():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import amcc.lp
 from amcc.errors import PreconditionError, VerificationError
 from amcc.lp import contextual_fraction
+from amcc.parity import column_vectors, in_gf2_span
 from amcc.model import (
     corpus,
     corpus_names,
@@ -32,6 +33,7 @@ from amcc.verify import (
     report_text,
     run_checks,
 )
+from amcc.verify import _decider_mask
 
 
 def test_reference_vector_constant():
@@ -316,3 +318,12 @@ def test_a_crashing_check_is_reported_not_raised(monkeypatch):
     assert row.passed is False
     assert "RuntimeError" in row.actual
     assert "FAIL" in report_text(report)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 2)])
+def test_the_vectorized_decider_is_the_span_test(shape):
+    sc = bell_scenario(*shape)
+    cols = column_vectors(sc)
+    decided = _decider_mask(sc)
+    assert decided.shape == (1 << sc.n_contexts,)
+    assert decided.tolist() == [in_gf2_span(v, cols) for v in range(1 << sc.n_contexts)]
