@@ -21,12 +21,13 @@ the full system.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd, lcm
 
 from .errors import PreconditionError, VerificationError
 from .model import EmpiricalModel, render_table_csv, uniform_marginals
-from .lp import certified_fraction, stacked_weights
-from .rational import ONE, ZERO, rat, rat_str
+from .lp import certified_fraction
+from .rational import ONE, ZERO, over_lcm, rat, rat_str
 from .scenario import (
     overlaps,
     scenario_from_json,
@@ -148,7 +149,7 @@ class _Elimination:
         self.occurs = {}
 
     def add(self, row, rhs):
-        (rhs, *nums), den = _numerators([rhs, *row.values()])
+        den, (rhs, *nums) = over_lcm([rhs, *row.values()])
         coeffs = dict(zip(row, nums))
         pivot_rows = self.pivot_rows
         for v in [v for v in coeffs if v in pivot_rows]:
@@ -374,19 +375,13 @@ def _check_family(family, rows):
                         "family has weight outside the support",
                         details={"context": ci, "section": si},
                     )
-    (base, base_den), *directions = map(_numerators, (family.base, *family.directions))
+    (base_den, base), *directions = map(over_lcm, (family.base, *family.directions))
     for row, rhs in rows:
         if sum(c * base[slot] for slot, c in row.items()) != rhs * base_den:
             raise VerificationError("family base violates an equality")
-        for d, _ in directions:
+        for _, d in directions:
             if sum(c * d[slot] for slot, c in row.items()) != 0:
                 raise VerificationError("family direction violates homogeneity")
-
-
-def _numerators(vector):
-    """(integer numerators, their common denominator) of a rational vector."""
-    den = lcm(*(x.denominator for x in vector))
-    return [x.numerator * (den // x.denominator) for x in vector], den
 
 
 def parameter_bounds(family):
@@ -421,9 +416,9 @@ def family_member_params(family, model):
     slot from integer numerators over one denominator."""
     if model.scenario != family.scenario:
         raise PreconditionError("model and family scenarios differ")
-    (target, tden), (base, bden), *directions = map(
-        _numerators, (stacked_weights(model), family.base, *family.directions)
-    )
+    tden, rows = model._int_view
+    target = list(chain.from_iterable(rows))
+    (bden, base), *directions = map(over_lcm, (family.base, *family.directions))
     elim = _Elimination()
     for slot, w in enumerate(target):
         row = {k: d[slot] for k, d in enumerate(family.directions) if d[slot]}
@@ -438,7 +433,7 @@ def family_member_params(family, model):
     # constant part; the final entrywise check catches any mismatch
     _, exprs = elim.back_substitute(range(family.dimension))
     params = tuple(exprs[k][0] for k in range(family.dimension))
-    terms = [(t, d, dden) for t, (d, dden) in zip(params, directions) if t]
+    terms = [(t, d, dden) for t, (dden, d) in zip(params, directions) if t]
     den = lcm(tden, bden, *(t.denominator * dden for t, _, dden in terms))
     weights = [b * (den // bden) for b in base]
     for t, d, dden in terms:

@@ -25,8 +25,8 @@ fraction is returned only after they certify optimality exactly, and
 after the decomposition recomposes the model.
 
 The price check runs on integers: the prices over the lcm of their
-denominators, the weights from the model's integer view (each row's
-numerators over its own lcm). Global g's slots are slot_offsets +
+denominators, the weights from the model's integer view (every row's
+numerators over one denominator). Global g's slots are slot_offsets +
 restriction_table[:, g], one per context, so what every global collects
 is one numpy sum over the restriction table, in int64 whenever the
 totals are bounded below 2**63 and on Python ints otherwise.
@@ -39,7 +39,7 @@ its prices pass the same exact check over every global assignment.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import chain
 from operator import mul
 
 import numpy as np
@@ -47,7 +47,7 @@ import numpy as np
 from .errors import PreconditionError, VerificationError
 from .model import EmpiricalModel, _mixed_row, is_no_signaling
 from .possibilistic import compatible_globals, support_of
-from .rational import ONE, ZERO, rat, rat_str
+from .rational import ONE, ZERO, over_lcm, rat, rat_str
 from .scenario import incidence_matrix, restriction_table, section_size, slot_offsets
 
 __all__ = [
@@ -69,15 +69,16 @@ def simplex_solve(incidence, rhs):
     of the rows."""
     m, n = incidence.shape
     width = n + m
-    rhs = [(b if type(b) is Fraction else rat(b)).as_integer_ratio() for b in rhs]
-    scale = lcm(*{d for _, d in rhs})
+    scale, rhs = over_lcm([b if type(b) is Fraction else rat(b) for b in rhs])
     tableau = []
-    for i, (row, (b, d)) in enumerate(zip(incidence.tolist(), rhs)):
+    for i, (row, b) in enumerate(zip(incidence.tolist(), rhs)):
         if b < 0:
-            raise PreconditionError(f"right-hand side {rat_str(rat(b, d))} of row {i} is negative")
+            raise PreconditionError(
+                f"right-hand side {rat_str(rat(b, scale))} of row {i} is negative"
+            )
         row += [0] * (m + 1)
         row[n + i] = 1
-        row[-1] = b * (scale // d)
+        row[-1] = b
         tableau.append(row)
     tableau.append([-1] * n + [0] * (m + 1))
     basis = list(range(n, width))
@@ -181,9 +182,6 @@ def contextual_fraction(model):
     v = stacked_weights(model)
     ncf, dist, prices, pivots = simplex_solve(mat, v)
     cf = ONE - ncf
-    if ncf < 0 or cf < 0:
-        raise VerificationError("noncontextual fraction outside [0, 1]",
-                                details={"ncf": ncf})
     _check_prices(model, prices, ncf)
     used = [(gi, w) for gi, w in enumerate(dist) if w]
     table = restriction_table(sc)
@@ -239,7 +237,7 @@ def certified_fraction(model):
     _require_no_signaling(model)
     kept = compatible_globals(support_of(model))
     mat = incidence_matrix(model.scenario)
-    prices = [ZERO if x else ONE for _, nums in model._int_rows for x in nums]
+    prices = [ZERO if x else ONE for x in chain.from_iterable(model._int_view[1])]
     ncf = ZERO
     if kept:
         v = stacked_weights(model)
@@ -249,30 +247,28 @@ def certified_fraction(model):
         for r, y in zip(rows, reduced):
             prices[r] = y
     cf = ONE - ncf
-    if ncf < 0 or cf < 0:
-        raise VerificationError("noncontextual fraction outside [0, 1]",
-                                details={"ncf": ncf})
     prices = tuple(prices)
     _check_prices(model, prices, ncf)
     return ncf, cf, prices
 
 
 def _check_prices(model, prices, ncf):
-    """Dual certificate, checked exactly: prices are nonnegative, every
-    global assignment collects at least 1 over its slots, and the priced
-    weights total ncf. By weak duality no dominated mixture of global
-    assignments is heavier than ncf.
+    """Dual certificate, checked exactly: ncf lies in [0, 1], prices are
+    nonnegative, every global assignment collects at least 1 over its
+    slots, and the priced weights total ncf. By weak duality no dominated
+    mixture of global assignments is heavier than ncf.
 
     The prices are integer numerators over the lcm den of their
     denominators. Global g's slots are slot_offsets + restriction_table[:, g],
     one per context, so one numpy sum over the table gives what every global
     collects. No total exceeds n_contexts times the largest numerator; while
     that bound and den are below 2**63 the sum runs in int64, otherwise on
-    Python ints. The priced weights are summed on the model's integer view,
-    each row over its own lcm."""
-    pairs = [y.as_integer_ratio() for y in prices]
-    den = lcm(*{d for _, d in pairs})
-    scaled = [n * (den // d) for n, d in pairs]
+    Python ints. The priced weights are one integer dot product with the
+    model's integer view, every row over its one denominator."""
+    if ncf < 0 or ncf > 1:
+        raise VerificationError("noncontextual fraction outside [0, 1]",
+                                details={"ncf": ncf})
+    den, scaled = over_lcm(prices)
     if min(scaled) < 0:
         raise VerificationError("a slot price is negative")
     sc = model.scenario
@@ -287,11 +283,8 @@ def _check_prices(model, prices, ncf):
             "a global assignment collects price below 1",
             details={"global": g, "price": rat(int(collected[g]), den)},
         )
-    wden = lcm(*(d for d, _ in model._int_rows))
-    total = 0
-    for off, (d, nums) in zip(slot_offsets(sc), model._int_rows):
-        total += (wden // d) * sum(map(mul, nums, scaled[off : off + len(nums)]))
-    cost = rat(total, wden * den)
+    wden, rows = model._int_view
+    cost = rat(sum(map(mul, chain.from_iterable(rows), scaled)), wden * den)
     if cost != ncf:
         raise VerificationError(
             "priced weights differ from the noncontextual fraction",
@@ -304,7 +297,8 @@ def _check_decomposition(model, ncf, nc_part, cf, sc_part):
     part is None when its coefficient is zero. Each context's row is
     compared on integer numerators over one denominator per side."""
     parts = [(ncf, nc_part), (cf, sc_part)]
-    for ci, (den, target) in enumerate(model._int_rows):
+    den, rows = model._int_view
+    for ci, target in enumerate(rows):
         total, acc = _mixed_row(model.scenario, parts, ci)
         for si, (x, w) in enumerate(zip(acc, target)):
             if x * den != w * total:

@@ -10,10 +10,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import lcm, prod
-from operator import mul
 
 from .errors import PreconditionError
-from .rational import ONE, ZERO, rat, rat_str
+from .rational import ONE, ZERO, over_lcm, rat, rat_str
 from .scenario import (
     MeasurementScenario,
     bell_scenario,
@@ -72,7 +71,7 @@ class EmpiricalModel:
                     f"context {sc.cover[ci]} needs {want} weights, got {len(row)}"
                 )
             row = tuple(x if type(x) is Fraction else rat(x) for x in row)
-            den, nums = _over_lcm(row)
+            den, nums = over_lcm(row)
             if min(nums) < 0:
                 raise ValueError(f"negative weight in context {sc.cover[ci]}")
             if sum(nums) != den:
@@ -80,20 +79,11 @@ class EmpiricalModel:
             rows.append(row)
             int_rows.append((den, nums))
         object.__setattr__(self, "tables", tuple(rows))
-        # the integer view: (den, numerators) of each row over the lcm of its
-        # denominators. Not a field, so ==, hash and repr ignore it.
-        object.__setattr__(self, "_int_rows", tuple(int_rows))
-
-    def weight(self, ci, outcomes):
-        return self.tables[ci][section_index(self.scenario, ci, outcomes)]
-
-
-def _over_lcm(row):
-    """(den, numerators) of a row of Fractions over the lcm den of their
-    denominators, the numerators as a tuple."""
-    nums, dens = zip(*map(Fraction.as_integer_ratio, row))
-    den = lcm(*set(dens))
-    return den, tuple(map(mul, nums, map(den.__floordiv__, dens)))
+        # the integer view: (den, rows), every row's numerators over den, the
+        # lcm of the row denominators. Not a field, so ==, hash and repr ignore it.
+        den = lcm(*{d for d, _ in int_rows})
+        view = tuple(nums if d == den else [x * (den // d) for x in nums] for d, nums in int_rows)
+        object.__setattr__(self, "_int_view", (den, view))
 
 
 @dataclass(frozen=True)
@@ -131,18 +121,17 @@ def is_no_signaling(model):
 
     Returns (True, None) or (False, witness) where the witness names the first
     violating pair in `overlaps` order: (ci, cj, shared measurements, outcome
-    tuple, lhs, rhs). The weights are summed as integer numerators over the
-    lcm of the rows' denominators (from the model's integer view), into
-    lists indexed by the shared-outcome projection; the outcome tuple is the
-    first that differs in packed (= product) order.
+    tuple, lhs, rhs). The weights are summed as the numerators of the
+    model's integer view, over its one denominator, into lists indexed by
+    the shared-outcome projection; the outcome tuple is the first that
+    differs in packed (= product) order.
 
     The verdict is decided on `generating_overlaps`, whose equalities imply
     the rest (on a Bell cover, the pairs one party's setting apart). Only a
     signaling model runs the same loop again over every pair, so that its
     witness is the first violation in `overlaps` order."""
     sc = model.scenario
-    den = lcm(*(d for d, _ in model._int_rows))
-    nums = [row if d == den else [x * (den // d) for x in row] for d, row in model._int_rows]
+    den, nums = model._int_view
 
     def first_violation(pairs):
         for ci, cj, shared, proj_i, proj_j in pairs:
@@ -196,17 +185,17 @@ def is_maximal_marginals(model):
 def uniform_marginals(model):
     """is_maximal_marginals for a model known to be no-signaling.
 
-    Each context's weights are integer numerators over the row's lcm den
-    (the model's integer view), summed into projection buckets; a marginal
+    Each context's weights are the numerators of the model's integer view,
+    over its one denominator den, summed into projection buckets; a marginal
     over k outcomes is uniform when every bucket times k equals den."""
     sc = model.scenario
     if sc.parties is None:
         raise PreconditionError("maximal-marginals check needs party structure")
+    den, nums = model._int_view
     for ms, ci, radices, proj in _party_marginals(sc):
-        den, nums = model._int_rows[ci]
         k = prod(radices)
         buckets = [0] * k
-        for p, w in zip(proj, nums):
+        for p, w in zip(proj, nums[ci]):
             buckets[p] += w
         for i, b in enumerate(buckets):
             if b * k != den:
@@ -346,8 +335,8 @@ def _mixed_row(scenario, pairs, ci):
     terms = []
     for w, m in pairs:
         if w:
-            den, nums = m._int_rows[ci]
-            terms.append((w.numerator, w.denominator * den, nums))
+            den, nums = m._int_view
+            terms.append((w.numerator, w.denominator * den, nums[ci]))
     total = lcm(*(d for _, d, _ in terms))
     acc = [0] * section_size(scenario, ci)
     for a, d, nums in terms:

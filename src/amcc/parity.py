@@ -121,20 +121,19 @@ def in_gf2_span(vector, vectors):
 
 def parity_patterns(scenario):
     """int64 array over global assignments: entry g packs the per-context
-    XORs of assignment g, bit ci = parity in context ci."""
-    _require_binary(scenario)
-    n = len(scenario.measurements)
+    XORs of assignment g, bit ci = parity in context ci: the XOR of the
+    column vectors of the measurements that g sets to 1."""
+    cols = column_vectors(scenario)
+    n = len(cols)
     if n > 24:
         raise ResourceLimitError(f"{n} binary measurements exceeds the pattern limit")
     if scenario.n_contexts > 62:
         raise ResourceLimitError("too many contexts for packed int64 patterns")
-    ng = global_size(scenario)
-    g = np.arange(ng, dtype=np.int64)
+    g = np.arange(global_size(scenario), dtype=np.int64)
+    pat = np.zeros_like(g)
     # big-endian packing: measurement m sits at bit (n - 1 - m)
-    bits = (g[:, None] >> (n - 1 - np.arange(n))) & 1
-    pat = np.zeros(ng, dtype=np.int64)
-    for ci, ctx in enumerate(scenario.cover):
-        pat |= (bits[:, list(ctx)].sum(axis=1) & 1) << ci
+    for m, col in enumerate(cols):
+        pat ^= (g >> (n - 1 - m) & 1) * col
     return pat
 
 

@@ -7,18 +7,15 @@ compatibility scan over the restriction table decides it, and
 `strong_contextuality` re-checks the scan's witness context by context.
 
 Possibilistic no-signaling asks overlapping contexts to allow the same joint
-outcomes of their shared measurements. It reads the scenario's `overlaps`,
-cached once more with each packed shared outcome p as the one-hot bit
-1 << p. A support's projection onto the shared measurements is the OR of the
-bits of its possible sections, so a pair agrees when two ints are equal;
-otherwise the witness is the outcome at the lowest set bit of their XOR, the
-first in packed order that only one context allows. The verdict is decided
-on the `generating_overlaps`, which imply the rest.
+outcomes of their shared measurements. One pass over the scenario's
+`overlaps` projects each context's possible sections onto the shared
+measurements as a set of packed shared outcomes; a pair agrees when the two
+sets are equal, and otherwise the witness is the smallest packed outcome that
+only one context allows.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -27,7 +24,6 @@ from .kernels import compatible_mask
 from .model import EmpiricalModel
 from .rational import ZERO, rat
 from .scenario import (
-    generating_overlaps,
     global_size,
     overlaps,
     restriction_table,
@@ -75,7 +71,7 @@ def support_of(model):
     """The support of an empirical model, read from its integer view: bit si
     of context ci's mask is set iff that numerator is nonzero."""
     masks = []
-    for _, nums in model._int_rows:
+    for nums in model._int_view[1]:
         mask = 0
         for si, x in enumerate(nums):
             if x:
@@ -147,51 +143,25 @@ def strong_contextuality(support):
     return False, gi
 
 
-@lru_cache(maxsize=64)
-def _pair_bits(scenario):
-    """(ci, cj) -> (bits_i, bits_j) for every overlapping pair: its two
-    projections with each index p as the bit 1 << p."""
-    return {
-        (ci, cj): (tuple(1 << p for p in proj_i), tuple(1 << p for p in proj_j))
-        for ci, cj, _, proj_i, proj_j in overlaps(scenario)
-    }
-
-
 def possibilistic_no_signaling(support):
     """Check that overlapping contexts agree on which joint outcomes of their
     shared measurements are possible. Returns (True, None) or (False,
-    (ci, cj, shared, outcome tuple)).
+    (ci, cj, shared, outcome tuple)) for the first failing pair in
+    `overlaps` order.
 
-    Each context's projection onto the shared measurements is an int: the OR
-    of the one-hot bits of its possible sections' packed shared outcomes. The
-    witness is the smallest shared-outcome tuple that exactly one of the two
-    contexts allows, unpacked from the lowest set bit of the XOR.
-
-    The verdict is decided on `generating_overlaps`, whose equalities imply
-    the rest (on a Bell cover, the pairs one party's setting apart). Only a
-    failing support runs the same loop again over every pair, so that its
-    witness comes from the first failing pair in `overlaps` order."""
+    Each context's projection onto the shared measurements is the set of
+    packed shared outcomes of its possible sections. The witness is the
+    smallest shared-outcome tuple, in packed (= product) order, that exactly
+    one of the two contexts allows."""
     sc = support.scenario
     sections = [support_sections(support, ci) for ci in range(sc.n_contexts)]
-    bits = _pair_bits(sc)
-
-    def first_violation(pairs):
-        for ci, cj, shared, _, _ in pairs:
-            bits_i, bits_j = bits[ci, cj]
-            a = b = 0
-            for si in sections[ci]:
-                a |= bits_i[si]
-            for si in sections[cj]:
-                b |= bits_j[si]
-            diff = a ^ b
-            if diff:
-                k = (diff & -diff).bit_length() - 1
-                return ci, cj, shared, unpack(k, [sc.outcomes[m] for m in shared])
-        return None
-
-    if first_violation(generating_overlaps(sc)) is None:
-        return True, None
-    return False, first_violation(overlaps(sc))
+    for ci, cj, shared, proj_i, proj_j in overlaps(sc):
+        seen_i = {proj_i[si] for si in sections[ci]}
+        seen_j = {proj_j[si] for si in sections[cj]}
+        if seen_i != seen_j:
+            u = unpack(min(seen_i ^ seen_j), [sc.outcomes[m] for m in shared])
+            return False, (ci, cj, shared, u)
+    return True, None
 
 
 # ---------------------------------------------------------------------------

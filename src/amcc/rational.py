@@ -2,12 +2,15 @@
 
 Every probabilistic quantity in this package is a fractions.Fraction;
 floats only ever appear in display strings. Values are built with rat(),
-which refuses floats, and serialized as "a/b" strings.
+which refuses floats, and serialized as "a/b" strings. over_lcm() turns a
+vector of them into integer numerators over one denominator, the form the
+exact checks and eliminations compute on.
 """
 
 from fractions import Fraction
+from math import lcm
 
-__all__ = ["BACKEND", "rat", "rat_str", "rat_from_str", "as_float"]
+__all__ = ["BACKEND", "rat", "rat_str", "rat_from_str", "as_float", "over_lcm"]
 
 BACKEND = "fraction"  # the one rational type; perfbench records it
 
@@ -52,3 +55,12 @@ def rat_str(value):
 
 def as_float(value):
     return value.numerator / value.denominator
+
+
+def over_lcm(values):
+    """(den, numerators) of ints or Fractions: den is the lcm of their
+    denominators and numerators a list with numerators[i] / den ==
+    values[i]."""
+    pairs = [x.as_integer_ratio() for x in values]
+    den = lcm(*{d for _, d in pairs})
+    return den, [n * (den // d) for n, d in pairs]

@@ -365,7 +365,8 @@ def _check_cf_iff_sc():
 
 def _check_lp_oracle():
     sc = bell_scenario(2, 2, 2)
-    models = [(n, corpus(n)) for n in corpus_names() if corpus(n).scenario == sc]
+    models = [(n, corpus(n)) for n in corpus_names()]
+    models = [(n, m) for n, m in models if m.scenario == sc]
     for i, m in enumerate(_random_models(sc, 60, 303)):
         models.append((f"random-(2,2,2)-{i}", m))
     mismatches = []

@@ -426,6 +426,8 @@ def _fraction_check_prices(model, prices, ncf):
     """The dual certificate in Fraction arithmetic, read off the incidence
     matrix column by column: the same conditions in the same order, with
     the same messages and details as amcc.lp._check_prices."""
+    if not 0 <= ncf <= 1:
+        raise VerificationError("noncontextual fraction outside [0, 1]", details={"ncf": ncf})
     if any(y < 0 for y in prices):
         raise VerificationError("a slot price is negative")
     inc = incidence_matrix(model.scenario)

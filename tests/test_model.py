@@ -5,9 +5,10 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amcc.errors import PreconditionError
@@ -31,8 +32,7 @@ from amcc.model import (
     uniform_marginals,
     uniform_model,
 )
-from amcc.model import _over_lcm
-from amcc.rational import ONE, ZERO, rat
+from amcc.rational import ONE, ZERO, over_lcm, rat
 from amcc.scenario import (
     bell_scenario,
     global_outcomes,
@@ -473,13 +473,33 @@ def test_deterministic_index_is_validated():
 # the integer view the validation keeps, and parsing each literal once
 
 
+@given(
+    st.lists(
+        st.one_of(st.integers(-(10**6), 10**6), st.fractions(max_denominator=10**4)),
+        min_size=1,
+        max_size=300,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_over_lcm_puts_every_entry_over_the_lcm_of_the_denominators(values):
+    den, nums = over_lcm(values)
+    assert den == lcm(*(Fraction(x).denominator for x in values))
+    assert len(nums) == len(values)
+    assert all(type(n) is int and Fraction(n, den) == x for n, x in zip(nums, values))
+
+
 @given(_mixture_terms())
+# rows over 1 and 2: the first is the one that must be rescaled
+@example([(ONE, EmpiricalModel(bell_scenario(1, 2, 2), ((ONE, ZERO), (rat(1, 2), rat(1, 2)))))])
 @settings(max_examples=40, deadline=None)
-def test_the_integer_view_is_each_rows_numerators_over_its_lcm(pairs):
+def test_the_integer_view_is_every_rows_numerators_over_one_denominator(pairs):
     model = mix_models(pairs)
-    assert model._int_rows == tuple(_over_lcm(row) for row in model.tables)
-    for den, nums in model._int_rows:
-        assert sum(nums) == den and all(type(x) is int for x in nums)
+    den, rows = model._int_view
+    assert den == lcm(*(w.denominator for row in model.tables for w in row))
+    assert len(rows) == len(model.tables)
+    for nums, row in zip(rows, model.tables):
+        assert len(nums) == len(row) and sum(nums) == den
+        assert all(type(x) is int and Fraction(x, den) == w for x, w in zip(nums, row))
 
 
 def test_equal_models_stay_equal_and_hash_alike():
@@ -492,7 +512,7 @@ def test_equal_models_stay_equal_and_hash_alike():
     assert decoded == mixed and hash(decoded) == hash(mixed)
     assert repr(decoded) == repr(mixed)
     assert [f.name for f in dataclasses.fields(EmpiricalModel)] == ["scenario", "tables"]
-    assert "_int_rows" not in repr(mixed)
+    assert "_int_view" not in repr(mixed)
 
 
 def test_model_json_parses_equal_literals_to_equal_weights():

@@ -1,6 +1,8 @@
 """GF(2) parity systems: ranks, scans, satisfiability by elimination and by
 enumeration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from amcc.parity import (
     vector_hex,
 )
 from amcc.possibilistic import strong_contextuality, support_of
-from amcc.scenario import bell_scenario
+from amcc.scenario import MeasurementScenario, bell_scenario, global_size
 
 REFERENCE_VECTOR = 0x1C00  # contexts 11, 12, 13 (1-indexed) odd, rest even
 
@@ -33,6 +35,48 @@ def parity_witness(system):
     pattern scan: the oracle for elimination."""
     hits = np.nonzero(parity_patterns(system.scenario) == system.vector)[0]
     return int(hits[0]) if hits.size else None
+
+
+def _patterns_from_bits(scenario):
+    """The patterns from a globals x measurements table of bits, summed per
+    context: the oracle for parity_patterns."""
+    n = len(scenario.measurements)
+    g = np.arange(global_size(scenario), dtype=np.int64)
+    bits = (g[:, None] >> (n - 1 - np.arange(n))) & 1
+    pat = np.zeros_like(g)
+    for ci, ctx in enumerate(scenario.cover):
+        pat |= (bits[:, list(ctx)].sum(axis=1) & 1) << ci
+    return pat
+
+
+CHAIN_6 = MeasurementScenario(
+    measurements=tuple(f"m{i}" for i in range(6)),
+    outcomes=(2,) * 6,
+    cover=tuple((i, i + 1) for i in range(5)),
+)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [bell_scenario(*shape) for shape in
+     ((2, 2, 2), (3, 2, 2), (4, 2, 2), (5, 2, 2), (2, 3, 2), (3, 3, 2), (2, 4, 2), (1, 5, 2))]
+    + [CHAIN_6],
+)
+def test_patterns_match_the_bit_table_sums(scenario):
+    assert np.array_equal(parity_patterns(scenario), _patterns_from_bits(scenario))
+
+
+def test_patterns_allocate_no_globals_by_measurements_table():
+    # 2^18 globals: a globals x 18 int64 table alone takes 36 MiB, while the
+    # patterns and the globals take 2 MiB each
+    sc = bell_scenario(1, 18, 2)
+    tracemalloc.start()
+    try:
+        parity_patterns(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_vector_packing_puts_context_zero_in_the_low_bit():

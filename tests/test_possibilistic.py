@@ -115,7 +115,7 @@ def formula_of(support):
 
 
 # ---------------------------------------------------------------------------
-# set-based projections: the oracle for the per-pair bit tables
+# set-based projections: the oracle for possibilistic_no_signaling
 
 
 def _projected_support(support, ci, measurements):
@@ -293,11 +293,22 @@ def test_possibilistic_no_signaling_verdicts():
 
 
 # (2,2,3) has nine sections per context, so some shared keys are not bits
-# 0/1; the check decides on the pairs one party's setting apart and rescans
-# every pair only on failure, so two to four parties and three settings
-# are drawn too
+# 0/1; two to four parties and three settings are drawn too
 NO_SIGNALING_SCENARIOS = tuple(
     bell_scenario(*shape) for shape in ((2, 2, 2), (3, 2, 2), (2, 3, 2), (4, 2, 2), (2, 2, 3))
+)
+
+
+# explicit covers without party structure, where every overlapping pair is
+# checked: a triangle of two-measurement contexts with a three-valued
+# measurement, and a chain of four binary measurements
+EXPLICIT_SCENARIOS = (
+    MeasurementScenario(
+        measurements=("a", "b", "c"), outcomes=(2, 3, 2), cover=((0, 1), (1, 2), (0, 2))
+    ),
+    MeasurementScenario(
+        measurements=("a", "b", "c", "d"), outcomes=(2,) * 4, cover=((0, 1), (1, 2), (2, 3))
+    ),
 )
 
 
@@ -340,14 +351,17 @@ def test_possibilistic_witness_is_the_first_failing_pair_in_overlaps_order():
 
 @given(
     st.one_of(
-        *map(_arbitrary_supports, NO_SIGNALING_SCENARIOS),
-        *map(_point_mass_supports, NO_SIGNALING_SCENARIOS),
+        *map(_arbitrary_supports, NO_SIGNALING_SCENARIOS + EXPLICIT_SCENARIOS),
+        *map(_point_mass_supports, NO_SIGNALING_SCENARIOS + EXPLICIT_SCENARIOS),
         _augmented_parity_supports(),
     )
 )
 @example(support_of(pr_box(0)))
 @example(apply_plan(reference_plan()))
 @example(SupportModel(bell_scenario(2, 2, 2), (0b0011, 0b1111, 0b1111, 0b1111)))
+# the triangle's context (a, b) allows only a=0, b=1, which packs to 1 there
+# and to 0 in (b, c); (b, c) allows every b, so the witness is b=0 of {0, 2}
+@example(SupportModel(EXPLICIT_SCENARIOS[0], (0b10, 0b111111, 0b1111)))
 @settings(max_examples=200, deadline=None)
 def test_bit_tables_match_the_set_projections(sup):
     assert possibilistic_no_signaling(sup) == _set_no_signaling(sup)
