@@ -48,7 +48,14 @@ from .errors import PreconditionError, VerificationError
 from .model import EmpiricalModel, _mixed_row, is_no_signaling
 from .possibilistic import compatible_globals, support_of
 from .rational import ONE, ZERO, over_lcm, rat, rat_str
-from .scenario import incidence_matrix, restriction_table, section_size, slot_offsets
+from .scenario import (
+    MAX_TABLEAU_CELLS,
+    _require_cells,
+    incidence_matrix,
+    restriction_table,
+    section_size,
+    slot_offsets,
+)
 
 __all__ = [
     "simplex_solve",
@@ -66,9 +73,11 @@ def simplex_solve(incidence, rhs):
     nonzero; rhs is a nonnegative rational per row. Columns are laid out
     as the structural variables, then one slack per row. Returns
     (value, x, prices, pivots), where prices are the optimal dual values
-    of the rows."""
+    of the rows. Raises ResourceLimitError, before building the tableau,
+    past MAX_TABLEAU_CELLS entries."""
     m, n = incidence.shape
     width = n + m
+    _require_cells("simplex tableau", m + 1, width + 1, MAX_TABLEAU_CELLS)
     scale, rhs = over_lcm([b if type(b) is Fraction else rat(b) for b in rhs])
     tableau = []
     for i, (row, b) in enumerate(zip(incidence.tolist(), rhs)):

@@ -12,7 +12,7 @@ from itertools import combinations, product
 from math import lcm, prod
 
 from .errors import PreconditionError
-from .rational import ONE, ZERO, over_lcm, rat, rat_str
+from .rational import ONE, ZERO, over_lcm, rat, rat_parser, rat_str
 from .scenario import (
     MeasurementScenario,
     bell_scenario,
@@ -387,23 +387,12 @@ def model_to_json(model):
 
 def model_from_json(doc):
     """Decode a model document. Each distinct literal is parsed once per
-    call, keyed by (type, value) so that 1.0 is not taken for 1; the cells
-    are parsed in row order, so the first bad one is the one reported."""
+    call (rat_parser), so floats are refused; the cells are parsed in row
+    order, so the first bad one is the one reported."""
     if not isinstance(doc, dict) or "scenario" not in doc or "tables" not in doc:
         raise ValueError("model JSON needs scenario and tables keys")
     sc = scenario_from_json(doc["scenario"])
-    parsed = {}
-
-    def parse(x):
-        key = (type(x), x)
-        try:
-            return parsed[key]
-        except KeyError:
-            value = parsed[key] = rat(x)
-            return value
-        except TypeError:  # an unhashable cell: rat reports it
-            return rat(x)
-
+    parse = rat_parser()
     return EmpiricalModel(sc, tuple(tuple(map(parse, row)) for row in doc["tables"]))
 
 

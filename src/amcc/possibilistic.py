@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ResourceLimitError, VerificationError
 from .kernels import compatible_mask
 from .model import EmpiricalModel
-from .rational import ZERO, rat
+from .rational import ZERO, rat_parser
 from .scenario import (
     global_size,
     overlaps,
@@ -180,18 +180,21 @@ def support_to_json(support):
 
 
 def support_from_json(doc):
+    """Decode a support document: every cell is a 0 or 1 literal, read as
+    model_from_json reads weights, so floats are refused."""
     if not isinstance(doc, dict) or "scenario" not in doc or "tables" not in doc:
         raise ValueError("support JSON needs scenario and tables keys")
     sc = scenario_from_json(doc["scenario"])
     if len(doc["tables"]) != sc.n_contexts:
         raise ValueError("need one table row per context")
+    parse = rat_parser()
     masks = []
     for ci, row in enumerate(doc["tables"]):
         if len(row) != section_size(sc, ci):
             raise ValueError(f"wrong table width in context {ci}")
         mask = 0
         for si, cell in enumerate(row):
-            v = rat(cell) if isinstance(cell, str) else cell
+            v = parse(cell)
             if v == 1:
                 mask |= 1 << si
             elif v != 0:

@@ -10,7 +10,7 @@ exact checks and eliminations compute on.
 from fractions import Fraction
 from math import lcm
 
-__all__ = ["BACKEND", "rat", "rat_str", "rat_from_str", "as_float", "over_lcm"]
+__all__ = ["BACKEND", "rat", "rat_parser", "rat_str", "rat_from_str", "as_float", "over_lcm"]
 
 BACKEND = "fraction"  # the one rational type; perfbench records it
 
@@ -29,6 +29,26 @@ def rat(value, den=None):
         # floats are almost always a bug upstream; refuse silently lossy input
         raise TypeError("refusing float input; pass a string or numerator/denominator")
     return Fraction(value)
+
+
+def rat_parser():
+    """A rat() for decoding one document: each distinct literal is parsed
+    once, keyed by (type, value) so that 1.0 is not taken for 1 and is
+    refused like any float. An unhashable literal goes to rat, which
+    reports it."""
+    parsed = {}
+
+    def parse(x):
+        key = (type(x), x)
+        try:
+            return parsed[key]
+        except KeyError:
+            value = parsed[key] = rat(x)
+            return value
+        except TypeError:
+            return rat(x)
+
+    return parse
 
 
 def rat_from_str(text):

@@ -41,6 +41,7 @@ __all__ = [
     "MAX_BELL_MEASUREMENTS",
     "MAX_BELL_CONTEXTS",
     "MAX_TABLE_CELLS",
+    "MAX_TABLEAU_CELLS",
     "unpack",
     "section_size",
     "section_outcomes",
@@ -297,14 +298,18 @@ def generating_overlaps(scenario):
 # matrix has 2**24, (7,2,2)'s 2**28 (256 MiB of uint8)
 MAX_TABLE_CELLS = 1 << 26
 
+# cells of one exact simplex tableau, (slots + 1) x (columns + slots + 1)
+# Python ints: (5,2,2)'s full tableau has 1025 x 2049 (about 2.1 M), (6,2,2)'s
+# would have 4097 x 8193 (33.6 M) and pivot for hours
+MAX_TABLEAU_CELLS = 1 << 23
 
-def _require_cells(what, rows, cols):
-    """Raise ResourceLimitError when a rows x cols array is over
-    MAX_TABLE_CELLS; called before the array is allocated."""
-    if rows * cols > MAX_TABLE_CELLS:
+
+def _require_cells(what, rows, cols, limit=MAX_TABLE_CELLS):
+    """Raise ResourceLimitError when a rows x cols array is over limit
+    cells; called before the array is built."""
+    if rows * cols > limit:
         raise ResourceLimitError(
-            f"{what} of {rows} x {cols} = {rows * cols} cells is over the limit "
-            f"{MAX_TABLE_CELLS}"
+            f"{what} of {rows} x {cols} = {rows * cols} cells is over the limit {limit}"
         )
 
 

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from amcc.affine import (
     _Elimination,
-    _ns_rows,
+    _check_family,
+    _support_rows,
     classify,
     family_from_json,
     family_member_params,
@@ -39,8 +40,15 @@ from amcc.model import (
     uniform_model,
 )
 from amcc.possibilistic import SupportModel, compatible_globals, support_of
-from amcc.rational import ONE, ZERO, rat, rat_str
-from amcc.scenario import bell_scenario, global_size, section_size
+from amcc.rational import ONE, ZERO, over_lcm, rat, rat_str
+from amcc.scenario import (
+    MeasurementScenario,
+    bell_scenario,
+    global_size,
+    section_size,
+    slot_count,
+    slot_offsets,
+)
 from amcc.verify import random_no_signaling_model
 
 
@@ -183,16 +191,27 @@ def _rational_systems(draw):
     return rows
 
 
+# covers the Bell closed form does not reach: a triangle of pairs and a
+# chain of pairs with a ternary measurement
+TRIANGLE = MeasurementScenario(
+    measurements=("a", "b", "c"), outcomes=(2, 2, 2), cover=((0, 1), (1, 2), (0, 2))
+)
+CHAIN = MeasurementScenario(
+    measurements=("a", "b", "c", "d"), outcomes=(2, 3, 2, 2), cover=((0, 1), (1, 2), (2, 3))
+)
+
+
 @st.composite
 def _supports(draw, dims=(3, 2, 2)):
-    """A support on bell_scenario(*dims): a random model's, or arbitrary
-    section masks (often infeasible). Past binary outcomes, where parity
-    blocks do not exist, the model is an even mixture of one to three
-    deterministic models."""
-    sc = bell_scenario(*dims)
+    """A support on bell_scenario(*dims), or on dims itself when it is a
+    scenario: a random model's, or arbitrary section masks (often
+    infeasible). Past binary Bell scenarios, where parity blocks do not
+    exist, the model is an even mixture of one to three deterministic
+    models."""
+    sc = dims if isinstance(dims, MeasurementScenario) else bell_scenario(*dims)
     if draw(st.booleans()):
         rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-        if max(sc.outcomes) == 2:
+        if max(sc.outcomes) == 2 and sc.parties is not None:
             return support_of(random_no_signaling_model(sc, rng))
         points = [deterministic_model(sc, rng.randrange(global_size(sc)))
                   for _ in range(rng.randint(1, 3))]
@@ -215,7 +234,8 @@ def test_integer_elimination_matches_the_fraction_one(rows):
     ref, elim = _FractionElimination(), _Elimination()
     for row, rhs in rows:
         ref.add({v: Fraction(c) for v, c in row.items()}, Fraction(rhs))
-        elim.add(row, rhs)
+        den, (num, *nums) = over_lcm([rhs, *row.values()])
+        elim.add(dict(zip(row, nums)), num, den)
         assert elim.infeasible == ref.infeasible
     assert elim.order == ref.order
     assert elim.pivot_rows.keys() == ref.pivot_rows.keys()
@@ -232,17 +252,23 @@ def test_integer_elimination_matches_the_fraction_one(rows):
 
 
 # eliminating only the rows of the pairs one party's setting apart leaves
-# this support a different pivot set (variables 59 and 62 differ), so the
-# pruning keeps the rows of every overlapping pair
-@given(st.sampled_from([(3, 2, 2), (2, 3, 2), (2, 2, 3)]).flatmap(_supports))
+# this support a different pivot set (variables 59 and 62 differ); the
+# full scenario's pivot rows, restricted, leave it the same one
+@given(
+    st.sampled_from([(3, 2, 2), (2, 3, 2), (2, 2, 3), TRIANGLE, CHAIN]).flatmap(_supports)
+)
 @example(SupportModel(bell_scenario(3, 2, 2), (150, 150, 214, 109, 121, 121, 105, 105)))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 def test_pruned_rows_eliminate_like_all_of_ns_equations(support):
     sc = support.scenario
-    rows, pruned = _ns_rows(sc, support)
-    assert rows == ns_equations(sc, support)
+    rows = ns_equations(sc, support)
+    pruned = list(_support_rows(support))
     remaining = iter(rows)
-    assert all(row in remaining for row in pruned)  # a subsequence, in order
+    # a subsequence, in order, with each row's slots in the same order
+    assert all(
+        any(row == r and list(row) == list(r) and rhs == b for r, b in remaining)
+        for row, rhs in pruned
+    )
     full, short = _Elimination(), _Elimination()
     for row, rhs in rows:
         full.add(row, rhs)
@@ -251,6 +277,25 @@ def test_pruned_rows_eliminate_like_all_of_ns_equations(support):
     assert short.order == full.order
     assert short.pivot_rows == full.pivot_rows
     assert short.infeasible == full.infeasible
+    variables = sorted({v for row, _ in rows for v in row})
+    if not full.infeasible:
+        assert short.back_substitute(variables) == full.back_substitute(variables)
+
+
+def _fraction_rank(scenario):
+    ref = _FractionElimination()
+    for row, rhs in ns_equations(scenario):
+        ref.add({v: Fraction(c) for v, c in row.items()}, Fraction(rhs))
+    assert not ref.infeasible
+    return len(ref.order)
+
+
+@pytest.mark.parametrize(
+    "sc", [TRIANGLE, CHAIN, bell_scenario(2, 3, 2), bell_scenario(2, 2, 3)],
+    ids=["triangle", "chain", "232", "223"],
+)
+def test_ns_dimension_is_the_fraction_elimination_rank(sc):
+    assert ns_dimension(sc) == slot_count(sc) - _fraction_rank(sc)
 
 
 # sha256 over one line per input, as the Fraction elimination computed them:
@@ -396,7 +441,8 @@ def _fraction_member_params(family, model):
         row = {k: d[slot] for k, d in enumerate(family.directions) if d[slot] != 0}
         rhs = w - family.base[slot]
         if row:
-            elim.add(row, rhs)
+            den, (num, *nums) = over_lcm([rhs, *row.values()])
+            elim.add(dict(zip(row, nums)), num, den)
         elif rhs != 0:
             return None
         if elim.infeasible:
@@ -573,6 +619,131 @@ def test_family_check_refuses_a_corrupted_family(q_family):
         vector[slot] = rat_str(rat(vector[slot]) + rat(1, 8))
         with pytest.raises(VerificationError, match=message):
             family_from_json(doc)
+
+
+def _row_by_row_check_family(family):
+    # the family check before it ran in one vectorized pass: off-support
+    # entries, then the support's ns_equations row by row, base before
+    # directions; kept as the oracle
+    sc = family.scenario
+    offs = slot_offsets(sc)
+    for ci in range(sc.n_contexts):
+        for si in range(section_size(sc, ci)):
+            if not family.support.possible(ci, si):
+                slot = offs[ci] + si
+                if family.base[slot] != 0 or any(d[slot] != 0 for d in family.directions):
+                    raise VerificationError(
+                        "family has weight outside the support",
+                        details={"context": ci, "section": si},
+                    )
+    (base_den, base), *directions = map(over_lcm, (family.base, *family.directions))
+    for row, rhs in ns_equations(sc, family.support):
+        if sum(c * base[slot] for slot, c in row.items()) != rhs * base_den:
+            raise VerificationError("family base violates an equality")
+        for _, d in directions:
+            if sum(c * d[slot] for slot, c in row.items()) != 0:
+                raise VerificationError("family direction violates homogeneity")
+
+
+def _verdict(check, family):
+    try:
+        check(family)
+    except VerificationError as exc:
+        return str(exc), exc.details
+    return None
+
+
+def _shifted(family, vector, slot, delta):
+    # vector -1 is the base, k >= 0 direction k
+    if vector < 0:
+        base = list(family.base)
+        base[slot] += delta
+        return replace(family, base=tuple(base))
+    dirs = [list(d) for d in family.directions]
+    dirs[vector][slot] += delta
+    return replace(family, directions=tuple(map(tuple, dirs)))
+
+
+# a delta or a scale of 3**45 puts numerators and the base's denominator
+# past 2**63, so the vectorized check runs on Python ints
+HUGE = 3**45
+
+
+@given(
+    st.sampled_from([(2, 2, 2), (3, 2, 2), (4, 2, 2)]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["none", "base", "direction", "both", "balanced", "off"]),
+    st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_vectorized_family_check_matches_the_row_by_row_one(dims, seed, corruption, huge):
+    rng = random.Random(seed)
+    sc = bell_scenario(*dims)
+    family = solve_support(support_of(random_no_signaling_model(sc, rng)))
+    delta = rat(rng.choice((-1, 1)) * rng.randint(1, 5), HUGE if huge else rng.randint(1, 8))
+    if huge and family.dimension:
+        family = replace(family, directions=tuple(
+            tuple(c * HUGE for c in d) for d in family.directions
+        ))
+    offs = slot_offsets(sc)
+    on = [offs[ci] + si for ci in range(sc.n_contexts)
+          for si in range(section_size(sc, ci)) if family.support.possible(ci, si)]
+    off = sorted(set(range(slot_count(sc))) - set(on))
+    vectors = range(-1, family.dimension)
+    if corruption == "base":
+        family = _shifted(family, -1, rng.choice(on), delta)
+    elif corruption == "direction" and family.dimension:
+        family = _shifted(family, rng.choice(vectors[1:]), rng.choice(on), delta)
+    elif corruption == "both":
+        family = _shifted(family, -1, rng.choice(on), delta)
+        if family.dimension:
+            family = _shifted(family, rng.choice(vectors[1:]), rng.choice(on), delta)
+    elif corruption == "balanced":
+        # one context's total is kept, so only marginal rows can fail
+        ci = rng.randrange(sc.n_contexts)
+        mine = [s for s in on if offs[ci] <= s < offs[ci] + section_size(sc, ci)]
+        if len(mine) > 1:
+            a, b = rng.sample(mine, 2)
+            vector = rng.choice(vectors)
+            family = _shifted(_shifted(family, vector, a, delta), vector, b, -delta)
+    elif corruption == "off" and off:
+        family = _shifted(family, rng.choice(vectors), rng.choice(off), delta)
+    expected = _verdict(_row_by_row_check_family, family)
+    assert _verdict(_check_family, family) == expected
+    if corruption == "none" or (corruption == "direction" and not family.dimension):
+        assert expected is None
+
+
+def test_family_check_reports_the_first_violating_row(q_family):
+    sc = q_family.scenario
+    offs = slot_offsets(sc)
+
+    def first_on(ci):
+        return offs[ci] + next(
+            si for si in range(section_size(sc, ci)) if q_family.support.possible(ci, si)
+        )
+
+    first, last = first_on(0), first_on(sc.n_contexts - 1)
+    for vector, message in ((0, "homogeneity"), (-1, "violates an equality")):
+        # the first normalization row fails for this vector, later rows for
+        # the other one
+        other = -1 - vector
+        family = _shifted(_shifted(q_family, vector, first, rat(1, 8)), other, last, rat(1, 8))
+        with pytest.raises(VerificationError, match=message):
+            _check_family(family)
+        assert _verdict(_check_family, family) == _verdict(_row_by_row_check_family, family)
+
+
+def test_family_check_runs_past_int64(q_family):
+    scaled = replace(q_family, directions=tuple(
+        tuple(c * HUGE for c in d) for d in q_family.directions
+    ))
+    _check_family(scaled)
+    on = next(si for si in range(section_size(q_family.scenario, 0))
+              if q_family.support.possible(0, si))
+    for vector, message in ((-1, "violates an equality"), (0, "homogeneity")):
+        with pytest.raises(VerificationError, match=message):
+            _check_family(_shifted(scaled, vector, on, rat(1, HUGE)))
 
 
 # ---------------------------------------------------------------------------

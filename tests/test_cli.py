@@ -129,6 +129,17 @@ def test_classify_refuses_an_oversized_scenario_before_any_allocation(run, tmp_p
     assert "resource limit:" in err and "2097152 global assignments" in err
 
 
+@pytest.mark.parametrize("cmd", ["cf", "classify"])
+def test_cf_and_classify_refuse_a_six_party_tableau(run, tmp_path, cmd):
+    # (6,2,2) passes the table guard with a 16 MiB incidence matrix, but its
+    # tableau would hold 4097 x 8193 Python ints; the guard trips before it
+    # is built
+    doc = model_to_json(uniform_model(bell_scenario(6, 2, 2)))
+    code, out, err = run(cmd, _write_json(tmp_path / "six.json", doc))
+    assert code == 5 and out == ""
+    assert "resource limit:" in err and "simplex tableau of 4097 x 8193" in err
+
+
 # ---------------------------------------------------------------------------
 # classify
 
@@ -288,6 +299,18 @@ def test_solve_support_emits_the_family(run, tmp_path):
     assert doc["parameters"] == ["q"]
     assert doc["bounds"] == ["1/8", "1/4"]
     assert "2q-1/4" in csv_path.read_text()
+
+
+def test_solve_support_refuses_a_float_cell(run, tmp_path):
+    doc = support_to_json(apply_plan(reference_plan()))
+    ints = dict(doc, tables=[[int(cell) for cell in row] for row in doc["tables"]])
+    code, out, _ = run("solve-support", _write_json(tmp_path / "ints.json", ints))
+    assert code == 0 and json.loads(out)["parameters"] == ["q"]
+    floats = dict(ints, tables=[list(row) for row in ints["tables"]])
+    floats["tables"][0][floats["tables"][0].index(1)] = 1.0
+    code, out, err = run("solve-support", _write_json(tmp_path / "floats.json", floats))
+    assert code == 2 and out == ""
+    assert "refusing float input" in err
 
 
 def test_solve_support_infeasible(run, tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import amcc.lp
-from amcc.errors import PreconditionError, VerificationError
+from amcc.errors import PreconditionError, ResourceLimitError, VerificationError
 from amcc.lp import (
     CfResult,
     certified_fraction,
@@ -29,7 +29,7 @@ from amcc.model import (
 )
 from amcc.rational import ONE, ZERO, rat, rat_str
 from amcc.possibilistic import compatible_globals, support_of
-from amcc.scenario import bell_scenario, global_size, incidence_matrix
+from amcc.scenario import MAX_TABLEAU_CELLS, bell_scenario, global_size, incidence_matrix, slot_count
 from amcc.verify import covering_ncf, random_no_signaling_model
 
 
@@ -61,6 +61,19 @@ def test_simplex_exactness_on_awkward_rationals():
     value, x, _, _ = simplex_solve(np.ones((1, 1), dtype=np.uint8), (rat(1, 3),))
     assert value == rat(1, 3)
     assert x == (rat(1, 3),)
+
+
+def test_tableau_guard_admits_five_parties_and_refuses_six():
+    # broadcast all-ones incidences of the two Bell shapes hold one byte each;
+    # every column is alike, so the admitted one solves in a single pivot
+    five, six = bell_scenario(5, 2, 2), bell_scenario(6, 2, 2)
+    shape = (slot_count(five), global_size(five))
+    assert (shape[0] + 1) * (sum(shape) + 1) <= MAX_TABLEAU_CELLS
+    value, _, _, pivots = simplex_solve(np.broadcast_to(np.uint8(1), shape), [1] * shape[0])
+    assert (value, pivots) == (1, 1)
+    shape = (slot_count(six), global_size(six))
+    with pytest.raises(ResourceLimitError, match="simplex tableau of 4097 x 8193"):
+        simplex_solve(np.broadcast_to(np.uint8(1), shape), [1] * shape[0])
 
 
 def test_simplex_rejects_a_negative_rhs():

@@ -397,6 +397,25 @@ def test_support_json_validation():
         support_from_json(short)
 
 
+def test_support_json_reads_ints_and_strings_and_refuses_floats():
+    sup = support_of(pr_box(0))
+    doc = support_to_json(sup)
+    mixed = dict(doc, tables=[[int(c) if si % 2 else c for si, c in enumerate(row)]
+                              for row in doc["tables"]])
+    assert support_from_json(mixed).masks == sup.masks
+    for si, cell in ((2, 1.0), (3, 0.0)):
+        # an equal int comes earlier in the document
+        bad = dict(mixed, tables=[list(row) for row in mixed["tables"]])
+        bad["tables"][-1][si] = cell
+        with pytest.raises(TypeError, match="refusing float input"):
+            support_from_json(bad)
+    for cell in (2, "1/2", -1):
+        bad = dict(mixed, tables=[list(row) for row in mixed["tables"]])
+        bad["tables"][0][0] = cell
+        with pytest.raises(ValueError, match="0 or 1"):
+            support_from_json(bad)
+
+
 def test_scan_limit_guard():
     # 21 three-valued measurements in one context: > 2^20 global assignments
     n = 21
