@@ -44,7 +44,7 @@ from .scenario import (
     slot_count,
     slot_offsets,
 )
-from .possibilistic import support_from_json, support_to_json
+from .possibilistic import _pack_masks, support_from_json, support_to_json
 
 __all__ = [
     "AffineFamily",
@@ -427,29 +427,33 @@ def _check_family(family):
     homogeneous system. Off the support every entry is then 0, so the full
     scenario's rows check the same thing as the support's.
 
-    The vectors are scaled to integer numerators over their lcm once and
-    every row sum of every vector is one numpy reduceat. No sum exceeds the
-    longest row times the largest numerator; while that bound and the base's
-    denominator are below 2**63 the sums run in int64, otherwise on Python
-    ints. The first violating row in ns_equations order is reported, its
-    base before its directions."""
+    The vectors are scaled to integer numerators over their lcm once. One
+    numpy pass over them finds weight off the support, reported at its first
+    slot in slot order, and every row sum of every vector is one numpy
+    reduceat. No sum exceeds the longest row times the largest numerator;
+    while that bound and the base's denominator are below 2**63 the sums run
+    in int64, otherwise on Python ints. The first violating row in
+    ns_equations order is reported, its base before its directions."""
     sc = family.scenario
-    offs = slot_offsets(sc)
-    for ci in range(sc.n_contexts):
-        for si in range(section_size(sc, ci)):
-            if not family.support.possible(ci, si):
-                slot = offs[ci] + si
-                if family.base[slot] != 0 or any(d[slot] != 0 for d in family.directions):
-                    raise VerificationError(
-                        "family has weight outside the support",
-                        details={"context": ci, "section": si},
-                    )
     slot, sign, start, rhs, width = _ns_arrays(sc)
     (den, base), *directions = map(over_lcm, (family.base, *family.directions))
     vectors = [base, *(d for _, d in directions)]
     big = max(max(max(v), -min(v)) for v in vectors)
     dtype = np.int64 if max(width * big, den) < 2**63 else object
-    sums = np.add.reduceat(np.array(vectors, dtype=dtype)[:, slot] * sign, start, axis=1)
+    values = np.array(vectors, dtype=dtype)
+    # (context, section) cells in row-major order are the slots in slot order
+    possible = _pack_masks(sc, (family.support.masks,))[0]
+    cells = np.arange(possible.shape[1]) < np.array(sc.section_sizes)[:, None]
+    weighted = np.zeros_like(cells)
+    weighted[cells] = (values != 0).any(axis=0)
+    off = np.argwhere(weighted & ~possible)
+    if off.size:
+        ci, si = map(int, off[0])
+        raise VerificationError(
+            "family has weight outside the support",
+            details={"context": ci, "section": si},
+        )
+    sums = np.add.reduceat(values[:, slot] * sign, start, axis=1)
     bad = sums != 0
     bad[0] = sums[0] != rhs.astype(dtype) * den
     violated = np.flatnonzero(bad.any(axis=0))

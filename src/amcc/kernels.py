@@ -4,6 +4,9 @@ Two scans dominate the integer work: marking which parity-pattern values are
 realized by some global assignment, and marking which global assignments are
 compatible with a per-context support. Both are pure bit/index work; the
 exact-rational code (LP, affine solving) never comes through here.
+
+The compatibility scan takes leading batch axes, so a block of supports over
+one scenario is decided in one gather.
 """
 
 import numpy as np
@@ -25,7 +28,17 @@ def compatible_mask(support, table):
     """Boolean mask over global assignments: True where every context's
     restriction lands inside the support.
 
-    support: bool (n_contexts, max_section_size), padded with False.
-    table:   int (n_contexts, n_globals) restriction table."""
+    support: bool (..., n_contexts, width), padded with False; any leading
+             axes are a batch of supports.
+    table:   int (n_contexts, n_globals) restriction table.
+    Returns bool (..., n_globals).
+
+    Each support is flattened to n_contexts * width cells, so (context,
+    section) is the one index context * width + section. The batch is put on
+    the last axis, so the gather copies one contiguous row of the batch per
+    index and the reduction over contexts is elementwise."""
     support = np.asarray(support, dtype=np.bool_)
-    return support[np.arange(table.shape[0])[:, None], table].all(axis=0)
+    *batch, n_contexts, width = support.shape
+    index = np.arange(n_contexts)[:, None] * width + table
+    cells = support.reshape(-1, n_contexts * width).T
+    return cells.take(index, axis=0).all(axis=0).T.reshape(*batch, table.shape[1])

@@ -100,27 +100,47 @@ def uniform_on_support(support):
     return EmpiricalModel(sc, tuple(rows))
 
 
-def _support_bool(support):
-    """bool (n_contexts, widest context): bit si of each context's mask. The
-    masks go through little-endian bytes, so any section count works."""
-    sc = support.scenario
-    width = max(sc.section_sizes)
+def _pack_masks(scenario, rows):
+    """bool (len(rows), n_contexts, widest context): bit si of each row's
+    mask for each context. A row is one mask per context; the masks go
+    through little-endian bytes, so any section count works."""
+    width = max(scenario.section_sizes)
     nbytes = (width + 7) // 8
-    raw = b"".join(mask.to_bytes(nbytes, "little") for mask in support.masks)
-    octets = np.frombuffer(raw, dtype=np.uint8).reshape(sc.n_contexts, nbytes)
-    return np.unpackbits(octets, axis=1, count=width, bitorder="little").astype(np.bool_)
+    raw = b"".join(mask.to_bytes(nbytes, "little") for masks in rows for mask in masks)
+    octets = np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), scenario.n_contexts, nbytes)
+    return np.unpackbits(octets, axis=-1, count=width, bitorder="little").astype(np.bool_)
+
+
+def _require_scan(scenario):
+    """The scenario's number of global assignments; raises
+    ResourceLimitError past MAX_GLOBALS, before a scan allocates."""
+    ng = global_size(scenario)
+    if ng > MAX_GLOBALS:
+        raise ResourceLimitError(
+            f"{ng} global assignments exceeds the scan limit {MAX_GLOBALS}"
+        )
+    return ng
+
+
+def _check_witness(table, masks, gi):
+    """Raise VerificationError unless global gi restricts, through the
+    restriction table, into every context's mask: the re-check of a
+    compatibility scan's witness."""
+    sections = table[:, gi].tolist()
+    bad = [ci for ci, (mask, si) in enumerate(zip(masks, sections)) if not (mask >> si) & 1]
+    if bad:
+        raise VerificationError(
+            "compatibility scan returned an incompatible global assignment",
+            details={"global": gi, "contexts": bad},
+        )
 
 
 def compatible_globals(support):
     """Global assignments whose every restriction is possible, as a sorted
     list of packed indices."""
     sc = support.scenario
-    ng = global_size(sc)
-    if ng > MAX_GLOBALS:
-        raise ResourceLimitError(
-            f"{ng} global assignments exceeds the scan limit {MAX_GLOBALS}"
-        )
-    mask = compatible_mask(_support_bool(support), restriction_table(sc))
+    _require_scan(sc)
+    mask = compatible_mask(_pack_masks(sc, (support.masks,))[0], restriction_table(sc))
     return [int(g) for g in np.nonzero(mask)[0]]
 
 
@@ -131,16 +151,8 @@ def strong_contextuality(support):
     found = compatible_globals(support)
     if not found:
         return True, None
-    gi = found[0]
-    sc = support.scenario
-    table = restriction_table(sc)
-    bad = [ci for ci in range(sc.n_contexts) if not support.possible(ci, int(table[ci, gi]))]
-    if bad:
-        raise VerificationError(
-            "compatibility scan returned an incompatible global assignment",
-            details={"global": gi, "contexts": bad},
-        )
-    return False, gi
+    _check_witness(restriction_table(support.scenario), support.masks, found[0])
+    return False, found[0]
 
 
 def possibilistic_no_signaling(support):

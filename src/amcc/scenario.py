@@ -386,6 +386,10 @@ def scenario_to_json(scenario):
 
 
 def scenario_from_json(doc):
+    """Decode the Bell form {parties, settings, outcomes} or the explicit
+    form {measurements, outcomes, cover[, parties]}. Either form raises
+    ResourceLimitError past MAX_BELL_MEASUREMENTS measurements or
+    MAX_BELL_CONTEXTS contexts, before the cover is checked."""
     if not isinstance(doc, dict):
         raise ValueError("scenario must be a JSON object")
     if "parties" in doc and "measurements" not in doc:
@@ -394,10 +398,22 @@ def scenario_from_json(doc):
         except KeyError as e:
             raise ValueError(f"Bell scenario form needs parties/settings/outcomes: missing {e}")
     try:
+        measurements = tuple(doc["measurements"])
+        cover = tuple(doc["cover"])
+        # the same limits as the Bell form, before the pairwise antichain
+        # check of the cover runs
+        if len(measurements) > MAX_BELL_MEASUREMENTS:
+            raise ResourceLimitError(
+                f"{len(measurements)} measurements is over the limit {MAX_BELL_MEASUREMENTS}"
+            )
+        if len(cover) > MAX_BELL_CONTEXTS:
+            raise ResourceLimitError(
+                f"{len(cover)} contexts is over the limit {MAX_BELL_CONTEXTS}"
+            )
         return MeasurementScenario(
-            measurements=tuple(doc["measurements"]),
+            measurements=measurements,
             outcomes=tuple(doc["outcomes"]),
-            cover=tuple(tuple(c) for c in doc["cover"]),
+            cover=tuple(tuple(c) for c in cover),
             parties=tuple(doc["parties"]) if "parties" in doc else None,
         )
     except KeyError as e:

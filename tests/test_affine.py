@@ -672,7 +672,7 @@ HUGE = 3**45
 @given(
     st.sampled_from([(2, 2, 2), (3, 2, 2), (4, 2, 2)]),
     st.integers(0, 2**32 - 1),
-    st.sampled_from(["none", "base", "direction", "both", "balanced", "off"]),
+    st.sampled_from(["none", "base", "direction", "both", "balanced", "off", "two-off"]),
     st.booleans(),
 )
 @settings(max_examples=80, deadline=None)
@@ -708,6 +708,10 @@ def test_vectorized_family_check_matches_the_row_by_row_one(dims, seed, corrupti
             family = _shifted(_shifted(family, vector, a, delta), vector, b, -delta)
     elif corruption == "off" and off:
         family = _shifted(family, rng.choice(vectors), rng.choice(off), delta)
+    elif corruption == "two-off" and len(off) > 1:
+        # only the first off-support slot in slot order is reported
+        for slot in rng.sample(off, 2):
+            family = _shifted(family, rng.choice(vectors), slot, delta)
     expected = _verdict(_row_by_row_check_family, family)
     assert _verdict(_check_family, family) == expected
     if corruption == "none" or (corruption == "direction" and not family.dimension):

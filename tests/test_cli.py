@@ -112,6 +112,23 @@ def test_cf_refuses_an_oversized_scenario(run, tmp_path):
     assert "resource limit:" in err and "contexts" in err
 
 
+def test_cf_refuses_an_explicit_scenario_with_too_many_contexts(run, tmp_path):
+    # 1025 two-measurement contexts over 46 binary measurements: the guard
+    # trips on the cover's length, before its pairwise antichain check
+    pairs = [[a, b] for a in range(46) for b in range(a + 1, 46)][:1025]
+    doc = {
+        "scenario": {
+            "measurements": [f"m{i}" for i in range(46)],
+            "outcomes": [2] * 46,
+            "cover": pairs,
+        },
+        "tables": [],
+    }
+    code, out, err = run("cf", _write_json(tmp_path / "wide.json", doc))
+    assert code == 5 and out == ""
+    assert "resource limit:" in err and "1025 contexts" in err
+
+
 def test_classify_refuses_an_oversized_scenario_before_any_allocation(run, tmp_path):
     # a chain of 21 binary measurements, contexts {m_i, m_i+1}: a small,
     # no-signaling model whose 2^21 global assignments trip the scan limit

@@ -2,13 +2,17 @@
 
 import hashlib
 import json
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import amcc.csp as csp
 from amcc.csp import (
     AugmentationPlan,
+    _augmented_masks,
     apply_plan,
     opposite_sections,
     plan_counts,
@@ -24,13 +28,14 @@ from amcc.errors import PreconditionError, VerificationError
 from amcc.model import parity_amcc_422
 from amcc.parity import ParitySystem, parity_system_from_vector
 from amcc.possibilistic import (
+    SupportModel,
     compatible_globals,
     possibilistic_no_signaling,
     strong_contextuality,
     support_of,
 )
 from amcc.rational import rat
-from amcc.scenario import bell_scenario
+from amcc.scenario import bell_scenario, global_size
 
 REFERENCE_VECTOR = 0x1C00
 
@@ -145,6 +150,71 @@ def test_search_validation():
     with pytest.raises(PreconditionError, match="nonnegative"):
         search_plans(base, (0,) * 16, trials=-1, seed=0)
     assert search_plans(base, (0,) * 16, trials=0, seed=0) == []
+
+
+def _per_trial_search(base, counts, trials, seed):
+    # the search before it scanned a block of trials at once: one support
+    # and one strong-contextuality check per trial; kept as the oracle
+    sc = base.scenario
+    opposite = tuple(opposite_sections(base, ci) for ci in range(sc.n_contexts))
+    hits = []
+    for trial in range(trials):
+        rng = random.Random(seed * 1_000_003 + trial)
+        additions = tuple(
+            tuple(sorted(rng.sample(opposite[ci], count))) if count else ()
+            for ci, count in enumerate(counts)
+        )
+        if strong_contextuality(SupportModel(sc, _augmented_masks(base, additions)))[0]:
+            hits.append(AugmentationPlan(base=base, additions=additions))
+    return hits
+
+
+@st.composite
+def _search_inputs(draw):
+    sc = bell_scenario(draw(st.sampled_from([3, 4])), 2, 2)
+    base = parity_system_from_vector(sc, draw(st.integers(0, (1 << sc.n_contexts) - 1)))
+    # a few additions per context give a mix of hits and misses
+    counts = tuple(draw(st.integers(0, 3)) for _ in range(sc.n_contexts))
+    return base, counts, draw(st.integers(0, 40)), draw(st.integers(0, 2**31))
+
+
+@given(_search_inputs(), st.integers(1, 7))
+@settings(max_examples=40, deadline=None)
+def test_blocked_search_matches_the_per_trial_loop(inputs, block):
+    base, counts, trials, seed = inputs
+    sc = base.scenario
+    # a budget of `block` trials, so most searches span several blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(csp, "BLOCK_CELLS", block * sc.n_contexts * global_size(sc))
+        assert search_plans(base, counts, trials, seed) == _per_trial_search(
+            base, counts, trials, seed
+        )
+
+
+def test_blocked_search_at_the_default_budget_matches_the_per_trial_loop():
+    # 16 trials a block at (4,2,2), so 150 trials span ten blocks, the
+    # last one partial
+    base = _base_system()
+    assert csp.BLOCK_CELLS // (16 * 256) == 16
+    counts = tuple(min(c + 2, 8) for c in plan_counts(reference_plan()))
+    hits = search_plans(base, counts, 150, 5)
+    assert 0 < len(hits) < 150
+    assert hits == _per_trial_search(base, counts, 150, 5)
+
+
+def test_an_incompatible_block_witness_raises(monkeypatch):
+    # at the reference counts every trial is strongly contextual, so a scan
+    # that calls global 5 compatible is wrong on every trial
+    def wrong_mask(support, table):
+        found = np.zeros((*support.shape[:-2], table.shape[1]), dtype=np.bool_)
+        found[..., 5] = True
+        return found
+
+    monkeypatch.setattr(csp, "compatible_mask", wrong_mask)
+    with pytest.raises(VerificationError, match="incompatible global") as exc:
+        search_plans(_base_system(), plan_counts(reference_plan()), 3, 1)
+    assert exc.value.details["global"] == 5
+    assert exc.value.details["contexts"]
 
 
 # sha256 over one line per search: the additions of every hit, at the

@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 
 from amcc.kernels import compatible_mask, scan_satisfiable
 from amcc.parity import parity_patterns
-from amcc.scenario import bell_scenario, global_size, restriction_table, section_size
+from amcc.scenario import (
+    MeasurementScenario,
+    bell_scenario,
+    global_size,
+    restriction_table,
+    section_size,
+)
 
 
 @given(st.lists(st.integers(0, 63), min_size=1, max_size=50))
@@ -58,3 +64,39 @@ def test_compatible_mask_full_and_empty_supports():
     assert full.shape == (global_size(sc),)
     assert full.all()
     assert not compatible_mask(_support_array(sc, 0), table).any()
+    # an empty batch scans nothing
+    empty = compatible_mask(np.zeros((0, sc.n_contexts, 4), dtype=np.bool_), table)
+    assert empty.shape == (0, global_size(sc))
+
+
+# contexts of 6, 6 and 4 sections, so the last row is padded
+RAGGED = MeasurementScenario(
+    measurements=("a", "b", "c"), outcomes=(2, 3, 2), cover=((0, 1), (1, 2), (0, 2))
+)
+
+
+@given(
+    st.sampled_from([bell_scenario(2, 2, 2), bell_scenario(3, 2, 2), RAGGED]),
+    st.integers(0, 6),
+    st.sampled_from([0.5, 0.8, 0.95]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_a_stacked_batch_matches_the_per_support_scans(sc, batch, density, seed):
+    rng = np.random.default_rng(seed)
+    table = restriction_table(sc)
+    width = max(sc.section_sizes)
+    real = np.arange(width) < np.array(sc.section_sizes)[:, None]
+    stack = (rng.random((batch, sc.n_contexts, width)) < density) & real
+    found = compatible_mask(stack, table)
+    assert found.shape == (batch, global_size(sc))
+    for sup, row in zip(stack, found):
+        assert row.tolist() == compatible_mask(sup, table).tolist()
+        assert row.tolist() == [
+            all(sup[ci, table[ci, g]] for ci in range(sc.n_contexts))
+            for g in range(global_size(sc))
+        ]
+    # more than one leading axis keeps the same rows
+    nested = compatible_mask(stack[None], table)
+    assert nested.shape == (1, batch, global_size(sc))
+    assert (nested[0] == found).all()

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from amcc.errors import ResourceLimitError
 from amcc.scenario import (
     MAX_BELL_CONTEXTS,
+    MAX_BELL_MEASUREMENTS,
     MAX_TABLE_CELLS,
     MeasurementScenario,
     bell_scenario,
@@ -337,6 +338,25 @@ def test_bell_size_guard_trips_before_building():
         bell_scenario(10**9, 10**9, 2)
     with pytest.raises(ResourceLimitError, match="contexts"):
         bell_scenario(30, 2, 2)
+
+
+def _pair_cover_doc(n_measurements, n_contexts):
+    # binary measurements, contexts the first pairs in lexicographic order:
+    # a valid antichain cover whose check alone is quadratic in its size
+    pairs = [[a, b] for a in range(n_measurements) for b in range(a + 1, n_measurements)]
+    return {
+        "measurements": [f"m{i}" for i in range(n_measurements)],
+        "outcomes": [2] * n_measurements,
+        "cover": pairs[:n_contexts],
+    }
+
+
+def test_explicit_size_guard_trips_before_the_cover_check():
+    assert scenario_from_json(_pair_cover_doc(12, 66)).n_contexts == 66
+    with pytest.raises(ResourceLimitError, match="1025 contexts is over the limit 1024"):
+        scenario_from_json(_pair_cover_doc(46, MAX_BELL_CONTEXTS + 1))
+    with pytest.raises(ResourceLimitError, match="65 measurements is over the limit 64"):
+        scenario_from_json(_pair_cover_doc(MAX_BELL_MEASUREMENTS + 1, 1))
 
 
 def test_table_size_guard_trips_before_allocating():
