@@ -17,9 +17,15 @@ The solver is a single-phase tableau simplex started from the slack basis,
 which is feasible because v >= 0, with Bland's anti-cycling rule; these
 polytopes are massively degenerate (strongly contextual models sit on many
 zero slots), so an anti-cycling rule is not optional. The tableau holds
-Python ints, v scaled by the lcm of its denominators; each pivot divides
+integers, v scaled by the lcm of its denominators; each pivot divides
 exactly by the previous one (Edmonds' integer-preserving pivoting) and
 the ratio test cross-multiplies, so the pivots are a Fraction tableau's.
+A small tableau is a list of Python int lists, updated entry by entry.
+One of ARRAY_CELLS cells or more is one numpy array, updated a block of
+rows at a time: int64 while a running bound on its entries shows that
+no pivot's products can pass _INT64_LIMIT, Python ints (dtype object)
+from the first pivot where the true largest entry no longer shows it.
+Both kernels share one ratio test, so they take the same pivots.
 The optimal prices are read off the final objective row and every
 fraction is returned only after they certify optimality exactly, and
 after the decomposition recomposes the model.
@@ -34,7 +40,9 @@ totals are bounded below 2**63 and on Python ints otherwise.
 `certified_fraction` is the cheap route to the value alone: a global
 assignment that restricts to a zero-weight slot is forced to weight 0, so
 it runs the same simplex over the support's compatible globals only, and
-its prices pass the same exact check over every global assignment.
+its prices pass the same exact check over every global assignment. Its
+weights are checked too, on integers: they total ncf and load no slot
+past the model's weight, so ncf is both attained and optimal.
 """
 
 from dataclasses import dataclass
@@ -66,6 +74,15 @@ __all__ = [
 ]
 
 
+# tableaux of at least this many cells pivot as one numpy array; below it
+# numpy's per-call cost outweighs its whole-row updates, and Python lists win
+ARRAY_CELLS = 1 << 15
+
+# the array kernel forms p * x - f * v in int64 while a running bound keeps
+# it below this; past it the array holds Python ints
+_INT64_LIMIT = 1 << 62
+
+
 def simplex_solve(incidence, rhs):
     """maximize 1 . x subject to incidence x <= rhs, x >= 0, exactly.
 
@@ -74,30 +91,60 @@ def simplex_solve(incidence, rhs):
     as the structural variables, then one slack per row. Returns
     (value, x, prices, pivots), where prices are the optimal dual values
     of the rows. Raises ResourceLimitError, before building the tableau,
-    past MAX_TABLEAU_CELLS entries."""
+    past MAX_TABLEAU_CELLS entries.
+
+    A tableau of fewer than ARRAY_CELLS cells is a list of Python int
+    lists (_run); a larger one is one numpy array (_run_array), int64
+    while its entries provably fit and Python ints after. Both take the
+    same Bland pivots, so they return the same values and pivot counts."""
     m, n = incidence.shape
     width = n + m
+    cells = (m + 1) * (width + 1)
     _require_cells("simplex tableau", m + 1, width + 1, MAX_TABLEAU_CELLS)
     scale, rhs = over_lcm([b if type(b) is Fraction else rat(b) for b in rhs])
-    tableau = []
-    for i, (row, b) in enumerate(zip(incidence.tolist(), rhs)):
+    for i, b in enumerate(rhs):
         if b < 0:
             raise PreconditionError(
                 f"right-hand side {rat_str(rat(b, scale))} of row {i} is negative"
             )
-        row += [0] * (m + 1)
-        row[n + i] = 1
-        row[-1] = b
-        tableau.append(row)
-    tableau.append([-1] * n + [0] * (m + 1))
     basis = list(range(n, width))
-    det, pivots = _run(tableau, basis, width)
-    obj = tableau[-1]
+    if cells < ARRAY_CELLS:
+        tableau = []
+        for i, (row, b) in enumerate(zip(incidence.tolist(), rhs)):
+            row += [0] * (m + 1)
+            row[n + i] = 1
+            row[-1] = b
+            tableau.append(row)
+        tableau.append([-1] * n + [0] * (m + 1))
+        det, pivots = _run(tableau, basis, width)
+        obj, values = tableau[-1], [row[-1] for row in tableau[:m]]
+    else:
+        tableau = np.zeros((m + 1, width + 1), np.int64 if max(rhs) < _INT64_LIMIT else object)
+        tableau[:m, :n] = incidence
+        tableau[:m, n:width] = np.eye(m, dtype=np.uint8)
+        tableau[:m, -1] = rhs
+        tableau[m, :n] = -1
+        tableau, det, pivots = _run_array(tableau, basis, width)
+        obj, values = tableau[m].tolist(), tableau[:m, -1].tolist()
     x = [ZERO] * n
-    for i, bv in enumerate(basis):
+    for bv, b in zip(basis, values):
         if bv < n:
-            x[bv] = rat(tableau[i][-1], det * scale)
+            x[bv] = rat(b, det * scale)
     return rat(obj[-1], det * scale), tuple(x), tuple(rat(y, det) for y in obj[n:width]), pivots
+
+
+def _leaving_row(rows, heads, rhs, basis):
+    """Bland's ratio test over the candidate rows, whose entering-column
+    entries heads are positive: the row of least rhs / head, ties to the
+    least basic variable, or None without candidates. The ratios are
+    cross-multiplied on Python ints, so they are compared exactly."""
+    leave = None
+    for i, a, b in zip(rows, heads, rhs):
+        # b / a against best_b / best_a, cross-multiplied as a > 0
+        d = -1 if leave is None else b * best_a - best_b * a
+        if d < 0 or (d == 0 and basis[i] < basis[leave]):
+            leave, best_b, best_a = i, b, a
+    return leave
 
 
 def _run(tableau, basis, width):
@@ -112,14 +159,10 @@ def _run(tableau, basis, width):
         enter = next((j for j in range(width) if obj[j] < 0), None)
         if enter is None:
             return det, pivots
-        leave = None
-        for i, (row, bi) in enumerate(zip(tableau, basis)):
-            a = row[enter]
-            if a > 0:
-                # b / a against best_b / best_a, cross-multiplied as a > 0
-                d = -1 if leave is None else row[-1] * best_a - best_b * a
-                if d < 0 or (d == 0 and bi < basis[leave]):
-                    leave, best_b, best_a = i, row[-1], a
+        rows = [i for i, row in enumerate(tableau[:-1]) if row[enter] > 0]
+        leave = _leaving_row(
+            rows, [tableau[i][enter] for i in rows], [tableau[i][-1] for i in rows], basis
+        )
         if leave is None:
             raise VerificationError("fraction LP is unbounded", details={"column": enter})
         det = _pivot(tableau, tableau[leave], enter, det)
@@ -144,6 +187,56 @@ def _pivot(tableau, prow, e, det):
         else:
             row[:] = [(p * x - f * v) // det for x, v in zip(row, prow)]
     return p
+
+
+def _run_array(tableau, basis, width):
+    """_run on a numpy tableau, one array update per pivot. bound is at
+    least every entry's magnitude, so no intermediate p * x - f * v of an
+    int64 pivot exceeds p * bound + max|f| * max|prow|; when that passes
+    _INT64_LIMIT the true largest entry is read, and only if it still
+    passes does the array become Python ints, in the same loop. Returns
+    (tableau, det, pivot count)."""
+    m = len(basis)
+    det = 1
+    pivots = 0
+    bound = int(np.abs(tableau).max())
+    while True:
+        neg = tableau[m, :width] < 0
+        enter = int(neg.argmax())
+        if not neg[enter]:
+            return tableau, det, pivots
+        col = tableau[:m, enter]
+        rows = np.flatnonzero(col > 0)
+        leave = _leaving_row(rows.tolist(), col[rows].tolist(), tableau[rows, -1].tolist(), basis)
+        if leave is None:
+            raise VerificationError("fraction LP is unbounded", details={"column": enter})
+        prow = tableau[leave].copy()
+        f = tableau[:, enter].copy()
+        f[leave] = 0
+        p = int(prow[enter])
+        if tableau.dtype != object:
+            span = int(np.abs(f).max()) * int(np.abs(prow).max())
+            if p * bound + span >= _INT64_LIMIT:
+                bound = int(np.abs(tableau).max())
+                if p * bound + span >= _INT64_LIMIT:
+                    tableau, prow, f = (a.astype(object) for a in (tableau, prow, f))
+            bound = max(bound, (p * bound + span) // det)
+        if p == det:
+            # det divides f * v because it divides p * x - f * v; only the
+            # rows with f != 0 and the pivot row's nonzero columns change
+            rows, cols = np.flatnonzero(f), np.flatnonzero(prow)
+            update = np.multiply.outer(f[rows], prow[cols])
+            if det != 1:
+                update //= det
+            tableau[np.ix_(rows, cols)] -= update
+        else:
+            tableau *= p
+            tableau -= np.multiply.outer(f, prow)
+            tableau //= det
+            tableau[leave] = prow
+        det = p
+        basis[leave] = enter
+        pivots += 1
 
 
 def stacked_weights(model):
@@ -242,22 +335,24 @@ def certified_fraction(model):
     zero-weight slot, which costs nothing and covers every dropped global,
     0 on every other slot the reduced LP did not see, and the reduced LP's
     prices elsewhere. It is checked over every global assignment before
-    returning, so a wrong compatible set raises VerificationError."""
+    returning, so a wrong compatible set raises VerificationError, and the
+    reduced LP's weights are checked to attain ncf under the model."""
     _require_no_signaling(model)
     kept = compatible_globals(support_of(model))
     mat = incidence_matrix(model.scenario)
     prices = [ZERO if x else ONE for x in chain.from_iterable(model._int_view[1])]
-    ncf = ZERO
+    ncf, weights = ZERO, ()
     if kept:
         v = stacked_weights(model)
         sub = mat[:, kept]
         rows = np.flatnonzero(sub.any(axis=1)).tolist()
-        ncf, _, reduced, _ = simplex_solve(sub[rows], [v[r] for r in rows])
+        ncf, weights, reduced, _ = simplex_solve(sub[rows], [v[r] for r in rows])
         for r, y in zip(rows, reduced):
             prices[r] = y
     cf = ONE - ncf
     prices = tuple(prices)
     _check_prices(model, prices, ncf)
+    _check_weights(model, kept, weights, ncf)
     return ncf, cf, prices
 
 
@@ -299,6 +394,48 @@ def _check_prices(model, prices, ncf):
             "priced weights differ from the noncontextual fraction",
             details={"cost": cost, "ncf": ncf},
         )
+
+
+def _check_weights(model, kept, weights, ncf):
+    """Primal certificate, checked exactly: weights[i] is global kept[i]'s,
+    every weight is nonnegative, the weights total ncf, and no slot carries
+    more than the model's weight there. Their mixture is then dominated by
+    the model, so the fraction is at least ncf; the prices bound it above.
+
+    The weights are integer numerators over the lcm den of their
+    denominators. Global g puts its weight on section restriction_table[c, g]
+    of every context c, so the loads are summed over the weighted globals'
+    columns alone, and each loaded slot is compared with the model's integer
+    view, every row over its one denominator, in slot order."""
+    den, scaled = over_lcm(weights)
+    neg = next((i for i, w in enumerate(scaled) if w < 0), None)
+    if neg is not None:
+        raise VerificationError(
+            "a global assignment has negative weight",
+            details={"global": kept[neg], "weight": weights[neg]},
+        )
+    total = rat(sum(scaled), den)
+    if total != ncf:
+        raise VerificationError(
+            "weights differ from the noncontextual fraction",
+            details={"total": total, "ncf": ncf},
+        )
+    sc = model.scenario
+    table = restriction_table(sc)
+    load = {}
+    for g, w in zip(kept, scaled):
+        if w:
+            for slot in enumerate(table[:, g].tolist()):
+                load[slot] = load.get(slot, 0) + w
+    wden, rows = model._int_view
+    for ci, si in sorted(load):
+        x, v = load[ci, si], rows[ci][si]
+        if x * wden > v * den:
+            raise VerificationError(
+                "a slot carries more weight than the model",
+                details={"slot": slot_offsets(sc)[ci] + si, "load": rat(x, den),
+                         "weight": rat(v, wden)},
+            )
 
 
 def _check_decomposition(model, ncf, nc_part, cf, sc_part):

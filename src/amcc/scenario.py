@@ -298,9 +298,11 @@ def generating_overlaps(scenario):
 # matrix has 2**24, (7,2,2)'s 2**28 (256 MiB of uint8)
 MAX_TABLE_CELLS = 1 << 26
 
-# cells of one exact simplex tableau, (slots + 1) x (columns + slots + 1)
-# Python ints: (5,2,2)'s full tableau has 1025 x 2049 (about 2.1 M), (6,2,2)'s
-# would have 4097 x 8193 (33.6 M) and pivot for hours
+# cells of one exact simplex tableau, (slots + 1) x (columns + slots + 1):
+# (5,2,2)'s full tableau has 1025 x 2049 (about 2.1 M), (6,2,2)'s would have
+# 4097 x 8193 (33.6 M). A tableau this large is an int64 array (64 MiB at
+# the limit), and a pivot adds at most two temporaries of its size; Python
+# ints, once its entries outgrow int64, take several times that
 MAX_TABLEAU_CELLS = 1 << 23
 
 

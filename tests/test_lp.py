@@ -27,7 +27,7 @@ from amcc.model import (
     pr_box,
     uniform_model,
 )
-from amcc.rational import ONE, ZERO, rat, rat_str
+from amcc.rational import ONE, ZERO, over_lcm, rat, rat_str
 from amcc.possibilistic import compatible_globals, support_of
 from amcc.scenario import MAX_TABLEAU_CELLS, bell_scenario, global_size, incidence_matrix, slot_count
 from amcc.verify import covering_ncf, random_no_signaling_model
@@ -163,6 +163,80 @@ NON_UNIT_PIVOT = (
 def test_integer_kernel_matches_the_fraction_tableau(program):
     incidence, rhs = program
     assert simplex_solve(incidence, rhs) == _fraction_simplex(incidence, rhs)
+
+
+def _array_solve(incidence, rhs, limit=amcc.lp._INT64_LIMIT):
+    """simplex_solve on the array kernel whatever the tableau's size, with
+    int64 entries bounded by limit; returns (result, dtypes), the tableau's
+    dtype when the kernel starts and when it returns."""
+    dtypes = []
+    run = amcc.lp._run_array
+
+    def spy(tableau, basis, width):
+        dtypes.append(tableau.dtype)
+        out = run(tableau, basis, width)
+        dtypes.append(out[0].dtype)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(amcc.lp, "ARRAY_CELLS", 0)
+        mp.setattr(amcc.lp, "_INT64_LIMIT", limit)
+        mp.setattr(amcc.lp, "_run_array", spy)
+        return simplex_solve(incidence, rhs), dtypes
+
+
+@given(st.one_of(_zero_one_programs(), _model_programs()))
+@example(NON_UNIT_PIVOT)
+@settings(max_examples=80, deadline=None)
+def test_array_kernel_matches_the_fraction_tableau(program):
+    incidence, rhs = program
+    result, dtypes = _array_solve(incidence, rhs)
+    assert dtypes == [np.int64, np.int64]
+    assert result == _fraction_simplex(incidence, rhs)
+
+
+# the running bound passes 2**20 on this program, the true entries do not
+REREAD = (
+    np.array([[0, 0, 1, 0, 0, 0], [1, 0, 0, 0, 0, 1], [1, 0, 1, 1, 0, 1], [1, 0, 0, 1, 1, 0],
+              [1, 1, 1, 0, 0, 1], [0, 0, 1, 1, 0, 0], [1, 0, 0, 0, 1, 1], [0, 1, 1, 1, 0, 1]],
+             dtype=np.uint8),
+    [Fraction(31, 19), Fraction(6, 5), Fraction(30, 13), Fraction(33, 17), Fraction(23, 11),
+     Fraction(3), Fraction(3), ZERO],
+)
+
+
+@given(st.one_of(_zero_one_programs(), _model_programs()), st.integers(4, 62))
+@example(NON_UNIT_PIVOT, 12)
+@example(REREAD, 20)
+@settings(max_examples=40, deadline=None)
+def test_array_kernel_under_any_int64_limit_matches_the_list_kernel(program, bits):
+    # a low limit sends the array to Python ints at the start, part way
+    # through, or never, after a re-read of its true largest entry
+    incidence, rhs = program
+    assert _array_solve(incidence, rhs, 1 << bits)[0] == simplex_solve(incidence, rhs)
+
+
+def test_a_true_maximum_under_the_limit_keeps_the_array_on_int64():
+    result, dtypes = _array_solve(*REREAD, 1 << 20)
+    assert dtypes == [np.int64, np.int64]
+    assert result == _fraction_simplex(*REREAD)
+
+
+def test_a_right_hand_side_past_the_limit_starts_on_python_ints():
+    # coprime denominators whose lcm passes 2**62 on their own
+    incidence, rhs = NON_UNIT_PIVOT
+    big = [b / q for b, q in zip(rhs, (3**40, 5**30, 1, 7**25))]
+    assert max(over_lcm(big)[1]) >= amcc.lp._INT64_LIMIT
+    result, dtypes = _array_solve(incidence, big)
+    assert dtypes == [object, object]
+    assert result == simplex_solve(incidence, big) == _fraction_simplex(incidence, big)
+
+
+def test_an_array_past_a_lowered_limit_moves_to_python_ints_mid_solve():
+    incidence, rhs = NON_UNIT_PIVOT
+    result, dtypes = _array_solve(incidence, rhs, 1 << 12)
+    assert dtypes == [np.int64, object]
+    assert result == simplex_solve(incidence, rhs) == _fraction_simplex(incidence, rhs)
 
 
 # sha256 over rat_str of ncf, every distribution entry and every price, and
@@ -381,8 +455,9 @@ def _presolve_models(draw):
     """(2,2,2)-(4,2,2) models: random no-signaling ones, which keep few or no
     compatible globals, dense mixtures with the uniform model, which keep
     every global, and point masses, which keep exactly one. Dense mixtures
-    stop at (3,2,2): at (4,2,2) the full simplex took 2001 pivots (20 s on
-    a 2-core VM) on one, so the uniform model stands in for them there."""
+    stop at (3,2,2): at (4,2,2) one can take 2000 pivots, about 1 s each
+    way on a 2-core VM, so the uniform model stands in for them here and
+    the dense (4,2,2) pins below name their models."""
     kind = draw(st.sampled_from(["random", "dense", "point"]))
     sc = bell_scenario(draw(st.sampled_from([2, 3] if kind == "dense" else [2, 3, 4])), 2, 2)
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
@@ -429,6 +504,65 @@ def test_presolved_fraction_refuses_a_signaling_model():
     rows[1] = (rat(1, 2), ZERO, ZERO, rat(1, 2))
     with pytest.raises(PreconditionError, match="model is signaling: contexts 0 and 1"):
         certified_fraction(type(det)(det.scenario, tuple(rows)))
+
+
+def _noisy_amcc(visibility):
+    sc = bell_scenario(4, 2, 2)
+    return mix_models([(visibility, parity_amcc_422()), (ONE - visibility, uniform_model(sc))])
+
+
+def _dense_random(seed):
+    sc = bell_scenario(4, 2, 2)
+    model = random_no_signaling_model(sc, random.Random(seed))
+    return mix_models([(rat(1, 2), model), (rat(1, 2), uniform_model(sc))])
+
+
+# full-support (4,2,2) models, so the presolved LP is the full one: (model,
+# ncf, pivots, whether contextual_fraction runs too); about 1 s a solve
+@pytest.mark.parametrize(
+    "build, ncf, pivots, both",
+    [
+        (lambda: _noisy_amcc(rat(1, 2)), rat(13, 18), 2294, True),
+        (lambda: _noisy_amcc(rat(3, 4)), rat(13, 36), 2294, False),
+        (lambda: _noisy_amcc(rat(9, 10)), rat(13, 90), 2294, False),
+        (lambda: _dense_random(1), ONE, 2001, True),
+    ],
+    ids=["noisy-amcc-1-2", "noisy-amcc-3-4", "noisy-amcc-9-10", "dense-seed-1"],
+)
+def test_dense_422_fractions_and_pivots_are_pinned(monkeypatch, build, ncf, pivots, both):
+    model = build()
+    counts = []
+    solve = amcc.lp.simplex_solve
+
+    def counting_solve(incidence, rhs):
+        result = solve(incidence, rhs)
+        counts.append(result[3])
+        return result
+
+    monkeypatch.setattr(amcc.lp, "simplex_solve", counting_solve)
+    assert certified_fraction(model)[0] == ncf
+    assert counts == [pivots]
+    if both:
+        res = contextual_fraction(model)
+        assert (res.ncf, res.pivots) == (ncf, pivots)
+
+
+def test_prices_alone_do_not_certify_a_presolved_fraction(monkeypatch):
+    # 3/4 PR + 1/4 uniform has ncf 1/2; price 1 on context 0 costs 1 and
+    # covers every global, which touches one slot there, so the price check
+    # accepts ncf = 1, and only the weights, which total 1/2, refuse it
+    sc = bell_scenario(2, 2, 2)
+    model = mix_models([(rat(3, 4), pr_box(0)), (rat(1, 4), uniform_model(sc))])
+    solve = amcc.lp.simplex_solve
+
+    def lying_solve(incidence, rhs):
+        _, x, prices, pivots = solve(incidence, rhs)
+        return ONE, x, (ONE,) * 4 + (ZERO,) * (len(prices) - 4), pivots
+
+    monkeypatch.setattr(amcc.lp, "simplex_solve", lying_solve)
+    with pytest.raises(VerificationError, match="weights differ") as err:
+        certified_fraction(model)
+    assert err.value.details == {"total": rat(1, 2), "ncf": ONE}
 
 
 # ---------------------------------------------------------------------------
@@ -561,3 +695,73 @@ def test_prices_past_int64_are_checked_on_python_ints():
         refusal = _refusal(amcc.lp._check_prices, model, *bad)
         assert refusal is not None
         assert refusal == _refusal(_fraction_check_prices, model, *bad)
+
+
+# ---------------------------------------------------------------------------
+# the presolved fraction's weights, checked on integers against the Fraction
+# form
+
+
+def _fraction_check_weights(model, kept, weights, ncf):
+    """The primal certificate in Fraction arithmetic, read off the incidence
+    matrix slot by slot: the same conditions in the same order, with the
+    same messages and details as amcc.lp._check_weights."""
+    for g, w in zip(kept, weights):
+        if w < 0:
+            raise VerificationError(
+                "a global assignment has negative weight", details={"global": g, "weight": w}
+            )
+    total = sum(weights, ZERO)
+    if total != ncf:
+        raise VerificationError(
+            "weights differ from the noncontextual fraction",
+            details={"total": total, "ncf": ncf},
+        )
+    inc = incidence_matrix(model.scenario)
+    for s, v in enumerate(stacked_weights(model)):
+        load = sum((w for g, w in zip(kept, weights) if inc[s, g]), ZERO)
+        if load > v:
+            raise VerificationError(
+                "a slot carries more weight than the model",
+                details={"slot": s, "load": load, "weight": v},
+            )
+
+
+def _weight_certificate(model):
+    """(kept, weights, ncf) as certified_fraction checks them."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(amcc.lp, "_check_weights", lambda *args: seen.append(args[1:]))
+        certified_fraction(model)
+    (certificate,) = seen
+    return certificate
+
+
+_WEIGHT_MUTATIONS = {
+    "negative": lambda w, ncf: ((-w[0] - 1,) + w[1:], ncf),
+    "total-off": lambda w, ncf: (w, ncf + rat(1, 3 * ncf.denominator)),
+    # no slot weighs more than 1, so two more on one global overload it
+    "overloaded": lambda w, ncf: ((w[0] + 2,) + w[1:], ncf + 2),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(_WEIGHT_MUTATIONS))
+@pytest.mark.parametrize(
+    "model",
+    [
+        mix_models([(rat(3, 4), pr_box(0)), (rat(1, 4), uniform_model(bell_scenario(2, 2, 2)))]),
+        random_no_signaling_model(bell_scenario(3, 2, 2), random.Random(3)),
+        deterministic_model(bell_scenario(3, 2, 2), 21),
+        uniform_model(bell_scenario(4, 2, 2)),
+    ],
+    ids=["noisy-pr-box", "random-322", "point-mass", "uniform-422"],
+)
+def test_mutated_weights_are_refused_as_the_fraction_form_refuses_them(model, mutation):
+    kept, weights, ncf = _weight_certificate(model)
+    assert kept and _fraction_check_weights(model, kept, weights, ncf) is None
+    assert amcc.lp._check_weights(model, kept, weights, ncf) is None
+    bad = _WEIGHT_MUTATIONS[mutation](weights, ncf)
+    refusal = _refusal(amcc.lp._check_weights, model, kept, *bad)
+    assert refusal is not None
+    assert refusal == _refusal(_fraction_check_weights, model, kept, *bad)
+
