@@ -2,9 +2,9 @@
 
 Empirical models carry exact rational weights; the contextual fraction
 comes from an exact single-phase simplex on a fraction-free integer
-tableau, certified by its dual prices and a verified decomposition
-(`classify` runs the same simplex over the support's compatible global
-assignments only, and checks its prices over every global assignment);
+tableau, certified by its dual prices and its primal weights, both
+checked exactly over every global assignment (`classify` runs the same
+simplex over the support's compatible global assignments only);
 possibilistic strong contextuality, parity-vector scans, affine support
 solving, and the bundled reference reconstruction round out the pipeline.
 All headline quantities can be recomputed with the `verify-paper` CLI

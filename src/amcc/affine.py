@@ -623,8 +623,8 @@ class Classification:
 def classify(model):
     """Joint contextuality/marginals classification of a no-signaling model:
     AMCC when cf = 1 with maximal marginals, non-AMCC when cf = 1 without,
-    otherwise not maximal. The fraction is the presolved, price-certified
-    one of certified_fraction."""
+    otherwise not maximal. The fraction is the presolved one of
+    certified_fraction, certified by its prices and its weights."""
     ncf, cf, _ = certified_fraction(model)
     # certified_fraction has already refused a signaling model
     mm, wit = uniform_marginals(model)

@@ -41,7 +41,7 @@ from .parity import (
     vector_hex,
 )
 from .possibilistic import support_from_json
-from .rational import as_float, rat_from_str
+from .rational import as_float, rat_from_str, rat_str
 from .scenario import bell_scenario, scenario_to_json
 from .verify import check_names, report_json, report_text, run_checks
 
@@ -211,7 +211,7 @@ def cmd_reconstruct_tables(args):
     except VerificationError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         if exc.details is not None:
-            print(json.dumps(exc.details, indent=1), file=sys.stderr)
+            print(json.dumps(exc.details, indent=1, default=rat_str), file=sys.stderr)
         return 4
     if args.csv:
         with open(args.csv, "w") as fh:
@@ -365,7 +365,7 @@ def main(argv=None):
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         if exc.details is not None:
-            print(json.dumps(exc.details, indent=1), file=sys.stderr)
+            print(json.dumps(exc.details, indent=1, default=rat_str), file=sys.stderr)
         return 4
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)

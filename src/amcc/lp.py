@@ -20,15 +20,15 @@ zero slots), so an anti-cycling rule is not optional. The tableau holds
 integers, v scaled by the lcm of its denominators; each pivot divides
 exactly by the previous one (Edmonds' integer-preserving pivoting) and
 the ratio test cross-multiplies, so the pivots are a Fraction tableau's.
-A small tableau is a list of Python int lists, updated entry by entry.
-One of ARRAY_CELLS cells or more is one numpy array, updated a block of
-rows at a time: int64 while a running bound on its entries shows that
-no pivot's products can pass _INT64_LIMIT, Python ints (dtype object)
-from the first pivot where the true largest entry no longer shows it.
-Both kernels share one ratio test, so they take the same pivots.
-The optimal prices are read off the final objective row and every
-fraction is returned only after they certify optimality exactly, and
-after the decomposition recomposes the model.
+The tableau is built once, as one numpy array: int64 when the scaled v
+is below _INT64_LIMIT, Python ints (dtype object) otherwise. A small one
+pivots as its tolist(), a list of Python int lists updated entry by
+entry. One of ARRAY_CELLS cells or more stays the array, updated a block
+of rows at a time: int64 while a running bound on its entries shows that
+no pivot's products can pass _INT64_LIMIT, Python ints from the first
+pivot where the true largest entry no longer shows it. Both kernels
+share one ratio test, so they take the same pivots. The optimal prices
+are read off the final objective row.
 
 The price check runs on integers: the prices over the lcm of their
 denominators, the weights from the model's integer view (every row's
@@ -37,12 +37,15 @@ restriction_table[:, g], one per context, so what every global collects
 is one numpy sum over the restriction table, in int64 whenever the
 totals are bounded below 2**63 and on Python ints otherwise.
 
-`certified_fraction` is the cheap route to the value alone: a global
-assignment that restricts to a zero-weight slot is forced to weight 0, so
-it runs the same simplex over the support's compatible globals only, and
-its prices pass the same exact check over every global assignment. Its
-weights are checked too, on integers: they total ncf and load no slot
-past the model's weight, so ncf is both attained and optimal.
+`contextual_fraction` and `certified_fraction` run one route: the LP over
+a set of global assignments and the slots they touch, then two exact
+certificates over every global assignment. The prices bound ncf above;
+the weights, checked on integers, total ncf and load no slot past the
+model's weight, so ncf is also attained. `contextual_fraction` passes
+every global, so its LP is the full one, and reads its decomposition
+straight off the checked slot loads. `certified_fraction`, the cheap
+route to the value alone, passes only the support's compatible globals:
+a global that restricts to a zero-weight slot is forced to weight 0.
 """
 
 from dataclasses import dataclass
@@ -53,15 +56,16 @@ from operator import mul
 import numpy as np
 
 from .errors import PreconditionError, VerificationError
-from .model import EmpiricalModel, _mixed_row, is_no_signaling
+from .model import EmpiricalModel, is_no_signaling
 from .possibilistic import compatible_globals, support_of
 from .rational import ONE, ZERO, over_lcm, rat, rat_str
 from .scenario import (
     MAX_TABLEAU_CELLS,
     _require_cells,
+    global_size,
     incidence_matrix,
     restriction_table,
-    section_size,
+    slot_count,
     slot_offsets,
 )
 
@@ -93,10 +97,12 @@ def simplex_solve(incidence, rhs):
     of the rows. Raises ResourceLimitError, before building the tableau,
     past MAX_TABLEAU_CELLS entries.
 
-    A tableau of fewer than ARRAY_CELLS cells is a list of Python int
-    lists (_run); a larger one is one numpy array (_run_array), int64
-    while its entries provably fit and Python ints after. Both take the
-    same Bland pivots, so they return the same values and pivot counts."""
+    The tableau is one numpy array, int64 when the scaled rhs is below
+    _INT64_LIMIT and Python ints otherwise. Under ARRAY_CELLS cells it
+    pivots as a list of Python int lists (_run); from there on as the
+    array (_run_array), int64 while its entries provably fit and Python
+    ints after. Both take the same Bland pivots, so they return the same
+    values and pivot counts."""
     m, n = incidence.shape
     width = n + m
     cells = (m + 1) * (width + 1)
@@ -108,24 +114,17 @@ def simplex_solve(incidence, rhs):
                 f"right-hand side {rat_str(rat(b, scale))} of row {i} is negative"
             )
     basis = list(range(n, width))
+    tableau = np.zeros((m + 1, width + 1), np.int64 if max(rhs) < _INT64_LIMIT else object)
+    tableau[:m, :n] = incidence
+    tableau[:m, n:width] = np.eye(m, dtype=np.uint8)
+    tableau[:m, -1] = rhs
+    tableau[m, :n] = -1
     if cells < ARRAY_CELLS:
-        tableau = []
-        for i, (row, b) in enumerate(zip(incidence.tolist(), rhs)):
-            row += [0] * (m + 1)
-            row[n + i] = 1
-            row[-1] = b
-            tableau.append(row)
-        tableau.append([-1] * n + [0] * (m + 1))
+        tableau = tableau.tolist()
         det, pivots = _run(tableau, basis, width)
-        obj, values = tableau[-1], [row[-1] for row in tableau[:m]]
     else:
-        tableau = np.zeros((m + 1, width + 1), np.int64 if max(rhs) < _INT64_LIMIT else object)
-        tableau[:m, :n] = incidence
-        tableau[:m, n:width] = np.eye(m, dtype=np.uint8)
-        tableau[:m, -1] = rhs
-        tableau[m, :n] = -1
         tableau, det, pivots = _run_array(tableau, basis, width)
-        obj, values = tableau[m].tolist(), tableau[:m, -1].tolist()
+    obj, values = list(map(int, tableau[m])), [int(row[-1]) for row in tableau[:m]]
     x = [ZERO] * n
     for bv, b in zip(basis, values):
         if bv < n:
@@ -276,43 +275,25 @@ def contextual_fraction(model):
 
     where the noncontextual part is the normalized optimal mixture of global
     assignments and the strongly contextual part is the normalized residual.
-    Either part is None when its coefficient is zero. The dual prices and
-    the decomposition are re-verified exactly before returning."""
+    Either part is None when its coefficient is zero. The LP runs over every
+    global assignment; its prices and weights are checked exactly before
+    returning, and both parts are read off the checked slot loads."""
     _require_no_signaling(model)
     sc = model.scenario
-    mat = incidence_matrix(sc)
-    v = stacked_weights(model)
-    ncf, dist, prices, pivots = simplex_solve(mat, v)
+    ncf, dist, prices, pivots, (den, loads) = _certified_lp(model, range(global_size(sc)))
     cf = ONE - ncf
-    _check_prices(model, prices, ncf)
-    used = [(gi, w) for gi, w in enumerate(dist) if w]
-    table = restriction_table(sc)
-    slots_of = {gi: table[:, gi].tolist() for gi, _ in used}
-    noncontextual = None
+    noncontextual = strongly_contextual = None
     if ncf > 0:
-        rows = []
-        for ci in range(sc.n_contexts):
-            row = [ZERO] * section_size(sc, ci)
-            for gi, w in used:
-                row[slots_of[gi][ci]] += w
-            rows.append(tuple(x / ncf for x in row))
-        noncontextual = EmpiricalModel(sc, tuple(rows))
-    strongly_contextual = None
+        p, q = ncf.as_integer_ratio()
+        noncontextual = _model_of(sc, [Fraction(x * q, den * p) for x in loads])
     if cf > 0:
-        rows = []
-        for ci in range(sc.n_contexts):
-            row = list(model.tables[ci])
-            for gi, w in used:
-                row[slots_of[gi][ci]] -= w
-            for si, x in enumerate(row):
-                if x < 0:
-                    raise VerificationError(
-                        "negative residual in decomposition",
-                        details={"context": ci, "section": si, "value": x},
-                    )
-            rows.append(tuple(x / cf for x in row))
-        strongly_contextual = EmpiricalModel(sc, tuple(rows))
-    _check_decomposition(model, ncf, noncontextual, cf, strongly_contextual)
+        # the weight check has shown x / den <= v / wden slot by slot
+        wden, rows = model._int_view
+        p, q = cf.as_integer_ratio()
+        residual = zip(chain.from_iterable(rows), loads)
+        strongly_contextual = _model_of(
+            sc, [Fraction((v * den - x * wden) * q, wden * den * p) for v, x in residual]
+        )
     return CfResult(
         ncf=ncf,
         cf=cf,
@@ -324,36 +305,51 @@ def contextual_fraction(model):
     )
 
 
+def _model_of(scenario, weights):
+    """The EmpiricalModel whose weights in slot order are weights."""
+    ends = slot_offsets(scenario) + (len(weights),)
+    return EmpiricalModel(scenario, tuple(tuple(weights[a:b]) for a, b in zip(ends, ends[1:])))
+
+
 def certified_fraction(model):
     """(ncf, cf, prices) of a no-signaling model, where prices is an optimal
     dual price per slot, without the decomposition.
 
     Only the globals compatible with the model's support (Abramsky and
     Brandenburger, New J. Phys. 13, 113036, 2011) can carry weight, so the
-    simplex runs over those columns and the slots they touch; with none,
-    ncf is 0 and no LP runs. The full price vector puts 1 on every
-    zero-weight slot, which costs nothing and covers every dropped global,
-    0 on every other slot the reduced LP did not see, and the reduced LP's
-    prices elsewhere. It is checked over every global assignment before
-    returning, so a wrong compatible set raises VerificationError, and the
-    reduced LP's weights are checked to attain ncf under the model."""
+    LP runs over those columns and the slots they touch; with none, ncf is
+    0 and no LP runs. Its prices and weights pass the same exact checks
+    as contextual_fraction's, over every global assignment, so a wrong
+    compatible set raises VerificationError."""
     _require_no_signaling(model)
-    kept = compatible_globals(support_of(model))
-    mat = incidence_matrix(model.scenario)
+    ncf, _, prices, _, _ = _certified_lp(model, compatible_globals(support_of(model)))
+    return ncf, ONE - ncf, prices
+
+
+def _certified_lp(model, kept):
+    """(ncf, weights, prices, pivots, loads) of the LP over the global
+    assignments in kept and the slots they touch, after both certificates
+    pass: weights[i] is global kept[i]'s, prices one per slot and loads
+    _check_weights's (den, per-slot numerators).
+
+    The full price vector puts 1 on every zero-weight slot, which costs
+    nothing and covers every global that touches one, 0 on every other
+    slot the LP did not see, and the LP's prices elsewhere. With every
+    global in kept every slot is touched, so the LP, its pivots and its
+    prices are the full one's."""
     prices = [ZERO if x else ONE for x in chain.from_iterable(model._int_view[1])]
-    ncf, weights = ZERO, ()
+    ncf, weights, pivots = ZERO, (), 0
     if kept:
         v = stacked_weights(model)
-        sub = mat[:, kept]
+        sub = incidence_matrix(model.scenario)[:, kept]
         rows = np.flatnonzero(sub.any(axis=1)).tolist()
-        ncf, weights, reduced, _ = simplex_solve(sub[rows], [v[r] for r in rows])
+        ncf, weights, reduced, pivots = simplex_solve(sub[rows], [v[r] for r in rows])
         for r, y in zip(rows, reduced):
             prices[r] = y
-    cf = ONE - ncf
     prices = tuple(prices)
     _check_prices(model, prices, ncf)
-    _check_weights(model, kept, weights, ncf)
-    return ncf, cf, prices
+    loads = _check_weights(model, kept, weights, ncf)
+    return ncf, weights, prices, pivots, loads
 
 
 def _check_prices(model, prices, ncf):
@@ -403,10 +399,12 @@ def _check_weights(model, kept, weights, ncf):
     the model, so the fraction is at least ncf; the prices bound it above.
 
     The weights are integer numerators over the lcm den of their
-    denominators. Global g puts its weight on section restriction_table[c, g]
-    of every context c, so the loads are summed over the weighted globals'
-    columns alone, and each loaded slot is compared with the model's integer
-    view, every row over its one denominator, in slot order."""
+    denominators. Global g puts its weight on slot slot_offsets[c] +
+    restriction_table[c, g] of every context c, so the loads are summed
+    over the weighted globals' columns alone, and each loaded slot is
+    compared with the model's integer view, every row over its one
+    denominator, in slot order. Returns (den, loads), every slot's load
+    over den."""
     den, scaled = over_lcm(weights)
     neg = next((i for i, w in enumerate(scaled) if w < 0), None)
     if neg is not None:
@@ -421,34 +419,22 @@ def _check_weights(model, kept, weights, ncf):
             details={"total": total, "ncf": ncf},
         )
     sc = model.scenario
+    offsets = np.array(slot_offsets(sc))
     table = restriction_table(sc)
-    load = {}
+    loads = [0] * slot_count(sc)
+    loaded = set()
     for g, w in zip(kept, scaled):
         if w:
-            for slot in enumerate(table[:, g].tolist()):
-                load[slot] = load.get(slot, 0) + w
+            slots = (offsets + table[:, g]).tolist()
+            loaded.update(slots)
+            for s in slots:
+                loads[s] += w
     wden, rows = model._int_view
-    for ci, si in sorted(load):
-        x, v = load[ci, si], rows[ci][si]
-        if x * wden > v * den:
+    v = list(chain.from_iterable(rows))
+    for s in sorted(loaded):
+        if loads[s] * wden > v[s] * den:
             raise VerificationError(
                 "a slot carries more weight than the model",
-                details={"slot": slot_offsets(sc)[ci] + si, "load": rat(x, den),
-                         "weight": rat(v, wden)},
+                details={"slot": s, "load": rat(loads[s], den), "weight": rat(v[s], wden)},
             )
-
-
-def _check_decomposition(model, ncf, nc_part, cf, sc_part):
-    """ncf * nc_part + cf * sc_part recomposes the model slot by slot; a
-    part is None when its coefficient is zero. Each context's row is
-    compared on integer numerators over one denominator per side."""
-    parts = [(ncf, nc_part), (cf, sc_part)]
-    den, rows = model._int_view
-    for ci, target in enumerate(rows):
-        total, acc = _mixed_row(model.scenario, parts, ci)
-        for si, (x, w) in enumerate(zip(acc, target)):
-            if x * den != w * total:
-                raise VerificationError(
-                    "decomposition does not recompose the model",
-                    details={"context": ci, "section": si},
-                )
+    return den, loads

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import amcc.lp
 from amcc.cli import main
 from amcc.csp import apply_plan, reference_plan, reconstruct_tables
 from amcc.model import (
@@ -16,7 +17,7 @@ from amcc.model import (
     uniform_model,
 )
 from amcc.possibilistic import SupportModel, support_to_json
-from amcc.rational import rat
+from amcc.rational import ONE, ZERO, rat
 from amcc.scenario import bell_scenario
 
 
@@ -84,6 +85,26 @@ def test_cf_on_a_noisy_pr_box(run, tmp_path):
     assert code == 0
     assert "CF = 1/2 (0.500000)" in out
     assert "verdict: contextual" in out
+
+
+@pytest.mark.parametrize("cmd", ["cf", "classify"])
+def test_a_fraction_its_weights_do_not_attain_exits_4(run, tmp_path, monkeypatch, cmd):
+    # 3/4 PR + 1/4 uniform has ncf 1/2; this solver claims 1, priced 1 on
+    # context 0's slots, which passes the price check but not the weights
+    solve = amcc.lp.simplex_solve
+
+    def lying_solve(incidence, rhs):
+        _, x, prices, pivots = solve(incidence, rhs)
+        return ONE, x, (ONE,) * 4 + (ZERO,) * (len(prices) - 4), pivots
+
+    monkeypatch.setattr(amcc.lp, "simplex_solve", lying_solve)
+    sc = bell_scenario(2, 2, 2)
+    noisy = mix_models([(rat(3, 4), pr_box(0)), (rat(1, 4), uniform_model(sc))])
+    code, out, err = run(cmd, _write_json(tmp_path / "noisy.json", model_to_json(noisy)))
+    assert (code, out) == (4, "")
+    head, details = err.split("\n", 1)
+    assert head == "verification failure: weights differ from the noncontextual fraction"
+    assert json.loads(details) == {"total": "1/2", "ncf": "1"}
 
 
 def test_cf_exit_codes_on_bad_input(run, tmp_path):
