@@ -20,15 +20,17 @@ zero slots), so an anti-cycling rule is not optional. The tableau holds
 integers, v scaled by the lcm of its denominators; each pivot divides
 exactly by the previous one (Edmonds' integer-preserving pivoting) and
 the ratio test cross-multiplies, so the pivots are a Fraction tableau's.
-The tableau is built once, as one numpy array: int64 when the scaled v
-is below _INT64_LIMIT, Python ints (dtype object) otherwise. A small one
-pivots as its tolist(), a list of Python int lists updated entry by
-entry. One of ARRAY_CELLS cells or more stays the array, updated a block
-of rows at a time: int64 while a running bound on its entries shows that
-no pivot's products can pass _INT64_LIMIT, Python ints from the first
-pivot where the true largest entry no longer shows it. Both kernels
-share one ratio test, so they take the same pivots. The optimal prices
-are read off the final objective row.
+A tableau under ARRAY_CELLS cells is built straight as a list of Python
+int lists, copies of cached immutable [incidence | identity] rows with the
+scaled v appended, and updated entry by entry. One of ARRAY_CELLS cells
+or more is one numpy array, updated a block of rows at a time: int64
+while a running bound on its entries shows that no pivot's products can
+pass _INT64_LIMIT, Python ints from the first pivot where the true
+largest entry no longer shows it (or from the start, when the scaled v
+passes it). Both kernels share one ratio test, so they take the same
+pivots, and both touch only the changed rows and columns when a pivot
+equals the previous one. The optimal prices are read off the final
+objective row; only the nonzero x and prices become new Fractions.
 
 The price check runs on integers: the prices over the lcm of their
 denominators, the weights from the model's integer view (every row's
@@ -42,23 +44,26 @@ a set of global assignments and the slots they touch, then two exact
 certificates over every global assignment. The prices bound ncf above;
 the weights, checked on integers, total ncf and load no slot past the
 model's weight, so ncf is also attained. `contextual_fraction` passes
-every global, so its LP is the full one, and reads its decomposition
-straight off the checked slot loads. `certified_fraction`, the cheap
-route to the value alone, passes only the support's compatible globals:
-a global that restricts to a zero-weight slot is forced to weight 0.
+every global, so its LP is the full one over the scenario's incidence
+matrix itself, and builds its decomposition from the checked integer slot
+loads, each part validated once on integers. `certified_fraction`, the
+cheap route to the value alone, passes only the support's compatible
+globals: a global that restricts to a zero-weight slot is forced to
+weight 0.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from functools import lru_cache
+from itertools import chain, compress, islice
 from operator import mul
 
 import numpy as np
 
 from .errors import PreconditionError, VerificationError
-from .model import EmpiricalModel, is_no_signaling
+from .model import _model_from_ints, is_no_signaling
 from .possibilistic import compatible_globals, support_of
-from .rational import ONE, ZERO, over_lcm, rat, rat_str
+from .rational import ONE, ZERO, fractions_over, over_lcm, rat, rat_str
 from .scenario import (
     MAX_TABLEAU_CELLS,
     _require_cells,
@@ -94,42 +99,58 @@ def simplex_solve(incidence, rhs):
     nonzero; rhs is a nonnegative rational per row. Columns are laid out
     as the structural variables, then one slack per row. Returns
     (value, x, prices, pivots), where prices are the optimal dual values
-    of the rows. Raises ResourceLimitError, before building the tableau,
-    past MAX_TABLEAU_CELLS entries.
+    of the rows; an empty program returns (0, (), (), 0). Raises
+    ResourceLimitError, before building the tableau, past
+    MAX_TABLEAU_CELLS entries.
 
-    The tableau is one numpy array, int64 when the scaled rhs is below
-    _INT64_LIMIT and Python ints otherwise. Under ARRAY_CELLS cells it
-    pivots as a list of Python int lists (_run); from there on as the
-    array (_run_array), int64 while its entries provably fit and Python
-    ints after. Both take the same Bland pivots, so they return the same
-    values and pivot counts."""
+    Under ARRAY_CELLS cells the tableau is built straight as a list of
+    Python int lists, each a copy of the cached immutable row of incidence
+    and slack (_slack_rows) with the scaled rhs appended, and pivoted entry
+    by entry (_run). From there on it is one numpy array (_run_array),
+    int64 when the scaled rhs is below _INT64_LIMIT and while its entries
+    provably fit, Python ints after. Both take the same Bland pivots, so
+    they return the same values and pivot counts. Only the nonzero x and
+    prices become new Fractions, one per distinct value."""
     m, n = incidence.shape
     width = n + m
     cells = (m + 1) * (width + 1)
     _require_cells("simplex tableau", m + 1, width + 1, MAX_TABLEAU_CELLS)
     scale, rhs = over_lcm([b if type(b) is Fraction else rat(b) for b in rhs])
-    for i, b in enumerate(rhs):
-        if b < 0:
-            raise PreconditionError(
-                f"right-hand side {rat_str(rat(b, scale))} of row {i} is negative"
-            )
+    if min(rhs, default=0) < 0:
+        i, b = next((i, b) for i, b in enumerate(rhs) if b < 0)
+        raise PreconditionError(f"right-hand side {rat_str(rat(b, scale))} of row {i} is negative")
     basis = list(range(n, width))
-    tableau = np.zeros((m + 1, width + 1), np.int64 if max(rhs) < _INT64_LIMIT else object)
-    tableau[:m, :n] = incidence
-    tableau[:m, n:width] = np.eye(m, dtype=np.uint8)
-    tableau[:m, -1] = rhs
-    tableau[m, :n] = -1
     if cells < ARRAY_CELLS:
-        tableau = tableau.tolist()
+        rows = _slack_rows((m, n), np.ascontiguousarray(incidence, np.uint8).tobytes())
+        tableau = [[*row, b] for row, b in zip(rows, rhs)]
+        tableau.append([-1] * n + [0] * (m + 1))
         det, pivots = _run(tableau, basis, width)
+        values, obj = [row[-1] for row in tableau[:m]], tableau[m]
     else:
+        dtype = np.int64 if max(rhs, default=0) < _INT64_LIMIT else object
+        tableau = np.zeros((m + 1, width + 1), dtype)
+        tableau[:m, :n] = incidence
+        tableau[:m, n:width] = np.eye(m, dtype=np.uint8)
+        tableau[:m, -1] = rhs
+        tableau[m, :n] = -1
         tableau, det, pivots = _run_array(tableau, basis, width)
-    obj, values = list(map(int, tableau[m])), [int(row[-1]) for row in tableau[:m]]
-    x = [ZERO] * n
+        values, obj = tableau[:m, -1].tolist(), tableau[m].tolist()
+    x = [0] * n
     for bv, b in zip(basis, values):
         if bv < n:
-            x[bv] = rat(b, det * scale)
-    return rat(obj[-1], det * scale), tuple(x), tuple(rat(y, det) for y in obj[n:width]), pivots
+            x[bv] = b
+    value = rat(obj[-1], det * scale)
+    return value, fractions_over(x, det * scale), fractions_over(obj[n:width], det), pivots
+
+
+@lru_cache(maxsize=16)
+def _slack_rows(shape, data):
+    """The rows [incidence | identity] of a list tableau, without the rhs,
+    as a tuple of int tuples, for the 0/1 incidence of this shape whose
+    uint8 bytes are data. Cached, and immutable: each solve copies the
+    rows it pivots."""
+    incidence = np.frombuffer(data, np.uint8).reshape(shape)
+    return tuple(map(tuple, np.hstack((incidence, np.eye(shape[0], dtype=np.uint8))).tolist()))
 
 
 def _leaving_row(rows, heads, rhs, basis):
@@ -150,41 +171,55 @@ def _run(tableau, basis, width):
     """Pivot to optimality with Bland's rule on an integer tableau whose
     last row is the objective. Stored entries are the true ones times det,
     the previous pivot (Edmonds; Bareiss, Math. Comp. 22, 1968); det > 0
-    keeps every sign. Returns (det, pivot count)."""
+    keeps every sign. The entering column is read once per pivot, for the
+    ratio test and the update. Returns (det, pivot count)."""
     obj = tableau[-1]
+    m = len(tableau) - 1
     det = 1
     pivots = 0
     while True:
-        enter = next((j for j in range(width) if obj[j] < 0), None)
-        if enter is None:
+        # the last entry, the objective value times det, is never negative
+        for enter, c in enumerate(obj):
+            if c < 0:
+                break
+        else:
             return det, pivots
-        rows = [i for i, row in enumerate(tableau[:-1]) if row[enter] > 0]
-        leave = _leaving_row(
-            rows, [tableau[i][enter] for i in rows], [tableau[i][-1] for i in rows], basis
-        )
+        col = [row[enter] for row in tableau]
+        rows = [i for i in compress(range(m), col) if col[i] > 0]
+        leave = _leaving_row(rows, [col[i] for i in rows], [tableau[i][-1] for i in rows], basis)
         if leave is None:
             raise VerificationError("fraction LP is unbounded", details={"column": enter})
-        det = _pivot(tableau, tableau[leave], enter, det)
+        det = _pivot(tableau, leave, col, det)
         basis[leave] = enter
         pivots += 1
 
 
-def _pivot(tableau, prow, e, det):
-    """row <- (p * row - f * prow) // det for every row but prow, where
-    p = prow[e] and f = row[e]; returns p, the next det."""
-    p = prow[e]
-    nonzero = [(j, v) for j, v in enumerate(prow) if v]
-    for row in tableau:
-        if row is prow:
-            continue
-        f = row[e]
-        if p == det:
-            # det divides f * v because it divides p * row[j] - f * v
-            if f:
-                for j, v in nonzero:
-                    row[j] -= f * v // det
-        else:
-            row[:] = [(p * x - f * v) // det for x, v in zip(row, prow)]
+def _pivot(tableau, leave, col, det):
+    """row <- (p * row - f * prow) // det for every row but prow =
+    tableau[leave], where col is the entering column, p = col[leave] and
+    f = col[row]; returns p, the next det, and leaves col[leave] zeroed.
+    When p == det only the rows with f != 0 and prow's nonzero columns
+    change (both found by C-level compress), and when det is 1 as well
+    there is nothing to divide."""
+    prow = tableau[leave]
+    p = col[leave]
+    col[leave] = 0
+    if p != det:
+        for row, f in zip(tableau, col):
+            if row is not prow:
+                row[:] = [(p * x - f * v) // det for x, v in zip(row, prow)]
+        return p
+    nonzero = [(j, prow[j]) for j in compress(range(len(prow)), prow)]
+    rows = zip(compress(tableau, col), compress(col, col))
+    if det == 1:
+        for row, f in rows:
+            for j, v in nonzero:
+                row[j] -= f * v
+    else:
+        # det divides f * v because it divides p * row[j] - f * v
+        for row, f in rows:
+            for j, v in nonzero:
+                row[j] -= f * v // det
     return p
 
 
@@ -193,24 +228,25 @@ def _run_array(tableau, basis, width):
     least every entry's magnitude, so no intermediate p * x - f * v of an
     int64 pivot exceeds p * bound + max|f| * max|prow|; when that passes
     _INT64_LIMIT the true largest entry is read, and only if it still
-    passes does the array become Python ints, in the same loop. Returns
-    (tableau, det, pivot count)."""
+    passes does the array become Python ints, in the same loop. When
+    p == det only the rows with f != 0 and prow's nonzero columns change,
+    and they are updated through one flat index. Returns (tableau, det,
+    pivot count)."""
     m = len(basis)
     det = 1
     pivots = 0
     bound = int(np.abs(tableau).max())
     while True:
-        neg = tableau[m, :width] < 0
-        enter = int(neg.argmax())
-        if not neg[enter]:
+        negative = (tableau[m, :width] < 0).nonzero()[0]
+        if not negative.size:
             return tableau, det, pivots
-        col = tableau[:m, enter]
-        rows = np.flatnonzero(col > 0)
-        leave = _leaving_row(rows.tolist(), col[rows].tolist(), tableau[rows, -1].tolist(), basis)
+        enter = int(negative[0])
+        f = tableau[:, enter].copy()
+        rows = (f[:m] > 0).nonzero()[0]
+        leave = _leaving_row(rows.tolist(), f[rows].tolist(), tableau[rows, -1].tolist(), basis)
         if leave is None:
             raise VerificationError("fraction LP is unbounded", details={"column": enter})
         prow = tableau[leave].copy()
-        f = tableau[:, enter].copy()
         f[leave] = 0
         p = int(prow[enter])
         if tableau.dtype != object:
@@ -221,13 +257,14 @@ def _run_array(tableau, basis, width):
                     tableau, prow, f = (a.astype(object) for a in (tableau, prow, f))
             bound = max(bound, (p * bound + span) // det)
         if p == det:
-            # det divides f * v because it divides p * x - f * v; only the
-            # rows with f != 0 and the pivot row's nonzero columns change
-            rows, cols = np.flatnonzero(f), np.flatnonzero(prow)
+            # det divides f * v because it divides p * x - f * v
+            rows, cols = f.nonzero()[0], prow.nonzero()[0]
             update = np.multiply.outer(f[rows], prow[cols])
             if det != 1:
                 update //= det
-            tableau[np.ix_(rows, cols)] -= update
+            flat = tableau.reshape(-1)  # a view: the tableau is C-contiguous
+            index = (rows[:, None] * tableau.shape[1] + cols).reshape(-1)
+            flat[index] -= update.reshape(-1)
         else:
             tableau *= p
             tableau -= np.multiply.outer(f, prow)
@@ -283,16 +320,16 @@ def contextual_fraction(model):
     ncf, dist, prices, pivots, (den, loads) = _certified_lp(model, range(global_size(sc)))
     cf = ONE - ncf
     noncontextual = strongly_contextual = None
+    # every context's loads total mass = ncf * den, the weights' numerators
+    mass = den * ncf.numerator // ncf.denominator
     if ncf > 0:
-        p, q = ncf.as_integer_ratio()
-        noncontextual = _model_of(sc, [Fraction(x * q, den * p) for x in loads])
+        noncontextual = _model_of(sc, mass, loads)
     if cf > 0:
         # the weight check has shown x / den <= v / wden slot by slot
         wden, rows = model._int_view
-        p, q = cf.as_integer_ratio()
         residual = zip(chain.from_iterable(rows), loads)
         strongly_contextual = _model_of(
-            sc, [Fraction((v * den - x * wden) * q, wden * den * p) for v, x in residual]
+            sc, wden * (den - mass), [v * den - x * wden for v, x in residual]
         )
     return CfResult(
         ncf=ncf,
@@ -305,10 +342,10 @@ def contextual_fraction(model):
     )
 
 
-def _model_of(scenario, weights):
-    """The EmpiricalModel whose weights in slot order are weights."""
-    ends = slot_offsets(scenario) + (len(weights),)
-    return EmpiricalModel(scenario, tuple(tuple(weights[a:b]) for a, b in zip(ends, ends[1:])))
+def _model_of(scenario, den, nums):
+    """The EmpiricalModel whose weights in slot order are nums over den."""
+    it = iter(nums)
+    return _model_from_ints(scenario, den, [list(islice(it, k)) for k in scenario.section_sizes])
 
 
 def certified_fraction(model):
@@ -337,19 +374,33 @@ def _certified_lp(model, kept):
     slot the LP did not see, and the LP's prices elsewhere. With every
     global in kept every slot is touched, so the LP, its pivots and its
     prices are the full one's."""
-    prices = [ZERO if x else ONE for x in chain.from_iterable(model._int_view[1])]
-    ncf, weights, pivots = ZERO, (), 0
-    if kept:
-        v = stacked_weights(model)
-        sub = incidence_matrix(model.scenario)[:, kept]
-        rows = np.flatnonzero(sub.any(axis=1)).tolist()
-        ncf, weights, reduced, pivots = simplex_solve(sub[rows], [v[r] for r in rows])
-        for r, y in zip(rows, reduced):
-            prices[r] = y
+    incidence = incidence_matrix(model.scenario)
+    if kept == range(incidence.shape[1]):
+        # every slot is some global's, so the LP is the full one
+        ncf, weights, prices, pivots = simplex_solve(incidence, stacked_weights(model))
+    else:
+        prices = [ZERO if x else ONE for x in chain.from_iterable(model._int_view[1])]
+        ncf, weights, pivots = ZERO, (), 0
+        if kept:
+            v = stacked_weights(model)
+            sub = incidence[:, kept]
+            rows = np.flatnonzero(sub.any(axis=1)).tolist()
+            ncf, weights, reduced, pivots = simplex_solve(sub[rows], [v[r] for r in rows])
+            for r, y in zip(rows, reduced):
+                prices[r] = y
     prices = tuple(prices)
     _check_prices(model, prices, ncf)
     loads = _check_weights(model, kept, weights, ncf)
     return ncf, weights, prices, pivots, loads
+
+
+@lru_cache(maxsize=64)
+def _global_slots(scenario):
+    """Read-only int32 array (n_contexts, n_globals) of the slot global g
+    occupies in context c: slot_offsets[c] + restriction_table[c, g]."""
+    slots = np.array(slot_offsets(scenario), np.int32)[:, None] + restriction_table(scenario)
+    slots.setflags(write=False)
+    return slots
 
 
 def _check_prices(model, prices, ncf):
@@ -372,13 +423,10 @@ def _check_prices(model, prices, ncf):
     if min(scaled) < 0:
         raise VerificationError("a slot price is negative")
     sc = model.scenario
-    table = restriction_table(sc)
     dtype = np.int64 if max(den, sc.n_contexts * max(scaled)) < 2**63 else object
-    slots = np.array(slot_offsets(sc))[:, None] + table
-    collected = np.array(scaled, dtype=dtype)[slots].sum(axis=0)
-    short = np.flatnonzero(collected < den)
-    if short.size:
-        g = int(short[0])
+    collected = np.array(scaled, dtype=dtype)[_global_slots(sc)].sum(axis=0)
+    if collected.min() < den:
+        g = int((collected < den).argmax())
         raise VerificationError(
             "a global assignment collects price below 1",
             details={"global": g, "price": rat(int(collected[g]), den)},
@@ -406,8 +454,8 @@ def _check_weights(model, kept, weights, ncf):
     denominator, in slot order. Returns (den, loads), every slot's load
     over den."""
     den, scaled = over_lcm(weights)
-    neg = next((i for i, w in enumerate(scaled) if w < 0), None)
-    if neg is not None:
+    if min(scaled, default=0) < 0:
+        neg = next(i for i, w in enumerate(scaled) if w < 0)
         raise VerificationError(
             "a global assignment has negative weight",
             details={"global": kept[neg], "weight": weights[neg]},
@@ -419,16 +467,15 @@ def _check_weights(model, kept, weights, ncf):
             details={"total": total, "ncf": ncf},
         )
     sc = model.scenario
-    offsets = np.array(slot_offsets(sc))
-    table = restriction_table(sc)
+    weighted = list(compress(range(len(scaled)), scaled))
+    slots = _global_slots(sc)[:, [kept[i] for i in weighted]].T.tolist()
     loads = [0] * slot_count(sc)
     loaded = set()
-    for g, w in zip(kept, scaled):
-        if w:
-            slots = (offsets + table[:, g]).tolist()
-            loaded.update(slots)
-            for s in slots:
-                loads[s] += w
+    for i, row in zip(weighted, slots):
+        w = scaled[i]
+        loaded.update(row)
+        for s in row:
+            loads[s] += w
     wden, rows = model._int_view
     v = list(chain.from_iterable(rows))
     for s in sorted(loaded):

@@ -8,22 +8,21 @@ weights are exact rationals; serialization uses "a/b" strings.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
-from math import lcm, prod
+from itertools import chain, combinations, islice, product
+from math import gcd, lcm, prod
 
 from .errors import PreconditionError
-from .rational import ONE, ZERO, over_lcm, rat, rat_parser, rat_str
+from .rational import ZERO, fractions_over, over_lcm, rat, rat_parser, rat_str
 from .scenario import (
     MeasurementScenario,
     bell_scenario,
     generating_overlaps,
-    global_outcomes,
+    global_size,
     overlaps,
     projection,
-    restrict,
+    restriction_table,
     scenario_from_json,
     scenario_to_json,
-    section_index,
     section_outcomes,
     section_size,
     unpack,
@@ -59,31 +58,74 @@ class EmpiricalModel:
     tables: tuple  # one tuple of weights per context, canonical section order
 
     def __post_init__(self):
+        """Convert every weight to a Fraction and check the rows; keep the
+        integer view (den, rows): every row's numerators over den, the lcm
+        of all the weights' denominators. Not a field, so ==, hash and
+        repr ignore it. The checks run on all the rows at once; when one
+        fails, _refuse_rows finds the first bad row, as a row-by-row check
+        would."""
         sc = self.scenario
-        if len(self.tables) != sc.n_contexts:
-            raise ValueError("need one distribution per context")
-        rows = []
-        int_rows = []
-        for ci, row in enumerate(self.tables):
-            want = section_size(sc, ci)
-            if len(row) != want:
-                raise ValueError(
-                    f"context {sc.cover[ci]} needs {want} weights, got {len(row)}"
-                )
-            row = tuple(x if type(x) is Fraction else rat(x) for x in row)
-            den, nums = over_lcm(row)
-            if min(nums) < 0:
-                raise ValueError(f"negative weight in context {sc.cover[ci]}")
-            if sum(nums) != den:
-                raise ValueError(f"context {sc.cover[ci]} weights must sum to 1")
-            rows.append(row)
-            int_rows.append((den, nums))
-        object.__setattr__(self, "tables", tuple(rows))
-        # the integer view: (den, rows), every row's numerators over den, the
-        # lcm of the row denominators. Not a field, so ==, hash and repr ignore it.
-        den = lcm(*{d for d, _ in int_rows})
-        view = tuple(nums if d == den else [x * (den // d) for x in nums] for d, nums in int_rows)
+        try:
+            rows = tuple(
+                tuple(x if type(x) is Fraction else rat(x) for x in row) for row in self.tables
+            )
+            sizes_ok = list(map(len, rows)) == list(sc.section_sizes)
+        except (TypeError, ValueError):
+            sizes_ok = False
+        if not sizes_ok:
+            _refuse_rows(sc, self.tables)
+        pairs = [x.as_integer_ratio() for row in rows for x in row]
+        den = lcm(*{d for _, d in pairs})
+        nums = iter([n * (den // d) for n, d in pairs])
+        view = tuple(list(islice(nums, k)) for k in sc.section_sizes)
+        if min(map(min, view), default=0) < 0 or not set(map(sum, view)) <= {den}:
+            _refuse_rows(sc, self.tables)
+        object.__setattr__(self, "tables", rows)
         object.__setattr__(self, "_int_view", (den, view))
+
+
+def _refuse_rows(scenario, tables):
+    """Raise EmpiricalModel's refusal of the first bad row of tables,
+    checked row by row: its length, its weights as rationals, no negative
+    weight, a sum of 1."""
+    if len(tables) != scenario.n_contexts:
+        raise ValueError("need one distribution per context")
+    for ctx, want, row in zip(scenario.cover, scenario.section_sizes, tables):
+        if len(row) != want:
+            raise ValueError(f"context {ctx} needs {want} weights, got {len(row)}")
+        den, nums = over_lcm([x if type(x) is Fraction else rat(x) for x in row])
+        if min(nums) < 0:
+            raise ValueError(f"negative weight in context {ctx}")
+        if sum(nums) != den:
+            raise ValueError(f"context {ctx} weights must sum to 1")
+    raise AssertionError("no row of the tables is refused")
+
+
+def _model_from_ints(scenario, den, rows):
+    """The EmpiricalModel whose weight at (context c, section s) is
+    rows[c][s] / den, checked once on the integers: EmpiricalModel's
+    checks, in its order and with its messages. Its integer view is den
+    and rows over their common gcd, the lcm of the weights' denominators,
+    as EmpiricalModel derives it from the Fractions; each distinct nonzero
+    numerator becomes one Fraction. rows, a list of int lists, is the
+    model's own from here on."""
+    if (
+        len(rows) != scenario.n_contexts
+        or list(map(len, rows)) != list(scenario.section_sizes)
+        or min(map(min, rows), default=0) < 0
+        or not set(map(sum, rows)) <= {den}
+    ):
+        _refuse_rows(scenario, [[Fraction(x, den) for x in nums] for nums in rows])
+    g = gcd(den, *chain.from_iterable(rows))
+    if g > 1:
+        den //= g
+        rows = [[x // g for x in nums] for nums in rows]
+    model = object.__new__(EmpiricalModel)
+    object.__setattr__(model, "scenario", scenario)
+    weights = iter(fractions_over(list(chain.from_iterable(rows)), den))
+    object.__setattr__(model, "tables", tuple(tuple(islice(weights, len(nums))) for nums in rows))
+    object.__setattr__(model, "_int_view", (den, tuple(rows)))
+    return model
 
 
 @dataclass(frozen=True)
@@ -227,23 +269,22 @@ def context_containing(scenario, measurements):
 # corpus
 
 
-def _parity_tables(scenario, parities):
-    """Uniform weight on each context's parity-respecting sections: context i
-    keeps the sections whose outcome bits XOR to parities[i]."""
+def _parity_view(scenario, parities):
+    """(den, rows), integer rows over one den, of uniform weight on each
+    context's parity-respecting sections: context i keeps the sections
+    whose outcome bits XOR to parities[i]. The outcomes are binary, so a
+    section index's binary digits are its outcome bits, and their XOR is
+    the parity of its popcount."""
     rows = []
-    for ci in range(scenario.n_contexts):
-        size = section_size(scenario, ci)
-        keep = [
-            si
-            for si in range(size)
-            if sum(section_outcomes(scenario, ci, si)) % 2 == parities[ci]
-        ]
-        w = Fraction(1, len(keep))
-        row = [ZERO] * size
-        for si in keep:
-            row[si] = w
-        rows.append(tuple(row))
-    return tuple(rows)
+    for size, parity in zip(scenario.section_sizes, parities):
+        rows.append([int(si.bit_count() & 1 == parity) for si in range(size)])
+    keeps = [sum(row) for row in rows]
+    den = lcm(*keeps)
+    return den, [row if k == den else [x * (den // k) for x in row] for k, row in zip(keeps, rows)]
+
+
+def _parity_model(scenario, parities):
+    return _model_from_ints(scenario, *_parity_view(scenario, parities))
 
 
 def pr_box(k):
@@ -258,7 +299,7 @@ def pr_box(k):
     for ctx in sc.cover:
         x, y = ctx[0], ctx[1] - 2
         parities.append((x * y) ^ (a * x) ^ (b * y) ^ c)
-    return EmpiricalModel(sc, _parity_tables(sc, parities))
+    return _parity_model(sc, parities)
 
 
 def ghz_322():
@@ -269,7 +310,7 @@ def ghz_322():
     are fixed to 0 for definiteness."""
     sc = bell_scenario(3, 2, 2)
     parities = [1 if sum(m % 2 for m in ctx) == 2 else 0 for ctx in sc.cover]
-    return EmpiricalModel(sc, _parity_tables(sc, parities))
+    return _parity_model(sc, parities)
 
 
 def parity_amcc_422():
@@ -282,7 +323,7 @@ def parity_amcc_422():
     for ctx in sc.cover:
         settings = tuple(m % 2 for m in ctx)
         parities.append(1 if settings in odd else 0)
-    return EmpiricalModel(sc, _parity_tables(sc, parities))
+    return _parity_model(sc, parities)
 
 
 def uniform_model(scenario):
@@ -295,14 +336,22 @@ def uniform_model(scenario):
 
 def deterministic_model(scenario, gi):
     """Point mass induced by one global assignment."""
-    g = global_outcomes(scenario, gi)
+    return _model_from_ints(scenario, *_deterministic_view(scenario, gi))
+
+
+def _deterministic_view(scenario, gi):
+    """(1, rows) of the point mass at global gi: context c's row is 1 at
+    section restriction_table[c, gi], 0 elsewhere. Raises ValueError when
+    gi is not a global section, and ResourceLimitError where
+    restriction_table does."""
+    if not 0 <= gi < global_size(scenario):
+        raise ValueError(f"global section {gi} out of range")
     rows = []
-    for ci, ctx in enumerate(scenario.cover):
-        size = section_size(scenario, ci)
-        row = [ZERO] * size
-        row[section_index(scenario, ci, restrict(scenario, g, ctx))] = ONE
-        rows.append(tuple(row))
-    return EmpiricalModel(scenario, tuple(rows))
+    for size, si in zip(scenario.section_sizes, restriction_table(scenario)[:, gi].tolist()):
+        row = [0] * size
+        row[si] = 1
+        rows.append(row)
+    return 1, rows
 
 
 def mix_models(pairs):
@@ -319,31 +368,24 @@ def mix_models(pairs):
         raise PreconditionError("mixture terms live on different scenarios")
     if any(w < 0 for w, _ in pairs) or sum(w for w, _ in pairs) != 1:
         raise PreconditionError("weights must be nonnegative and sum to 1")
-    tables = []
-    for ci in range(sc.n_contexts):
-        total, acc = _mixed_row(sc, pairs, ci)
-        tables.append(tuple(Fraction(x, total) for x in acc))
-    return EmpiricalModel(sc, tuple(tables))
+    return _model_from_ints(sc, *_mixed_view([(w, m._int_view) for w, m in pairs]))
 
 
-def _mixed_row(scenario, pairs, ci):
-    """(den, numerators) of context ci's row of the sum of w * m over the
-    (w, m) in pairs, with den the lcm of the terms' denominators. A term
-    with w == 0 is skipped, so its m may be None."""
+def _mixed_view(terms):
+    """(den, rows) of the sum of w * view over the (w, view) in terms, w
+    a Fraction and view an integer view (den, rows); den is the lcm of the
+    terms' w.denominator * den. A term with w == 0 is skipped."""
     # term t is w.numerator * nums[si] / (w.denominator * den), summed
     # over the lcm of those denominators
-    terms = []
-    for w, m in pairs:
-        if w:
-            den, nums = m._int_view
-            terms.append((w.numerator, w.denominator * den, nums[ci]))
+    terms = [(w.numerator, w.denominator * den, rows) for w, (den, rows) in terms if w]
     total = lcm(*(d for _, d, _ in terms))
-    acc = [0] * section_size(scenario, ci)
-    for a, d, nums in terms:
+    acc = [[0] * len(nums) for nums in terms[0][2]]
+    for a, d, rows in terms:
         f = a * (total // d)
-        for si, x in enumerate(nums):
-            if x:
-                acc[si] += f * x
+        for out, nums in zip(acc, rows):
+            for si, x in enumerate(nums):
+                if x:
+                    out[si] += f * x
     return total, acc
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import PreconditionError, ResourceLimitError, VerificationError
 from .kernels import scan_satisfiable
-from .model import EmpiricalModel, _parity_tables
+from .model import _parity_model
 from .scenario import global_size
 
 __all__ = [
@@ -200,4 +200,4 @@ def parity_scan(scenario, threads=1, examples=8):
 def build_symmetric_model(system):
     """Uniform weights on each context's target-parity sections. For
     unsatisfiable systems this is a strongly contextual no-signaling model."""
-    return EmpiricalModel(system.scenario, _parity_tables(system.scenario, system.parities))
+    return _parity_model(system.scenario, system.parities)

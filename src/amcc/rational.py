@@ -4,13 +4,23 @@ Every probabilistic quantity in this package is a fractions.Fraction;
 floats only ever appear in display strings. Values are built with rat(),
 which refuses floats, and serialized as "a/b" strings. over_lcm() turns a
 vector of them into integer numerators over one denominator, the form the
-exact checks and eliminations compute on.
+exact checks and eliminations compute on; fractions_over() turns such
+numerators back into Fractions.
 """
 
 from fractions import Fraction
 from math import lcm
 
-__all__ = ["BACKEND", "rat", "rat_parser", "rat_str", "rat_from_str", "as_float", "over_lcm"]
+__all__ = [
+    "BACKEND",
+    "rat",
+    "rat_parser",
+    "rat_str",
+    "rat_from_str",
+    "as_float",
+    "over_lcm",
+    "fractions_over",
+]
 
 BACKEND = "fraction"  # the one rational type; perfbench records it
 
@@ -84,3 +94,11 @@ def over_lcm(values):
     pairs = [x.as_integer_ratio() for x in values]
     den = lcm(*{d for _, d in pairs})
     return den, [n * (den // d) for n, d in pairs]
+
+
+def fractions_over(nums, den):
+    """The Fractions nums[i] / den as a tuple: ZERO for every 0, and one
+    Fraction per distinct nonzero numerator, shared by its entries."""
+    made = {x: Fraction(x, den) for x in set(nums) if x}
+    made[0] = ZERO
+    return tuple(map(made.__getitem__, nums))

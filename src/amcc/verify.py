@@ -11,7 +11,8 @@ two-party correlator bounds.
 
 import random
 from dataclasses import dataclass
-from math import lcm
+from fractions import Fraction
+from itertools import compress
 from time import perf_counter
 
 import numpy as np
@@ -22,12 +23,14 @@ from .errors import PreconditionError, VerificationError
 from .kernels import scan_satisfiable
 from .lp import contextual_fraction
 from .model import (
+    _deterministic_view,
+    _mixed_view,
+    _model_from_ints,
+    _parity_view,
     corpus,
     corpus_names,
-    deterministic_model,
     ghz_322,
     is_maximal_marginals,
-    mix_models,
     pr_box,
 )
 from .parity import (
@@ -40,7 +43,7 @@ from .parity import (
     parity_system_from_vector,
 )
 from .possibilistic import strong_contextuality, support_of
-from .rational import ZERO, rat, rat_str
+from .rational import ZERO, fractions_over, rat, rat_str
 from .scenario import bell_scenario, global_size, incidence_matrix
 
 REFERENCE_VECTOR_422 = 0x1C00  # parity targets 1 exactly at contexts 10..12
@@ -57,23 +60,25 @@ def random_no_signaling_model(scenario, rng):
     which is strongly contextual exactly when its parity system is
     unsatisfiable. Otherwise it is a rational convex mixture of
     deterministic models, half the time blended with a symmetric parity
-    block. Every ingredient is no-signaling, so the mixture is too.
+    block. Every ingredient is no-signaling, so the mixture is too. The
+    ingredients are mixed as integer rows, and only the mixture is built
+    and checked as a model.
     """
 
-    def parity_term():
-        vec = rng.randrange(1 << scenario.n_contexts)
-        return build_symmetric_model(parity_system_from_vector(scenario, vec))
+    def parity_system():
+        return parity_system_from_vector(scenario, rng.randrange(1 << scenario.n_contexts))
 
     if rng.randrange(4) == 0:
-        return parity_term()
+        return build_symmetric_model(parity_system())
     terms = []
     if rng.randrange(2) == 0:
-        terms.append(parity_term())
+        terms.append(_parity_view(scenario, parity_system().parities))
     for _ in range(rng.randrange(1, 4)):
-        terms.append(deterministic_model(scenario, rng.randrange(global_size(scenario))))
-    weights = [rat(rng.randrange(1, 9)) for _ in terms]
-    total = sum(weights, ZERO)
-    return mix_models([(w / total, m) for w, m in zip(weights, terms)])
+        terms.append(_deterministic_view(scenario, rng.randrange(global_size(scenario))))
+    weights = [rng.randrange(1, 9) for _ in terms]
+    total = sum(weights)
+    mixed = _mixed_view([(Fraction(w, total), view) for w, view in zip(weights, terms)])
+    return _model_from_ints(scenario, *mixed)
 
 
 def _random_models(scenario, count, seed):
@@ -98,15 +103,18 @@ def covering_ncf(model):
     main solver: one row per global assignment (prices, surplus and
     penalty columns, rhs 1), and the objective extended with a formal
     infinite penalty as two integer rows, penalty multiples and unit
-    costs scaled by the lcm of the weights' denominators. Each pivot
-    divides exactly by the previous one (Edmonds; Bareiss, Math. Comp.
-    22, 1968), so every stored entry is the true one times det > 0.
-    Returns (value, prices) after verifying feasibility exactly.
+    costs, the model's integer view (its weights over the lcm of their
+    denominators). Each pivot divides exactly by the previous one
+    (Edmonds; Bareiss, Math. Comp. 22, 1968), so every stored entry is
+    the true one times det > 0; when the pivot equals det only the rows
+    with a nonzero entering entry and the pivot row's nonzero columns
+    change, and when det is 1 there is nothing to divide. Returns (value,
+    prices) after verifying feasibility exactly.
     """
     sc = model.scenario
     cover = incidence_matrix(sc).T.tolist()  # the slots of each global
-    v = [w for row in model.tables for w in row]  # slot order
-    scale = lcm(*(w.denominator for w in v))
+    scale, rows = model._int_view
+    weights = [w for row in rows for w in row]  # slot order
     n_rows = len(cover)  # covering constraints, one per global assignment
     n_y = len(cover[0])  # price variables, one per slot
     width = n_y + 2 * n_rows  # prices, surplus, penalty columns
@@ -126,39 +134,49 @@ def covering_ncf(model):
     penalty = [-sum(col) for col in zip(*tableau)]
     for j in range(n_y + n_rows, width):
         penalty[j] += 1
-    weights = [w.numerator * (scale // w.denominator) for w in v]
     unit = weights + [0] * (2 * n_rows + 1)
+    everything = (*tableau, penalty, unit)
 
     det = 1
     while True:
-        enter = next((j for j in range(width) if (penalty[j], unit[j]) < (0, 0)), None)
-        if enter is None:
+        # the least column whose cost (penalty[j], unit[j]) is below (0, 0)
+        for enter in range(width):
+            a = penalty[enter]
+            if a < 0 or (a == 0 and unit[enter] < 0):
+                break
+        else:
             break
+        col = [row[enter] for row in everything]
         leave = None
-        for i, (row, bi) in enumerate(zip(tableau, basis)):
-            a = row[enter]
+        for i in compress(range(n_rows), col):
+            a = col[i]
             if a > 0:
                 # b / a against best_b / best_a, cross-multiplied as a > 0
-                d = -1 if leave is None else row[width] * best_a - best_b * a
-                if d < 0 or (d == 0 and bi < basis[leave]):
-                    leave, best_b, best_a = i, row[width], a
+                b = tableau[i][width]
+                d = -1 if leave is None else b * best_a - best_b * a
+                if d < 0 or (d == 0 and basis[i] < basis[leave]):
+                    leave, best_b, best_a = i, b, a
         if leave is None:
             raise VerificationError("covering program must be bounded")
         prow = tableau[leave]
-        p = prow[enter]
-        nonzero = [(j, x) for j, x in enumerate(prow) if x]
-        for row in (*tableau, penalty, unit):
-            if row is prow:
-                continue
-            # row <- (p * row - f * prow) // det; when p == det, det
-            # divides f * x because it divides p * row[j] - f * x
-            f = row[enter]
-            if p == det:
-                if f:
+        p = col[leave]
+        if p == det:
+            # row <- (p * row - f * prow) // det; det divides f * x because
+            # it divides p * row[j] - f * x
+            nonzero = [(j, prow[j]) for j in compress(range(width + 1), prow)]
+            for row, f in zip(compress(everything, col), compress(col, col)):
+                if row is prow:
+                    continue
+                if det == 1:
+                    for j, x in nonzero:
+                        row[j] -= f * x
+                else:
                     for j, x in nonzero:
                         row[j] -= f * x // det
-            else:
-                row[:] = [(p * y - f * x) // det for y, x in zip(row, prow)]
+        else:
+            for row, f in zip(everything, col):
+                if row is not prow:
+                    row[:] = [(p * y - f * x) // det for y, x in zip(row, prow)]
         det = p
         basis[leave] = enter
 
@@ -173,37 +191,31 @@ def covering_ncf(model):
     if any(y < 0 for y in prices):
         raise VerificationError("covering prices must be nonnegative")
     for g, slots in enumerate(cover):
-        if sum(y for y, s in zip(prices, slots) if s) < det:
+        if sum(compress(prices, slots)) < det:
             raise VerificationError(f"global assignment {g} is underpriced")
     value = rat(sum(w * y for w, y in zip(weights, prices)), scale * det)
-    return value, tuple(rat(y, det) for y in prices)
+    return value, fractions_over(prices, det)
 
 
 def chsh_cf(model):
     """Closed-form contextual fraction of a (2,2,2) no-signaling model:
     max(0, (S - 2) / 2) where S is the largest of the eight odd-sign
-    combinations of the four correlators."""
+    combinations of the four correlators. The correlators and S are summed
+    on the model's integer view, every weight's numerator over one
+    denominator, and only the result is a Fraction."""
     if model.scenario != bell_scenario(2, 2, 2):
         raise PreconditionError("closed form covers the (2,2,2) scenario only")
-    correlators = []
-    for ci in range(4):
-        e = ZERO
-        for si in range(4):
-            w = model.tables[ci][si]
-            e = e + w if bin(si).count("1") % 2 == 0 else e - w
-        correlators.append(e)
-    best = None
-    for signs in range(16):
-        if bin(signs).count("1") % 2 == 0:
-            continue  # odd numbers of minus signs give the nontrivial bounds
-        s = sum(
-            (-e if signs >> ci & 1 else e for ci, e in enumerate(correlators)),
-            ZERO,
-        )
-        if best is None or s > best:
-            best = s
-    cf = (best - 2) / 2
-    return cf if cf > 0 else ZERO
+    den, rows = model._int_view
+    # sections 00 and 11 have even parity, 01 and 10 odd
+    correlators = [a - b - c + d for a, b, c, d in rows]
+    best = max(
+        sum(-e if signs >> ci & 1 else e for ci, e in enumerate(correlators))
+        for signs in range(16)
+        # odd numbers of minus signs give the nontrivial bounds
+        if bin(signs).count("1") % 2
+    )
+    # cf = (best / den - 2) / 2
+    return Fraction(best - 2 * den, 2 * den) if best > 2 * den else ZERO
 
 
 # ---------------------------------------------------------------------------

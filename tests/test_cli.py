@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: output text, file handling, exit codes."""
 
 import json
+import re
 
 import pytest
 
@@ -429,3 +430,19 @@ def test_verify_paper_rejects_unknown_checks(run):
     code, _, err = run("verify-paper", "--only", "warp-drive")
     assert code == 3
     assert "unknown checks" in err
+
+
+def test_verify_paper_twice_in_one_process_gives_the_same_rows(run):
+    # nothing one run leaves behind (caches included) changes the next; the
+    # rows differ only in their timings: runtime_s, and the seconds the
+    # parity-scan-422 row reports in its text
+    rows = []
+    for _ in range(2):
+        code, out, _ = run("verify-paper", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        for check in doc["checks"]:
+            del check["runtime_s"]
+            check["actual"] = re.sub(r"\d+\.\d+s\b", "Ts", check["actual"])
+        rows.append(doc)
+    assert rows[0] == rows[1]

@@ -47,6 +47,15 @@ def test_simplex_box_maximum():
     assert pivots == 2
 
 
+@pytest.mark.parametrize("array_cells", [amcc.lp.ARRAY_CELLS, 0], ids=["lists", "array"])
+def test_simplex_of_an_empty_program(monkeypatch, array_cells):
+    # no rows and no columns: nothing to maximize; rows without columns
+    # keep one zero price per row
+    monkeypatch.setattr(amcc.lp, "ARRAY_CELLS", array_cells)
+    assert simplex_solve(np.zeros((0, 0), np.uint8), []) == (0, (), (), 0)
+    assert simplex_solve(np.zeros((2, 0), np.uint8), [1, rat(1, 2)]) == (0, (), (0, 0), 0)
+
+
 def test_simplex_fractional_vertex():
     # max x + y + z with x + y <= 1, y + z <= 1, x + z <= 1: the unique
     # optimum is x = y = z = 1/2, priced 1/2 per row

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from amcc.errors import PreconditionError
 from amcc.model import (
     EmpiricalModel,
+    _model_from_ints,
     context_containing,
     corpus,
     corpus_names,
@@ -32,11 +33,15 @@ from amcc.model import (
     uniform_marginals,
     uniform_model,
 )
+from amcc.parity import build_symmetric_model, parity_system_from_vector
 from amcc.rational import ONE, ZERO, over_lcm, rat
 from amcc.scenario import (
+    MeasurementScenario,
     bell_scenario,
     global_outcomes,
     global_size,
+    restrict,
+    section_index,
     section_outcomes,
     section_size,
     unpack,
@@ -546,3 +551,187 @@ def test_model_json_names_the_first_bad_literal():
     with pytest.raises(TypeError) as first:
         rat(["1/2"])
     assert str(exc.value) == str(first.value)
+
+
+# ---------------------------------------------------------------------------
+# the integer constructors against the Fraction forms they replaced: every
+# model below is built both ways and must come out equal, integer view too
+
+
+def _reference_validation(scenario, tables):
+    """EmpiricalModel's checks as written before its rows were checked all
+    at once: row by row, each converted to Fractions, then over its own
+    lcm. Returns the converted rows."""
+    if len(tables) != scenario.n_contexts:
+        raise ValueError("need one distribution per context")
+    rows = []
+    for ci, row in enumerate(tables):
+        want = section_size(scenario, ci)
+        if len(row) != want:
+            raise ValueError(f"context {scenario.cover[ci]} needs {want} weights, got {len(row)}")
+        row = tuple(x if type(x) is Fraction else rat(x) for x in row)
+        den, nums = over_lcm(row)
+        if min(nums) < 0:
+            raise ValueError(f"negative weight in context {scenario.cover[ci]}")
+        if sum(nums) != den:
+            raise ValueError(f"context {scenario.cover[ci]} weights must sum to 1")
+        rows.append(row)
+    return tuple(rows)
+
+
+def _reference_deterministic(scenario, gi):
+    """The point mass at global gi, decoded section by section."""
+    g = global_outcomes(scenario, gi)
+    rows = []
+    for ci, ctx in enumerate(scenario.cover):
+        row = [ZERO] * section_size(scenario, ci)
+        row[section_index(scenario, ci, restrict(scenario, g, ctx))] = ONE
+        rows.append(tuple(row))
+    return EmpiricalModel(scenario, tuple(rows))
+
+
+def _reference_parity_tables(scenario, parities):
+    """Uniform weight on each context's sections whose decoded outcome bits
+    XOR to its parity."""
+    rows = []
+    for ci in range(scenario.n_contexts):
+        size = section_size(scenario, ci)
+        keep = [
+            si for si in range(size) if sum(section_outcomes(scenario, ci, si)) % 2 == parities[ci]
+        ]
+        row = [ZERO] * size
+        for si in keep:
+            row[si] = Fraction(1, len(keep))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _reference_random_model(scenario, rng):
+    """random_no_signaling_model as it was written on validated models: the
+    same draws in the same order, mixed in Fractions."""
+
+    def parity_term():
+        vec = rng.randrange(1 << scenario.n_contexts)
+        parities = [vec >> ci & 1 for ci in range(scenario.n_contexts)]
+        return EmpiricalModel(scenario, _reference_parity_tables(scenario, parities))
+
+    if rng.randrange(4) == 0:
+        return parity_term()
+    terms = []
+    if rng.randrange(2) == 0:
+        terms.append(parity_term())
+    for _ in range(rng.randrange(1, 4)):
+        terms.append(_reference_deterministic(scenario, rng.randrange(global_size(scenario))))
+    weights = [rat(rng.randrange(1, 9)) for _ in terms]
+    total = sum(weights, ZERO)
+    return EmpiricalModel(scenario, _fraction_mix([(w / total, m) for w, m in zip(weights, terms)]))
+
+
+def _same_model(model, reference):
+    assert model == reference
+    assert model._int_view == reference._int_view
+    assert all(type(x) is Fraction for row in model.tables for x in row)
+
+
+# a cover of unlike contexts: two sections of one, four of the other
+UNEVEN = MeasurementScenario(
+    measurements=("a", "b", "c"), outcomes=(2, 2, 2), cover=((0,), (1, 2))
+)
+
+
+@pytest.mark.parametrize(
+    "sc",
+    [bell_scenario(*shape) for shape in ((2, 2, 2), (3, 2, 2), (4, 2, 2), (2, 3, 2), (2, 2, 3))]
+    + [MeasurementScenario(
+        measurements=("a", "b", "c", "d"), outcomes=(2, 3, 2, 2), cover=((0, 1), (1, 2), (2, 3))
+    )],
+    ids=["222", "322", "422", "232", "223", "chain"],
+)
+def test_deterministic_model_matches_the_decoded_point_mass(sc):
+    for gi in range(global_size(sc)):
+        _same_model(deterministic_model(sc, gi), _reference_deterministic(sc, gi))
+    for gi in (-1, global_size(sc), 2**70):
+        with pytest.raises(ValueError, match=rf"^global section {gi} out of range$"):
+            deterministic_model(sc, gi)
+
+
+@pytest.mark.parametrize(
+    "sc, vectors",
+    [
+        (bell_scenario(2, 2, 2), range(16)),
+        (bell_scenario(3, 2, 2), range(256)),
+        (bell_scenario(4, 2, 2), [0, 0x1C00, 0xFFFF] + random.Random(4).sample(range(1 << 16), 40)),
+        (UNEVEN, range(4)),
+    ],
+    ids=["222", "322", "422", "uneven"],
+)
+def test_symmetric_models_match_the_decoded_parity_tables(sc, vectors):
+    for vec in vectors:
+        system = parity_system_from_vector(sc, vec)
+        reference = EmpiricalModel(sc, _reference_parity_tables(sc, system.parities))
+        _same_model(build_symmetric_model(system), reference)
+
+
+def test_corpus_parity_models_match_the_decoded_parity_tables():
+    for model in [pr_box(k) for k in range(8)] + [ghz_322(), parity_amcc_422()]:
+        sc = model.scenario
+        parities = [sum(bits) % 2 for bits in (
+            section_outcomes(sc, ci, row.index(next(w for w in row if w)))
+            for ci, row in enumerate(model.tables)
+        )]
+        _same_model(model, EmpiricalModel(sc, _reference_parity_tables(sc, parities)))
+
+
+@pytest.mark.parametrize("parties", [2, 3, 4])
+def test_random_models_match_the_fraction_mixture_draw_for_draw(parties):
+    sc = bell_scenario(parties, 2, 2)
+    for seed in range(200):
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        _same_model(random_no_signaling_model(sc, rng), _reference_random_model(sc, reference_rng))
+        assert rng.getstate() == reference_rng.getstate()
+
+
+def _refusal(build, *args):
+    """(type, message) of the error build(*args) raises, or None."""
+    try:
+        build(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+_FAULTS = {
+    "short": lambda row: row[:-1],
+    "long": lambda row: row + (ZERO,),
+    "negative": lambda row: (row[0] - 1, row[1] + 1) + row[2:],
+    "sum": lambda row: (row[0] + rat(1, 7),) + row[1:],
+    "float": lambda row: (0.25,) + row[1:],
+    "literal": lambda row: ("1/x",) + row[1:],
+}
+
+
+@given(
+    st.sampled_from([(2, 2, 2), (3, 2, 2), (2, 2, 3)]),
+    st.integers(0, 2**32 - 1),
+    st.dictionaries(st.integers(0, 7), st.sampled_from(sorted(_FAULTS)), max_size=3),
+    st.sampled_from([0, 0, 0, 0, -1, 1]),
+)
+@settings(max_examples=150, deadline=None)
+def test_bad_rows_are_refused_as_the_row_by_row_check_refuses_them(shape, seed, faults, extra):
+    # up to three faulty rows, the first in row order being the one named,
+    # and sometimes a row too many or too few
+    sc = bell_scenario(*shape)
+    rows = list(deterministic_model(sc, random.Random(seed).randrange(global_size(sc))).tables)
+    rows = [tuple(rat(1, len(row)) for _ in row) if i % 2 else row for i, row in enumerate(rows)]
+    for ci, fault in {ci % len(rows): fault for ci, fault in faults.items()}.items():
+        rows[ci] = _FAULTS[fault](rows[ci])
+    rows = rows[: len(rows) + extra] if extra < 0 else rows + rows[:extra]
+    refusal = _refusal(_reference_validation, sc, tuple(rows))
+    assert _refusal(EmpiricalModel, sc, tuple(rows)) == refusal
+    if refusal is None:
+        assert EmpiricalModel(sc, tuple(rows)).tables == _reference_validation(sc, tuple(rows))
+    # the integer constructor, on rows without floats or literals, over 840
+    if all(type(x) is Fraction for row in rows for x in row):
+        ints = [[int(x * 840) for x in row] for row in rows]
+        if all(x * 840 == int(x * 840) for row in rows for x in row):
+            assert _refusal(_model_from_ints, sc, 840, ints) == refusal

@@ -4,6 +4,7 @@ import hashlib
 import random
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,13 @@ from amcc.model import (
     uniform_model,
 )
 from amcc.rational import ONE, ZERO, rat, rat_str
-from amcc.scenario import bell_scenario, global_size, incidence_matrix
+from amcc.scenario import (
+    bell_scenario,
+    global_size,
+    incidence_matrix,
+    restriction_table,
+    slot_offsets,
+)
 from amcc.verify import (
     REFERENCE_VECTOR_422,
     check_names,
@@ -203,6 +210,39 @@ def test_integer_covering_matches_the_fraction_tableau(model):
     assert covering_ncf(model) == _fraction_covering(model)
 
 
+def _fraction_chsh_cf(model):
+    """chsh_cf summed in Fractions, correlator by correlator."""
+    correlators = []
+    for ci in range(4):
+        e = ZERO
+        for si in range(4):
+            w = model.tables[ci][si]
+            e = e + w if bin(si).count("1") % 2 == 0 else e - w
+        correlators.append(e)
+    best = max(
+        sum((-e if signs >> ci & 1 else e for ci, e in enumerate(correlators)), ZERO)
+        for signs in range(16)
+        if bin(signs).count("1") % 2
+    )
+    cf = (best - 2) / 2
+    return cf if cf > 0 else ZERO
+
+
+@given(_covering_models(2))
+@example(pr_box(5))
+@settings(max_examples=60, deadline=None)
+def test_integer_chsh_matches_the_fraction_form(model):
+    assert chsh_cf(model) == _fraction_chsh_cf(model)
+
+
+def test_integer_chsh_matches_the_fraction_form_on_the_corpus():
+    sc = bell_scenario(2, 2, 2)
+    for name in corpus_names():
+        model = corpus(name)
+        if model.scenario == sc:
+            assert chsh_cf(model) == _fraction_chsh_cf(model)
+
+
 # only at three parties do pivots other than det arise (COVERING_DIGEST
 # pins twelve such models); the Fraction tableau takes about 2 s a model
 @given(_covering_models(3))
@@ -327,3 +367,34 @@ def test_the_vectorized_decider_is_the_span_test(shape):
     decided = _decider_mask(sc)
     assert decided.shape == (1 << sc.n_contexts,)
     assert decided.tolist() == [in_gf2_span(v, cols) for v in range(1 << sc.n_contexts)]
+
+
+# ---------------------------------------------------------------------------
+# no state carried from one solve to the next
+
+
+def test_interleaved_solves_repeat_exactly():
+    models = [
+        random_no_signaling_model(bell_scenario(parties, 2, 2), random.Random(seed))
+        for seed in range(4)
+        for parties in (2, 3, 4)
+    ]
+    first = [contextual_fraction(model) for model in models]
+    second = [contextual_fraction(model) for model in reversed(models)][::-1]
+    assert first == second
+    # the cached list-tableau rows and global slots are still what a fresh
+    # build gives, and cannot be written
+    for info in (amcc.lp._slack_rows.cache_info(), amcc.lp._global_slots.cache_info()):
+        assert info.currsize > 0
+    for model in models:
+        sc = model.scenario
+        incidence = incidence_matrix(sc)
+        m, n = incidence.shape
+        if (m + 1) * (m + n + 1) < amcc.lp.ARRAY_CELLS:
+            rows = amcc.lp._slack_rows(incidence.shape, incidence.tobytes())
+            fresh = np.hstack((incidence, np.eye(m, dtype=np.uint8))).tolist()
+            assert [list(row) for row in rows] == fresh and type(rows[0]) is tuple
+        slots = amcc.lp._global_slots(sc)
+        assert not slots.flags.writeable
+        offsets = np.array(slot_offsets(sc))
+        assert (slots == offsets[:, None] + restriction_table(sc)).all()
