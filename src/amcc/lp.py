@@ -124,7 +124,7 @@ def simplex_solve(incidence, rhs):
         rows = _slack_rows((m, n), np.ascontiguousarray(incidence, np.uint8).tobytes())
         tableau = [[*row, b] for row, b in zip(rows, rhs)]
         tableau.append([-1] * n + [0] * (m + 1))
-        det, pivots = _run(tableau, basis, width)
+        det, pivots = _run(tableau, basis)
         values, obj = [row[-1] for row in tableau[:m]], tableau[m]
     else:
         dtype = np.int64 if max(rhs, default=0) < _INT64_LIMIT else object
@@ -167,7 +167,7 @@ def _leaving_row(rows, heads, rhs, basis):
     return leave
 
 
-def _run(tableau, basis, width):
+def _run(tableau, basis):
     """Pivot to optimality with Bland's rule on an integer tableau whose
     last row is the objective. Stored entries are the true ones times det,
     the previous pivot (Edmonds; Bareiss, Math. Comp. 22, 1968); det > 0

@@ -104,9 +104,10 @@ def _refuse_rows(scenario, tables):
 def _model_from_ints(scenario, den, rows):
     """The EmpiricalModel whose weight at (context c, section s) is
     rows[c][s] / den, checked once on the integers: EmpiricalModel's
-    checks, in its order and with its messages. Its integer view is den
-    and rows over their common gcd, the lcm of the weights' denominators,
-    as EmpiricalModel derives it from the Fractions; each distinct nonzero
+    checks, in its order and with its messages, so __post_init__ does not
+    run again on the Fractions. Its integer view is den and rows over
+    their common gcd, the lcm of the weights' denominators, as
+    EmpiricalModel derives it from the Fractions; each distinct nonzero
     numerator becomes one Fraction. rows, a list of int lists, is the
     model's own from here on."""
     if (
