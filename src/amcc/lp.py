@@ -200,7 +200,7 @@ def _pivot(tableau, leave, col, det):
     f = col[row]; returns p, the next det, and leaves col[leave] zeroed.
     When p == det only the rows with f != 0 and prow's nonzero columns
     change (both found by C-level compress), and when det is 1 as well
-    there is nothing to divide."""
+    there is nothing to divide, nor, where f is 1 or -1, to multiply."""
     prow = tableau[leave]
     p = col[leave]
     col[leave] = 0
@@ -213,8 +213,16 @@ def _pivot(tableau, leave, col, det):
     rows = zip(compress(tableau, col), compress(col, col))
     if det == 1:
         for row, f in rows:
-            for j, v in nonzero:
-                row[j] -= f * v
+            # f is 1 or -1 on nearly every row of a 0/1 program: no product
+            if f == 1:
+                for j, v in nonzero:
+                    row[j] -= v
+            elif f == -1:
+                for j, v in nonzero:
+                    row[j] += v
+            else:
+                for j, v in nonzero:
+                    row[j] -= f * v
     else:
         # det divides f * v because it divides p * row[j] - f * v
         for row, f in rows:
