@@ -16,6 +16,11 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from itertools import chain, repeat
+from math import ceil, log
+from operator import itemgetter, lt
+
+import numpy as np
 
 from .affine import family_to_csv, lin_str, parameter_bounds, solve_support
 from .errors import PreconditionError, VerificationError
@@ -46,6 +51,10 @@ def opposite_sections(system, ci):
     return tuple(si for si in range(size) if bin(si).count("1") & 1 != want)
 
 
+_ALL_BUT_LAST = itemgetter(slice(None, -1))
+_ALL_BUT_FIRST = itemgetter(slice(1, None))
+
+
 @dataclass(frozen=True)
 class AugmentationPlan:
     """A parity system plus extra sections to allow in each context.
@@ -60,28 +69,56 @@ class AugmentationPlan:
 
     def __post_init__(self):
         sc = self.base.scenario
-        if len(self.additions) != sc.n_contexts:
+        additions = self.additions
+        if len(additions) != sc.n_contexts:
             raise PreconditionError("need one addition tuple per context")
-        for ci, extra in enumerate(self.additions):
-            size = section_size(sc, ci)
-            if list(extra) != sorted(set(extra)):
-                raise PreconditionError(
-                    f"context {ci}: additions must be sorted and unique"
-                )
-            for si in extra:
-                if not 0 <= si < size:
-                    raise PreconditionError(
-                        f"context {ci}: section {si} out of range"
-                    )
-                if bin(si).count("1") & 1 == self.base.parities[ci]:
-                    raise PreconditionError(
-                        f"context {ci}: section {si} already satisfies the "
-                        "parity equation"
-                    )
+        # C-level passes over the whole plan: tuples of ints, each inside its
+        # context's opposite class and strictly increasing (the neighbours
+        # within each tuple pair up across the two chains). Only a plan that
+        # fails them runs the loop that names the first error.
+        if not (
+            all(map(isinstance, additions, repeat(tuple)))
+            and all(map(isinstance, chain.from_iterable(additions), repeat(int)))
+            and all(map(frozenset.issuperset, _opposite_sets(self.base), additions))
+            and all(map(
+                lt,
+                chain.from_iterable(map(_ALL_BUT_LAST, additions)),
+                chain.from_iterable(map(_ALL_BUT_FIRST, additions)),
+            ))
+        ):
+            for ci, extra in enumerate(additions):
+                _check_additions(sc, self.base.parities[ci], ci, extra)
+
+
+def _check_additions(scenario, parity, ci, extra):
+    """Raise PreconditionError unless extra is sorted, unique, in range and
+    of the opposite parity class of context ci's target `parity`."""
+    size = section_size(scenario, ci)
+    if list(extra) != sorted(set(extra)):
+        raise PreconditionError(f"context {ci}: additions must be sorted and unique")
+    for si in extra:
+        if not 0 <= si < size:
+            raise PreconditionError(f"context {ci}: section {si} out of range")
+        if bin(si).count("1") & 1 == parity:
+            raise PreconditionError(
+                f"context {ci}: section {si} already satisfies the parity equation"
+            )
 
 
 def plan_counts(plan):
     return tuple(len(extra) for extra in plan.additions)
+
+
+@lru_cache(maxsize=64)
+def _opposite_classes(system):
+    """Per context, the opposite parity class as a sorted tuple."""
+    return tuple(opposite_sections(system, ci) for ci in range(system.scenario.n_contexts))
+
+
+@lru_cache(maxsize=64)
+def _opposite_sets(system):
+    """Per context, the opposite parity class as a frozenset."""
+    return tuple(map(frozenset, _opposite_classes(system)))
 
 
 @lru_cache(maxsize=64)
@@ -140,16 +177,57 @@ def reference_plan():
     return AugmentationPlan(base=base, additions=additions)
 
 
+def _sample_sorted(getrandbits, population, k):
+    """tuple(sorted(Random.sample(population, k))) for the generator whose
+    getrandbits method is given, from the same getrandbits calls, so the
+    generator ends in the same state.
+
+    This is CPython's sampling rule. Let n = len(population). The set size
+    is 21, plus 4 ** ceil(log(3k, 4)) when k > 5. When n is at most the set
+    size, the sample swaps each pick out of a pool, else it redraws indices
+    already picked. A draw below m is getrandbits(m.bit_length()), redrawn
+    while it is m or more.
+    """
+    n = len(population)
+    if not 0 <= k <= n:
+        raise ValueError("Sample larger than population or is negative")
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))
+    if n <= setsize:
+        pool = list(population)
+        picks = []
+        for m in range(n, n - k, -1):
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            picks.append(pool[j])
+            pool[j] = pool[m - 1]
+    else:
+        bits = n.bit_length()
+        chosen = set()
+        while len(chosen) < k:
+            j = getrandbits(bits)
+            if j < n:
+                chosen.add(j)
+        picks = [population[j] for j in chosen]
+    picks.sort()
+    return tuple(picks)
+
+
 def search_plans(base, counts, trials, seed, threads=1):
     """Draw seeded random plans and keep the strongly contextual ones.
 
     Each trial adds counts[ci] sections to context ci, sampled from the
-    opposite parity class with an independent substream derived from
-    (seed, trial). A plan is a hit when its support is strongly
+    opposite parity class. Trial t's draws are those of
+    random.Random(seed * 1_000_003 + t).sample(opposite class, counts[ci])
+    over the contexts in order, reproduced from the generator's getrandbits
+    calls by _sample_sorted. One generator is reseeded per trial. So the
+    draws depend only on MT19937's getrandbits stream, not on the standard
+    library's sample code. A plan is a hit when its support is strongly
     contextual. Hits are returned in trial order; the result depends only
-    on (base, counts, trials, seed). Only hits are built as
-    AugmentationPlan, so only they pay its validation; the sampled
-    additions are sorted, unique and opposite by construction.
+    on (base, counts, trials, seed).
 
     Every hit is possibilistically no-signaling, so no trial checks it:
     - outcomes are binary (ParitySystem requires it);
@@ -162,12 +240,14 @@ def search_plans(base, counts, trials, seed, threads=1):
     measurements, on both sides.
 
     Strong contextuality is decided a block of trials at a time: the
-    block's support masks are packed into one array and one
-    compatible_mask call scans them all. A block gathers at most
-    BLOCK_CELLS restriction-table cells. A trial is a hit when no global
-    assignment is compatible with its support. A miss's first compatible
-    global is re-checked against the trial's masks, and a wrong one raises
-    VerificationError. MAX_GLOBALS is checked before the first block.
+    block's supports are set straight from the parity classes and the drawn
+    sections into one bool array, and one compatible_mask call scans them
+    all. A block gathers at most BLOCK_CELLS restriction-table cells. A
+    trial is a hit when no global assignment is compatible with its
+    support. Every miss's first compatible global is re-checked against
+    the block array in one gather; if one is wrong, _check_witness on the
+    first such trial's masks raises VerificationError. MAX_GLOBALS is
+    checked before the first block.
 
     Trials run one after another. `threads` is kept so that existing callers
     passing threads=1 still work; any other value raises PreconditionError.
@@ -175,9 +255,10 @@ def search_plans(base, counts, trials, seed, threads=1):
     if threads != 1:
         raise PreconditionError(f"threads must be 1, not {threads!r}")
     sc = base.scenario
-    if len(counts) != sc.n_contexts:
+    n_contexts = sc.n_contexts
+    if len(counts) != n_contexts:
         raise PreconditionError("need one addition count per context")
-    opposite = tuple(opposite_sections(base, ci) for ci in range(sc.n_contexts))
+    opposite = _opposite_classes(base)
     for ci, count in enumerate(counts):
         if not 0 <= count <= len(opposite[ci]):
             raise PreconditionError(
@@ -186,27 +267,46 @@ def search_plans(base, counts, trials, seed, threads=1):
             )
     if trials < 0:
         raise PreconditionError("trials must be nonnegative")
-    block = max(1, BLOCK_CELLS // (sc.n_contexts * _require_scan(sc)))
+    block = max(1, BLOCK_CELLS // (n_contexts * _require_scan(sc)))
     table = restriction_table(sc)
+    parity_cells = _pack_masks(sc, (_parity_masks(base),))
+    # flat offset of each (trial, context) row of a block array, and of the
+    # row of every drawn section in the order the block's additions chain
+    rows = np.arange(block * n_contexts).reshape(block, n_contexts) * parity_cells.shape[-1]
+    per_trial = sum(counts)
+    drawn_rows = rows.repeat(counts, axis=1).ravel()
+    draws = tuple((ci, opposite[ci], count) for ci, count in enumerate(counts) if count)
 
+    rng = random.Random()
+    getrandbits = rng.getrandbits
+    no_additions = [()] * n_contexts
     hits = []
     for start in range(0, trials, block):
         drawn = []
         for trial in range(start, min(start + block, trials)):
-            rng = random.Random(seed * 1_000_003 + trial)
-            drawn.append(tuple(
-                tuple(sorted(rng.sample(opposite[ci], count))) if count else ()
-                for ci, count in enumerate(counts)
-            ))
-        masks = [_augmented_masks(base, additions) for additions in drawn]
-        found = compatible_mask(_pack_masks(sc, masks), table)
-        misses = found.any(axis=1).tolist()
-        witnesses = found.argmax(axis=1).tolist()
-        for additions, trial_masks, miss, gi in zip(drawn, masks, misses, witnesses):
-            if miss:
-                _check_witness(table, trial_masks, gi)
-            else:
-                hits.append(AugmentationPlan(base=base, additions=additions))
+            rng.seed(seed * 1_000_003 + trial)
+            additions = no_additions.copy()
+            for ci, population, count in draws:
+                additions[ci] = _sample_sorted(getrandbits, population, count)
+            drawn.append(tuple(additions))
+        n = len(drawn)
+        support = parity_cells.repeat(n, axis=0)
+        cells = support.reshape(-1)
+        sections = np.fromiter(chain.from_iterable(chain.from_iterable(drawn)), np.intp, n * per_trial)
+        cells[drawn_rows[: n * per_trial] + sections] = True
+        found = compatible_mask(support, table)
+        misses = found.any(axis=1)
+        witnesses = found.argmax(axis=1)
+        allowed = cells[rows[:n] + table[:, witnesses].T].all(axis=1)
+        wrong = np.flatnonzero(misses & ~allowed)
+        if wrong.size:
+            t = wrong[0]
+            _check_witness(table, _augmented_masks(base, drawn[t]), int(witnesses[t]))
+        hits.extend(
+            AugmentationPlan(base=base, additions=additions)
+            for additions, miss in zip(drawn, misses.tolist())
+            if not miss
+        )
     return hits
 
 

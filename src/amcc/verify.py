@@ -261,12 +261,8 @@ def _decider_mask(scenario):
 
 def _check_scan_422():
     sc = bell_scenario(4, 2, 2)
-    t0 = perf_counter()
     scan = parity_scan(sc, threads=1)
-    brute_s = perf_counter() - t0
-    t0 = perf_counter()
     decided = _decider_mask(sc)
-    decider_s = perf_counter() - t0
     mask = scan_satisfiable(parity_patterns(sc), 1 << sc.n_contexts)
     disagreements = int(np.count_nonzero(mask != decided))
     passed = (
@@ -277,8 +273,7 @@ def _check_scan_422():
     expected = "65504 of 65536 vectors unsatisfiable, 32 = 2^rank satisfiable, both deciders agreeing"
     actual = (
         f"unsatisfiable = {scan.unsatisfiable}, satisfiable = {scan.satisfiable}, "
-        f"rank = {scan.rank}, decider disagreements = {disagreements} "
-        f"(enumeration {brute_s:.2f}s, elimination {decider_s:.2f}s)"
+        f"rank = {scan.rank}, decider disagreements = {disagreements}"
     )
     return expected, actual, passed
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from math import ceil, log
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import amcc.csp as csp
 from amcc.csp import (
     AugmentationPlan,
     _augmented_masks,
+    _sample_sorted,
     apply_plan,
     opposite_sections,
     plan_counts,
@@ -35,7 +37,7 @@ from amcc.possibilistic import (
     support_of,
 )
 from amcc.rational import rat
-from amcc.scenario import bell_scenario, global_size
+from amcc.scenario import bell_scenario, global_size, restriction_table, section_size
 
 REFERENCE_VECTOR = 0x1C00
 
@@ -72,6 +74,83 @@ def test_plan_validation():
     # section 0 already satisfies context 0's even target
     with pytest.raises(PreconditionError, match="already satisfies"):
         AugmentationPlan(sys_, (((0,),) + ((),) * 15))
+
+
+def _loop_validation(base, additions):
+    # the per-section loop AugmentationPlan ran on every plan before its
+    # whole-plan fast test; kept as the oracle for that test
+    sc = base.scenario
+    if len(additions) != sc.n_contexts:
+        raise PreconditionError("need one addition tuple per context")
+    for ci, extra in enumerate(additions):
+        size = section_size(sc, ci)
+        if list(extra) != sorted(set(extra)):
+            raise PreconditionError(f"context {ci}: additions must be sorted and unique")
+        for si in extra:
+            if not 0 <= si < size:
+                raise PreconditionError(f"context {ci}: section {si} out of range")
+            if bin(si).count("1") & 1 == base.parities[ci]:
+                raise PreconditionError(
+                    f"context {ci}: section {si} already satisfies the parity equation"
+                )
+
+
+def _validation_outcome(validate, base, additions):
+    try:
+        validate(base, additions)
+    except PreconditionError as err:
+        return str(err)
+    return None
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_plan_validation_matches_the_per_section_loop(data):
+    # valid plans, and plans broken in one to three places: an unsorted or
+    # duplicated tuple, a section out of range or of the parity class
+    # itself, or one tuple too few or too many
+    sc = bell_scenario(data.draw(st.sampled_from([2, 3])), 2, 2)
+    base = parity_system_from_vector(sc, data.draw(st.integers(0, (1 << sc.n_contexts) - 1)))
+    additions = [
+        sorted(data.draw(st.sets(st.sampled_from(opposite_sections(base, ci)))))
+        for ci in range(sc.n_contexts)
+    ]
+    for _ in range(data.draw(st.integers(0, 3))):
+        ci = data.draw(st.integers(0, sc.n_contexts - 1))
+        extra = additions[ci]
+        at = data.draw(st.integers(0, len(extra)))
+        kind = data.draw(st.sampled_from(["unsorted", "duplicate", "range", "parity"]))
+        if kind == "unsorted":
+            extra.reverse()
+        elif kind == "duplicate" and extra:
+            extra.insert(at, extra[min(at, len(extra) - 1)])
+        elif kind == "range":
+            size = section_size(sc, ci)
+            extra.insert(at, data.draw(st.sampled_from([-1, size, size + 3])))
+        elif kind == "parity":
+            extra.insert(at, data.draw(st.sampled_from(satisfying_sections(base, ci))))
+    length = data.draw(st.sampled_from(["right"] * 4 + ["short", "long"]))
+    if length == "short":
+        additions.pop()
+    elif length == "long":
+        additions.append([])
+    additions = tuple(map(tuple, additions))
+    assert _validation_outcome(AugmentationPlan, base, additions) == _validation_outcome(
+        _loop_validation, base, additions
+    )
+
+
+def test_plan_validation_falls_back_to_the_loop_on_other_types():
+    # the fast test takes tuples of ints only; anything else is judged by
+    # the per-section loop, as before
+    sys_ = _base_system()
+    rest = ((),) * 15
+    AugmentationPlan(sys_, ([1, 2],) + rest)
+    AugmentationPlan(sys_, ((np.int64(1), np.int64(2)),) + rest)
+    with pytest.raises(TypeError):
+        AugmentationPlan(sys_, ((1.0,),) + rest)
+    with pytest.raises(PreconditionError, match="sorted and unique"):
+        AugmentationPlan(sys_, ([2, 1],) + rest)
 
 
 def test_empty_plan_reproduces_the_parity_support():
@@ -152,6 +231,31 @@ def test_search_validation():
     assert search_plans(base, (0,) * 16, trials=0, seed=0) == []
 
 
+def test_sample_sorted_reproduces_random_sample_and_its_state():
+    # every k <= n for n up to 90 covers both of CPython's branches: the
+    # pool swap (n at most the set size) and the rejection set (above it)
+    branches = set()
+    for seed in (0, 1, 20261017):
+        for n in range(91):
+            population = tuple((37 * i) % 97 for i in range(n))  # distinct, unsorted
+            oracle = random.Random(seed)
+            rng = random.Random(seed)
+            for k in range(n + 1):
+                want = tuple(sorted(oracle.sample(population, k)))
+                assert _sample_sorted(rng.getrandbits, population, k) == want
+                assert rng.getstate() == oracle.getstate()
+                setsize = 21 + (4 ** ceil(log(3 * k, 4)) if k > 5 else 0)
+                branches.add(n <= setsize)
+    assert branches == {True, False}
+
+
+def test_sample_sorted_refuses_what_random_sample_refuses():
+    rng = random.Random(0)
+    for k in (-1, 4):
+        with pytest.raises(ValueError, match="Sample larger than population"):
+            _sample_sorted(rng.getrandbits, (1, 2, 3), k)
+
+
 def _per_trial_search(base, counts, trials, seed):
     # the search before it scanned a block of trials at once: one support
     # and one strong-contextuality check per trial; kept as the oracle
@@ -202,6 +306,16 @@ def test_blocked_search_at_the_default_budget_matches_the_per_trial_loop():
     assert hits == _per_trial_search(base, counts, 150, 5)
 
 
+def test_the_rejection_set_branch_matches_the_per_trial_loop():
+    # (6,2,2) contexts have 32 opposite sections, so drawing 5 of them takes
+    # random.sample's set branch; 4 of the 12 trials are hits
+    base = parity_system_from_vector(bell_scenario(6, 2, 2), 0x3)
+    counts = (5,) * base.scenario.n_contexts
+    hits = search_plans(base, counts, 12, 4)
+    assert len(hits) == 4
+    assert hits == _per_trial_search(base, counts, 12, 4)
+
+
 def test_an_incompatible_block_witness_raises(monkeypatch):
     # at the reference counts every trial is strongly contextual, so a scan
     # that calls global 5 compatible is wrong on every trial
@@ -215,6 +329,35 @@ def test_an_incompatible_block_witness_raises(monkeypatch):
         search_plans(_base_system(), plan_counts(reference_plan()), 3, 1)
     assert exc.value.details["global"] == 5
     assert exc.value.details["contexts"]
+
+
+def test_a_later_trials_wrong_witness_is_the_one_named(monkeypatch):
+    # at the reference counts plus 2, seed 5, the first block's hits are
+    # trials 1, 5 and 15 and every other trial is a miss with a true
+    # witness; only trial 15 is given a wrong one
+    base = _base_system()
+    counts = tuple(min(c + 2, 8) for c in plan_counts(reference_plan()))
+    real_mask = csp.compatible_mask
+
+    def one_wrong_witness(support, table):
+        found = real_mask(support, table)
+        assert not found[15].any()
+        found[15, 5] = True
+        return found
+
+    monkeypatch.setattr(csp, "compatible_mask", one_wrong_witness)
+    with pytest.raises(VerificationError, match="incompatible global") as exc:
+        search_plans(base, counts, 16, 5)
+    rng = random.Random(5 * 1_000_003 + 15)
+    additions = tuple(
+        tuple(sorted(rng.sample(opposite_sections(base, ci), count))) if count else ()
+        for ci, count in enumerate(counts)
+    )
+    masks = _augmented_masks(base, additions)
+    table = restriction_table(base.scenario)
+    contexts = [ci for ci, mask in enumerate(masks) if not (mask >> int(table[ci, 5])) & 1]
+    assert contexts == [2, 12, 13]
+    assert exc.value.details == {"global": 5, "contexts": contexts}
 
 
 # sha256 over one line per search: the additions of every hit, at the
