@@ -8,7 +8,8 @@ search for further augmentations that remain strongly contextual. Every
 augmented parity support is possibilistically no-signaling (see
 `search_plans`), so the search checks strong contextuality alone. It decides
 a block of trials with one compatibility scan and re-checks the witness of
-every trial the scan rejects.
+every trial the scan rejects. Its hits are valid plans by construction, so
+only AugmentationPlan's public constructor runs the per-section check.
 """
 
 import json
@@ -16,9 +17,8 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from itertools import chain, repeat
+from itertools import chain
 from math import ceil, log
-from operator import itemgetter, lt
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .errors import PreconditionError, VerificationError
 from .parity import ParitySystem
 from .kernels import compatible_mask
 from .possibilistic import SupportModel, _check_witness, _pack_masks, _require_scan
-from .rational import rat, rat_str
+from .rational import _json_int, rat, rat_str
 from .scenario import restriction_table, scenario_from_json, scenario_to_json, section_size
 
 # restriction-table cells one compatibility block may gather, one byte each:
@@ -51,17 +51,15 @@ def opposite_sections(system, ci):
     return tuple(si for si in range(size) if bin(si).count("1") & 1 != want)
 
 
-_ALL_BUT_LAST = itemgetter(slice(None, -1))
-_ALL_BUT_FIRST = itemgetter(slice(1, None))
-
-
 @dataclass(frozen=True)
 class AugmentationPlan:
     """A parity system plus extra sections to allow in each context.
 
     Every added section must come from the context's opposite parity
     class, so an addition can never coincide with a section the parity
-    equation already allows. Additions are kept sorted and unique.
+    equation already allows. Additions are kept sorted and unique. The
+    constructor checks each context in one loop; search_plans builds its
+    hits, valid by construction, with _plan_from_draws, which skips it.
     """
 
     base: ParitySystem
@@ -69,25 +67,10 @@ class AugmentationPlan:
 
     def __post_init__(self):
         sc = self.base.scenario
-        additions = self.additions
-        if len(additions) != sc.n_contexts:
+        if len(self.additions) != sc.n_contexts:
             raise PreconditionError("need one addition tuple per context")
-        # C-level passes over the whole plan: tuples of ints, each inside its
-        # context's opposite class and strictly increasing (the neighbours
-        # within each tuple pair up across the two chains). Only a plan that
-        # fails them runs the loop that names the first error.
-        if not (
-            all(map(isinstance, additions, repeat(tuple)))
-            and all(map(isinstance, chain.from_iterable(additions), repeat(int)))
-            and all(map(frozenset.issuperset, _opposite_sets(self.base), additions))
-            and all(map(
-                lt,
-                chain.from_iterable(map(_ALL_BUT_LAST, additions)),
-                chain.from_iterable(map(_ALL_BUT_FIRST, additions)),
-            ))
-        ):
-            for ci, extra in enumerate(additions):
-                _check_additions(sc, self.base.parities[ci], ci, extra)
+        for ci, extra in enumerate(self.additions):
+            _check_additions(sc, self.base.parities[ci], ci, extra)
 
 
 def _check_additions(scenario, parity, ci, extra):
@@ -105,6 +88,15 @@ def _check_additions(scenario, parity, ci, extra):
             )
 
 
+def _plan_from_draws(base, additions):
+    """AugmentationPlan(base, additions) without __post_init__, for tuples
+    that _sample_sorted drew from base's opposite classes."""
+    plan = object.__new__(AugmentationPlan)
+    object.__setattr__(plan, "base", base)
+    object.__setattr__(plan, "additions", additions)
+    return plan
+
+
 def plan_counts(plan):
     return tuple(len(extra) for extra in plan.additions)
 
@@ -113,12 +105,6 @@ def plan_counts(plan):
 def _opposite_classes(system):
     """Per context, the opposite parity class as a sorted tuple."""
     return tuple(opposite_sections(system, ci) for ci in range(system.scenario.n_contexts))
-
-
-@lru_cache(maxsize=64)
-def _opposite_sets(system):
-    """Per context, the opposite parity class as a frozenset."""
-    return tuple(map(frozenset, _opposite_classes(system)))
 
 
 @lru_cache(maxsize=64)
@@ -155,10 +141,8 @@ def plan_to_json(plan):
 
 def plan_from_json(doc):
     sc = scenario_from_json(doc["scenario"])
-    base = ParitySystem(sc, tuple(int(p) for p in doc["parities"]))
-    additions = tuple(
-        tuple(int(si) for si in extra) for extra in doc["additions"]
-    )
+    base = ParitySystem(sc, tuple(map(_json_int, doc["parities"])))
+    additions = tuple(tuple(map(_json_int, extra)) for extra in doc["additions"])
     return AugmentationPlan(base=base, additions=additions)
 
 
@@ -227,7 +211,8 @@ def search_plans(base, counts, trials, seed, threads=1):
     draws depend only on MT19937's getrandbits stream, not on the standard
     library's sample code. A plan is a hit when its support is strongly
     contextual. Hits are returned in trial order; the result depends only
-    on (base, counts, trials, seed).
+    on (base, counts, trials, seed). Hits are valid by construction (sorted
+    draws from the opposite classes), so they skip the per-section check.
 
     Every hit is possibilistically no-signaling, so no trial checks it:
     - outcomes are binary (ParitySystem requires it);
@@ -303,7 +288,7 @@ def search_plans(base, counts, trials, seed, threads=1):
             t = wrong[0]
             _check_witness(table, _augmented_masks(base, drawn[t]), int(witnesses[t]))
         hits.extend(
-            AugmentationPlan(base=base, additions=additions)
+            _plan_from_draws(base, additions)
             for additions, miss in zip(drawn, misses.tolist())
             if not miss
         )

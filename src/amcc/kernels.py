@@ -19,9 +19,12 @@ KERNELS = "numpy"  # the one implementation, reported by benchmark records
 def scan_satisfiable(patterns, n_values):
     """Boolean mask over the values [0, n_values): True where some entry of
     `patterns` equals the value. `patterns` is int64, one entry per global
-    assignment."""
+    assignment; entries outside [0, n_values) are ignored. One scatter, not
+    np.unique, which would import numpy.ma on its first call."""
     patterns = np.asarray(patterns, dtype=np.int64)
-    return np.isin(np.arange(n_values, dtype=np.int64), np.unique(patterns))
+    mask = np.zeros(n_values, dtype=np.bool_)
+    mask[patterns[(patterns >= 0) & (patterns < n_values)]] = True
+    return mask
 
 
 def compatible_mask(support, table):

@@ -41,6 +41,13 @@ def rat(value, den=None):
     return Fraction(value)
 
 
+def _json_int(value):
+    """int(value) for a JSON integer field: a float raises TypeError, as in rat."""
+    if isinstance(value, float):
+        raise TypeError(f"refusing float {value!r} where an integer is expected")
+    return int(value)
+
+
 def rat_parser():
     """A rat() for decoding one document: each distinct literal is parsed
     once, keyed by (type, value) so that 1.0 is not taken for 1 and is

@@ -34,6 +34,7 @@ from math import prod
 import numpy as np
 
 from .errors import ResourceLimitError
+from .rational import _json_int
 
 __all__ = [
     "MeasurementScenario",
@@ -391,12 +392,13 @@ def scenario_from_json(doc):
     """Decode the Bell form {parties, settings, outcomes} or the explicit
     form {measurements, outcomes, cover[, parties]}. Either form raises
     ResourceLimitError past MAX_BELL_MEASUREMENTS measurements or
-    MAX_BELL_CONTEXTS contexts, before the cover is checked."""
+    MAX_BELL_CONTEXTS contexts, before the cover is checked, and TypeError
+    on a float where an integer is expected."""
     if not isinstance(doc, dict):
         raise ValueError("scenario must be a JSON object")
     if "parties" in doc and "measurements" not in doc:
         try:
-            return bell_scenario(int(doc["parties"]), int(doc["settings"]), int(doc["outcomes"]))
+            return bell_scenario(*(_json_int(doc[k]) for k in ("parties", "settings", "outcomes")))
         except KeyError as e:
             raise ValueError(f"Bell scenario form needs parties/settings/outcomes: missing {e}")
     try:
@@ -414,9 +416,9 @@ def scenario_from_json(doc):
             )
         return MeasurementScenario(
             measurements=measurements,
-            outcomes=tuple(doc["outcomes"]),
-            cover=tuple(tuple(c) for c in cover),
-            parties=tuple(doc["parties"]) if "parties" in doc else None,
+            outcomes=tuple(map(_json_int, doc["outcomes"])),
+            cover=tuple(tuple(map(_json_int, c)) for c in cover),
+            parties=tuple(map(_json_int, doc["parties"])) if "parties" in doc else None,
         )
     except KeyError as e:
         raise ValueError(f"scenario object missing key {e}")

@@ -119,6 +119,41 @@ def test_cf_exit_codes_on_bad_input(run, tmp_path):
     assert code == 2 and "does not decode" in err
 
 
+@pytest.mark.parametrize(
+    "explicit, path, value",
+    [
+        (False, ("parties",), 2.9),
+        (False, ("settings",), 2.0),
+        (False, ("outcomes",), 2.0),
+        (True, ("outcomes", 0), 2.6),
+        (True, ("cover", 1, 1), 3.2),
+        (True, ("parties", 3), 1.0),
+    ],
+)
+def test_cf_refuses_a_float_in_an_integer_scenario_field(run, tmp_path, explicit, path, value):
+    # int() would truncate each float to the PR box's own scenario, so cf
+    # would print CF = 1/1 and exit 0
+    doc = model_to_json(pr_box(0))
+    if explicit:
+        sc = bell_scenario(2, 2, 2)
+        doc["scenario"] = {
+            "measurements": list(sc.measurements),
+            "outcomes": list(sc.outcomes),
+            "cover": [list(ctx) for ctx in sc.cover],
+            "parties": list(sc.parties),
+        }
+    code, out, _ = run("cf", _write_json(tmp_path / "ints.json", doc))
+    assert code == 0 and "CF = 1/1" in out
+    *keys, last = path
+    target = doc["scenario"]
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    code, out, err = run("cf", _write_json(tmp_path / "floats.json", doc))
+    assert code == 2 and out == ""
+    assert "does not decode" in err and "refusing float" in err
+
+
 def test_cf_rejects_a_signaling_model(run, signaling_file):
     code, _, err = run("cf", signaling_file)
     assert code == 3

@@ -77,8 +77,8 @@ def test_plan_validation():
 
 
 def _loop_validation(base, additions):
-    # the per-section loop AugmentationPlan ran on every plan before its
-    # whole-plan fast test; kept as the oracle for that test
+    # the per-section loop written out on its own; kept as the oracle for
+    # AugmentationPlan's check, which must give the same first refusal
     sc = base.scenario
     if len(additions) != sc.n_contexts:
         raise PreconditionError("need one addition tuple per context")
@@ -141,8 +141,8 @@ def test_plan_validation_matches_the_per_section_loop(data):
 
 
 def test_plan_validation_falls_back_to_the_loop_on_other_types():
-    # the fast test takes tuples of ints only; anything else is judged by
-    # the per-section loop, as before
+    # the per-section loop judges any sequence of sections, not only tuples
+    # of ints, as before
     sys_ = _base_system()
     rest = ((),) * 15
     AugmentationPlan(sys_, ([1, 2],) + rest)
@@ -176,6 +176,30 @@ def test_plan_json_roundtrip():
     assert doc["additions"][0] == [8, 11, 14]
     back = plan_from_json(doc)
     assert back == plan
+
+
+@pytest.mark.parametrize(
+    "field, at, value",
+    [
+        ("additions", (0, 0), 8.9),
+        ("additions", (0, 0), 8.0),
+        ("parities", (0,), 0.7),
+        ("parities", (10,), 1.0),
+        ("scenario", ("parties",), 4.0),
+    ],
+)
+def test_plan_from_json_refuses_a_float_integer(field, at, value):
+    # int() would turn section 8.9 into 8 and parity 0.7 into 0, both
+    # valid in the reference plan
+    doc = plan_to_json(reference_plan())
+    *path, last = at
+    target = doc[field]
+    for key in path:
+        target = target[key]
+    assert int(value) == target[last]
+    target[last] = value
+    with pytest.raises(TypeError, match="refusing float"):
+        plan_from_json(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +295,30 @@ def _per_trial_search(base, counts, trials, seed):
         if strong_contextuality(SupportModel(sc, _augmented_masks(base, additions)))[0]:
             hits.append(AugmentationPlan(base=base, additions=additions))
     return hits
+
+
+@pytest.mark.parametrize(
+    "shape, vector, k",
+    [
+        ((3, 2), 0x44, 4),
+        ((4, 2), 0x1C00, 2),
+        ((5, 2), 0xC386BBC4, 5),
+        ((4, 3), 0x409FC386BBC4CD613E30, 5),
+    ],
+)
+def test_search_hits_equal_their_checked_plans(shape, vector, k):
+    # search_plans builds its hits without AugmentationPlan's per-section
+    # check; the public constructor and the JSON round trip are the oracle.
+    # One addition in every k-th context of an unsatisfiable base.
+    base = parity_system_from_vector(bell_scenario(*shape, 2), vector)
+    counts = tuple(int(ci % k == 0) for ci in range(base.scenario.n_contexts))
+    hits = search_plans(base, counts, 20, 1)
+    assert hits
+    for hit in hits:
+        assert any(hit.additions)
+        checked = AugmentationPlan(hit.base, hit.additions)
+        assert hit == checked and hash(hit) == hash(checked)
+        assert plan_from_json(plan_to_json(hit)) == hit
 
 
 @st.composite

@@ -1,9 +1,15 @@
 """Both numpy scans must agree bit-for-bit with plain reference loops."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import amcc
 from amcc.kernels import compatible_mask, scan_satisfiable
 from amcc.parity import parity_patterns
 from amcc.scenario import (
@@ -31,6 +37,46 @@ def test_scan_lanes_agree_on_a_real_pattern_set():
     assert int(mask.sum()) == 16
     seen = set(patterns.tolist())
     assert mask.tolist() == [v in seen for v in range(1 << sc.n_contexts)]
+
+
+def _scan_with_unique(patterns, n_values):
+    # the scan before it scattered into a mask; kept as the oracle
+    patterns = np.asarray(patterns, dtype=np.int64)
+    return np.isin(np.arange(n_values, dtype=np.int64), np.unique(patterns))
+
+
+@given(
+    st.lists(st.integers(-(2**40), 2**40) | st.integers(-3, 40), max_size=60).map(
+        lambda values: values + values[::3]
+    ),
+    st.integers(0, 40),
+)
+@settings(max_examples=100, deadline=None)
+@example([], 8)
+def test_scan_matches_the_unique_form(values, n_values):
+    # duplicates, negatives, values past n_values, and the empty array
+    patterns = np.array(values, dtype=np.int64)
+    mask = scan_satisfiable(patterns, n_values)
+    assert mask.dtype == np.bool_ and mask.shape == (n_values,)
+    assert mask.tolist() == _scan_with_unique(patterns, n_values).tolist()
+
+
+def test_parity_scan_leaves_numpy_ma_unloaded():
+    # np.unique imports numpy.ma on its first call, which makes a fresh
+    # process's first parity scan tens of times slower than a warm one
+    src = str(Path(amcc.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "from amcc.parity import parity_scan\n"
+        "from amcc.scenario import bell_scenario\n"
+        "assert parity_scan(bell_scenario(2, 2, 2)).satisfiable\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "False\n"
 
 
 def _support_array(sc, bits):

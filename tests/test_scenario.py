@@ -297,6 +297,49 @@ def test_explicit_json_roundtrip():
     assert scenario_from_json(doc) == sc
 
 
+def _explicit_bell_doc():
+    sc = bell_scenario(2, 2, 2)
+    return {
+        "measurements": list(sc.measurements),
+        "outcomes": list(sc.outcomes),
+        "cover": [list(ctx) for ctx in sc.cover],
+        "parties": list(sc.parties),
+    }
+
+
+@pytest.mark.parametrize(
+    "explicit, path, value",
+    [
+        (False, ("parties",), 2.9),
+        (False, ("settings",), 2.0),
+        (False, ("outcomes",), 2.0),
+        (True, ("outcomes", 0), 2.6),
+        (True, ("cover", 1, 1), 3.2),
+        (True, ("parties", 3), 1.0),
+    ],
+)
+def test_json_floats_are_refused_where_integers_are_expected(explicit, path, value):
+    # int() would truncate every one of these to a valid scenario
+    doc = _explicit_bell_doc() if explicit else {"parties": 2, "settings": 2, "outcomes": 2}
+    *keys, last = path
+    target = doc
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(TypeError, match="refusing float"):
+        scenario_from_json(doc)
+
+
+def test_json_integer_fields_still_decode_what_int_accepts():
+    # only floats are refused; integer strings and bools decode as before
+    bell = {"parties": "2", "settings": "2", "outcomes": 2}
+    assert scenario_from_json(bell) == bell_scenario(2, 2, 2)
+    doc = _explicit_bell_doc()
+    doc["cover"][0] = ["0", "2"]
+    doc["parties"] = [False, False, True, True]
+    assert scenario_from_json(doc) == scenario_from_json(_explicit_bell_doc())
+
+
 def test_section_sizes_are_precomputed_outside_the_fields():
     sc = MeasurementScenario(
         measurements=("a", "b", "c"),
