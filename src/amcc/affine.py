@@ -182,8 +182,7 @@ class _Elimination:
     scale them first (rational.over_lcm). Pivot rows are keyed by pivot
     variable and stored sign-fixed in lowest terms with coeffs[pivot] ==
     den (coefficient 1), and fully reduced: no pivot row holds another
-    pivot variable. occurs maps each other variable to a superset of the
-    pivot variables whose rows hold it.
+    pivot variable.
 
     An incoming row is reduced in one pass over the pivot variables it
     holds, since a fully reduced pivot row brings in no other one. A
@@ -197,7 +196,6 @@ class _Elimination:
         self.pivot_rows = {}
         self.order = []
         self.infeasible = False
-        self.occurs = {}
 
     def add(self, coeffs, rhs, den=1):
         """Add the row sum of coeffs[v] / den * x_v == rhs / den: integer
@@ -221,25 +219,14 @@ class _Elimination:
             rhs, c = -rhs, -c
         # dividing the true row by c/den leaves coeffs/c
         rhs, c = _lowest_terms(coeffs, rhs, c)
-        # the rows that held the pivot now hold the new row's variables,
-        # save any that cancelled; such a stale entry in occurs is skipped
-        # when its variable becomes a pivot
-        holders = self.occurs.pop(pivot, set())
-        for u in list(holders):
-            urow, urhs, uden = pivot_rows[u]
+        for u, (urow, urhs, uden) in pivot_rows.items():
             a = urow.pop(pivot, 0)
-            if not a:
-                holders.discard(u)
-                continue
-            urhs = _cancel(urow, urhs, a, pivot, coeffs, rhs, c)
-            uden *= c
-            if uden != 1:
-                urhs, uden = _lowest_terms(urow, urhs, uden)
-            pivot_rows[u] = urow, urhs, uden
-        holders.add(pivot)
-        for w in coeffs:
-            if w != pivot:
-                self.occurs.setdefault(w, set()).update(holders)
+            if a:
+                urhs = _cancel(urow, urhs, a, pivot, coeffs, rhs, c)
+                uden *= c
+                if uden != 1:
+                    urhs, uden = _lowest_terms(urow, urhs, uden)
+                pivot_rows[u] = urow, urhs, uden
         pivot_rows[pivot] = coeffs, rhs, c
         self.order.append(pivot)
 

@@ -26,9 +26,17 @@ from .affine import family_to_csv, lin_str, parameter_bounds, solve_support
 from .errors import PreconditionError, VerificationError
 from .parity import ParitySystem
 from .kernels import compatible_mask
-from .possibilistic import SupportModel, _check_witness, _pack_masks, _require_scan
+from .possibilistic import SupportModel, _check_witness, _pack_masks
 from .rational import _json_int, rat, rat_str
-from .scenario import restriction_table, scenario_from_json, scenario_to_json, section_size
+from .scenario import (
+    MAX_GLOBALS,
+    _require,
+    global_size,
+    restriction_table,
+    scenario_from_json,
+    scenario_to_json,
+    section_size,
+)
 
 # restriction-table cells one compatibility block may gather, one byte each:
 # 16 trials at (4,2,2), whose 16 contexts have 256 global assignments. The
@@ -232,7 +240,7 @@ def search_plans(base, counts, trials, seed, threads=1):
     support. Every miss's first compatible global is re-checked against
     the block array in one gather; if one is wrong, _check_witness on the
     first such trial's masks raises VerificationError. MAX_GLOBALS is
-    checked before the first block.
+    checked before any section list is built.
 
     Trials run one after another. `threads` is kept so that existing callers
     passing threads=1 still work; any other value raises PreconditionError.
@@ -243,6 +251,7 @@ def search_plans(base, counts, trials, seed, threads=1):
     n_contexts = sc.n_contexts
     if len(counts) != n_contexts:
         raise PreconditionError("need one addition count per context")
+    n_globals = _require(global_size(sc), "global assignments", MAX_GLOBALS)
     opposite = _opposite_classes(base)
     for ci, count in enumerate(counts):
         if not 0 <= count <= len(opposite[ci]):
@@ -252,7 +261,7 @@ def search_plans(base, counts, trials, seed, threads=1):
             )
     if trials < 0:
         raise PreconditionError("trials must be nonnegative")
-    block = max(1, BLOCK_CELLS // (n_contexts * _require_scan(sc)))
+    block = max(1, BLOCK_CELLS // (n_contexts * n_globals))
     table = restriction_table(sc)
     parity_cells = _pack_masks(sc, (_parity_masks(base),))
     # flat offset of each (trial, context) row of a block array, and of the

@@ -66,7 +66,7 @@ from .possibilistic import compatible_globals, support_of
 from .rational import ONE, ZERO, fractions_over, over_lcm, rat, rat_str
 from .scenario import (
     MAX_TABLEAU_CELLS,
-    _require_cells,
+    _require,
     global_size,
     incidence_matrix,
     restriction_table,
@@ -113,8 +113,11 @@ def simplex_solve(incidence, rhs):
     prices become new Fractions, one per distinct value."""
     m, n = incidence.shape
     width = n + m
-    cells = (m + 1) * (width + 1)
-    _require_cells("simplex tableau", m + 1, width + 1, MAX_TABLEAU_CELLS)
+    cells = _require(
+        (m + 1) * (width + 1),
+        f"cells in the simplex tableau of {m + 1} x {width + 1}",
+        MAX_TABLEAU_CELLS,
+    )
     scale, rhs = over_lcm([b if type(b) is Fraction else rat(b) for b in rhs])
     if min(rhs, default=0) < 0:
         i, b = next((i, b) for i, b in enumerate(rhs) if b < 0)

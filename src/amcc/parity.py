@@ -8,17 +8,20 @@ target (LSB = context 0, contexts in canonical cover order), so the
 Satisfiability of one system is decided by GF(2) elimination against the
 measurement column vectors. Brute enumeration of global assignments through
 the numpy pattern scan classifies whole scenarios (parity_scan), whose count
-is cross-checked against the rank.
+is cross-checked against the rank. Both enumerations are bounded by
+`scenario._require`, before they allocate: parity_scan by MAX_SCAN_VECTORS
+parity vectors, and parity_patterns by MAX_GLOBALS global assignments and by
+62 contexts, the bits of one packed int64 pattern.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError, ResourceLimitError, VerificationError
+from .errors import PreconditionError, VerificationError
 from .kernels import scan_satisfiable
 from .model import _parity_model
-from .scenario import global_size
+from .scenario import MAX_GLOBALS, MAX_SCAN_VECTORS, _require, global_size
 
 __all__ = [
     "ParitySystem",
@@ -35,8 +38,6 @@ __all__ = [
     "parity_scan",
     "build_symmetric_model",
 ]
-
-MAX_SCAN_VECTORS = 1 << 24  # full scans enumerate every parity vector
 
 
 def _require_binary(scenario):
@@ -125,11 +126,9 @@ def parity_patterns(scenario):
     column vectors of the measurements that g sets to 1."""
     cols = column_vectors(scenario)
     n = len(cols)
-    if n > 24:
-        raise ResourceLimitError(f"{n} binary measurements exceeds the pattern limit")
-    if scenario.n_contexts > 62:
-        raise ResourceLimitError("too many contexts for packed int64 patterns")
-    g = np.arange(global_size(scenario), dtype=np.int64)
+    _require(scenario.n_contexts, "contexts in a packed int64 pattern", 62)
+    ng = _require(global_size(scenario), "global assignments", MAX_GLOBALS)
+    g = np.arange(ng, dtype=np.int64)
     pat = np.zeros_like(g)
     # big-endian packing: measurement m sits at bit (n - 1 - m)
     for m, col in enumerate(cols):
@@ -165,11 +164,7 @@ def parity_scan(scenario, threads=1, examples=8):
     if threads != 1:
         raise PreconditionError(f"threads must be 1, not {threads!r}")
     _require_binary(scenario)
-    n_vec = 1 << scenario.n_contexts
-    if n_vec > MAX_SCAN_VECTORS:
-        raise ResourceLimitError(
-            f"{n_vec} parity vectors exceeds the scan limit {MAX_SCAN_VECTORS}"
-        )
+    n_vec = _require(1 << scenario.n_contexts, "parity vectors", MAX_SCAN_VECTORS)
     sat = scan_satisfiable(parity_patterns(scenario), n_vec)
     n_sat = int(sat.sum())
     n_unsat = n_vec - n_sat

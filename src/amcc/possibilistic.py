@@ -5,6 +5,9 @@ as a bitmask over section indices. Strong contextuality is the statement that
 no global assignment restricts into every context's support; the numpy
 compatibility scan over the restriction table decides it, and
 `strong_contextuality` re-checks the scan's witness context by context.
+The scan enumerates every global assignment, so `compatible_globals` first
+holds their number to MAX_GLOBALS through `scenario._require`, the one check
+of every size limit.
 
 Possibilistic no-signaling asks overlapping contexts to allow the same joint
 outcomes of their shared measurements. One pass over the scenario's
@@ -19,11 +22,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ResourceLimitError, VerificationError
+from .errors import VerificationError
 from .kernels import compatible_mask
 from .model import EmpiricalModel
 from .rational import ZERO, rat_parser
 from .scenario import (
+    MAX_GLOBALS,
+    _require,
     global_size,
     overlaps,
     restriction_table,
@@ -44,8 +49,6 @@ __all__ = [
     "support_to_json",
     "support_from_json",
 ]
-
-MAX_GLOBALS = 1 << 20  # compatibility scans enumerate every global assignment
 
 
 @dataclass(frozen=True)
@@ -111,17 +114,6 @@ def _pack_masks(scenario, rows):
     return np.unpackbits(octets, axis=-1, count=width, bitorder="little").astype(np.bool_)
 
 
-def _require_scan(scenario):
-    """The scenario's number of global assignments; raises
-    ResourceLimitError past MAX_GLOBALS, before a scan allocates."""
-    ng = global_size(scenario)
-    if ng > MAX_GLOBALS:
-        raise ResourceLimitError(
-            f"{ng} global assignments exceeds the scan limit {MAX_GLOBALS}"
-        )
-    return ng
-
-
 def _check_witness(table, masks, gi):
     """Raise VerificationError unless global gi restricts, through the
     restriction table, into every context's mask: the re-check of a
@@ -139,7 +131,7 @@ def compatible_globals(support):
     """Global assignments whose every restriction is possible, as a sorted
     list of packed indices."""
     sc = support.scenario
-    _require_scan(sc)
+    _require(global_size(sc), "global assignments", MAX_GLOBALS)
     mask = compatible_mask(_pack_masks(sc, (support.masks,))[0], restriction_table(sc))
     return [int(g) for g in np.nonzero(mask)[0]]
 

@@ -23,6 +23,10 @@ the same for global sections onto each context. No-signaling, marginals,
 the affine equations and possibilistic no-signaling read these instead of
 decoding sections themselves. `generating_overlaps` is the part of
 `overlaps` whose equalities imply all the others.
+
+Every size limit of the package lives here, and `_require` is the one check
+that enforces them: each guard calls it with a count computed by arithmetic
+alone, before the loop or allocation the count describes.
 """
 
 from collections import Counter
@@ -41,6 +45,8 @@ __all__ = [
     "bell_scenario",
     "MAX_BELL_MEASUREMENTS",
     "MAX_BELL_CONTEXTS",
+    "MAX_GLOBALS",
+    "MAX_SCAN_VECTORS",
     "MAX_TABLE_CELLS",
     "MAX_TABLEAU_CELLS",
     "unpack",
@@ -76,10 +82,10 @@ class MeasurementScenario:
 
     def __post_init__(self):
         object.__setattr__(self, "measurements", tuple(self.measurements))
-        object.__setattr__(self, "outcomes", tuple(int(o) for o in self.outcomes))
-        object.__setattr__(self, "cover", tuple(tuple(int(m) for m in c) for c in self.cover))
+        object.__setattr__(self, "outcomes", tuple(map(_json_int, self.outcomes)))
+        object.__setattr__(self, "cover", tuple(tuple(map(_json_int, c)) for c in self.cover))
         if self.parties is not None:
-            object.__setattr__(self, "parties", tuple(int(p) for p in self.parties))
+            object.__setattr__(self, "parties", tuple(map(_json_int, self.parties)))
         n = len(self.measurements)
         if n == 0:
             raise ValueError("scenario needs at least one measurement")
@@ -133,26 +139,46 @@ class MeasurementScenario:
 MAX_BELL_MEASUREMENTS = 64  # parties * settings
 MAX_BELL_CONTEXTS = 1 << 10  # settings ** parties
 
+# compatibility scans and parity patterns enumerate every global assignment;
+# a scenario's slots (context-section pairs) are held to the same limit, and
+# a Bell scenario with 2 or more outcomes has at most as many slots as
+# global assignments
+MAX_GLOBALS = 1 << 20
+
+MAX_SCAN_VECTORS = 1 << 24  # full parity scans enumerate every parity vector
+
+# cells of one restriction table or incidence matrix: (6,2,2)'s incidence
+# matrix has 2**24, (7,2,2)'s 2**28 (256 MiB of uint8)
+MAX_TABLE_CELLS = 1 << 26
+
+# cells of one exact simplex tableau, (slots + 1) x (columns + slots + 1):
+# (5,2,2)'s full tableau has 1025 x 2049 (about 2.1 M), (6,2,2)'s would have
+# 4097 x 8193 (33.6 M). A tableau this large is an int64 array (64 MiB at
+# the limit), and a pivot adds at most two temporaries of its size; Python
+# ints, once its entries outgrow int64, take several times that
+MAX_TABLEAU_CELLS = 1 << 23
+
+
+def _require(count, what, limit):
+    """count, unless it is over limit: then ResourceLimitError, whose
+    message reads "{count} {what} is over the limit {limit}"."""
+    if count > limit:
+        raise ResourceLimitError(f"{count} {what} is over the limit {limit}")
+    return count
+
 
 @lru_cache(maxsize=None)
 def bell_scenario(parties, settings, outcomes):
     """(n, m, o) Bell scenario: n parties, m settings each, o outcomes each.
     Labels are Y1, Y1', Y2, ... with one prime mark per extra setting.
     Raises ResourceLimitError, before any loop, past MAX_BELL_MEASUREMENTS
-    measurements or MAX_BELL_CONTEXTS contexts."""
+    measurements, MAX_BELL_CONTEXTS contexts or MAX_GLOBALS slots."""
     if parties < 1 or settings < 1 or outcomes < 1:
         raise ValueError("parties, settings and outcomes must all be >= 1")
-    # the product bounds the exponent, so settings ** parties stays small
-    if parties * settings > MAX_BELL_MEASUREMENTS:
-        raise ResourceLimitError(
-            f"{parties} parties with {settings} settings is {parties * settings} "
-            f"measurements, over the limit {MAX_BELL_MEASUREMENTS}"
-        )
-    if settings**parties > MAX_BELL_CONTEXTS:
-        raise ResourceLimitError(
-            f"{parties} parties with {settings} settings is {settings**parties} "
-            f"contexts, over the limit {MAX_BELL_CONTEXTS}"
-        )
+    # the product bounds the exponents, so the powers stay small
+    _require(parties * settings, "measurements", MAX_BELL_MEASUREMENTS)
+    _require(settings**parties, "contexts", MAX_BELL_CONTEXTS)
+    _require((settings * outcomes) ** parties, "slots", MAX_GLOBALS)
     labels = []
     party_of = []
     for p in range(parties):
@@ -295,35 +321,15 @@ def generating_overlaps(scenario):
     return tuple(pair for pair in pairs if len(pair[2]) == n - 1)
 
 
-# cells of one restriction table or incidence matrix: (6,2,2)'s incidence
-# matrix has 2**24, (7,2,2)'s 2**28 (256 MiB of uint8)
-MAX_TABLE_CELLS = 1 << 26
-
-# cells of one exact simplex tableau, (slots + 1) x (columns + slots + 1):
-# (5,2,2)'s full tableau has 1025 x 2049 (about 2.1 M), (6,2,2)'s would have
-# 4097 x 8193 (33.6 M). A tableau this large is an int64 array (64 MiB at
-# the limit), and a pivot adds at most two temporaries of its size; Python
-# ints, once its entries outgrow int64, take several times that
-MAX_TABLEAU_CELLS = 1 << 23
-
-
-def _require_cells(what, rows, cols, limit=MAX_TABLE_CELLS):
-    """Raise ResourceLimitError when a rows x cols array is over limit
-    cells; called before the array is built."""
-    if rows * cols > limit:
-        raise ResourceLimitError(
-            f"{what} of {rows} x {cols} = {rows * cols} cells is over the limit {limit}"
-        )
-
-
 @lru_cache(maxsize=64)
 def restriction_table(scenario):
     """int32 array (n_contexts, n_globals): restriction_table[c, g] is the
     section index of global g in context c. Read-only. Raises
     ResourceLimitError, before allocating, past MAX_TABLE_CELLS entries."""
-    _require_cells("restriction table", scenario.n_contexts, global_size(scenario))
-    globals_ = np.arange(global_size(scenario), dtype=np.int32)
-    tab = np.empty((scenario.n_contexts, len(globals_)), dtype=np.int32)
+    rows, cols = scenario.n_contexts, global_size(scenario)
+    _require(rows * cols, f"cells in the restriction table of {rows} x {cols}", MAX_TABLE_CELLS)
+    globals_ = np.arange(cols, dtype=np.int32)
+    tab = np.empty((rows, cols), dtype=np.int32)
     for ci, ctx in enumerate(scenario.cover):
         tab[ci] = _repack(globals_, scenario.outcomes, ctx)
     tab.setflags(write=False)
@@ -350,11 +356,10 @@ def incidence_matrix(scenario):
     global section; entry 1 iff the global restricts to that section. Rows
     follow cover order then section order. Read-only uint8. Raises
     ResourceLimitError, before allocating, past MAX_TABLE_CELLS entries."""
-    _require_cells("incidence matrix", slot_count(scenario), global_size(scenario))
+    rows, ng = slot_count(scenario), global_size(scenario)
+    _require(rows * ng, f"cells in the incidence matrix of {rows} x {ng}", MAX_TABLE_CELLS)
     tab = restriction_table(scenario)
     offs = slot_offsets(scenario)
-    rows = slot_count(scenario)
-    ng = tab.shape[1]
     mat = np.zeros((rows, ng), dtype=np.uint8)
     cols = np.arange(ng)
     for ci in range(scenario.n_contexts):
@@ -392,8 +397,9 @@ def scenario_from_json(doc):
     """Decode the Bell form {parties, settings, outcomes} or the explicit
     form {measurements, outcomes, cover[, parties]}. Either form raises
     ResourceLimitError past MAX_BELL_MEASUREMENTS measurements or
-    MAX_BELL_CONTEXTS contexts, before the cover is checked, and TypeError
-    on a float where an integer is expected."""
+    MAX_BELL_CONTEXTS contexts, before the cover is checked, or past
+    MAX_GLOBALS slots, and TypeError on a float where an integer is
+    expected."""
     if not isinstance(doc, dict):
         raise ValueError("scenario must be a JSON object")
     if "parties" in doc and "measurements" not in doc:
@@ -406,19 +412,16 @@ def scenario_from_json(doc):
         cover = tuple(doc["cover"])
         # the same limits as the Bell form, before the pairwise antichain
         # check of the cover runs
-        if len(measurements) > MAX_BELL_MEASUREMENTS:
-            raise ResourceLimitError(
-                f"{len(measurements)} measurements is over the limit {MAX_BELL_MEASUREMENTS}"
-            )
-        if len(cover) > MAX_BELL_CONTEXTS:
-            raise ResourceLimitError(
-                f"{len(cover)} contexts is over the limit {MAX_BELL_CONTEXTS}"
-            )
-        return MeasurementScenario(
+        _require(len(measurements), "measurements", MAX_BELL_MEASUREMENTS)
+        _require(len(cover), "contexts", MAX_BELL_CONTEXTS)
+        scenario = MeasurementScenario(
             measurements=measurements,
-            outcomes=tuple(map(_json_int, doc["outcomes"])),
-            cover=tuple(tuple(map(_json_int, c)) for c in cover),
-            parties=tuple(map(_json_int, doc["parties"])) if "parties" in doc else None,
+            outcomes=doc["outcomes"],
+            cover=cover,
+            # tuple() keeps refusing "parties": null
+            parties=tuple(doc["parties"]) if "parties" in doc else None,
         )
     except KeyError as e:
         raise ValueError(f"scenario object missing key {e}")
+    _require(slot_count(scenario), "slots", MAX_GLOBALS)
+    return scenario

@@ -349,6 +349,23 @@ def test_parity_scan_resource_limit(run):
     assert "resource limit:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("emit-parity-model", "21", "1", "0"),
+        ("parity-scan", "21", "1"),
+        ("search-plans", "--parties", "21", "--settings", "1", "--vector", "0",
+         "--counts", "1", "--trials", "1", "--seed", "1"),
+    ],
+)
+def test_one_context_with_too_many_sections_exits_5(run, argv):
+    # 21 one-setting parties: a single context of 2^21 sections, refused by
+    # the slot limit before its section list is built
+    code, out, err = run(*argv)
+    assert code == 5 and out == ""
+    assert "resource limit: 2097152 slots is over the limit 1048576" in err
+
+
 def test_emit_parity_model_roundtrip(run):
     code, out, _ = run("emit-parity-model", "2", "2", "0x7")
     assert code == 0

@@ -26,7 +26,7 @@ from amcc.csp import (
     satisfying_sections,
     search_plans,
 )
-from amcc.errors import PreconditionError, VerificationError
+from amcc.errors import PreconditionError, ResourceLimitError, VerificationError
 from amcc.model import parity_amcc_422
 from amcc.parity import ParitySystem, parity_system_from_vector
 from amcc.possibilistic import (
@@ -37,13 +37,38 @@ from amcc.possibilistic import (
     support_of,
 )
 from amcc.rational import rat
-from amcc.scenario import bell_scenario, global_size, restriction_table, section_size
+from amcc.scenario import (
+    MeasurementScenario,
+    bell_scenario,
+    global_size,
+    restriction_table,
+    section_size,
+)
 
 REFERENCE_VECTOR = 0x1C00
 
 
 def _base_system():
     return parity_system_from_vector(bell_scenario(4, 2, 2), REFERENCE_VECTOR)
+
+
+def test_search_checks_the_global_count_before_listing_any_section(monkeypatch):
+    # a chain of 21 binary measurements: 20 contexts and 80 slots pass the
+    # scenario's limits, its 2^21 global assignments do not
+    n = 21
+    sc = MeasurementScenario(
+        measurements=tuple(f"m{i}" for i in range(n)),
+        outcomes=(2,) * n,
+        cover=tuple((i, i + 1) for i in range(n - 1)),
+    )
+    base = ParitySystem(sc, (0,) * (n - 1))
+
+    def fail(system):
+        raise AssertionError("_opposite_classes ran before the limit check")
+
+    monkeypatch.setattr(csp, "_opposite_classes", fail)
+    with pytest.raises(ResourceLimitError, match="^2097152 global assignments is over the limit"):
+        search_plans(base, (0,) * (n - 1), 1, 1)
 
 
 def test_parity_classes_split_each_context():

@@ -1,0 +1,179 @@
+"""Fuzzed documents: small seed documents, mutated a few steps at a time,
+go through every JSON decoder and through `main`. A decoder returns or
+raises one of the errors that `main` reports; `main` answers every document
+with exit 0, 2, 3, 4 or 5, and nothing escapes it.
+
+Some mutations inflate a scenario's parties, settings or outcomes, so that
+the size limits trip. Every limit is checked by arithmetic before anything
+of that size is built. The examples are derandomized, so every run draws
+the same documents."""
+
+import contextlib
+import copy
+import io
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from amcc.affine import family_from_json, family_to_json, solve_support
+from amcc.cli import main
+from amcc.csp import AugmentationPlan, plan_from_json, plan_to_json
+from amcc.errors import PreconditionError, ResourceLimitError, VerificationError
+from amcc.model import model_from_json, model_to_json, pr_box
+from amcc.parity import parity_system_from_vector
+from amcc.possibilistic import SupportModel, support_from_json, support_to_json
+from amcc.scenario import bell_scenario, scenario_from_json, scenario_to_json
+
+SCENARIO = bell_scenario(2, 2, 2)
+BELL = scenario_to_json(SCENARIO)
+EXPLICIT = {
+    "measurements": list(SCENARIO.measurements),
+    "outcomes": list(SCENARIO.outcomes),
+    "cover": [list(ctx) for ctx in SCENARIO.cover],
+    "parties": list(SCENARIO.parties),
+}
+MODEL = model_to_json(pr_box(0))
+MODEL_EXPLICIT = {**MODEL, "scenario": EXPLICIT}
+# the PR box's support with one more section in the last context: its
+# distributions form a one-parameter family, q in [1/2, 1]
+SUPPORT = support_to_json(SupportModel(SCENARIO, (0b1001, 0b1001, 0b1001, 0b0111)))
+FAMILY = family_to_json(solve_support(support_from_json(SUPPORT)))
+PLAN = plan_to_json(
+    AugmentationPlan(parity_system_from_vector(SCENARIO, 0x1), ((0,), (), (), (1,)))
+)
+
+# what a decoder may raise: main reports each as exit 2, 3, 4 or 5
+REPORTED = (
+    ValueError,
+    TypeError,
+    KeyError,
+    PreconditionError,
+    VerificationError,
+    ResourceLimitError,
+)
+
+LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 4),
+    st.floats(-2, 4),
+    st.sampled_from(["", "x", "1/2", "-1/3", "0", "1", "2", "1/0"]),
+    st.just([]),
+    st.just({}),
+)
+# past a size limit, or close to one
+INFLATED = st.sampled_from([10, 21, 64, 65, 1025, 1 << 20, 10**12])
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def _mutate(draw, node):
+    """node with one entry, at some depth, replaced, deleted or repeated."""
+    if not isinstance(node, (dict, list)) or not node:
+        return draw(LEAVES)
+    key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+    action = draw(st.sampled_from(["descend", "replace", "delete", "repeat"]))
+    if action == "descend":
+        node[key] = _mutate(draw, node[key])
+    elif action == "replace":
+        node[key] = draw(LEAVES)
+    elif action == "delete":
+        del node[key]
+    elif isinstance(node, list):
+        node.insert(key, copy.deepcopy(node[key]))
+    else:
+        node[key] = [node[key], copy.deepcopy(node[key])]
+    return node
+
+
+@st.composite
+def mutated(draw, seed):
+    doc = copy.deepcopy(seed)
+    for _ in range(draw(st.integers(1, 3))):
+        doc = _mutate(draw, doc)
+    return doc
+
+
+@st.composite
+def inflated(draw, seed):
+    """seed with one of its scenario's parties, settings or outcomes set to
+    an INFLATED value."""
+    doc = copy.deepcopy(seed)
+    sc = doc.get("scenario", doc)
+    if "measurements" in sc:
+        sc["outcomes"][draw(st.integers(0, len(sc["outcomes"]) - 1))] = draw(INFLATED)
+    else:
+        sc[draw(st.sampled_from(["parties", "settings", "outcomes"]))] = draw(INFLATED)
+    return doc
+
+
+def fuzzed(seed):
+    return st.one_of(mutated(seed), inflated(seed))
+
+
+@FUZZ
+@given(
+    st.one_of(
+        *(
+            st.tuples(st.just(decoder), fuzzed(seed))
+            for decoder, seed in [
+                (scenario_from_json, BELL),
+                (scenario_from_json, EXPLICIT),
+                (model_from_json, MODEL),
+                (model_from_json, MODEL_EXPLICIT),
+                (support_from_json, SUPPORT),
+                (family_from_json, FAMILY),
+                (plan_from_json, PLAN),
+            ]
+        )
+    )
+)
+def test_decoders_return_or_raise_a_reported_error(case):
+    decoder, doc = case
+    try:
+        decoder(doc)
+    except REPORTED:
+        pass
+
+
+def _run(path, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        return main([argv[0], str(path), *argv[1:]])
+
+
+COMMANDS = [
+    (("cf",), MODEL),
+    (("cf",), MODEL_EXPLICIT),
+    (("classify",), MODEL),
+    (("nosignaling",), MODEL_EXPLICIT),
+    (("marginals", "1"), MODEL),
+    (("solve-support",), SUPPORT),
+    (("classify", "--q", "3/4"), FAMILY),
+]
+
+
+def test_every_seed_document_runs(tmp_path):
+    for argv, seed in COMMANDS:
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps(seed))
+        assert _run(path, argv) == 0, argv
+
+
+@FUZZ
+@given(st.one_of(*(st.tuples(st.just(argv), fuzzed(seed)) for argv, seed in COMMANDS)))
+def test_main_answers_every_document_with_an_exit_code(tmp_path_factory, case):
+    argv, doc = case
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    assert _run(path, argv) in (0, 2, 3, 4, 5)
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(COMMANDS), st.data())
+def test_inflated_scenarios_exit_2_or_5(tmp_path_factory, command, data):
+    # 2 when the inflated scenario still fits and the tables no longer do
+    argv, seed = command
+    path = tmp_path_factory.getbasetemp() / "inflated.json"
+    path.write_text(json.dumps(data.draw(inflated(seed))))
+    assert _run(path, argv) in (2, 5)

@@ -180,8 +180,29 @@ def test_symmetric_models_of_unsatisfiable_222_vectors_are_pr_boxes():
 def test_scan_limit_guard():
     # one context per measurement pair over 8 settings: C(16,2) > 24 contexts
     sc = bell_scenario(2, 8, 2)
-    with pytest.raises(ResourceLimitError, match="scan limit"):
+    with pytest.raises(ResourceLimitError, match="parity vectors is over the limit"):
         parity_scan(sc)
+
+
+def _chain(n):
+    # n binary measurements, contexts {m_i, m_i+1}: few contexts, 2^n globals
+    return MeasurementScenario(
+        measurements=tuple(f"m{i}" for i in range(n)),
+        outcomes=(2,) * n,
+        cover=tuple((i, i + 1) for i in range(n - 1)),
+    )
+
+
+def test_pattern_guards_trip_before_allocating():
+    with pytest.raises(ResourceLimitError, match="^2097152 global assignments is over the limit"):
+        parity_patterns(_chain(21))
+    assert parity_patterns(_chain(20)).shape == (1 << 20,)
+    # 63 of the 66 pairs of 12 measurements: 4096 globals, but one bit per
+    # context does not fit an int64
+    pairs = tuple((a, b) for a in range(12) for b in range(a + 1, 12))[:63]
+    sc = MeasurementScenario(tuple(f"m{i}" for i in range(12)), (2,) * 12, pairs)
+    with pytest.raises(ResourceLimitError, match="63 contexts in a packed int64 pattern"):
+        parity_patterns(sc)
 
 
 @given(st.lists(st.integers(0, 2**10 - 1), min_size=0, max_size=8))

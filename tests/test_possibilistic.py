@@ -425,7 +425,7 @@ def test_scan_limit_guard():
         cover=(tuple(range(n)),),
     )
     sup = SupportModel(sc, (1,))
-    with pytest.raises(ResourceLimitError, match="scan limit"):
+    with pytest.raises(ResourceLimitError, match="global assignments is over the limit"):
         compatible_globals(sup)
 
 

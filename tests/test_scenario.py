@@ -12,6 +12,7 @@ from amcc.errors import ResourceLimitError
 from amcc.scenario import (
     MAX_BELL_CONTEXTS,
     MAX_BELL_MEASUREMENTS,
+    MAX_GLOBALS,
     MAX_TABLE_CELLS,
     MeasurementScenario,
     bell_scenario,
@@ -340,6 +341,29 @@ def test_json_integer_fields_still_decode_what_int_accepts():
     assert scenario_from_json(doc) == scenario_from_json(_explicit_bell_doc())
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("outcomes", (2.6, 2.9)), ("cover", ((0, 1.7),)), ("parties", (0, 1.0))],
+)
+def test_the_constructor_refuses_floats_where_integers_are_expected(field, value):
+    # int() would truncate every one of these to a valid scenario
+    kwargs = {"measurements": ("a", "b"), "outcomes": (2, 2), "cover": ((0, 1),), field: value}
+    with pytest.raises(TypeError, match="refusing float"):
+        MeasurementScenario(**kwargs)
+
+
+def test_the_constructor_still_decodes_integer_strings_and_bools():
+    sc = MeasurementScenario(("a", "b"), ("2", 2), (("0", True),), (False, "1"))
+    assert sc == MeasurementScenario(("a", "b"), (2, 2), ((0, 1),), (0, 1))
+
+
+def test_explicit_json_still_refuses_null_parties():
+    doc = _explicit_bell_doc()
+    doc["parties"] = None
+    with pytest.raises(TypeError):
+        scenario_from_json(doc)
+
+
 def test_section_sizes_are_precomputed_outside_the_fields():
     sc = MeasurementScenario(
         measurements=("a", "b", "c"),
@@ -381,6 +405,35 @@ def test_bell_size_guard_trips_before_building():
         bell_scenario(10**9, 10**9, 2)
     with pytest.raises(ResourceLimitError, match="contexts"):
         bell_scenario(30, 2, 2)
+
+
+def test_bell_slot_guard_trips_before_building():
+    # 21 one-setting parties: 21 measurements and one context, but that
+    # context alone has 2^21 sections
+    with pytest.raises(ResourceLimitError, match="^2097152 slots is over the limit 1048576$"):
+        bell_scenario(21, 1, 2)
+    with pytest.raises(ResourceLimitError, match="slots"):
+        bell_scenario(1, 1, MAX_GLOBALS + 1)
+    # (10,2,2) has exactly 2^20 slots, as many as global assignments
+    ten = bell_scenario(10, 2, 2)
+    assert slot_count(ten) == global_size(ten) == MAX_GLOBALS
+
+
+@pytest.mark.parametrize(
+    "parties, settings, outcomes", [(1, 1, 2), (2, 3, 2), (3, 2, 3), (4, 1, 5)]
+)
+def test_bell_slots_are_at_most_the_global_assignments(parties, settings, outcomes):
+    # why the slot limit refuses no Bell scenario that a scan accepts
+    sc = bell_scenario(parties, settings, outcomes)
+    assert slot_count(sc) == (settings * outcomes) ** parties <= global_size(sc)
+
+
+def test_explicit_slot_guard():
+    doc = {"measurements": ["a", "b"], "outcomes": [2, MAX_GLOBALS], "cover": [[0, 1]]}
+    with pytest.raises(ResourceLimitError, match="^2097152 slots is over the limit 1048576$"):
+        scenario_from_json(doc)
+    doc["outcomes"] = [2, MAX_GLOBALS // 2]
+    assert slot_count(scenario_from_json(doc)) == MAX_GLOBALS
 
 
 def _pair_cover_doc(n_measurements, n_contexts):
