@@ -23,12 +23,14 @@ to a support only deletes columns, so it stays implied: solve_support
 eliminates only the kept rows, restricted to the support, and ends in the
 state that eliminating all of the support's equations would reach. The
 family check reads the full system, in one vectorized integer pass.
+Outside ns_equations a support is read only as its slot mask,
+possibilistic._possible_slots: one bool per slot, in slot order.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 import numpy as np
 
@@ -44,7 +46,7 @@ from .scenario import (
     slot_count,
     slot_offsets,
 )
-from .possibilistic import _pack_masks, support_from_json, support_to_json
+from .possibilistic import _possible_slots, support_from_json, support_to_json
 
 __all__ = [
     "AffineFamily",
@@ -102,21 +104,12 @@ def _pivot_rows(scenario):
     only these rows, restricted, thus ends in the same state as eliminating
     all of ns_equations(scenario, support).
 
-    The rows of an overlapping pair sum to the difference of its two
-    contexts' normalization rows, so the pair's last row never adds a pivot
-    and is not fed to the elimination; that builds the template about 15%
-    faster at (5,2,2)."""
-    rows = ns_equations(scenario)
-    # every pair's block holds one row per shared outcome
-    last, end = set(), scenario.n_contexts
-    for _, _, shared, _, _ in overlaps(scenario):
-        end += prod(scenario.outcomes[m] for m in shared)
-        last.add(end - 1)
+    Every row is fed in order: a pair's last shared-outcome row, a
+    combination of the rest of its block and the two normalization rows,
+    is dropped like any other implied row."""
     elim = _Elimination()
     kept = []
-    for i, (row, rhs) in enumerate(rows):
-        if i in last:
-            continue
+    for row, rhs in ns_equations(scenario):
         rank = len(elim.order)
         elim.add(row, rhs)
         if len(elim.order) > rank:
@@ -131,14 +124,8 @@ def _support_rows(support):
     rows left empty (pair rows with rhs 0; no context is empty). Each is
     the ns_equations(scenario, support) row for the same equation, with the
     same insertion order."""
-    sc = support.scenario
-    offs = slot_offsets(sc)
-    on = bytearray(slot_count(sc))
-    for ci in range(sc.n_contexts):
-        for si in range(section_size(sc, ci)):
-            if support.possible(ci, si):
-                on[offs[ci] + si] = 1
-    for row, rhs in _pivot_rows(sc):
+    on = _possible_slots(support).tolist()
+    for row, rhs in _pivot_rows(support.scenario):
         coeffs = {s: c for s, c in row.items() if on[s]}
         if coeffs:
             yield coeffs, rhs
@@ -329,13 +316,7 @@ def solve_support(support):
         elim.add(row, rhs)
         if elim.infeasible:
             return None
-    offs = slot_offsets(sc)
-    supported = [
-        offs[ci] + si
-        for ci in range(sc.n_contexts)
-        for si in range(section_size(sc, ci))
-        if support.possible(ci, si)
-    ]
+    supported = np.flatnonzero(_possible_slots(support)).tolist()
     free, exprs = elim.back_substitute(supported)
     n_slots = slot_count(sc)
     base = [ZERO] * n_slots
@@ -363,18 +344,9 @@ def _normalize_single_parameter(family):
     """Reparameterize a one-dimensional family so the parameter equals the
     weight of the first in-support slot of the first context whose weight
     actually varies; name it q."""
-    sc = family.scenario
-    offs = slot_offsets(sc)
     direction = family.directions[0]
-    anchor = None
-    for ci in range(sc.n_contexts):
-        for si in range(section_size(sc, ci)):
-            slot = offs[ci] + si
-            if family.support.possible(ci, si) and direction[slot] != 0:
-                anchor = slot
-                break
-        if anchor is not None:
-            break
+    supported = np.flatnonzero(_possible_slots(family.support)).tolist()
+    anchor = next((slot for slot in supported if direction[slot] != 0), None)
     if anchor is None:
         raise VerificationError("one-parameter family with a constant table")
     c1 = direction[anchor]
@@ -384,7 +356,7 @@ def _normalize_single_parameter(family):
     base = tuple(a - d * shift if d else a for a, d in zip(family.base, direction))
     newdir = tuple(d / c1 if d else d for d in direction)
     return AffineFamily(
-        scenario=sc,
+        scenario=family.scenario,
         support=family.support,
         base=base,
         directions=(newdir,),
@@ -415,12 +387,13 @@ def _check_family(family):
     scenario's rows check the same thing as the support's.
 
     The vectors are scaled to integer numerators over their lcm once. One
-    numpy pass over them finds weight off the support, reported at its first
-    slot in slot order, and every row sum of every vector is one numpy
-    reduceat. No sum exceeds the longest row times the largest numerator;
-    while that bound and the base's denominator are below 2**63 the sums run
-    in int64, otherwise on Python ints. The first violating row in
-    ns_equations order is reported, its base before its directions."""
+    numpy pass over them and the support's slot mask finds weight off the
+    support, reported as the (context, section) of its first slot, and
+    every row sum of every vector is one numpy reduceat. No sum exceeds the
+    longest row times the largest numerator; while that bound and the base's
+    denominator are below 2**63 the sums run in int64, otherwise on Python
+    ints. The first violating row in ns_equations order is reported, its
+    base before its directions."""
     sc = family.scenario
     slot, sign, start, rhs, width = _ns_arrays(sc)
     (den, base), *directions = map(over_lcm, (family.base, *family.directions))
@@ -428,14 +401,11 @@ def _check_family(family):
     big = max(max(max(v), -min(v)) for v in vectors)
     dtype = np.int64 if max(width * big, den) < 2**63 else object
     values = np.array(vectors, dtype=dtype)
-    # (context, section) cells in row-major order are the slots in slot order
-    possible = _pack_masks(sc, (family.support.masks,))[0]
-    cells = np.arange(possible.shape[1]) < np.array(sc.section_sizes)[:, None]
-    weighted = np.zeros_like(cells)
-    weighted[cells] = (values != 0).any(axis=0)
-    off = np.argwhere(weighted & ~possible)
+    off = np.flatnonzero((values != 0).any(axis=0) & ~_possible_slots(family.support))
     if off.size:
-        ci, si = map(int, off[0])
+        offs = slot_offsets(sc)
+        ci = int(np.searchsorted(offs, off[0], side="right")) - 1
+        si = int(off[0]) - offs[ci]
         raise VerificationError(
             "family has weight outside the support",
             details={"context": ci, "section": si},

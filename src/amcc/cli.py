@@ -1,14 +1,17 @@
 """Command-line front end.
 
 Subcommands wrap the library operations one-to-one and share a fixed
-exit-code convention: 0 ok, 2 unreadable input, 3 precondition violated,
-4 verification failure, 5 resource limit. Machine formats carry exact
-rationals as "a/b" strings; decimals appear only in human output.
+exit-code convention: 0 ok, 2 unreadable input or unusable argument value,
+3 precondition violated, 4 verification failure, 5 resource limit. Machine
+formats carry exact rationals as "a/b" strings; decimals appear only in
+human output.
 """
 
 import argparse
 import json
 import sys
+from contextlib import contextmanager
+from functools import lru_cache
 
 from .affine import (
     classify,
@@ -69,6 +72,19 @@ def _decode(path, decoder, doc):
         raise _InputError(f"{path} does not decode: {exc}") from exc
 
 
+@contextmanager
+def _argument_values(what="unusable argument"):
+    """A ValueError while building a value from argv (a scenario, parity
+    vector, counts or --q) is unusable input, reported as "what: ...";
+    a PreconditionError (a ValueError) stays one."""
+    try:
+        yield
+    except PreconditionError:
+        raise
+    except ValueError as exc:
+        raise _InputError(f"{what}: {exc}") from exc
+
+
 def _load_model(path):
     return _decode(path, model_from_json, _load_json(path))
 
@@ -111,12 +127,8 @@ def cmd_cf(args):
 def cmd_classify(args):
     if args.q is not None:
         family = _decode(args.path, family_from_json, _load_json(args.path))
-        try:
+        with _argument_values(f"cannot evaluate family at --q {args.q}"):
             model = family.at(rat_from_str(args.q))
-        except PreconditionError:
-            raise
-        except ValueError as exc:
-            raise _InputError(f"cannot evaluate family at --q {args.q}: {exc}") from exc
     else:
         model = _load_model(args.path)
     cls = classify(model)
@@ -163,7 +175,8 @@ def cmd_nosignaling(args):
 
 
 def cmd_parity_scan(args):
-    sc = bell_scenario(args.parties, args.settings, 2)
+    with _argument_values():
+        sc = bell_scenario(args.parties, args.settings, 2)
     scan = parity_scan(sc)
     examples = [vector_hex(v, scan.n_contexts) for v in scan.examples]
     if args.json:
@@ -188,8 +201,9 @@ def cmd_parity_scan(args):
 
 
 def cmd_emit_parity_model(args):
-    sc = bell_scenario(args.parties, args.settings, 2)
-    system = parity_system_from_vector(sc, args.vector)
+    with _argument_values():
+        sc = bell_scenario(args.parties, args.settings, 2)
+        system = parity_system_from_vector(sc, args.vector)
     _print_doc(model_to_json(build_symmetric_model(system)))
 
 
@@ -230,14 +244,15 @@ def cmd_reconstruct_tables(args):
 
 
 def cmd_search_plans(args):
-    sc = bell_scenario(args.parties, args.settings, 2)
-    if args.vector is not None:
-        base = parity_system_from_vector(sc, args.vector)
-    elif (args.parties, args.settings) == (4, 2):
-        base = reference_plan().base
-    else:
-        raise PreconditionError("--vector is required away from the (4,2,2) scenario")
-    counts = tuple(int(c) for c in args.counts.split(","))
+    with _argument_values():
+        sc = bell_scenario(args.parties, args.settings, 2)
+        if args.vector is not None:
+            base = parity_system_from_vector(sc, args.vector)
+        elif (args.parties, args.settings) == (4, 2):
+            base = reference_plan().base
+        else:
+            raise PreconditionError("--vector is required away from the (4,2,2) scenario")
+        counts = tuple(int(c) for c in args.counts.split(","))
     hits = search_plans(base, counts, args.trials, args.seed)
     _print_doc(
         {
@@ -266,6 +281,7 @@ def cmd_verify_paper(args):
 # parser
 
 
+@lru_cache(maxsize=1)  # parse_args keeps no state, so main reuses one parser
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="amcc",

@@ -44,9 +44,10 @@ a set of global assignments and the slots they touch, then two exact
 certificates over every global assignment. The prices bound ncf above;
 the weights, checked on integers, total ncf and load no slot past the
 model's weight, so ncf is also attained. `contextual_fraction` passes
-every global, so its LP is the full one over the scenario's incidence
-matrix itself, and builds its decomposition from the checked integer slot
-loads, each part validated once on integers. `certified_fraction`, the
+every global; each slot is then some global's, so the same route builds
+the full LP over the scenario's incidence matrix, in its row order, and
+the decomposition is read off the checked integer slot loads, each part
+validated once on integers. `certified_fraction`, the
 cheap route to the value alone, passes only the support's compatible
 globals: a global that restricts to a zero-weight slot is forced to
 weight 0.
@@ -383,22 +384,17 @@ def _certified_lp(model, kept):
     The full price vector puts 1 on every zero-weight slot, which costs
     nothing and covers every global that touches one, 0 on every other
     slot the LP did not see, and the LP's prices elsewhere. With every
-    global in kept every slot is touched, so the LP, its pivots and its
-    prices are the full one's."""
-    incidence = incidence_matrix(model.scenario)
-    if kept == range(incidence.shape[1]):
-        # every slot is some global's, so the LP is the full one
-        ncf, weights, prices, pivots = simplex_solve(incidence, stacked_weights(model))
-    else:
-        prices = [ZERO if x else ONE for x in chain.from_iterable(model._int_view[1])]
-        ncf, weights, pivots = ZERO, (), 0
-        if kept:
-            v = stacked_weights(model)
-            sub = incidence[:, kept]
-            rows = np.flatnonzero(sub.any(axis=1)).tolist()
-            ncf, weights, reduced, pivots = simplex_solve(sub[rows], [v[r] for r in rows])
-            for r, y in zip(rows, reduced):
-                prices[r] = y
+    global in kept every slot is touched, so the LP is the full incidence
+    LP, rows in slot order, and its pivots and prices are the full one's."""
+    prices = [ZERO if x else ONE for x in chain.from_iterable(model._int_view[1])]
+    ncf, weights, pivots = ZERO, (), 0
+    if kept:
+        v = stacked_weights(model)
+        sub = incidence_matrix(model.scenario)[:, kept]
+        rows = np.flatnonzero(sub.any(axis=1)).tolist()
+        ncf, weights, reduced, pivots = simplex_solve(sub[rows], [v[r] for r in rows])
+        for r, y in zip(rows, reduced):
+            prices[r] = y
     prices = tuple(prices)
     _check_prices(model, prices, ncf)
     loads = _check_weights(model, kept, weights, ncf)

@@ -114,6 +114,13 @@ def _pack_masks(scenario, rows):
     return np.unpackbits(octets, axis=-1, count=width, bitorder="little").astype(np.bool_)
 
 
+def _possible_slots(support):
+    """bool per slot, in slot order: whether its (context, section) is
+    possible. _pack_masks's cells, row-major without the padding."""
+    grid = _pack_masks(support.scenario, (support.masks,))[0]
+    return grid[np.arange(grid.shape[1]) < np.array(support.scenario.section_sizes)[:, None]]
+
+
 def _check_witness(table, masks, gi):
     """Raise VerificationError unless global gi restricts, through the
     restriction table, into every context's mask: the re-check of a

@@ -5,7 +5,7 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from amcc.affine import (
     _Elimination,
     _check_family,
+    _pivot_rows,
     _support_rows,
     classify,
     family_from_json,
@@ -45,6 +46,7 @@ from amcc.scenario import (
     MeasurementScenario,
     bell_scenario,
     global_size,
+    overlaps,
     section_size,
     slot_count,
     slot_offsets,
@@ -280,6 +282,41 @@ def test_pruned_rows_eliminate_like_all_of_ns_equations(support):
     variables = sorted({v for row, _ in rows for v in row})
     if not full.infeasible:
         assert short.back_substitute(variables) == full.back_substitute(variables)
+
+
+def _shortcut_pivot_rows(scenario):
+    # the pivot-row template as it was built with the implied-row shortcut:
+    # each overlapping pair's last shared-outcome row was never fed to the
+    # elimination; kept as the oracle
+    rows = ns_equations(scenario)
+    last, end = set(), scenario.n_contexts
+    for _, _, shared, _, _ in overlaps(scenario):
+        end += prod(scenario.outcomes[m] for m in shared)
+        last.add(end - 1)
+    elim = _Elimination()
+    kept = []
+    for i, (row, rhs) in enumerate(rows):
+        if i in last:
+            continue
+        rank = len(elim.order)
+        elim.add(row, rhs)
+        if len(elim.order) > rank:
+            kept.append((row, rhs))
+    assert not elim.infeasible
+    return kept
+
+
+@pytest.mark.parametrize(
+    "sc",
+    [bell_scenario(p, 2, 2) for p in (2, 3, 4, 5)] + [bell_scenario(3, 3, 2), CHAIN],
+    ids=["222", "322", "422", "522", "332", "chain"],
+)
+def test_pivot_rows_keep_what_the_implied_row_shortcut_kept(sc):
+    # CHAIN's contexts have 6, 6 and 4 sections
+    expected = _shortcut_pivot_rows(sc)
+    assert [(list(row.items()), rhs) for row, rhs in _pivot_rows(sc)] == [
+        (list(row.items()), rhs) for row, rhs in expected
+    ]
 
 
 def _fraction_rank(scenario):

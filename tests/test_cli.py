@@ -5,7 +5,7 @@ import json
 import pytest
 
 import amcc.lp
-from amcc.cli import main
+from amcc.cli import build_parser, main
 from amcc.csp import apply_plan, reference_plan, reconstruct_tables
 from amcc.model import (
     deterministic_model,
@@ -364,6 +364,49 @@ def test_one_context_with_too_many_sections_exits_5(run, argv):
     code, out, err = run(*argv)
     assert code == 5 and out == ""
     assert "resource limit: 2097152 slots is over the limit 1048576" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("parity-scan", "0", "2"),
+        ("emit-parity-model", "2", "2", "0x100"),
+        ("emit-parity-model", "0", "2", "0"),
+        ("search-plans", "--counts", "a", "--trials", "1", "--seed", "1"),
+        ("search-plans", "--parties", "0", "--settings", "2", "--vector", "0",
+         "--counts", "1", "--trials", "1", "--seed", "1"),
+        ("search-plans", "--parties", "2", "--settings", "2", "--vector", "0x100",
+         "--counts", "1,1,1,1", "--trials", "1", "--seed", "1"),
+    ],
+)
+def test_an_unusable_argument_value_exits_2(run, argv):
+    # no parties, a parity vector past 2^contexts, a count that is no
+    # integer: each raised ValueError through main before
+    code, out, err = run(*argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: unusable argument: ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--counts", ",".join(["0"] * 16), "--trials", "-1"), "trials must be nonnegative"),
+        (("--counts", ",".join(["9"] + ["0"] * 15), "--trials", "1"), "count 9 exceeds"),
+    ],
+)
+def test_a_search_precondition_still_exits_3(run, argv, message):
+    code, out, err = run("search-plans", *argv, "--seed", "1")
+    assert code == 3 and out == ""
+    assert message in err
+
+
+def test_the_parser_is_built_once_and_keeps_no_state_between_calls(run):
+    assert build_parser() is build_parser()
+    code, out, _ = run("parity-scan", "2", "2", "--json")
+    assert code == 0 and json.loads(out)["total"] == 16
+    assert run("parity-scan", "0", "2")[0] == 2
+    code, out, _ = run("parity-scan", "2", "2")
+    assert code == 0 and out.startswith("scenario: (2,2,2), 4 contexts")
 
 
 def test_emit_parity_model_roundtrip(run):

@@ -66,3 +66,27 @@ def test_every_size_limit_has_one_home_and_one_check():
     )
     assert homes == {"scenario"}
     assert len(raises) == 1 and raises[0] in set(ast.walk(require))
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # every name a module imports is read in it or listed in its __all__;
+    # the package __init__ re-exports by importing alone
+    stranded = []
+    for path in sorted(Path(amcc.__file__).parent.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        exported = set(getattr(importlib.import_module(f"amcc.{path.stem}"), "__all__", ()))
+        stranded += [f"{path.stem}.{name}" for name in sorted(imported - read - exported)]
+    assert stranded == []

@@ -6,7 +6,12 @@ with exit 0, 2, 3, 4 or 5, and nothing escapes it.
 Some mutations inflate a scenario's parties, settings or outcomes, so that
 the size limits trip. Every limit is checked by arithmetic before anything
 of that size is built. The examples are derandomized, so every run draws
-the same documents."""
+the same documents.
+
+The commands that build their scenario from argv (`parity-scan`,
+`emit-parity-model` and `search-plans`) are fuzzed the same way over their
+arguments: small shapes, parity vectors at both ends of their range, counts
+with junk in them and at most 3 trials."""
 
 import contextlib
 import copy
@@ -177,3 +182,77 @@ def test_inflated_scenarios_exit_2_or_5(tmp_path_factory, command, data):
     path = tmp_path_factory.getbasetemp() / "inflated.json"
     path.write_text(json.dumps(data.draw(inflated(seed))))
     assert _run(path, argv) in (2, 5)
+
+
+# each trips a limit of bell_scenario before anything is built: the slots
+# of one 21-party context, 65 measurements either way, 2048 and 4096
+# contexts
+OVER_LIMIT_SHAPES = [(21, 1), (65, 1), (1, 65), (11, 2), (6, 4)]
+JUNK = st.sampled_from(["", "a", "1.5", " 1", "-1", "0x1", "+1", "1e3", "--", "\u0663"])
+
+
+@st.composite
+def _vector(draw, n_contexts):
+    """A parity vector near either end of [0, 2^n_contexts), as argv text."""
+    top = 1 << n_contexts
+    v = draw(st.one_of(st.integers(-2, 3), st.integers(top - 3, top + 2)))
+    return hex(v) if v >= 0 and draw(st.booleans()) else str(v)
+
+
+@st.composite
+def _counts(draw, n_contexts):
+    """Comma-separated counts, mostly one per context, sometimes with junk."""
+    length = draw(st.sampled_from([n_contexts] * 3 + [1, n_contexts - 1, n_contexts + 1]))
+    counts = [draw(st.sampled_from(["0", "0", "1", "1", "2"])) for _ in range(length)]
+    if draw(st.integers(0, 3)) == 0:
+        counts.insert(draw(st.integers(0, len(counts))), draw(JUNK))
+    return ",".join(counts)
+
+
+@st.composite
+def _argv(draw):
+    over = draw(st.integers(0, 3)) == 0
+    if over:
+        # refused before any other argument is used, so those are drawn as
+        # for one context
+        parties, settings_ = draw(st.sampled_from(OVER_LIMIT_SHAPES))
+        n = 1
+    else:
+        parties, settings_ = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+        n = settings_**parties if parties > 0 and settings_ > 0 else 1
+    command = draw(st.sampled_from(["parity-scan", "emit-parity-model", "search-plans"]))
+    shape = [str(parties), str(settings_)]
+    if command == "parity-scan":
+        argv = [command, *shape, *draw(st.sampled_from([[], ["--json"]]))]
+    elif command == "emit-parity-model":
+        argv = [command, *shape, draw(_vector(n))]
+    else:
+        # without --vector only (4,2) has a base
+        vector = None if draw(st.integers(0, 3)) == 0 else draw(_vector(n))
+        argv = [
+            command, "--parties", shape[0], "--settings", shape[1],
+            *([] if vector is None else [f"--vector={vector}"]),
+            f"--counts={draw(_counts(n))}",
+            "--trials", str(draw(st.integers(-1, 3))),
+            "--seed", str(draw(st.integers(0, 2**32))),
+        ]
+    return over, argv
+
+
+def _exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return main(argv)
+        except SystemExit as exc:  # argparse refuses the argv itself
+            return exc.code
+
+
+@FUZZ
+@given(_argv())
+def test_main_answers_every_argv_with_an_exit_code(case):
+    over, argv = case
+    code = _exit_code(argv)
+    assert code in (0, 2, 3, 4, 5), argv
+    if over:
+        assert code == 5, argv

@@ -438,3 +438,26 @@ def test_widening_a_support_never_creates_contextuality(k, extra_bits):
     masks[0] |= extra_bits or 1
     widened = SupportModel(base.scenario, tuple(masks))
     assert set(compatible_globals(base)) <= set(compatible_globals(widened))
+
+
+@given(
+    st.one_of(
+        *map(_arbitrary_supports, NO_SIGNALING_SCENARIOS + EXPLICIT_SCENARIOS),
+        _arbitrary_supports(WIDE_SCENARIO),
+    )
+)
+@example(support_of(pr_box(0)))
+@example(apply_plan(reference_plan()))
+# contexts of 6, 6 and 4 sections, and of 140 and 4: the padded cells of
+# the packed grid are not slots
+@example(SupportModel(EXPLICIT_SCENARIOS[0], (0b100001, 0b111110, 0b1000)))
+@example(SupportModel(WIDE_SCENARIO, (1 << 139 | 1, 0b1000)))
+@settings(max_examples=100, deadline=None)
+def test_possible_slots_read_the_support_in_slot_order(sup):
+    sc = sup.scenario
+    expected = [
+        sup.possible(ci, si) for ci in range(sc.n_contexts) for si in range(section_size(sc, ci))
+    ]
+    slots = possibilistic._possible_slots(sup)
+    assert slots.dtype == np.bool_
+    assert slots.tolist() == expected
