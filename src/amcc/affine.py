@@ -23,8 +23,8 @@ to a support only deletes columns, so it stays implied: solve_support
 eliminates only the kept rows, restricted to the support, and ends in the
 state that eliminating all of the support's equations would reach. The
 family check reads the full system, in one vectorized integer pass.
-Outside ns_equations a support is read only as its slot mask,
-possibilistic._possible_slots: one bool per slot, in slot order.
+A support is read only as its slot mask, possibilistic._possible_slots:
+one bool per slot, in slot order.
 """
 
 from dataclasses import dataclass
@@ -39,7 +39,7 @@ from .model import EmpiricalModel, render_table_csv, uniform_marginals
 from .lp import certified_fraction
 from .rational import ONE, ZERO, over_lcm, rat, rat_str
 from .scenario import (
-    overlaps,
+    overlap_rows,
     scenario_from_json,
     scenario_to_json,
     section_size,
@@ -70,25 +70,18 @@ __all__ = [
 
 
 def ns_equations(scenario, support=None):
-    """Sparse equality rows (dict slot -> coeff, rhs) for normalization and
-    all pairwise shared-marginal equalities, with integer coefficients 1/-1
-    and rhs 1/0. With a support, variables are restricted to in-support slots
-    (all others are pinned to zero)."""
-    offs = slot_offsets(scenario)
-    kept = [
-        [si for si in range(section_size(scenario, ci))
-         if support is None or support.possible(ci, si)]
-        for ci in range(scenario.n_contexts)
-    ]
-    rows = [({offs[ci] + si: 1 for si in sections}, 1) for ci, sections in enumerate(kept)]
-    for ci, cj, _, proj_i, proj_j in overlaps(scenario):
-        # one row per shared outcome, ascending: ci's slots (+1), then cj's (-1)
-        buckets = {}
-        for c, proj, sign in ((ci, proj_i, 1), (cj, proj_j, -1)):
-            for si in kept[c]:
-                buckets.setdefault(proj[si], {})[offs[c] + si] = sign
-        rows.extend((buckets[k], 0) for k in sorted(buckets))
-    return rows
+    """The rows of _ns_arrays(scenario) as sparse equalities (dict slot ->
+    coeff, rhs), each row's slots in order. With a support, variables are
+    restricted to in-support slots (all others are pinned to zero), and
+    rows left without a slot are dropped."""
+    slot, sign, start, rhs, _ = _ns_arrays(scenario)
+    if support is not None:
+        keep = _possible_slots(support)[slot]
+        start = np.concatenate([[0], np.cumsum(keep)])[start]
+        slot, sign = slot[keep], sign[keep]
+    slots, signs, bounds = slot.tolist(), sign.tolist(), start.tolist()
+    rows = zip(bounds, bounds[1:], rhs.tolist())
+    return [(dict(zip(slots[a:b], signs[a:b])), r) for a, b, r in rows if a < b]
 
 
 @lru_cache(maxsize=64)
@@ -366,25 +359,25 @@ def _normalize_single_parameter(family):
 
 @lru_cache(maxsize=64)
 def _ns_arrays(scenario):
-    """ns_equations(scenario) as flat read-only arrays (slot, sign, start,
-    rhs) plus the longest row's length: row r's entries are at
-    start[r]:start[r + 1] of slot and sign. No row is empty."""
-    rows = ns_equations(scenario)
-    lengths = [len(row) for row, _ in rows]
-    slot = np.fromiter(chain.from_iterable(row for row, _ in rows), dtype=np.intp)
-    sign = np.fromiter(chain.from_iterable(row.values() for row, _ in rows), dtype=np.int64)
-    start = np.cumsum([0, *lengths[:-1]])
-    rhs = np.array([rhs for _, rhs in rows], dtype=np.int64)
+    """The no-signaling system as read-only arrays (slot, sign, start, rhs),
+    laid out as scenario.marginal_rows, and its longest row's length: each
+    context's slots (rhs 1), then scenario.overlap_rows (rhs 0)."""
+    slot, sign, start, _ = overlap_rows(scenario)
+    n = slot_count(scenario)
+    slot = np.concatenate([np.arange(n, dtype=np.int32), slot])
+    sign = np.concatenate([np.ones(n, dtype=np.int8), sign])
+    start = np.concatenate([slot_offsets(scenario), n + start])
+    rhs = np.repeat(np.array([1, 0]), [scenario.n_contexts, start.size - 1 - scenario.n_contexts])
     for a in (slot, sign, start, rhs):
         a.setflags(write=False)
-    return slot, sign, start, rhs, max(lengths)
+    return slot, sign, start, rhs, int(np.diff(start).max())
 
 
 def _check_family(family):
     """Re-verify the defining invariants: every vector vanishes off the
     support, the base solves ns_equations and each direction solves the
     homogeneous system. Off the support every entry is then 0, so the full
-    scenario's rows check the same thing as the support's.
+    scenario's rows, _ns_arrays, check the same thing as the support's.
 
     The vectors are scaled to integer numerators over their lcm once. One
     numpy pass over them and the support's slot mask finds weight off the
@@ -410,7 +403,7 @@ def _check_family(family):
             "family has weight outside the support",
             details={"context": ci, "section": si},
         )
-    sums = np.add.reduceat(values[:, slot] * sign, start, axis=1)
+    sums = np.add.reduceat(values[:, slot] * sign, start[:-1], axis=1)
     bad = sums != 0
     bad[0] = sums[0] != rhs.astype(dtype) * den
     violated = np.flatnonzero(bad.any(axis=0))

@@ -59,7 +59,7 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also not UTF-8, too deep, too many digits
         raise _InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -369,7 +369,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its usage error or --help
+        return exc.code
     try:
         code = args.fn(args)
     except _InputError as exc:

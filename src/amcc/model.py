@@ -11,14 +11,16 @@ from functools import lru_cache
 from itertools import chain, combinations, islice, product
 from math import gcd, lcm, prod
 
+import numpy as np
+
 from .errors import PreconditionError
 from .rational import ZERO, fractions_over, over_lcm, rat, rat_parser, rat_str
 from .scenario import (
     MeasurementScenario,
     bell_scenario,
-    generating_overlaps,
     global_size,
-    overlaps,
+    marginal_rows,
+    overlap_rows,
     projection,
     restriction_table,
     scenario_from_json,
@@ -159,41 +161,32 @@ def marginalize(model, ci, measurements):
     return MarginalTable(measurements=ms, outcomes=outs, weights=tuple(acc))
 
 
+def _slot_values(model):
+    """(den, the integer view's numerators as one array in slot order): int64
+    while den < 2**62, Python ints above, so that no row sum wraps."""
+    den, rows = model._int_view
+    return den, np.fromiter(chain.from_iterable(rows), dtype=np.int64 if den < 2**62 else object)
+
+
 def is_no_signaling(model):
     """Check that overlapping contexts induce identical marginals.
 
     Returns (True, None) or (False, witness) where the witness names the first
     violating pair in `overlaps` order: (ci, cj, shared measurements, outcome
-    tuple, lhs, rhs). The weights are summed as the numerators of the
-    model's integer view, over its one denominator, into lists indexed by
-    the shared-outcome projection; the outcome tuple is the first that
-    differs in packed (= product) order.
-
-    The verdict is decided on `generating_overlaps`, whose equalities imply
-    the rest (on a Bell cover, the pairs one party's setting apart). Only a
-    signaling model runs the same loop again over every pair, so that its
-    witness is the first violation in `overlaps` order."""
+    tuple, lhs, rhs). One reduceat over the model's numerators sums every
+    row of overlap_rows, ci's marginal minus cj's at one outcome; the first
+    nonzero row is the pair and its first differing outcome in packed order."""
     sc = model.scenario
-    den, nums = model._int_view
-
-    def first_violation(pairs):
-        for ci, cj, shared, proj_i, proj_j in pairs:
-            radices = [sc.outcomes[m] for m in shared]
-            mi = [0] * prod(radices)
-            mj = mi[:]
-            for p, w in zip(proj_i, nums[ci]):
-                mi[p] += w
-            for p, w in zip(proj_j, nums[cj]):
-                mj[p] += w
-            if mi != mj:
-                k = next(k for k, (a, b) in enumerate(zip(mi, mj)) if a != b)
-                u = unpack(k, radices)
-                return ci, cj, shared, u, Fraction(mi[k], den), Fraction(mj[k], den)
-        return None
-
-    if first_violation(generating_overlaps(sc)) is None:
+    slot, sign, start, rows = overlap_rows(sc)
+    den, values = _slot_values(model)
+    bad = np.flatnonzero(np.add.reduceat(values[slot] * sign, start[:-1]))
+    if not bad.size:
         return True, None
-    return False, first_violation(overlaps(sc))
+    (ci, cj), shared, k = rows[bad[0]]
+    entries = slice(start[bad[0]], start[bad[0] + 1])
+    lhs, rhs = (int(values[slot[entries]][sign[entries] == s].sum()) for s in (1, -1))
+    u = unpack(k, [sc.outcomes[m] for m in shared])
+    return False, (ci, cj, shared, u, Fraction(lhs, den), Fraction(rhs, den))
 
 
 def party_setting_subsets(scenario):
@@ -228,42 +221,43 @@ def is_maximal_marginals(model):
 def uniform_marginals(model):
     """is_maximal_marginals for a model known to be no-signaling.
 
-    Each context's weights are the numerators of the model's integer view,
-    over its one denominator den, summed into projection buckets; a marginal
-    over k outcomes is uniform when every bucket times k equals den."""
+    One reduceat over the model's numerators sums each row of _party_rows,
+    an outcome's weight b of a marginal over k outcomes, times den; the
+    first row where b * k != den is the witness."""
     sc = model.scenario
     if sc.parties is None:
         raise PreconditionError("maximal-marginals check needs party structure")
-    den, nums = model._int_view
-    for ms, ci, radices, proj in _party_marginals(sc):
-        k = prod(radices)
-        buckets = [0] * k
-        for p, w in zip(proj, nums[ci]):
-            buckets[p] += w
-        for i, b in enumerate(buckets):
-            if b * k != den:
-                return False, (ms, unpack(i, radices), Fraction(b, den), Fraction(1, k))
-    return True, None
+    slot, _, start, rows, sizes = _party_rows(sc)
+    den, values = _slot_values(model)
+    sums = np.add.reduceat(values[slot], start[:-1])
+    k = sizes.astype(values.dtype, copy=False)  # b * k == den, with no product past int64
+    bad = np.flatnonzero((sums != den // k) | (den % k != 0))
+    if not bad.size:
+        return True, None
+    (_, ms, i), b, n = rows[bad[0]], int(sums[bad[0]]), int(sizes[bad[0]])
+    return False, (ms, unpack(i, [sc.outcomes[m] for m in ms]), Fraction(b, den), Fraction(1, n))
 
 
 @lru_cache(maxsize=64)
-def _party_marginals(scenario):
-    """(measurements, context, radices, projection) of every marginal the
-    maximal-marginals check reads, in party_setting_subsets order."""
-    out = []
-    for ms in party_setting_subsets(scenario):
-        ci = context_containing(scenario, ms)
-        radices = tuple(scenario.outcomes[m] for m in ms)
-        out.append((ms, ci, radices, projection(scenario, ci, ms)))
-    return tuple(out)
+def _party_rows(scenario):
+    """marginal_rows of party_setting_subsets, each one-sided on the first
+    context holding it, and each row's outcome count (int64, read-only)."""
+    held = [(ms, context_containing(scenario, ms)) for ms in party_setting_subsets(scenario)]
+    marginals = [(ms, ((ci, projection(scenario, ci, ms)),)) for ms, ci in held]
+    slot, sign, start, rows = marginal_rows(scenario, marginals)
+    sizes = np.array([prod(scenario.outcomes[m] for m in ms) for _, ms, _ in rows], np.int64)
+    sizes.setflags(write=False)
+    return slot, sign, start, rows, sizes
 
 
 def context_containing(scenario, measurements):
+    """The first context holding all of measurements, or PreconditionError:
+    a cover may never join the parties it states."""
     need = set(measurements)
     for ci, ctx in enumerate(scenario.cover):
         if need <= set(ctx):
             return ci
-    raise ValueError(f"no context contains measurements {measurements}")
+    raise PreconditionError(f"no context contains measurements {measurements}")
 
 
 # ---------------------------------------------------------------------------

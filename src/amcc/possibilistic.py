@@ -10,11 +10,9 @@ holds their number to MAX_GLOBALS through `scenario._require`, the one check
 of every size limit.
 
 Possibilistic no-signaling asks overlapping contexts to allow the same joint
-outcomes of their shared measurements. One pass over the scenario's
-`overlaps` projects each context's possible sections onto the shared
-measurements as a set of packed shared outcomes; a pair agrees when the two
-sets are equal, and otherwise the witness is the smallest packed outcome that
-only one context allows.
+outcomes of their shared measurements: each row of the scenario's
+`overlap_rows`, one pair's slots of one shared outcome, holds possible
+slots of both contexts or of neither.
 """
 
 from dataclasses import dataclass
@@ -30,7 +28,7 @@ from .scenario import (
     MAX_GLOBALS,
     _require,
     global_size,
-    overlaps,
+    overlap_rows,
     restriction_table,
     scenario_from_json,
     scenario_to_json,
@@ -158,21 +156,18 @@ def possibilistic_no_signaling(support):
     """Check that overlapping contexts agree on which joint outcomes of their
     shared measurements are possible. Returns (True, None) or (False,
     (ci, cj, shared, outcome tuple)) for the first failing pair in
-    `overlaps` order.
-
-    Each context's projection onto the shared measurements is the set of
-    packed shared outcomes of its possible sections. The witness is the
-    smallest shared-outcome tuple, in packed (= product) order, that exactly
-    one of the two contexts allows."""
+    `overlaps` order, at the smallest shared-outcome tuple in packed order
+    that one context allows and the other does not: the first overlap_rows
+    row with possible slots on one side only."""
     sc = support.scenario
-    sections = [support_sections(support, ci) for ci in range(sc.n_contexts)]
-    for ci, cj, shared, proj_i, proj_j in overlaps(sc):
-        seen_i = {proj_i[si] for si in sections[ci]}
-        seen_j = {proj_j[si] for si in sections[cj]}
-        if seen_i != seen_j:
-            u = unpack(min(seen_i ^ seen_j), [sc.outcomes[m] for m in shared])
-            return False, (ci, cj, shared, u)
-    return True, None
+    slot, sign, start, rows = overlap_rows(sc)
+    possible = _possible_slots(support)[slot]
+    sides = np.add.reduceat(np.stack([possible & (sign > 0), possible & (sign < 0)], 1), start[:-1])
+    bad = np.flatnonzero((sides[:, 0] > 0) != (sides[:, 1] > 0))
+    if not bad.size:
+        return True, None
+    (ci, cj), shared, k = rows[bad[0]]
+    return False, (ci, cj, shared, unpack(k, [sc.outcomes[m] for m in shared]))
 
 
 # ---------------------------------------------------------------------------

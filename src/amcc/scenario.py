@@ -19,20 +19,18 @@ packed forms: `projection` gives, for each section of a context, the packed
 index of its outcomes on a subset of the context's measurements, in the
 subset's order; the cached `overlaps` holds those projections for every
 pair of contexts onto their shared measurements; `restriction_table` does
-the same for global sections onto each context. No-signaling, marginals,
-the affine equations and possibilistic no-signaling read these instead of
-decoding sections themselves. `generating_overlaps` is the part of
-`overlaps` whose equalities imply all the others.
+the same for global sections onto each context. `marginal_rows` is the one
+layout of marginals as rows of slots, one per outcome; every no-signaling
+and marginal check reads such rows, the cached `overlap_rows` for pairs.
 
 Every size limit of the package lives here, and `_require` is the one check
 that enforces them: each guard calls it with a count computed by arithmetic
 alone, before the loop or allocation the count describes.
 """
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import prod
 
 import numpy as np
@@ -58,7 +56,8 @@ __all__ = [
     "restrict",
     "projection",
     "overlaps",
-    "generating_overlaps",
+    "marginal_rows",
+    "overlap_rows",
     "restriction_table",
     "incidence_matrix",
     "slot_offsets",
@@ -283,7 +282,11 @@ def projection(scenario, ci, measurements):
 def overlaps(scenario):
     """(ci, cj, shared, proj_i, proj_j) for every pair of contexts that share
     a measurement, in `combinations` order: `shared` lists the shared
-    measurements ascending and proj_c is projection(scenario, c, shared)."""
+    measurements ascending and proj_c is projection(scenario, c, shared).
+    Raises ResourceLimitError, before the pairs are scanned, past
+    MAX_TABLE_CELLS entries, at most (n_contexts - 1) * slots."""
+    rows, cols = scenario.n_contexts - 1, slot_count(scenario)
+    _require(rows * cols, f"cells in the overlap table of {rows} x {cols}", MAX_TABLE_CELLS)
     out = []
     for ci, cj in combinations(range(scenario.n_contexts), 2):
         shared = tuple(m for m in scenario.cover[ci] if m in scenario.cover[cj])
@@ -294,31 +297,42 @@ def overlaps(scenario):
     return tuple(out)
 
 
-@lru_cache(maxsize=64)
-def generating_overlaps(scenario):
-    """The entries of overlaps(scenario) whose marginal equalities imply
-    every other entry's, in the same order.
+def marginal_rows(scenario, marginals):
+    """(slot, sign, start, rows) of marginals, each (measurements, sides) with
+    one or two sides (ci, projection(scenario, ci, measurements)): per packed
+    outcome k, ascending, a row of the first side's slots projecting onto k
+    (sign +1), then the second's (-1), each ascending. Row r is entries
+    start[r]:start[r + 1] of slot (int32) and sign (int8), rows[r] is
+    (contexts, measurements, k), and no row is empty. Read-only."""
+    offs = slot_offsets(scenario)
+    rows, sides_at, projs = [], [], []
+    for ms, sides in marginals:
+        for side, (ci, proj) in enumerate(sides):
+            sides_at.append((len(rows) * 2 + side, offs[ci], len(proj)))
+            projs.append(proj)
+        contexts = tuple(ci for ci, _ in sides)
+        rows += [(contexts, ms, k) for k in range(prod(scenario.outcomes[m] for m in ms))]
+    at, base, length = np.array(sides_at, dtype=np.int64).reshape(-1, 3).T
+    # by row, then side: the stable sort keeps each side's slots ascending
+    key = np.fromiter(chain.from_iterable(projs), np.int64, length.sum())
+    key = key * 2 + np.repeat(at, length)
+    order = np.argsort(key, kind="stable")
+    slot = np.arange(key.size) + np.repeat(base - np.cumsum(length) + length, length)
+    slot, key = slot[order].astype(np.int32), key[order]
+    sign = (1 - 2 * (key % 2)).astype(np.int8)
+    start = np.searchsorted(key // 2, np.arange(len(rows) + 1))
+    for a in (slot, sign, start):
+        a.setflags(write=False)
+    return slot, sign, start, tuple(rows)
 
-    On a full product cover (each context takes one measurement of every
-    party, and every setting tuple is a context) these are the pairs whose
-    contexts differ in one party's measurement. Contexts c and c' that
-    share the measurements S are joined by a walk that changes the parties
-    outside S one at a time; each step's pair shares S, so equal marginals
-    on its shared measurements give equal marginals on S, and so do equal
-    supports, since projecting twice is projecting once (Popescu and
-    Rohrlich, Found. Phys. 24, 379, 1994; Barrett et al., PRA 71, 022101,
-    2005). On any other cover every entry is returned: overlaps itself."""
-    pairs = overlaps(scenario)
-    parties = scenario.parties
-    if parties is None:
-        return pairs
-    n = len(set(parties))
-    product_cover = scenario.n_contexts == prod(Counter(parties).values()) and all(
-        len({parties[m] for m in ctx}) == len(ctx) == n for ctx in scenario.cover
+
+@lru_cache(maxsize=64)
+def overlap_rows(scenario):
+    """marginal_rows of overlaps(scenario), in order, each pair ci's marginal
+    minus cj's: weights are no-signaling when every row sums to 0."""
+    return marginal_rows(
+        scenario, [(shared, ((ci, pi), (cj, pj))) for ci, cj, shared, pi, pj in overlaps(scenario)]
     )
-    if not product_cover:
-        return pairs
-    return tuple(pair for pair in pairs if len(pair[2]) == n - 1)
 
 
 @lru_cache(maxsize=64)

@@ -5,8 +5,10 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 from math import gcd, prod
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -46,6 +48,7 @@ from amcc.scenario import (
     MeasurementScenario,
     bell_scenario,
     global_size,
+    overlap_rows,
     overlaps,
     section_size,
     slot_count,
@@ -333,6 +336,74 @@ def _fraction_rank(scenario):
 )
 def test_ns_dimension_is_the_fraction_elimination_rank(sc):
     assert ns_dimension(sc) == slot_count(sc) - _fraction_rank(sc)
+
+
+def _bucketed_ns_equations(scenario, support=None):
+    # ns_equations as it was built before the one marginal-row table: each
+    # overlapping pair's slots bucketed by shared outcome; kept as the
+    # oracle of the table's rows, their order and each row's entry order
+    offs = slot_offsets(scenario)
+    kept = [
+        [si for si in range(section_size(scenario, ci))
+         if support is None or support.possible(ci, si)]
+        for ci in range(scenario.n_contexts)
+    ]
+    rows = [({offs[ci] + si: 1 for si in sections}, 1) for ci, sections in enumerate(kept)]
+    for ci, cj, _, proj_i, proj_j in overlaps(scenario):
+        buckets = {}
+        for c, proj, sign in ((ci, proj_i, 1), (cj, proj_j, -1)):
+            for si in kept[c]:
+                buckets.setdefault(proj[si], {})[offs[c] + si] = sign
+        rows.extend((buckets[k], 0) for k in sorted(buckets))
+    return rows
+
+
+def _ordered(rows):
+    return [(list(row.items()), rhs) for row, rhs in rows]
+
+
+# parties with 2, 3 and 2 settings, every setting tuple a context
+PRODUCT_232 = MeasurementScenario(
+    measurements=tuple("abcdefg"),
+    outcomes=(2,) * 7,
+    cover=tuple(product((0, 1), (2, 3, 4), (5, 6))),
+    parties=(0, 0, 1, 1, 1, 2, 2),
+)
+TABLE_SCENARIOS = [bell_scenario(p, 2, 2) for p in (2, 3, 4, 5)] + [
+    bell_scenario(2, 3, 2), bell_scenario(2, 2, 3), bell_scenario(3, 3, 2),
+    TRIANGLE, CHAIN, PRODUCT_232,
+]
+
+
+@pytest.mark.parametrize(
+    "sc", TABLE_SCENARIOS,
+    ids=["222", "322", "422", "522", "232", "223", "332", "triangle", "chain", "product232"],
+)
+def test_overlap_rows_are_the_bucketed_pair_rows(sc):
+    slot, sign, start, labels = overlap_rows(sc)
+    assert (slot.dtype, sign.dtype) == (np.int32, np.int8)
+    assert not any(a.flags.writeable for a in (slot, sign, start))
+    bounds = start.tolist()
+    rows = [
+        (dict(zip(slot[a:b].tolist(), sign[a:b].tolist())), 0) for a, b in zip(bounds, bounds[1:])
+    ]
+    expected = _bucketed_ns_equations(sc)
+    assert _ordered(rows) == _ordered(expected[sc.n_contexts :])
+    assert _ordered(ns_equations(sc)) == _ordered(expected)
+    # each row's pair and packed shared outcome, pair by pair in overlaps order
+    assert labels == tuple(
+        ((ci, cj), shared, k)
+        for ci, cj, shared, _, _ in overlaps(sc)
+        for k in range(prod(sc.outcomes[m] for m in shared))
+    )
+
+
+@given(st.sampled_from([(3, 2, 2), (2, 3, 2), (2, 2, 3), TRIANGLE, CHAIN]).flatmap(_supports))
+@example(SupportModel(bell_scenario(3, 2, 2), (150, 150, 214, 109, 121, 121, 105, 105)))
+@settings(max_examples=60, deadline=None)
+def test_support_rows_are_the_bucketed_support_rows(support):
+    sc = support.scenario
+    assert _ordered(ns_equations(sc, support)) == _ordered(_bucketed_ns_equations(sc, support))
 
 
 # sha256 over one line per input, as the Fraction elimination computed them:

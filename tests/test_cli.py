@@ -5,6 +5,7 @@ import json
 import pytest
 
 import amcc.lp
+import amcc.scenario
 from amcc.cli import build_parser, main
 from amcc.csp import apply_plan, reference_plan, reconstruct_tables
 from amcc.model import (
@@ -18,7 +19,7 @@ from amcc.model import (
 )
 from amcc.possibilistic import SupportModel, support_to_json
 from amcc.rational import ONE, ZERO, rat
-from amcc.scenario import bell_scenario
+from amcc.scenario import bell_scenario, overlap_rows, overlaps
 
 
 @pytest.fixture
@@ -117,6 +118,72 @@ def test_cf_exit_codes_on_bad_input(run, tmp_path):
     shapeless = _write_json(tmp_path / "shapeless.json", {"hello": 1})
     code, _, err = run("cf", shapeless)
     assert code == 2 and "does not decode" in err
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"[" * 1000 + b"]" * 1000,
+        b"\xff\xfe{}",
+        b'{"scenario": {"parties": 2, "settings": 2, "outcomes": 2}, "tables": [['
+        + b"1" * 5000
+        + b"]]}",
+    ],
+    ids=["nested-1000-deep", "utf16-mark", "5000-digits"],
+)
+def test_json_the_reader_cannot_take_exits_2(run, tmp_path, raw):
+    # nesting past the recursion limit, bytes that are not UTF-8, and an
+    # integer past the interpreter's digit limit each escaped main as a
+    # traceback (exit 1); no interpreter-wide setting is changed for them
+    path = tmp_path / "probe.json"
+    path.write_bytes(raw)
+    code, out, err = run("cf", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path} is not valid JSON: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [("classify",), ("marginals", "2")])
+def test_parties_the_cover_never_joins_exit_3(run, tmp_path, argv):
+    # Y1 is a party of its own that no context pairs with Y1', the only
+    # measurement of another party: the marginal over both is undefined
+    doc = model_to_json(pr_box(0))
+    sc = bell_scenario(2, 2, 2)
+    doc["scenario"] = {
+        "measurements": list(sc.measurements),
+        "outcomes": list(sc.outcomes),
+        "cover": [list(ctx) for ctx in sc.cover],
+        "parties": [5, 0, 1, 1],
+    }
+    code, _, err = run(argv[0], _write_json(tmp_path / "parties.json", doc), *argv[1:])
+    assert code == 3
+    assert err == "error: no context contains measurements (1, 0)\n"
+
+
+def test_argparse_refusals_and_help_are_returned_as_exit_codes(capsys):
+    assert main(["emit-parity-model", "2", "2", "zz"]) == 2
+    assert "invalid <lambda> value: 'zz'" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: amcc")
+
+
+@pytest.mark.parametrize("cmd", ["nosignaling", "cf"])
+def test_the_overlap_table_guard_trips_before_any_table_is_built(
+    run, tmp_path, monkeypatch, cmd
+):
+    # (4,2,2): each of 256 slots projects for at most 15 other contexts. A
+    # (9,2,2) model, 511 x 262144 = 133955584 cells, is over the real
+    # limit the same way; its table is never built here
+    path = _write_json(tmp_path / "u.json", model_to_json(uniform_model(bell_scenario(4, 2, 2))))
+    monkeypatch.setattr(amcc.scenario, "MAX_TABLE_CELLS", 15 * 256 - 1)
+    overlaps.cache_clear()
+    overlap_rows.cache_clear()
+    code, out, err = run(cmd, path)
+    assert (code, out) == (5, "")
+    assert err == (
+        "resource limit: 3840 cells in the overlap table of 15 x 256 is over the limit 3839\n"
+    )
+    assert overlaps.cache_info().currsize == overlap_rows.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize(
@@ -337,9 +404,7 @@ def test_parity_scan_json(run):
     ],
 )
 def test_threads_flag_is_not_accepted(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--threads", "2"])
-    assert exc.value.code == 2
+    assert main([*argv, "--threads", "2"]) == 2
     assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
 

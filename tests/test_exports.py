@@ -68,6 +68,19 @@ def test_every_size_limit_has_one_home_and_one_check():
     assert len(raises) == 1 and raises[0] in set(ast.walk(require))
 
 
+def test_only_the_scenario_module_reads_overlaps():
+    # the one layout of the overlapping pairs' slots is scenario.overlap_rows;
+    # every other module reads that table, never the raw projections
+    callers = {
+        path.stem
+        for path in Path(amcc.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and "overlaps" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+    assert callers == {"scenario"}
+
+
 def test_no_module_imports_a_name_it_does_not_use():
     # every name a module imports is read in it or listed in its __all__;
     # the package __init__ re-exports by importing alone

@@ -8,6 +8,11 @@ the size limits trip. Every limit is checked by arithmetic before anything
 of that size is built. The examples are derandomized, so every run draws
 the same documents.
 
+The same commands also read files fuzzed at the byte level, from the seed
+documents' JSON text: truncated, with bits flipped, with bytes that are not
+UTF-8, nested up to about 2 KB deep, or with a digit run past the
+interpreter's integer-string limit.
+
 The commands that build their scenario from argv (`parity-scan`,
 `emit-parity-model` and `search-plans`) are fuzzed the same way over their
 arguments: small shapes, parity vectors at both ends of their range, counts
@@ -184,6 +189,53 @@ def test_inflated_scenarios_exit_2_or_5(tmp_path_factory, command, data):
     assert _run(path, argv) in (2, 5)
 
 
+BYTE_COMMANDS = [
+    (("cf",), MODEL),
+    (("classify",), MODEL_EXPLICIT),
+    (("nosignaling",), MODEL),
+    (("marginals", "1"), MODEL),
+    (("solve-support",), SUPPORT),
+]
+NOT_UTF8 = st.sampled_from(
+    [b"\xff\xfe", b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xf8\x88\x80\x80\x80"]
+)
+
+
+@st.composite
+def _raw(draw, seed):
+    """seed's JSON text, truncated, bit-flipped, broken as UTF-8, nested
+    around the whole document or one cell, or with one digit made a run."""
+    raw = json.dumps(seed).encode()
+    kind = draw(st.sampled_from(["truncate", "flip", "utf8", "nest", "digits"]))
+    if kind == "truncate":
+        return raw[: draw(st.integers(0, len(raw) - 1))]
+    if kind == "flip":
+        data = bytearray(raw)
+        for _ in range(draw(st.integers(1, 3))):
+            data[draw(st.integers(0, len(data) - 1))] ^= 1 << draw(st.integers(0, 7))
+        return bytes(data)
+    if kind == "utf8":
+        at = draw(st.integers(0, len(raw)))
+        return raw[:at] + draw(NOT_UTF8) + raw[at:]
+    if kind == "nest":
+        depth = draw(st.one_of(st.integers(1, 40), st.integers(900, 1100), st.just(2048)))
+        if draw(st.booleans()):
+            return b"[" * depth + raw + b"]" * depth
+        return raw.replace(b'"0"', b"[" * depth + b'"0"' + b"]" * depth, 1)
+    at = draw(st.sampled_from([i for i, b in enumerate(raw) if chr(b).isdigit()]))
+    run = draw(st.sampled_from([b"9", b"1", b"0"])) * draw(st.sampled_from([40, 4300, 4301, 5000]))
+    return raw[:at] + run + raw[at + 1 :]
+
+
+@FUZZ
+@given(st.one_of(*(st.tuples(st.just(argv), _raw(seed)) for argv, seed in BYTE_COMMANDS)))
+def test_main_answers_every_byte_level_file_with_an_exit_code(tmp_path_factory, case):
+    argv, raw = case
+    path = tmp_path_factory.getbasetemp() / "bytes.json"
+    path.write_bytes(raw)
+    assert _run(path, argv) in (0, 2, 3, 4, 5)
+
+
 # each trips a limit of bell_scenario before anything is built: the slots
 # of one 21-party context, 65 measurements either way, 2048 and 4096
 # contexts
@@ -242,10 +294,7 @@ def _argv(draw):
 def _exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            return main(argv)
-        except SystemExit as exc:  # argparse refuses the argv itself
-            return exc.code
+        return main(argv)
 
 
 @FUZZ

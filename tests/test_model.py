@@ -214,9 +214,8 @@ def _fraction_is_no_signaling(model):
     return True, None
 
 
-# the no-signaling checks decide on the pairs one party's setting apart and
-# rescan every pair only on failure; these shapes cover two to four parties,
-# more settings and more outcomes
+# the no-signaling check sums every overlapping pair's rows in one pass;
+# these shapes cover two to four parties, more settings and more outcomes
 NO_SIGNALING_SHAPES = ((2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 2, 3), (4, 2, 2))
 
 
@@ -258,7 +257,27 @@ def _models(draw):
     return EmpiricalModel(sc, model.tables[:ci] + (tuple(row),) + model.tables[ci + 1 :])
 
 
+# a weight of 1/(10**20 + 7) puts the integer view's denominator past
+# 2**62, where the checks sum Python ints in place of int64
+HUGE = 10**20 + 7
+
+
+def _huge_denominator_model(sc, gi):
+    return mix_models(
+        [(rat(1, HUGE), deterministic_model(sc, gi)), (rat(HUGE - 1, HUGE), uniform_model(sc))]
+    )
+
+
+def _shifted_first_row(model):
+    # half of section 0's weight moved to section 1: signaling
+    row = list(model.tables[0])
+    row[0], row[1] = row[0] / 2, row[1] + row[0] / 2
+    return EmpiricalModel(model.scenario, (tuple(row),) + model.tables[1:])
+
+
 @given(_models())
+@example(_huge_denominator_model(bell_scenario(3, 2, 2), 5))
+@example(_shifted_first_row(_huge_denominator_model(bell_scenario(3, 2, 2), 5)))
 @settings(max_examples=100, deadline=None)
 def test_integer_no_signaling_check_matches_the_fraction_one(model):
     ok, wit = is_no_signaling(model)
@@ -373,6 +392,18 @@ def test_integer_mixture_matches_the_fraction_sum(pairs):
 
 
 @given(_mixture_terms())
+@example(
+    [
+        (rat(1, HUGE), deterministic_model(bell_scenario(3, 2, 2), 5)),
+        (rat(HUGE - 1, HUGE), uniform_model(bell_scenario(3, 2, 2))),
+    ]
+)
+@example(
+    [
+        (rat(1, HUGE), parity_amcc_422()),
+        (rat(HUGE - 1, HUGE), uniform_model(bell_scenario(4, 2, 2))),
+    ]
+)
 @settings(max_examples=60, deadline=None)
 def test_integer_marginal_check_matches_the_fraction_one(pairs):
     model = mix_models(pairs)

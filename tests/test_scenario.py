@@ -1,7 +1,7 @@
 """Scenario construction, packing conventions, and serialization."""
 
 from dataclasses import fields
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from amcc.scenario import (
     MAX_TABLE_CELLS,
     MeasurementScenario,
     bell_scenario,
-    generating_overlaps,
     global_outcomes,
     global_size,
     incidence_matrix,
@@ -206,57 +205,6 @@ def test_overlaps_list_every_sharing_pair_with_its_projections(sc):
             ))
         want.append((ci, cj, shared, *projs))
     assert overlaps(sc) == tuple(want)
-
-
-def _settings_apart(sc, ci, cj):
-    return len(set(sc.cover[ci]) ^ set(sc.cover[cj])) // 2
-
-
-@pytest.mark.parametrize(
-    "parties,generating,total", [(2, 4, 4), (3, 12, 24), (4, 32, 112), (5, 80, 480)]
-)
-def test_generating_overlaps_of_a_bell_scenario_are_the_one_party_steps(
-    parties, generating, total
-):
-    sc = bell_scenario(parties, 2, 2)
-    pairs = generating_overlaps(sc)
-    assert (len(pairs), len(overlaps(sc))) == (generating, total)
-    remaining = iter(overlaps(sc))
-    assert all(pair in remaining for pair in pairs)  # a subsequence, in order
-    assert all(_settings_apart(sc, ci, cj) == 1 for ci, cj, *_ in pairs)
-
-
-def test_an_explicit_product_cover_keeps_its_one_party_steps():
-    # parties with 2, 3 and 2 settings: 12 contexts, each one party's
-    # setting away from 1 + 2 + 1 others
-    parties = (0, 0, 1, 1, 1, 2, 2)
-    by_party = [[m for m, p in enumerate(parties) if p == q] for q in range(3)]
-    sc = MeasurementScenario(
-        measurements=tuple("abcdefg"),
-        outcomes=(2,) * 7,
-        cover=tuple(product(*by_party)),
-        parties=parties,
-    )
-    pairs = generating_overlaps(sc)
-    assert len(pairs) == 12 * 4 // 2
-    assert all(_settings_apart(sc, ci, cj) == 1 for ci, cj, *_ in pairs)
-
-
-@pytest.mark.parametrize(
-    "sc",
-    [
-        triangle_scenario(),
-        # party structure, but the setting tuple (1, 1) has no context
-        MeasurementScenario(
-            ("a", "a'", "b", "b'"), (2,) * 4, ((0, 2), (0, 3), (1, 2)), (0, 0, 1, 1)
-        ),
-        # as many contexts as setting tuples, but one holds two of party 0's
-        MeasurementScenario(("a", "a'", "b"), (2,) * 3, ((0, 1), (1, 2)), (0, 0, 1)),
-    ],
-)
-def test_any_other_cover_keeps_every_overlapping_pair(sc):
-    assert generating_overlaps(sc) is overlaps(sc)
-    assert overlaps(sc)
 
 
 def test_incidence_matrix_columns_hit_every_context_once():
