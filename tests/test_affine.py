@@ -447,6 +447,70 @@ def test_families_and_dimensions_are_pinned():
     assert h.hexdigest() == AFFINE_IDENTITY_DIGEST
 
 
+# sha256 over one line per input, as the dict elimination computed them:
+# family_to_json of solve_support (sorted keys) with family_member_params of
+# models in and out of the family, on the supports of random_no_signaling_model
+# at (5,2,2) seeds 0-3 and of even mixtures of one to four deterministic
+# models (then two random section masks, mostly infeasible) at (2,3,2),
+# (2,2,3), (3,3,2), TRIANGLE and CHAIN, seeds 0-5; families of dimension 0 to
+# 5. Last, a family_from_json family whose four directions span only two
+# dimensions, so which parameters are pinned depends on the pivot rule
+COVERS_IDENTITY_DIGEST = "f9e2be5482f811d83e35bf3794079f4edbb0fcecc24cbcf2868161a15fd54bbc"
+
+
+def _covers_identity_cases():
+    sc = bell_scenario(5, 2, 2)
+    for seed in range(4):
+        rng = random.Random(seed)
+        model = random_no_signaling_model(sc, rng)
+        yield support_of(model), [model, _signaling_variant(model, rng), uniform_model(sc)]
+    for sc in (bell_scenario(2, 3, 2), bell_scenario(2, 2, 3), bell_scenario(3, 3, 2), TRIANGLE,
+               CHAIN):
+        for seed in range(6):
+            rng = random.Random(seed)
+            points = [deterministic_model(sc, rng.randrange(global_size(sc)))
+                      for _ in range(rng.randint(1, 4))]
+            even = mix_models([(rat(1, len(points)), p) for p in points])
+            weights = [rat(k + 1, len(points) * (len(points) + 1) // 2) for k in range(len(points))]
+            models = [even, mix_models(list(zip(weights, points))), uniform_model(sc)]
+            yield support_of(even), models + [_signaling_variant(even, rng)]
+        for _ in range(2):
+            sizes = [section_size(sc, ci) for ci in range(sc.n_contexts)]
+            yield SupportModel(sc, tuple(rng.randint(1, 2**n - 1) for n in sizes)), []
+
+
+def _covers_identity_lines():
+    for support, models in _covers_identity_cases():
+        family = solve_support(support)
+        if family is None:
+            yield "null"
+            continue
+        params = [family_member_params(family, m) for m in models]
+        params = [None if p is None else [rat_str(t) for t in p] for p in params]
+        yield json.dumps([family_to_json(family), params], sort_keys=True)
+    rng = random.Random(1)
+    model = random_no_signaling_model(bell_scenario(5, 2, 2), rng)
+    family = solve_support(support_of(model))
+    d0, d1 = family.directions
+    doc = family_to_json(family)
+    doc["parameters"] = ["t0", "t1", "t2", "t3"]
+    doc["directions"] = [
+        [rat_str(c) for c in d]
+        for d in (d0, [rat(3, 2) * a + b for a, b in zip(d0, d1)], [b / 2 for b in d1], d0)
+    ]
+    dependent = family_from_json(doc)
+    models = [model, _signaling_variant(model, rng), uniform_model(model.scenario)]
+    params = [family_member_params(dependent, m) for m in models]
+    yield json.dumps([None if p is None else [rat_str(t) for t in p] for p in params])
+
+
+def test_families_on_other_covers_are_pinned():
+    h = hashlib.sha256()
+    for line in _covers_identity_lines():
+        h.update((line + "\n").encode())
+    assert h.hexdigest() == COVERS_IDENTITY_DIGEST
+
+
 # ---------------------------------------------------------------------------
 # the one-parameter family over the reference support
 
