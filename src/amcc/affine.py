@@ -1,4 +1,4 @@
-"""Affine families of no-signaling models, by exact sparse elimination.
+"""Affine families of no-signaling models, by exact elimination.
 
 The no-signaling equality system over the slot weights (one variable per
 context/section pair) consists of per-context normalization plus, for every
@@ -9,36 +9,41 @@ parameter. For one-parameter families the parameter is renamed q and pinned
 to the first in-support slot of the first context (coefficient +1 there), and
 the exact nonnegativity interval of q is reported.
 
-Elimination is sparse Gauss-Jordan, each row a dict of integer numerators
-over one denominator, and prefers unit pivots, which keeps coefficient
-growth negligible at 256-variable scale; no per-entry Fraction is built.
-Pivot rows are kept fully reduced, so an incoming row is reduced in one
-pass and each pivot row reads off as its variable's expression in the free
-ones.
+Each support is solved by fraction-free Gauss-Jordan on one int64 array,
+pivoted by the simplex's own step, lp._pivot_array (Edmonds; Bareiss):
+every stored entry is the true one times det, the last pivot, and each
+pivot divides exactly by the one before. A unit pivot leaves det as it
+is, so units are preferred, which keeps coefficient growth negligible at
+256-variable scale. Pivot rows end fully reduced, so each reads off as
+its variable's expression in the free ones. The array passes to Python
+ints only if its entries outgrow int64.
 
-The full scenario's system is eliminated once per scenario, and the rows
-that add a pivot are kept in order (its rank profile); ns_dimension is read
-off it. Every other row is implied by the rows before it, and restricting
-to a support only deletes columns, so it stays implied: solve_support
-eliminates only the kept rows, restricted to the support, and ends in the
-state that eliminating all of the support's equations would reach. The
-family check reads the full system, in one vectorized integer pass.
-A support is read only as its slot mask, possibilistic._possible_slots:
-one bool per slot, in slot order.
+The full scenario's system is eliminated once per scenario, sparsely,
+with each row a dict of integer numerators over one denominator, and the
+rows that add a pivot are kept in order (its rank profile); ns_dimension
+is read off it. Every other row is implied by the rows before it, and
+restricting to a support only deletes columns, so it stays implied:
+solve_support scatters only the kept rows, restricted to the support's
+slots, into its array, and ends in the state that eliminating all of the
+support's equations would reach. The family check reads the full system,
+in one vectorized integer pass. A support is read only as its slot mask,
+possibilistic._possible_slots: one bool per slot, in slot order.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain
 from math import gcd, lcm
 
 import numpy as np
 
 from .errors import PreconditionError, VerificationError
 from .model import EmpiricalModel, render_table_csv, uniform_marginals
-from .lp import certified_fraction
-from .rational import ONE, ZERO, over_lcm, rat, rat_str
+from .lp import _INT64_LIMIT, _pivot_array, certified_fraction
+from .rational import ZERO, fractions_over, over_lcm, rat, rat_str
 from .scenario import (
+    MAX_TABLEAU_CELLS,
+    _require,
     overlap_rows,
     scenario_from_json,
     scenario_to_json,
@@ -112,16 +117,117 @@ def _pivot_rows(scenario):
     return tuple(kept)
 
 
-def _support_rows(support):
-    """_pivot_rows restricted to the support's slots, in order, less the
-    rows left empty (pair rows with rhs 0; no context is empty). Each is
-    the ns_equations(scenario, support) row for the same equation, with the
-    same insertion order."""
-    on = _possible_slots(support).tolist()
-    for row, rhs in _pivot_rows(support.scenario):
-        coeffs = {s: c for s, c in row.items() if on[s]}
-        if coeffs:
-            yield coeffs, rhs
+@lru_cache(maxsize=64)
+def _pivot_table(scenario):
+    """_pivot_rows as read-only arrays (row, slot, coeff, rhs): one entry
+    per nonzero coefficient, row by row and each row in its slot order,
+    and one rhs per row."""
+    kept = _pivot_rows(scenario)
+    row = np.repeat(np.arange(len(kept)), [len(coeffs) for coeffs, _ in kept])
+    slot = np.fromiter(chain.from_iterable(c for c, _ in kept), np.intp, row.size)
+    coeff = np.fromiter(chain.from_iterable(c.values() for c, _ in kept), np.int64, row.size)
+    rhs = np.array([b for _, b in kept], np.int64)
+    for a in (row, slot, coeff, rhs):
+        a.setflags(write=False)
+    return row, slot, coeff, rhs
+
+
+def _support_table(support):
+    """(table, supported): the integer table [A | b] of _pivot_rows
+    restricted to the support's slots, in order, less the rows left empty
+    (pair rows with rhs 0; no context is empty), and the supported slots
+    ascending, column k of A being slot supported[k]. Each row is the
+    ns_equations(scenario, support) row of the same equation. The table's
+    cells pass scenario._require with MAX_TABLEAU_CELLS before it is built:
+    it is pivoted like a simplex tableau."""
+    on = _possible_slots(support)
+    supported = np.flatnonzero(on)
+    row, slot, coeff, rhs = _pivot_table(support.scenario)
+    keep = on[slot]
+    row, slot, coeff = row[keep], slot[keep], coeff[keep]
+    live = np.flatnonzero((np.bincount(row, minlength=rhs.size) > 0) | (rhs != 0))
+    shape = (live.size, supported.size + 1)
+    _require(
+        shape[0] * shape[1],
+        f"cells in the elimination table of {shape[0]} x {shape[1]}",
+        MAX_TABLEAU_CELLS,
+    )
+    # each kept row's and each supported slot's place in the table
+    place = np.zeros(max(rhs.size, on.size), np.intp)
+    place[live] = np.arange(live.size)
+    row = place[row]
+    place[supported] = np.arange(supported.size)
+    table = np.zeros(shape, np.int64)
+    table[row, place[slot]] = coeff
+    table[:, -1] = rhs[live]
+    return table, supported
+
+
+def _gauss_jordan(table, scale=1, disjoint=0):
+    """Fraction-free Gauss-Jordan elimination of the integer table [A | b],
+    in place, one row at a time in order, each pivot one lp._pivot_array.
+    Every row is scale, a positive integer, times a true row. Returns
+    (table, det, pivots, bad): pivots maps each pivot column to its row,
+    in pivot order, and bad is the first row found to read 0 = nonzero, or
+    None. The table may come back as a new array of Python ints.
+
+    After the pivots so far, a pivot row holds det at its pivot, 0 at every
+    other pivot column, and det times its true row divided by its pivot
+    coefficient; a row not yet pivoted holds det * scale times its
+    remainder, what is left of its true row once the pivot rows have
+    cancelled every pivot column. That remainder is unique, so the pivots
+    are those of any exact elimination that takes the rows in this order
+    and reduces each by the pivot rows before it. Its pivot is the lowest
+    column whose remainder coefficient is 1 or -1, else its lowest nonzero
+    column: |table[i, v]| == det * scale is exactly the test that the true
+    coefficient is a unit. A negative pivot entry negates the row first,
+    so every pivot is positive. A row with no nonzero left is implied, or
+    inconsistent if its rhs is nonzero, and is passed over; once every
+    column holds a pivot, so is every row left.
+
+    The first disjoint rows, at scale 1, must hold 1 on consecutive ranges
+    of columns that partition A's columns, row by row in order, and 0
+    elsewhere in A (a support's normalization rows). Each then pivots on
+    the first column of its range, a unit at det 1, and holds no other's
+    pivot column, so they are pivoted in one pass, in place: every later
+    row loses, over each range, its entry at that range's pivot. The pass
+    is not bound-checked; a support's entries are 0, 1 or -1."""
+    n = table.shape[1] - 1
+    det = 1
+    pivots, bad = {}, None
+    empty = [False] * table.shape[0]
+    if disjoint:
+        ends = list(accumulate((table[:disjoint, :n] != 0).sum(axis=1).tolist()))
+        first = [0, *ends[:-1]]
+        f = table[disjoint:, first]
+        for r, (a, b) in enumerate(zip(first, ends)):
+            table[disjoint:, a:b] -= f[:, r, None]
+        table[disjoint:, n] -= (f * table[:disjoint, n]).sum(axis=1)
+        pivots = dict(zip(first, range(disjoint)))
+        empty = (~table[:, :n].any(axis=1)).tolist()
+    bound = max(int(table.max(initial=0)), -int(table.min(initial=0)))
+    for i in range(disjoint, table.shape[0]):
+        if len(pivots) == n:
+            # every column holds a pivot: each row left reads 0 = its rhs
+            rest = table[i:, n].nonzero()[0]
+            if bad is None and rest.size:
+                bad = i + int(rest[0])
+            break
+        row = table[i, :n]
+        nonzero = () if empty[i] else row.nonzero()[0]
+        if not len(nonzero):
+            if bad is None and table[i, n]:
+                bad = i
+            continue
+        unit = det * scale
+        coeffs = row[nonzero].tolist()
+        k = next((k for k, c in enumerate(coeffs) if c == unit or c == -unit), 0)
+        v = int(nonzero[k])
+        if coeffs[k] < 0:
+            table[i] *= -1
+        table, det, bound = _pivot_array(table, i, v, det, bound)
+        pivots[v] = i
+    return table, det, pivots, bad
 
 
 def _lowest_terms(coeffs, rhs, den):
@@ -156,13 +262,13 @@ def _cancel(coeffs, rhs, c, v, prow, prhs, pden):
 
 
 class _Elimination:
-    """Incremental sparse Gauss-Jordan elimination over exact rationals: a
-    row is (coeffs, rhs, den), integer numerators over one positive
-    denominator, and is added in that form, so callers with rational rows
-    scale them first (rational.over_lcm). Pivot rows are keyed by pivot
-    variable and stored sign-fixed in lowest terms with coeffs[pivot] ==
-    den (coefficient 1), and fully reduced: no pivot row holds another
-    pivot variable.
+    """Incremental sparse Gauss-Jordan elimination of integer rows over
+    exact rationals, for _pivot_rows' one pass over a scenario's system:
+    a stored row is (coeffs, rhs, den), integer numerators over one
+    positive denominator. Pivot rows are keyed by pivot variable and
+    stored sign-fixed in lowest terms with coeffs[pivot] == den
+    (coefficient 1), and fully reduced: no pivot row holds another pivot
+    variable.
 
     An incoming row is reduced in one pass over the pivot variables it
     holds, since a fully reduced pivot row brings in no other one. A
@@ -177,10 +283,11 @@ class _Elimination:
         self.order = []
         self.infeasible = False
 
-    def add(self, coeffs, rhs, den=1):
-        """Add the row sum of coeffs[v] / den * x_v == rhs / den: integer
-        numerators over one positive denominator. coeffs is not changed."""
+    def add(self, coeffs, rhs):
+        """Add the integer row sum of coeffs[v] * x_v == rhs; coeffs is not
+        changed."""
         coeffs = dict(coeffs)
+        den = 1
         pivot_rows = self.pivot_rows
         for v in [v for v in coeffs if v in pivot_rows]:
             prow, prhs, pden = pivot_rows[v]
@@ -209,20 +316,6 @@ class _Elimination:
                 pivot_rows[u] = urow, urhs, uden
         pivot_rows[pivot] = coeffs, rhs, c
         self.order.append(pivot)
-
-    def back_substitute(self, variables):
-        """Express every variable as (const, {free_var: coeff}); free
-        variables are those without a pivot row, ascending. A pivot row
-        holds only free variables besides its pivot v, so it reads off as
-        x_v = rhs/den - sum of c/den * x_f."""
-        free = [v for v in variables if v not in self.pivot_rows]
-        col = {f: k for k, f in enumerate(free)}
-        exprs = {v: (ZERO, {v: ONE}) for v in free}
-        for v in self.order:
-            prow, prhs, pden = self.pivot_rows[v]
-            terms = sorted((w for w in prow if w != v), key=col.__getitem__)
-            exprs[v] = rat(prhs, pden), {w: rat(-prow[w], pden) for w in terms}
-        return free, exprs
 
 
 def ns_dimension(scenario):
@@ -302,30 +395,31 @@ class AffineFamily:
 def solve_support(support):
     """Affine family of no-signaling weight vectors vanishing outside the
     support, or None when the equality system is infeasible. Nonnegativity is
-    not imposed here; for one-parameter families use parameter_bounds."""
+    not imposed here; for one-parameter families use parameter_bounds.
+
+    Each pivot row reads x_v = (b - sum of A[f] * x_f) / det over the free
+    slots f, ascending: the base takes b / det at v and each free slot's
+    direction -A[f] / det at v, and 1 at f itself."""
     sc = support.scenario
-    elim = _Elimination()
-    for row, rhs in _support_rows(support):
-        elim.add(row, rhs)
-        if elim.infeasible:
-            return None
-    supported = np.flatnonzero(_possible_slots(support)).tolist()
-    free, exprs = elim.back_substitute(supported)
-    n_slots = slot_count(sc)
-    base = [ZERO] * n_slots
-    dirs = [[ZERO] * n_slots for _ in free]
-    col = {f: k for k, f in enumerate(free)}
-    for v in supported:
-        const, coeffs = exprs[v]
-        base[v] = const
-        for f, c in coeffs.items():
-            dirs[col[f]][v] = c
+    table, supported = _support_table(support)
+    table, det, pivots, bad = _gauss_jordan(table, disjoint=sc.n_contexts)
+    if bad is not None:
+        return None
+    cols, rows = list(pivots), list(pivots.values())
+    is_free = np.ones(supported.size, bool)
+    is_free[cols] = False
+    free = np.flatnonzero(is_free)
+    solved = np.zeros((free.size + 1, slot_count(sc)), table.dtype)
+    solved[0, supported[cols]] = table[rows, -1]
+    solved[1:, supported[cols]] = -table[:, free][rows].T
+    solved[np.arange(1, free.size + 1), supported[free]] = det
+    base, *dirs = (fractions_over(v, det) for v in solved.tolist())
     family = AffineFamily(
         scenario=sc,
         support=support,
-        base=tuple(base),
-        directions=tuple(tuple(d) for d in dirs),
-        parameters=tuple(f"t{k}" for k in range(len(free))),
+        base=base,
+        directions=tuple(dirs),
+        parameters=tuple(f"t{k}" for k in range(free.size)),
     )
     if family.dimension == 1:
         family = _normalize_single_parameter(family)
@@ -448,21 +542,26 @@ def family_member_params(family, model):
     tden, rows = model._int_view
     target = list(chain.from_iterable(rows))
     (bden, base), *directions = map(over_lcm, (family.base, *family.directions))
-    elim = _Elimination()
-    for slot, w in enumerate(target):
-        row = {k: d[slot] for k, d in enumerate(family.directions) if d[slot]}
-        rhs = w * bden - base[slot] * tden  # over tden * bden
-        if row:
-            den, (num, *nums) = over_lcm([rat(rhs, tden * bden), *row.values()])
-            elim.add(dict(zip(row, nums)), num, den)
-        elif rhs != 0:
-            return None
-        if elim.infeasible:
-            return None
-    # underdetermined parameters are pinned to 0 by taking each expression's
-    # constant part; the final entrywise check catches any mismatch
-    _, exprs = elim.back_substitute(range(family.dimension))
-    params = tuple(exprs[k][0] for k in range(family.dimension))
+    # sum_k d_k * t_k == w - base at every slot, times the lcm of every
+    # denominator; a slot no direction touches must read 0 == 0
+    scale = lcm(tden * bden, *(dden for dden, _ in directions))
+    f = scale // (tden * bden)
+    columns = [[x * (scale // dden) for x in d] for dden, d in directions]
+    columns.append([(w * bden - b * tden) * f for w, b in zip(target, base)])
+    big = max(max(max(c), -min(c)) for c in columns)
+    table = np.array(columns, np.int64 if big < _INT64_LIMIT else object).T
+    touched = table[:, :-1].any(axis=1)
+    if table[~touched, -1].any():
+        return None
+    table, det, pivots, bad = _gauss_jordan(table[touched], scale)
+    if bad is not None:
+        return None
+    # underdetermined parameters are pinned to 0; the final entrywise
+    # check catches any mismatch
+    params = [ZERO] * family.dimension
+    for k, i in pivots.items():
+        params[k] = rat(int(table[i, -1]), det)
+    params = tuple(params)
     terms = [(t, d, dden) for t, (dden, d) in zip(params, directions) if t]
     den = lcm(tden, bden, *(t.denominator * dden for t, _, dden in terms))
     weights = [b * (den // bden) for b in base]

@@ -151,10 +151,13 @@ def cmd_marginals(args):
     n_parties = len(set(sc.parties))
     if not 1 <= args.k < n_parties:
         raise PreconditionError(f"marginal size must be between 1 and {n_parties - 1}")
-    for ms in party_setting_subsets(sc):
-        if len(ms) != args.k:
-            continue
-        table = marginalize(model, context_containing(sc, ms), ms)
+    # every table is computed before any is printed, so a refusal prints none
+    tables = [
+        (ms, marginalize(model, context_containing(sc, ms), ms))
+        for ms in party_setting_subsets(sc)
+        if len(ms) == args.k
+    ]
+    for ms, table in tables:
         cells = " ".join(_frac(w) for w in table.weights)
         print(f"{_labels(sc, ms)}: {cells}")
 
@@ -214,8 +217,10 @@ def cmd_solve_support(args):
         print("support admits no distribution", file=sys.stderr)
         return 4
     if args.csv:
+        # rendered before the file is opened, so a refusal leaves it as it was
+        csv = family_to_csv(family)
         with open(args.csv, "w") as fh:
-            fh.write(family_to_csv(family))
+            fh.write(csv)
     _print_doc(family_to_json(family))
 
 

@@ -236,14 +236,9 @@ def _pivot(tableau, leave, col, det):
 
 
 def _run_array(tableau, basis, width):
-    """_run on a numpy tableau, one array update per pivot. bound is at
-    least every entry's magnitude, so no intermediate p * x - f * v of an
-    int64 pivot exceeds p * bound + max|f| * max|prow|; when that passes
-    _INT64_LIMIT the true largest entry is read, and only if it still
-    passes does the array become Python ints, in the same loop. When
-    p == det only the rows with f != 0 and prow's nonzero columns change,
-    and they are updated through one flat index. Returns (tableau, det,
-    pivot count)."""
+    """_run on a numpy tableau, one _pivot_array per pivot. Returns
+    (tableau, det, pivot count): the tableau may have become an array of
+    Python ints."""
     m = len(basis)
     det = 1
     pivots = 0
@@ -253,38 +248,60 @@ def _run_array(tableau, basis, width):
         if not negative.size:
             return tableau, det, pivots
         enter = int(negative[0])
-        f = tableau[:, enter].copy()
-        rows = (f[:m] > 0).nonzero()[0]
-        leave = _leaving_row(rows.tolist(), f[rows].tolist(), tableau[rows, -1].tolist(), basis)
+        col = tableau[:m, enter]
+        rows = (col > 0).nonzero()[0]
+        leave = _leaving_row(rows.tolist(), col[rows].tolist(), tableau[rows, -1].tolist(), basis)
         if leave is None:
             raise VerificationError("fraction LP is unbounded", details={"column": enter})
-        prow = tableau[leave].copy()
-        f[leave] = 0
-        p = int(prow[enter])
-        if tableau.dtype != object:
-            span = int(np.abs(f).max()) * int(np.abs(prow).max())
-            if p * bound + span >= _INT64_LIMIT:
-                bound = int(np.abs(tableau).max())
-                if p * bound + span >= _INT64_LIMIT:
-                    tableau, prow, f = (a.astype(object) for a in (tableau, prow, f))
-            bound = max(bound, (p * bound + span) // det)
-        if p == det:
-            # det divides f * v because it divides p * x - f * v
-            rows, cols = f.nonzero()[0], prow.nonzero()[0]
-            update = np.multiply.outer(f[rows], prow[cols])
-            if det != 1:
-                update //= det
-            flat = tableau.reshape(-1)  # a view: the tableau is C-contiguous
-            index = (rows[:, None] * tableau.shape[1] + cols).reshape(-1)
-            flat[index] -= update.reshape(-1)
-        else:
-            tableau *= p
-            tableau -= np.multiply.outer(f, prow)
-            tableau //= det
-            tableau[leave] = prow
-        det = p
+        tableau, det, bound = _pivot_array(tableau, leave, enter, det, bound)
         basis[leave] = enter
         pivots += 1
+
+
+def _pivot_array(tableau, leave, enter, det, bound):
+    """One integer-preserving pivot of a numpy tableau on the positive entry
+    p = tableau[leave, enter]: every row but prow = tableau[leave] becomes
+    (p * row - f * prow) // det, where f is the row's entry in column enter
+    and det the previous pivot (Edmonds, J. Res. NBS 71B, 1967; Bareiss,
+    Math. Comp. 22, 1968). Stored entries are then the true ones times p,
+    every division is exact, and det > 0 keeps every sign. Returns
+    (tableau, p, bound).
+
+    bound is at least every entry's magnitude, so no intermediate
+    p * x - f * v of an int64 pivot exceeds p * bound + max|f| * max|prow|;
+    when that passes _INT64_LIMIT the true largest entry is read, and only
+    if it still passes does the array become Python ints: the returned
+    tableau is then a new array. Only the rows with f != 0 and prow's
+    nonzero columns take f * v, through one flat index; when p == det no
+    other entry changes, and otherwise every entry is scaled by p / det."""
+    f = tableau[:, enter].copy()
+    prow = tableau[leave]
+    f[leave] = 0
+    p = int(prow[enter])
+    if tableau.dtype != object:
+        span = int(np.abs(f).max()) * int(np.abs(prow).max())
+        if p * bound + span >= _INT64_LIMIT:
+            bound = int(np.abs(tableau).max())
+            if p * bound + span >= _INT64_LIMIT:
+                tableau, f = tableau.astype(object), f.astype(object)
+                prow = tableau[leave]
+        bound = max(bound, (p * bound + span) // det)
+    rows, cols = f.nonzero()[0], prow.nonzero()[0]
+    update = f[rows, None] * prow[cols]
+    if p == det:
+        if det != 1:
+            # det divides f * v because it divides p * x - f * v
+            update //= det
+    else:
+        prow = prow.copy()
+        tableau *= p
+    flat = tableau.reshape(-1)  # a view: the tableau is C-contiguous
+    flat[(rows * tableau.shape[1])[:, None] + cols] -= update
+    if p != det:
+        # where f * v is 0, det divides p * x
+        tableau //= det
+        tableau[leave] = prow
+    return tableau, p, bound
 
 
 def stacked_weights(model):

@@ -13,11 +13,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import amcc.affine
 from amcc.affine import (
     _Elimination,
     _check_family,
+    _gauss_jordan,
     _pivot_rows,
-    _support_rows,
+    _support_table,
     classify,
     family_from_json,
     family_member_params,
@@ -42,7 +44,7 @@ from amcc.model import (
     pr_box,
     uniform_model,
 )
-from amcc.possibilistic import SupportModel, compatible_globals, support_of
+from amcc.possibilistic import SupportModel, _possible_slots, compatible_globals, support_of
 from amcc.rational import ONE, ZERO, over_lcm, rat, rat_str
 from amcc.scenario import (
     MeasurementScenario,
@@ -230,30 +232,80 @@ NON_UNIT_PIVOT = [
     ({0: Fraction(2), 1: Fraction(3)}, Fraction(1)),
     ({0: Fraction(1), 1: Fraction(1)}, Fraction(1, 3)),
 ]
+# scaled by 2, both rows hold 1s that are not units; in the second, only
+# variable 2's coefficient is one
+FALSE_UNITS = [({0: Fraction(1, 2), 1: Fraction(1, 2)}, Fraction(1))]
+FALSE_UNITS_BEFORE_A_UNIT = [({0: Fraction(1, 2), 1: Fraction(1, 2), 2: Fraction(1)}, Fraction(1))]
+
+
+def _array_elimination(rows, variables):
+    # _gauss_jordan on rational rows, column k being variables[k], all
+    # scaled to integers by the lcm of their denominators, as
+    # family_member_params scales its rows
+    scale, nums = over_lcm([x for row, rhs in rows for x in (*row.values(), rhs)])
+    nums = iter(nums)
+    table = [[0] * (len(variables) + 1) for _ in rows]
+    for line, (row, _) in zip(table, rows):
+        for v in row:
+            line[variables.index(v)] = next(nums)
+        line[-1] = next(nums)
+    big = max(abs(x) for line in table for x in line)
+    return _gauss_jordan(np.array(table, np.int64 if big < 2**62 else object), scale)
+
+
+def _read_off(table, det, pivots, variables):
+    # the array elimination's answer in _FractionElimination.back_substitute's
+    # form: each pivot row reads x_v = (b - sum of A[f] * x_f) / det
+    free = [v for k, v in enumerate(variables) if k not in pivots]
+    exprs = {v: (ZERO, {v: ONE}) for v in free}
+    for k, i in pivots.items():
+        *coeffs, rhs = table[i].tolist()
+        exprs[variables[k]] = Fraction(rhs, det), {
+            variables[j]: Fraction(-c, det) for j, c in enumerate(coeffs) if c and j != k
+        }
+    return free, exprs
 
 
 @given(st.one_of(_rational_systems(), _supports().map(lambda s: ns_equations(s.scenario, s))))
 @example(NON_UNIT_PIVOT)
+@example(FALSE_UNITS)
+@example(FALSE_UNITS_BEFORE_A_UNIT)
 @settings(max_examples=80, deadline=None)
 def test_integer_elimination_matches_the_fraction_one(rows):
-    ref, elim = _FractionElimination(), _Elimination()
-    for row, rhs in rows:
-        ref.add({v: Fraction(c) for v, c in row.items()}, Fraction(rhs))
-        den, (num, *nums) = over_lcm([rhs, *row.values()])
-        elim.add(dict(zip(row, nums)), num, den)
-        assert elim.infeasible == ref.infeasible
-    assert elim.order == ref.order
-    assert elim.pivot_rows.keys() == ref.pivot_rows.keys()
     variables = sorted({v for row, _ in rows for v in row})
+    table, det, pivots, bad = _array_elimination(rows, variables)
+    ref = _FractionElimination()
+    for i, (row, rhs) in enumerate(rows):
+        ref.add({v: Fraction(c) for v, c in row.items()}, Fraction(rhs))
+        assert ref.infeasible == (bad is not None and bad <= i)
+    assert [variables[k] for k in pivots] == ref.order
+    assert {variables[k] for k in pivots} == ref.pivot_rows.keys()
     _, expected = ref.back_substitute(variables)
-    for v, (coeffs, rhs, den) in elim.pivot_rows.items():
-        assert coeffs[v] == den > 0
-        assert gcd(den, rhs, *coeffs.values()) == 1
-        # fully reduced: the row is x_v = rhs/den - sum c/den x_f over the
-        # free variables, the reference's back substitution of v
-        free_part = {w: Fraction(-c, den) for w, c in coeffs.items() if w != v}
-        assert (Fraction(rhs, den), free_part) == expected[v]
-    assert elim.back_substitute(variables) == ref.back_substitute(variables)
+    for k, i in pivots.items():
+        # det at the pivot, 0 at every other pivot column: the row is
+        # x_v = rhs/det - sum c/det x_f over the free variables, the
+        # reference's back substitution of v
+        assert table[i, k] == det > 0
+        assert not table[i, [c for c in pivots if c != k]].any()
+        *coeffs, rhs = table[i].tolist()
+        free_part = {variables[j]: Fraction(-c, det) for j, c in enumerate(coeffs) if c and j != k}
+        assert (Fraction(rhs, det), free_part) == expected[variables[k]]
+    # every other row ends as 0 = 0, or 0 = nonzero where it was inconsistent
+    others = [i for i in range(len(rows)) if i not in pivots.values()]
+    assert not table[others, :-1].any()
+    assert bad == next((i for i in others if table[i, -1]), None)
+    assert _read_off(table, det, pivots, variables) == ref.back_substitute(variables)
+
+
+def _support_table_rows(support):
+    # the rows of _support_table as ns_equations-style (dict, rhs) pairs,
+    # each row's slots ascending
+    table, supported = _support_table(support)
+    slots = supported.tolist()
+    return [
+        ({slots[k]: c for k, c in enumerate(coeffs) if c}, rhs)
+        for *coeffs, rhs in table.tolist()
+    ]
 
 
 # eliminating only the rows of the pairs one party's setting apart leaves
@@ -267,24 +319,24 @@ def test_integer_elimination_matches_the_fraction_one(rows):
 def test_pruned_rows_eliminate_like_all_of_ns_equations(support):
     sc = support.scenario
     rows = ns_equations(sc, support)
-    pruned = list(_support_rows(support))
+    pruned = _support_table_rows(support)
     remaining = iter(rows)
     # a subsequence, in order, with each row's slots in the same order
     assert all(
         any(row == r and list(row) == list(r) and rhs == b for r, b in remaining)
         for row, rhs in pruned
     )
-    full, short = _Elimination(), _Elimination()
+    full = _FractionElimination()
     for row, rhs in rows:
-        full.add(row, rhs)
-    for row, rhs in pruned:
-        short.add(row, rhs)
-    assert short.order == full.order
-    assert short.pivot_rows == full.pivot_rows
-    assert short.infeasible == full.infeasible
+        full.add({v: Fraction(c) for v, c in row.items()}, Fraction(rhs))
+    table, supported = _support_table(support)
+    slots = supported.tolist()
+    table, det, pivots, bad = _gauss_jordan(table, disjoint=sc.n_contexts)
+    assert [slots[k] for k in pivots] == full.order
+    assert (bad is not None) == full.infeasible
     variables = sorted({v for row, _ in rows for v in row})
-    if not full.infeasible:
-        assert short.back_substitute(variables) == full.back_substitute(variables)
+    assert slots == variables
+    assert _read_off(table, det, pivots, slots) == full.back_substitute(variables)
 
 
 def _shortcut_pivot_rows(scenario):
@@ -403,7 +455,16 @@ def test_overlap_rows_are_the_bucketed_pair_rows(sc):
 @settings(max_examples=60, deadline=None)
 def test_support_rows_are_the_bucketed_support_rows(support):
     sc = support.scenario
-    assert _ordered(ns_equations(sc, support)) == _ordered(_bucketed_ns_equations(sc, support))
+    expected = _ordered(_bucketed_ns_equations(sc, support))
+    assert _ordered(ns_equations(sc, support)) == expected
+    # the support's elimination table: the pivot rows restricted to the
+    # support, less the empty ones, each the bucketed row of its equation
+    on = _possible_slots(support).tolist()
+    restricted = [({s: c for s, c in row.items() if on[s]}, rhs) for row, rhs in _pivot_rows(sc)]
+    rows = _ordered(_support_table_rows(support))
+    assert rows == _ordered([(row, rhs) for row, rhs in restricted if row])
+    remaining = iter(expected)
+    assert all(any(row == e for e in remaining) for row in rows)
 
 
 # sha256 over one line per input, as the Fraction elimination computed them:
@@ -608,18 +669,17 @@ def _fraction_member_params(family, model):
     # the Fraction recomposition family_member_params used before its final
     # check moved to integer numerators; kept as the oracle
     target = [w for row in model.tables for w in row]
-    elim = _Elimination()
+    ref = _FractionElimination()
     for slot, w in enumerate(target):
         row = {k: d[slot] for k, d in enumerate(family.directions) if d[slot] != 0}
         rhs = w - family.base[slot]
         if row:
-            den, (num, *nums) = over_lcm([rhs, *row.values()])
-            elim.add(dict(zip(row, nums)), num, den)
+            ref.add(row, rhs)
         elif rhs != 0:
             return None
-        if elim.infeasible:
+        if ref.infeasible:
             return None
-    _, exprs = elim.back_substitute(range(family.dimension))
+    _, exprs = ref.back_substitute(range(family.dimension))
     params = tuple(exprs[k][0] for k in range(family.dimension))
     weights = list(family.base)
     for t, d in zip(params, family.directions):
@@ -689,27 +749,30 @@ def test_integer_member_check_matches_the_fraction_recomposition(kind, seed, num
     if family is None:
         return
     # the same family with its directions rescaled: fractional directions
-    # and parameters
-    scale = rat(num, den)
-    scaled = replace(family, directions=tuple(
-        tuple(c * scale for c in d) for d in family.directions
-    ))
-    for fam in (family, scaled):
+    # and parameters, and past int64 (HUGE, defined below) an elimination
+    # on Python ints
+    scaled = [
+        replace(family, directions=tuple(tuple(c * scale for c in d) for d in family.directions))
+        for scale in (rat(num, den), rat(num, den) / HUGE)
+    ]
+    for fam in (family, *scaled):
         for model in models:
             assert family_member_params(fam, model) == _fraction_member_params(fam, model)
 
 
 def test_member_check_refuses_a_wrong_solution(q_family, monkeypatch):
     # the recomposition is the only check on the elimination's answer
-    solve = _Elimination.back_substitute
+    solve = _gauss_jordan
 
-    def shifted(self, variables):
-        free, exprs = solve(self, variables)
-        return free, {v: (c + rat(1, 3), co) for v, (c, co) in exprs.items()}
+    def shifted(*args, **kwargs):
+        # every pivot row's rhs up by det: each solved parameter up by 1
+        table, det, pivots, bad = solve(*args, **kwargs)
+        table[:, -1] += det
+        return table, det, pivots, bad
 
     model = q_family.at(rat(3, 16))
     assert family_member_params(q_family, model) == (rat(3, 16),)
-    monkeypatch.setattr(_Elimination, "back_substitute", shifted)
+    monkeypatch.setattr(amcc.affine, "_gauss_jordan", shifted)
     assert family_member_params(q_family, model) is None
 
 

@@ -1,9 +1,11 @@
 """End-to-end CLI behavior: output text, file handling, exit codes."""
 
 import json
+import random
 
 import pytest
 
+import amcc.affine
 import amcc.lp
 import amcc.scenario
 from amcc.cli import build_parser, main
@@ -17,9 +19,10 @@ from amcc.model import (
     pr_box,
     uniform_model,
 )
-from amcc.possibilistic import SupportModel, support_to_json
+from amcc.possibilistic import SupportModel, support_of, support_to_json
 from amcc.rational import ONE, ZERO, rat
 from amcc.scenario import bell_scenario, overlap_rows, overlaps
+from amcc.verify import random_no_signaling_model
 
 
 @pytest.fixture
@@ -155,8 +158,9 @@ def test_parties_the_cover_never_joins_exit_3(run, tmp_path, argv):
         "cover": [list(ctx) for ctx in sc.cover],
         "parties": [5, 0, 1, 1],
     }
-    code, _, err = run(argv[0], _write_json(tmp_path / "parties.json", doc), *argv[1:])
-    assert code == 3
+    code, out, err = run(argv[0], _write_json(tmp_path / "parties.json", doc), *argv[1:])
+    # refused before any output: no partial list of marginals
+    assert (code, out) == (3, "")
     assert err == "error: no context contains measurements (1, 0)\n"
 
 
@@ -497,6 +501,33 @@ def test_solve_support_emits_the_family(run, tmp_path):
     assert doc["parameters"] == ["q"]
     assert doc["bounds"] == ["1/8", "1/4"]
     assert "2q-1/4" in csv_path.read_text()
+
+
+def test_solve_support_csv_refusal_leaves_the_file_as_it_was(run, tmp_path):
+    # this random model's support has a family of dimension 2, which CSV
+    # cannot render: exit 3, and the existing file keeps its bytes
+    model = random_no_signaling_model(bell_scenario(3, 2, 2), random.Random(1))
+    path = _write_json(tmp_path / "sup.json", support_to_json(support_of(model)))
+    csv_path = tmp_path / "table.csv"
+    csv_path.write_bytes(b"kept,as,is\n")
+    code, out, err = run("solve-support", path, "--csv", str(csv_path))
+    assert (code, out) == (3, "")
+    assert err == "error: CSV rendering needs dimension <= 1\n"
+    assert csv_path.read_bytes() == b"kept,as,is\n"
+
+
+def test_solve_support_guard_trips_before_any_array_is_built(run, tmp_path, monkeypatch):
+    # the reference support's table keeps 176 pivot rows over 152
+    # supported slots: 176 x 153 = 26928 cells, one over the patched limit,
+    # so the table is never allocated and nothing is eliminated
+    path = _write_json(tmp_path / "sup.json", support_to_json(apply_plan(reference_plan())))
+    monkeypatch.setattr(amcc.affine, "MAX_TABLEAU_CELLS", 176 * 153 - 1)
+    monkeypatch.setattr(amcc.affine, "_gauss_jordan", None)
+    code, out, err = run("solve-support", path)
+    assert (code, out) == (5, "")
+    assert err == (
+        "resource limit: 26928 cells in the elimination table of 176 x 153 is over the limit 26927\n"
+    )
 
 
 def test_solve_support_refuses_a_float_cell(run, tmp_path):

@@ -103,3 +103,30 @@ def test_no_module_imports_a_name_it_does_not_use():
         exported = set(getattr(importlib.import_module(f"amcc.{path.stem}"), "__all__", ()))
         stranded += [f"{path.stem}.{name}" for name in sorted(imported - read - exported)]
     assert stranded == []
+
+
+def test_one_array_pivot_divides_by_the_previous_pivot():
+    # Edmonds/Bareiss exact division by the previous pivot, det, is written
+    # in lp's list pivot and its one array pivot, which the simplex and the
+    # affine Gauss-Jordan share; verify.covering_ncf, the covering oracle,
+    # keeps its own so that it stays independent of the main solver
+    dividers = set()
+    defined = set()
+    for path in sorted(Path(amcc.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            defined.add((path.stem, func.name))
+            for node in ast.walk(func):
+                divisor = (
+                    node.right if isinstance(node, ast.BinOp)
+                    else node.value if isinstance(node, ast.AugAssign)
+                    else None
+                )
+                if isinstance(getattr(node, "op", None), ast.FloorDiv) and (
+                    isinstance(divisor, ast.Name) and divisor.id == "det"
+                ):
+                    dividers.add((path.stem, func.name))
+    assert dividers == {("lp", "_pivot"), ("lp", "_pivot_array"), ("verify", "covering_ncf")}
+    assert ("affine", "back_substitute") not in defined
