@@ -145,20 +145,15 @@ def _support_table(support):
     row, slot, coeff, rhs = _pivot_table(support.scenario)
     keep = on[slot]
     row, slot, coeff = row[keep], slot[keep], coeff[keep]
-    live = np.flatnonzero((np.bincount(row, minlength=rhs.size) > 0) | (rhs != 0))
-    shape = (live.size, supported.size + 1)
+    live = (np.bincount(row, minlength=rhs.size) > 0) | (rhs != 0)
+    shape = (int(live.sum()), supported.size + 1)
     _require(
         shape[0] * shape[1],
         f"cells in the elimination table of {shape[0]} x {shape[1]}",
         MAX_TABLEAU_CELLS,
     )
-    # each kept row's and each supported slot's place in the table
-    place = np.zeros(max(rhs.size, on.size), np.intp)
-    place[live] = np.arange(live.size)
-    row = place[row]
-    place[supported] = np.arange(supported.size)
     table = np.zeros(shape, np.int64)
-    table[row, place[slot]] = coeff
+    table[(np.cumsum(live) - 1)[row], (np.cumsum(on) - 1)[slot]] = coeff
     table[:, -1] = rhs[live]
     return table, supported
 
@@ -195,7 +190,6 @@ def _gauss_jordan(table, scale=1, disjoint=0):
     n = table.shape[1] - 1
     det = 1
     pivots, bad = {}, None
-    empty = [False] * table.shape[0]
     if disjoint:
         ends = list(accumulate((table[:disjoint, :n] != 0).sum(axis=1).tolist()))
         first = [0, *ends[:-1]]
@@ -204,7 +198,6 @@ def _gauss_jordan(table, scale=1, disjoint=0):
             table[disjoint:, a:b] -= f[:, r, None]
         table[disjoint:, n] -= (f * table[:disjoint, n]).sum(axis=1)
         pivots = dict(zip(first, range(disjoint)))
-        empty = (~table[:, :n].any(axis=1)).tolist()
     bound = max(int(table.max(initial=0)), -int(table.min(initial=0)))
     for i in range(disjoint, table.shape[0]):
         if len(pivots) == n:
@@ -214,8 +207,8 @@ def _gauss_jordan(table, scale=1, disjoint=0):
                 bad = i + int(rest[0])
             break
         row = table[i, :n]
-        nonzero = () if empty[i] else row.nonzero()[0]
-        if not len(nonzero):
+        nonzero = row.nonzero()[0]
+        if not nonzero.size:
             if bad is None and table[i, n]:
                 bad = i
             continue

@@ -29,8 +29,10 @@ pass _INT64_LIMIT, Python ints from the first pivot where the true
 largest entry no longer shows it (or from the start, when the scaled v
 passes it). Both kernels share one ratio test, so they take the same
 pivots, and both touch only the changed rows and columns when a pivot
-equals the previous one. The optimal prices are read off the final
-objective row; only the nonzero x and prices become new Fractions.
+equals the previous one. The array kernel's pivot step, _pivot_array, is
+also the step of affine's Gauss-Jordan elimination. The optimal prices
+are read off the final objective row; only the nonzero x and prices
+become new Fractions.
 
 The price check runs on integers: the prices over the lcm of their
 denominators, the weights from the model's integer view (every row's
