@@ -6,7 +6,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
-from math import gcd, prod
+from math import prod
 
 import numpy as np
 import pytest
