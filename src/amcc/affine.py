@@ -42,7 +42,7 @@ from .model import EmpiricalModel, render_table_csv, uniform_marginals
 from .lp import _INT64_LIMIT, _pivot_array, certified_fraction
 from .rational import ZERO, fractions_over, over_lcm, rat, rat_str
 from .scenario import (
-    MAX_TABLEAU_CELLS,
+    MAX_TABLE_CELLS,
     _require,
     overlap_rows,
     scenario_from_json,
@@ -91,9 +91,11 @@ def ns_equations(scenario, support=None):
 
 @lru_cache(maxsize=64)
 def _pivot_rows(scenario):
-    """The rows of ns_equations(scenario), in order, that add a pivot when
-    the full system is eliminated in that order: its rank profile. Raises
-    VerificationError if the system is inconsistent.
+    """The indices, ascending, of the rows of _ns_arrays(scenario) that add
+    a pivot when the full system is eliminated in that order: its rank
+    profile, as a read-only array. No row of the full system is empty, so
+    these index ns_equations(scenario) too. Raises VerificationError if the
+    system is inconsistent.
 
     Every other row is, with its rhs, a combination of the rows before it.
     Restricting to a support deletes columns, which keeps such a relation,
@@ -107,53 +109,45 @@ def _pivot_rows(scenario):
     is dropped like any other implied row."""
     elim = _Elimination()
     kept = []
-    for row, rhs in ns_equations(scenario):
+    for i, (row, rhs) in enumerate(ns_equations(scenario)):
         rank = len(elim.order)
         elim.add(row, rhs)
         if len(elim.order) > rank:
-            kept.append((row, rhs))
+            kept.append(i)
     if elim.infeasible:
         raise VerificationError("no-signaling system is inconsistent")
-    return tuple(kept)
-
-
-@lru_cache(maxsize=64)
-def _pivot_table(scenario):
-    """_pivot_rows as read-only arrays (row, slot, coeff, rhs): one entry
-    per nonzero coefficient, row by row and each row in its slot order,
-    and one rhs per row."""
-    kept = _pivot_rows(scenario)
-    row = np.repeat(np.arange(len(kept)), [len(coeffs) for coeffs, _ in kept])
-    slot = np.fromiter(chain.from_iterable(c for c, _ in kept), np.intp, row.size)
-    coeff = np.fromiter(chain.from_iterable(c.values() for c, _ in kept), np.int64, row.size)
-    rhs = np.array([b for _, b in kept], np.int64)
-    for a in (row, slot, coeff, rhs):
-        a.setflags(write=False)
-    return row, slot, coeff, rhs
+    kept = np.array(kept, np.intp)
+    kept.setflags(write=False)
+    return kept
 
 
 def _support_table(support):
-    """(table, supported): the integer table [A | b] of _pivot_rows
-    restricted to the support's slots, in order, less the rows left empty
-    (pair rows with rhs 0; no context is empty), and the supported slots
-    ascending, column k of A being slot supported[k]. Each row is the
+    """(table, supported): the integer table [A | b] of the _pivot_rows
+    rows restricted to the support's slots, in order, less the rows left
+    empty (pair rows with rhs 0; no context is empty), and the supported
+    slots ascending, column k of A being slot supported[k]. Each row is the
     ns_equations(scenario, support) row of the same equation. The table's
-    cells pass scenario._require with MAX_TABLEAU_CELLS before it is built:
-    it is pivoted like a simplex tableau."""
+    cells pass scenario._require with MAX_TABLE_CELLS before it is built."""
     on = _possible_slots(support)
     supported = np.flatnonzero(on)
-    row, slot, coeff, rhs = _pivot_table(support.scenario)
-    keep = on[slot]
-    row, slot, coeff = row[keep], slot[keep], coeff[keep]
-    live = (np.bincount(row, minlength=rhs.size) > 0) | (rhs != 0)
+    slot, sign, start, rhs, _ = _ns_arrays(support.scenario)
+    kept = _pivot_rows(support.scenario)
+    # the kept rows' entries, row by row, each row's in its slot order
+    counts = start[kept + 1] - start[kept]
+    row = np.repeat(np.arange(kept.size), counts)
+    entry = np.arange(row.size) + np.repeat(start[kept] - (np.cumsum(counts) - counts), counts)
+    keep = on[slot[entry]]
+    row, entry = row[keep], entry[keep]
+    rhs = rhs[kept]
+    live = (np.bincount(row, minlength=kept.size) > 0) | (rhs != 0)
     shape = (int(live.sum()), supported.size + 1)
     _require(
         shape[0] * shape[1],
         f"cells in the elimination table of {shape[0]} x {shape[1]}",
-        MAX_TABLEAU_CELLS,
+        MAX_TABLE_CELLS,
     )
     table = np.zeros(shape, np.int64)
-    table[(np.cumsum(live) - 1)[row], (np.cumsum(on) - 1)[slot]] = coeff
+    table[(np.cumsum(live) - 1)[row], (np.cumsum(on) - 1)[slot[entry]]] = sign[entry]
     table[:, -1] = rhs[live]
     return table, supported
 
@@ -164,7 +158,9 @@ def _gauss_jordan(table, scale=1, disjoint=0):
     Every row is scale, a positive integer, times a true row. Returns
     (table, det, pivots, bad): pivots maps each pivot column to its row,
     in pivot order, and bad is the first row found to read 0 = nonzero, or
-    None. The table may come back as a new array of Python ints.
+    None. The table comes back C-ordered (lp._pivot_array updates it
+    through a flat view), and as a new array if it was not, or once its
+    entries outgrow int64 and it passes to Python ints.
 
     After the pivots so far, a pivot row holds det at its pivot, 0 at every
     other pivot column, and det times its true row divided by its pivot
@@ -181,12 +177,19 @@ def _gauss_jordan(table, scale=1, disjoint=0):
     column holds a pivot, so is every row left.
 
     The first disjoint rows, at scale 1, must hold 1 on consecutive ranges
-    of columns that partition A's columns, row by row in order, and 0
-    elsewhere in A (a support's normalization rows). Each then pivots on
-    the first column of its range, a unit at det 1, and holds no other's
-    pivot column, so they are pivoted in one pass, in place: every later
-    row loses, over each range, its entry at that range's pivot. The pass
-    is not bound-checked; a support's entries are 0, 1 or -1."""
+    of columns that partition A's columns, row by row in order, 0 elsewhere
+    in A, and rhs 1: a support's normalization rows. The loop would pivot
+    each on the first column of its range, a unit at det 1, and no other
+    of them holds that column, so these pivots change no pivot row and
+    are taken in one pass: every later row loses, over each range, its
+    entry at that range's pivot column, and its rhs loses the sum of those
+    entries. That saves a numpy pivot per context, which on a support of
+    16-47 slots is most of the elimination. A later row of a support
+    table is a pair row, rhs 0, 1 on slots of one context and -1 on slots
+    of another: over each range it loses an entry of its own sign there,
+    so its entries and its rhs stay 0, 1 or -1, and the bound for the
+    pivots after the pass is read off the table."""
+    table = np.ascontiguousarray(table)
     n = table.shape[1] - 1
     det = 1
     pivots, bad = {}, None
@@ -196,7 +199,7 @@ def _gauss_jordan(table, scale=1, disjoint=0):
         f = table[disjoint:, first]
         for r, (a, b) in enumerate(zip(first, ends)):
             table[disjoint:, a:b] -= f[:, r, None]
-        table[disjoint:, n] -= (f * table[:disjoint, n]).sum(axis=1)
+        table[disjoint:, n] -= f.sum(axis=1)
         pivots = dict(zip(first, range(disjoint)))
     bound = max(int(table.max(initial=0)), -int(table.min(initial=0)))
     for i in range(disjoint, table.shape[0]):
@@ -542,7 +545,7 @@ def family_member_params(family, model):
     columns = [[x * (scale // dden) for x in d] for dden, d in directions]
     columns.append([(w * bden - b * tden) * f for w, b in zip(target, base)])
     big = max(max(max(c), -min(c)) for c in columns)
-    table = np.array(columns, np.int64 if big < _INT64_LIMIT else object).T
+    table = np.array(list(zip(*columns)), np.int64 if big < _INT64_LIMIT else object)
     touched = table[:, :-1].any(axis=1)
     if table[~touched, -1].any():
         return None

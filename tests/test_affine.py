@@ -331,12 +331,27 @@ def test_pruned_rows_eliminate_like_all_of_ns_equations(support):
         full.add({v: Fraction(c) for v, c in row.items()}, Fraction(rhs))
     table, supported = _support_table(support)
     slots = supported.tolist()
-    table, det, pivots, bad = _gauss_jordan(table, disjoint=sc.n_contexts)
+    table, det, pivots, bad = _gauss_jordan(table)
     assert [slots[k] for k in pivots] == full.order
     assert (bad is not None) == full.infeasible
     variables = sorted({v for row, _ in rows for v in row})
     assert slots == variables
     assert _read_off(table, det, pivots, slots) == full.back_substitute(variables)
+
+
+@given(st.sampled_from([(3, 2, 2), (2, 3, 2), (2, 2, 3), TRIANGLE, CHAIN]).flatmap(_supports))
+@example(apply_plan(reference_plan()))
+@settings(max_examples=60, deadline=None)
+def test_normalization_pass_ends_where_the_pivot_loop_does(support):
+    # the contexts' normalization rows, pivoted in one pass, leave the
+    # table, det, pivots (in order) and first bad row of pivoting them one
+    # lp._pivot_array at a time
+    table, _ = _support_table(support)
+    once = _gauss_jordan(table.copy(), disjoint=support.scenario.n_contexts)
+    each = _gauss_jordan(table)
+    assert np.array_equal(once[0], each[0])
+    assert once[1] == each[1] and list(once[2].items()) == list(each[2].items())
+    assert once[3] == each[3]
 
 
 def _shortcut_pivot_rows(scenario):
@@ -369,7 +384,8 @@ def _shortcut_pivot_rows(scenario):
 def test_pivot_rows_keep_what_the_implied_row_shortcut_kept(sc):
     # CHAIN's contexts have 6, 6 and 4 sections
     expected = _shortcut_pivot_rows(sc)
-    assert [(list(row.items()), rhs) for row, rhs in _pivot_rows(sc)] == [
+    rows = ns_equations(sc)
+    assert [(list(rows[i][0].items()), rows[i][1]) for i in _pivot_rows(sc).tolist()] == [
         (list(row.items()), rhs) for row, rhs in expected
     ]
 
@@ -460,7 +476,10 @@ def test_support_rows_are_the_bucketed_support_rows(support):
     # the support's elimination table: the pivot rows restricted to the
     # support, less the empty ones, each the bucketed row of its equation
     on = _possible_slots(support).tolist()
-    restricted = [({s: c for s, c in row.items() if on[s]}, rhs) for row, rhs in _pivot_rows(sc)]
+    full = ns_equations(sc)
+    restricted = [
+        ({s: c for s, c in full[i][0].items() if on[s]}, full[i][1]) for i in _pivot_rows(sc).tolist()
+    ]
     rows = _ordered(_support_table_rows(support))
     assert rows == _ordered([(row, rhs) for row, rhs in restricted if row])
     remaining = iter(expected)

@@ -521,7 +521,7 @@ def test_solve_support_guard_trips_before_any_array_is_built(run, tmp_path, monk
     # supported slots: 176 x 153 = 26928 cells, one over the patched limit,
     # so the table is never allocated and nothing is eliminated
     path = _write_json(tmp_path / "sup.json", support_to_json(apply_plan(reference_plan())))
-    monkeypatch.setattr(amcc.affine, "MAX_TABLEAU_CELLS", 176 * 153 - 1)
+    monkeypatch.setattr(amcc.affine, "MAX_TABLE_CELLS", 176 * 153 - 1)
     monkeypatch.setattr(amcc.affine, "_gauss_jordan", None)
     code, out, err = run("solve-support", path)
     assert (code, out) == (5, "")
