@@ -20,12 +20,12 @@ ints only if its entries outgrow int64.
 
 The full scenario's system is eliminated once per scenario, sparsely,
 with each row a dict of integer numerators over one denominator, and the
-rows that add a pivot are kept in order (its rank profile); ns_dimension
-is read off it. Every other row is implied by the rows before it, and
-restricting to a support only deletes columns, so it stays implied:
-solve_support scatters only the kept rows, restricted to the support's
-slots, into its array, and ends in the state that eliminating all of the
-support's equations would reach. The family check reads the full system,
+indices of the rows that add a pivot are kept in order (its rank
+profile); ns_dimension is read off it. Every other row is implied by the
+rows before it, and restricting to a support only deletes columns, so it
+stays implied: solve_support gathers only the kept rows, restricted to
+the support's slots, into its array, and ends in the state that
+eliminating all of the support's equations would reach. The family check reads the full system,
 in one vectorized integer pass. A support is read only as its slot mask,
 possibilistic._possible_slots: one bool per slot, in slot order.
 """
