@@ -25,9 +25,10 @@ profile); ns_dimension is read off it. Every other row is implied by the
 rows before it, and restricting to a support only deletes columns, so it
 stays implied: solve_support gathers only the kept rows, restricted to
 the support's slots, into its array, and ends in the state that
-eliminating all of the support's equations would reach. The family check reads the full system,
-in one vectorized integer pass. A support is read only as its slot mask,
-possibilistic._possible_slots: one bool per slot, in slot order.
+eliminating all of the support's equations would reach. The family check
+reads the full system, in one vectorized integer pass. A support is read
+only as its slot mask, possibilistic._possible_slots: one bool per slot,
+in slot order.
 """
 
 from dataclasses import dataclass

@@ -150,8 +150,8 @@ MAX_SCAN_VECTORS = 1 << 24  # full parity scans enumerate every parity vector
 # table: (6,2,2)'s incidence matrix has 2**24, (7,2,2)'s 2**28 (256 MiB of
 # uint8). An elimination table (affine.solve_support) is int64, kept pivot
 # rows x (supported slots + 1): the full (6,2,2) support's is 3368 x 4097
-# (13.8 M cells, 110 MiB), and its pivots' temporaries stay far smaller
-# because each touches only the rows and columns it changes
+# (13.8 M cells, 110 MiB), and a pivot's temporaries cover only the rows
+# and columns it changes (at most 45792 cells there)
 MAX_TABLE_CELLS = 1 << 26
 
 # cells of one exact simplex tableau, (slots + 1) x (columns + slots + 1):

@@ -331,7 +331,7 @@ def test_pruned_rows_eliminate_like_all_of_ns_equations(support):
         full.add({v: Fraction(c) for v, c in row.items()}, Fraction(rhs))
     table, supported = _support_table(support)
     slots = supported.tolist()
-    table, det, pivots, bad = _gauss_jordan(table)
+    table, det, pivots, bad = _gauss_jordan(table, disjoint=sc.n_contexts)
     assert [slots[k] for k in pivots] == full.order
     assert (bad is not None) == full.infeasible
     variables = sorted({v for row, _ in rows for v in row})
