@@ -18,12 +18,13 @@ is, so units are preferred, which keeps coefficient growth negligible at
 its variable's expression in the free ones. The array passes to Python
 ints only if its entries outgrow int64.
 
-The full scenario's system is eliminated once per scenario, sparsely,
-with each row a dict of integer numerators over one denominator, and the
-indices of the rows that add a pivot are kept in order (its rank
-profile); ns_dimension is read off it. Every other row is implied by the
-rows before it, and restricting to a support only deletes columns, so it
-stays implied: solve_support gathers only the kept rows, restricted to
+The full scenario's system is reduced once per scenario, sparsely, each
+row a dict of integers with its rhs as one more key and no denominator,
+since a row's scale does not change its span; the indices of the rows
+that are independent of the rows before them are kept in order (its rank
+profile), and ns_dimension is read off it. Every other row is implied by
+the rows before it, and restricting to a support only deletes columns, so
+it stays implied: solve_support gathers only the kept rows, restricted to
 the support's slots, into its array, and ends in the state that
 eliminating all of the support's equations would reach. The family check
 reads the full system, in one vectorized integer pass. A support is read
@@ -90,34 +91,68 @@ def ns_equations(scenario, support=None):
     return [(dict(zip(slots[a:b], signs[a:b])), r) for a, b, r in rows if a < b]
 
 
+def _rank_profile(rows):
+    """The indices, ascending, of the integer rows (coeffs, rhs) that are
+    not in the span of the rows before them: the rank profile. Each row,
+    its rhs under key -1, is reduced by the pivot rows so far and becomes
+    one if a slot is left; at 0 = nonzero, VerificationError. A row is thus
+    kept exactly when it is independent of the rows before it, whatever
+    pivots were taken and whatever multiple of each row was stored, so three
+    choices made for speed cannot change the indices: pivot rows stay fully
+    reduced, so a row reduces in one pass; the pivot is the lowest slot
+    holding 1 or -1, else the lowest slot; and it is made positive, so a
+    unit pivot scales nothing. Only a non-unit pivot brings in a gcd."""
+    pivots, kept = {}, []
+    for i, (coeffs, rhs) in enumerate(rows):
+        row = {**coeffs, -1: rhs} if rhs else dict(coeffs)
+        for v in [v for v in coeffs if v in pivots]:
+            row = _cancel(row, v, pivots[v])
+        slots = [v for v in row if v >= 0]
+        if not slots:
+            if row:
+                raise VerificationError("no-signaling system is inconsistent")
+            continue
+        units = [v for v in slots if row[v] == 1 or row[v] == -1]
+        pivot = min(units or slots)
+        g = (1 if units else gcd(*row.values())) * (1 if row[pivot] > 0 else -1)
+        if g != 1:
+            row = {w: x // g for w, x in row.items()}
+        for u, prow in pivots.items():
+            if pivot in prow:
+                pivots[u] = _cancel(prow, pivot, row)
+        pivots[pivot] = row
+        kept.append(i)
+    return kept
+
+
+def _cancel(row, v, prow):
+    """The integer row less v: p * row - c * prow, c and p > 0 being the
+    rows' entries on v, over its gcd if p is not 1 (row, changed, if p is 1)."""
+    c, p = row.pop(v), prow[v]
+    if p != 1:
+        row = {w: x * p for w, x in row.items()}
+    for w, pc in prow.items():
+        if w != v:
+            x = row.get(w, 0) - c * pc
+            if x:
+                row[w] = x
+            else:
+                del row[w]
+    if p != 1:
+        g = gcd(*row.values())
+        row = {w: x // g for w, x in row.items()}
+    return row
+
+
 @lru_cache(maxsize=64)
 def _pivot_rows(scenario):
-    """The indices, ascending, of the rows of _ns_arrays(scenario) that add
-    a pivot when the full system is eliminated in that order: its rank
-    profile, as a read-only array. No row of the full system is empty, so
-    these index ns_equations(scenario) too. Raises VerificationError if the
-    system is inconsistent.
-
-    Every other row is, with its rhs, a combination of the rows before it.
-    Restricting to a support deletes columns, which keeps such a relation,
-    so the restricted row lies in the span of the restricted rows before it
-    and reduces to 0 = 0 (or the system is already inconsistent). Eliminating
-    only these rows, restricted, thus ends in the same state as eliminating
-    all of ns_equations(scenario, support).
-
-    Every row is fed in order: a pair's last shared-outcome row, a
-    combination of the rest of its block and the two normalization rows,
-    is dropped like any other implied row."""
-    elim = _Elimination()
-    kept = []
-    for i, (row, rhs) in enumerate(ns_equations(scenario)):
-        rank = len(elim.order)
-        elim.add(row, rhs)
-        if len(elim.order) > rank:
-            kept.append(i)
-    if elim.infeasible:
-        raise VerificationError("no-signaling system is inconsistent")
-    kept = np.array(kept, np.intp)
+    """_rank_profile(ns_equations(scenario)) as a read-only array; no row of
+    the full system is empty, so it indexes the rows of _ns_arrays too.
+    Raises ResourceLimitError first past MAX_TABLE_CELLS slots squared, as
+    the reduced rows hold up to slots x (slots + 1) entries."""
+    n = slot_count(scenario)
+    _require(n * n, f"cells in the {n} x {n} rank-profile elimination", MAX_TABLE_CELLS)
+    kept = np.array(_rank_profile(ns_equations(scenario)), np.intp)
     kept.setflags(write=False)
     return kept
 
@@ -129,10 +164,10 @@ def _support_table(support):
     slots ascending, column k of A being slot supported[k]. Each row is the
     ns_equations(scenario, support) row of the same equation. The table's
     cells pass scenario._require with MAX_TABLE_CELLS before it is built."""
+    kept = _pivot_rows(support.scenario)
     on = _possible_slots(support)
     supported = np.flatnonzero(on)
     slot, sign, start, rhs, _ = _ns_arrays(support.scenario)
-    kept = _pivot_rows(support.scenario)
     # the kept rows' entries, row by row, each row's in its slot order
     counts = start[kept + 1] - start[kept]
     row = np.repeat(np.arange(kept.size), counts)
@@ -225,94 +260,6 @@ def _gauss_jordan(table, scale=1, disjoint=0):
         table, det, bound = _pivot_array(table, i, v, det, bound)
         pivots[v] = i
     return table, det, pivots, bad
-
-
-def _lowest_terms(coeffs, rhs, den):
-    """Divide a row in place, with its rhs and den, by their gcd; returns
-    the new (rhs, den)."""
-    g = gcd(den, rhs, *coeffs.values())
-    if g != 1:
-        for w in coeffs:
-            coeffs[w] //= g
-        rhs //= g
-        den //= g
-    return rhs, den
-
-
-def _cancel(coeffs, rhs, c, v, prow, prhs, pden):
-    """Cancel v from the integer row (coeffs, rhs), in place: c is the
-    row's coefficient on v, already popped, and prow a pivot row with
-    coefficient pden on v. The row becomes coeffs * pden - c * prow, so its
-    denominator is to be scaled by pden. Returns the new rhs."""
-    if pden != 1:
-        for w in coeffs:
-            coeffs[w] *= pden
-        rhs *= pden
-    for w, pc in prow.items():
-        if w != v:
-            x = coeffs.get(w, 0) - c * pc
-            if x:
-                coeffs[w] = x
-            else:
-                del coeffs[w]
-    return rhs - c * prhs
-
-
-class _Elimination:
-    """Incremental sparse Gauss-Jordan elimination of integer rows over
-    exact rationals, for _pivot_rows' one pass over a scenario's system:
-    a stored row is (coeffs, rhs, den), integer numerators over one
-    positive denominator. Pivot rows are keyed by pivot variable and
-    stored sign-fixed in lowest terms with coeffs[pivot] == den
-    (coefficient 1), and fully reduced: no pivot row holds another pivot
-    variable.
-
-    An incoming row is reduced in one pass over the pivot variables it
-    holds, since a fully reduced pivot row brings in no other one. A
-    nonzero remainder becomes a pivot row, pivoting on a unit (|c| == den)
-    first, then on the lowest variable id, for determinism; its pivot is
-    then eliminated from every older pivot row that holds it. The remainder
-    of a row is unique however the pivot rows are stored, so the pivots are
-    those of forward elimination with the same rule."""
-
-    def __init__(self):
-        self.pivot_rows = {}
-        self.order = []
-        self.infeasible = False
-
-    def add(self, coeffs, rhs):
-        """Add the integer row sum of coeffs[v] * x_v == rhs; coeffs is not
-        changed."""
-        coeffs = dict(coeffs)
-        den = 1
-        pivot_rows = self.pivot_rows
-        for v in [v for v in coeffs if v in pivot_rows]:
-            prow, prhs, pden = pivot_rows[v]
-            rhs = _cancel(coeffs, rhs, coeffs.pop(v), v, prow, prhs, pden)
-            den *= pden
-        if not coeffs:
-            if rhs != 0:
-                self.infeasible = True
-            return
-        units = [v for v, c in coeffs.items() if c == den or c == -den]
-        pivot = min(units) if units else min(coeffs)
-        c = coeffs[pivot]
-        if c < 0:
-            for v in coeffs:
-                coeffs[v] = -coeffs[v]
-            rhs, c = -rhs, -c
-        # dividing the true row by c/den leaves coeffs/c
-        rhs, c = _lowest_terms(coeffs, rhs, c)
-        for u, (urow, urhs, uden) in pivot_rows.items():
-            a = urow.pop(pivot, 0)
-            if a:
-                urhs = _cancel(urow, urhs, a, pivot, coeffs, rhs, c)
-                uden *= c
-                if uden != 1:
-                    urhs, uden = _lowest_terms(urow, urhs, uden)
-                pivot_rows[u] = urow, urhs, uden
-        pivot_rows[pivot] = coeffs, rhs, c
-        self.order.append(pivot)
 
 
 def ns_dimension(scenario):
@@ -429,8 +376,8 @@ def _normalize_single_parameter(family):
     weight of the first in-support slot of the first context whose weight
     actually varies; name it q."""
     direction = family.directions[0]
-    supported = np.flatnonzero(_possible_slots(family.support)).tolist()
-    anchor = next((slot for slot in supported if direction[slot] != 0), None)
+    # solve_support leaves every direction 0 off the support
+    anchor = next((slot for slot, d in enumerate(direction) if d), None)
     if anchor is None:
         raise VerificationError("one-parameter family with a constant table")
     c1 = direction[anchor]

@@ -151,7 +151,9 @@ MAX_SCAN_VECTORS = 1 << 24  # full parity scans enumerate every parity vector
 # uint8). An elimination table (affine.solve_support) is int64, kept pivot
 # rows x (supported slots + 1): the full (6,2,2) support's is 3368 x 4097
 # (13.8 M cells, 110 MiB), and a pivot's temporaries cover only the rows
-# and columns it changes (at most 45792 cells there)
+# and columns it changes (at most 45792 cells there). affine._pivot_rows
+# holds slots squared to it (its rows reach slots x (slots + 1) entries):
+# (6,2,2) and (5,3,2) pass, (7,2,2) and larger are refused
 MAX_TABLE_CELLS = 1 << 26
 
 # cells of one exact simplex tableau, (slots + 1) x (columns + slots + 1):

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 import amcc.affine
 from amcc.affine import (
-    _Elimination,
     _check_family,
     _gauss_jordan,
     _pivot_rows,
+    _rank_profile,
     _support_table,
     classify,
     family_from_json,
@@ -33,7 +33,7 @@ from amcc.affine import (
     solve_support,
 )
 from amcc.csp import AugmentationPlan, apply_plan, plan_counts, reference_plan, search_plans
-from amcc.errors import PreconditionError, VerificationError
+from amcc.errors import PreconditionError, ResourceLimitError, VerificationError
 from amcc.model import (
     EmpiricalModel,
     context_containing,
@@ -297,6 +297,41 @@ def test_integer_elimination_matches_the_fraction_one(rows):
     assert _read_off(table, det, pivots, variables) == ref.back_substitute(variables)
 
 
+def _fraction_profile(rows):
+    # the rows at which _FractionElimination's order grows, and whether it
+    # ended inconsistent
+    ref, grew = _FractionElimination(), []
+    for i, (row, rhs) in enumerate(rows):
+        rank = len(ref.order)
+        ref.add({v: Fraction(c) for v, c in row.items()}, Fraction(rhs))
+        if len(ref.order) > rank:
+            grew.append(i)
+    return grew, ref.infeasible
+
+
+def _integer_rows(rows):
+    # each row, rhs included, times the lcm of its denominators
+    scaled = []
+    for row, rhs in rows:
+        _, (*coeffs, b) = over_lcm([*row.values(), rhs])
+        scaled.append((dict(zip(row, coeffs)), b))
+    return scaled
+
+
+@given(_rational_systems())
+@example(NON_UNIT_PIVOT)
+@example(FALSE_UNITS)
+@example(FALSE_UNITS_BEFORE_A_UNIT)
+@settings(max_examples=80, deadline=None)
+def test_rank_profile_is_where_the_fraction_elimination_grows(rows):
+    grew, infeasible = _fraction_profile(rows)
+    if infeasible:
+        with pytest.raises(VerificationError, match="inconsistent"):
+            _rank_profile(_integer_rows(rows))
+    else:
+        assert _rank_profile(_integer_rows(rows)) == grew
+
+
 def _support_table_rows(support):
     # the rows of _support_table as ns_equations-style (dict, rhs) pairs,
     # each row's slots ascending
@@ -363,17 +398,8 @@ def _shortcut_pivot_rows(scenario):
     for _, _, shared, _, _ in overlaps(scenario):
         end += prod(scenario.outcomes[m] for m in shared)
         last.add(end - 1)
-    elim = _Elimination()
-    kept = []
-    for i, (row, rhs) in enumerate(rows):
-        if i in last:
-            continue
-        rank = len(elim.order)
-        elim.add(row, rhs)
-        if len(elim.order) > rank:
-            kept.append((row, rhs))
-    assert not elim.infeasible
-    return kept
+    fed = [row for i, row in enumerate(rows) if i not in last]
+    return [fed[i] for i in _rank_profile(fed)]
 
 
 @pytest.mark.parametrize(
@@ -390,20 +416,29 @@ def test_pivot_rows_keep_what_the_implied_row_shortcut_kept(sc):
     ]
 
 
-def _fraction_rank(scenario):
-    ref = _FractionElimination()
-    for row, rhs in ns_equations(scenario):
-        ref.add({v: Fraction(c) for v, c in row.items()}, Fraction(rhs))
-    assert not ref.infeasible
-    return len(ref.order)
-
-
 @pytest.mark.parametrize(
     "sc", [TRIANGLE, CHAIN, bell_scenario(2, 3, 2), bell_scenario(2, 2, 3)],
     ids=["triangle", "chain", "232", "223"],
 )
 def test_ns_dimension_is_the_fraction_elimination_rank(sc):
-    assert ns_dimension(sc) == slot_count(sc) - _fraction_rank(sc)
+    grew, infeasible = _fraction_profile(ns_equations(sc))
+    assert not infeasible
+    assert _pivot_rows(sc).tolist() == grew
+    assert ns_dimension(sc) == slot_count(sc) - len(grew)
+
+
+def test_ns_dimension_refuses_8_2_2_before_building_the_system(monkeypatch):
+    # 65536 slots: the reduced system could hold 2**32 entries, so the rank
+    # profile's guard trips before the no-signaling arrays are built
+    calls = []
+    arrays = amcc.affine._ns_arrays
+    monkeypatch.setattr(amcc.affine, "_ns_arrays", lambda sc: calls.append(sc) or arrays(sc))
+    with pytest.raises(
+        ResourceLimitError,
+        match="^4294967296 cells in the 65536 x 65536 rank-profile elimination is over the limit",
+    ):
+        ns_dimension(bell_scenario(8, 2, 2))
+    assert calls == []
 
 
 def _bucketed_ns_equations(scenario, support=None):

@@ -519,8 +519,10 @@ def test_solve_support_csv_refusal_leaves_the_file_as_it_was(run, tmp_path):
 def test_solve_support_guard_trips_before_any_array_is_built(run, tmp_path, monkeypatch):
     # the reference support's table keeps 176 pivot rows over 152
     # supported slots: 176 x 153 = 26928 cells, one over the patched limit,
-    # so the table is never allocated and nothing is eliminated
+    # so the table is never allocated and nothing is eliminated. The rank
+    # profile is cached first, as its own guard (256 x 256) would trip too
     path = _write_json(tmp_path / "sup.json", support_to_json(apply_plan(reference_plan())))
+    amcc.affine._pivot_rows(bell_scenario(4, 2, 2))
     monkeypatch.setattr(amcc.affine, "MAX_TABLE_CELLS", 176 * 153 - 1)
     monkeypatch.setattr(amcc.affine, "_gauss_jordan", None)
     code, out, err = run("solve-support", path)
@@ -528,6 +530,29 @@ def test_solve_support_guard_trips_before_any_array_is_built(run, tmp_path, monk
     assert err == (
         "resource limit: 26928 cells in the elimination table of 176 x 153 is over the limit 26927\n"
     )
+
+
+def test_solve_support_rank_profile_guard_trips_on_4_2_2(run, tmp_path, monkeypatch):
+    # 256 slots: 256 x 256 cells, one over the patched limit, checked before
+    # the (uncached) rank profile is computed
+    path = _write_json(tmp_path / "sup.json", support_to_json(apply_plan(reference_plan())))
+    monkeypatch.setattr(amcc.affine, "MAX_TABLE_CELLS", 256 * 256 - 1)
+    amcc.affine._pivot_rows.cache_clear()
+    code, out, err = run("solve-support", path)
+    assert (code, out) == (5, "")
+    assert err == (
+        "resource limit: 65536 cells in the 256 x 256 rank-profile elimination is over the limit"
+        " 65535\n"
+    )
+
+
+def test_solve_support_exits_5_on_7_2_2(run, tmp_path):
+    # 16384 slots, 2**28 cells: over MAX_TABLE_CELLS, as cf and classify are
+    sc = bell_scenario(7, 2, 2)
+    full = SupportModel(sc, tuple((1 << 128) - 1 for _ in range(sc.n_contexts)))
+    code, out, err = run("solve-support", _write_json(tmp_path / "sup.json", support_to_json(full)))
+    assert (code, out) == (5, "")
+    assert "16384 x 16384 rank-profile elimination" in err
 
 
 def test_solve_support_refuses_a_float_cell(run, tmp_path):
