@@ -5,9 +5,14 @@ context/section pair) consists of per-context normalization plus, for every
 pair of overlapping contexts, equality of the two induced marginals on their
 shared measurements. Solving it under "zero outside the support" constraints
 yields an affine family: a base point plus direction vectors, one per free
-parameter. For one-parameter families the parameter is renamed q and pinned
-to the first in-support slot of the first context (coefficient +1 there), and
-the exact nonnegativity interval of q is reported.
+parameter. A family is held as the elimination leaves it, integer rows over
+one denominator: the base, then each direction, over all slots. For
+one-parameter families the parameter is renamed q, the weight of the first
+slot whose weight varies (coefficient +1 there), by rewriting the two rows,
+and the exact nonnegativity interval of q is reported. The checks, the
+membership solve, instantiation and JSON output all read the integer rows:
+Fractions are only read in, by family_from_json, and handed out, as the
+values a caller asks for.
 
 Each support is solved by fraction-free Gauss-Jordan on one int64 array,
 pivoted by the simplex's own step, lp._pivot_array (Edmonds; Bareiss):
@@ -27,9 +32,9 @@ the rows before it, and restricting to a support only deletes columns, so
 it stays implied: solve_support gathers only the kept rows, restricted to
 the support's slots, into its array, and ends in the state that
 eliminating all of the support's equations would reach. The family check
-reads the full system, in one vectorized integer pass. A support is read
-only as its slot mask, possibilistic._possible_slots: one bool per slot,
-in slot order.
+reads the full system in integer passes, one vector at a time. A support
+is read only as its slot mask, possibilistic._possible_slots: one bool
+per slot, in slot order.
 """
 
 from dataclasses import dataclass
@@ -40,7 +45,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .errors import PreconditionError, VerificationError
-from .model import EmpiricalModel, render_table_csv, uniform_marginals
+from .model import _model_from_ints, render_table_csv, uniform_marginals
 from .lp import _INT64_LIMIT, _pivot_array, certified_fraction
 from .rational import ZERO, fractions_over, over_lcm, rat, rat_str
 from .scenario import (
@@ -49,7 +54,6 @@ from .scenario import (
     overlap_rows,
     scenario_from_json,
     scenario_to_json,
-    section_size,
     slot_count,
     slot_offsets,
 )
@@ -291,49 +295,68 @@ def ns_dimension_closed_form(scenario):
 
 @dataclass(frozen=True)
 class AffineFamily:
-    """base + sum_d t_d * directions[d], as vectors over all slots; entries
-    outside the support are identically zero. For one-parameter families the
-    parameter is named q and equals the weight of the first in-support slot
-    of the first context."""
+    """(rows[0] + sum_d t_d * rows[1 + d]) / den: rows holds the base, then
+    one direction per parameter, each a tuple of ints over all slots, and
+    den is a positive int; entries outside the support are identically
+    zero. For one-parameter families the parameter is named q and equals
+    the weight of the first slot whose weight varies."""
 
     scenario: object
     support: object
-    base: tuple
-    directions: tuple
+    den: int
+    rows: tuple
     parameters: tuple
 
     @property
     def dimension(self):
-        return len(self.directions)
+        return len(self.rows) - 1
+
+    @property
+    def base(self):
+        """The base as a tuple of Fractions."""
+        return fractions_over(self.rows[0], self.den)
+
+    @property
+    def directions(self):
+        """The directions as tuples of Fractions."""
+        return tuple(fractions_over(d, self.den) for d in self.rows[1:])
 
     def entry(self, ci, si):
         """(const, per-parameter coeffs) for one slot."""
         slot = slot_offsets(self.scenario)[ci] + si
-        return self.base[slot], tuple(d[slot] for d in self.directions)
+        const, *coeffs = (rat(v[slot], self.den) for v in self.rows)
+        return const, tuple(coeffs)
 
     def at(self, *values):
         """Instantiate the parameters; returns an EmpiricalModel."""
         if len(values) != self.dimension:
             raise ValueError(f"family needs {self.dimension} parameter values")
-        vals = [rat(v) for v in values]
-        weights = list(self.base)
-        for t, d in zip(vals, self.directions):
-            if t:
-                for slot, c in enumerate(d):
-                    if c:
-                        weights[slot] += t * c
-        if any(w < 0 for w in weights):
+        weights, den = _combine(self, [rat(v) for v in values])
+        if min(weights) < 0:
             detail = ""
             if self.dimension == 1:
-                lo, hi = parameter_bounds(self)
-                detail = f"; {self.parameters[0]} must lie in [{rat_str(lo)}, {rat_str(hi)}]"
+                bounds = parameter_bounds(self)
+                name = self.parameters[0]
+                if bounds is None:
+                    raise PreconditionError(f"no value of {name} is feasible")
+                detail = f"; {name} must lie in [{rat_str(bounds[0])}, {rat_str(bounds[1])}]"
             raise PreconditionError("parameter values give a negative weight" + detail)
         offs = slot_offsets(self.scenario)
-        rows = []
-        for ci in range(self.scenario.n_contexts):
-            size = section_size(self.scenario, ci)
-            rows.append(tuple(weights[offs[ci] + si] for si in range(size)))
-        return EmpiricalModel(self.scenario, tuple(rows))
+        rows = [weights[o:o + k] for o, k in zip(offs, self.scenario.section_sizes)]
+        return _model_from_ints(self.scenario, den, rows)
+
+
+def _combine(family, values):
+    """(weights, den): the family's slot weights at the Fraction parameter
+    values as integers over den, the family's den times the lcm of the
+    values' denominators."""
+    m = lcm(*(t.denominator for t in values))
+    weights = [b * m for b in family.rows[0]]
+    for t, d in zip(values, family.rows[1:]):
+        if t:
+            f = t.numerator * (m // t.denominator)
+            weights = [x + f * c for x, c in zip(weights, d)]
+    return weights, family.den * m
 
 
 def solve_support(support):
@@ -342,8 +365,14 @@ def solve_support(support):
     not imposed here; for one-parameter families use parameter_bounds.
 
     Each pivot row reads x_v = (b - sum of A[f] * x_f) / det over the free
-    slots f, ascending: the base takes b / det at v and each free slot's
-    direction -A[f] / det at v, and 1 at f itself."""
+    slots f, ascending: over det, the base takes b at v and each free slot's
+    direction -A[f] at v, and det at f itself.
+
+    A one-parameter family is renamed q, the weight of the first slot a
+    whose direction d is nonzero (there is one: d holds det at its free
+    slot): q = (b[a] + t d[a]) / det gives every entry as (b d[a] - d b[a]
+    + q det d) / (det d[a]), the rows s (b d[a] - d b[a]) and s det d over
+    det |d[a]|, s the sign of d[a]."""
     sc = support.scenario
     table, supported = _support_table(support)
     table, det, pivots, bad = _gauss_jordan(table, disjoint=sc.n_contexts)
@@ -357,42 +386,20 @@ def solve_support(support):
     solved[0, supported[cols]] = table[rows, -1]
     solved[1:, supported[cols]] = -table[:, free][rows].T
     solved[np.arange(1, free.size + 1), supported[free]] = det
-    base, *dirs = (fractions_over(v, det) for v in solved.tolist())
-    family = AffineFamily(
-        scenario=sc,
-        support=support,
-        base=base,
-        directions=tuple(dirs),
-        parameters=tuple(f"t{k}" for k in range(free.size)),
-    )
-    if family.dimension == 1:
-        family = _normalize_single_parameter(family)
+    vectors = solved.tolist()
+    parameters = tuple(f"t{k}" for k in range(free.size))
+    if free.size == 1:
+        b, d = vectors
+        a = next((slot for slot, x in enumerate(d) if x), None)
+        if a is None:
+            raise VerificationError("one-parameter family with a constant table")
+        s = 1 if d[a] > 0 else -1
+        vectors = [[s * (x * d[a] - y * b[a]) for x, y in zip(b, d)], [s * det * y for y in d]]
+        det *= abs(d[a])
+        parameters = ("q",)
+    family = AffineFamily(sc, support, det, tuple(map(tuple, vectors)), parameters)
     _check_family(family)
     return family
-
-
-def _normalize_single_parameter(family):
-    """Reparameterize a one-dimensional family so the parameter equals the
-    weight of the first in-support slot of the first context whose weight
-    actually varies; name it q."""
-    direction = family.directions[0]
-    # solve_support leaves every direction 0 off the support
-    anchor = next((slot for slot, d in enumerate(direction) if d), None)
-    if anchor is None:
-        raise VerificationError("one-parameter family with a constant table")
-    c1 = direction[anchor]
-    shift = family.base[anchor] / c1
-    # q = c0 + c1 t  =>  t = (q - c0)/c1; entry a + b t = (a - b c0/c1) + (b/c1) q,
-    # which is the entry itself where b = 0
-    base = tuple(a - d * shift if d else a for a, d in zip(family.base, direction))
-    newdir = tuple(d / c1 if d else d for d in direction)
-    return AffineFamily(
-        scenario=family.scenario,
-        support=family.support,
-        base=base,
-        directions=(newdir,),
-        parameters=("q",),
-    )
 
 
 @lru_cache(maxsize=64)
@@ -417,21 +424,18 @@ def _check_family(family):
     homogeneous system. Off the support every entry is then 0, so the full
     scenario's rows, _ns_arrays, check the same thing as the support's.
 
-    The vectors are scaled to integer numerators over their lcm once. One
-    numpy pass over them and the support's slot mask finds weight off the
-    support, reported as the (context, section) of its first slot, and
-    every row sum of every vector is one numpy reduceat. No sum exceeds the
-    longest row times the largest numerator; while that bound and the base's
-    denominator are below 2**63 the sums run in int64, otherwise on Python
-    ints. The first violating row in ns_equations order is reported, its
-    base before its directions."""
+    One numpy pass over the rows and the support's slot mask finds weight
+    off the support, reported as the (context, section) of its first slot.
+    Then each vector's row sums are one numpy reduceat, a vector at a time,
+    so only one vector's gather is held. No sum exceeds the longest row
+    times the largest numerator; while that bound and den are below 2**63
+    the sums run in int64, otherwise on Python ints. The first violating
+    row in ns_equations order is reported, its base before its directions."""
     sc = family.scenario
     slot, sign, start, rhs, width = _ns_arrays(sc)
-    (den, base), *directions = map(over_lcm, (family.base, *family.directions))
-    vectors = [base, *(d for _, d in directions)]
-    big = max(max(max(v), -min(v)) for v in vectors)
-    dtype = np.int64 if max(width * big, den) < 2**63 else object
-    values = np.array(vectors, dtype=dtype)
+    big = max(max(max(v), -min(v)) for v in family.rows)
+    dtype = np.int64 if max(width * big, family.den) < 2**63 else object
+    values = np.array(family.rows, dtype=dtype)
     off = np.flatnonzero((values != 0).any(axis=0) & ~_possible_slots(family.support))
     if off.size:
         offs = slot_offsets(sc)
@@ -441,37 +445,32 @@ def _check_family(family):
             "family has weight outside the support",
             details={"context": ci, "section": si},
         )
-    sums = np.add.reduceat(values[:, slot] * sign, start[:-1], axis=1)
-    bad = sums != 0
-    bad[0] = sums[0] != rhs.astype(dtype) * den
-    violated = np.flatnonzero(bad.any(axis=0))
-    if violated.size:
-        if bad[0, violated[0]]:
-            raise VerificationError("family base violates an equality")
+    first, culprit = rhs.size, None
+    for k, v in enumerate(values):
+        sums = np.add.reduceat(v[slot] * sign, start[:-1])
+        if k == 0:
+            sums -= rhs.astype(dtype) * family.den
+        bad = np.flatnonzero(sums[:first])
+        if bad.size:
+            first, culprit = int(bad[0]), k
+    if culprit == 0:
+        raise VerificationError("family base violates an equality")
+    if culprit is not None:
         raise VerificationError("family direction violates homogeneity")
 
 
 def parameter_bounds(family):
     """Closed interval of the parameter where every slot stays nonnegative
     (one-parameter families only). Returns (lo, hi) rationals, either side
-    None when unbounded; returns None when no value is feasible."""
+    None when unbounded; returns None when no value is feasible. Each
+    distinct (base, direction) numerator pair is read once."""
     if family.dimension != 1:
         raise PreconditionError("bounds are defined for one-parameter families")
-    lo, hi = None, None
-    d = family.directions[0]
-    for slot, b in enumerate(family.base):
-        c = d[slot]
-        if c == 0:
-            if b < 0:
-                return None
-            continue
-        bound = -b / c
-        if c > 0:
-            if lo is None or bound > lo:
-                lo = bound
-        else:
-            if hi is None or bound < hi:
-                hi = bound
+    pairs = set(zip(*family.rows))
+    if any(c == 0 and b < 0 for b, c in pairs):
+        return None
+    lo = max((rat(-b, c) for b, c in pairs if c > 0), default=None)
+    hi = min((rat(-b, c) for b, c in pairs if c < 0), default=None)
     if lo is not None and hi is not None and lo > hi:
         return None
     return lo, hi
@@ -480,18 +479,18 @@ def parameter_bounds(family):
 def family_member_params(family, model):
     """Parameter values at which the family hits the model exactly, or None
     if the model is outside the family. The final check recomposes every
-    slot from integer numerators over one denominator."""
+    slot from integer numerators."""
     if model.scenario != family.scenario:
         raise PreconditionError("model and family scenarios differ")
     tden, rows = model._int_view
     target = list(chain.from_iterable(rows))
-    (bden, base), *directions = map(over_lcm, (family.base, *family.directions))
-    # sum_k d_k * t_k == w - base at every slot, times the lcm of every
-    # denominator; a slot no direction touches must read 0 == 0
-    scale = lcm(tden * bden, *(dden for dden, _ in directions))
-    f = scale // (tden * bden)
-    columns = [[x * (scale // dden) for x in d] for dden, d in directions]
-    columns.append([(w * bden - b * tden) * f for w, b in zip(target, base)])
+    base, *directions = family.rows
+    # sum_k d_k * t_k == w - base at every slot, times scale, the lcm of
+    # both denominators; a slot no direction touches must read 0 == 0
+    scale = lcm(tden, family.den)
+    f, g = scale // family.den, scale // tden
+    columns = [[x * f for x in d] for d in directions]
+    columns.append([w * g - b * f for w, b in zip(target, base)])
     big = max(max(max(c), -min(c)) for c in columns)
     table = np.array(list(zip(*columns)), np.int64 if big < _INT64_LIMIT else object)
     touched = table[:, :-1].any(axis=1)
@@ -506,13 +505,8 @@ def family_member_params(family, model):
     for k, i in pivots.items():
         params[k] = rat(int(table[i, -1]), det)
     params = tuple(params)
-    terms = [(t, d, dden) for t, (dden, d) in zip(params, directions) if t]
-    den = lcm(tden, bden, *(t.denominator * dden for t, _, dden in terms))
-    weights = [b * (den // bden) for b in base]
-    for t, d, dden in terms:
-        f = t.numerator * (den // (t.denominator * dden))
-        weights = [x + f * c for x, c in zip(weights, d)]
-    if weights != [w * (den // tden) for w in target]:
+    weights, den = _combine(family, params)
+    if [x * tden for x in weights] != [w * den for w in target]:
         return None
     return params
 
@@ -545,17 +539,18 @@ def family_to_csv(family):
     if family.dimension > 1:
         raise PreconditionError("CSV rendering needs dimension <= 1")
     name = family.parameters[0] if family.dimension else "q"
-    offs = slot_offsets(family.scenario)
 
     def cell(ci, si):
-        slot = offs[ci] + si
-        coeff = family.directions[0][slot] if family.dimension else ZERO
-        return lin_str(family.base[slot], coeff, name)
+        const, coeffs = family.entry(ci, si)
+        return lin_str(const, coeffs[0] if coeffs else ZERO, name)
 
     return render_table_csv(family.scenario, cell)
 
 
 def family_to_json(family):
+    """The family as JSON; each distinct numerator is formatted once."""
+    text = {x: rat_str(rat(x, family.den)) for x in set(chain.from_iterable(family.rows))}
+    base, *directions = ([text[x] for x in v] for v in family.rows)
     if family.dimension == 1:
         bounds = parameter_bounds(family)
         bounds_doc = None if bounds is None else [
@@ -567,8 +562,8 @@ def family_to_json(family):
         "scenario": scenario_to_json(family.scenario),
         "support": support_to_json(family.support)["tables"],
         "parameters": list(family.parameters),
-        "base": [rat_str(x) for x in family.base],
-        "directions": [[rat_str(x) for x in d] for d in family.directions],
+        "base": base,
+        "directions": directions,
         "bounds": bounds_doc,
     }
 
@@ -580,21 +575,17 @@ def family_from_json(doc):
     sc = scenario_from_json(doc["scenario"])
     support = support_from_json({"scenario": doc["scenario"], "tables": doc["support"]})
     n = slot_count(sc)
-    base = tuple(rat(x) for x in doc["base"])
+    base = [rat(x) for x in doc["base"]]
     if len(base) != n:
         raise ValueError("base length does not match the scenario")
-    dirs = tuple(tuple(rat(x) for x in d) for d in doc["directions"])
+    dirs = [[rat(x) for x in d] for d in doc["directions"]]
     if any(len(d) != n for d in dirs):
         raise ValueError("direction length does not match the scenario")
     if len(doc["parameters"]) != len(dirs):
         raise ValueError("one parameter name per direction required")
-    family = AffineFamily(
-        scenario=sc,
-        support=support,
-        base=base,
-        directions=dirs,
-        parameters=tuple(doc["parameters"]),
-    )
+    den, nums = over_lcm([*base, *chain.from_iterable(dirs)])
+    rows = tuple(tuple(nums[k:k + n]) for k in range(0, len(nums), n))
+    family = AffineFamily(sc, support, den, rows, tuple(doc["parameters"]))
     _check_family(family)
     return family
 

@@ -719,6 +719,17 @@ def test_membership_rejects_outside_models(q_family):
         family_member_params(q_family, pr_box(0))
 
 
+def _with_vectors(family, base=None, directions=None):
+    # the family with its base or its directions replaced by Fraction
+    # vectors, put over one denominator as AffineFamily holds them
+    vectors = [family.base if base is None else base]
+    vectors += family.directions if directions is None else directions
+    den, nums = over_lcm([x for v in vectors for x in v])
+    n = len(vectors[0])
+    rows = [nums[k:k + n] for k in range(0, len(nums), n)]
+    return replace(family, den=den, rows=tuple(map(tuple, rows)))
+
+
 def _fraction_member_params(family, model):
     # the Fraction recomposition family_member_params used before its final
     # check moved to integer numerators; kept as the oracle
@@ -744,6 +755,46 @@ def _fraction_member_params(family, model):
     if weights != target:
         return None
     return params
+
+
+def _fraction_parameter_bounds(family):
+    # parameter_bounds before families held integer rows: slot by slot on
+    # the Fraction base and direction; kept as the oracle
+    lo, hi = None, None
+    d = family.directions[0]
+    for slot, b in enumerate(family.base):
+        c = d[slot]
+        if c == 0:
+            if b < 0:
+                return None
+            continue
+        bound = -b / c
+        if c > 0:
+            if lo is None or bound > lo:
+                lo = bound
+        elif hi is None or bound < hi:
+            hi = bound
+    if lo is not None and hi is not None and lo > hi:
+        return None
+    return lo, hi
+
+
+def _fraction_at(family, *values):
+    # AffineFamily.at before families held integer rows: the weights summed
+    # as Fractions slot by slot, then an EmpiricalModel; None where a weight
+    # is negative; kept as the oracle
+    weights = list(family.base)
+    for t, d in zip(values, family.directions):
+        if t:
+            for slot, c in enumerate(d):
+                if c:
+                    weights[slot] += t * c
+    if any(w < 0 for w in weights):
+        return None
+    offs = slot_offsets(family.scenario)
+    sizes = family.scenario.section_sizes
+    rows = tuple(tuple(weights[o:o + k]) for o, k in zip(offs, sizes))
+    return EmpiricalModel(family.scenario, rows)
 
 
 def _signaling_variant(model, rng):
@@ -806,12 +857,78 @@ def test_integer_member_check_matches_the_fraction_recomposition(kind, seed, num
     # and parameters, and past int64 (HUGE, defined below) an elimination
     # on Python ints
     scaled = [
-        replace(family, directions=tuple(tuple(c * scale for c in d) for d in family.directions))
+        _with_vectors(family, directions=[[c * scale for c in d] for d in family.directions])
         for scale in (rat(num, den), rat(num, den) / HUGE)
     ]
     for fam in (family, *scaled):
         for model in models:
             assert family_member_params(fam, model) == _fraction_member_params(fam, model)
+
+
+@given(
+    st.sampled_from(["reference", "hit", 3, 4]),
+    st.integers(0, 10**6),
+    st.integers(-6, 6),
+    st.integers(1, 64),
+)
+@settings(max_examples=25, deadline=None)
+def test_family_values_match_the_fraction_code(kind, seed, num, den):
+    family, models = _membership_cases(kind, seed)
+    if family is None:
+        return
+    # the parameters of the models in the family, and each moved by a
+    # different multiple of num / den
+    points = [p for p in (_fraction_member_params(family, m) for m in models) if p is not None]
+    points += [tuple(t + rat(num * (k + 1), den) for k, t in enumerate(p)) for p in points]
+    if family.dimension == 1:
+        bounds = parameter_bounds(family)
+        assert bounds == _fraction_parameter_bounds(family)
+        if bounds is not None:
+            lo, hi = bounds
+            points += [(lo,), (hi,), ((lo + hi) / 2,), (lo - rat(1, den),), (hi + rat(num, den),)]
+    assert points
+    for values in points:
+        expected = _fraction_at(family, *values)
+        if expected is None:
+            with pytest.raises(PreconditionError, match="negative weight|no value"):
+                family.at(*values)
+        else:
+            model = family.at(*values)
+            assert model == expected
+            assert model._int_view == expected._int_view
+
+
+def test_one_parameter_family_with_a_negative_anchor_direction():
+    # the elimination leaves the direction -1 at the first slot it moves,
+    # slot 8; renamed q, that slot's weight, the direction turns +1 there
+    support = SupportModel(bell_scenario(2, 2, 2), (1, 1, 5, 5))
+    table, supported = _support_table(support)
+    table, det, pivots, _ = _gauss_jordan(table, disjoint=4)
+    (free,) = set(range(supported.size)) - set(pivots)
+    raw = {int(supported[c]): -int(table[r, free]) for c, r in pivots.items()}
+    raw[int(supported[free])] = det
+    anchor = min(slot for slot, x in raw.items() if x)
+    assert (anchor, raw[anchor]) == (8, -1)
+    family = solve_support(support)
+    assert family.parameters == ("q",)
+    assert family.den == 1
+    assert family.rows == (
+        (1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0),
+        (0, 0, 0, 0, 0, 0, 0, 0, 1, 0, -1, 0, 1, 0, -1, 0),
+    )
+    assert parameter_bounds(family) == (ZERO, ONE)
+    assert family.at(rat(1, 3)).tables[2] == (rat(1, 3), ZERO, rat(2, 3), ZERO)
+
+
+def test_family_with_no_feasible_parameter_refuses_every_value():
+    # base -1 at slot 2, which the direction leaves at 0
+    family = solve_support(SupportModel(bell_scenario(2, 2, 2), (13, 2, 10, 13)))
+    assert family.dimension == 1
+    assert family.entry(0, 2) == (-ONE, (ZERO,))
+    assert parameter_bounds(family) is None
+    for q in (ZERO, rat(1, 2), ONE):
+        with pytest.raises(PreconditionError, match="no value of q is feasible"):
+            family.at(q)
 
 
 def test_member_check_refuses_a_wrong_solution(q_family, monkeypatch):
@@ -947,10 +1064,10 @@ def _shifted(family, vector, slot, delta):
     if vector < 0:
         base = list(family.base)
         base[slot] += delta
-        return replace(family, base=tuple(base))
+        return _with_vectors(family, base=base)
     dirs = [list(d) for d in family.directions]
     dirs[vector][slot] += delta
-    return replace(family, directions=tuple(map(tuple, dirs)))
+    return _with_vectors(family, directions=dirs)
 
 
 # a delta or a scale of 3**45 puts numerators and the base's denominator
@@ -971,9 +1088,8 @@ def test_vectorized_family_check_matches_the_row_by_row_one(dims, seed, corrupti
     family = solve_support(support_of(random_no_signaling_model(sc, rng)))
     delta = rat(rng.choice((-1, 1)) * rng.randint(1, 5), HUGE if huge else rng.randint(1, 8))
     if huge and family.dimension:
-        family = replace(family, directions=tuple(
-            tuple(c * HUGE for c in d) for d in family.directions
-        ))
+        huge = [[c * HUGE for c in d] for d in family.directions]
+        family = _with_vectors(family, directions=huge)
     offs = slot_offsets(sc)
     on = [offs[ci] + si for ci in range(sc.n_contexts)
           for si in range(section_size(sc, ci)) if family.support.possible(ci, si)]
@@ -1028,9 +1144,8 @@ def test_family_check_reports_the_first_violating_row(q_family):
 
 
 def test_family_check_runs_past_int64(q_family):
-    scaled = replace(q_family, directions=tuple(
-        tuple(c * HUGE for c in d) for d in q_family.directions
-    ))
+    huge = [[c * HUGE for c in d] for d in q_family.directions]
+    scaled = _with_vectors(q_family, directions=huge)
     _check_family(scaled)
     on = next(si for si in range(section_size(q_family.scenario, 0))
               if q_family.support.possible(0, si))

@@ -342,6 +342,21 @@ def test_classify_family_bad_parameter_is_an_input_error(run, family_file, tmp_p
     assert "cannot evaluate family at --q 1/8" in err
 
 
+def test_classify_family_with_no_feasible_parameter(run, tmp_path):
+    # the one-parameter family on this support holds -1 at a slot its
+    # direction leaves at 0: every q gives a negative weight
+    sup = SupportModel(bell_scenario(2, 2, 2), (13, 2, 10, 13))
+    path = _write_json(tmp_path / "sup.json", support_to_json(sup))
+    code, out, _ = run("solve-support", path)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["parameters"] == ["q"] and doc["bounds"] is None
+    family = _write_json(tmp_path / "family.json", doc)
+    code, out, err = run("classify", family, "--q", "0")
+    assert code == 3 and out == ""
+    assert "no value of q is feasible" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # marginals and no-signaling
 

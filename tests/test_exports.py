@@ -81,6 +81,30 @@ def test_only_the_scenario_module_reads_overlaps():
     assert callers == {"scenario"}
 
 
+def test_affine_families_convert_to_fractions_only_at_the_edges():
+    # an AffineFamily holds integer rows over one denominator: only
+    # family_from_json puts Fractions over it, and only the base and
+    # directions properties turn its rows back into Fractions
+    tree = ast.parse((Path(amcc.__file__).parent / "affine.py").read_text())
+    callers = {"over_lcm": set(), "fractions_over": set()}
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = (*scope, node.name)
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in callers:
+                callers[name].add(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    assert callers == {
+        "over_lcm": {"family_from_json"},
+        "fractions_over": {"AffineFamily.base", "AffineFamily.directions"},
+    }
+
+
 def test_no_module_imports_a_name_it_does_not_use():
     # every name a module imports is read in it or listed in its __all__;
     # the package __init__ re-exports by importing alone
