@@ -482,8 +482,8 @@ def family_member_params(family, model):
     slot from integer numerators."""
     if model.scenario != family.scenario:
         raise PreconditionError("model and family scenarios differ")
-    tden, rows = model._int_view
-    target = list(chain.from_iterable(rows))
+    tden = model.den
+    target = list(chain.from_iterable(model.rows))
     base, *directions = family.rows
     # sum_k d_k * t_k == w - base at every slot, times scale, the lcm of
     # both denominators; a slot no direction touches must read 0 == 0

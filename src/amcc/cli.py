@@ -63,6 +63,14 @@ def _load_json(path):
         raise _InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _write_csv(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _decode(path, decoder, doc):
     try:
         return decoder(doc)
@@ -218,9 +226,7 @@ def cmd_solve_support(args):
         return 4
     if args.csv:
         # rendered before the file is opened, so a refusal leaves it as it was
-        csv = family_to_csv(family)
-        with open(args.csv, "w") as fh:
-            fh.write(csv)
+        _write_csv(args.csv, family_to_csv(family))
     _print_doc(family_to_json(family))
 
 
@@ -233,8 +239,7 @@ def cmd_reconstruct_tables(args):
             print(json.dumps(exc.details, indent=1, default=rat_str), file=sys.stderr)
         return 4
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(report.csv)
+        _write_csv(args.csv, report.csv)
     if args.json:
         _print_doc(report_to_json(report))
         return

@@ -35,8 +35,8 @@ are read off the final objective row; only the nonzero x and prices
 become new Fractions.
 
 The price check runs on integers: the prices over the lcm of their
-denominators, the weights from the model's integer view (every row's
-numerators over one denominator). Global g's slots are slot_offsets +
+denominators, the weights as the model holds them, its `rows` of
+numerators over one `den`. Global g's slots are slot_offsets +
 restriction_table[:, g], one per context, so what every global collects
 is one numpy sum over the restriction table, in int64 whenever the
 totals are bounded below 2**63 and on Python ints otherwise.
@@ -308,10 +308,7 @@ def _pivot_array(tableau, leave, enter, det, bound):
 
 def stacked_weights(model):
     """Model weights in slot order (context-major, section-minor)."""
-    out = []
-    for row in model.tables:
-        out.extend(row)
-    return out
+    return list(fractions_over(list(chain.from_iterable(model.rows)), model.den))
 
 
 def _require_no_signaling(model):
@@ -357,8 +354,8 @@ def contextual_fraction(model):
         noncontextual = _model_of(sc, mass, loads)
     if cf > 0:
         # the weight check has shown x / den <= v / wden slot by slot
-        wden, rows = model._int_view
-        residual = zip(chain.from_iterable(rows), loads)
+        wden = model.den
+        residual = zip(chain.from_iterable(model.rows), loads)
         strongly_contextual = _model_of(
             sc, wden * (den - mass), [v * den - x * wden for v, x in residual]
         )
@@ -405,7 +402,7 @@ def _certified_lp(model, kept):
     slot the LP did not see, and the LP's prices elsewhere. With every
     global in kept every slot is touched, so the LP is the full incidence
     LP, rows in slot order, and its pivots and prices are the full one's."""
-    prices = [ZERO if x else ONE for x in chain.from_iterable(model._int_view[1])]
+    prices = [ZERO if x else ONE for x in chain.from_iterable(model.rows)]
     ncf, weights, pivots = ZERO, (), 0
     if kept:
         v = stacked_weights(model)
@@ -441,7 +438,7 @@ def _check_prices(model, prices, ncf):
     collects. No total exceeds n_contexts times the largest numerator; while
     that bound and den are below 2**63 the sum runs in int64, otherwise on
     Python ints. The priced weights are one integer dot product with the
-    model's integer view, every row over its one denominator."""
+    model's numerators, every row over its one denominator den."""
     if ncf < 0 or ncf > 1:
         raise VerificationError("noncontextual fraction outside [0, 1]",
                                 details={"ncf": ncf})
@@ -457,8 +454,7 @@ def _check_prices(model, prices, ncf):
             "a global assignment collects price below 1",
             details={"global": g, "price": rat(int(collected[g]), den)},
         )
-    wden, rows = model._int_view
-    cost = rat(sum(map(mul, chain.from_iterable(rows), scaled)), wden * den)
+    cost = rat(sum(map(mul, chain.from_iterable(model.rows), scaled)), model.den * den)
     if cost != ncf:
         raise VerificationError(
             "priced weights differ from the noncontextual fraction",
@@ -476,7 +472,7 @@ def _check_weights(model, kept, weights, ncf):
     denominators. Global g puts its weight on slot slot_offsets[c] +
     restriction_table[c, g] of every context c, so the loads are summed
     over the weighted globals' columns alone, and each loaded slot is
-    compared with the model's integer view, every row over its one
+    compared with the model's numerators, every row over its one
     denominator, in slot order. Returns (den, loads), every slot's load
     over den."""
     den, scaled = over_lcm(weights)
@@ -502,8 +498,8 @@ def _check_weights(model, kept, weights, ncf):
         loaded.update(row)
         for s in row:
             loads[s] += w
-    wden, rows = model._int_view
-    v = list(chain.from_iterable(rows))
+    wden = model.den
+    v = list(chain.from_iterable(model.rows))
     for s in sorted(loaded):
         if loads[s] * wden > v[s] * den:
             raise VerificationError(

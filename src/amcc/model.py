@@ -1,8 +1,8 @@
 """Empirical models: per-context outcome distributions with exact weights.
 
 Includes marginalization, the no-signaling and maximal-marginals checks, a
-small corpus of named reference models, and JSON/CSV serialization. All
-weights are exact rationals; serialization uses "a/b" strings.
+small corpus of named reference models, and JSON/CSV serialization. Weights
+are exact: integer numerators over one denominator; "a/b" strings in files.
 """
 
 from dataclasses import dataclass
@@ -14,7 +14,7 @@ from math import gcd, lcm, prod
 import numpy as np
 
 from .errors import PreconditionError
-from .rational import ZERO, fractions_over, over_lcm, rat, rat_parser, rat_str
+from .rational import fractions_over, over_lcm, rat, rat_parser, rat_str
 from .scenario import (
     MeasurementScenario,
     bell_scenario,
@@ -54,36 +54,36 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EmpiricalModel:
-    scenario: MeasurementScenario
-    tables: tuple  # one tuple of weights per context, canonical section order
+    """Weight rows[c][s] / den on section s of context c, den the lcm of
+    the weights' denominators: canonical, so the fields compare, hash and
+    print as the weights do. Built from tables, one row of rationals per
+    context in canonical section order, each parsed once; a bad row is
+    refused as a row-by-row check would (_refuse_rows)."""
 
-    def __post_init__(self):
-        """Convert every weight to a Fraction and check the rows; keep the
-        integer view (den, rows): every row's numerators over den, the lcm
-        of all the weights' denominators. Not a field, so ==, hash and
-        repr ignore it. The checks run on all the rows at once; when one
-        fails, _refuse_rows finds the first bad row, as a row-by-row check
-        would."""
-        sc = self.scenario
+    scenario: MeasurementScenario
+    den: int
+    rows: tuple  # one tuple of int numerators per context
+
+    def __init__(self, scenario, tables):
         try:
-            rows = tuple(
-                tuple(x if type(x) is Fraction else rat(x) for x in row) for row in self.tables
-            )
-            sizes_ok = list(map(len, rows)) == list(sc.section_sizes)
+            rows = [[x if type(x) is Fraction else rat(x) for x in row] for row in tables]
+            sizes_ok = list(map(len, rows)) == list(scenario.section_sizes)
         except (TypeError, ValueError):
             sizes_ok = False
         if not sizes_ok:
-            _refuse_rows(sc, self.tables)
-        pairs = [x.as_integer_ratio() for row in rows for x in row]
-        den = lcm(*{d for _, d in pairs})
-        nums = iter([n * (den // d) for n, d in pairs])
-        view = tuple(list(islice(nums, k)) for k in sc.section_sizes)
-        if min(map(min, view), default=0) < 0 or not set(map(sum, view)) <= {den}:
-            _refuse_rows(sc, self.tables)
-        object.__setattr__(self, "tables", rows)
-        object.__setattr__(self, "_int_view", (den, view))
+            _refuse_rows(scenario, tables)
+        den, nums = over_lcm(chain.from_iterable(rows))
+        nums = iter(nums)
+        _set_rows(self, scenario, den, [list(islice(nums, k)) for k in scenario.section_sizes])
+
+    @property
+    def tables(self):
+        """The weights as one tuple of Fractions per context, built on each
+        read."""
+        weights = iter(fractions_over(list(chain.from_iterable(self.rows)), self.den))
+        return tuple(tuple(islice(weights, len(nums))) for nums in self.rows)
 
 
 def _refuse_rows(scenario, tables):
@@ -103,15 +103,10 @@ def _refuse_rows(scenario, tables):
     raise AssertionError("no row of the tables is refused")
 
 
-def _model_from_ints(scenario, den, rows):
-    """The EmpiricalModel whose weight at (context c, section s) is
-    rows[c][s] / den, checked once on the integers: EmpiricalModel's
-    checks, in its order and with its messages, so __post_init__ does not
-    run again on the Fractions. Its integer view is den and rows over
-    their common gcd, the lcm of the weights' denominators, as
-    EmpiricalModel derives it from the Fractions; each distinct nonzero
-    numerator becomes one Fraction. rows, a list of int lists, is the
-    model's own from here on."""
+def _set_rows(model, scenario, den, rows):
+    """Check the weights rows[c][s] / den, all rows at once, and set the
+    model's fields to den and rows over their common gcd. A failed check
+    raises _refuse_rows's refusal of the first bad row."""
     if (
         len(rows) != scenario.n_contexts
         or list(map(len, rows)) != list(scenario.section_sizes)
@@ -123,11 +118,16 @@ def _model_from_ints(scenario, den, rows):
     if g > 1:
         den //= g
         rows = [[x // g for x in nums] for nums in rows]
-    model = object.__new__(EmpiricalModel)
     object.__setattr__(model, "scenario", scenario)
-    weights = iter(fractions_over(list(chain.from_iterable(rows)), den))
-    object.__setattr__(model, "tables", tuple(tuple(islice(weights, len(nums))) for nums in rows))
-    object.__setattr__(model, "_int_view", (den, tuple(rows)))
+    object.__setattr__(model, "den", den)
+    object.__setattr__(model, "rows", tuple(map(tuple, rows)))
+
+
+def _model_from_ints(scenario, den, rows):
+    """The EmpiricalModel whose weight at (context c, section s) is
+    rows[c][s] / den, with EmpiricalModel's check, order and messages."""
+    model = object.__new__(EmpiricalModel)
+    _set_rows(model, scenario, den, rows)
     return model
 
 
@@ -154,18 +154,18 @@ def marginalize(model, ci, measurements):
     ms = tuple(measurements)
     proj = projection(sc, ci, ms)
     outs = tuple(sc.outcomes[m] for m in ms)
-    acc = [ZERO] * prod(outs)
-    for p, w in zip(proj, model.tables[ci]):
-        if w:
-            acc[p] += w
-    return MarginalTable(measurements=ms, outcomes=outs, weights=tuple(acc))
+    acc = [0] * prod(outs)
+    for p, x in zip(proj, model.rows[ci]):
+        if x:
+            acc[p] += x
+    return MarginalTable(measurements=ms, outcomes=outs, weights=fractions_over(acc, model.den))
 
 
 def _slot_values(model):
-    """(den, the integer view's numerators as one array in slot order): int64
+    """(den, the model's numerators as one array in slot order): int64
     while den < 2**62, Python ints above, so that no row sum wraps."""
-    den, rows = model._int_view
-    return den, np.fromiter(chain.from_iterable(rows), dtype=np.int64 if den < 2**62 else object)
+    dtype = np.int64 if model.den < 2**62 else object
+    return model.den, np.fromiter(chain.from_iterable(model.rows), dtype=dtype)
 
 
 def is_no_signaling(model):
@@ -322,11 +322,8 @@ def parity_amcc_422():
 
 
 def uniform_model(scenario):
-    rows = []
-    for ci in range(scenario.n_contexts):
-        size = section_size(scenario, ci)
-        rows.append((Fraction(1, size),) * size)
-    return EmpiricalModel(scenario, tuple(rows))
+    den = lcm(*scenario.section_sizes)
+    return _model_from_ints(scenario, den, [[den // k] * k for k in scenario.section_sizes])
 
 
 def deterministic_model(scenario, gi):
@@ -363,12 +360,12 @@ def mix_models(pairs):
         raise PreconditionError("mixture terms live on different scenarios")
     if any(w < 0 for w, _ in pairs) or sum(w for w, _ in pairs) != 1:
         raise PreconditionError("weights must be nonnegative and sum to 1")
-    return _model_from_ints(sc, *_mixed_view([(w, m._int_view) for w, m in pairs]))
+    return _model_from_ints(sc, *_mixed_view([(w, (m.den, m.rows)) for w, m in pairs]))
 
 
 def _mixed_view(terms):
     """(den, rows) of the sum of w * view over the (w, view) in terms, w
-    a Fraction and view an integer view (den, rows); den is the lcm of the
+    a Fraction and view a model's (den, rows); den is the lcm of the
     terms' w.denominator * den. A term with w == 0 is skipped."""
     # term t is w.numerator * nums[si] / (w.denominator * den), summed
     # over the lcm of those denominators
@@ -415,11 +412,15 @@ def corpus(name):
 # serialization
 
 
+def _weight_strings(model):
+    """The weights as "a/b" strings, one list per context; each distinct
+    numerator is formatted once."""
+    text = {x: rat_str(rat(x, model.den)) for x in set(chain.from_iterable(model.rows))}
+    return [[text[x] for x in nums] for nums in model.rows]
+
+
 def model_to_json(model):
-    return {
-        "scenario": scenario_to_json(model.scenario),
-        "tables": [[rat_str(x) for x in row] for row in model.tables],
-    }
+    return {"scenario": scenario_to_json(model.scenario), "tables": _weight_strings(model)}
 
 
 def model_from_json(doc):
@@ -448,8 +449,8 @@ def _context_label(scenario, ci):
 def model_to_csv(model):
     """Two half-tables (low sections, then high sections), one row per
     context. Deterministic bytes: '\n' newlines, no trailing spaces."""
-    sc = model.scenario
-    return render_table_csv(sc, lambda ci, si: rat_str(model.tables[ci][si]))
+    text = _weight_strings(model)
+    return render_table_csv(model.scenario, lambda ci, si: text[ci][si])
 
 
 def render_table_csv(scenario, cell):

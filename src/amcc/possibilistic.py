@@ -16,14 +16,14 @@ slots of both contexts or of neither.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
 from .errors import VerificationError
 from .kernels import compatible_mask
-from .model import EmpiricalModel
-from .rational import ZERO, rat_parser
+from .model import _model_from_ints
+from .rational import rat_parser
 from .scenario import (
     MAX_GLOBALS,
     _require,
@@ -69,10 +69,10 @@ class SupportModel:
 
 
 def support_of(model):
-    """The support of an empirical model, read from its integer view: bit si
-    of context ci's mask is set iff that numerator is nonzero."""
+    """The support of an empirical model, read from its integer rows: bit
+    si of context ci's mask is set iff that numerator is nonzero."""
     masks = []
-    for nums in model._int_view[1]:
+    for nums in model.rows:
         mask = 0
         for si, x in enumerate(nums):
             if x:
@@ -90,15 +90,12 @@ def support_sections(support, ci):
 def uniform_on_support(support):
     """Empirical model with uniform weight on each context's support."""
     sc = support.scenario
+    den = lcm(*(mask.bit_count() for mask in support.masks))
     rows = []
-    for ci in range(sc.n_contexts):
-        secs = support_sections(support, ci)
-        w = Fraction(1, len(secs))
-        row = [ZERO] * section_size(sc, ci)
-        for si in secs:
-            row[si] = w
-        rows.append(tuple(row))
-    return EmpiricalModel(sc, tuple(rows))
+    for size, mask in zip(sc.section_sizes, support.masks):
+        w = den // mask.bit_count()
+        rows.append([w if mask >> si & 1 else 0 for si in range(size)])
+    return _model_from_ints(sc, den, rows)
 
 
 def _pack_masks(scenario, rows):

@@ -103,7 +103,7 @@ def covering_ncf(model):
     main solver: one row per global assignment (prices, surplus and
     penalty columns, rhs 1), and the objective extended with a formal
     infinite penalty as two integer rows, penalty multiples and unit
-    costs, the model's integer view (its weights over the lcm of their
+    costs, the model's numerators (its weights over den, the lcm of their
     denominators). Each pivot divides exactly by the previous one
     (Edmonds; Bareiss, Math. Comp. 22, 1968), so every stored entry is
     the true one times det > 0; when the pivot equals det only the rows
@@ -113,8 +113,8 @@ def covering_ncf(model):
     """
     sc = model.scenario
     cover = incidence_matrix(sc).T.tolist()  # the slots of each global
-    scale, rows = model._int_view
-    weights = [w for row in rows for w in row]  # slot order
+    scale = model.den
+    weights = [w for row in model.rows for w in row]  # slot order
     n_rows = len(cover)  # covering constraints, one per global assignment
     n_y = len(cover[0])  # price variables, one per slot
     width = n_y + 2 * n_rows  # prices, surplus, penalty columns
@@ -201,13 +201,13 @@ def chsh_cf(model):
     """Closed-form contextual fraction of a (2,2,2) no-signaling model:
     max(0, (S - 2) / 2) where S is the largest of the eight odd-sign
     combinations of the four correlators. The correlators and S are summed
-    on the model's integer view, every weight's numerator over one
-    denominator, and only the result is a Fraction."""
+    on the model's numerators, every weight's over one denominator den,
+    and only the result is a Fraction."""
     if model.scenario != bell_scenario(2, 2, 2):
         raise PreconditionError("closed form covers the (2,2,2) scenario only")
-    den, rows = model._int_view
+    den = model.den
     # sections 00 and 11 have even parity, 01 and 10 odd
-    correlators = [a - b - c + d for a, b, c, d in rows]
+    correlators = [a - b - c + d for a, b, c, d in model.rows]
     best = max(
         sum(-e if signs >> ci & 1 else e for ci, e in enumerate(correlators))
         for signs in range(16)

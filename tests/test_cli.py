@@ -531,6 +531,22 @@ def test_solve_support_csv_refusal_leaves_the_file_as_it_was(run, tmp_path):
     assert csv_path.read_bytes() == b"kept,as,is\n"
 
 
+@pytest.mark.parametrize("where", ["missing", "directory"])
+@pytest.mark.parametrize("command", ["solve-support", "reconstruct-tables"])
+def test_unwritable_csv_path_exits_2_and_names_it(run, tmp_path, command, where):
+    # an OSError from opening or writing the CSV is unusable input: exit 2,
+    # the path named on stderr, and nothing printed to stdout
+    csv_path = tmp_path / "missing" / "t.csv" if where == "missing" else tmp_path
+    argv = [command, "--csv", str(csv_path)]
+    if command == "solve-support":
+        support = support_to_json(apply_plan(reference_plan()))
+        argv.insert(1, _write_json(tmp_path / "sup.json", support))
+    code, out, err = run(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {csv_path}: ")
+    assert ("No such file or directory" if where == "missing" else "Is a directory") in err
+
+
 def test_solve_support_guard_trips_before_any_array_is_built(run, tmp_path, monkeypatch):
     # the reference support's table keeps 176 pivot rows over 152
     # supported slots: 176 x 153 = 26928 cells, one over the patched limit,

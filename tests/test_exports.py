@@ -81,12 +81,10 @@ def test_only_the_scenario_module_reads_overlaps():
     assert callers == {"scenario"}
 
 
-def test_affine_families_convert_to_fractions_only_at_the_edges():
-    # an AffineFamily holds integer rows over one denominator: only
-    # family_from_json puts Fractions over it, and only the base and
-    # directions properties turn its rows back into Fractions
-    tree = ast.parse((Path(amcc.__file__).parent / "affine.py").read_text())
-    callers = {"over_lcm": set(), "fractions_over": set()}
+def _callers(module, names):
+    """{name: the dotted scopes that call it} over one module of amcc."""
+    tree = ast.parse((Path(amcc.__file__).parent / f"{module}.py").read_text())
+    callers = {name: set() for name in names}
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -99,10 +97,35 @@ def test_affine_families_convert_to_fractions_only_at_the_edges():
             visit(child, scope)
 
     visit(tree, ())
-    assert callers == {
+    return callers
+
+
+def test_affine_families_convert_to_fractions_only_at_the_edges():
+    # an AffineFamily holds integer rows over one denominator: only
+    # family_from_json puts Fractions over it, and only the base and
+    # directions properties turn its rows back into Fractions
+    assert _callers("affine", ["over_lcm", "fractions_over"]) == {
         "over_lcm": {"family_from_json"},
         "fractions_over": {"AffineFamily.base", "AffineFamily.directions"},
     }
+
+
+def test_models_convert_to_fractions_only_at_the_edges():
+    # an EmpiricalModel holds integer rows over one denominator, its
+    # fields: only its constructor and the refusal put Fractions over
+    # one, only the readers that hand Fractions out turn rows back, and
+    # no module reads the integer view it used to keep beside its tables
+    assert _callers("model", ["over_lcm", "fractions_over"]) == {
+        "over_lcm": {"EmpiricalModel.__init__", "_refuse_rows"},
+        "fractions_over": {"EmpiricalModel.tables", "marginalize"},
+    }
+    readers = [
+        path.stem
+        for path in sorted(Path(amcc.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "_int_view"
+    ]
+    assert readers == []
 
 
 def test_no_module_imports_a_name_it_does_not_use():

@@ -5,7 +5,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -530,7 +530,7 @@ def test_over_lcm_puts_every_entry_over_the_lcm_of_the_denominators(values):
 @settings(max_examples=40, deadline=None)
 def test_the_integer_view_is_every_rows_numerators_over_one_denominator(pairs):
     model = mix_models(pairs)
-    den, rows = model._int_view
+    den, rows = model.den, model.rows
     assert den == lcm(*(w.denominator for row in model.tables for w in row))
     assert len(rows) == len(model.tables)
     for nums, row in zip(rows, model.tables):
@@ -547,8 +547,40 @@ def test_equal_models_stay_equal_and_hash_alike():
     decoded = model_from_json(doc)
     assert decoded == mixed and hash(decoded) == hash(mixed)
     assert repr(decoded) == repr(mixed)
-    assert [f.name for f in dataclasses.fields(EmpiricalModel)] == ["scenario", "tables"]
+    assert [f.name for f in dataclasses.fields(EmpiricalModel)] == ["scenario", "den", "rows"]
     assert "_int_view" not in repr(mixed)
+
+
+@given(_mixture_terms(), st.booleans(), st.integers(2, 5))
+@example(
+    [
+        (rat(1, HUGE), deterministic_model(bell_scenario(3, 2, 2), 5)),
+        (rat(HUGE - 1, HUGE), uniform_model(bell_scenario(3, 2, 2))),
+    ],
+    True,
+    3,
+)
+@settings(max_examples=40, deadline=None)
+def test_both_constructors_give_one_canonical_form(pairs, decoded, k):
+    # a mixed model, or one decoded from JSON with every weight written
+    # over k times its denominator; either way the fields are the weights
+    # in lowest terms, and both constructors give back the same model
+    model = mix_models(pairs)
+    expected = _reference_validation(model.scenario, _fraction_mix(pairs))
+    if decoded:
+        doc = model_to_json(model)
+        doc["tables"] = [[f"{k * rat(x).numerator}/{k * rat(x).denominator}" for x in row]
+                         for row in doc["tables"]]
+        model = model_from_json(doc)
+        expected = _reference_validation(model.scenario, doc["tables"])
+    assert model.tables == expected
+    assert model.den == lcm(*(w.denominator for row in expected for w in row))
+    assert gcd(model.den, *(x for nums in model.rows for x in nums)) == 1
+    rebuilt = EmpiricalModel(model.scenario, model.tables)
+    assert rebuilt == model and hash(rebuilt) == hash(model)
+    scaled = _model_from_ints(model.scenario, k * model.den, [[k * x for x in nums]
+                                                               for nums in model.rows])
+    assert scaled == model and hash(scaled) == hash(model)
 
 
 def test_model_json_parses_equal_literals_to_equal_weights():
@@ -660,7 +692,7 @@ def _reference_random_model(scenario, rng):
 
 def _same_model(model, reference):
     assert model == reference
-    assert model._int_view == reference._int_view
+    assert (model.den, model.rows) == (reference.den, reference.rows)
     assert all(type(x) is Fraction for row in model.tables for x in row)
 
 
