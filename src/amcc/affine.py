@@ -85,14 +85,28 @@ def ns_equations(scenario, support=None):
     coeff, rhs), each row's slots in order. With a support, variables are
     restricted to in-support slots (all others are pinned to zero), and
     rows left without a slot are dropped."""
+    return list(_equations(scenario, support))
+
+
+# rows of _ns_arrays that _equations turns into Python lists at a time
+_EQUATION_BLOCK = 1 << 12
+
+
+def _equations(scenario, support=None):
+    """The rows of ns_equations(scenario, support), yielded one at a time;
+    the arrays become Python lists a block of rows at a time."""
     slot, sign, start, rhs, _ = _ns_arrays(scenario)
     if support is not None:
         keep = _possible_slots(support)[slot]
         start = np.concatenate([[0], np.cumsum(keep)])[start]
         slot, sign = slot[keep], sign[keep]
-    slots, signs, bounds = slot.tolist(), sign.tolist(), start.tolist()
-    rows = zip(bounds, bounds[1:], rhs.tolist())
-    return [(dict(zip(slots[a:b], signs[a:b])), r) for a, b, r in rows if a < b]
+    for r in range(0, rhs.size, _EQUATION_BLOCK):
+        bounds = start[r : r + _EQUATION_BLOCK + 1].tolist()
+        first, last = bounds[0], bounds[-1]
+        slots, signs = slot[first:last].tolist(), sign[first:last].tolist()
+        for a, b, value in zip(bounds, bounds[1:], rhs[r : r + _EQUATION_BLOCK].tolist()):
+            if a < b:
+                yield dict(zip(slots[a - first : b - first], signs[a - first : b - first])), value
 
 
 def _rank_profile(rows):
@@ -150,26 +164,27 @@ def _cancel(row, v, prow):
 
 @lru_cache(maxsize=64)
 def _pivot_rows(scenario):
-    """_rank_profile(ns_equations(scenario)) as a read-only array; no row of
-    the full system is empty, so it indexes the rows of _ns_arrays too.
-    Raises ResourceLimitError first past MAX_TABLE_CELLS slots squared, as
-    the reduced rows hold up to slots x (slots + 1) entries."""
+    """_rank_profile of the rows of ns_equations(scenario), streamed to it
+    by _equations, as a read-only array; no row of the full system is
+    empty, so it indexes the rows of _ns_arrays too. Raises
+    ResourceLimitError first past MAX_TABLE_CELLS slots squared, as the
+    reduced rows hold up to slots x (slots + 1) entries."""
     n = slot_count(scenario)
     _require(n * n, f"cells in the {n} x {n} rank-profile elimination", MAX_TABLE_CELLS)
-    kept = np.array(_rank_profile(ns_equations(scenario)), np.intp)
+    kept = np.array(_rank_profile(_equations(scenario)), np.intp)
     kept.setflags(write=False)
     return kept
 
 
-def _support_table(support):
+def _support_table(support, on):
     """(table, supported): the integer table [A | b] of the _pivot_rows
     rows restricted to the support's slots, in order, less the rows left
     empty (pair rows with rhs 0; no context is empty), and the supported
     slots ascending, column k of A being slot supported[k]. Each row is the
-    ns_equations(scenario, support) row of the same equation. The table's
-    cells pass scenario._require with MAX_TABLE_CELLS before it is built."""
+    ns_equations(scenario, support) row of the same equation; on is the
+    support's _possible_slots. The table's cells pass scenario._require
+    with MAX_TABLE_CELLS before it is built."""
     kept = _pivot_rows(support.scenario)
-    on = _possible_slots(support)
     supported = np.flatnonzero(on)
     slot, sign, start, rhs, _ = _ns_arrays(support.scenario)
     # the kept rows' entries, row by row, each row's in its slot order
@@ -374,7 +389,8 @@ def solve_support(support):
     + q det d) / (det d[a]), the rows s (b d[a] - d b[a]) and s det d over
     det |d[a]|, s the sign of d[a]."""
     sc = support.scenario
-    table, supported = _support_table(support)
+    on = _possible_slots(support)
+    table, supported = _support_table(support, on)
     table, det, pivots, bad = _gauss_jordan(table, disjoint=sc.n_contexts)
     if bad is not None:
         return None
@@ -398,7 +414,7 @@ def solve_support(support):
         det *= abs(d[a])
         parameters = ("q",)
     family = AffineFamily(sc, support, det, tuple(map(tuple, vectors)), parameters)
-    _check_family(family)
+    _check_family(family, on)
     return family
 
 
@@ -418,11 +434,12 @@ def _ns_arrays(scenario):
     return slot, sign, start, rhs, int(np.diff(start).max())
 
 
-def _check_family(family):
+def _check_family(family, on):
     """Re-verify the defining invariants: every vector vanishes off the
     support, the base solves ns_equations and each direction solves the
     homogeneous system. Off the support every entry is then 0, so the full
     scenario's rows, _ns_arrays, check the same thing as the support's.
+    on is the support's _possible_slots.
 
     One numpy pass over the rows and the support's slot mask finds weight
     off the support, reported as the (context, section) of its first slot.
@@ -436,7 +453,7 @@ def _check_family(family):
     big = max(max(max(v), -min(v)) for v in family.rows)
     dtype = np.int64 if max(width * big, family.den) < 2**63 else object
     values = np.array(family.rows, dtype=dtype)
-    off = np.flatnonzero((values != 0).any(axis=0) & ~_possible_slots(family.support))
+    off = np.flatnonzero((values != 0).any(axis=0) & ~on)
     if off.size:
         offs = slot_offsets(sc)
         ci = int(np.searchsorted(offs, off[0], side="right")) - 1
@@ -586,7 +603,7 @@ def family_from_json(doc):
     den, nums = over_lcm([*base, *chain.from_iterable(dirs)])
     rows = tuple(tuple(nums[k:k + n]) for k in range(0, len(nums), n))
     family = AffineFamily(sc, support, den, rows, tuple(doc["parameters"]))
-    _check_family(family)
+    _check_family(family, _possible_slots(support))
     return family
 
 

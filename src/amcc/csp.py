@@ -30,6 +30,7 @@ from .possibilistic import SupportModel, _check_witness, _pack_masks
 from .rational import _json_int, rat, rat_str
 from .scenario import (
     MAX_GLOBALS,
+    MAX_TRIALS,
     _require,
     global_size,
     restriction_table,
@@ -240,7 +241,8 @@ def search_plans(base, counts, trials, seed, threads=1):
     support. Every miss's first compatible global is re-checked against
     the block array in one gather; if one is wrong, _check_witness on the
     first such trial's masks raises VerificationError. MAX_GLOBALS is
-    checked before any section list is built.
+    checked before any section list is built, and MAX_TRIALS before the
+    first draw, as every hit is held.
 
     Trials run one after another. `threads` is kept so that existing callers
     passing threads=1 still work; any other value raises PreconditionError.
@@ -261,6 +263,7 @@ def search_plans(base, counts, trials, seed, threads=1):
             )
     if trials < 0:
         raise PreconditionError("trials must be nonnegative")
+    _require(trials, "trials", MAX_TRIALS)
     block = max(1, BLOCK_CELLS // (n_contexts * n_globals))
     table = restriction_table(sc)
     parity_cells = _pack_masks(sc, (_parity_masks(base),))

@@ -2,7 +2,10 @@
 
 Includes marginalization, the no-signaling and maximal-marginals checks, a
 small corpus of named reference models, and JSON/CSV serialization. Weights
-are exact: integer numerators over one denominator; "a/b" strings in files.
+are exact: integer numerators over one denominator; "a/b" strings in files,
+which model_from_json decodes straight to those integers, each distinct
+literal parsed once. Both checks are one numpy pass over a per-scenario
+row table: scenario.overlap_rows, and _party_rows for the marginals.
 """
 
 from dataclasses import dataclass
@@ -14,9 +17,10 @@ from math import gcd, lcm, prod
 import numpy as np
 
 from .errors import PreconditionError
-from .rational import fractions_over, over_lcm, rat, rat_parser, rat_str
+from .rational import fractions_over, over_lcm, rat, rat_str
 from .scenario import (
     MeasurementScenario,
+    _membership,
     bell_scenario,
     global_size,
     marginal_rows,
@@ -241,11 +245,22 @@ def uniform_marginals(model):
 @lru_cache(maxsize=64)
 def _party_rows(scenario):
     """marginal_rows of party_setting_subsets, each one-sided on the first
-    context holding it, and each row's outcome count (int64, read-only)."""
-    held = [(ms, context_containing(scenario, ms)) for ms in party_setting_subsets(scenario)]
-    marginals = [(ms, ((ci, projection(scenario, ci, ms)),)) for ms, ci in held]
+    context holding it, and each row's outcome count (int64, read-only).
+    The first holding context of every subset is read off one product of
+    the subsets' and the contexts' membership rows; context_containing
+    reports a subset that no context holds."""
+    subsets = list(party_setting_subsets(scenario))
+    lengths = list(map(len, subsets))
+    held, _ = _membership(scenario)
+    need = np.zeros((len(subsets), held.shape[1]), np.int64)
+    need[np.repeat(np.arange(len(subsets)), lengths), list(chain(*subsets))] = 1
+    holds = need @ held.T == np.array(lengths, np.int64)[:, None]
+    for i in np.flatnonzero(~holds.any(axis=1))[:1]:
+        context_containing(scenario, subsets[i])
+    marginals = zip(subsets, zip(holds.argmax(axis=1).tolist()))
     slot, sign, start, rows = marginal_rows(scenario, marginals)
-    sizes = np.array([prod(scenario.outcomes[m] for m in ms) for _, ms, _ in rows], np.int64)
+    counts = [prod(scenario.outcomes[m] for m in ms) for ms in subsets]
+    sizes = np.repeat(np.array(counts, np.int64), counts)
     sizes.setflags(write=False)
     return slot, sign, start, rows, sizes
 
@@ -424,14 +439,35 @@ def model_to_json(model):
 
 
 def model_from_json(doc):
-    """Decode a model document. Each distinct literal is parsed once per
-    call (rat_parser), so floats are refused; the cells are parsed in row
-    order, so the first bad one is the one reported."""
+    """Decode a model document. Each cell is keyed by its value, or by its
+    type and value unless every cell is a string, so that 1.0 is not taken
+    for 1, and each distinct key is parsed once by rat, in the order the
+    cells first hold it, row by row: floats are refused and the first bad
+    cell is the one reported. The cells become numerators over the lcm of
+    the distinct denominators, checked as EmpiricalModel checks its
+    weights, with no Fraction per cell. A row that is not iterable, or an
+    unhashable cell, sends every cell through rat in row order, which
+    raises the first refusal."""
     if not isinstance(doc, dict) or "scenario" not in doc or "tables" not in doc:
         raise ValueError("model JSON needs scenario and tables keys")
     sc = scenario_from_json(doc["scenario"])
-    parse = rat_parser()
-    return EmpiricalModel(sc, tuple(tuple(map(parse, row)) for row in doc["tables"]))
+    keys = tables = doc["tables"]
+    try:
+        distinct = literals = list(dict.fromkeys(chain.from_iterable(tables)))
+        if not all(type(x) is str for x in literals):
+            # 1, 1.0 and True are equal keys, a string equals no other type
+            keys = [[(type(x), x) for x in row] for row in tables]
+            distinct = list(dict.fromkeys(chain.from_iterable(keys)))
+            literals = [x for _, x in distinct]
+    except TypeError:
+        for row in tables:
+            for x in row:
+                rat(x)
+        raise
+    ratios = [rat(x).as_integer_ratio() for x in literals]
+    den = lcm(*(d for _, d in ratios))
+    num = dict(zip(distinct, [n * (den // d) for n, d in ratios])).__getitem__
+    return _model_from_ints(sc, den, [list(map(num, row)) for row in keys])
 
 
 def _context_label(scenario, ci):

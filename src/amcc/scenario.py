@@ -15,13 +15,17 @@ and a cover of measurement contexts. Canonical orderings used everywhere:
 The packing is decided here and nowhere else. `unpack` is the one
 mixed-radix decoder. The restriction map of the sheaf-theoretic framework
 (Abramsky and Brandenburger, New J. Phys. 13, 113036, 2011) comes in two
-packed forms: `projection` gives, for each section of a context, the packed
-index of its outcomes on a subset of the context's measurements, in the
-subset's order; the cached `overlaps` holds those projections for every
-pair of contexts onto their shared measurements; `restriction_table` does
-the same for global sections onto each context. `marginal_rows` is the one
-layout of marginals as rows of slots, one per outcome; every no-signaling
-and marginal check reads such rows, the cached `overlap_rows` for pairs.
+packed forms. Within a context it is one array per tuple of outcome
+counts, `_subset_table`: the packed index of every section's outcomes on
+every ascending subset of the context's measurements, packed for all
+subsets at once, a position at a time. `projection` reads it for one subset
+in any order, the cached `overlaps` for every pair of contexts onto their
+shared measurements. `restriction_table` packs global sections onto each
+context. `marginal_rows` is the one layout of marginals as rows of slots,
+one per outcome, read off the subset tables; every no-signaling and
+marginal check reads such rows, the cached `overlap_rows` for pairs, which
+is built in array passes over the pairs, a block at a time, with no
+per-pair projection.
 
 Every size limit of the package lives here, and `_require` is the one check
 that enforces them: each guard calls it with a count computed by arithmetic
@@ -30,7 +34,7 @@ alone, before the loop or allocation the count describes.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations, product
+from itertools import chain, compress, product, repeat
 from math import prod
 
 import numpy as np
@@ -47,6 +51,7 @@ __all__ = [
     "MAX_SCAN_VECTORS",
     "MAX_TABLE_CELLS",
     "MAX_TABLEAU_CELLS",
+    "MAX_TRIALS",
     "unpack",
     "section_size",
     "section_outcomes",
@@ -163,6 +168,12 @@ MAX_TABLE_CELLS = 1 << 26
 # ints, once its entries outgrow int64, take several times that
 MAX_TABLEAU_CELLS = 1 << 23
 
+# trials of one augmentation search (csp.search_plans), which holds every
+# hit: at (4,2,2), with one or two additions per context and every trial a
+# hit, a run peaks about 5.3-5.8 KiB a trial above the process, so the
+# limit holds it near 400 MiB
+MAX_TRIALS = 1 << 16
+
 
 def _require(count, what, limit):
     """count, unless it is over limit: then ResourceLimitError, whose
@@ -259,15 +270,38 @@ def restrict(scenario, assignment, measurements):
     return tuple(out)
 
 
-def _repack(indices, radices, positions):
-    """Mixed-radix indices over `radices` (an integer array) repacked onto
-    the digits at `positions`, in that order. The result has the dtype and
-    size of `indices`; `indices` is left as it is."""
-    out = np.zeros_like(indices)
-    for p in positions:
-        out *= radices[p]
-        out += indices // prod(radices[p + 1 :]) % radices[p]
-    return out
+@lru_cache(maxsize=None)
+def _subset_table(radices):
+    """The packed projections of a context whose measurements have, in
+    context order, the outcome counts radices: row m, column s is the
+    packed index of section s's outcomes on the positions p whose bit
+    1 << p is set in m, ascending. Every row is packed at once, one
+    position at a time, most significant first; the one-position rows hold
+    the digits, and the last section, every digit at its largest, holds
+    each row's outcome count less one. Read-only int64. Raises
+    ResourceLimitError, before any array is built, past MAX_TABLE_CELLS
+    cells."""
+    n, size = len(radices), prod(radices)
+    _require(size << n, f"cells in the subset table of {1 << n} x {size}", MAX_TABLE_CELLS)
+    sections, masks = np.arange(size), np.arange(1 << n)
+    table = np.zeros((1 << n, size), np.int64)
+    place = size
+    for p, r in enumerate(radices):
+        place //= r
+        chosen = masks >> p & 1 == 1
+        table[chosen] = table[chosen] * r + sections // place % r
+    table.setflags(write=False)
+    return table
+
+
+def _projection(scenario, ci, positions):
+    """The packed index of every section of context ci on its positions
+    listed, in that order, as an int64 array: the digit rows of ci's
+    _subset_table weighed by the radices of the positions listed later."""
+    radices = tuple(scenario.outcomes[m] for m in scenario.cover[ci])
+    table = _subset_table(radices)
+    weights = [prod(radices[q] for q in positions[k + 1 :]) for k in range(len(positions))]
+    return np.array(weights, np.int64) @ table[[1 << p for p in positions]]
 
 
 def projection(scenario, ci, measurements):
@@ -279,9 +313,115 @@ def projection(scenario, ci, measurements):
         raise ValueError(f"measurements {ms} not all inside context {ctx}")
     if len(set(ms)) != len(ms):
         raise ValueError("repeated measurement in marginal subset")
-    sections = np.arange(section_size(scenario, ci), dtype=np.int64)
-    radices = [scenario.outcomes[m] for m in ctx]
-    return tuple(_repack(sections, radices, [ctx.index(m) for m in ms]).tolist())
+    return tuple(_projection(scenario, ci, [ctx.index(m) for m in ms]).tolist())
+
+
+def _membership(scenario):
+    """(held, bit), int64 arrays of (n_contexts, n_measurements): held[c, m]
+    is 1 where context c holds measurement m, 0 elsewhere, and bit[c, m] is
+    then 1 << p, p the position of m in c (read only for contexts of at
+    most 62 measurements, which is all that a subset table allows)."""
+    lengths = list(map(len, scenario.cover))
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    members = list(chain.from_iterable(scenario.cover))
+    position = np.arange(owner.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    held = np.zeros((len(lengths), len(scenario.measurements)), np.int64)
+    bit = np.zeros_like(held)
+    held[owner, members] = 1
+    bit[owner, members] = np.left_shift(1, position)
+    return held, bit
+
+
+def _pairs(scenario):
+    """(ci, cj, mask_i, mask_j), int64 arrays over every pair of contexts
+    that share a measurement, in `combinations` order: mask_c sets bit
+    1 << p for each position p of context c that holds a shared
+    measurement. Raises ResourceLimitError, before the pairs are scanned,
+    past MAX_TABLE_CELLS entries, at most (n_contexts - 1) * slots."""
+    rows, cols = scenario.n_contexts - 1, slot_count(scenario)
+    _require(rows * cols, f"cells in the overlap table of {rows} x {cols}", MAX_TABLE_CELLS)
+    held, bit = _membership(scenario)
+    # row by row, so ascending (ci, cj): combinations order
+    ci, cj = np.nonzero(held @ held.T)
+    keep = ci < cj
+    ci, cj = ci[keep], cj[keep]
+    # masks[a, b]: the positions of context a that context b holds too
+    masks = bit @ held.T
+    return ci, cj, masks[ci, cj], masks[cj, ci]
+
+
+def _context_tables(scenario, contexts):
+    """(source, at): the _subset_tables of the contexts listed, flattened
+    into source, each distinct table held once. Row m of context c's table
+    is source[at[c] + m * size] on, size being c's section count; at is 0
+    for a context not listed."""
+    radices = [tuple(scenario.outcomes[m] for m in ctx) for ctx in scenario.cover]
+    at = np.zeros(scenario.n_contexts, np.int64)
+    placed, tables = {}, [np.empty(0, np.int64)]
+    for c in sorted(set(contexts)):
+        r = radices[c]
+        if r not in placed:
+            placed[r] = sum(map(len, tables))
+            tables.append(_subset_table(r).ravel())
+        at[c] = placed[r]
+    return np.concatenate(tables), at
+
+
+# section entries laid out per block of sides, bounding the temporaries
+_LAYOUT_BLOCK = 1 << 16
+
+
+def _lay_out(scenario, sides, source):
+    """(slot, sign, start, counts, k) of marginals given as arrays, each
+    with one or two sides. sides is (which, ctx, proj, rank, second),
+    arrays over every side of every marginal, each marginal's first side
+    before its second: entry j is the first or, if second[j], the second
+    side of marginal which[j], on context ctx[j], whose section s lies on
+    row source[proj[j] + s] and is the source[rank[j] + s]-th of its
+    sections there. Marginal i has counts[i] rows, one more than its last
+    section's row. Row k of marginal i lists its first side's slots,
+    ascending, sign +1, then its second side's, sign -1; k[r] is row r's
+    index in its marginal. The entries are scattered straight to their
+    places, a block of sides at a time."""
+    which, ctx, proj, rank, second = sides
+    sizes = np.array(scenario.section_sizes, np.int64)
+    offs = np.cumsum(sizes) - sizes
+    size = sizes[ctx]
+    counts = np.zeros(int(which.max(initial=-1)) + 1, np.int64)
+    counts[which] = source[proj + size - 1] + 1
+    per_row = size // counts[which]
+    # a second side follows the first side's share of each row
+    shift = np.zeros_like(counts)
+    shift[which[second == 0]] = per_row[second == 0]
+    row_len = shift.copy()
+    row_len[which[second == 1]] += per_row[second == 1]
+    shift = shift[which] * second
+    width = row_len * counts
+    first = np.cumsum(width) - width
+    k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    start = np.append(np.repeat(first, counts) + k * np.repeat(row_len, counts), width.sum())
+    slot = np.empty(int(width.sum()), np.int32)
+    sign = np.empty(slot.size, np.int8)
+    ends = np.cumsum(size)
+    begins = ends - size
+    lo = 0
+    while lo < size.size:
+        hi = max(lo + 1, int(np.searchsorted(ends, begins[lo] + _LAYOUT_BLOCK, "right")))
+        j = np.repeat(np.arange(lo, hi), size[lo:hi])
+        s = np.arange(j.size) - (begins[j] - begins[lo])
+        i = which[j]
+        dest = first[i] + shift[j] + source[proj[j] + s] * row_len[i] + source[rank[j] + s]
+        slot[dest] = offs[ctx[j]] + s
+        sign[dest] = 1 - 2 * second[j]
+        lo = hi
+    for a in (slot, sign, start):
+        a.setflags(write=False)
+    return slot, sign, start, counts, k
+
+
+def _repeated(items, counts):
+    """Each of items, counts[i] times in turn."""
+    return chain.from_iterable(map(repeat, items, counts))
 
 
 @lru_cache(maxsize=64)
@@ -291,54 +431,77 @@ def overlaps(scenario):
     measurements ascending and proj_c is projection(scenario, c, shared).
     Raises ResourceLimitError, before the pairs are scanned, past
     MAX_TABLE_CELLS entries, at most (n_contexts - 1) * slots."""
-    rows, cols = scenario.n_contexts - 1, slot_count(scenario)
-    _require(rows * cols, f"cells in the overlap table of {rows} x {cols}", MAX_TABLE_CELLS)
     out = []
-    for ci, cj in combinations(range(scenario.n_contexts), 2):
+    for ci, cj, _, _ in zip(*(a.tolist() for a in _pairs(scenario))):
         shared = tuple(m for m in scenario.cover[ci] if m in scenario.cover[cj])
-        if shared:
-            out.append(
-                (ci, cj, shared, projection(scenario, ci, shared), projection(scenario, cj, shared))
-            )
+        out.append(
+            (ci, cj, shared, projection(scenario, ci, shared), projection(scenario, cj, shared))
+        )
     return tuple(out)
 
 
 def marginal_rows(scenario, marginals):
-    """(slot, sign, start, rows) of marginals, each (measurements, sides) with
-    one or two sides (ci, projection(scenario, ci, measurements)): per packed
-    outcome k, ascending, a row of the first side's slots projecting onto k
-    (sign +1), then the second's (-1), each ascending. Row r is entries
-    start[r]:start[r + 1] of slot (int32) and sign (int8), rows[r] is
-    (contexts, measurements, k), and no row is empty. Read-only."""
-    offs = slot_offsets(scenario)
-    rows, sides_at, projs = [], [], []
-    for ms, sides in marginals:
-        for side, (ci, proj) in enumerate(sides):
-            sides_at.append((len(rows) * 2 + side, offs[ci], len(proj)))
-            projs.append(proj)
-        contexts = tuple(ci for ci, _ in sides)
-        rows += [(contexts, ms, k) for k in range(prod(scenario.outcomes[m] for m in ms))]
-    at, base, length = np.array(sides_at, dtype=np.int64).reshape(-1, 3).T
-    # by row, then side: the stable sort keeps each side's slots ascending
-    key = np.fromiter(chain.from_iterable(projs), np.int64, length.sum())
-    key = key * 2 + np.repeat(at, length)
-    order = np.argsort(key, kind="stable")
-    slot = np.arange(key.size) + np.repeat(base - np.cumsum(length) + length, length)
-    slot, key = slot[order].astype(np.int32), key[order]
-    sign = (1 - 2 * (key % 2)).astype(np.int8)
-    start = np.searchsorted(key // 2, np.arange(len(rows) + 1))
-    for a in (slot, sign, start):
-        a.setflags(write=False)
-    return slot, sign, start, tuple(rows)
+    """(slot, sign, start, rows) of marginals, each (measurements, contexts)
+    with one or two contexts that hold every measurement: per outcome k of
+    the measurements, packed in their listed order, ascending, a row of the
+    first context's slots whose sections project onto k (sign +1), then the
+    second's (-1), each ascending. Row r is entries start[r]:start[r + 1]
+    of slot (int32) and sign (int8), rows[r] is (contexts, measurements,
+    k), and no row is empty. Read-only.
+
+    A side whose measurements are ascending in its context reads its row
+    of the _subset_table; any other order is packed by _projection. Either
+    way a section's place in its row is its packed index on the other
+    positions, ascending, since that orders the sections of one row as
+    their indices do."""
+    marginals = [(tuple(ms), tuple(cs)) for ms, cs in marginals]
+    source, at = _context_tables(scenario, [c for _, cs in marginals for c in cs])
+    at = at.tolist()
+    sizes = scenario.section_sizes
+    sides, extra = [], []
+    end = source.size
+    for i, (ms, cs) in enumerate(marginals):
+        for t, c in enumerate(cs):
+            ctx = scenario.cover[c]
+            positions = [ctx.index(m) for m in ms]
+            mask = sum(1 << p for p in positions)
+            proj = at[c] + mask * sizes[c]
+            if positions != sorted(positions):
+                extra.append(_projection(scenario, c, positions))
+                proj, end = end, end + sizes[c]
+            rank = at[c] + (mask ^ ((1 << len(ctx)) - 1)) * sizes[c]
+            sides.append((i, c, proj, rank, t))
+    sides = np.array(sides, np.int64).reshape(-1, 5).T
+    slot, sign, start, counts, k = _lay_out(scenario, sides, np.concatenate([source, *extra]))
+    n = counts.tolist()
+    contexts = _repeated((cs for _, cs in marginals), n)
+    measurements = _repeated((ms for ms, _ in marginals), n)
+    return slot, sign, start, tuple(zip(contexts, measurements, k.tolist()))
 
 
 @lru_cache(maxsize=64)
 def overlap_rows(scenario):
     """marginal_rows of overlaps(scenario), in order, each pair ci's marginal
-    minus cj's: weights are no-signaling when every row sums to 0."""
-    return marginal_rows(
-        scenario, [(shared, ((ci, pi), (cj, pj))) for ci, cj, shared, pi, pj in overlaps(scenario)]
-    )
+    minus cj's: weights are no-signaling when every row sums to 0. Built in
+    array passes over _pairs, with no per-pair projection: both contexts of
+    a pair list the shared measurements ascending, so each side reads a row
+    of its _subset_table."""
+    ci, cj, mask_i, mask_j = _pairs(scenario)
+    source, at = _context_tables(scenario, ci.tolist() + cj.tolist())
+    sizes = np.array(scenario.section_sizes, np.int64)
+    full = np.left_shift(1, np.array(list(map(len, scenario.cover)), np.int64)) - 1
+    ctx, mask = np.concatenate([ci, cj]), np.concatenate([mask_i, mask_j])
+    proj, rank = at[ctx] + mask * sizes[ctx], at[ctx] + (full[ctx] ^ mask) * sizes[ctx]
+    sides = np.tile(np.arange(ci.size), 2), ctx, proj, rank, np.repeat([0, 1], ci.size)
+    slot, sign, start, counts, k = _lay_out(scenario, sides, source)
+    firsts, masks, n = ci.tolist(), mask_i.tolist(), counts.tolist()
+    bits = {m: [m >> p & 1 for p in range(m.bit_length())] for m in set(masks)}
+    shared = {
+        (c, m): tuple(compress(scenario.cover[c], bits[m])) for c, m in set(zip(firsts, masks))
+    }
+    pairs = _repeated(zip(firsts, cj.tolist()), n)
+    measurements = _repeated(map(shared.__getitem__, zip(firsts, masks)), n)
+    return slot, sign, start, tuple(zip(pairs, measurements, k.tolist()))
 
 
 @lru_cache(maxsize=64)
@@ -349,9 +512,12 @@ def restriction_table(scenario):
     rows, cols = scenario.n_contexts, global_size(scenario)
     _require(rows * cols, f"cells in the restriction table of {rows} x {cols}", MAX_TABLE_CELLS)
     globals_ = np.arange(cols, dtype=np.int32)
-    tab = np.empty((rows, cols), dtype=np.int32)
-    for ci, ctx in enumerate(scenario.cover):
-        tab[ci] = _repack(globals_, scenario.outcomes, ctx)
+    outcomes = scenario.outcomes
+    tab = np.zeros((rows, cols), dtype=np.int32)
+    for row, ctx in zip(tab, scenario.cover):
+        for m in ctx:
+            row *= outcomes[m]
+            row += globals_ // prod(outcomes[m + 1 :]) % outcomes[m]
     tab.setflags(write=False)
     return tab
 

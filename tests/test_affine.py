@@ -335,7 +335,7 @@ def test_rank_profile_is_where_the_fraction_elimination_grows(rows):
 def _support_table_rows(support):
     # the rows of _support_table as ns_equations-style (dict, rhs) pairs,
     # each row's slots ascending
-    table, supported = _support_table(support)
+    table, supported = _support_table(support, _possible_slots(support))
     slots = supported.tolist()
     return [
         ({slots[k]: c for k, c in enumerate(coeffs) if c}, rhs)
@@ -364,7 +364,7 @@ def test_pruned_rows_eliminate_like_all_of_ns_equations(support):
     full = _FractionElimination()
     for row, rhs in rows:
         full.add({v: Fraction(c) for v, c in row.items()}, Fraction(rhs))
-    table, supported = _support_table(support)
+    table, supported = _support_table(support, _possible_slots(support))
     slots = supported.tolist()
     table, det, pivots, bad = _gauss_jordan(table, disjoint=sc.n_contexts)
     assert [slots[k] for k in pivots] == full.order
@@ -381,7 +381,7 @@ def test_normalization_pass_ends_where_the_pivot_loop_does(support):
     # the contexts' normalization rows, pivoted in one pass, leave the
     # table, det, pivots (in order) and first bad row of pivoting them one
     # lp._pivot_array at a time
-    table, _ = _support_table(support)
+    table, _ = _support_table(support, _possible_slots(support))
     once = _gauss_jordan(table.copy(), disjoint=support.scenario.n_contexts)
     each = _gauss_jordan(table)
     assert np.array_equal(once[0], each[0])
@@ -425,6 +425,33 @@ def test_ns_dimension_is_the_fraction_elimination_rank(sc):
     assert not infeasible
     assert _pivot_rows(sc).tolist() == grew
     assert ns_dimension(sc) == slot_count(sc) - len(grew)
+
+
+@pytest.mark.parametrize("sc", [bell_scenario(3, 2, 2), bell_scenario(3, 3, 2), CHAIN],
+                         ids=["322", "332", "chain"])
+def test_pivot_rows_stream_the_rows_of_ns_equations(sc, monkeypatch):
+    # the rank profile reads the rows one at a time from _equations, never
+    # the whole list of ns_equations, and keeps the same rows; blocks of
+    # two rows make every row cross a block boundary
+    rows = ns_equations(sc)
+    expected = _rank_profile(rows)
+    monkeypatch.setattr(amcc.affine, "_EQUATION_BLOCK", 2)
+    assert _ordered(amcc.affine._equations(sc)) == _ordered(rows)
+    monkeypatch.setattr(amcc.affine, "ns_equations", lambda *a: pytest.fail("list built"))
+    amcc.affine._pivot_rows.cache_clear()
+    assert amcc.affine._pivot_rows(sc).tolist() == expected
+    amcc.affine._pivot_rows.cache_clear()
+
+
+def test_solve_support_reads_the_slot_mask_once(monkeypatch):
+    support = support_of(parity_amcc_422())
+    calls = []
+    mask = amcc.affine._possible_slots
+    monkeypatch.setattr(amcc.affine, "_possible_slots", lambda s: calls.append(s) or mask(s))
+    family = solve_support(support)
+    assert calls == [support]
+    family_from_json(family_to_json(family))
+    assert calls == [support, support]
 
 
 def test_ns_dimension_refuses_8_2_2_before_building_the_system(monkeypatch):
@@ -902,7 +929,7 @@ def test_one_parameter_family_with_a_negative_anchor_direction():
     # the elimination leaves the direction -1 at the first slot it moves,
     # slot 8; renamed q, that slot's weight, the direction turns +1 there
     support = SupportModel(bell_scenario(2, 2, 2), (1, 1, 5, 5))
-    table, supported = _support_table(support)
+    table, supported = _support_table(support, _possible_slots(support))
     table, det, pivots, _ = _gauss_jordan(table, disjoint=4)
     (free,) = set(range(supported.size)) - set(pivots)
     raw = {int(supported[c]): -int(table[r, free]) for c, r in pivots.items()}
@@ -1051,6 +1078,10 @@ def _row_by_row_check_family(family):
                 raise VerificationError("family direction violates homogeneity")
 
 
+def _check(family):
+    _check_family(family, _possible_slots(family.support))
+
+
 def _verdict(check, family):
     try:
         check(family)
@@ -1118,7 +1149,7 @@ def test_vectorized_family_check_matches_the_row_by_row_one(dims, seed, corrupti
         for slot in rng.sample(off, 2):
             family = _shifted(family, rng.choice(vectors), slot, delta)
     expected = _verdict(_row_by_row_check_family, family)
-    assert _verdict(_check_family, family) == expected
+    assert _verdict(_check, family) == expected
     if corruption == "none" or (corruption == "direction" and not family.dimension):
         assert expected is None
 
@@ -1139,19 +1170,19 @@ def test_family_check_reports_the_first_violating_row(q_family):
         other = -1 - vector
         family = _shifted(_shifted(q_family, vector, first, rat(1, 8)), other, last, rat(1, 8))
         with pytest.raises(VerificationError, match=message):
-            _check_family(family)
-        assert _verdict(_check_family, family) == _verdict(_row_by_row_check_family, family)
+            _check(family)
+        assert _verdict(_check, family) == _verdict(_row_by_row_check_family, family)
 
 
 def test_family_check_runs_past_int64(q_family):
     huge = [[c * HUGE for c in d] for d in q_family.directions]
     scaled = _with_vectors(q_family, directions=huge)
-    _check_family(scaled)
+    _check(scaled)
     on = next(si for si in range(section_size(q_family.scenario, 0))
               if q_family.support.possible(0, si))
     for vector, message in ((-1, "violates an equality"), (0, "homogeneity")):
         with pytest.raises(VerificationError, match=message):
-            _check_family(_shifted(scaled, vector, on, rat(1, HUGE)))
+            _check(_shifted(scaled, vector, on, rat(1, HUGE)))
 
 
 # ---------------------------------------------------------------------------

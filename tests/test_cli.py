@@ -2,10 +2,12 @@
 
 import json
 import random
+import time
 
 import pytest
 
 import amcc.affine
+import amcc.csp
 import amcc.lp
 import amcc.scenario
 from amcc.cli import build_parser, main
@@ -482,6 +484,24 @@ def test_a_search_precondition_still_exits_3(run, argv, message):
     code, out, err = run("search-plans", *argv, "--seed", "1")
     assert code == 3 and out == ""
     assert message in err
+
+
+def test_search_plans_refuses_too_many_trials_before_the_first_draw(run, monkeypatch):
+    draws = []
+    monkeypatch.setattr(amcc.csp, "_sample_sorted", lambda *a: draws.append(a))
+    started = time.perf_counter()
+    code, out, err = run(
+        "search-plans", "--counts", ",".join(["1"] * 16), "--trials", "1000000000", "--seed", "1"
+    )
+    assert time.perf_counter() - started < 5
+    assert (code, out, draws) == (5, "", [])
+    assert err == "resource limit: 1000000000 trials is over the limit 65536\n"
+    # the limit itself still runs, and one trial past it is refused
+    assert amcc.scenario.MAX_TRIALS == 1 << 16
+    monkeypatch.setattr(amcc.csp, "MAX_TRIALS", 3)
+    none = ",".join(["0"] * 16)
+    assert run("search-plans", "--counts", none, "--trials", "3", "--seed", "1")[0] == 0
+    assert run("search-plans", "--counts", none, "--trials", "4", "--seed", "1")[0] == 5
 
 
 def test_the_parser_is_built_once_and_keeps_no_state_between_calls(run):

@@ -34,13 +34,15 @@ from amcc.model import (
     uniform_model,
 )
 from amcc.parity import build_symmetric_model, parity_system_from_vector
-from amcc.rational import ONE, ZERO, over_lcm, rat
+from amcc.rational import ONE, ZERO, over_lcm, rat, rat_parser, rat_str
 from amcc.scenario import (
     MeasurementScenario,
     bell_scenario,
     global_outcomes,
     global_size,
     restrict,
+    scenario_from_json,
+    scenario_to_json,
     section_index,
     section_outcomes,
     section_size,
@@ -798,3 +800,94 @@ def test_bad_rows_are_refused_as_the_row_by_row_check_refuses_them(shape, seed, 
         ints = [[int(x * 840) for x in row] for row in rows]
         if all(x * 840 == int(x * 840) for row in rows for x in row):
             assert _refusal(_model_from_ints, sc, 840, ints) == refusal
+
+
+# ---------------------------------------------------------------------------
+# model_from_json against the per-cell decode it replaced
+
+
+def _per_cell_model_from_json(doc):
+    # the decode before integer rows: every cell parsed to a Fraction (each
+    # distinct literal once), then the Fraction constructor; kept as the
+    # oracle of the integer decode
+    if not isinstance(doc, dict) or "scenario" not in doc or "tables" not in doc:
+        raise ValueError("model JSON needs scenario and tables keys")
+    sc = scenario_from_json(doc["scenario"])
+    parse = rat_parser()
+    return EmpiricalModel(sc, tuple(tuple(map(parse, row)) for row in doc["tables"]))
+
+
+def _decoded(doc):
+    """("model", model) or (type, message) of model_from_json's refusal."""
+    try:
+        return "model", model_from_json(doc)
+    except Exception as exc:  # every refusal type counts, and must match
+        return type(exc), str(exc)
+
+
+def _oracle_decoded(doc):
+    try:
+        return "model", _per_cell_model_from_json(doc)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_BAD_LITERALS = [1.0, 0.5, 0.0, "x", "1/0", "", " ", "1/2/3", None, [1], {"a": 1}, True, False]
+
+
+@st.composite
+def _model_documents(draw):
+    """A model document with each weight written as an "a/b" string over a
+    random multiple of its denominator, maybe padded with spaces, or as an
+    int where it is one, then up to three faults: a bad literal, a row one
+    weight short or long, a row missing, extra or not a list."""
+    sc = bell_scenario(*draw(st.sampled_from([(2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 2, 3)])))
+    model = draw(_no_signaling_models(sc))
+    tables = []
+    for row in model.tables:
+        cells = []
+        for w in row:
+            form = draw(st.sampled_from(["str", "str", "scaled", "padded", "int"]))
+            if form == "int" and w.denominator == 1:
+                cells.append(int(w))
+            elif form == "scaled":
+                k = draw(st.integers(2, 5))
+                cells.append(f"{k * w.numerator}/{k * w.denominator}")
+            elif form == "padded":
+                cells.append(f" {w.numerator} / {w.denominator} ")
+            else:
+                cells.append(rat_str(w))
+        tables.append(cells)
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(["literal", "literal", "short", "long", "drop", "add", "int"]))
+        rows = [ci for ci, row in enumerate(tables) if isinstance(row, list)]
+        ci = draw(st.sampled_from(rows)) if rows else None
+        if fault == "literal" and ci is not None and tables[ci]:
+            si = draw(st.integers(0, len(tables[ci]) - 1))
+            tables[ci][si] = draw(st.sampled_from(_BAD_LITERALS))
+        elif fault == "short" and ci is not None:
+            tables[ci] = tables[ci][:-1]
+        elif fault == "long" and ci is not None:
+            tables[ci] = tables[ci] + ["0"]
+        elif fault == "drop" and ci is not None:
+            del tables[ci]
+        elif fault == "add":
+            tables.append(list(tables[ci]) if ci is not None else ["1"])
+        elif fault == "int" and ci is not None:
+            tables[ci] = 1
+    return {"scenario": scenario_to_json(sc), "tables": tables}
+
+
+@given(_model_documents())
+@example({"scenario": {"parties": 2, "settings": 2, "outcomes": 2},
+          "tables": [[1, 0, 0, 0], [1.0, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]]})
+@example({"scenario": {"parties": 2, "settings": 2, "outcomes": 2},
+          "tables": [["1/2", "1/x", 0, "1/2"], 5, ["y", 0, 0, 1], [1, 0, 0, 0]]})
+@example({"scenario": {"parties": 2, "settings": 2, "outcomes": 2},
+          "tables": [["1/2", 0, 0], [[1], 0, 0, 1], ["-1", "2", 0, 0], [1, 0, 0, 0]]})
+@settings(max_examples=150, deadline=None)
+def test_integer_decode_matches_the_per_cell_decode(doc):
+    got, want = _decoded(doc), _oracle_decoded(doc)
+    assert got == want
+    if got[0] == "model":
+        assert got[1].den == want[1].den and got[1].rows == want[1].rows

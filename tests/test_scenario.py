@@ -1,14 +1,18 @@
 """Scenario construction, packing conventions, and serialization."""
 
+import re
 from dataclasses import fields
 from itertools import combinations
+from math import prod
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amcc.errors import ResourceLimitError
+import amcc.scenario
+from amcc.errors import PreconditionError, ResourceLimitError
+from amcc.model import _party_rows, party_setting_subsets
 from amcc.scenario import (
     MAX_BELL_CONTEXTS,
     MAX_BELL_MEASUREMENTS,
@@ -19,6 +23,8 @@ from amcc.scenario import (
     global_outcomes,
     global_size,
     incidence_matrix,
+    marginal_rows,
+    overlap_rows,
     overlaps,
     projection,
     restrict,
@@ -428,3 +434,126 @@ def test_out_of_range_lookups_are_rejected():
         section_index(sc, 0, (2, 0))
     with pytest.raises(ValueError):
         global_outcomes(sc, 16)
+
+
+# ---------------------------------------------------------------------------
+# the array-built marginal tables against pointwise decoding
+
+
+@st.composite
+def random_covers(draw):
+    """An explicit scenario: 2-5 measurements of 1-3 outcomes, an antichain
+    cover in drawn order, and party labels in any order, or none."""
+    n = draw(st.integers(2, 5))
+    outcomes = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    sets = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=6, unique=True))
+    # the maximal drawn sets, then a singleton for each measurement left out
+    cover = [s for s in sets if not any(s != t and s & t == s for t in sets)]
+    cover += [1 << m for m in range(n) if not any(c >> m & 1 for c in cover)]
+    parties = draw(st.none() | st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple))
+    return MeasurementScenario(
+        measurements=tuple(f"m{i}" for i in range(n)),
+        outcomes=outcomes,
+        cover=tuple(tuple(m for m in range(n) if c >> m & 1) for c in cover),
+        parties=parties,
+    )
+
+
+COVERS = st.one_of(
+    st.just(triangle_scenario()),
+    st.just(mixed_arity_scenario()),
+    st.sampled_from([(2, 3, 2), (2, 2, 3), (3, 3, 2)]).map(lambda shape: bell_scenario(*shape)),
+    random_covers(),
+)
+
+
+def pointwise_marginal_rows(sc, marginals):
+    """marginal_rows by decoding every section of every side, row by row."""
+    offs = slot_offsets(sc)
+    slot, sign, start, rows = [], [], [0], []
+    for ms, contexts in marginals:
+        radices = [sc.outcomes[m] for m in ms]
+        for k in range(prod(radices)):
+            for side, ci in enumerate(contexts):
+                for si in range(section_size(sc, ci)):
+                    s = section_outcomes(sc, ci, si)
+                    if _pack([s[sc.cover[ci].index(m)] for m in ms], radices) == k:
+                        slot.append(offs[ci] + si)
+                        sign.append(1 - 2 * side)
+            start.append(len(slot))
+            rows.append((tuple(contexts), tuple(ms), k))
+    return slot, sign, start, tuple(rows)
+
+
+def _listed(rows):
+    slot, sign, start, labels = rows
+    assert (slot.dtype, sign.dtype) == (np.int32, np.int8)
+    assert not any(a.flags.writeable for a in (slot, sign, start))
+    return slot.tolist(), sign.tolist(), start.tolist(), labels
+
+
+@given(COVERS, st.data())
+@settings(max_examples=60, deadline=None)
+def test_array_tables_match_pointwise_decoding(sc, data):
+    # overlap_rows: every sharing pair, in combinations order
+    pairs = [
+        (tuple(sorted(set(sc.cover[ci]) & set(sc.cover[cj]))), (ci, cj))
+        for ci, cj in combinations(range(sc.n_contexts), 2)
+        if set(sc.cover[ci]) & set(sc.cover[cj])
+    ]
+    assert _listed(overlap_rows(sc)) == pointwise_marginal_rows(sc, pairs)
+    # marginal_rows: one- and two-sided marginals, measurements in any order
+    marginals = []
+    for ms, contexts in data.draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []:
+        marginals.append((data.draw(st.permutations(ms)), contexts[: data.draw(st.integers(1, 2))]))
+    for ci in data.draw(st.lists(st.integers(0, sc.n_contexts - 1), max_size=3)):
+        ctx = sc.cover[ci]
+        size = data.draw(st.integers(1, len(ctx)))
+        marginals.append((tuple(data.draw(st.permutations(ctx))[:size]), (ci,)))
+    marginals = data.draw(st.permutations(marginals))
+    assert _listed(marginal_rows(sc, marginals)) == pointwise_marginal_rows(sc, marginals)
+    # projection: a subset of one context in any order
+    ci = data.draw(st.integers(0, sc.n_contexts - 1))
+    ctx = sc.cover[ci]
+    ms = data.draw(st.permutations(ctx))[: data.draw(st.integers(0, len(ctx)))]
+    radices = [sc.outcomes[m] for m in ms]
+    assert projection(sc, ci, ms) == tuple(
+        _pack([section_outcomes(sc, ci, si)[ctx.index(m)] for m in ms], radices)
+        for si in range(section_size(sc, ci))
+    )
+    # _party_rows: each party subset one-sided on the first context holding it
+    if sc.parties is None:
+        return
+    held = []
+    for ms in party_setting_subsets(sc):
+        ci = next((c for c, ctx in enumerate(sc.cover) if set(ms) <= set(ctx)), None)
+        if ci is None:
+            with pytest.raises(PreconditionError, match=re.escape(f"contains measurements {ms}")):
+                _party_rows(sc)
+            return
+        held.append((ms, (ci,)))
+    slot, sign, start, rows, sizes = _party_rows(sc)
+    assert _listed((slot, sign, start, rows)) == pointwise_marginal_rows(sc, held)
+    assert not sizes.flags.writeable
+    assert sizes.tolist() == [prod(sc.outcomes[m] for m in ms) for _, ms, _ in rows]
+
+
+@pytest.mark.parametrize(
+    "sc", [bell_scenario(3, 2, 2), bell_scenario(2, 3, 2), mixed_arity_scenario()],
+    ids=["322", "232", "mixed"],
+)
+def test_tables_laid_out_in_small_blocks_match_pointwise_decoding(sc, monkeypatch):
+    # blocks of 5 section entries: every block boundary falls inside a side
+    monkeypatch.setattr(amcc.scenario, "_LAYOUT_BLOCK", 5)
+    overlap_rows.cache_clear()
+    pairs = [
+        (tuple(sorted(set(sc.cover[ci]) & set(sc.cover[cj]))), (ci, cj))
+        for ci, cj in combinations(range(sc.n_contexts), 2)
+        if set(sc.cover[ci]) & set(sc.cover[cj])
+    ]
+    try:
+        assert _listed(overlap_rows(sc)) == pointwise_marginal_rows(sc, pairs)
+        singles = [(ctx[::-1], (ci,)) for ci, ctx in enumerate(sc.cover)]
+        assert _listed(marginal_rows(sc, singles)) == pointwise_marginal_rows(sc, singles)
+    finally:
+        overlap_rows.cache_clear()
