@@ -15,17 +15,16 @@ and a cover of measurement contexts. Canonical orderings used everywhere:
 The packing is decided here and nowhere else. `unpack` is the one
 mixed-radix decoder. The restriction map of the sheaf-theoretic framework
 (Abramsky and Brandenburger, New J. Phys. 13, 113036, 2011) comes in two
-packed forms. Within a context it is one array per tuple of outcome
-counts, `_subset_table`: the packed index of every section's outcomes on
-every ascending subset of the context's measurements, packed for all
-subsets at once, a position at a time. `projection` reads it for one subset
-in any order, the cached `overlaps` for every pair of contexts onto their
-shared measurements. `restriction_table` packs global sections onto each
-context. `marginal_rows` is the one layout of marginals as rows of slots,
-one per outcome, read off the subset tables; every no-signaling and
-marginal check reads such rows, the cached `overlap_rows` for pairs, which
-is built in array passes over the pairs, a block at a time, with no
-per-pair projection.
+packed forms. `projection` gives, for each section of a context, the packed
+index of its outcomes on a subset of the context's measurements, in the
+subset's order; the cached `overlaps` holds those projections for every
+pair of contexts onto their shared measurements; `restriction_table` does
+the same for global sections onto each context. `marginal_rows` is the one
+layout of marginals as rows of slots, one per outcome; every no-signaling
+and marginal check reads such rows, the cached `overlap_rows` for pairs.
+Both pack each distinct side's projection once, not once per marginal, and
+`overlap_rows` finds the sharing pairs and lays out their rows in array
+passes, a block of pairs at a time, with no per-pair projection.
 
 Every size limit of the package lives here, and `_require` is the one check
 that enforces them: each guard calls it with a count computed by arithmetic
@@ -34,7 +33,7 @@ alone, before the loop or allocation the count describes.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, compress, product, repeat
+from itertools import chain, product, repeat
 from math import prod
 
 import numpy as np
@@ -270,38 +269,28 @@ def restrict(scenario, assignment, measurements):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _subset_table(radices):
-    """The packed projections of a context whose measurements have, in
-    context order, the outcome counts radices: row m, column s is the
-    packed index of section s's outcomes on the positions p whose bit
-    1 << p is set in m, ascending. Every row is packed at once, one
-    position at a time, most significant first; the one-position rows hold
-    the digits, and the last section, every digit at its largest, holds
-    each row's outcome count less one. Read-only int64. Raises
-    ResourceLimitError, before any array is built, past MAX_TABLE_CELLS
-    cells."""
-    n, size = len(radices), prod(radices)
-    _require(size << n, f"cells in the subset table of {1 << n} x {size}", MAX_TABLE_CELLS)
-    sections, masks = np.arange(size), np.arange(1 << n)
-    table = np.zeros((1 << n, size), np.int64)
-    place = size
+def _packed(radices, orders, dtype=np.int64):
+    """The packed index of every mixed-radix index over radices, in order,
+    on its digits at the positions of each list in orders, in the order
+    listed: one row of dtype per list. The digits are taken a position at a
+    time, each weighed in every row by the radices of the positions listed
+    after it there."""
+    weights, used = [], set()
+    for positions in orders:
+        row, w = [0] * len(radices), 1
+        for p in reversed(positions):
+            row[p], w = w, w * radices[p]
+        weights.append(row)
+        used.update(positions)
+    weights = np.array(weights, dtype).reshape(len(orders), len(radices)).T
+    sections = np.arange(prod(radices), dtype=dtype)
+    out = np.zeros((len(orders), sections.size), dtype)
+    place = sections.size
     for p, r in enumerate(radices):
         place //= r
-        chosen = masks >> p & 1 == 1
-        table[chosen] = table[chosen] * r + sections // place % r
-    table.setflags(write=False)
-    return table
-
-
-def _projection(scenario, ci, positions):
-    """The packed index of every section of context ci on its positions
-    listed, in that order, as an int64 array: the digit rows of ci's
-    _subset_table weighed by the radices of the positions listed later."""
-    radices = tuple(scenario.outcomes[m] for m in scenario.cover[ci])
-    table = _subset_table(radices)
-    weights = [prod(radices[q] for q in positions[k + 1 :]) for k in range(len(positions))]
-    return np.array(weights, np.int64) @ table[[1 << p for p in positions]]
+        if p in used and r > 1:
+            out += np.multiply.outer(weights[p], sections // place % r)
+    return out
 
 
 def projection(scenario, ci, measurements):
@@ -313,14 +302,16 @@ def projection(scenario, ci, measurements):
         raise ValueError(f"measurements {ms} not all inside context {ctx}")
     if len(set(ms)) != len(ms):
         raise ValueError("repeated measurement in marginal subset")
-    return tuple(_projection(scenario, ci, [ctx.index(m) for m in ms]).tolist())
+    radices = [scenario.outcomes[m] for m in ctx]
+    return tuple(_packed(radices, [[ctx.index(m) for m in ms]])[0].tolist())
 
 
 def _membership(scenario):
     """(held, bit), int64 arrays of (n_contexts, n_measurements): held[c, m]
     is 1 where context c holds measurement m, 0 elsewhere, and bit[c, m] is
-    then 1 << p, p the position of m in c (read only for contexts of at
-    most 62 measurements, which is all that a subset table allows)."""
+    then 1 << p, p the position of m in c. The cover is an antichain over
+    at most 64 measurements, so a context that shares one has at most 63
+    positions, and its masks in _pair_sides fit in int64."""
     lengths = list(map(len, scenario.cover))
     owner = np.repeat(np.arange(len(lengths)), lengths)
     members = list(chain.from_iterable(scenario.cover))
@@ -332,12 +323,20 @@ def _membership(scenario):
     return held, bit
 
 
-def _pairs(scenario):
-    """(ci, cj, mask_i, mask_j), int64 arrays over every pair of contexts
-    that share a measurement, in `combinations` order: mask_c sets bit
-    1 << p for each position p of context c that holds a shared
-    measurement. Raises ResourceLimitError, before the pairs are scanned,
-    past MAX_TABLE_CELLS entries, at most (n_contexts - 1) * slots."""
+def _positions(mask, n):
+    """The positions p < n whose bit 1 << p is set in mask, ascending."""
+    return [p for p in range(n) if mask >> p & 1]
+
+
+def _pair_sides(scenario):
+    """(ci, cj, shared, key, keys) of every pair of contexts that share a
+    measurement, in `combinations` order: shared[i] lists pair i's shared
+    measurements ascending, and key[i] and key[n + i] index in keys the
+    (outcome counts, positions) of its two sides, positions ascending,
+    each distinct side listed once. Contexts are sorted, so both sides of a
+    pair list the shared measurements ascending. Raises ResourceLimitError,
+    before the pairs are scanned, past MAX_TABLE_CELLS entries, at most
+    (n_contexts - 1) * slots."""
     rows, cols = scenario.n_contexts - 1, slot_count(scenario)
     _require(rows * cols, f"cells in the overlap table of {rows} x {cols}", MAX_TABLE_CELLS)
     held, bit = _membership(scenario)
@@ -347,43 +346,68 @@ def _pairs(scenario):
     ci, cj = ci[keep], cj[keep]
     # masks[a, b]: the positions of context a that context b holds too
     masks = bit @ held.T
-    return ci, cj, masks[ci, cj], masks[cj, ci]
+    ctx, mask = np.concatenate([ci, cj]), np.concatenate([masks[ci, cj], masks[cj, ci]])
+    radices = [tuple(scenario.outcomes[m] for m in c) for c in scenario.cover]
+    # each side's kind, the first context with its outcome counts, and the
+    # distinct (kind, mask) of the sides in one sort
+    kinds = {}
+    kind = np.array([kinds.setdefault(r, c) for c, r in enumerate(radices)], np.int64)[ctx]
+    order = np.lexsort((mask, kind))
+    kind, mask = kind[order], mask[order]
+    new = (np.diff(kind, prepend=-1) != 0) | (np.diff(mask, prepend=0) != 0)
+    key = np.empty_like(order)
+    key[order] = np.cumsum(new) - 1
+    distinct = zip(kind[new].tolist(), mask[new].tolist())
+    keys = [(radices[c], _positions(m, len(radices[c]))) for c, m in distinct]
+    cover, firsts = scenario.cover, key[: ci.size].tolist()
+    shared = [tuple(cover[c][p] for p in keys[k][1]) for c, k in zip(ci.tolist(), firsts)]
+    return ci, cj, shared, key, keys
 
 
-def _context_tables(scenario, contexts):
-    """(source, at): the _subset_tables of the contexts listed, flattened
-    into source, each distinct table held once. Row m of context c's table
-    is source[at[c] + m * size] on, size being c's section count; at is 0
-    for a context not listed."""
-    radices = [tuple(scenario.outcomes[m] for m in ctx) for ctx in scenario.cover]
-    at = np.zeros(scenario.n_contexts, np.int64)
-    placed, tables = {}, [np.empty(0, np.int64)]
-    for c in sorted(set(contexts)):
-        r = radices[c]
-        if r not in placed:
-            placed[r] = sum(map(len, tables))
-            tables.append(_subset_table(r).ravel())
-        at[c] = placed[r]
-    return np.concatenate(tables), at
+def _sources(keys):
+    """(source, proj, rank) of sides keyed by their (outcome counts,
+    positions) in keys: side i's _packed row onto its positions starts at
+    source[proj[i]], its row onto the other positions, ascending, at
+    source[rank[i]]. The sides of one tuple of outcome counts are packed
+    together."""
+    groups = {}
+    for i, (radices, _) in enumerate(keys):
+        groups.setdefault(radices, []).append(i)
+    proj = np.zeros(len(keys), np.int64)
+    tables, end = [np.empty(0, np.int64)], 0
+    for radices, members in groups.items():
+        orders = []
+        for i in members:
+            positions = keys[i][1]
+            orders += [positions, [p for p in range(len(radices)) if p not in positions]]
+        rows = _packed(radices, orders)
+        proj[members] = end + 2 * rows.shape[1] * np.arange(len(members))
+        end += rows.size
+        tables.append(rows.ravel())
+    rank = proj + np.array([prod(radices) for radices, _ in keys], np.int64)
+    return np.concatenate(tables), proj, rank
 
 
 # section entries laid out per block of sides, bounding the temporaries
 _LAYOUT_BLOCK = 1 << 16
 
 
-def _lay_out(scenario, sides, source):
+def _lay_out(scenario, which, ctx, second, key, keys):
     """(slot, sign, start, counts, k) of marginals given as arrays, each
-    with one or two sides. sides is (which, ctx, proj, rank, second),
-    arrays over every side of every marginal, each marginal's first side
-    before its second: entry j is the first or, if second[j], the second
-    side of marginal which[j], on context ctx[j], whose section s lies on
-    row source[proj[j] + s] and is the source[rank[j] + s]-th of its
-    sections there. Marginal i has counts[i] rows, one more than its last
-    section's row. Row k of marginal i lists its first side's slots,
-    ascending, sign +1, then its second side's, sign -1; k[r] is row r's
-    index in its marginal. The entries are scattered straight to their
-    places, a block of sides at a time."""
-    which, ctx, proj, rank, second = sides
+    with one or two sides: entry j is the first or, if second[j], the
+    second side of marginal which[j], each marginal's first side before
+    its second, on context ctx[j], onto its positions keys[key[j]][1]
+    (keys lists each distinct (outcome counts, positions) of a side once).
+    A section lies on the row of its projection onto the positions, and is
+    placed in that row by its projection onto the other positions,
+    ascending, since that orders the sections of one row as their indices
+    do; _sources packs both once per key. Marginal i has counts[i] rows,
+    one more than its last section's row. Row k of marginal i lists its
+    first side's slots, ascending, sign +1, then its second side's, sign
+    -1; k[r] is row r's index in its marginal. The entries are scattered
+    straight to their places, a block of sides at a time."""
+    source, proj, rank = _sources(keys)
+    proj, rank = proj[key], rank[key]
     sizes = np.array(scenario.section_sizes, np.int64)
     offs = np.cumsum(sizes) - sizes
     size = sizes[ctx]
@@ -428,16 +452,16 @@ def _repeated(items, counts):
 def overlaps(scenario):
     """(ci, cj, shared, proj_i, proj_j) for every pair of contexts that share
     a measurement, in `combinations` order: `shared` lists the shared
-    measurements ascending and proj_c is projection(scenario, c, shared).
-    Raises ResourceLimitError, before the pairs are scanned, past
-    MAX_TABLE_CELLS entries, at most (n_contexts - 1) * slots."""
-    out = []
-    for ci, cj, _, _ in zip(*(a.tolist() for a in _pairs(scenario))):
-        shared = tuple(m for m in scenario.cover[ci] if m in scenario.cover[cj])
-        out.append(
-            (ci, cj, shared, projection(scenario, ci, shared), projection(scenario, cj, shared))
-        )
-    return tuple(out)
+    measurements ascending and proj_c is projection(scenario, c, shared),
+    packed once per distinct side. Raises ResourceLimitError, before the
+    pairs are scanned, past MAX_TABLE_CELLS entries, at most
+    (n_contexts - 1) * slots."""
+    ci, cj, shared, key, keys = _pair_sides(scenario)
+    source, proj, rank = _sources(keys)
+    projs = [tuple(source[a:b].tolist()) for a, b in zip(proj.tolist(), rank.tolist())]
+    sides = list(map(projs.__getitem__, key.tolist()))
+    n = len(shared)
+    return tuple(zip(ci.tolist(), cj.tolist(), shared, sides[:n], sides[n:]))
 
 
 def marginal_rows(scenario, marginals):
@@ -447,32 +471,16 @@ def marginal_rows(scenario, marginals):
     first context's slots whose sections project onto k (sign +1), then the
     second's (-1), each ascending. Row r is entries start[r]:start[r + 1]
     of slot (int32) and sign (int8), rows[r] is (contexts, measurements,
-    k), and no row is empty. Read-only.
-
-    A side whose measurements are ascending in its context reads its row
-    of the _subset_table; any other order is packed by _projection. Either
-    way a section's place in its row is its packed index on the other
-    positions, ascending, since that orders the sections of one row as
-    their indices do."""
+    k), and no row is empty. Read-only. Laid out by _lay_out."""
     marginals = [(tuple(ms), tuple(cs)) for ms, cs in marginals]
-    source, at = _context_tables(scenario, [c for _, cs in marginals for c in cs])
-    at = at.tolist()
-    sizes = scenario.section_sizes
-    sides, extra = [], []
-    end = source.size
+    keys, sides = {}, []
     for i, (ms, cs) in enumerate(marginals):
         for t, c in enumerate(cs):
             ctx = scenario.cover[c]
-            positions = [ctx.index(m) for m in ms]
-            mask = sum(1 << p for p in positions)
-            proj = at[c] + mask * sizes[c]
-            if positions != sorted(positions):
-                extra.append(_projection(scenario, c, positions))
-                proj, end = end, end + sizes[c]
-            rank = at[c] + (mask ^ ((1 << len(ctx)) - 1)) * sizes[c]
-            sides.append((i, c, proj, rank, t))
-    sides = np.array(sides, np.int64).reshape(-1, 5).T
-    slot, sign, start, counts, k = _lay_out(scenario, sides, np.concatenate([source, *extra]))
+            side = tuple(scenario.outcomes[m] for m in ctx), tuple(map(ctx.index, ms))
+            sides.append((i, c, t, keys.setdefault(side, len(keys))))
+    which, ctx, second, key = np.array(sides, np.int64).reshape(-1, 4).T
+    slot, sign, start, counts, k = _lay_out(scenario, which, ctx, second, key, list(keys))
     n = counts.tolist()
     contexts = _repeated((cs for _, cs in marginals), n)
     measurements = _repeated((ms for ms, _ in marginals), n)
@@ -482,26 +490,15 @@ def marginal_rows(scenario, marginals):
 @lru_cache(maxsize=64)
 def overlap_rows(scenario):
     """marginal_rows of overlaps(scenario), in order, each pair ci's marginal
-    minus cj's: weights are no-signaling when every row sums to 0. Built in
-    array passes over _pairs, with no per-pair projection: both contexts of
-    a pair list the shared measurements ascending, so each side reads a row
-    of its _subset_table."""
-    ci, cj, mask_i, mask_j = _pairs(scenario)
-    source, at = _context_tables(scenario, ci.tolist() + cj.tolist())
-    sizes = np.array(scenario.section_sizes, np.int64)
-    full = np.left_shift(1, np.array(list(map(len, scenario.cover)), np.int64)) - 1
-    ctx, mask = np.concatenate([ci, cj]), np.concatenate([mask_i, mask_j])
-    proj, rank = at[ctx] + mask * sizes[ctx], at[ctx] + (full[ctx] ^ mask) * sizes[ctx]
-    sides = np.tile(np.arange(ci.size), 2), ctx, proj, rank, np.repeat([0, 1], ci.size)
-    slot, sign, start, counts, k = _lay_out(scenario, sides, source)
-    firsts, masks, n = ci.tolist(), mask_i.tolist(), counts.tolist()
-    bits = {m: [m >> p & 1 for p in range(m.bit_length())] for m in set(masks)}
-    shared = {
-        (c, m): tuple(compress(scenario.cover[c], bits[m])) for c, m in set(zip(firsts, masks))
-    }
-    pairs = _repeated(zip(firsts, cj.tolist()), n)
-    measurements = _repeated(map(shared.__getitem__, zip(firsts, masks)), n)
-    return slot, sign, start, tuple(zip(pairs, measurements, k.tolist()))
+    minus cj's: weights are no-signaling when every row sums to 0. Laid out
+    in array passes over _pair_sides, with no per-pair projection."""
+    ci, cj, shared, key, keys = _pair_sides(scenario)
+    ctx = np.concatenate([ci, cj])
+    which, second = np.tile(np.arange(ci.size), 2), np.repeat([0, 1], ci.size)
+    slot, sign, start, counts, k = _lay_out(scenario, which, ctx, second, key, keys)
+    n = counts.tolist()
+    pairs = _repeated(zip(ci.tolist(), cj.tolist()), n)
+    return slot, sign, start, tuple(zip(pairs, _repeated(shared, n), k.tolist()))
 
 
 @lru_cache(maxsize=64)
@@ -511,13 +508,9 @@ def restriction_table(scenario):
     ResourceLimitError, before allocating, past MAX_TABLE_CELLS entries."""
     rows, cols = scenario.n_contexts, global_size(scenario)
     _require(rows * cols, f"cells in the restriction table of {rows} x {cols}", MAX_TABLE_CELLS)
-    globals_ = np.arange(cols, dtype=np.int32)
-    outcomes = scenario.outcomes
-    tab = np.zeros((rows, cols), dtype=np.int32)
-    for row, ctx in zip(tab, scenario.cover):
-        for m in ctx:
-            row *= outcomes[m]
-            row += globals_ // prod(outcomes[m + 1 :]) % outcomes[m]
+    tab = np.empty((rows, cols), dtype=np.int32)
+    for ci, ctx in enumerate(scenario.cover):
+        tab[ci] = _packed(scenario.outcomes, [ctx], np.int32)[0]
     tab.setflags(write=False)
     return tab
 

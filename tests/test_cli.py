@@ -2,7 +2,6 @@
 
 import json
 import random
-import time
 
 import pytest
 
@@ -489,11 +488,9 @@ def test_a_search_precondition_still_exits_3(run, argv, message):
 def test_search_plans_refuses_too_many_trials_before_the_first_draw(run, monkeypatch):
     draws = []
     monkeypatch.setattr(amcc.csp, "_sample_sorted", lambda *a: draws.append(a))
-    started = time.perf_counter()
     code, out, err = run(
         "search-plans", "--counts", ",".join(["1"] * 16), "--trials", "1000000000", "--seed", "1"
     )
-    assert time.perf_counter() - started < 5
     assert (code, out, draws) == (5, "", [])
     assert err == "resource limit: 1000000000 trials is over the limit 65536\n"
     # the limit itself still runs, and one trial past it is refused

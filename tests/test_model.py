@@ -142,6 +142,22 @@ def test_marginalize_respects_measurement_order():
     assert marg_flip.weight((0, 1)) == ONE
 
 
+def test_wide_contexts_are_packed_only_onto_the_measurements_asked_for():
+    # one context of 14 binary measurements, 2^14 sections
+    sc = bell_scenario(14, 1, 2)
+    m = deterministic_model(sc, 1 << 13)  # measurement 0 gives 1, the rest 0
+    assert marginalize(m, 0, (13, 0)).weights == (ZERO, ONE, ZERO, ZERO)
+    assert marginalize(uniform_model(sc), 0, (3, 0)).weights == (Fraction(1, 4),) * 4
+    assert is_no_signaling(m) == (True, None)
+    # two contexts of 29 one-outcome measurements sharing 28: one section each
+    n = 30
+    sc = MeasurementScenario(
+        tuple(f"m{i}" for i in range(n)), (1,) * n, (tuple(range(n - 1)), tuple(range(1, n)))
+    )
+    assert is_no_signaling(uniform_model(sc)) == (True, None)
+    assert marginalize(uniform_model(sc), 1, range(n - 1, 0, -1)).weights == (ONE,)
+
+
 def test_marginalize_rejects_measurements_outside_the_context():
     m = pr_box(0)
     with pytest.raises(ValueError):
