@@ -16,23 +16,20 @@ optimum into a convex decomposition of the model. Its dual prices the slots:
 The solver is a single-phase tableau simplex started from the slack basis,
 which is feasible because v >= 0, with Bland's anti-cycling rule; these
 polytopes are massively degenerate (strongly contextual models sit on many
-zero slots), so an anti-cycling rule is not optional. The tableau holds
-integers, v scaled by the lcm of its denominators; each pivot divides
-exactly by the previous one (Edmonds' integer-preserving pivoting) and
-the ratio test cross-multiplies, so the pivots are a Fraction tableau's.
-A tableau under ARRAY_CELLS cells is built straight as a list of Python
-int lists, copies of cached immutable [incidence | identity] rows with the
-scaled v appended, and updated entry by entry. One of ARRAY_CELLS cells
-or more is one numpy array, updated a block of rows at a time: int64
-while a running bound on its entries shows that no pivot's products can
-pass _INT64_LIMIT, Python ints from the first pivot where the true
-largest entry no longer shows it (or from the start, when the scaled v
-passes it). Both kernels share one ratio test, so they take the same
-pivots, and both touch only the changed rows and columns when a pivot
-equals the previous one. The array kernel's pivot step, _pivot_array, is
-also the step of affine's Gauss-Jordan elimination. The optimal prices
-are read off the final objective row; only the nonzero x and prices
-become new Fractions.
+zero slots), so an anti-cycling rule is not optional. The tableau is one
+numpy array of integers, v scaled by the lcm of its denominators; each
+pivot divides exactly by the previous one (Edmonds' integer-preserving
+pivoting) and the ratio test cross-multiplies on Python ints, so the
+pivots are a Fraction tableau's. The array is int64 while a running bound
+on its entries shows that no pivot's products can pass _INT64_LIMIT, and
+Python ints from the first pivot where the true largest entry no longer
+shows it (or from the start, when the scaled v passes it). A pivot equal
+to the previous one, as nearly every pivot of a 0/1 program is, updates
+only the block of rows and columns it changes. The pivot step,
+_pivot_array, is also the step of affine's Gauss-Jordan elimination. The
+loop counts the cells its pivots update and stops past MAX_SIMPLEX_WORK.
+The optimal prices are read off the final objective row; only the
+nonzero x and prices become new Fractions.
 
 The price check runs on integers: the prices over the lcm of their
 denominators, the weights as the model holds them, its `rows` of
@@ -68,6 +65,7 @@ from .model import _model_from_ints, is_no_signaling
 from .possibilistic import compatible_globals, support_of
 from .rational import ONE, ZERO, fractions_over, over_lcm, rat, rat_str
 from .scenario import (
+    MAX_SIMPLEX_WORK,
     MAX_TABLEAU_CELLS,
     _require,
     global_size,
@@ -86,13 +84,13 @@ __all__ = [
 ]
 
 
-# tableaux of at least this many cells pivot as one numpy array; below it
-# numpy's per-call cost outweighs its whole-row updates, and Python lists win
-ARRAY_CELLS = 1 << 15
-
-# the array kernel forms p * x - f * v in int64 while a running bound keeps
-# it below this; past it the array holds Python ints
+# an int64 pivot forms p * x - f * v only while a running bound on the
+# entries keeps it below this; past it the tableau holds Python ints
 _INT64_LIMIT = 1 << 62
+
+# the simplex's work budget weighs a cell update on Python ints as this
+# many on int64: a Python-int pivot took about 10x an int64 one at (5,2,2)
+_OBJECT_CELL_WORK = 10
 
 
 def simplex_solve(incidence, rhs):
@@ -104,19 +102,18 @@ def simplex_solve(incidence, rhs):
     (value, x, prices, pivots), where prices are the optimal dual values
     of the rows; an empty program returns (0, (), (), 0). Raises
     ResourceLimitError, before building the tableau, past
-    MAX_TABLEAU_CELLS entries.
+    MAX_TABLEAU_CELLS entries, and during the solve once its pivots have
+    updated more than MAX_SIMPLEX_WORK cells (_run_array).
 
-    Under ARRAY_CELLS cells the tableau is built straight as a list of
-    Python int lists, each a copy of the cached immutable row of incidence
-    and slack (_slack_rows) with the scaled rhs appended, and pivoted entry
-    by entry (_run). From there on it is one numpy array (_run_array),
-    int64 when the scaled rhs is below _INT64_LIMIT and while its entries
-    provably fit, Python ints after. Both take the same Bland pivots, so
-    they return the same values and pivot counts. Only the nonzero x and
-    prices become new Fractions, one per distinct value."""
+    The tableau [incidence | identity | scaled rhs] over the objective row
+    is one numpy array, int64 when the scaled rhs is below _INT64_LIMIT,
+    Python ints otherwise; _run_array pivots it with Bland's rule, and
+    moves it to Python ints once its entries no longer provably fit. Only
+    the nonzero x and prices become new Fractions, one per distinct
+    value."""
     m, n = incidence.shape
     width = n + m
-    cells = _require(
+    _require(
         (m + 1) * (width + 1),
         f"cells in the simplex tableau of {m + 1} x {width + 1}",
         MAX_TABLEAU_CELLS,
@@ -125,22 +122,15 @@ def simplex_solve(incidence, rhs):
     if min(rhs, default=0) < 0:
         i, b = next((i, b) for i, b in enumerate(rhs) if b < 0)
         raise PreconditionError(f"right-hand side {rat_str(rat(b, scale))} of row {i} is negative")
+    dtype = np.int64 if max(rhs, default=0) < _INT64_LIMIT else object
+    tableau = np.zeros((m + 1, width + 1), dtype)
+    tableau[:m, :n] = incidence
+    tableau[:m, n:width] = np.eye(m, dtype=np.uint8)
+    tableau[:m, -1] = rhs
+    tableau[m, :n] = -1
     basis = list(range(n, width))
-    if cells < ARRAY_CELLS:
-        rows = _slack_rows((m, n), np.ascontiguousarray(incidence, np.uint8).tobytes())
-        tableau = [[*row, b] for row, b in zip(rows, rhs)]
-        tableau.append([-1] * n + [0] * (m + 1))
-        det, pivots = _run(tableau, basis)
-        values, obj = [row[-1] for row in tableau[:m]], tableau[m]
-    else:
-        dtype = np.int64 if max(rhs, default=0) < _INT64_LIMIT else object
-        tableau = np.zeros((m + 1, width + 1), dtype)
-        tableau[:m, :n] = incidence
-        tableau[:m, n:width] = np.eye(m, dtype=np.uint8)
-        tableau[:m, -1] = rhs
-        tableau[m, :n] = -1
-        tableau, det, pivots = _run_array(tableau, basis, width)
-        values, obj = tableau[:m, -1].tolist(), tableau[m].tolist()
+    tableau, det, pivots = _run_array(tableau, basis)
+    values, obj = tableau[:m, -1].tolist(), tableau[m].tolist()
     x = [0] * n
     for bv, b in zip(basis, values):
         if bv < n:
@@ -149,115 +139,65 @@ def simplex_solve(incidence, rhs):
     return value, fractions_over(x, det * scale), fractions_over(obj[n:width], det), pivots
 
 
-@lru_cache(maxsize=16)
-def _slack_rows(shape, data):
-    """The rows [incidence | identity] of a list tableau, without the rhs,
-    as a tuple of int tuples, for the 0/1 incidence of this shape whose
-    uint8 bytes are data. Cached, and immutable: each solve copies the
-    rows it pivots."""
-    incidence = np.frombuffer(data, np.uint8).reshape(shape)
-    return tuple(map(tuple, np.hstack((incidence, np.eye(shape[0], dtype=np.uint8))).tolist()))
-
-
 def _leaving_row(rows, heads, rhs, basis):
-    """Bland's ratio test over the candidate rows, whose entering-column
-    entries heads are positive: the row of least rhs / head, ties to the
-    least basic variable, or None without candidates. The ratios are
-    cross-multiplied on Python ints, so they are compared exactly."""
+    """Bland's ratio test over the rows whose entering-column entries heads
+    are positive: the row of least rhs / head, ties to the least basic
+    variable, or None without such a row; rows with a head of 0 or less
+    are passed over. The ratios are cross-multiplied on Python ints, so
+    they are compared exactly."""
     leave = None
     for i, a, b in zip(rows, heads, rhs):
-        # b / a against best_b / best_a, cross-multiplied as a > 0
-        d = -1 if leave is None else b * best_a - best_b * a
-        if d < 0 or (d == 0 and basis[i] < basis[leave]):
-            leave, best_b, best_a = i, b, a
+        if a > 0:
+            # b / a against best_b / best_a, cross-multiplied as a > 0
+            d = -1 if leave is None else b * best_a - best_b * a
+            if d < 0 or (d == 0 and basis[i] < basis[leave]):
+                leave, best_b, best_a = i, b, a
     return leave
 
 
-def _run(tableau, basis):
+def _run_array(tableau, basis):
     """Pivot to optimality with Bland's rule on an integer tableau whose
-    last row is the objective. Stored entries are the true ones times det,
-    the previous pivot (Edmonds; Bareiss, Math. Comp. 22, 1968); det > 0
-    keeps every sign. The entering column is read once per pivot, for the
-    ratio test and the update. Returns (det, pivot count)."""
-    obj = tableau[-1]
-    m = len(tableau) - 1
-    det = 1
-    pivots = 0
-    while True:
-        # the last entry, the objective value times det, is never negative
-        for enter, c in enumerate(obj):
-            if c < 0:
-                break
-        else:
-            return det, pivots
-        col = [row[enter] for row in tableau]
-        rows = [i for i in compress(range(m), col) if col[i] > 0]
-        leave = _leaving_row(rows, [col[i] for i in rows], [tableau[i][-1] for i in rows], basis)
-        if leave is None:
-            raise VerificationError("fraction LP is unbounded", details={"column": enter})
-        det = _pivot(tableau, leave, col, det)
-        basis[leave] = enter
-        pivots += 1
+    last row is the objective, one _pivot_array per pivot. Stored entries
+    are the true ones times det, the previous pivot (Edmonds; Bareiss,
+    Math. Comp. 22, 1968); det > 0 keeps every sign. The ratio test reads
+    the entering column's nonzero rows, whose count also goes into the
+    work. Returns (tableau, det, pivot count): the tableau may have become
+    an array of Python ints.
 
-
-def _pivot(tableau, leave, col, det):
-    """row <- (p * row - f * prow) // det for every row but prow =
-    tableau[leave], where col is the entering column, p = col[leave] and
-    f = col[row]; returns p, the next det, and leaves col[leave] zeroed.
-    When p == det only the rows with f != 0 and prow's nonzero columns
-    change (both found by C-level compress), and when det is 1 as well
-    there is nothing to divide, nor, where f is 1 or -1, to multiply."""
-    prow = tableau[leave]
-    p = col[leave]
-    col[leave] = 0
-    if p != det:
-        for row, f in zip(tableau, col):
-            if row is not prow:
-                row[:] = [(p * x - f * v) // det for x, v in zip(row, prow)]
-        return p
-    nonzero = [(j, prow[j]) for j in compress(range(len(prow)), prow)]
-    rows = zip(compress(tableau, col), compress(col, col))
-    if det == 1:
-        for row, f in rows:
-            # f is 1 or -1 on nearly every row of a 0/1 program: no product
-            if f == 1:
-                for j, v in nonzero:
-                    row[j] -= v
-            elif f == -1:
-                for j, v in nonzero:
-                    row[j] += v
-            else:
-                for j, v in nonzero:
-                    row[j] -= f * v
-    else:
-        # det divides f * v because it divides p * row[j] - f * v
-        for row, f in rows:
-            for j, v in nonzero:
-                row[j] -= f * v // det
-    return p
-
-
-def _run_array(tableau, basis, width):
-    """_run on a numpy tableau, one _pivot_array per pivot. Returns
-    (tableau, det, pivot count): the tableau may have become an array of
-    Python ints."""
+    The work is the cells the pivots update: the block of the rows with a
+    nonzero entering entry (the pivot row aside) and the pivot row's
+    nonzero columns, or the whole tableau on a pivot unequal to the one
+    before, a cell on Python ints weighing _OBJECT_CELL_WORK. Past
+    MAX_SIMPLEX_WORK it raises ResourceLimitError, which names the work
+    and the pivots done."""
     m = len(basis)
     det = 1
-    pivots = 0
+    pivots = work = 0
     bound = int(np.abs(tableau).max())
     while True:
-        negative = (tableau[m, :width] < 0).nonzero()[0]
-        if not negative.size:
+        obj = tableau[m]
+        # the last entry, the objective value times det, is never negative,
+        # so this is the least column of negative reduced cost, if any
+        enter = int((obj < 0).argmax())
+        if obj[enter] >= 0:
             return tableau, det, pivots
-        enter = int(negative[0])
-        col = tableau[:m, enter]
-        rows = (col > 0).nonzero()[0]
-        leave = _leaving_row(rows.tolist(), col[rows].tolist(), tableau[rows, -1].tolist(), basis)
+        col = tableau[:, enter]
+        rows = col.nonzero()[0]
+        heads, rhs = col.take(rows).tolist(), tableau[:, -1].take(rows).tolist()
+        leave = _leaving_row(rows.tolist(), heads, rhs, basis)
         if leave is None:
             raise VerificationError("fraction LP is unbounded", details={"column": enter})
-        tableau, det, bound = _pivot_array(tableau, leave, enter, det, bound)
+        # the objective row is among rows, as its entry is negative
+        cells = (len(rows) - 1) * len(tableau[leave].nonzero()[0])
+        tableau, p, bound = _pivot_array(tableau, leave, enter, det, bound)
+        if p != det:
+            cells = tableau.size
+        work += cells * (_OBJECT_CELL_WORK if tableau.dtype == object else 1)
+        det = p
         basis[leave] = enter
         pivots += 1
+        if work > MAX_SIMPLEX_WORK:
+            _require(work, f"cells updated by {pivots} simplex pivots", MAX_SIMPLEX_WORK)
 
 
 def _pivot_array(tableau, leave, enter, det, bound):
@@ -270,26 +210,36 @@ def _pivot_array(tableau, leave, enter, det, bound):
     (tableau, p, bound).
 
     bound is at least every entry's magnitude, so no intermediate
-    p * x - f * v of an int64 pivot exceeds p * bound + max|f| * max|prow|;
-    when that passes _INT64_LIMIT the true largest entry is read, and only
-    if it still passes does the array become Python ints: the returned
-    tableau is then a new array. Only the rows with f != 0 and prow's
-    nonzero columns take f * v, through one flat index; when p == det no
-    other entry changes, and otherwise every entry is scaled by p / det."""
+    p * x - f * v of an int64 pivot exceeds p * bound + span, where span =
+    max|f| * max|prow| is at most bound * bound. While p * bound +
+    bound * bound is below _INT64_LIMIT the products f * v are formed
+    straight away and span is read off them; otherwise span is read off f
+    and prow first, and when p * bound + span passes the limit the true
+    largest entry is read, and only if it still passes does the array
+    become Python ints: the returned tableau is then a new array. Either
+    way the bound grows to (p * bound + span) // det. Only the rows with
+    f != 0 and prow's nonzero columns take f * v, through one flat index;
+    when p == det no other entry changes, and otherwise every entry is
+    scaled by p / det."""
     f = tableau[:, enter].copy()
     prow = tableau[leave]
     f[leave] = 0
     p = int(prow[enter])
-    if tableau.dtype != object:
+    rows, cols = f.nonzero()[0], prow.nonzero()[0]
+    span = None
+    if tableau.dtype != object and p * bound + bound * bound >= _INT64_LIMIT:
         span = int(np.abs(f).max()) * int(np.abs(prow).max())
         if p * bound + span >= _INT64_LIMIT:
             bound = int(np.abs(tableau).max())
             if p * bound + span >= _INT64_LIMIT:
                 tableau, f = tableau.astype(object), f.astype(object)
                 prow = tableau[leave]
+    update = np.multiply.outer(f.take(rows), prow.take(cols))
+    if tableau.dtype != object:
+        if span is None:
+            # the largest |f * v| is max|f| * max|prow|, and 0 without rows
+            span = int(np.abs(update).max(initial=0))
         bound = max(bound, (p * bound + span) // det)
-    rows, cols = f.nonzero()[0], prow.nonzero()[0]
-    update = f[rows, None] * prow[cols]
     if p == det:
         if det != 1:
             # det divides f * v because it divides p * x - f * v

@@ -50,6 +50,7 @@ __all__ = [
     "MAX_SCAN_VECTORS",
     "MAX_TABLE_CELLS",
     "MAX_TABLEAU_CELLS",
+    "MAX_SIMPLEX_WORK",
     "MAX_TRIALS",
     "unpack",
     "section_size",
@@ -166,6 +167,11 @@ MAX_TABLE_CELLS = 1 << 26
 # the limit), and a pivot adds at most two temporaries of its size; Python
 # ints, once its entries outgrow int64, take several times that
 MAX_TABLEAU_CELLS = 1 << 23
+
+# cells one exact simplex solve may update, summed over its pivots, a cell
+# on Python ints counting as ten (lp._run_array). Bland's rule terminates,
+# but can take exponentially many pivots
+MAX_SIMPLEX_WORK = 1 << 34
 
 # trials of one augmentation search (csp.search_plans), which holds every
 # hit: at (4,2,2), with one or two additions per context and every trial a

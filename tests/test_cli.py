@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 
@@ -28,12 +29,12 @@ from amcc.verify import random_no_signaling_model
 
 @pytest.fixture
 def run(capsys):
-    def _run(*argv):
+    def _main(*argv):
         code = main(list(argv))
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
-    return _run
+    return _main
 
 
 def _write_json(path, doc):
@@ -499,6 +500,26 @@ def test_search_plans_refuses_too_many_trials_before_the_first_draw(run, monkeyp
     none = ",".join(["0"] * 16)
     assert run("search-plans", "--counts", none, "--trials", "3", "--seed", "1")[0] == 0
     assert run("search-plans", "--counts", none, "--trials", "4", "--seed", "1")[0] == 5
+
+
+@pytest.mark.parametrize("cmd", ["cf", "classify"])
+def test_a_simplex_past_its_work_budget_exits_5(run, tmp_path, monkeypatch, cmd):
+    # noisy AMCC at 1/2 takes 2294 pivots over a 257 x 513 tableau; a
+    # lowered budget stops it part way and the message names the work done
+    sc = bell_scenario(4, 2, 2)
+    noisy = mix_models([(rat(1, 2), parity_amcc_422()), (rat(1, 2), uniform_model(sc))])
+    path = _write_json(tmp_path / "noisy.json", model_to_json(noisy))
+    assert amcc.scenario.MAX_SIMPLEX_WORK == 1 << 34
+    monkeypatch.setattr(amcc.lp, "MAX_SIMPLEX_WORK", 10**6)
+    code, out, err = run(cmd, path)
+    assert (code, out) == (5, "")
+    found = re.fullmatch(
+        r"resource limit: (\d+) cells updated by (\d+) simplex pivots is over the limit 1000000\n",
+        err,
+    )
+    assert found, err
+    work, pivots = map(int, found.groups())
+    assert 10**6 < work <= 10**6 + 257 * 513 and 0 < pivots < 2294
 
 
 def test_the_parser_is_built_once_and_keeps_no_state_between_calls(run):

@@ -159,9 +159,9 @@ def test_no_module_imports_a_name_it_does_not_use():
 
 def test_one_array_pivot_divides_by_the_previous_pivot():
     # Edmonds/Bareiss exact division by the previous pivot, det, is written
-    # in lp's list pivot and its one array pivot, which the simplex and the
-    # affine Gauss-Jordan share; verify.covering_ncf, the covering oracle,
-    # keeps its own so that it stays independent of the main solver
+    # in lp's one array pivot, which the simplex and the affine Gauss-Jordan
+    # share; verify.covering_ncf, the covering oracle, keeps its own so that
+    # it stays independent of the main solver
     dividers = set()
     defined = set()
     for path in sorted(Path(amcc.__file__).parent.glob("*.py")):
@@ -180,5 +180,5 @@ def test_one_array_pivot_divides_by_the_previous_pivot():
                     isinstance(divisor, ast.Name) and divisor.id == "det"
                 ):
                     dividers.add((path.stem, func.name))
-    assert dividers == {("lp", "_pivot"), ("lp", "_pivot_array"), ("verify", "covering_ncf")}
+    assert dividers == {("lp", "_pivot_array"), ("verify", "covering_ncf")}
     assert ("affine", "back_substitute") not in defined

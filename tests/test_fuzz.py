@@ -146,7 +146,7 @@ def test_decoders_return_or_raise_a_reported_error(case):
         pass
 
 
-def _run(path, argv):
+def _main_on(path, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         return main([argv[0], str(path), *argv[1:]])
@@ -167,7 +167,7 @@ def test_every_seed_document_runs(tmp_path):
     for argv, seed in COMMANDS:
         path = tmp_path / "seed.json"
         path.write_text(json.dumps(seed))
-        assert _run(path, argv) == 0, argv
+        assert _main_on(path, argv) == 0, argv
 
 
 @FUZZ
@@ -176,7 +176,7 @@ def test_main_answers_every_document_with_an_exit_code(tmp_path_factory, case):
     argv, doc = case
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
     path.write_text(json.dumps(doc))
-    assert _run(path, argv) in (0, 2, 3, 4, 5)
+    assert _main_on(path, argv) in (0, 2, 3, 4, 5)
 
 
 @settings(deadline=None, derandomize=True, database=None)
@@ -186,7 +186,7 @@ def test_inflated_scenarios_exit_2_or_5(tmp_path_factory, command, data):
     argv, seed = command
     path = tmp_path_factory.getbasetemp() / "inflated.json"
     path.write_text(json.dumps(data.draw(inflated(seed))))
-    assert _run(path, argv) in (2, 5)
+    assert _main_on(path, argv) in (2, 5)
 
 
 BYTE_COMMANDS = [
@@ -233,7 +233,7 @@ def test_main_answers_every_byte_level_file_with_an_exit_code(tmp_path_factory, 
     argv, raw = case
     path = tmp_path_factory.getbasetemp() / "bytes.json"
     path.write_bytes(raw)
-    assert _run(path, argv) in (0, 2, 3, 4, 5)
+    assert _main_on(path, argv) in (0, 2, 3, 4, 5)
 
 
 # each trips a limit of bell_scenario before anything is built: the slots

@@ -47,11 +47,9 @@ def test_simplex_box_maximum():
     assert pivots == 2
 
 
-@pytest.mark.parametrize("array_cells", [amcc.lp.ARRAY_CELLS, 0], ids=["lists", "array"])
-def test_simplex_of_an_empty_program(monkeypatch, array_cells):
+def test_simplex_of_an_empty_program():
     # no rows and no columns: nothing to maximize; rows without columns
     # keep one zero price per row
-    monkeypatch.setattr(amcc.lp, "ARRAY_CELLS", array_cells)
     assert simplex_solve(np.zeros((0, 0), np.uint8), []) == (0, (), (), 0)
     assert simplex_solve(np.zeros((2, 0), np.uint8), [1, rat(1, 2)]) == (0, (), (0, 0), 0)
 
@@ -71,8 +69,8 @@ def test_simplex_exactness_on_awkward_rationals():
     value, x, _, _ = simplex_solve(np.ones((1, 1), dtype=np.uint8), (rat(1, 3),))
     assert value == rat(1, 3)
     assert x == (rat(1, 3),)
-    # over their lcm these numerators pass 2**63, so the small tableau, which
-    # pivots as Python int lists, must be built on Python ints as well
+    # over their lcm these numerators pass 2**63, so the tableau must be
+    # built on Python ints, not int64
     rhs = (rat(1, 3**40), rat(2, 5**30))
     assert min(over_lcm(rhs)[1]) >= 2**63
     value, x, _, _ = simplex_solve(np.eye(2, dtype=np.uint8), rhs)
@@ -90,6 +88,18 @@ def test_tableau_guard_admits_five_parties_and_refuses_six():
     shape = (slot_count(six), global_size(six))
     with pytest.raises(ResourceLimitError, match="simplex tableau of 4097 x 8193"):
         simplex_solve(np.broadcast_to(np.uint8(1), shape), [1] * shape[0])
+
+
+@pytest.mark.parametrize(
+    "incidence, column",
+    [([[0, 1], [0, 1]], 0), ([[1, 0], [1, 0]], 1), ([[1, 1, 0], [0, 1, 0]], 2)],
+)
+def test_an_all_zero_column_is_unbounded(incidence, column):
+    # no row limits the column, so the ratio test finds no leaving row when
+    # it enters, after any pivots on the columns before it
+    with pytest.raises(VerificationError, match="fraction LP is unbounded") as err:
+        simplex_solve(np.array(incidence, np.uint8), [1, 1])
+    assert err.value.details == {"column": column}
 
 
 def test_simplex_rejects_a_negative_rhs():
@@ -173,29 +183,20 @@ NON_UNIT_PIVOT = (
 )
 
 
-@given(st.one_of(_zero_one_programs(), _model_programs()))
-@example(NON_UNIT_PIVOT)
-@settings(max_examples=80, deadline=None)
-def test_integer_kernel_matches_the_fraction_tableau(program):
-    incidence, rhs = program
-    assert simplex_solve(incidence, rhs) == _fraction_simplex(incidence, rhs)
-
-
 def _array_solve(incidence, rhs, limit=amcc.lp._INT64_LIMIT):
-    """simplex_solve on the array kernel whatever the tableau's size, with
-    int64 entries bounded by limit; returns (result, dtypes), the tableau's
-    dtype when the kernel starts and when it returns."""
+    """simplex_solve with int64 entries bounded by limit; returns (result,
+    dtypes), the tableau's dtype when the kernel starts and when it
+    returns."""
     dtypes = []
     run = amcc.lp._run_array
 
-    def spy(tableau, basis, width):
+    def spy(tableau, basis):
         dtypes.append(tableau.dtype)
-        out = run(tableau, basis, width)
+        out = run(tableau, basis)
         dtypes.append(out[0].dtype)
         return out
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(amcc.lp, "ARRAY_CELLS", 0)
         mp.setattr(amcc.lp, "_INT64_LIMIT", limit)
         mp.setattr(amcc.lp, "_run_array", spy)
         return simplex_solve(incidence, rhs), dtypes
@@ -204,7 +205,7 @@ def _array_solve(incidence, rhs, limit=amcc.lp._INT64_LIMIT):
 @given(st.one_of(_zero_one_programs(), _model_programs()))
 @example(NON_UNIT_PIVOT)
 @settings(max_examples=80, deadline=None)
-def test_array_kernel_matches_the_fraction_tableau(program):
+def test_integer_kernel_matches_the_fraction_tableau(program):
     incidence, rhs = program
     result, dtypes = _array_solve(incidence, rhs)
     assert dtypes == [np.int64, np.int64]
@@ -225,11 +226,11 @@ REREAD = (
 @example(NON_UNIT_PIVOT, 12)
 @example(REREAD, 20)
 @settings(max_examples=40, deadline=None)
-def test_array_kernel_under_any_int64_limit_matches_the_list_kernel(program, bits):
+def test_array_kernel_under_any_int64_limit_matches_the_fraction_tableau(program, bits):
     # a low limit sends the array to Python ints at the start, part way
     # through, or never, after a re-read of its true largest entry
     incidence, rhs = program
-    assert _array_solve(incidence, rhs, 1 << bits)[0] == simplex_solve(incidence, rhs)
+    assert _array_solve(incidence, rhs, 1 << bits)[0] == _fraction_simplex(incidence, rhs)
 
 
 def test_a_true_maximum_under_the_limit_keeps_the_array_on_int64():
@@ -253,6 +254,62 @@ def test_an_array_past_a_lowered_limit_moves_to_python_ints_mid_solve():
     result, dtypes = _array_solve(incidence, rhs, 1 << 12)
     assert dtypes == [np.int64, object]
     assert result == simplex_solve(incidence, rhs) == _fraction_simplex(incidence, rhs)
+
+
+def _counted_work(incidence, rhs):
+    """simplex_solve's result and its work, counted pivot by pivot outside
+    the kernel: the rows with a nonzero entering entry, the pivot row
+    aside, times the pivot row's nonzero columns, or the whole tableau on
+    a pivot unequal to the one before; ten a cell on Python ints."""
+    work = []
+    pivot = amcc.lp._pivot_array
+
+    def spy(tableau, leave, enter, det, bound):
+        cells = (np.count_nonzero(tableau[:, enter]) - 1) * np.count_nonzero(tableau[leave])
+        out = pivot(tableau, leave, enter, det, bound)
+        if out[1] != det:
+            cells = out[0].size
+        work.append(cells * (10 if out[0].dtype == object else 1))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(amcc.lp, "_pivot_array", spy)
+        return simplex_solve(incidence, rhs), sum(work)
+
+
+def test_the_work_budget_counts_the_cells_each_pivot_updates(monkeypatch):
+    # max x + y with x <= 2, y <= 3: each pivot updates the objective row
+    # on the pivot row's three nonzero columns
+    box = np.eye(2, dtype=np.uint8)
+    assert _counted_work(box, (2, 3)) == (simplex_solve(box, (2, 3)), 6)
+    monkeypatch.setattr(amcc.lp, "MAX_SIMPLEX_WORK", 6)
+    assert simplex_solve(box, (2, 3))[0] == 5
+    monkeypatch.setattr(amcc.lp, "MAX_SIMPLEX_WORK", 5)
+    with pytest.raises(ResourceLimitError) as err:
+        simplex_solve(box, (2, 3))
+    assert str(err.value) == "6 cells updated by 2 simplex pivots is over the limit 5"
+    # on Python ints a cell counts ten
+    big = (rat(1, 3**40), rat(2, 5**30))
+    monkeypatch.setattr(amcc.lp, "MAX_SIMPLEX_WORK", 59)
+    with pytest.raises(ResourceLimitError, match="^60 cells updated by 2 simplex pivots "):
+        simplex_solve(box, big)
+
+
+@given(st.one_of(_zero_one_programs(), _model_programs()))
+@example(NON_UNIT_PIVOT)
+@settings(max_examples=40, deadline=None)
+def test_the_work_budget_stops_a_solve_one_cell_past_its_work(program):
+    # the kernel's own count agrees with the count outside it, a non-unit
+    # pivot included: a budget of exactly that work solves, one less stops
+    incidence, rhs = program
+    result, work = _counted_work(incidence, rhs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(amcc.lp, "MAX_SIMPLEX_WORK", work)
+        assert simplex_solve(incidence, rhs) == result
+        if work:
+            mp.setattr(amcc.lp, "MAX_SIMPLEX_WORK", work - 1)
+            with pytest.raises(ResourceLimitError, match=f"^{work} cells updated by {result[3]} "):
+                simplex_solve(incidence, rhs)
 
 
 # sha256 over rat_str of ncf, every distribution entry and every price, and

@@ -288,7 +288,7 @@ def test_covering_oracle_runs_without_the_main_solver(monkeypatch):
 
     # every binding of the solver's functions, in amcc.lp and in any module
     # that imported them by name
-    for name in ("simplex_solve", "_run", "_pivot", "stacked_weights"):
+    for name in ("simplex_solve", "_run_array", "_pivot_array", "_leaving_row", "stacked_weights"):
         original = getattr(amcc.lp, name)
         for modname, module in list(sys.modules.items()):
             if modname.split(".")[0] == "amcc" and getattr(module, name, None) is original:
@@ -382,18 +382,11 @@ def test_interleaved_solves_repeat_exactly():
     first = [contextual_fraction(model) for model in models]
     second = [contextual_fraction(model) for model in reversed(models)][::-1]
     assert first == second
-    # the cached list-tableau rows and global slots are still what a fresh
-    # build gives, and cannot be written
-    for info in (amcc.lp._slack_rows.cache_info(), amcc.lp._global_slots.cache_info()):
-        assert info.currsize > 0
+    # the cached global slots are still what a fresh build gives, and
+    # cannot be written
+    assert amcc.lp._global_slots.cache_info().currsize > 0
     for model in models:
         sc = model.scenario
-        incidence = incidence_matrix(sc)
-        m, n = incidence.shape
-        if (m + 1) * (m + n + 1) < amcc.lp.ARRAY_CELLS:
-            rows = amcc.lp._slack_rows(incidence.shape, incidence.tobytes())
-            fresh = np.hstack((incidence, np.eye(m, dtype=np.uint8))).tolist()
-            assert [list(row) for row in rows] == fresh and type(rows[0]) is tuple
         slots = amcc.lp._global_slots(sc)
         assert not slots.flags.writeable
         offsets = np.array(slot_offsets(sc))
