@@ -28,7 +28,9 @@ passes, a block of pairs at a time, with no per-pair projection.
 
 Every size limit of the package lives here, and `_require` is the one check
 that enforces them: each guard calls it with a count computed by arithmetic
-alone, before the loop or allocation the count describes.
+alone, before the loop or allocation the count describes. The one budget
+checked inside its loop is MAX_SIMPLEX_WORK, the cells a simplex solve
+updates, which no count known in advance bounds.
 """
 
 from dataclasses import dataclass, field
