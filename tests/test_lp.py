@@ -47,11 +47,12 @@ def test_simplex_box_maximum():
     assert pivots == 2
 
 
-def test_simplex_of_an_empty_program():
+@pytest.mark.parametrize("seq", [list, lambda b: np.array(b, dtype=object)], ids=["lists", "array"])
+def test_simplex_of_an_empty_program(seq):
     # no rows and no columns: nothing to maximize; rows without columns
-    # keep one zero price per row
-    assert simplex_solve(np.zeros((0, 0), np.uint8), []) == (0, (), (), 0)
-    assert simplex_solve(np.zeros((2, 0), np.uint8), [1, rat(1, 2)]) == (0, (), (0, 0), 0)
+    # keep one zero price per row, whether rhs is a list or an array
+    assert simplex_solve(np.zeros((0, 0), np.uint8), seq([])) == (0, (), (), 0)
+    assert simplex_solve(np.zeros((2, 0), np.uint8), seq([1, rat(1, 2)])) == (0, (), (0, 0), 0)
 
 
 def test_simplex_fractional_vertex():
@@ -206,6 +207,15 @@ def _array_solve(incidence, rhs, limit=amcc.lp._INT64_LIMIT):
 @example(NON_UNIT_PIVOT)
 @settings(max_examples=80, deadline=None)
 def test_integer_kernel_matches_the_fraction_tableau(program):
+    incidence, rhs = program
+    assert simplex_solve(incidence, rhs) == _fraction_simplex(incidence, rhs)
+
+
+@given(st.one_of(_zero_one_programs(), _model_programs()))
+@example(NON_UNIT_PIVOT)
+@settings(max_examples=80, deadline=None)
+def test_array_kernel_matches_the_fraction_tableau(program):
+    # these small programs stay on int64 from start to end
     incidence, rhs = program
     result, dtypes = _array_solve(incidence, rhs)
     assert dtypes == [np.int64, np.int64]
