@@ -11,8 +11,9 @@ one-parameter families the parameter is renamed q, the weight of the first
 slot whose weight varies (coefficient +1 there), by rewriting the two rows,
 and the exact nonnegativity interval of q is reported. The checks, the
 membership solve, instantiation and JSON output all read the integer rows:
-Fractions are only read in, by family_from_json, and handed out, as the
-values a caller asks for.
+family_from_json decodes its base and directions straight to them, as one
+table through rational.over_lcm_rows, and Fractions are only handed out,
+as the values a caller asks for.
 
 Each support is solved by fraction-free Gauss-Jordan on one int64 array,
 pivoted by the simplex's own step, lp._pivot_array (Edmonds; Bareiss):
@@ -47,7 +48,7 @@ import numpy as np
 from .errors import PreconditionError, VerificationError
 from .model import _model_from_ints, render_table_csv, uniform_marginals
 from .lp import _INT64_LIMIT, _pivot_array, certified_fraction
-from .rational import ZERO, fractions_over, over_lcm, rat, rat_str
+from .rational import ZERO, fractions_over, over_lcm_rows, rat, rat_str
 from .scenario import (
     MAX_TABLE_CELLS,
     _require,
@@ -276,7 +277,7 @@ def _gauss_jordan(table, scale=1, disjoint=0):
         v = int(nonzero[k])
         if coeffs[k] < 0:
             table[i] *= -1
-        table, det, bound = _pivot_array(table, i, v, det, bound)
+        table, det, bound, _ = _pivot_array(table, i, v, det, bound)
         pivots[v] = i
     return table, det, pivots, bad
 
@@ -586,22 +587,25 @@ def family_to_json(family):
 
 
 def family_from_json(doc):
+    """Decode a family document: its support as support_from_json does,
+    then its base and directions as one table through over_lcm_rows. The
+    first bad literal in row order is refused first, then the vectors'
+    lengths and the parameter count, then the family's values, which
+    _check_family checks against every no-signaling equation."""
     for key in ("scenario", "support", "parameters", "base", "directions"):
         if key not in doc:
             raise ValueError(f"family JSON missing key {key!r}")
     sc = scenario_from_json(doc["scenario"])
     support = support_from_json({"scenario": doc["scenario"], "tables": doc["support"]})
     n = slot_count(sc)
-    base = [rat(x) for x in doc["base"]]
+    den, (base, *dirs) = over_lcm_rows([doc["base"]] + list(doc["directions"]))
     if len(base) != n:
         raise ValueError("base length does not match the scenario")
-    dirs = [[rat(x) for x in d] for d in doc["directions"]]
     if any(len(d) != n for d in dirs):
         raise ValueError("direction length does not match the scenario")
     if len(doc["parameters"]) != len(dirs):
         raise ValueError("one parameter name per direction required")
-    den, nums = over_lcm([*base, *chain.from_iterable(dirs)])
-    rows = tuple(tuple(nums[k:k + n]) for k in range(0, len(nums), n))
+    rows = (tuple(base), *map(tuple, dirs))
     family = AffineFamily(sc, support, den, rows, tuple(doc["parameters"]))
     _check_family(family, _possible_slots(support))
     return family

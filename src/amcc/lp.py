@@ -160,16 +160,15 @@ def _run_array(tableau, basis):
     last row is the objective, one _pivot_array per pivot. Stored entries
     are the true ones times det, the previous pivot (Edmonds; Bareiss,
     Math. Comp. 22, 1968); det > 0 keeps every sign. The ratio test reads
-    the entering column's nonzero rows, whose count also goes into the
-    work. Returns (tableau, det, pivot count): the tableau may have become
-    an array of Python ints.
+    the entering column's nonzero rows. Returns (tableau, det, pivot
+    count): the tableau may have become an array of Python ints.
 
-    The work is the cells the pivots update: the block of the rows with a
-    nonzero entering entry (the pivot row aside) and the pivot row's
-    nonzero columns, or the whole tableau on a pivot unequal to the one
-    before, a cell on Python ints weighing _OBJECT_CELL_WORK. Past
-    MAX_SIMPLEX_WORK it raises ResourceLimitError, which names the work
-    and the pivots done."""
+    The work is the cells the pivots update, as _pivot_array counts them:
+    the block of the rows with a nonzero entering entry (the pivot row
+    aside) and the pivot row's nonzero columns, or the whole tableau on a
+    pivot unequal to the one before, a cell on Python ints weighing
+    _OBJECT_CELL_WORK. Past MAX_SIMPLEX_WORK it raises ResourceLimitError,
+    which names the work and the pivots done."""
     m = len(basis)
     det = 1
     pivots = work = 0
@@ -187,11 +186,7 @@ def _run_array(tableau, basis):
         leave = _leaving_row(rows.tolist(), heads, rhs, basis)
         if leave is None:
             raise VerificationError("fraction LP is unbounded", details={"column": enter})
-        # the objective row is among rows, as its entry is negative
-        cells = (len(rows) - 1) * len(tableau[leave].nonzero()[0])
-        tableau, p, bound = _pivot_array(tableau, leave, enter, det, bound)
-        if p != det:
-            cells = tableau.size
+        tableau, p, bound, cells = _pivot_array(tableau, leave, enter, det, bound)
         work += cells * (_OBJECT_CELL_WORK if tableau.dtype == object else 1)
         det = p
         basis[leave] = enter
@@ -207,7 +202,8 @@ def _pivot_array(tableau, leave, enter, det, bound):
     and det the previous pivot (Edmonds, J. Res. NBS 71B, 1967; Bareiss,
     Math. Comp. 22, 1968). Stored entries are then the true ones times p,
     every division is exact, and det > 0 keeps every sign. Returns
-    (tableau, p, bound).
+    (tableau, p, bound, cells), cells the number of entries the pivot
+    updated: the block below, or the whole tableau when p != det.
 
     bound is at least every entry's magnitude, so no intermediate
     p * x - f * v of an int64 pivot exceeds p * bound + span, where span =
@@ -253,7 +249,8 @@ def _pivot_array(tableau, leave, enter, det, bound):
         # where f * v is 0, det divides p * x
         tableau //= det
         tableau[leave] = prow
-    return tableau, p, bound
+        return tableau, p, bound, tableau.size
+    return tableau, p, bound, update.size
 
 
 def stacked_weights(model):

@@ -3,9 +3,10 @@
 Includes marginalization, the no-signaling and maximal-marginals checks, a
 small corpus of named reference models, and JSON/CSV serialization. Weights
 are exact: integer numerators over one denominator; "a/b" strings in files,
-which model_from_json decodes straight to those integers, each distinct
-literal parsed once. Both checks are one numpy pass over a per-scenario
-row table: scenario.overlap_rows, and _party_rows for the marginals.
+which model_from_json, like the constructor, decodes straight to those
+integers with rational.over_lcm_rows. Both checks are one numpy pass
+over a per-scenario row table: scenario.overlap_rows, and _party_rows for
+the marginals.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from math import gcd, lcm, prod
 import numpy as np
 
 from .errors import PreconditionError
-from .rational import fractions_over, over_lcm, rat, rat_str
+from .rational import fractions_over, over_lcm_rows, rat, rat_str
 from .scenario import (
     MeasurementScenario,
     _membership,
@@ -63,8 +64,8 @@ class EmpiricalModel:
     """Weight rows[c][s] / den on section s of context c, den the lcm of
     the weights' denominators: canonical, so the fields compare, hash and
     print as the weights do. Built from tables, one row of rationals per
-    context in canonical section order, each parsed once; a bad row is
-    refused as a row-by-row check would (_refuse_rows)."""
+    context in canonical section order, decoded by over_lcm_rows; a bad
+    row is refused as a row-by-row check would (_refuse_rows)."""
 
     scenario: MeasurementScenario
     den: int
@@ -72,15 +73,12 @@ class EmpiricalModel:
 
     def __init__(self, scenario, tables):
         try:
-            rows = [[x if type(x) is Fraction else rat(x) for x in row] for row in tables]
-            sizes_ok = list(map(len, rows)) == list(scenario.section_sizes)
+            # over_lcm_rows reads a row more than once; tables and its
+            # rows may be iterators
+            den, rows = over_lcm_rows([list(row) for row in tables])
         except (TypeError, ValueError):
-            sizes_ok = False
-        if not sizes_ok:
             _refuse_rows(scenario, tables)
-        den, nums = over_lcm(chain.from_iterable(rows))
-        nums = iter(nums)
-        _set_rows(self, scenario, den, [list(islice(nums, k)) for k in scenario.section_sizes])
+        _set_rows(self, scenario, den, rows)
 
     @property
     def tables(self):
@@ -99,7 +97,7 @@ def _refuse_rows(scenario, tables):
     for ctx, want, row in zip(scenario.cover, scenario.section_sizes, tables):
         if len(row) != want:
             raise ValueError(f"context {ctx} needs {want} weights, got {len(row)}")
-        den, nums = over_lcm([x if type(x) is Fraction else rat(x) for x in row])
+        den, (nums,) = over_lcm_rows([row])
         if min(nums) < 0:
             raise ValueError(f"negative weight in context {ctx}")
         if sum(nums) != den:
@@ -439,35 +437,14 @@ def model_to_json(model):
 
 
 def model_from_json(doc):
-    """Decode a model document. Each cell is keyed by its value, or by its
-    type and value unless every cell is a string, so that 1.0 is not taken
-    for 1, and each distinct key is parsed once by rat, in the order the
-    cells first hold it, row by row: floats are refused and the first bad
-    cell is the one reported. The cells become numerators over the lcm of
-    the distinct denominators, checked as EmpiricalModel checks its
-    weights, with no Fraction per cell. A row that is not iterable, or an
-    unhashable cell, sends every cell through rat in row order, which
-    raises the first refusal."""
+    """Decode a model document: its tables go through over_lcm_rows, which
+    refuses the first bad literal in row order, and the numerators over
+    their lcm are checked as EmpiricalModel checks its weights (the row
+    count, then row by row), with no Fraction per cell."""
     if not isinstance(doc, dict) or "scenario" not in doc or "tables" not in doc:
         raise ValueError("model JSON needs scenario and tables keys")
     sc = scenario_from_json(doc["scenario"])
-    keys = tables = doc["tables"]
-    try:
-        distinct = literals = list(dict.fromkeys(chain.from_iterable(tables)))
-        if not all(type(x) is str for x in literals):
-            # 1, 1.0 and True are equal keys, a string equals no other type
-            keys = [[(type(x), x) for x in row] for row in tables]
-            distinct = list(dict.fromkeys(chain.from_iterable(keys)))
-            literals = [x for _, x in distinct]
-    except TypeError:
-        for row in tables:
-            for x in row:
-                rat(x)
-        raise
-    ratios = [rat(x).as_integer_ratio() for x in literals]
-    den = lcm(*(d for _, d in ratios))
-    num = dict(zip(distinct, [n * (den // d) for n, d in ratios])).__getitem__
-    return _model_from_ints(sc, den, [list(map(num, row)) for row in keys])
+    return _model_from_ints(sc, *over_lcm_rows(doc["tables"]))
 
 
 def _context_label(scenario, ci):

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import VerificationError
 from .kernels import compatible_mask
 from .model import _model_from_ints
-from .rational import rat_parser
+from .rational import over_lcm_rows
 from .scenario import (
     MAX_GLOBALS,
     _require,
@@ -183,24 +183,23 @@ def support_to_json(support):
 
 
 def support_from_json(doc):
-    """Decode a support document: every cell is a 0 or 1 literal, read as
-    model_from_json reads weights, so floats are refused."""
+    """Decode a support document: every cell is a 0 or 1 literal, decoded
+    by over_lcm_rows as model_from_json decodes weights, so floats are
+    refused. In model_from_json's order, the first bad literal in row order
+    is refused first, then the row count, then each row in turn: its width,
+    then its first cell whose numerator is neither 0 nor den."""
     if not isinstance(doc, dict) or "scenario" not in doc or "tables" not in doc:
         raise ValueError("support JSON needs scenario and tables keys")
     sc = scenario_from_json(doc["scenario"])
-    if len(doc["tables"]) != sc.n_contexts:
+    den, rows = over_lcm_rows(doc["tables"])
+    if len(rows) != sc.n_contexts:
         raise ValueError("need one table row per context")
-    parse = rat_parser()
     masks = []
-    for ci, row in enumerate(doc["tables"]):
+    for ci, (cells, row) in enumerate(zip(doc["tables"], rows)):
         if len(row) != section_size(sc, ci):
             raise ValueError(f"wrong table width in context {ci}")
-        mask = 0
-        for si, cell in enumerate(row):
-            v = parse(cell)
-            if v == 1:
-                mask |= 1 << si
-            elif v != 0:
-                raise ValueError(f"support entries must be 0 or 1, got {cell!r}")
-        masks.append(mask)
+        if not set(row) <= {0, den}:
+            cell = next(c for c, x in zip(cells, row) if x not in (0, den))
+            raise ValueError(f"support entries must be 0 or 1, got {cell!r}")
+        masks.append(sum(1 << si for si, x in enumerate(row) if x))
     return SupportModel(sc, tuple(masks))

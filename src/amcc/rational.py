@@ -5,20 +5,24 @@ floats only ever appear in display strings. Values are built with rat(),
 which refuses floats, and serialized as "a/b" strings. over_lcm() turns a
 vector of them into integer numerators over one denominator, the form the
 exact checks and eliminations compute on; fractions_over() turns such
-numerators back into Fractions.
+numerators back into Fractions. over_lcm_rows() is the one decoder of a
+table of cells (ints, Fractions or "a/b" strings) into that form: every
+table a document or a caller hands in, of weights, support bits or family
+vectors, goes through it.
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 __all__ = [
     "BACKEND",
     "rat",
-    "rat_parser",
     "rat_str",
     "rat_from_str",
     "as_float",
     "over_lcm",
+    "over_lcm_rows",
     "fractions_over",
 ]
 
@@ -46,26 +50,6 @@ def _json_int(value):
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r} where an integer is expected")
     return int(value)
-
-
-def rat_parser():
-    """A rat() for decoding one document: each distinct literal is parsed
-    once, keyed by (type, value) so that 1.0 is not taken for 1 and is
-    refused like any float. An unhashable literal goes to rat, which
-    reports it."""
-    parsed = {}
-
-    def parse(x):
-        key = (type(x), x)
-        try:
-            return parsed[key]
-        except KeyError:
-            value = parsed[key] = rat(x)
-            return value
-        except TypeError:
-            return rat(x)
-
-    return parse
 
 
 def rat_from_str(text):
@@ -101,6 +85,34 @@ def over_lcm(values):
     pairs = [x.as_integer_ratio() for x in values]
     den = lcm(*{d for _, d in pairs})
     return den, [n * (den // d) for n, d in pairs]
+
+
+def over_lcm_rows(rows):
+    """over_lcm of a table, a sequence of sequences: (den, int_rows) with
+    int_rows[i][j] / den == rat(rows[i][j]) and den the lcm of the
+    denominators. Each distinct cell is parsed once by rat, in the order
+    the cells first hold it, row by row, so floats are refused and the
+    first bad cell in row order is the one reported. Cells are keyed by
+    value when every cell is a string, otherwise by (type, value), so that
+    1.0 is not taken for 1. A row that is not iterable, or an unhashable
+    cell, sends every cell through rat in row order, which raises the
+    first refusal."""
+    keys = rows
+    try:
+        distinct = literals = list(dict.fromkeys(chain.from_iterable(rows)))
+        if not all(type(x) is str for x in literals):
+            # 1, 1.0 and True are equal keys, a string equals no other type
+            keys = [[(type(x), x) for x in row] for row in rows]
+            distinct = list(dict.fromkeys(chain.from_iterable(keys)))
+            literals = [x for _, x in distinct]
+    except TypeError:
+        for row in rows:
+            for x in row:
+                rat(x)
+        raise
+    den, nums = over_lcm([rat(x) for x in literals])
+    num = dict(zip(distinct, nums)).__getitem__
+    return den, [list(map(num, row)) for row in keys]
 
 
 def fractions_over(nums, den):

@@ -463,7 +463,7 @@ def run_checks(names=None):
     if names is not None:
         unknown = sorted(set(names) - set(check_names()))
         if unknown:
-            raise PreconditionError(f"unknown checks: {', '.join(unknown)}")
+            raise PreconditionError(f"unknown checks: {', '.join(map(repr, unknown))}")
     results = []
     for name, budget, fn in CHECKS:
         if names is not None and name not in names:

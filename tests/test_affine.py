@@ -1037,6 +1037,36 @@ def test_family_json_validation(q_family):
         family_from_json(doc2)
 
 
+def test_family_json_refuses_a_direction_or_a_parameter_list_of_the_wrong_length(q_family):
+    doc = family_to_json(q_family)
+    doc["directions"][0] = doc["directions"][0][:-1]
+    with pytest.raises(ValueError, match="^direction length does not match the scenario$"):
+        family_from_json(doc)
+    doc = family_to_json(q_family)
+    doc["parameters"] = ["q", "r"]
+    with pytest.raises(ValueError, match="^one parameter name per direction required$"):
+        family_from_json(doc)
+
+
+def test_family_json_refuses_a_bad_literal_then_the_shape_then_a_value(q_family):
+    # model_from_json's refusal order: the first bad literal in row order
+    # (the base, then each direction), then the vectors' lengths and the
+    # parameter count, then the family's values
+    doc = family_to_json(q_family)
+    doc["base"] = doc["base"][:-1]
+    doc["directions"][-1][0] = 0.5
+    with pytest.raises(TypeError, match="refusing float input"):
+        family_from_json(doc)
+    doc = family_to_json(q_family)
+    doc["base"][0] = rat_str(rat(doc["base"][0]) + rat(1, 8))
+    doc["parameters"] = []
+    with pytest.raises(ValueError, match="^one parameter name per direction required$"):
+        family_from_json(doc)
+    doc["parameters"] = ["q"]
+    with pytest.raises(VerificationError):
+        family_from_json(doc)
+
+
 def test_family_check_refuses_a_corrupted_family(q_family):
     # context 0 leads the slot order, so its section indices are slots
     sections = range(section_size(q_family.scenario, 0))

@@ -713,7 +713,12 @@ def test_verify_paper_subset(run):
 def test_verify_paper_rejects_unknown_checks(run):
     code, _, err = run("verify-paper", "--only", "warp-drive")
     assert code == 3
-    assert "unknown checks" in err
+    assert "unknown checks: 'warp-drive'" in err
+    # an empty name, as a stray comma leaves, is named too
+    for only in (",", "pr-box-cf,"):
+        code, _, err = run("verify-paper", "--only", only)
+        assert code == 3
+        assert err.strip().endswith("unknown checks: ''")
 
 
 def test_verify_paper_twice_in_one_process_gives_the_same_rows(run):

@@ -107,21 +107,22 @@ def _callers(module, names):
 
 def test_affine_families_convert_to_fractions_only_at_the_edges():
     # an AffineFamily holds integer rows over one denominator: only
-    # family_from_json puts Fractions over it, and only the base and
+    # family_from_json decodes cells to it, and only the base and
     # directions properties turn its rows back into Fractions
-    assert _callers("affine", ["over_lcm", "fractions_over"]) == {
-        "over_lcm": {"family_from_json"},
+    assert _callers("affine", ["over_lcm_rows", "fractions_over"]) == {
+        "over_lcm_rows": {"family_from_json"},
         "fractions_over": {"AffineFamily.base", "AffineFamily.directions"},
     }
 
 
 def test_models_convert_to_fractions_only_at_the_edges():
     # an EmpiricalModel holds integer rows over one denominator, its
-    # fields: only its constructor and the refusal put Fractions over
-    # one, only the readers that hand Fractions out turn rows back, and
-    # no module reads the integer view it used to keep beside its tables
-    assert _callers("model", ["over_lcm", "fractions_over"]) == {
-        "over_lcm": {"EmpiricalModel.__init__", "_refuse_rows"},
+    # fields: only its constructor, the refusal and model_from_json decode
+    # cells to them, only the readers that hand Fractions out turn rows
+    # back, and no module reads the integer view it used to keep beside
+    # its tables
+    assert _callers("model", ["over_lcm_rows", "fractions_over"]) == {
+        "over_lcm_rows": {"EmpiricalModel.__init__", "_refuse_rows", "model_from_json"},
         "fractions_over": {"EmpiricalModel.tables", "marginalize"},
     }
     readers = [
@@ -131,6 +132,19 @@ def test_models_convert_to_fractions_only_at_the_edges():
         if isinstance(node, ast.Attribute) and node.attr == "_int_view"
     ]
     assert readers == []
+
+
+def test_every_table_reader_decodes_through_the_one_decoder():
+    # the four readers of a table of cells call over_lcm_rows, and none
+    # parses a cell with rat itself
+    readers = {
+        "model": {"EmpiricalModel.__init__", "model_from_json"},
+        "possibilistic": {"support_from_json"},
+        "affine": {"family_from_json"},
+    }
+    for module, scopes in readers.items():
+        callers = _callers(module, ["over_lcm_rows", "rat"])
+        assert scopes <= callers["over_lcm_rows"] and not scopes & callers["rat"], module
 
 
 def test_no_module_imports_a_name_it_does_not_use():

@@ -34,7 +34,7 @@ from amcc.model import (
     uniform_model,
 )
 from amcc.parity import build_symmetric_model, parity_system_from_vector
-from amcc.rational import ONE, ZERO, over_lcm, rat, rat_parser, rat_str
+from amcc.rational import ONE, ZERO, over_lcm, rat, rat_str
 from amcc.scenario import (
     MeasurementScenario,
     bell_scenario,
@@ -75,6 +75,9 @@ def test_rows_must_be_distributions():
     model = EmpiricalModel(sc3, (("1/2", 0, rat(1, 4), rat(1, 4)),))
     assert model.tables == ((rat(1, 2), ZERO, rat(1, 4), rat(1, 4)),)
     assert all(type(x) is Fraction for x in model.tables[0])
+    # the tables and their rows may be iterators, read once
+    rows = model.tables
+    assert EmpiricalModel(sc3, (iter(r) for r in rows)) == model
 
 
 def test_model_refuses_floats():
@@ -823,14 +826,13 @@ def test_bad_rows_are_refused_as_the_row_by_row_check_refuses_them(shape, seed, 
 
 
 def _per_cell_model_from_json(doc):
-    # the decode before integer rows: every cell parsed to a Fraction (each
-    # distinct literal once), then the Fraction constructor; kept as the
-    # oracle of the integer decode
+    # the decode before integer rows: every cell parsed to a Fraction by
+    # rat, in row order, then the Fraction constructor; kept as the oracle
+    # of the integer decode
     if not isinstance(doc, dict) or "scenario" not in doc or "tables" not in doc:
         raise ValueError("model JSON needs scenario and tables keys")
     sc = scenario_from_json(doc["scenario"])
-    parse = rat_parser()
-    return EmpiricalModel(sc, tuple(tuple(map(parse, row)) for row in doc["tables"]))
+    return EmpiricalModel(sc, tuple(tuple(map(rat, row)) for row in doc["tables"]))
 
 
 def _decoded(doc):

@@ -397,6 +397,34 @@ def test_support_json_validation():
         support_from_json(short)
 
 
+def test_support_json_refuses_a_row_of_the_wrong_width():
+    doc = support_to_json(support_of(pr_box(0)))
+    doc["tables"][1] = doc["tables"][1][:-1]
+    with pytest.raises(ValueError, match="^wrong table width in context 1$"):
+        support_from_json(doc)
+
+
+def test_support_json_refuses_a_bad_literal_first_then_row_by_row():
+    # model_from_json's refusal order: the first bad literal in row order
+    # wherever it sits, then the row count, then each row's width and values
+    doc = support_to_json(support_of(pr_box(0)))
+    doc["tables"][0] = doc["tables"][0][:-1]
+    doc["tables"][-1][0] = 1.0
+    with pytest.raises(TypeError, match="refusing float input"):
+        support_from_json(doc)
+    doc = support_to_json(support_of(pr_box(0)))
+    doc["tables"][1][0] = "2"
+    doc["tables"][-1] = doc["tables"][-1][:-1]
+    with pytest.raises(ValueError, match="^support entries must be 0 or 1, got '2'$"):
+        support_from_json(doc)
+    doc["tables"][0] = doc["tables"][0][:-1]
+    with pytest.raises(ValueError, match="^wrong table width in context 0$"):
+        support_from_json(doc)
+    doc["tables"] = doc["tables"][:-1]
+    with pytest.raises(ValueError, match="^need one table row per context$"):
+        support_from_json(doc)
+
+
 def test_support_json_reads_ints_and_strings_and_refuses_floats():
     sup = support_of(pr_box(0))
     doc = support_to_json(sup)
