@@ -48,7 +48,7 @@ import numpy as np
 from .errors import PreconditionError, VerificationError
 from .model import _model_from_ints, render_table_csv, uniform_marginals
 from .lp import _INT64_LIMIT, _pivot_array, certified_fraction
-from .rational import ZERO, fractions_over, over_lcm_rows, rat, rat_str
+from .rational import ZERO, _listed, fractions_over, over_lcm_rows, rat, rat_str
 from .scenario import (
     MAX_TABLE_CELLS,
     _require,
@@ -588,17 +588,18 @@ def family_to_json(family):
 
 def family_from_json(doc):
     """Decode a family document: its support as support_from_json does,
-    then its base and directions as one table through over_lcm_rows. The
-    first bad literal in row order is refused first, then the vectors'
-    lengths and the parameter count, then the family's values, which
-    _check_family checks against every no-signaling equation."""
+    then its base and directions as one table through over_lcm_rows.
+    Directions that are a string or an object are refused first, then the
+    first bad literal or row in row order, then the vectors' lengths and
+    the parameter count, then the family's values, which _check_family
+    checks against every no-signaling equation."""
     for key in ("scenario", "support", "parameters", "base", "directions"):
         if key not in doc:
             raise ValueError(f"family JSON missing key {key!r}")
     sc = scenario_from_json(doc["scenario"])
     support = support_from_json({"scenario": doc["scenario"], "tables": doc["support"]})
     n = slot_count(sc)
-    den, (base, *dirs) = over_lcm_rows([doc["base"]] + list(doc["directions"]))
+    den, (base, *dirs) = over_lcm_rows([doc["base"], *_listed(doc["directions"])])
     if len(base) != n:
         raise ValueError("base length does not match the scenario")
     if any(len(d) != n for d in dirs):

@@ -31,15 +31,17 @@ from .rational import _json_int, rat, rat_str
 from .scenario import (
     MAX_GLOBALS,
     MAX_TRIALS,
+    _global_slots,
     _require,
     global_size,
     restriction_table,
     scenario_from_json,
     scenario_to_json,
     section_size,
+    slot_offsets,
 )
 
-# restriction-table cells one compatibility block may gather, one byte each:
+# slot-table cells one compatibility block may gather, one byte each:
 # 16 trials at (4,2,2), whose 16 contexts have 256 global assignments. The
 # 64 KiB gather stays below glibc's default 128 KiB mmap threshold; blocks of 64
 # trials ran no faster and raised the search's peak RSS by about 0.5 MiB.
@@ -164,10 +166,7 @@ def _reference_data():
 def reference_plan():
     """The bundled augmentation plan behind the frozen reference tables."""
     data = _reference_data()
-    sc = scenario_from_json(data["scenario"])
-    base = ParitySystem(sc, tuple(data["base_parities"]))
-    additions = tuple(tuple(extra) for extra in data["additions"])
-    return AugmentationPlan(base=base, additions=additions)
+    return plan_from_json(dict(data, parities=data["base_parities"]))
 
 
 def _sample_sorted(getrandbits, population, k):
@@ -235,9 +234,9 @@ def search_plans(base, counts, trials, seed, threads=1):
 
     Strong contextuality is decided a block of trials at a time: the
     block's supports are set straight from the parity classes and the drawn
-    sections into one bool array, and one compatible_mask call scans them
-    all. A block gathers at most BLOCK_CELLS restriction-table cells. A
-    trial is a hit when no global assignment is compatible with its
+    sections into one bool array of trials x slots, and one compatible_mask
+    call scans them all. A block gathers at most BLOCK_CELLS slot-table
+    cells. A trial is a hit when no global assignment is compatible with its
     support. Every miss's first compatible global is re-checked against
     the block array in one gather; if one is wrong, _check_witness on the
     first such trial's masks raises VerificationError. MAX_GLOBALS is
@@ -265,13 +264,13 @@ def search_plans(base, counts, trials, seed, threads=1):
         raise PreconditionError("trials must be nonnegative")
     _require(trials, "trials", MAX_TRIALS)
     block = max(1, BLOCK_CELLS // (n_contexts * n_globals))
-    table = restriction_table(sc)
+    slots = _global_slots(sc)
     parity_cells = _pack_masks(sc, (_parity_masks(base),))
-    # flat offset of each (trial, context) row of a block array, and of the
-    # row of every drawn section in the order the block's additions chain
-    rows = np.arange(block * n_contexts).reshape(block, n_contexts) * parity_cells.shape[-1]
+    # flat offset of each trial's row of a block array, and of the row plus
+    # the offset of every drawn section's context, in the block's chain order
+    rows = np.arange(block)[:, None] * parity_cells.shape[1]
     per_trial = sum(counts)
-    drawn_rows = rows.repeat(counts, axis=1).ravel()
+    drawn_rows = (rows + np.repeat(slot_offsets(sc), counts)).ravel()
     draws = tuple((ci, opposite[ci], count) for ci, count in enumerate(counts) if count)
 
     rng = random.Random()
@@ -291,14 +290,14 @@ def search_plans(base, counts, trials, seed, threads=1):
         cells = support.reshape(-1)
         sections = np.fromiter(chain.from_iterable(chain.from_iterable(drawn)), np.intp, n * per_trial)
         cells[drawn_rows[: n * per_trial] + sections] = True
-        found = compatible_mask(support, table)
+        found = compatible_mask(support, slots)
         misses = found.any(axis=1)
         witnesses = found.argmax(axis=1)
-        allowed = cells[rows[:n] + table[:, witnesses].T].all(axis=1)
+        allowed = cells[rows[:n] + slots[:, witnesses].T].all(axis=1)
         wrong = np.flatnonzero(misses & ~allowed)
         if wrong.size:
             t = wrong[0]
-            _check_witness(table, _augmented_masks(base, drawn[t]), int(witnesses[t]))
+            _check_witness(restriction_table(sc), _augmented_masks(base, drawn[t]), int(witnesses[t]))
         hits.extend(
             _plan_from_draws(base, additions)
             for additions, miss in zip(drawn, misses.tolist())

@@ -5,8 +5,8 @@ realized by some global assignment, and marking which global assignments are
 compatible with a per-context support. Both are pure bit/index work; the
 exact-rational code (LP, affine solving) never comes through here.
 
-The compatibility scan takes leading batch axes, so a block of supports over
-one scenario is decided in one gather.
+The compatibility scan reads supports in slot order through the slot table
+and takes leading batch axes, so a block of them is decided in one gather.
 """
 
 import numpy as np
@@ -31,17 +31,15 @@ def compatible_mask(support, table):
     """Boolean mask over global assignments: True where every context's
     restriction lands inside the support.
 
-    support: bool (..., n_contexts, width), padded with False; any leading
-             axes are a batch of supports.
-    table:   int (n_contexts, n_globals) restriction table.
+    support: bool (..., n_slots), one cell per slot in slot order; any
+             leading axes are a batch of supports.
+    table:   int (n_contexts, n_globals) slot table, scenario._global_slots:
+             the slot global g occupies in context c.
     Returns bool (..., n_globals).
 
-    Each support is flattened to n_contexts * width cells, so (context,
-    section) is the one index context * width + section. The batch is put on
-    the last axis, so the gather copies one contiguous row of the batch per
-    index and the reduction over contexts is elementwise."""
+    The batch is put on the last axis, so the gather copies one contiguous
+    batch row per slot and the reduction over contexts is elementwise."""
     support = np.asarray(support, dtype=np.bool_)
-    *batch, n_contexts, width = support.shape
-    index = np.arange(n_contexts)[:, None] * width + table
-    cells = support.reshape(-1, n_contexts * width).T
-    return cells.take(index, axis=0).all(axis=0).T.reshape(*batch, table.shape[1])
+    *batch, n_slots = support.shape
+    cells = support.reshape(-1, n_slots).T
+    return cells.take(table, axis=0).all(axis=0).T.reshape(*batch, table.shape[1])

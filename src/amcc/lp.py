@@ -33,9 +33,9 @@ nonzero x and prices become new Fractions.
 
 The price check runs on integers: the prices over the lcm of their
 denominators, the weights as the model holds them, its `rows` of
-numerators over one `den`. Global g's slots are slot_offsets +
-restriction_table[:, g], one per context, so what every global collects
-is one numpy sum over the restriction table, in int64 whenever the
+numerators over one `den`. Global g's slots, one per context, are column
+g of scenario's slot table `_global_slots`, so what every global collects
+is one numpy sum over the slot table, in int64 whenever the
 totals are bounded below 2**63 and on Python ints otherwise.
 
 `contextual_fraction` and `certified_fraction` run one route: the LP over
@@ -54,7 +54,6 @@ weight 0.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, compress, islice
 from operator import mul
 
@@ -67,12 +66,11 @@ from .rational import ONE, ZERO, fractions_over, over_lcm, rat, rat_str
 from .scenario import (
     MAX_SIMPLEX_WORK,
     MAX_TABLEAU_CELLS,
+    _global_slots,
     _require,
     global_size,
     incidence_matrix,
-    restriction_table,
     slot_count,
-    slot_offsets,
 )
 
 __all__ = [
@@ -364,15 +362,6 @@ def _certified_lp(model, kept):
     return ncf, weights, prices, pivots, loads
 
 
-@lru_cache(maxsize=64)
-def _global_slots(scenario):
-    """Read-only int32 array (n_contexts, n_globals) of the slot global g
-    occupies in context c: slot_offsets[c] + restriction_table[c, g]."""
-    slots = np.array(slot_offsets(scenario), np.int32)[:, None] + restriction_table(scenario)
-    slots.setflags(write=False)
-    return slots
-
-
 def _check_prices(model, prices, ncf):
     """Dual certificate, checked exactly: ncf lies in [0, 1], prices are
     nonnegative, every global assignment collects at least 1 over its
@@ -380,8 +369,8 @@ def _check_prices(model, prices, ncf):
     mixture of global assignments is heavier than ncf.
 
     The prices are integer numerators over the lcm den of their
-    denominators. Global g's slots are slot_offsets + restriction_table[:, g],
-    one per context, so one numpy sum over the table gives what every global
+    denominators. Global g's slots are column g of the slot table, one per
+    context, so one numpy sum over the table gives what every global
     collects. No total exceeds n_contexts times the largest numerator; while
     that bound and den are below 2**63 the sum runs in int64, otherwise on
     Python ints. The priced weights are one integer dot product with the
@@ -416,12 +405,11 @@ def _check_weights(model, kept, weights, ncf):
     the model, so the fraction is at least ncf; the prices bound it above.
 
     The weights are integer numerators over the lcm den of their
-    denominators. Global g puts its weight on slot slot_offsets[c] +
-    restriction_table[c, g] of every context c, so the loads are summed
-    over the weighted globals' columns alone, and each loaded slot is
-    compared with the model's numerators, every row over its one
-    denominator, in slot order. Returns (den, loads), every slot's load
-    over den."""
+    denominators. Global g puts its weight on slot _global_slots[c, g] of
+    every context c, so the loads are summed over the weighted globals'
+    columns alone, and each loaded slot is compared with the model's
+    numerators, every row over its one denominator, in slot order. Returns
+    (den, loads), every slot's load over den."""
     den, scaled = over_lcm(weights)
     if min(scaled, default=0) < 0:
         neg = next(i for i, w in enumerate(scaled) if w < 0)

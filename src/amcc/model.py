@@ -18,7 +18,7 @@ from math import gcd, lcm, prod
 import numpy as np
 
 from .errors import PreconditionError
-from .rational import fractions_over, over_lcm_rows, rat, rat_str
+from .rational import _listed, fractions_over, over_lcm_rows, rat, rat_str
 from .scenario import (
     MeasurementScenario,
     _membership,
@@ -74,8 +74,8 @@ class EmpiricalModel:
     def __init__(self, scenario, tables):
         try:
             # over_lcm_rows reads a row more than once; tables and its
-            # rows may be iterators
-            den, rows = over_lcm_rows([list(row) for row in tables])
+            # rows may be iterators, but not strings or dicts
+            den, rows = over_lcm_rows([list(_listed(row)) for row in _listed(tables)])
         except (TypeError, ValueError):
             _refuse_rows(scenario, tables)
         _set_rows(self, scenario, den, rows)
@@ -91,11 +91,11 @@ class EmpiricalModel:
 def _refuse_rows(scenario, tables):
     """Raise EmpiricalModel's refusal of the first bad row of tables,
     checked row by row: its length, its weights as rationals, no negative
-    weight, a sum of 1."""
-    if len(tables) != scenario.n_contexts:
+    weight, a sum of 1; a string or a dict as over_lcm_rows does."""
+    if len(_listed(tables)) != scenario.n_contexts:
         raise ValueError("need one distribution per context")
     for ctx, want, row in zip(scenario.cover, scenario.section_sizes, tables):
-        if len(row) != want:
+        if len(_listed(row)) != want:
             raise ValueError(f"context {ctx} needs {want} weights, got {len(row)}")
         den, (nums,) = over_lcm_rows([row])
         if min(nums) < 0:

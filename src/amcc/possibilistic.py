@@ -1,10 +1,11 @@
 """Possibilistic (support-level) structure of empirical models.
 
 A support model remembers only which sections are possible in each context,
-as a bitmask over section indices. Strong contextuality is the statement that
-no global assignment restricts into every context's support; the numpy
-compatibility scan over the restriction table decides it, and
-`strong_contextuality` re-checks the scan's witness context by context.
+as a bitmask over section indices, which the scans read as one bool per
+slot (`_pack_masks`). Strong contextuality is the statement that no global
+assignment restricts into every context's support; the compatibility scan
+over the slot table decides it, and `strong_contextuality` re-checks its
+witness on the masks and the restriction table, apart from the packing.
 The scan enumerates every global assignment, so `compatible_globals` first
 holds their number to MAX_GLOBALS through `scenario._require`, the one check
 of every size limit.
@@ -26,6 +27,7 @@ from .model import _model_from_ints
 from .rational import over_lcm_rows
 from .scenario import (
     MAX_GLOBALS,
+    _global_slots,
     _require,
     global_size,
     overlap_rows,
@@ -33,6 +35,8 @@ from .scenario import (
     scenario_from_json,
     scenario_to_json,
     section_size,
+    slot_count,
+    slot_offsets,
     unpack,
 )
 
@@ -99,21 +103,21 @@ def uniform_on_support(support):
 
 
 def _pack_masks(scenario, rows):
-    """bool (len(rows), n_contexts, widest context): bit si of each row's
-    mask for each context. A row is one mask per context; the masks go
-    through little-endian bytes, so any section count works."""
-    width = max(scenario.section_sizes)
-    nbytes = (width + 7) // 8
-    raw = b"".join(mask.to_bytes(nbytes, "little") for masks in rows for mask in masks)
-    octets = np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), scenario.n_contexts, nbytes)
-    return np.unpackbits(octets, axis=-1, count=width, bitorder="little").astype(np.bool_)
+    """bool (len(rows), n_slots): each row of in-range masks, one per
+    context, in slot order, read as one integer over the slots, context c's
+    mask shifted by slot_offsets[c], and unpacked from its bytes once."""
+    offsets, n = slot_offsets(scenario), slot_count(scenario)
+    nbytes = (n + 7) // 8
+    packed = (sum(mask << at for mask, at in zip(masks, offsets)) for masks in rows)
+    raw = b"".join(x.to_bytes(nbytes, "little") for x in packed)
+    octets = np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), nbytes)
+    return np.unpackbits(octets, axis=-1, count=n, bitorder="little").view(np.bool_)
 
 
 def _possible_slots(support):
     """bool per slot, in slot order: whether its (context, section) is
-    possible. _pack_masks's cells, row-major without the padding."""
-    grid = _pack_masks(support.scenario, (support.masks,))[0]
-    return grid[np.arange(grid.shape[1]) < np.array(support.scenario.section_sizes)[:, None]]
+    possible."""
+    return _pack_masks(support.scenario, (support.masks,))[0]
 
 
 def _check_witness(table, masks, gi):
@@ -134,7 +138,7 @@ def compatible_globals(support):
     list of packed indices."""
     sc = support.scenario
     _require(global_size(sc), "global assignments", MAX_GLOBALS)
-    mask = compatible_mask(_pack_masks(sc, (support.masks,))[0], restriction_table(sc))
+    mask = compatible_mask(_possible_slots(support), _global_slots(sc))
     return [int(g) for g in np.nonzero(mask)[0]]
 
 
@@ -174,11 +178,10 @@ def possibilistic_no_signaling(support):
 def support_to_json(support):
     """Same table shape as an empirical model, with "1"/"0" entries."""
     sc = support.scenario
-    tables = []
-    for ci in range(sc.n_contexts):
-        tables.append(
-            ["1" if support.possible(ci, si) else "0" for si in range(section_size(sc, ci))]
-        )
+    tables = [
+        ["1" if mask >> si & 1 else "0" for si in range(size)]
+        for mask, size in zip(support.masks, sc.section_sizes)
+    ]
     return {"scenario": scenario_to_json(sc), "tables": tables}
 
 

@@ -87,6 +87,13 @@ def over_lcm(values):
     return den, [n * (den // d) for n, d in pairs]
 
 
+def _listed(value):
+    """value, unless it is a string or a JSON object (a dict): TypeError."""
+    if isinstance(value, (str, dict)):
+        raise TypeError("expected a list, got " + ("a string" if isinstance(value, str) else "an object"))
+    return value
+
+
 def over_lcm_rows(rows):
     """over_lcm of a table, a sequence of sequences: (den, int_rows) with
     int_rows[i][j] / den == rat(rows[i][j]) and den the lcm of the
@@ -94,11 +101,13 @@ def over_lcm_rows(rows):
     the cells first hold it, row by row, so floats are refused and the
     first bad cell in row order is the one reported. Cells are keyed by
     value when every cell is a string, otherwise by (type, value), so that
-    1.0 is not taken for 1. A row that is not iterable, or an unhashable
-    cell, sends every cell through rat in row order, which raises the
-    first refusal."""
-    keys = rows
+    1.0 is not taken for 1. A table or row that is a string or a dict is
+    refused (_listed); such a row, one not iterable or an unhashable cell
+    sends every cell through rat in row order, raising the first refusal."""
+    keys = _listed(rows)
     try:
+        if any(issubclass(t, (str, dict)) for t in set(map(type, rows))):
+            raise TypeError("a row to refuse in its place, below")
         distinct = literals = list(dict.fromkeys(chain.from_iterable(rows)))
         if not all(type(x) is str for x in literals):
             # 1, 1.0 and True are equal keys, a string equals no other type
@@ -107,7 +116,7 @@ def over_lcm_rows(rows):
             literals = [x for _, x in distinct]
     except TypeError:
         for row in rows:
-            for x in row:
+            for x in _listed(row):
                 rat(x)
         raise
     den, nums = over_lcm([rat(x) for x in literals])

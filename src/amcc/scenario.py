@@ -24,7 +24,9 @@ layout of marginals as rows of slots, one per outcome; every no-signaling
 and marginal check reads such rows, the cached `overlap_rows` for pairs.
 Both pack each distinct side's projection once, not once per marginal, and
 `overlap_rows` finds the sharing pairs and lays out their rows in array
-passes, a block of pairs at a time, with no per-pair projection.
+passes, a block of pairs at a time, with no per-pair projection. A (context
+c, section s) cell has one address, its slot slot_offsets[c] + s; the cached
+slot table `_global_slots` is every scan's and certificate's restriction map.
 
 Every size limit of the package lives here, and `_require` is the one check
 that enforces them: each guard calls it with a count computed by arithmetic
@@ -35,7 +37,7 @@ updates, which no count known in advance bounds.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, product, repeat
+from itertools import accumulate, chain, product, repeat
 from math import prod
 
 import numpy as np
@@ -416,9 +418,8 @@ def _lay_out(scenario, which, ctx, second, key, keys):
     straight to their places, a block of sides at a time."""
     source, proj, rank = _sources(keys)
     proj, rank = proj[key], rank[key]
-    sizes = np.array(scenario.section_sizes, np.int64)
-    offs = np.cumsum(sizes) - sizes
-    size = sizes[ctx]
+    offs = np.array(slot_offsets(scenario), np.int64)
+    size = np.array(scenario.section_sizes, np.int64)[ctx]
     counts = np.zeros(int(which.max(initial=-1)) + 1, np.int64)
     counts[which] = source[proj + size - 1] + 1
     per_row = size // counts[which]
@@ -525,16 +526,20 @@ def restriction_table(scenario):
 
 def slot_offsets(scenario):
     """Start offset of each context's section block in the flat slot order."""
-    offs = []
-    acc = 0
-    for ci in range(scenario.n_contexts):
-        offs.append(acc)
-        acc += section_size(scenario, ci)
-    return tuple(offs)
+    return tuple(accumulate(scenario.section_sizes[:-1], initial=0))
 
 
 def slot_count(scenario):
-    return sum(section_size(scenario, ci) for ci in range(scenario.n_contexts))
+    return sum(scenario.section_sizes)
+
+
+@lru_cache(maxsize=64)
+def _global_slots(scenario):
+    """Read-only int32 (n_contexts, n_globals) slot table: global g's slot in
+    context c, slot_offsets[c] + restriction_table[c, g]."""
+    slots = np.array(slot_offsets(scenario), np.int32)[:, None] + restriction_table(scenario)
+    slots.setflags(write=False)
+    return slots
 
 
 @lru_cache(maxsize=64)
@@ -545,12 +550,8 @@ def incidence_matrix(scenario):
     ResourceLimitError, before allocating, past MAX_TABLE_CELLS entries."""
     rows, ng = slot_count(scenario), global_size(scenario)
     _require(rows * ng, f"cells in the incidence matrix of {rows} x {ng}", MAX_TABLE_CELLS)
-    tab = restriction_table(scenario)
-    offs = slot_offsets(scenario)
     mat = np.zeros((rows, ng), dtype=np.uint8)
-    cols = np.arange(ng)
-    for ci in range(scenario.n_contexts):
-        mat[offs[ci] + tab[ci], cols] = 1
+    mat[_global_slots(scenario), np.arange(ng)] = 1
     mat.setflags(write=False)
     return mat
 

@@ -1067,6 +1067,24 @@ def test_family_json_refuses_a_bad_literal_then_the_shape_then_a_value(q_family)
         family_from_json(doc)
 
 
+def test_family_json_refuses_vectors_that_are_not_lists(q_family):
+    # a string is not read as its characters, nor an object as its keys:
+    # directions that are not a list are refused first, then a base or a
+    # direction that is not a list, at its place in row order
+    doc = family_to_json(q_family)
+    for directions in ("".join(doc["base"]), dict.fromkeys(doc["base"])):
+        bad = dict(doc, base=[0.5, *doc["base"][1:]], directions=directions)
+        with pytest.raises(TypeError, match="^expected a list, got (a string|an object)$"):
+            family_from_json(bad)
+    as_text = ",".join(doc["directions"][0])
+    with pytest.raises(TypeError, match="refusing float input"):
+        family_from_json(dict(doc, base=[0.5, *doc["base"][1:]], directions=[as_text]))
+    with pytest.raises(TypeError, match="^expected a list, got a string$"):
+        family_from_json(dict(doc, directions=[as_text]))
+    with pytest.raises(TypeError, match="^expected a list, got a string$"):
+        family_from_json(dict(doc, base=",".join(doc["base"]), directions=[[0.5]]))
+
+
 def test_family_check_refuses_a_corrupted_family(q_family):
     # context 0 leads the slot order, so its section indices are slots
     sections = range(section_size(q_family.scenario, 0))

@@ -636,6 +636,27 @@ def test_solve_support_refuses_a_float_cell(run, tmp_path):
     assert "refusing float input" in err
 
 
+@pytest.mark.parametrize(
+    "tables",
+    [["1000", "0100", "0010", "0001"], dict.fromkeys(["1000", "0100", "0010", "0001"], 0)],
+    ids=["string-rows", "object-table"],
+)
+def test_cf_refuses_a_table_that_is_not_a_list_of_lists(run, tmp_path, tables):
+    # read as characters or keys, this was a no-signaling model, and exit 0
+    doc = {"scenario": {"parties": 2, "settings": 2, "outcomes": 2}, "tables": tables}
+    code, out, err = run("cf", _write_json(tmp_path / "m.json", doc))
+    assert (code, out) == (2, "")
+    assert re.search("does not decode: expected a list, got (a string|an object)$", err.strip())
+
+
+def test_solve_support_refuses_a_row_that_is_a_string(run, tmp_path):
+    doc = support_to_json(apply_plan(reference_plan()))
+    doc["tables"][0] = "".join(doc["tables"][0])
+    code, out, err = run("solve-support", _write_json(tmp_path / "sup.json", doc))
+    assert (code, out) == (2, "")
+    assert err.strip().endswith("does not decode: expected a list, got a string")
+
+
 def test_solve_support_infeasible(run, tmp_path):
     sc = bell_scenario(2, 2, 2)
     sup = SupportModel(sc, (0b0011, 0b1100, 0b1111, 0b1111))

@@ -393,7 +393,7 @@ def test_an_incompatible_block_witness_raises(monkeypatch):
     # at the reference counts every trial is strongly contextual, so a scan
     # that calls global 5 compatible is wrong on every trial
     def wrong_mask(support, table):
-        found = np.zeros((*support.shape[:-2], table.shape[1]), dtype=np.bool_)
+        found = np.zeros((*support.shape[:-1], table.shape[1]), dtype=np.bool_)
         found[..., 5] = True
         return found
 

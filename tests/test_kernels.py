@@ -12,12 +12,15 @@ from hypothesis import strategies as st
 import amcc
 from amcc.kernels import compatible_mask, scan_satisfiable
 from amcc.parity import parity_patterns
+from amcc.possibilistic import _pack_masks
 from amcc.scenario import (
     MeasurementScenario,
+    _global_slots,
     bell_scenario,
     global_size,
     restriction_table,
-    section_size,
+    slot_count,
+    slot_offsets,
 )
 
 
@@ -80,14 +83,14 @@ def test_parity_scan_leaves_numpy_ma_unloaded():
 
 
 def _support_array(sc, bits):
-    width = max(section_size(sc, ci) for ci in range(sc.n_contexts))
-    sup = np.zeros((sc.n_contexts, width), dtype=np.bool_)
-    i = 0
-    for ci in range(sc.n_contexts):
-        for si in range(section_size(sc, ci)):
-            sup[ci, si] = bool((bits >> i) & 1)
-            i += 1
-    return sup
+    """bool per slot, in slot order: bit i of bits is slot i."""
+    return np.array([bool((bits >> i) & 1) for i in range(slot_count(sc))])
+
+
+def _compatible(sc, sup, g):
+    """Whether global g lands on a possible slot of every context."""
+    table, offsets = restriction_table(sc), slot_offsets(sc)
+    return all(sup[offsets[ci] + table[ci, g]] for ci in range(sc.n_contexts))
 
 
 @given(st.integers(0, 2**16 - 1))
@@ -95,27 +98,23 @@ def _support_array(sc, bits):
 def test_compatible_lanes_agree_on_random_supports(bits):
     sc = bell_scenario(2, 2, 2)
     sup = _support_array(sc, bits)
-    table = restriction_table(sc)
-    want = [
-        all(sup[ci, table[ci, g]] for ci in range(sc.n_contexts))
-        for g in range(global_size(sc))
-    ]
-    assert compatible_mask(sup, table).tolist() == want
+    want = [_compatible(sc, sup, g) for g in range(global_size(sc))]
+    assert compatible_mask(sup, _global_slots(sc)).tolist() == want
 
 
 def test_compatible_mask_full_and_empty_supports():
     sc = bell_scenario(2, 2, 2)
-    table = restriction_table(sc)
-    full = compatible_mask(_support_array(sc, 2**16 - 1), table)
+    slots = _global_slots(sc)
+    full = compatible_mask(_support_array(sc, 2**16 - 1), slots)
     assert full.shape == (global_size(sc),)
     assert full.all()
-    assert not compatible_mask(_support_array(sc, 0), table).any()
+    assert not compatible_mask(_support_array(sc, 0), slots).any()
     # an empty batch scans nothing
-    empty = compatible_mask(np.zeros((0, sc.n_contexts, 4), dtype=np.bool_), table)
+    empty = compatible_mask(np.zeros((0, slot_count(sc)), dtype=np.bool_), slots)
     assert empty.shape == (0, global_size(sc))
 
 
-# contexts of 6, 6 and 4 sections, so the last row is padded
+# contexts of 6, 6 and 4 sections, so the contexts' slot blocks differ in size
 RAGGED = MeasurementScenario(
     measurements=("a", "b", "c"), outcomes=(2, 3, 2), cover=((0, 1), (1, 2), (0, 2))
 )
@@ -130,19 +129,28 @@ RAGGED = MeasurementScenario(
 @settings(max_examples=40, deadline=None)
 def test_a_stacked_batch_matches_the_per_support_scans(sc, batch, density, seed):
     rng = np.random.default_rng(seed)
-    table = restriction_table(sc)
-    width = max(sc.section_sizes)
-    real = np.arange(width) < np.array(sc.section_sizes)[:, None]
-    stack = (rng.random((batch, sc.n_contexts, width)) < density) & real
-    found = compatible_mask(stack, table)
+    slots = _global_slots(sc)
+    stack = rng.random((batch, slot_count(sc))) < density
+    found = compatible_mask(stack, slots)
     assert found.shape == (batch, global_size(sc))
     for sup, row in zip(stack, found):
-        assert row.tolist() == compatible_mask(sup, table).tolist()
-        assert row.tolist() == [
-            all(sup[ci, table[ci, g]] for ci in range(sc.n_contexts))
-            for g in range(global_size(sc))
-        ]
+        assert row.tolist() == compatible_mask(sup, slots).tolist()
+        assert row.tolist() == [_compatible(sc, sup, g) for g in range(global_size(sc))]
     # more than one leading axis keeps the same rows
-    nested = compatible_mask(stack[None], table)
+    nested = compatible_mask(stack[None], slots)
     assert nested.shape == (1, batch, global_size(sc))
     assert (nested[0] == found).all()
+
+
+@given(st.sampled_from([bell_scenario(3, 2, 2), RAGGED]), st.data())
+@settings(max_examples=40, deadline=None)
+def test_packed_masks_are_the_bits_in_slot_order(sc, data):
+    masks = st.tuples(*(st.integers(0, 2**size - 1) for size in sc.section_sizes))
+    rows = data.draw(st.lists(masks, max_size=5))
+    packed = _pack_masks(sc, rows)
+    assert packed.dtype == np.bool_
+    assert packed.shape == (len(rows), slot_count(sc))
+    assert packed.tolist() == [
+        [bool((mask >> si) & 1) for mask, size in zip(row, sc.section_sizes) for si in range(size)]
+        for row in rows
+    ]

@@ -909,3 +909,41 @@ def test_integer_decode_matches_the_per_cell_decode(doc):
     assert got == want
     if got[0] == "model":
         assert got[1].den == want[1].den and got[1].rows == want[1].rows
+
+
+# a (2,2,2) table whose rows, read as their characters, are four
+# deterministic no-signaling rows; as an object it is read as its keys
+_CHARACTER_ROWS = ["1000", "0100", "0010", "0001"]
+_NOT_A_LIST = "^expected a list, got (a string|an object)$"
+
+
+@pytest.mark.parametrize(
+    "tables",
+    [_CHARACTER_ROWS, dict.fromkeys(_CHARACTER_ROWS, 0), "1000",
+     [["1", "0", "0", "0"], {"1": 0}, ["1", "0", "0", "0"], ["1", "0", "0", "0"]]],
+    ids=["string-rows", "object-table", "string-table", "object-row"],
+)
+def test_a_model_table_or_row_that_is_not_a_list_is_refused(tables):
+    sc = bell_scenario(2, 2, 2)
+    with pytest.raises(TypeError, match=_NOT_A_LIST):
+        EmpiricalModel(sc, tables)
+    with pytest.raises(TypeError, match=_NOT_A_LIST):
+        model_from_json({"scenario": scenario_to_json(sc), "tables": tables})
+
+
+def test_a_row_that_is_not_a_list_is_refused_at_its_place():
+    # as a row that is a number: after a bad row before it, before one after
+    sc = bell_scenario(2, 2, 2)
+    good = ["1", "0", "0", "0"]
+    for row, message in (("1000", _NOT_A_LIST), (5, "'int' object is not iterable")):
+        doc = {"scenario": scenario_to_json(sc), "tables": [["x", 0, 0, 1], row, good, good]}
+        with pytest.raises(ValueError, match="invalid literal"):
+            model_from_json(doc)
+        doc["tables"] = [good, row, ["x", 0, 0, 1], good]
+        with pytest.raises(TypeError, match=message):
+            model_from_json(doc)
+    # EmpiricalModel checks row by row: a row that does not sum to 1 first
+    with pytest.raises(ValueError, match="weights must sum to 1"):
+        EmpiricalModel(sc, [["1/2", 0, 0, 0], "1000", good, good])
+    with pytest.raises(TypeError, match=_NOT_A_LIST):
+        EmpiricalModel(sc, [good, "1000", ["1/2", 0, 0, 0], good])

@@ -489,3 +489,19 @@ def test_possible_slots_read_the_support_in_slot_order(sup):
     slots = possibilistic._possible_slots(sup)
     assert slots.dtype == np.bool_
     assert slots.tolist() == expected
+
+
+def test_a_support_table_or_row_that_is_not_a_list_is_refused():
+    # "1001" was read as its characters, the mask 9, and an object as its keys
+    doc = support_to_json(support_of(pr_box(0)))
+    rows = doc["tables"]
+    for tables in (["".join(row) for row in rows], {"".join(row): 1 for row in rows}, "1001"):
+        with pytest.raises(TypeError, match="^expected a list, got (a string|an object)$"):
+            support_from_json(dict(doc, tables=tables))
+    # at its place in row order: after a bad literal before it, before one
+    # after, and before any cell's 0-or-1 check, as the decode comes first
+    with pytest.raises(ValueError, match="invalid literal"):
+        support_from_json(dict(doc, tables=[["x", *rows[0][1:]], "1001", *rows[2:]]))
+    for first, third in ((rows[0], ["x", *rows[2][1:]]), (["2", *rows[0][1:]], rows[2])):
+        with pytest.raises(TypeError, match="^expected a list, got a string$"):
+            support_from_json(dict(doc, tables=[first, "1001", third, rows[3]]))
