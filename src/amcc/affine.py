@@ -591,8 +591,8 @@ def family_from_json(doc):
     then its base and directions as one table through over_lcm_rows.
     Directions that are a string or an object are refused first, then the
     first bad literal or row in row order, then the vectors' lengths and
-    the parameter count, then the family's values, which _check_family
-    checks against every no-signaling equation."""
+    the parameters (a list, one per direction), then the family's values,
+    which _check_family checks against every no-signaling equation."""
     for key in ("scenario", "support", "parameters", "base", "directions"):
         if key not in doc:
             raise ValueError(f"family JSON missing key {key!r}")
@@ -604,10 +604,11 @@ def family_from_json(doc):
         raise ValueError("base length does not match the scenario")
     if any(len(d) != n for d in dirs):
         raise ValueError("direction length does not match the scenario")
-    if len(doc["parameters"]) != len(dirs):
+    parameters = tuple(_listed(doc["parameters"]))
+    if len(parameters) != len(dirs):
         raise ValueError("one parameter name per direction required")
     rows = (tuple(base), *map(tuple, dirs))
-    family = AffineFamily(sc, support, den, rows, tuple(doc["parameters"]))
+    family = AffineFamily(sc, support, den, rows, parameters)
     _check_family(family, _possible_slots(support))
     return family
 

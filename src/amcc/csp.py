@@ -27,7 +27,7 @@ from .errors import PreconditionError, VerificationError
 from .parity import ParitySystem
 from .kernels import compatible_mask
 from .possibilistic import SupportModel, _check_witness, _pack_masks
-from .rational import _json_int, rat, rat_str
+from .rational import _json_int, _listed, rat, rat_str
 from .scenario import (
     MAX_GLOBALS,
     MAX_TRIALS,
@@ -151,9 +151,11 @@ def plan_to_json(plan):
 
 
 def plan_from_json(doc):
+    """Decode a plan document; its parities, its additions or an addition
+    given as a string or an object is refused (_listed), as is a float."""
     sc = scenario_from_json(doc["scenario"])
-    base = ParitySystem(sc, tuple(map(_json_int, doc["parities"])))
-    additions = tuple(tuple(map(_json_int, extra)) for extra in doc["additions"])
+    base = ParitySystem(sc, tuple(map(_json_int, _listed(doc["parities"]))))
+    additions = tuple(tuple(map(_json_int, _listed(extra))) for extra in _listed(doc["additions"]))
     return AugmentationPlan(base=base, additions=additions)
 
 

@@ -16,53 +16,49 @@ optimum into a convex decomposition of the model. Its dual prices the slots:
 The solver is a single-phase tableau simplex started from the slack basis,
 which is feasible because v >= 0, with Bland's anti-cycling rule; these
 polytopes are massively degenerate (strongly contextual models sit on many
-zero slots), so an anti-cycling rule is not optional. The tableau is one
-numpy array of integers, v scaled by the lcm of its denominators; each
-pivot divides exactly by the previous one (Edmonds' integer-preserving
-pivoting) and the ratio test cross-multiplies on Python ints, so the
-pivots are a Fraction tableau's. The array is int64 while a running bound
-on its entries shows that no pivot's products can pass _INT64_LIMIT, and
-Python ints from the first pivot where the true largest entry no longer
-shows it (or from the start, when the scaled v passes it). A pivot equal
-to the previous one, as nearly every pivot of a 0/1 program is, updates
-only the block of rows and columns it changes. The pivot step,
-_pivot_array, is also the step of affine's Gauss-Jordan elimination. The
-loop counts the cells its pivots update and stops past MAX_SIMPLEX_WORK.
-The optimal prices are read off the final objective row; only the
-nonzero x and prices become new Fractions.
-
-The price check runs on integers: the prices over the lcm of their
-denominators, the weights as the model holds them, its `rows` of
-numerators over one `den`. Global g's slots, one per context, are column
-g of scenario's slot table `_global_slots`, so what every global collects
-is one numpy sum over the slot table, in int64 whenever the
-totals are bounded below 2**63 and on Python ints otherwise.
+zero slots), so an anti-cycling rule is not optional. It computes on
+integers alone: its rhs is the model's numerators over their gcd with the
+model's `den`, and its results are numerators over its last pivot. The
+tableau is one numpy array; each pivot divides exactly by the previous one
+(Edmonds' integer-preserving pivoting) and the ratio test cross-multiplies
+on Python ints, so the pivots are a Fraction tableau's. The array is int64
+while a running bound on its entries shows that no pivot's products can
+pass _INT64_LIMIT, and Python ints from the first pivot where the true
+largest entry no longer shows it (or from the start, when the rhs passes
+it). A pivot equal to the previous one, as nearly every pivot of a 0/1
+program is, updates only the block of rows and columns it changes. The
+pivot step, _pivot_array, is also the step of affine's Gauss-Jordan
+elimination. The loop counts the cells its pivots update and stops past
+MAX_SIMPLEX_WORK.
 
 `contextual_fraction` and `certified_fraction` run one route: the LP over
 a set of global assignments and the slots they touch, then two exact
-certificates over every global assignment. The prices bound ncf above;
-the weights, checked on integers, total ncf and load no slot past the
-model's weight, so ncf is also attained. `contextual_fraction` passes
-every global; each slot is then some global's, so the same route builds
-the full LP over the scenario's incidence matrix, in its row order, and
-the decomposition is read off the checked integer slot loads, each part
-validated once on integers. `certified_fraction`, the
+certificates over every global assignment, on the LP's numerators and the
+model's `rows`. The prices bound ncf above: global g's slots, one per
+context, are column g of scenario's slot table `_global_slots`, so what
+every global collects is one numpy sum over it, in int64 whenever the
+totals are bounded below 2**63. The weights total ncf and load no slot
+past the model's weight, so ncf is also attained. Fractions are built only
+where the two hand them out. `contextual_fraction` passes every global;
+each slot is then some global's, so the same route builds the full LP over
+the scenario's incidence matrix, in its row order, and the decomposition
+is read off the checked integer slot loads. `certified_fraction`, the
 cheap route to the value alone, passes only the support's compatible
 globals: a global that restricts to a zero-weight slot is forced to
 weight 0.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, compress, islice
-from operator import mul
+from math import gcd
+from operator import index, mul
 
 import numpy as np
 
 from .errors import PreconditionError, VerificationError
 from .model import _model_from_ints, is_no_signaling
 from .possibilistic import compatible_globals, support_of
-from .rational import ONE, ZERO, fractions_over, over_lcm, rat, rat_str
+from .rational import ONE, fractions_over, rat, rat_str
 from .scenario import (
     MAX_SIMPLEX_WORK,
     MAX_TABLEAU_CELLS,
@@ -78,7 +74,6 @@ __all__ = [
     "CfResult",
     "contextual_fraction",
     "certified_fraction",
-    "stacked_weights",
 ]
 
 
@@ -95,20 +90,20 @@ def simplex_solve(incidence, rhs):
     """maximize 1 . x subject to incidence x <= rhs, x >= 0, exactly.
 
     incidence is a 0/1 array with one column per variable, every column
-    nonzero; rhs is a nonnegative rational per row. Columns are laid out
-    as the structural variables, then one slack per row. Returns
-    (value, x, prices, pivots), where prices are the optimal dual values
-    of the rows; an empty program returns (0, (), (), 0). Raises
-    ResourceLimitError, before building the tableau, past
-    MAX_TABLEAU_CELLS entries, and during the solve once its pivots have
-    updated more than MAX_SIMPLEX_WORK cells (_run_array).
+    nonzero; rhs is a nonnegative integer per row, read by operator.index,
+    so a Fraction or a float raises TypeError. Columns are laid out as the
+    structural variables, then one slack per row. Returns (value, x,
+    prices, det, pivots): value, x and the rows' optimal dual prices are
+    integer numerators over det, the last pivot, as every stored tableau
+    entry is the true one times det; an empty program returns (0, (),
+    (0,) * rows, 1, 0). Raises ResourceLimitError, before building the
+    tableau, past MAX_TABLEAU_CELLS entries, and during the solve once its
+    pivots have updated more than MAX_SIMPLEX_WORK cells (_run_array).
 
-    The tableau [incidence | identity | scaled rhs] over the objective row
-    is one numpy array, int64 when the scaled rhs is below _INT64_LIMIT,
-    Python ints otherwise; _run_array pivots it with Bland's rule, and
-    moves it to Python ints once its entries no longer provably fit. Only
-    the nonzero x and prices become new Fractions, one per distinct
-    value."""
+    The tableau [incidence | identity | rhs] over the objective row is one
+    numpy array, int64 when rhs is below _INT64_LIMIT, Python ints
+    otherwise; _run_array pivots it with Bland's rule, and moves it to
+    Python ints once its entries no longer provably fit."""
     m, n = incidence.shape
     width = n + m
     _require(
@@ -116,10 +111,10 @@ def simplex_solve(incidence, rhs):
         f"cells in the simplex tableau of {m + 1} x {width + 1}",
         MAX_TABLEAU_CELLS,
     )
-    scale, rhs = over_lcm([b if type(b) is Fraction else rat(b) for b in rhs])
+    rhs = list(map(index, rhs))
     if min(rhs, default=0) < 0:
         i, b = next((i, b) for i, b in enumerate(rhs) if b < 0)
-        raise PreconditionError(f"right-hand side {rat_str(rat(b, scale))} of row {i} is negative")
+        raise PreconditionError(f"right-hand side {b} of row {i} is negative")
     dtype = np.int64 if max(rhs, default=0) < _INT64_LIMIT else object
     tableau = np.zeros((m + 1, width + 1), dtype)
     tableau[:m, :n] = incidence
@@ -133,8 +128,7 @@ def simplex_solve(incidence, rhs):
     for bv, b in zip(basis, values):
         if bv < n:
             x[bv] = b
-    value = rat(obj[-1], det * scale)
-    return value, fractions_over(x, det * scale), fractions_over(obj[n:width], det), pivots
+    return obj[-1], tuple(x), tuple(obj[n:width]), det, pivots
 
 
 def _leaving_row(rows, heads, rhs, basis):
@@ -251,11 +245,6 @@ def _pivot_array(tableau, leave, enter, det, bound):
     return tableau, p, bound, update.size
 
 
-def stacked_weights(model):
-    """Model weights in slot order (context-major, section-minor)."""
-    return list(fractions_over(list(chain.from_iterable(model.rows)), model.den))
-
-
 def _require_no_signaling(model):
     ok, wit = is_no_signaling(model)
     if not ok:
@@ -290,11 +279,11 @@ def contextual_fraction(model):
     returning, and both parts are read off the checked slot loads."""
     _require_no_signaling(model)
     sc = model.scenario
-    ncf, dist, prices, pivots, (den, loads) = _certified_lp(model, range(global_size(sc)))
+    ncf, (den, weights, loads), (det, prices), pivots = _certified_lp(model, range(global_size(sc)))
     cf = ONE - ncf
     noncontextual = strongly_contextual = None
     # every context's loads total mass = ncf * den, the weights' numerators
-    mass = den * ncf.numerator // ncf.denominator
+    mass = sum(weights)
     if ncf > 0:
         noncontextual = _model_of(sc, mass, loads)
     if cf > 0:
@@ -307,11 +296,11 @@ def contextual_fraction(model):
     return CfResult(
         ncf=ncf,
         cf=cf,
-        distribution=dist,
+        distribution=fractions_over(weights, den),
         noncontextual=noncontextual,
         strongly_contextual=strongly_contextual,
         pivots=pivots,
-        prices=prices,
+        prices=fractions_over(prices, det),
     )
 
 
@@ -332,65 +321,70 @@ def certified_fraction(model):
     as contextual_fraction's, over every global assignment, so a wrong
     compatible set raises VerificationError."""
     _require_no_signaling(model)
-    ncf, _, prices, _, _ = _certified_lp(model, compatible_globals(support_of(model)))
-    return ncf, ONE - ncf, prices
+    ncf, _, (det, prices), _ = _certified_lp(model, compatible_globals(support_of(model)))
+    return ncf, ONE - ncf, fractions_over(prices, det)
 
 
 def _certified_lp(model, kept):
-    """(ncf, weights, prices, pivots, loads) of the LP over the global
-    assignments in kept and the slots they touch, after both certificates
-    pass: weights[i] is global kept[i]'s, prices one per slot and loads
-    _check_weights's (den, per-slot numerators).
+    """(ncf, (den, weights, loads), (det, prices), pivots) of the LP over
+    the global assignments in kept and the slots they touch, after both
+    certificates pass: global kept[i]'s weight and every slot's load are
+    numerators over den, and the prices one numerator per slot over det,
+    the LP's last pivot. The LP's rhs is those slots' numerators over
+    their gcd g with model.den, so den is det * (model.den // g).
 
-    The full price vector puts 1 on every zero-weight slot, which costs
-    nothing and covers every global that touches one, 0 on every other
-    slot the LP did not see, and the LP's prices elsewhere. With every
-    global in kept every slot is touched, so the LP is the full incidence
-    LP, rows in slot order, and its pivots and prices are the full one's."""
-    prices = [ZERO if x else ONE for x in chain.from_iterable(model.rows)]
-    ncf, weights, pivots = ZERO, (), 0
+    The full price vector puts det, a price of 1, on every zero-weight
+    slot, which costs nothing and covers every global that touches one, 0
+    on every other slot the LP did not see, and the LP's prices elsewhere.
+    With every global in kept every slot is touched, so the LP is the full
+    incidence LP, rows in slot order, and its pivots and prices are the
+    full one's."""
+    v = list(chain.from_iterable(model.rows))
+    rows, value, weights, reduced, det, scale, pivots = (), 0, (), (), 1, 1, 0
     if kept:
-        v = stacked_weights(model)
         sub = incidence_matrix(model.scenario)[:, kept]
         rows = np.flatnonzero(sub.any(axis=1)).tolist()
-        ncf, weights, reduced, pivots = simplex_solve(sub[rows], [v[r] for r in rows])
-        for r, y in zip(rows, reduced):
-            prices[r] = y
-    prices = tuple(prices)
-    _check_prices(model, prices, ncf)
-    loads = _check_weights(model, kept, weights, ncf)
-    return ncf, weights, prices, pivots, loads
+        g = gcd(model.den, *(v[r] for r in rows))
+        scale = model.den // g
+        value, weights, reduced, det, pivots = simplex_solve(sub[rows], [v[r] // g for r in rows])
+    prices = [0 if x else det for x in v]
+    for r, y in zip(rows, reduced):
+        prices[r] = y
+    den = det * scale
+    ncf = rat(value, den)
+    _check_prices(model, prices, det, ncf)
+    loads = _check_weights(model, kept, weights, den, ncf)
+    return ncf, (den, weights, loads), (det, prices), pivots
 
 
-def _check_prices(model, prices, ncf):
+def _check_prices(model, prices, den, ncf):
     """Dual certificate, checked exactly: ncf lies in [0, 1], prices are
     nonnegative, every global assignment collects at least 1 over its
     slots, and the priced weights total ncf. By weak duality no dominated
     mixture of global assignments is heavier than ncf.
 
-    The prices are integer numerators over the lcm den of their
-    denominators. Global g's slots are column g of the slot table, one per
-    context, so one numpy sum over the table gives what every global
-    collects. No total exceeds n_contexts times the largest numerator; while
-    that bound and den are below 2**63 the sum runs in int64, otherwise on
-    Python ints. The priced weights are one integer dot product with the
-    model's numerators, every row over its one denominator den."""
+    The prices are integer numerators over one positive den. Global g's
+    slots are column g of the slot table, one per context, so one numpy
+    sum over the table gives what every global collects. No total exceeds
+    n_contexts times the largest numerator; while that bound and den are
+    below 2**63 the sum runs in int64, otherwise on Python ints. The
+    priced weights are one integer dot product with the model's
+    numerators, every row over its one denominator."""
     if ncf < 0 or ncf > 1:
         raise VerificationError("noncontextual fraction outside [0, 1]",
                                 details={"ncf": ncf})
-    den, scaled = over_lcm(prices)
-    if min(scaled) < 0:
+    if min(prices) < 0:
         raise VerificationError("a slot price is negative")
     sc = model.scenario
-    dtype = np.int64 if max(den, sc.n_contexts * max(scaled)) < 2**63 else object
-    collected = np.array(scaled, dtype=dtype)[_global_slots(sc)].sum(axis=0)
+    dtype = np.int64 if max(den, sc.n_contexts * max(prices)) < 2**63 else object
+    collected = np.array(prices, dtype=dtype)[_global_slots(sc)].sum(axis=0)
     if collected.min() < den:
         g = int((collected < den).argmax())
         raise VerificationError(
             "a global assignment collects price below 1",
             details={"global": g, "price": rat(int(collected[g]), den)},
         )
-    cost = rat(sum(map(mul, chain.from_iterable(model.rows), scaled)), model.den * den)
+    cost = rat(sum(map(mul, chain.from_iterable(model.rows), prices)), model.den * den)
     if cost != ncf:
         raise VerificationError(
             "priced weights differ from the noncontextual fraction",
@@ -398,38 +392,37 @@ def _check_prices(model, prices, ncf):
         )
 
 
-def _check_weights(model, kept, weights, ncf):
+def _check_weights(model, kept, weights, den, ncf):
     """Primal certificate, checked exactly: weights[i] is global kept[i]'s,
     every weight is nonnegative, the weights total ncf, and no slot carries
     more than the model's weight there. Their mixture is then dominated by
     the model, so the fraction is at least ncf; the prices bound it above.
 
-    The weights are integer numerators over the lcm den of their
-    denominators. Global g puts its weight on slot _global_slots[c, g] of
-    every context c, so the loads are summed over the weighted globals'
-    columns alone, and each loaded slot is compared with the model's
-    numerators, every row over its one denominator, in slot order. Returns
-    (den, loads), every slot's load over den."""
-    den, scaled = over_lcm(weights)
-    if min(scaled, default=0) < 0:
-        neg = next(i for i, w in enumerate(scaled) if w < 0)
+    The weights are integer numerators over one positive den. Global g
+    puts its weight on slot _global_slots[c, g] of every context c, so the
+    loads are summed over the weighted globals' columns alone, and each
+    loaded slot is compared with the model's numerators, every row over
+    its one denominator, in slot order. Returns every slot's load over
+    den."""
+    if min(weights, default=0) < 0:
+        neg = next(i for i, w in enumerate(weights) if w < 0)
         raise VerificationError(
             "a global assignment has negative weight",
-            details={"global": kept[neg], "weight": weights[neg]},
+            details={"global": kept[neg], "weight": rat(weights[neg], den)},
         )
-    total = rat(sum(scaled), den)
+    total = rat(sum(weights), den)
     if total != ncf:
         raise VerificationError(
             "weights differ from the noncontextual fraction",
             details={"total": total, "ncf": ncf},
         )
     sc = model.scenario
-    weighted = list(compress(range(len(scaled)), scaled))
+    weighted = list(compress(range(len(weights)), weights))
     slots = _global_slots(sc)[:, [kept[i] for i in weighted]].T.tolist()
     loads = [0] * slot_count(sc)
     loaded = set()
     for i, row in zip(weighted, slots):
-        w = scaled[i]
+        w = weights[i]
         loaded.update(row)
         for s in row:
             loads[s] += w
@@ -441,4 +434,4 @@ def _check_weights(model, kept, weights, ncf):
                 "a slot carries more weight than the model",
                 details={"slot": s, "load": rat(loads[s], den), "weight": rat(v[s], wden)},
             )
-    return den, loads
+    return loads

@@ -9,6 +9,7 @@ over a per-scenario row table: scenario.overlap_rows, and _party_rows for
 the marginals.
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -73,9 +74,10 @@ class EmpiricalModel:
 
     def __init__(self, scenario, tables):
         try:
-            # over_lcm_rows reads a row more than once; tables and its
-            # rows may be iterators, but not strings or dicts
-            den, rows = over_lcm_rows([list(_listed(row)) for row in _listed(tables)])
+            # tables and its rows may be iterators, read once here, so that
+            # over_lcm_rows and _refuse_rows read the same rows
+            tables = [list(row) if isinstance(row, Iterator) else row for row in _listed(tables)]
+            den, rows = over_lcm_rows(tables)
         except (TypeError, ValueError):
             _refuse_rows(scenario, tables)
         _set_rows(self, scenario, den, rows)

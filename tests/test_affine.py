@@ -1085,6 +1085,14 @@ def test_family_json_refuses_vectors_that_are_not_lists(q_family):
         family_from_json(dict(doc, base=",".join(doc["base"]), directions=[[0.5]]))
 
 
+@pytest.mark.parametrize("parameters", ["q", {"q": 1}], ids=["string", "object"])
+def test_family_json_refuses_parameters_that_are_not_a_list(q_family, parameters):
+    # read as its characters or its keys, either was the parameter list ['q']
+    doc = dict(family_to_json(q_family), parameters=parameters)
+    with pytest.raises(TypeError, match="^expected a list, got (a string|an object)$"):
+        family_from_json(doc)
+
+
 def test_family_check_refuses_a_corrupted_family(q_family):
     # context 0 leads the slot order, so its section indices are slots
     sections = range(section_size(q_family.scenario, 0))

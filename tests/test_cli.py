@@ -22,7 +22,7 @@ from amcc.model import (
     uniform_model,
 )
 from amcc.possibilistic import SupportModel, support_of, support_to_json
-from amcc.rational import ONE, ZERO, rat
+from amcc.rational import rat
 from amcc.scenario import bell_scenario, overlap_rows, overlaps
 from amcc.verify import random_no_signaling_model
 
@@ -96,12 +96,14 @@ def test_cf_on_a_noisy_pr_box(run, tmp_path):
 @pytest.mark.parametrize("cmd", ["cf", "classify"])
 def test_a_fraction_its_weights_do_not_attain_exits_4(run, tmp_path, monkeypatch, cmd):
     # 3/4 PR + 1/4 uniform has ncf 1/2; this solver claims 1, priced 1 on
-    # context 0's slots, which passes the price check but not the weights
+    # context 0's slots, which passes the price check but not the weights.
+    # Its results are numerators over det, and context 0's rhs totals the
+    # rhs's scale, the weight 1
     solve = amcc.lp.simplex_solve
 
     def lying_solve(incidence, rhs):
-        _, x, prices, pivots = solve(incidence, rhs)
-        return ONE, x, (ONE,) * 4 + (ZERO,) * (len(prices) - 4), pivots
+        _, x, prices, det, pivots = solve(incidence, rhs)
+        return det * sum(rhs[:4]), x, (det,) * 4 + (0,) * (len(prices) - 4), det, pivots
 
     monkeypatch.setattr(amcc.lp, "simplex_solve", lying_solve)
     sc = bell_scenario(2, 2, 2)
@@ -342,6 +344,17 @@ def test_classify_family_bad_parameter_is_an_input_error(run, family_file, tmp_p
     code, _, err = run("classify", path, "--q", "1/8")
     assert code == 2
     assert "cannot evaluate family at --q 1/8" in err
+
+
+@pytest.mark.parametrize("parameters", ["q", {"q": 1}], ids=["string", "object"])
+def test_classify_refuses_family_parameters_that_are_not_a_list(run, tmp_path, parameters):
+    from amcc.affine import family_to_json
+
+    family, _ = reconstruct_tables()
+    doc = dict(family_to_json(family), parameters=parameters)
+    code, out, err = run("classify", _write_json(tmp_path / "family.json", doc), "--q", "1/8")
+    assert (code, out) == (2, "")
+    assert re.search("expected a list, got (a string|an object)$", err.strip())
 
 
 def test_classify_family_with_no_feasible_parameter(run, tmp_path):

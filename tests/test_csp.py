@@ -204,6 +204,32 @@ def test_plan_json_roundtrip():
 
 
 @pytest.mark.parametrize(
+    "field, value",
+    [
+        ("parities", "0000000000000000"),
+        ("parities", dict.fromkeys(range(16), 0)),
+        ("additions", "8,11,14"),
+        ("additions", {"0": [8, 11, 14]}),
+        ("addition", ""),
+        ("addition", {"8": 1}),
+    ],
+    ids=["parities-string", "parities-object", "additions-string", "additions-object",
+         "addition-string", "addition-object"],
+)
+def test_plan_from_json_refuses_a_list_given_as_a_string_or_an_object(field, value):
+    # read as characters or keys: the parity string was the reference
+    # plan's parities, an empty string an empty addition, an object's keys
+    # its entries
+    doc = plan_to_json(reference_plan())
+    if field == "addition":
+        doc["additions"][0] = value
+    else:
+        doc[field] = value
+    with pytest.raises(TypeError, match="^expected a list, got (a string|an object)$"):
+        plan_from_json(doc)
+
+
+@pytest.mark.parametrize(
     "field, at, value",
     [
         ("additions", (0, 0), 8.9),

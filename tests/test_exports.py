@@ -134,6 +134,17 @@ def test_models_convert_to_fractions_only_at_the_edges():
     assert readers == []
 
 
+def test_the_exact_lp_converts_to_fractions_only_at_the_edges():
+    # the LP layer computes on integers: simplex_solve takes the model's
+    # numerators and returns numerators over its last pivot, the
+    # certificates take numerators over one denominator, and only the two
+    # public routes turn the weights and prices into Fractions
+    assert _callers("lp", ["over_lcm", "fractions_over"]) == {
+        "over_lcm": set(),
+        "fractions_over": {"contextual_fraction", "certified_fraction"},
+    }
+
+
 def test_every_table_reader_decodes_through_the_one_decoder():
     # the four readers of a table of cells call over_lcm_rows, and none
     # parses a cell with rat itself

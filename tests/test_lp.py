@@ -3,7 +3,7 @@
 import hashlib
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -12,13 +12,7 @@ from hypothesis import strategies as st
 
 import amcc.lp
 from amcc.errors import PreconditionError, ResourceLimitError, VerificationError
-from amcc.lp import (
-    CfResult,
-    certified_fraction,
-    contextual_fraction,
-    simplex_solve,
-    stacked_weights,
-)
+from amcc.lp import CfResult, certified_fraction, contextual_fraction, simplex_solve
 from amcc.model import (
     EmpiricalModel,
     deterministic_model,
@@ -28,7 +22,7 @@ from amcc.model import (
     pr_box,
     uniform_model,
 )
-from amcc.rational import ONE, ZERO, over_lcm, rat, rat_str
+from amcc.rational import ONE, ZERO, fractions_over, over_lcm, rat, rat_str
 from amcc.possibilistic import compatible_globals, support_of
 from amcc.scenario import MAX_TABLEAU_CELLS, bell_scenario, global_size, incidence_matrix, slot_count
 from amcc.verify import covering_ncf, random_no_signaling_model
@@ -38,9 +32,23 @@ from amcc.verify import covering_ncf, random_no_signaling_model
 # raw simplex: maximize 1 . x subject to A x <= b, x >= 0
 
 
+def _solve(incidence, rhs):
+    """simplex_solve on a rational rhs, as (value, x, prices, pivots) in
+    Fractions: the rhs goes in over the lcm of its denominators, and the
+    numerators come back over det times that lcm, the prices over det."""
+    scale, nums = over_lcm(rhs)
+    value, x, prices, det, pivots = simplex_solve(incidence, nums)
+    return rat(value, det * scale), fractions_over(x, det * scale), fractions_over(prices, det), pivots
+
+
+def _weights(model):
+    """The model's weights as Fractions in slot order, context-major."""
+    return [w for row in model.tables for w in row]
+
+
 def test_simplex_box_maximum():
     # max x + y with x <= 2, y <= 3
-    value, x, prices, pivots = simplex_solve(np.eye(2, dtype=np.uint8), (2, 3))
+    value, x, prices, pivots = _solve(np.eye(2, dtype=np.uint8), (2, 3))
     assert value == rat(5)
     assert x == (rat(2), rat(3))
     assert prices == (ONE, ONE)
@@ -50,16 +58,18 @@ def test_simplex_box_maximum():
 @pytest.mark.parametrize("seq", [list, lambda b: np.array(b, dtype=object)], ids=["lists", "array"])
 def test_simplex_of_an_empty_program(seq):
     # no rows and no columns: nothing to maximize; rows without columns
-    # keep one zero price per row, whether rhs is a list or an array
-    assert simplex_solve(np.zeros((0, 0), np.uint8), seq([])) == (0, (), (), 0)
-    assert simplex_solve(np.zeros((2, 0), np.uint8), seq([1, rat(1, 2)])) == (0, (), (0, 0), 0)
+    # keep one zero price per row, whether rhs is a list or an array, all
+    # over the pivot 1 of a tableau no pivot has touched
+    assert simplex_solve(np.zeros((0, 0), np.uint8), seq([])) == (0, (), (), 1, 0)
+    assert simplex_solve(np.zeros((2, 0), np.uint8), seq([1, 2])) == (0, (), (0, 0), 1, 0)
+    assert _solve(np.zeros((2, 0), np.uint8), seq([1, rat(1, 2)])) == (0, (), (0, 0), 0)
 
 
 def test_simplex_fractional_vertex():
     # max x + y + z with x + y <= 1, y + z <= 1, x + z <= 1: the unique
     # optimum is x = y = z = 1/2, priced 1/2 per row
     a = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=np.uint8)
-    value, x, prices, _ = simplex_solve(a, (1, 1, 1))
+    value, x, prices, _ = _solve(a, (1, 1, 1))
     assert value == rat(3, 2)
     assert x == (rat(1, 2),) * 3
     assert prices == (rat(1, 2),) * 3
@@ -67,15 +77,35 @@ def test_simplex_fractional_vertex():
 
 def test_simplex_exactness_on_awkward_rationals():
     # max x with x <= 1/3: the answer is exactly 1/3, no rounding
-    value, x, _, _ = simplex_solve(np.ones((1, 1), dtype=np.uint8), (rat(1, 3),))
+    value, x, _, _ = _solve(np.ones((1, 1), dtype=np.uint8), (rat(1, 3),))
     assert value == rat(1, 3)
     assert x == (rat(1, 3),)
     # over their lcm these numerators pass 2**63, so the tableau must be
     # built on Python ints, not int64
     rhs = (rat(1, 3**40), rat(2, 5**30))
     assert min(over_lcm(rhs)[1]) >= 2**63
-    value, x, _, _ = simplex_solve(np.eye(2, dtype=np.uint8), rhs)
+    value, x, _, _ = _solve(np.eye(2, dtype=np.uint8), rhs)
     assert (value, x) == (sum(rhs), rhs)
+
+
+def test_simplex_returns_numerators_over_its_last_pivot():
+    # the fractional vertex above ends on the pivot 2, so the value 3/2,
+    # x = 1/2 and the prices 1/2 are all read over det = 2
+    a = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=np.uint8)
+    value, x, prices, det, _ = simplex_solve(a, (1, 1, 1))
+    assert (value, x, prices, det) == (3, (1, 1, 1), (1, 1, 1), 2)
+    assert all(type(y) is int for y in (value, *x, *prices, det))
+    # an int64 and a Python-int tableau return Python ints alike
+    value, x, prices, det, pivots = simplex_solve(np.eye(2, dtype=np.uint8), (3**40, 2))
+    assert (value, x, prices, det, pivots) == (3**40 + 2, (3**40, 2), (1, 1), 1, 2)
+    assert all(type(y) is int for y in (value, *x, *prices, det))
+
+
+@pytest.mark.parametrize("b", [rat(1, 2), Fraction(2), 0.5, 2.0, "2"], ids=repr)
+def test_simplex_takes_integers_only(b):
+    # a rational rhs goes in as numerators over one scale, never as such
+    with pytest.raises(TypeError):
+        simplex_solve(np.eye(2, dtype=np.uint8), (1, b))
 
 
 def test_tableau_guard_admits_five_parties_and_refuses_six():
@@ -84,7 +114,7 @@ def test_tableau_guard_admits_five_parties_and_refuses_six():
     five, six = bell_scenario(5, 2, 2), bell_scenario(6, 2, 2)
     shape = (slot_count(five), global_size(five))
     assert (shape[0] + 1) * (sum(shape) + 1) <= MAX_TABLEAU_CELLS
-    value, _, _, pivots = simplex_solve(np.broadcast_to(np.uint8(1), shape), [1] * shape[0])
+    value, _, _, pivots = _solve(np.broadcast_to(np.uint8(1), shape), [1] * shape[0])
     assert (value, pivots) == (1, 1)
     shape = (slot_count(six), global_size(six))
     with pytest.raises(ResourceLimitError, match="simplex tableau of 4097 x 8193"):
@@ -106,7 +136,9 @@ def test_an_all_zero_column_is_unbounded(incidence, column):
 def test_simplex_rejects_a_negative_rhs():
     # the slack basis is the starting point, so b >= 0 is required
     with pytest.raises(PreconditionError, match="negative"):
-        simplex_solve(np.ones((1, 1), dtype=np.uint8), (rat(-1, 2),))
+        _solve(np.ones((1, 1), dtype=np.uint8), (rat(-1, 2),))
+    with pytest.raises(PreconditionError, match="^right-hand side -3 of row 1 is negative$"):
+        simplex_solve(np.eye(2, dtype=np.uint8), (1, -3))
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +204,7 @@ def _model_programs(draw):
     parties = draw(st.sampled_from([2, 3]))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     model = random_no_signaling_model(bell_scenario(parties, 2, 2), rng)
-    return incidence_matrix(model.scenario), stacked_weights(model)
+    return incidence_matrix(model.scenario), _weights(model)
 
 
 # about one random 0/1 program in forty takes a pivot whose true value is
@@ -185,7 +217,7 @@ NON_UNIT_PIVOT = (
 
 
 def _array_solve(incidence, rhs, limit=amcc.lp._INT64_LIMIT):
-    """simplex_solve with int64 entries bounded by limit; returns (result,
+    """_solve with int64 entries bounded by limit; returns (result,
     dtypes), the tableau's dtype when the kernel starts and when it
     returns."""
     dtypes = []
@@ -200,7 +232,7 @@ def _array_solve(incidence, rhs, limit=amcc.lp._INT64_LIMIT):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(amcc.lp, "_INT64_LIMIT", limit)
         mp.setattr(amcc.lp, "_run_array", spy)
-        return simplex_solve(incidence, rhs), dtypes
+        return _solve(incidence, rhs), dtypes
 
 
 @given(st.one_of(_zero_one_programs(), _model_programs()))
@@ -208,7 +240,7 @@ def _array_solve(incidence, rhs, limit=amcc.lp._INT64_LIMIT):
 @settings(max_examples=80, deadline=None)
 def test_integer_kernel_matches_the_fraction_tableau(program):
     incidence, rhs = program
-    assert simplex_solve(incidence, rhs) == _fraction_simplex(incidence, rhs)
+    assert _solve(incidence, rhs) == _fraction_simplex(incidence, rhs)
 
 
 @given(st.one_of(_zero_one_programs(), _model_programs()))
@@ -256,18 +288,18 @@ def test_a_right_hand_side_past_the_limit_starts_on_python_ints():
     assert max(over_lcm(big)[1]) >= amcc.lp._INT64_LIMIT
     result, dtypes = _array_solve(incidence, big)
     assert dtypes == [object, object]
-    assert result == simplex_solve(incidence, big) == _fraction_simplex(incidence, big)
+    assert result == _solve(incidence, big) == _fraction_simplex(incidence, big)
 
 
 def test_an_array_past_a_lowered_limit_moves_to_python_ints_mid_solve():
     incidence, rhs = NON_UNIT_PIVOT
     result, dtypes = _array_solve(incidence, rhs, 1 << 12)
     assert dtypes == [np.int64, object]
-    assert result == simplex_solve(incidence, rhs) == _fraction_simplex(incidence, rhs)
+    assert result == _solve(incidence, rhs) == _fraction_simplex(incidence, rhs)
 
 
 def _counted_work(incidence, rhs):
-    """simplex_solve's result and its work, counted pivot by pivot outside
+    """_solve's result and its work, counted pivot by pivot outside
     the kernel: the rows with a nonzero entering entry, the pivot row
     aside, times the pivot row's nonzero columns, or the whole tableau on
     a pivot unequal to the one before; ten a cell on Python ints."""
@@ -284,25 +316,25 @@ def _counted_work(incidence, rhs):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(amcc.lp, "_pivot_array", spy)
-        return simplex_solve(incidence, rhs), sum(work)
+        return _solve(incidence, rhs), sum(work)
 
 
 def test_the_work_budget_counts_the_cells_each_pivot_updates(monkeypatch):
     # max x + y with x <= 2, y <= 3: each pivot updates the objective row
     # on the pivot row's three nonzero columns
     box = np.eye(2, dtype=np.uint8)
-    assert _counted_work(box, (2, 3)) == (simplex_solve(box, (2, 3)), 6)
+    assert _counted_work(box, (2, 3)) == (_solve(box, (2, 3)), 6)
     monkeypatch.setattr(amcc.lp, "MAX_SIMPLEX_WORK", 6)
-    assert simplex_solve(box, (2, 3))[0] == 5
+    assert _solve(box, (2, 3))[0] == 5
     monkeypatch.setattr(amcc.lp, "MAX_SIMPLEX_WORK", 5)
     with pytest.raises(ResourceLimitError) as err:
-        simplex_solve(box, (2, 3))
+        _solve(box, (2, 3))
     assert str(err.value) == "6 cells updated by 2 simplex pivots is over the limit 5"
     # on Python ints a cell counts ten
     big = (rat(1, 3**40), rat(2, 5**30))
     monkeypatch.setattr(amcc.lp, "MAX_SIMPLEX_WORK", 59)
     with pytest.raises(ResourceLimitError, match="^60 cells updated by 2 simplex pivots "):
-        simplex_solve(box, big)
+        _solve(box, big)
 
 
 @given(st.one_of(_zero_one_programs(), _model_programs()))
@@ -315,11 +347,11 @@ def test_the_work_budget_stops_a_solve_one_cell_past_its_work(program):
     result, work = _counted_work(incidence, rhs)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(amcc.lp, "MAX_SIMPLEX_WORK", work)
-        assert simplex_solve(incidence, rhs) == result
+        assert _solve(incidence, rhs) == result
         if work:
             mp.setattr(amcc.lp, "MAX_SIMPLEX_WORK", work - 1)
             with pytest.raises(ResourceLimitError, match=f"^{work} cells updated by {result[3]} "):
-                simplex_solve(incidence, rhs)
+                _solve(incidence, rhs)
 
 
 # sha256 over rat_str of ncf, every distribution entry and every price, and
@@ -433,11 +465,58 @@ def test_signaling_model_is_rejected():
         contextual_fraction(bad)
 
 
+def _lp_rhs(route, model):
+    """The rhs of every LP route(model) runs."""
+    seen = []
+    solve = amcc.lp.simplex_solve
+
+    def spy(incidence, rhs):
+        seen.append(rhs)
+        return solve(incidence, rhs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(amcc.lp, "simplex_solve", spy)
+        route(model)
+    return seen
+
+
 def test_stacked_weights_are_context_major():
+    # the full LP's rhs stacks the weights in slot order, context 0's first
     model = pr_box(0)
-    flat = stacked_weights(model)
-    assert len(flat) == 16
-    assert tuple(flat[:4]) == model.tables[0]
+    (rhs,) = _lp_rhs(contextual_fraction, model)
+    assert len(rhs) == 16
+    assert fractions_over(rhs[:4], model.den) == model.tables[0]
+
+
+@pytest.mark.parametrize(
+    "route", [certified_fraction, contextual_fraction], ids=lambda route: route.__name__
+)
+@pytest.mark.parametrize(
+    "model",
+    [
+        mix_models([(rat(3, 4), pr_box(0)), (rat(1, 4), uniform_model(bell_scenario(2, 2, 2)))]),
+        mix_models([(rat(1, 3), pr_box(0)), (rat(2, 3), deterministic_model(bell_scenario(2, 2, 2), 0))]),
+        random_no_signaling_model(bell_scenario(3, 2, 2), random.Random(1)),
+        deterministic_model(bell_scenario(3, 2, 2), 21),
+    ],
+    ids=["noisy-pr-box", "pr-box-point-mass", "random-322", "point-mass"],
+)
+def test_the_lp_takes_the_model_numerators_over_their_gcd_with_den(route, model):
+    # the rhs is the numerators of the slots the kept globals touch, Python
+    # ints over their gcd g with den: the same integers as those weights
+    # over the lcm of their denominators, den // g, so in lowest terms
+    kept = range(global_size(model.scenario))
+    if route is certified_fraction:
+        kept = compatible_globals(support_of(model))
+    touched = incidence_matrix(model.scenario)[:, kept].any(axis=1)
+    nums = [x for row in model.rows for x in row]
+    nums = [x for x, t in zip(nums, touched) if t]
+    g = gcd(model.den, *nums)
+    (rhs,) = _lp_rhs(route, model)
+    assert all(type(b) is int for b in rhs)
+    assert rhs == [x // g for x in nums]
+    assert rhs == over_lcm(fractions_over(nums, model.den))[1]
+    assert gcd(model.den // g, *rhs) == 1
 
 
 @given(st.integers(0, 7), st.integers(0, 8), st.integers(1, 8))
@@ -470,7 +549,7 @@ def _certified(model, ncf, y):
     assert all(p >= 0 for p in y)
     for g in range(inc.shape[1]):
         assert sum((y[s] for s in np.nonzero(inc[:, g])[0]), ZERO) >= 1
-    assert sum((w * p for w, p in zip(stacked_weights(model), y)), ZERO) == ncf
+    assert sum((w * p for w, p in zip(_weights(model), y)), ZERO) == ncf
 
 
 @given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
@@ -492,18 +571,19 @@ def test_simplex_agrees_with_the_covering_oracle_at_three_parties(seed):
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (lambda y: (-ONE,) + y[1:], "negative"),
-        (lambda y: (ZERO,) * len(y), "below 1"),
-        (lambda y: (y[0] + 1,) + y[1:], "priced weights"),
+        (lambda y, det: (-det,) + y[1:], "negative"),
+        (lambda y, det: (0,) * len(y), "below 1"),
+        (lambda y, det: (y[0] + det,) + y[1:], "priced weights"),
     ],
     ids=["negative", "uncovered", "overpriced"],
 )
 def test_a_bad_price_vector_is_refused(monkeypatch, corrupt, message):
+    # the prices are numerators over det: det is a price of 1
     solve = amcc.lp.simplex_solve
 
     def bad_solve(incidence, rhs):
-        value, x, prices, pivots = solve(incidence, rhs)
-        return value, x, corrupt(prices), pivots
+        value, x, prices, det, pivots = solve(incidence, rhs)
+        return value, x, corrupt(prices, det), det, pivots
 
     monkeypatch.setattr(amcc.lp, "simplex_solve", bad_solve)
     # 3/4 PR + 1/4 uniform: ncf 1/2 and slot 0 carries weight 1/4
@@ -603,7 +683,7 @@ def test_dense_422_fractions_and_pivots_are_pinned(monkeypatch, build, ncf, pivo
 
     def counting_solve(incidence, rhs):
         result = solve(incidence, rhs)
-        counts.append(result[3])
+        counts.append(result[4])
         return result
 
     monkeypatch.setattr(amcc.lp, "simplex_solve", counting_solve)
@@ -625,12 +705,14 @@ NOISY_PR_BOX = mix_models(
 def test_prices_alone_do_not_certify_a_presolved_fraction(monkeypatch, route):
     # 3/4 PR + 1/4 uniform has ncf 1/2; price 1 on context 0 costs 1 and
     # covers every global, which touches one slot there, so the price check
-    # accepts ncf = 1, and only the weights, which total 1/2, refuse it
+    # accepts ncf = 1, and only the weights, which total 1/2, refuse it.
+    # Context 0's weights total 1, so its rhs totals the rhs's scale: the
+    # value 1 is det times that total, and a price of 1 is det
     solve = amcc.lp.simplex_solve
 
     def lying_solve(incidence, rhs):
-        _, x, prices, pivots = solve(incidence, rhs)
-        return ONE, x, (ONE,) * 4 + (ZERO,) * (len(prices) - 4), pivots
+        _, x, prices, det, pivots = solve(incidence, rhs)
+        return det * sum(rhs[:4]), x, (det,) * 4 + (0,) * (len(prices) - 4), det, pivots
 
     monkeypatch.setattr(amcc.lp, "simplex_solve", lying_solve)
     with pytest.raises(VerificationError, match="weights differ") as err:
@@ -658,12 +740,18 @@ def _fraction_check_prices(model, prices, ncf):
                 "a global assignment collects price below 1",
                 details={"global": g, "price": total},
             )
-    cost = sum((w * y for w, y in zip(stacked_weights(model), prices)), ZERO)
+    cost = sum((w * y for w, y in zip(_weights(model), prices)), ZERO)
     if cost != ncf:
         raise VerificationError(
             "priced weights differ from the noncontextual fraction",
             details={"cost": cost, "ncf": ncf},
         )
+
+
+def _int_check_prices(model, prices, ncf):
+    """amcc.lp._check_prices on Fraction prices, over the lcm of their
+    denominators."""
+    return amcc.lp._check_prices(model, *over_lcm(prices)[::-1], ncf)
 
 
 def _refusal(check, *args):
@@ -761,9 +849,9 @@ def test_a_mutated_certificate_is_refused_as_the_fraction_form_refuses_it(model,
         (contextual_fraction(model).ncf, contextual_fraction(model).prices),
         certified_fraction(model)[::2],
     ):
-        assert amcc.lp._check_prices(model, prices, ncf) is None
+        assert _int_check_prices(model, prices, ncf) is None
         bad = _MUTATIONS[mutation](model, prices, ncf)
-        refusal = _refusal(amcc.lp._check_prices, model, *bad)
+        refusal = _refusal(_int_check_prices, model, *bad)
         assert refusal is not None
         assert refusal == _refusal(_fraction_check_prices, model, *bad)
 
@@ -773,17 +861,17 @@ def test_prices_past_int64_are_checked_on_python_ints():
     # condition, but puts the common price denominator past 2**63
     model = random_no_signaling_model(bell_scenario(3, 2, 2), random.Random(1))
     ncf, _, prices = certified_fraction(model)
-    s = stacked_weights(model).index(ZERO)
+    s = _weights(model).index(ZERO)
     assert prices[s] == 1
     tiny = rat(1, 3**45)
     big = prices[:s] + (ONE + tiny,) + prices[s + 1 :]
-    assert amcc.lp._check_prices(model, big, ncf) is None
+    assert _int_check_prices(model, big, ncf) is None
     for bad in (
         (big, ncf + tiny),
         ((-tiny,) + big[1:], ncf),
         (_short_global(model, big), ncf),
     ):
-        refusal = _refusal(amcc.lp._check_prices, model, *bad)
+        refusal = _refusal(_int_check_prices, model, *bad)
         assert refusal is not None
         assert refusal == _refusal(_fraction_check_prices, model, *bad)
 
@@ -811,7 +899,7 @@ def _fraction_check_weights(model, kept, weights, ncf):
         )
     inc = incidence_matrix(model.scenario)
     loads = []
-    for s, v in enumerate(stacked_weights(model)):
+    for s, v in enumerate(_weights(model)):
         load = sum((w for g, w in zip(kept, weights) if inc[s, g]), ZERO)
         if load > v:
             raise VerificationError(
@@ -822,16 +910,23 @@ def _fraction_check_weights(model, kept, weights, ncf):
     return loads
 
 
+def _int_check_weights(model, kept, weights, ncf):
+    """amcc.lp._check_weights on Fraction weights, over the lcm den of their
+    denominators: (den, every slot's load over den)."""
+    den, nums = over_lcm(weights)
+    return den, amcc.lp._check_weights(model, kept, nums, den, ncf)
+
+
 def _weight_certificates(model):
     """(kept, weights, ncf) as certified_fraction and then
-    contextual_fraction check them: the compatible globals' weights, then
-    every global's."""
+    contextual_fraction check them, the weights as Fractions: the
+    compatible globals' weights, then every global's."""
     seen = []
     check = amcc.lp._check_weights
 
-    def spy(*args):
-        seen.append(args[1:])
-        return check(*args)
+    def spy(model, kept, weights, den, ncf):
+        seen.append((kept, fractions_over(weights, den), ncf))
+        return check(model, kept, weights, den, ncf)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(amcc.lp, "_check_weights", spy)
@@ -864,10 +959,10 @@ def test_mutated_weights_are_refused_as_the_fraction_form_refuses_them(model, mu
     assert len(full[0]) == global_size(model.scenario)
     for kept, weights, ncf in (presolved, full):
         loads = _fraction_check_weights(model, kept, weights, ncf)
-        den, scaled = amcc.lp._check_weights(model, kept, weights, ncf)
+        den, scaled = _int_check_weights(model, kept, weights, ncf)
         assert kept and [rat(x, den) for x in scaled] == loads
         bad = _WEIGHT_MUTATIONS[mutation](weights, ncf)
-        refusal = _refusal(amcc.lp._check_weights, model, kept, *bad)
+        refusal = _refusal(_int_check_weights, model, kept, *bad)
         assert refusal is not None
         assert refusal == _refusal(_fraction_check_weights, model, kept, *bad)
 

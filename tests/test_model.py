@@ -947,3 +947,25 @@ def test_a_row_that_is_not_a_list_is_refused_at_its_place():
         EmpiricalModel(sc, [["1/2", 0, 0, 0], "1000", good, good])
     with pytest.raises(TypeError, match=_NOT_A_LIST):
         EmpiricalModel(sc, [good, "1000", ["1/2", 0, 0, 0], good])
+
+
+def test_tables_and_rows_given_as_iterators_are_refused_as_lists_are():
+    # the tables and their rows are read once, so the refusal is the one the
+    # same rows as lists get, at the same place in row order
+    sc = bell_scenario(2, 2, 2)
+    good = ["1/4"] * 4
+    for bad, error, message in (
+        (["x", 0, 0, 0], ValueError, "invalid literal for int"),
+        (["1/2", 0, 0, 0], ValueError, r"context \(0, 3\) weights must sum to 1"),
+        ("1000", TypeError, _NOT_A_LIST),
+    ):
+        rows = [good, bad, good, good]
+        with pytest.raises(error, match=message):
+            EmpiricalModel(sc, rows)
+        with pytest.raises(error, match=message):
+            EmpiricalModel(sc, (row for row in rows))
+        if not isinstance(bad, str):
+            with pytest.raises(error, match=message):
+                EmpiricalModel(sc, [good, iter(bad), good, good])
+    with pytest.raises(ValueError, match="need one distribution per context"):
+        EmpiricalModel(sc, (row for row in [good, good, good]))
