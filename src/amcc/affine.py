@@ -591,8 +591,9 @@ def family_from_json(doc):
     then its base and directions as one table through over_lcm_rows.
     Directions that are a string or an object are refused first, then the
     first bad literal or row in row order, then the vectors' lengths and
-    the parameters (a list, one per direction), then the family's values,
-    which _check_family checks against every no-signaling equation."""
+    the parameters (a list, one per direction, of nonempty strings), then
+    the family's values, which _check_family checks against every
+    no-signaling equation."""
     for key in ("scenario", "support", "parameters", "base", "directions"):
         if key not in doc:
             raise ValueError(f"family JSON missing key {key!r}")
@@ -607,6 +608,10 @@ def family_from_json(doc):
     parameters = tuple(_listed(doc["parameters"]))
     if len(parameters) != len(dirs):
         raise ValueError("one parameter name per direction required")
+    if not all(isinstance(name, str) for name in parameters):
+        raise TypeError("parameters must be names, given as strings")
+    if "" in parameters:
+        raise ValueError("parameters must be nonempty names")
     rows = (tuple(base), *map(tuple, dirs))
     family = AffineFamily(sc, support, den, rows, parameters)
     _check_family(family, _possible_slots(support))

@@ -31,6 +31,16 @@ pivot step, _pivot_array, is also the step of affine's Gauss-Jordan
 elimination. The loop counts the cells its pivots update and stops past
 MAX_SIMPLEX_WORK.
 
+A pool of LPs over one incidence matrix can run in lockstep instead
+(_run_lockstep): their tableaux share one int64 stack of lanes, at most
+LOCKSTEP_CELLS cells, and each numpy step takes one Bland pivot in every
+lane. A lane takes the step only when its pivot is 1 at det 1, the only
+pivots of nearly every small 0/1 program, and its running bound passes
+_pivot_array's int64 test; on any other step the LP is handed to
+_run_array, which resumes from its tableau, basis, pivot count and work.
+So every LP pivots exactly as it does alone, and a finished LP's lane
+takes the next one. A tableau too large to share the stack runs alone.
+
 `contextual_fraction` and `certified_fraction` run one route: the LP over
 a set of global assignments and the slots they touch, then two exact
 certificates over every global assignment, on the LP's numerators and the
@@ -45,17 +55,20 @@ the scenario's incidence matrix, in its row order, and the decomposition
 is read off the checked integer slot loads. `certified_fraction`, the
 cheap route to the value alone, passes only the support's compatible
 globals: a global that restricts to a zero-weight slot is forced to
-weight 0.
+weight 0. `_pooled_fractions` returns contextual_fraction's (ncf, cf)
+for a list of models, the same LPs solved in lockstep and the same
+certificates checked, without the decomposition.
 """
 
 from dataclasses import dataclass
 from itertools import chain, compress, islice
-from math import gcd
+from math import gcd, isqrt
+from mmap import mmap
 from operator import index, mul
 
 import numpy as np
 
-from .errors import PreconditionError, VerificationError
+from .errors import PreconditionError, ResourceLimitError, VerificationError
 from .model import _model_from_ints, is_no_signaling
 from .possibilistic import compatible_globals, support_of
 from .rational import ONE, fractions_over, rat, rat_str
@@ -81,6 +94,15 @@ __all__ = [
 # entries keeps it below this; past it the tableau holds Python ints
 _INT64_LIMIT = 1 << 62
 
+# the lockstep's int64 stack holds at most this many cells, 1 MiB: its
+# lanes are this over one tableau's cells, so a (2,2,2) group runs 233
+# LPs at once, a (3,2,2) group 15, and a (4,2,2) tableau (131,841 cells)
+# never shares the stack
+LOCKSTEP_CELLS = 1 << 17
+
+# what one LP of a pool may raise in the loop that the pool stands for
+_REFUSALS = (PreconditionError, ResourceLimitError, VerificationError)
+
 # the simplex's work budget weighs a cell update on Python ints as this
 # many on int64: a Python-int pivot took about 10x an int64 one at (5,2,2)
 _OBJECT_CELL_WORK = 10
@@ -104,6 +126,14 @@ def simplex_solve(incidence, rhs):
     numpy array, int64 when rhs is below _INT64_LIMIT, Python ints
     otherwise; _run_array pivots it with Bland's rule, and moves it to
     Python ints once its entries no longer provably fit."""
+    tableau, basis = _slack_tableau(incidence, rhs)
+    tableau, det, pivots = _run_array(tableau, basis)
+    return _solution(tableau, basis, incidence.shape[1], det, pivots)
+
+
+def _slack_tableau(incidence, rhs):
+    """simplex_solve's starting tableau and its slack basis, after the
+    size guard and the rhs checks."""
     m, n = incidence.shape
     width = n + m
     _require(
@@ -121,14 +151,19 @@ def simplex_solve(incidence, rhs):
     tableau[:m, n:width] = np.eye(m, dtype=np.uint8)
     tableau[:m, -1] = rhs
     tableau[m, :n] = -1
-    basis = list(range(n, width))
-    tableau, det, pivots = _run_array(tableau, basis)
+    return tableau, list(range(n, width))
+
+
+def _solution(tableau, basis, n, det, pivots):
+    """simplex_solve's result off an optimal tableau of n structural
+    columns."""
+    m = len(basis)
     values, obj = tableau[:m, -1].tolist(), tableau[m].tolist()
     x = [0] * n
     for bv, b in zip(basis, values):
         if bv < n:
             x[bv] = b
-    return obj[-1], tuple(x), tuple(obj[n:width]), det, pivots
+    return obj[-1], tuple(x), tuple(obj[n:n + m]), det, pivots
 
 
 def _leaving_row(rows, heads, rhs, basis):
@@ -147,13 +182,15 @@ def _leaving_row(rows, heads, rhs, basis):
     return leave
 
 
-def _run_array(tableau, basis):
+def _run_array(tableau, basis, pivots=0, work=0):
     """Pivot to optimality with Bland's rule on an integer tableau whose
     last row is the objective, one _pivot_array per pivot. Stored entries
     are the true ones times det, the previous pivot (Edmonds; Bareiss,
     Math. Comp. 22, 1968); det > 0 keeps every sign. The ratio test reads
     the entering column's nonzero rows. Returns (tableau, det, pivot
-    count): the tableau may have become an array of Python ints.
+    count): the tableau may have become an array of Python ints. A solve
+    that _run_lockstep began resumes here at det 1, from the pivots and
+    the work it has done.
 
     The work is the cells the pivots update, as _pivot_array counts them:
     the block of the rows with a nonzero entering entry (the pivot row
@@ -163,7 +200,6 @@ def _run_array(tableau, basis):
     which names the work and the pivots done."""
     m = len(basis)
     det = 1
-    pivots = work = 0
     bound = int(np.abs(tableau).max())
     while True:
         obj = tableau[m]
@@ -243,6 +279,124 @@ def _pivot_array(tableau, leave, enter, det, bound):
         tableau[leave] = prow
         return tableau, p, bound, tableau.size
     return tableau, p, bound, update.size
+
+
+def _run_lockstep(incidence, rhss):
+    """[simplex_solve(incidence, rhs) for rhs in rhss], each entry that
+    call's result or the refusal it raises, with every LP pivoting as it
+    does alone. rhss are lists of ints.
+
+    The LPs share one int64 stack of lanes, LOCKSTEP_CELLS // the cells of
+    one tableau, and each step pivots every lane at once by Bland's rule:
+    the least column of negative reduced cost enters, the leaving row is
+    _leaving_row's (a float proposal, then int64 cross-multiplication
+    against it: a row below it, ties to the least basic variable), and
+    the unit update row - f * prow runs on the rows with f != 0. A lane
+    takes the step only when the pivot is 1 at det 1 and its running
+    bound passes _pivot_array's int64 test, so the update is exact and has
+    nothing to divide, and when the step keeps its work within
+    MAX_SIMPLEX_WORK; otherwise the LP goes on alone in _run_array from
+    its tableau, basis, pivots and work, which also raises what it would
+    raise alone. When an LP finishes, its lane takes the next one. An LP
+    whose rhs is negative or passes _INT64_LIMIT, and every LP when one
+    lane or one LP is all there is, runs on simplex_solve."""
+    m, n = incidence.shape
+    out = [None] * len(rhss)
+    lanes = LOCKSTEP_CELLS // ((m + 1) * (n + m + 1))
+    queue = [i for i, rhs in enumerate(rhss) if 0 <= min(rhs) and max(rhs) < _INT64_LIMIT]
+    if lanes < 2 or len(queue) < 2:
+        queue = []
+    queued = set(queue)
+    for i, rhs in enumerate(rhss):
+        if i not in queued:
+            try:
+                out[i] = simplex_solve(incidence, rhs)
+            except _REFUSALS as exc:
+                out[i] = exc
+    if not queue:
+        return out
+    lanes = min(lanes, len(queue))
+    queue.reverse()
+    base, start = _slack_tableau(incidence, [0] * m)
+    # the stack gets its own anonymous mapping, whose pages go back to the
+    # system whole when the last view of it goes: allocated from the heap,
+    # a 1 MiB stack freed between pools left the heap that much larger and
+    # raised verify-paper's peak RSS by 1.2 MiB
+    stack = np.frombuffer(mmap(-1, lanes * base.nbytes), np.int64).reshape(lanes, *base.shape)
+    basis = np.tile(start, (lanes, 1))
+    owner = np.full(lanes, -1)
+    pivots, work, bound = (np.zeros(lanes, np.int64) for _ in range(3))
+    # the largest bound b whose unit pivot passes the int64 test, b + b * b
+    # < _INT64_LIMIT, or (2b + 1)**2 <= 4 * _INT64_LIMIT - 3
+    cap = (isqrt(4 * _INT64_LIMIT - 3) - 1) // 2
+
+    def load(lane):
+        """Give the lane the next LP, or leave it idle with no pivot to take."""
+        if queue:
+            i = owner[lane] = queue.pop()
+            stack[lane] = base
+            stack[lane, :m, -1] = rhss[i]
+            basis[lane] = start
+            pivots[lane] = work[lane] = 0
+            bound[lane] = max(1, *rhss[i])
+        else:
+            owner[lane] = -1
+            stack[lane, m] = 0
+
+    for lane in range(lanes):
+        load(lane)
+    at = np.arange(lanes)
+    busy = lanes
+    while busy:
+        neg = stack[:, m] < 0
+        enter = neg.argmax(1)
+        going = neg[at, enter]
+        if np.count_nonzero(going) < busy:
+            for lane in np.flatnonzero(~going & (owner >= 0)):
+                out[owner[lane]] = _solution(stack[lane], basis[lane].tolist(), n, 1, int(pivots[lane]))
+                load(lane)
+            busy = np.count_nonzero(owner >= 0)
+            continue
+        col = stack[at, :, enter]
+        heads, rhs = col[:, :m], stack[:, :m, -1]
+        pos = heads > 0
+        ratio = np.divide(rhs, heads, out=np.full(heads.shape, np.inf), where=pos)
+        best = ratio.argmin(1)
+        # each rhs / head against the proposal's, cross-multiplied: 0 on its
+        # ties, below 0 where the float ratios misordered a row
+        d = np.where(pos, rhs * heads[at, best, None] - rhs[at, best, None] * heads, 1)
+        leave = np.where(d == 0, basis, n + m).argmin(1)
+        f = col.copy()
+        f[at, leave] = 0
+        prow = stack[at, leave]
+        lane_of, row = np.nonzero(f)
+        cells = np.bincount(lane_of, minlength=lanes) * np.count_nonzero(prow, 1)
+        take = (
+            going
+            & (col[at, leave] == 1)
+            & (bound <= cap)
+            & (d.min(1) >= 0)
+            & (work + cells <= MAX_SIMPLEX_WORK)
+        )
+        if np.count_nonzero(take) < busy:
+            for lane in np.flatnonzero(going & ~take):
+                i, tableau, rows = owner[lane], stack[lane].copy(), basis[lane].tolist()
+                try:
+                    tableau, det, done = _run_array(tableau, rows, int(pivots[lane]), int(work[lane]))
+                    out[i] = _solution(tableau, rows, n, det, done)
+                except _REFUSALS as exc:
+                    out[i] = exc
+                load(lane)
+            busy = np.count_nonzero(owner >= 0)
+            keep = take[lane_of]
+            lane_of, row = lane_of[keep], row[keep]
+        # no entry passes bound + bound**2, so the products are exact
+        stack[lane_of, row] -= f[lane_of, row, None] * prow[lane_of]
+        basis[take, leave[take]] = enter[take]
+        pivots += take
+        work += cells * take
+        bound += np.abs(f).max(1) * np.abs(prow).max(1) * take
+    return out
 
 
 def _require_no_signaling(model):
@@ -339,15 +493,29 @@ def _certified_lp(model, kept):
     With every global in kept every slot is touched, so the LP is the full
     incidence LP, rows in slot order, and its pivots and prices are the
     full one's."""
-    v = list(chain.from_iterable(model.rows))
-    rows, value, weights, reduced, det, scale, pivots = (), 0, (), (), 1, 1, 0
+    rows, scale, solution = (), 1, (0, (), (), 1, 0)
     if kept:
         sub = incidence_matrix(model.scenario)[:, kept]
         rows = np.flatnonzero(sub.any(axis=1)).tolist()
-        g = gcd(model.den, *(v[r] for r in rows))
-        scale = model.den // g
-        value, weights, reduced, det, pivots = simplex_solve(sub[rows], [v[r] // g for r in rows])
-    prices = [0 if x else det for x in v]
+        scale, rhs = _scaled_rhs(model, rows)
+        solution = simplex_solve(sub[rows], rhs)
+    return _certify(model, kept, rows, scale, solution)
+
+
+def _scaled_rhs(model, rows):
+    """(scale, rhs): the model's numerators on the slots in rows over their
+    gcd g with model.den, and scale = model.den // g."""
+    v = list(chain.from_iterable(model.rows))
+    g = gcd(model.den, *(v[r] for r in rows))
+    return model.den // g, [v[r] // g for r in rows]
+
+
+def _certify(model, kept, rows, scale, solution):
+    """_certified_lp's result from simplex_solve's solution of its LP over
+    the globals in kept and the slots in rows, after both certificates
+    pass."""
+    value, weights, reduced, det, pivots = solution
+    prices = [0 if x else det for x in chain.from_iterable(model.rows)]
     for r, y in zip(rows, reduced):
         prices[r] = y
     den = det * scale
@@ -355,6 +523,41 @@ def _certified_lp(model, kept):
     _check_prices(model, prices, det, ncf)
     loads = _check_weights(model, kept, weights, den, ncf)
     return ncf, (den, weights, loads), (det, prices), pivots
+
+
+def _pooled_fractions(models):
+    """[(ncf, cf) of contextual_fraction(model) for model in models]: per
+    model the same full LP over every global, its rows every slot, and the
+    same two certificates, without the decomposition. The LPs of one
+    scenario are solved together by _run_lockstep, each pivoting as it
+    does alone. A refused model raises what that loop raises first, in
+    input order: a signaling model, an LP past its work budget or a
+    failed certificate. Once a model is refused before its LP is built,
+    the models after it are not solved."""
+    models = list(models)
+    lps, groups = [], {}
+    for i, model in enumerate(models):
+        try:
+            _require_no_signaling(model)
+            incidence = incidence_matrix(model.scenario)
+        except _REFUSALS as exc:
+            lps.append(exc)
+            break
+        lps.append(_scaled_rhs(model, range(len(incidence))))
+        groups.setdefault(model.scenario, (incidence, []))[1].append(i)
+    solved = {}
+    for incidence, members in groups.values():
+        solved.update(zip(members, _run_lockstep(incidence, [lps[i][1] for i in members])))
+    out = []
+    for i, (model, entry) in enumerate(zip(models, lps)):
+        if isinstance(entry, Exception):
+            raise entry
+        if isinstance(solved[i], Exception):
+            raise solved[i]
+        sc = model.scenario
+        ncf = _certify(model, range(global_size(sc)), range(slot_count(sc)), entry[0], solved[i])[0]
+        out.append((ncf, ONE - ncf))
+    return out
 
 
 def _check_prices(model, prices, den, ncf):

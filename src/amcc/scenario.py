@@ -43,7 +43,7 @@ from math import prod
 import numpy as np
 
 from .errors import ResourceLimitError
-from .rational import _json_int
+from .rational import _json_int, _listed
 
 __all__ = [
     "MeasurementScenario",
@@ -587,7 +587,9 @@ def scenario_from_json(doc):
     ResourceLimitError past MAX_BELL_MEASUREMENTS measurements or
     MAX_BELL_CONTEXTS contexts, before the cover is checked, or past
     MAX_GLOBALS slots, and TypeError on a float where an integer is
-    expected."""
+    expected, or on a string or an object where a list is: the
+    measurements, the cover, each context, the outcomes and the parties
+    are read through _listed."""
     if not isinstance(doc, dict):
         raise ValueError("scenario must be a JSON object")
     if "parties" in doc and "measurements" not in doc:
@@ -596,18 +598,18 @@ def scenario_from_json(doc):
         except KeyError as e:
             raise ValueError(f"Bell scenario form needs parties/settings/outcomes: missing {e}")
     try:
-        measurements = tuple(doc["measurements"])
-        cover = tuple(doc["cover"])
+        measurements = tuple(_listed(doc["measurements"]))
+        cover = tuple(map(_listed, _listed(doc["cover"])))
         # the same limits as the Bell form, before the pairwise antichain
         # check of the cover runs
         _require(len(measurements), "measurements", MAX_BELL_MEASUREMENTS)
         _require(len(cover), "contexts", MAX_BELL_CONTEXTS)
         scenario = MeasurementScenario(
             measurements=measurements,
-            outcomes=doc["outcomes"],
+            outcomes=_listed(doc["outcomes"]),
             cover=cover,
             # tuple() keeps refusing "parties": null
-            parties=tuple(doc["parties"]) if "parties" in doc else None,
+            parties=tuple(_listed(doc["parties"])) if "parties" in doc else None,
         )
     except KeyError as e:
         raise ValueError(f"scenario object missing key {e}")

@@ -21,7 +21,7 @@ from .affine import classify, ns_dimension, ns_dimension_closed_form
 from .csp import reconstruct_tables
 from .errors import PreconditionError, VerificationError
 from .kernels import scan_satisfiable
-from .lp import contextual_fraction
+from .lp import _pooled_fractions, contextual_fraction
 from .model import (
     _deterministic_view,
     _mixed_view,
@@ -353,13 +353,13 @@ def _check_cf_iff_sc():
     models = _equivalence_pool()
     mismatches = []
     ones = 0
-    for name, m in models:
-        res = contextual_fraction(m)
+    fractions = _pooled_fractions(m for _, m in models)
+    for (name, m), (_, cf) in zip(models, fractions):
         is_sc, _ = strong_contextuality(support_of(m))
-        ones += res.cf == 1
-        if (res.cf == 1) != is_sc:
+        ones += cf == 1
+        if (cf == 1) != is_sc:
             mismatches.append(
-                f"{name}: cf = {rat_str(res.cf)}, strongly contextual = {is_sc}"
+                f"{name}: cf = {rat_str(cf)}, strongly contextual = {is_sc}"
             )
     expected = f"cf = 1 exactly on the strongly contextual supports ({len(models)} models)"
     actual = (
@@ -377,8 +377,8 @@ def _check_lp_oracle():
     for i, m in enumerate(_random_models(sc, 60, 303)):
         models.append((f"random-(2,2,2)-{i}", m))
     mismatches = []
-    for name, m in models:
-        ncf = contextual_fraction(m).ncf
+    fractions = _pooled_fractions(m for _, m in models)
+    for (name, m), (ncf, _) in zip(models, fractions):
         cover, _ = covering_ncf(m)
         closed = 1 - chsh_cf(m)
         if not ncf == cover == closed:

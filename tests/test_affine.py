@@ -1093,6 +1093,18 @@ def test_family_json_refuses_parameters_that_are_not_a_list(q_family, parameters
         family_from_json(doc)
 
 
+@pytest.mark.parametrize(
+    "name, error",
+    [(1, TypeError), (None, TypeError), (["q"], TypeError), ("", ValueError)],
+    ids=["number", "null", "list", "empty"],
+)
+def test_family_json_refuses_parameter_names_that_are_not_nonempty_strings(q_family, name, error):
+    # each of these decoded to a family whose one parameter was that value
+    doc = dict(family_to_json(q_family), parameters=[name])
+    with pytest.raises(error, match="^parameters must be "):
+        family_from_json(doc)
+
+
 def test_family_check_refuses_a_corrupted_family(q_family):
     # context 0 leads the slot order, so its section indices are slots
     sections = range(section_size(q_family.scenario, 0))

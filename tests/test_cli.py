@@ -357,6 +357,37 @@ def test_classify_refuses_family_parameters_that_are_not_a_list(run, tmp_path, p
     assert re.search("expected a list, got (a string|an object)$", err.strip())
 
 
+@pytest.mark.parametrize("name", [1, None, ["q"], ""], ids=["number", "null", "list", "empty"])
+def test_classify_refuses_family_parameter_names_that_are_not_nonempty_strings(
+    run, tmp_path, name
+):
+    from amcc.affine import family_to_json
+
+    family, _ = reconstruct_tables()
+    doc = dict(family_to_json(family), parameters=[name])
+    code, out, err = run("classify", _write_json(tmp_path / "family.json", doc), "--q", "1/8")
+    assert (code, out) == (2, "")
+    assert "parameters must be " in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("outcomes", "2222"), ("cover", [[0, 2], "03", [1, 2], [1, 3]]), ("measurements", {"a": 1})],
+    ids=["outcomes", "context", "measurements"],
+)
+def test_cf_refuses_a_scenario_with_a_string_or_an_object_for_a_list(run, tmp_path, field, value):
+    doc = model_to_json(pr_box(0))
+    doc["scenario"] = {
+        "measurements": ["Y1", "Y1'", "Y2", "Y2'"],
+        "outcomes": [2, 2, 2, 2],
+        "cover": [[0, 2], [0, 3], [1, 2], [1, 3]],
+        field: value,
+    }
+    code, out, err = run("cf", _write_json(tmp_path / "model.json", doc))
+    assert (code, out) == (2, "")
+    assert re.search("expected a list, got (a string|an object)$", err.strip())
+
+
 def test_classify_family_with_no_feasible_parameter(run, tmp_path):
     # the one-parameter family on this support holds -1 at a slot its
     # direction leaves at 0: every q gives a negative weight

@@ -1,0 +1,257 @@
+"""The pooled contextual fraction and its lockstep simplex, against the
+one-LP route: the same values, pivots and refusals, model by model."""
+
+import random
+from collections import defaultdict
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import amcc.lp
+from amcc.errors import VerificationError
+from amcc.lp import contextual_fraction, simplex_solve
+from amcc.model import EmpiricalModel, corpus, corpus_names, mix_models, uniform_model
+from amcc.rational import rat
+from amcc.scenario import bell_scenario, incidence_matrix, slot_count
+from amcc.verify import _equivalence_pool, _random_models, random_no_signaling_model
+
+
+def _loop(models):
+    """What the pool stands for: contextual_fraction model by model."""
+    return [(res.ncf, res.cf) for res in map(contextual_fraction, models)]
+
+
+def _outcome(route, models):
+    """route(models), or the type, message and details of what it raises."""
+    try:
+        return route(models)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "details", None)
+
+
+def _groups(models):
+    """{scenario: [the full LP's rhs per model]}, in input order."""
+    groups = defaultdict(list)
+    for model in models:
+        sc = model.scenario
+        groups[sc].append(amcc.lp._scaled_rhs(model, range(slot_count(sc)))[1])
+    return groups
+
+
+def _solved_alone(incidence, rhs):
+    try:
+        return simplex_solve(incidence, rhs)
+    except amcc.lp._REFUSALS as exc:
+        return type(exc), str(exc)
+
+
+def _assert_lockstep_pivots_as_alone(models):
+    # value, x, prices, det and pivot count of every LP, or its refusal
+    for sc, rhss in _groups(models).items():
+        incidence = incidence_matrix(sc)
+        lockstep = [
+            (type(out), str(out)) if isinstance(out, Exception) else out
+            for out in amcc.lp._run_lockstep(incidence, rhss)
+        ]
+        assert lockstep == [_solved_alone(incidence, rhs) for rhs in rhss]
+
+
+def _check_lp_oracle_pool():
+    sc = bell_scenario(2, 2, 2)
+    models = [corpus(name) for name in corpus_names() if corpus(name).scenario == sc]
+    return models + _random_models(sc, 60, 303)
+
+
+@pytest.mark.parametrize("pool", ["cf-iff-strong-contextuality", "lp-oracle-agreement"])
+def test_the_pool_equals_the_loop_on_both_verify_pools(pool):
+    if pool == "lp-oracle-agreement":
+        models = _check_lp_oracle_pool()
+    else:
+        models = [m for _, m in _equivalence_pool()]
+    assert amcc.lp._pooled_fractions(models) == _loop(models)
+    _assert_lockstep_pivots_as_alone(models)
+
+
+def _hand_offs(monkeypatch):
+    """The pivot count at which each hand-off to _run_array resumed."""
+    resumed = []
+    run = amcc.lp._run_array
+
+    def spy(tableau, basis, pivots=0, work=0):
+        resumed.append(pivots)
+        return run(tableau, basis, pivots, work)
+
+    monkeypatch.setattr(amcc.lp, "_run_array", spy)
+    return resumed
+
+
+# 1/2 uniform + 1/2 a random (3,2,2) model meets a pivot that is not 1
+# after 30 unit pivots
+NOISY_322 = mix_models([
+    (rat(1, 2), uniform_model(bell_scenario(3, 2, 2))),
+    (rat(1, 2), _random_models(bell_scenario(3, 2, 2), 1, 1)[0]),
+])
+
+
+def test_a_non_unit_pivot_hands_the_lp_to_the_array_kernel(monkeypatch):
+    # the lockstep took the first 30 pivots, _run_array the rest
+    models = [NOISY_322, corpus("uniform(3,2,2)"), NOISY_322]
+    resumed = _hand_offs(monkeypatch)
+    assert amcc.lp._pooled_fractions(models) == _loop(models)
+    assert resumed[:2] == [30, 30]
+    _assert_lockstep_pivots_as_alone(models)
+
+
+def _solved_alone_shapes(monkeypatch):
+    """The incidence shape of every simplex_solve call, as it is made."""
+    shapes = []
+    solve = amcc.lp.simplex_solve
+
+    def spy(incidence, rhs):
+        shapes.append(incidence.shape)
+        return solve(incidence, rhs)
+
+    monkeypatch.setattr(amcc.lp, "simplex_solve", spy)
+    return shapes
+
+
+def test_lps_the_stack_cannot_share_run_on_simplex_solve(monkeypatch):
+    # a (4,2,2) tableau passes LOCKSTEP_CELLS by itself, and a lone
+    # (3,2,2) LP has no partner
+    assert 257 * 513 > amcc.lp.LOCKSTEP_CELLS
+    models = [corpus("uniform(4,2,2)"), corpus("parity_amcc_422"), corpus("ghz_322")]
+    shapes = _solved_alone_shapes(monkeypatch)
+    pooled = amcc.lp._pooled_fractions(models)
+    assert shapes == [(256, 256), (256, 256), (64, 64)]
+    assert pooled == _loop(models)
+
+
+def test_an_rhs_past_the_int64_limit_runs_on_simplex_solve(monkeypatch):
+    # under a limit of 2 the PR boxes' rhs, 0 or 1, fits and the random
+    # model's does not; the boxes still share the stack, and no bound
+    # passes the int64 test, so each is handed to _run_array at once
+    sc = bell_scenario(2, 2, 2)
+    models = [corpus("pr_box(0)"), _random_models(sc, 1, 5)[0], corpus("pr_box(1)")]
+    assert max(_groups(models)[sc][1]) >= 2
+    monkeypatch.setattr(amcc.lp, "_INT64_LIMIT", 2)
+    shapes = _solved_alone_shapes(monkeypatch)
+    pooled = amcc.lp._pooled_fractions(models)
+    assert shapes == [(16, 16)]
+    assert pooled == _loop(models)
+
+
+@st.composite
+def _pools(draw):
+    """2-7 random (2,2,2) and (3,2,2) models, some mixed with the uniform
+    model, whose LPs take pivots that are not 1."""
+    models = []
+    for _ in range(draw(st.integers(2, 7))):
+        sc = bell_scenario(draw(st.sampled_from([2, 3])), 2, 2)
+        model = random_no_signaling_model(sc, random.Random(draw(st.integers(0, 2**32 - 1))))
+        if draw(st.booleans()):
+            t = draw(st.sampled_from([rat(1, 3), rat(1, 2), rat(2, 7)]))
+            model = mix_models([(t, uniform_model(sc)), (1 - t, model)])
+        models.append(model)
+    return models
+
+
+@given(_pools(), st.one_of(st.none(), st.integers(3, 40)))
+@example([NOISY_322, corpus("pr_box(3)"), NOISY_322, corpus("ghz_322")], None)
+@settings(max_examples=40, deadline=None)
+def test_a_mixed_pool_equals_the_loop_under_any_int64_limit(models, bits):
+    # a low limit sends LPs alone from the start or hands them off part way
+    with pytest.MonkeyPatch.context() as mp:
+        if bits is not None:
+            mp.setattr(amcc.lp, "_INT64_LIMIT", 1 << bits)
+        assert amcc.lp._pooled_fractions(models) == _loop(models)
+        _assert_lockstep_pivots_as_alone(models)
+
+
+def _signaling(model):
+    """model with half of context 0's first possible section's weight moved
+    onto the next section, which changes the second measurement's
+    marginal there alone: a signaling model."""
+    tables = [list(row) for row in model.tables]
+    row = tables[0]
+    a = next(s for s, w in enumerate(row) if w)
+    b = (a + 1) % len(row)
+    row[a], row[b] = row[a] / 2, row[b] + row[a] / 2
+    return EmpiricalModel(model.scenario, tuple(map(tuple, tables)))
+
+
+@given(_pools(), st.integers(0, 8), st.one_of(st.none(), st.integers(0, 6000)))
+@settings(max_examples=40, deadline=None)
+def test_a_refused_pool_raises_what_the_loop_raises_first(models, at, work):
+    # a signaling model anywhere, and a work budget low enough to stop some
+    # LPs part way: the first refusal in input order, its type, message and
+    # details, whichever LP route meets it
+    models = list(models)
+    models.insert(min(at, len(models)), _signaling(models[at % len(models)]))
+    with pytest.MonkeyPatch.context() as mp:
+        if work is not None:
+            mp.setattr(amcc.lp, "MAX_SIMPLEX_WORK", work)
+        expected = _outcome(_loop, models)
+        assert isinstance(expected, tuple)
+        assert _outcome(amcc.lp._pooled_fractions, models) == expected
+
+
+def test_a_work_budget_trip_is_the_loops_at_the_same_model_and_pivot(monkeypatch):
+    models = _random_models(bell_scenario(3, 2, 2), 6, 7)
+    pivots = [contextual_fraction(m).pivots for m in models]
+    monkeypatch.setattr(amcc.lp, "MAX_SIMPLEX_WORK", 600)
+    expected = _outcome(_loop, models)
+    assert expected[0].__name__ == "ResourceLimitError"
+    assert _outcome(amcc.lp._pooled_fractions, models) == expected
+    # the budget stops an LP with pivots left to take
+    assert int(expected[1].split()[4]) < max(pivots)
+
+
+def test_a_lying_lockstep_is_refused_by_the_certificates(monkeypatch):
+    # the third LP claims one more than its value; the same lie told by
+    # simplex_solve in the loop gets the same refusal
+    models = _random_models(bell_scenario(2, 2, 2), 5, 11)
+    models[2] = corpus("uniform(2,2,2)")
+
+    def lie(solution):
+        value, x, prices, det, pivots = solution
+        return value + det, x, prices, det, pivots
+
+    run, solve = amcc.lp._run_lockstep, amcc.lp.simplex_solve
+
+    def lying_lockstep(incidence, rhss):
+        out = run(incidence, rhss)
+        out[2] = lie(out[2])
+        return out
+
+    calls = []
+
+    def lying_solve(incidence, rhs):
+        calls.append(rhs)
+        out = solve(incidence, rhs)
+        return lie(out) if len(calls) == 3 else out
+
+    monkeypatch.setattr(amcc.lp, "_run_lockstep", lying_lockstep)
+    with pytest.raises(VerificationError) as pooled:
+        amcc.lp._pooled_fractions(models)
+    monkeypatch.setattr(amcc.lp, "simplex_solve", lying_solve)
+    with pytest.raises(VerificationError) as looped:
+        _loop(models)
+    assert (str(pooled.value), pooled.value.details) == (str(looped.value), looped.value.details)
+
+
+def test_the_stack_fits_the_lockstep_budget(monkeypatch):
+    # lanes are LOCKSTEP_CELLS over one tableau's cells: 15 (3,2,2) LPs at
+    # a time, in one int64 stack of at most 1 MiB
+    sizes = []
+    mapping = amcc.lp.mmap
+
+    def spy(fileno, length):
+        sizes.append(length)
+        return mapping(fileno, length)
+
+    monkeypatch.setattr(amcc.lp, "mmap", spy)
+    models = _random_models(bell_scenario(3, 2, 2), 20, 3)
+    assert amcc.lp._pooled_fractions(models) == _loop(models)
+    assert sizes == [15 * 65 * 129 * 8]
+    assert sizes[0] <= amcc.lp.LOCKSTEP_CELLS * 8 == 1 << 20

@@ -296,6 +296,32 @@ def test_json_integer_fields_still_decode_what_int_accepts():
 
 
 @pytest.mark.parametrize(
+    "path, value, kind",
+    [
+        (("outcomes",), "2222", "a string"),
+        (("outcomes",), {"2": 2}, "an object"),
+        (("cover",), "0213", "a string"),
+        (("cover", 1), "03", "a string"),
+        (("cover", 1), {"0": 1, "3": 1}, "an object"),
+        (("measurements",), {"a": 1, "b": 2, "c": 3, "d": 4}, "an object"),
+        (("measurements",), "abcd", "a string"),
+        (("parties",), "0011", "a string"),
+        (("parties",), {"0": 0}, "an object"),
+    ],
+)
+def test_json_refuses_a_string_or_an_object_where_a_list_belongs(path, value, kind):
+    # read as characters or keys, each of these decoded to some scenario
+    doc = _explicit_bell_doc()
+    *keys, last = path
+    target = doc
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(TypeError, match=f"^expected a list, got {kind}$"):
+        scenario_from_json(doc)
+
+
+@pytest.mark.parametrize(
     "field, value",
     [("outcomes", (2.6, 2.9)), ("cover", ((0, 1.7),)), ("parties", (0, 1.0))],
 )

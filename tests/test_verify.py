@@ -288,7 +288,14 @@ def test_covering_oracle_runs_without_the_main_solver(monkeypatch):
 
     # every binding of the solver's functions, in amcc.lp and in any module
     # that imported them by name
-    for name in ("simplex_solve", "_run_array", "_pivot_array", "_leaving_row"):
+    for name in (
+        "simplex_solve",
+        "_run_array",
+        "_pivot_array",
+        "_leaving_row",
+        "_run_lockstep",
+        "_pooled_fractions",
+    ):
         original = getattr(amcc.lp, name)
         for modname, module in list(sys.modules.items()):
             if modname.split(".")[0] == "amcc" and getattr(module, name, None) is original:
