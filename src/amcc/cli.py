@@ -30,6 +30,7 @@ from .csp import (
 from .errors import PreconditionError, ResourceLimitError, VerificationError
 from .lp import contextual_fraction
 from .model import (
+    _require_no_signaling,
     context_containing,
     is_no_signaling,
     marginalize,
@@ -159,6 +160,7 @@ def cmd_marginals(args):
     n_parties = len(set(sc.parties))
     if not 1 <= args.k < n_parties:
         raise PreconditionError(f"marginal size must be between 1 and {n_parties - 1}")
+    _require_no_signaling(model)
     # every table is computed before any is printed, so a refusal prints none
     tables = [
         (ms, marginalize(model, context_containing(sc, ms), ms))

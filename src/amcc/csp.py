@@ -151,8 +151,15 @@ def plan_to_json(plan):
 
 
 def plan_from_json(doc):
-    """Decode a plan document; its parities, its additions or an addition
-    given as a string or an object is refused (_listed), as is a float."""
+    """Decode a plan document; a document that is not an object or lacks a
+    key is refused with ValueError, and its parities, its additions or an
+    addition given as a string or an object is refused (_listed), as is a
+    float."""
+    if not isinstance(doc, dict):
+        raise ValueError("plan must be a JSON object")
+    for key in ("scenario", "parities", "additions"):
+        if key not in doc:
+            raise ValueError(f"plan JSON missing key {key!r}")
     sc = scenario_from_json(doc["scenario"])
     base = ParitySystem(sc, tuple(map(_json_int, _listed(doc["parities"]))))
     additions = tuple(tuple(map(_json_int, _listed(extra))) for extra in _listed(doc["additions"]))

@@ -31,33 +31,30 @@ pivot step, _pivot_array, is also the step of affine's Gauss-Jordan
 elimination. The loop counts the cells its pivots update and stops past
 MAX_SIMPLEX_WORK.
 
-A pool of LPs over one incidence matrix can run in lockstep instead
-(_run_lockstep): their tableaux share one int64 stack of lanes, at most
+Every certified LP runs on one route, _certified_lps: for each model in
+turn it refuses a signaling model, builds the LP over a set of global
+assignments and the slots they touch, hands the LPs that share a matrix
+to _run_lockstep together, and checks two exact certificates over every
+global assignment, on the LP's numerators and the model's `rows`. In
+lockstep the tableaux share one int64 stack of lanes, at most
 LOCKSTEP_CELLS cells, and each numpy step takes one Bland pivot in every
-lane. A lane takes the step only when its pivot is 1 at det 1, the only
-pivots of nearly every small 0/1 program, and its running bound passes
-_pivot_array's int64 test; on any other step the LP is handed to
-_run_array, which resumes from its tableau, basis, pivot count and work.
-So every LP pivots exactly as it does alone, and a finished LP's lane
-takes the next one. A tableau too large to share the stack runs alone.
-
-`contextual_fraction` and `certified_fraction` run one route: the LP over
-a set of global assignments and the slots they touch, then two exact
-certificates over every global assignment, on the LP's numerators and the
-model's `rows`. The prices bound ncf above: global g's slots, one per
-context, are column g of scenario's slot table `_global_slots`, so what
-every global collects is one numpy sum over it, in int64 whenever the
-totals are bounded below 2**63. The weights total ncf and load no slot
-past the model's weight, so ncf is also attained. Fractions are built only
-where the two hand them out. `contextual_fraction` passes every global;
-each slot is then some global's, so the same route builds the full LP over
-the scenario's incidence matrix, in its row order, and the decomposition
-is read off the checked integer slot loads. `certified_fraction`, the
-cheap route to the value alone, passes only the support's compatible
-globals: a global that restricts to a zero-weight slot is forced to
-weight 0. `_pooled_fractions` returns contextual_fraction's (ncf, cf)
-for a list of models, the same LPs solved in lockstep and the same
-certificates checked, without the decomposition.
+lane; a lane takes the step only when its pivot is 1 at det 1 and its
+running bound passes _pivot_array's int64 test, and on any other step its
+LP is handed to _run_array, which resumes from its tableau, basis, pivot
+count and work. So every LP pivots exactly as it does alone, and a lone
+LP, or one too large to share the stack, runs on simplex_solve. The
+prices bound ncf above: global g's slots, one per context, are column g
+of scenario's slot table `_global_slots`, so what every global collects
+is one numpy sum over it, in int64 whenever the totals are bounded below
+2**63. The weights total ncf and load no slot past the model's weight, so
+ncf is also attained. `contextual_fraction` keeps every global: each slot
+is then some global's, so the LP is the scenario's cached incidence
+matrix, in its row order, and the decomposition is read off the checked
+integer slot loads. verify-paper's pools take the same full LPs, many at
+once. `certified_fraction`, the cheap route to the value alone, keeps
+only the support's compatible globals: a global that restricts to a
+zero-weight slot is forced to weight 0. Fractions are built only where
+the two public functions hand them out.
 """
 
 from dataclasses import dataclass
@@ -69,9 +66,9 @@ from operator import index, mul
 import numpy as np
 
 from .errors import PreconditionError, ResourceLimitError, VerificationError
-from .model import _model_from_ints, is_no_signaling
+from .model import _model_from_ints, _require_no_signaling
 from .possibilistic import compatible_globals, support_of
-from .rational import ONE, fractions_over, rat, rat_str
+from .rational import ONE, fractions_over, rat
 from .scenario import (
     MAX_SIMPLEX_WORK,
     MAX_TABLEAU_CELLS,
@@ -399,17 +396,6 @@ def _run_lockstep(incidence, rhss):
     return out
 
 
-def _require_no_signaling(model):
-    ok, wit = is_no_signaling(model)
-    if not ok:
-        ci, cj, shared, u, a, b = wit
-        names = " ".join(model.scenario.measurements[m] for m in shared)
-        raise PreconditionError(
-            f"model is signaling: contexts {ci} and {cj} disagree on {names} @ "
-            f"{','.join(map(str, u))}: {rat_str(a)} vs {rat_str(b)}"
-        )
-
-
 @dataclass(frozen=True)
 class CfResult:
     ncf: object
@@ -431,9 +417,8 @@ def contextual_fraction(model):
     Either part is None when its coefficient is zero. The LP runs over every
     global assignment; its prices and weights are checked exactly before
     returning, and both parts are read off the checked slot loads."""
-    _require_no_signaling(model)
     sc = model.scenario
-    ncf, (den, weights, loads), (det, prices), pivots = _certified_lp(model, range(global_size(sc)))
+    [(ncf, (den, weights, loads), (det, prices), pivots)] = _certified_lps([model])
     cf = ONE - ncf
     noncontextual = strongly_contextual = None
     # every context's loads total mass = ncf * den, the weights' numerators
@@ -474,89 +459,77 @@ def certified_fraction(model):
     0 and no LP runs. Its prices and weights pass the same exact checks
     as contextual_fraction's, over every global assignment, so a wrong
     compatible set raises VerificationError."""
-    _require_no_signaling(model)
-    ncf, _, (det, prices), _ = _certified_lp(model, compatible_globals(support_of(model)))
+    [(ncf, _, (det, prices), _)] = _certified_lps([model], compatible=True)
     return ncf, ONE - ncf, fractions_over(prices, det)
 
 
-def _certified_lp(model, kept):
-    """(ncf, (den, weights, loads), (det, prices), pivots) of the LP over
-    the global assignments in kept and the slots they touch, after both
-    certificates pass: global kept[i]'s weight and every slot's load are
-    numerators over den, and the prices one numerator per slot over det,
-    the LP's last pivot. The LP's rhs is those slots' numerators over
-    their gcd g with model.den, so den is det * (model.den // g).
+def _certified_lps(models, compatible=False):
+    """[(ncf, (den, weights, loads), (det, prices), pivots) per model], each
+    after both certificates pass: weights[i], global kept[i]'s weight, and
+    every slot's load are numerators over den, and the prices one
+    numerator per slot over det, the LP's last pivot.
 
-    The full price vector puts det, a price of 1, on every zero-weight
-    slot, which costs nothing and covers every global that touches one, 0
-    on every other slot the LP did not see, and the LP's prices elsewhere.
-    With every global in kept every slot is touched, so the LP is the full
-    incidence LP, rows in slot order, and its pivots and prices are the
-    full one's."""
-    rows, scale, solution = (), 1, (0, (), (), 1, 0)
-    if kept:
-        sub = incidence_matrix(model.scenario)[:, kept]
-        rows = np.flatnonzero(sub.any(axis=1)).tolist()
-        scale, rhs = _scaled_rhs(model, rows)
-        solution = simplex_solve(sub[rows], rhs)
-    return _certify(model, kept, rows, scale, solution)
+    Each model's LP runs over its kept globals, every global or, with
+    compatible, those compatible with its support, and the slots they
+    touch; with none kept, ncf is 0 and no LP runs. Its rhs is those slots'
+    numerators over their gcd g with model.den, so den is det *
+    (model.den // g). With every global kept every slot is touched, so the
+    LP is the scenario's cached incidence matrix as it is, and the full
+    LPs of one scenario run together in _run_lockstep, each pivoting as it
+    does alone. The full price vector puts det, a price of 1, on every
+    zero-weight slot, which costs nothing and covers every global that
+    touches one, 0 on every other slot the LP did not see, and the LP's
+    prices elsewhere.
 
-
-def _scaled_rhs(model, rows):
-    """(scale, rhs): the model's numerators on the slots in rows over their
-    gcd g with model.den, and scale = model.den // g."""
-    v = list(chain.from_iterable(model.rows))
-    g = gcd(model.den, *(v[r] for r in rows))
-    return model.den // g, [v[r] // g for r in rows]
-
-
-def _certify(model, kept, rows, scale, solution):
-    """_certified_lp's result from simplex_solve's solution of its LP over
-    the globals in kept and the slots in rows, after both certificates
-    pass."""
-    value, weights, reduced, det, pivots = solution
-    prices = [0 if x else det for x in chain.from_iterable(model.rows)]
-    for r, y in zip(rows, reduced):
-        prices[r] = y
-    den = det * scale
-    ncf = rat(value, den)
-    _check_prices(model, prices, det, ncf)
-    loads = _check_weights(model, kept, weights, den, ncf)
-    return ncf, (den, weights, loads), (det, prices), pivots
-
-
-def _pooled_fractions(models):
-    """[(ncf, cf) of contextual_fraction(model) for model in models]: per
-    model the same full LP over every global, its rows every slot, and the
-    same two certificates, without the decomposition. The LPs of one
-    scenario are solved together by _run_lockstep, each pivoting as it
-    does alone. A refused model raises what that loop raises first, in
-    input order: a signaling model, an LP past its work budget or a
+    A refused model raises what the loop over the models raises first, in
+    input order: a signaling model, a size guard, a work budget trip or a
     failed certificate. Once a model is refused before its LP is built,
     the models after it are not solved."""
-    models = list(models)
-    lps, groups = [], {}
+    lps, groups, refused = [], {}, None
     for i, model in enumerate(models):
         try:
             _require_no_signaling(model)
-            incidence = incidence_matrix(model.scenario)
+            sc = model.scenario
+            kept = compatible_globals(support_of(model)) if compatible else range(global_size(sc))
+            incidence = incidence_matrix(sc) if kept else None
         except _REFUSALS as exc:
-            lps.append(exc)
+            refused = exc
             break
-        lps.append(_scaled_rhs(model, range(len(incidence))))
-        groups.setdefault(model.scenario, (incidence, []))[1].append(i)
+        rows = ()
+        if kept and compatible:
+            incidence = incidence[:, kept]
+            rows = np.flatnonzero(incidence.any(axis=1)).tolist()
+            incidence = incidence[rows]
+        elif kept:
+            rows = range(len(incidence))
+        v = list(chain.from_iterable(model.rows))
+        g = gcd(model.den, *(v[r] for r in rows))
+        lps.append((model, kept, rows, model.den // g, v))
+        if kept:
+            # a compatible LP has a matrix of its own; the full LPs of one
+            # scenario share its cached one
+            group = groups.setdefault(i if compatible else sc, (incidence, [], []))
+            group[1].append(i)
+            group[2].append([v[r] // g for r in rows])
     solved = {}
-    for incidence, members in groups.values():
-        solved.update(zip(members, _run_lockstep(incidence, [lps[i][1] for i in members])))
+    for incidence, members, rhss in groups.values():
+        solved.update(zip(members, _run_lockstep(incidence, rhss)))
     out = []
-    for i, (model, entry) in enumerate(zip(models, lps)):
-        if isinstance(entry, Exception):
-            raise entry
-        if isinstance(solved[i], Exception):
-            raise solved[i]
-        sc = model.scenario
-        ncf = _certify(model, range(global_size(sc)), range(slot_count(sc)), entry[0], solved[i])[0]
-        out.append((ncf, ONE - ncf))
+    for i, (model, kept, rows, scale, v) in enumerate(lps):
+        solution = solved.get(i, (0, (), (), 1, 0))
+        if isinstance(solution, Exception):
+            raise solution
+        value, weights, reduced, det, pivots = solution
+        prices = [0 if x else det for x in v]
+        for r, y in zip(rows, reduced):
+            prices[r] = y
+        den = det * scale
+        ncf = rat(value, den)
+        _check_prices(model, prices, det, ncf)
+        loads = _check_weights(model, kept, weights, den, ncf)
+        out.append((ncf, (den, weights, loads), (det, prices), pivots))
+    if refused is not None:
+        raise refused
     return out
 
 

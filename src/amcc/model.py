@@ -193,6 +193,19 @@ def is_no_signaling(model):
     return False, (ci, cj, shared, u, Fraction(lhs, den), Fraction(rhs, den))
 
 
+def _require_no_signaling(model):
+    """Refuse a signaling model with PreconditionError, naming
+    is_no_signaling's witness."""
+    ok, wit = is_no_signaling(model)
+    if not ok:
+        ci, cj, shared, u, a, b = wit
+        names = " ".join(model.scenario.measurements[m] for m in shared)
+        raise PreconditionError(
+            f"model is signaling: contexts {ci} and {cj} disagree on {names} @ "
+            f"{','.join(map(str, u))}: {rat_str(a)} vs {rat_str(b)}"
+        )
+
+
 def party_setting_subsets(scenario):
     """All one-measurement-per-party choices for every proper nonempty party
     subset, yielded as measurement tuples in ascending order."""
@@ -216,9 +229,7 @@ def is_maximal_marginals(model):
     Precondition: the model is no-signaling (the marginal of a measurement
     subset is otherwise context-dependent) and carries party structure."""
     if model.scenario.parties is not None:  # else uniform_marginals refuses it
-        ok, wit = is_no_signaling(model)
-        if not ok:
-            raise PreconditionError(f"model is signaling: marginals disagree at {wit}")
+        _require_no_signaling(model)
     return uniform_marginals(model)
 
 

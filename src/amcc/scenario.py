@@ -97,6 +97,11 @@ class MeasurementScenario:
         n = len(self.measurements)
         if n == 0:
             raise ValueError("scenario needs at least one measurement")
+        for label in self.measurements:
+            if not isinstance(label, str):
+                raise TypeError(f"measurement labels must be strings, got {label!r}")
+            if not label:
+                raise ValueError("measurement labels must be nonempty")
         if len(set(self.measurements)) != n:
             raise ValueError("measurement labels must be unique")
         if len(self.outcomes) != n:
@@ -587,9 +592,9 @@ def scenario_from_json(doc):
     ResourceLimitError past MAX_BELL_MEASUREMENTS measurements or
     MAX_BELL_CONTEXTS contexts, before the cover is checked, or past
     MAX_GLOBALS slots, and TypeError on a float where an integer is
-    expected, or on a string or an object where a list is: the
-    measurements, the cover, each context, the outcomes and the parties
-    are read through _listed."""
+    expected, on a measurement label that is not a string, or on a string
+    or an object where a list is: the measurements, the cover, each
+    context, the outcomes and the parties are read through _listed."""
     if not isinstance(doc, dict):
         raise ValueError("scenario must be a JSON object")
     if "parties" in doc and "measurements" not in doc:

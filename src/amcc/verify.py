@@ -21,7 +21,7 @@ from .affine import classify, ns_dimension, ns_dimension_closed_form
 from .csp import reconstruct_tables
 from .errors import PreconditionError, VerificationError
 from .kernels import scan_satisfiable
-from .lp import _pooled_fractions, contextual_fraction
+from .lp import _certified_lps, contextual_fraction
 from .model import (
     _deterministic_view,
     _mixed_view,
@@ -353,8 +353,9 @@ def _check_cf_iff_sc():
     models = _equivalence_pool()
     mismatches = []
     ones = 0
-    fractions = _pooled_fractions(m for _, m in models)
-    for (name, m), (_, cf) in zip(models, fractions):
+    fractions = _certified_lps(m for _, m in models)
+    for (name, m), (ncf, *_) in zip(models, fractions):
+        cf = 1 - ncf
         is_sc, _ = strong_contextuality(support_of(m))
         ones += cf == 1
         if (cf == 1) != is_sc:
@@ -377,8 +378,8 @@ def _check_lp_oracle():
     for i, m in enumerate(_random_models(sc, 60, 303)):
         models.append((f"random-(2,2,2)-{i}", m))
     mismatches = []
-    fractions = _pooled_fractions(m for _, m in models)
-    for (name, m), (ncf, _) in zip(models, fractions):
+    fractions = _certified_lps(m for _, m in models)
+    for (name, m), (ncf, *_) in zip(models, fractions):
         cover, _ = covering_ncf(m)
         closed = 1 - chsh_cf(m)
         if not ncf == cover == closed:

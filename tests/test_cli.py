@@ -388,6 +388,27 @@ def test_cf_refuses_a_scenario_with_a_string_or_an_object_for_a_list(run, tmp_pa
     assert re.search("expected a list, got (a string|an object)$", err.strip())
 
 
+@pytest.mark.parametrize(
+    "labels",
+    [[1, 2, 3, 4], [None, True, "c", "d"], ["a", 1.5, "c", "d"], ["a", "", "c", "d"]],
+    ids=["ints", "null-and-bool", "float", "empty"],
+)
+@pytest.mark.parametrize("cmd", ["cf", "classify", "nosignaling"])
+def test_measurement_labels_that_are_not_nonempty_strings_exit_2(run, tmp_path, labels, cmd):
+    # on this signaling model each command once failed joining the labels
+    # into its message, with a TypeError and exit 1
+    doc = model_to_json(deterministic_model(bell_scenario(2, 2, 2), 0))
+    doc["tables"][1] = ["1/2", "0", "0", "1/2"]
+    doc["scenario"] = {
+        "measurements": labels,
+        "outcomes": [2, 2, 2, 2],
+        "cover": [[0, 2], [0, 3], [1, 2], [1, 3]],
+    }
+    code, out, err = run(cmd, _write_json(tmp_path / "model.json", doc))
+    assert (code, out) == (2, "")
+    assert "does not decode: measurement labels must be" in err
+
+
 def test_classify_family_with_no_feasible_parameter(run, tmp_path):
     # the one-parameter family on this support holds -1 at a slot its
     # direction leaves at 0: every q gives a negative weight
@@ -417,6 +438,13 @@ def test_marginals_of_the_reference_model(run, amcc_file):
     code, out, _ = run("marginals", amcc_file, "3")
     assert len(out.splitlines()) == 32
     assert all(": 1/8 1/8 1/8 1/8 1/8 1/8 1/8 1/8" in l for l in out.splitlines())
+
+
+def test_marginals_refuses_a_signaling_model(run, signaling_file):
+    # it once printed context 0's marginals and exited 0
+    code, out, err = run("marginals", signaling_file, "1")
+    assert (code, out) == (3, "")
+    assert "model is signaling: contexts 0 and 1 disagree on Y1 @ 0: 1 vs 1/2" in err
 
 
 def test_marginals_size_validation(run, amcc_file):

@@ -229,6 +229,22 @@ def test_plan_from_json_refuses_a_list_given_as_a_string_or_an_object(field, val
         plan_from_json(doc)
 
 
+@pytest.mark.parametrize("doc", ["scenario", ["scenario"], 3, None], ids=repr)
+def test_plan_from_json_refuses_a_document_that_is_not_an_object(doc):
+    # a string once failed with "string indices must be integers"
+    with pytest.raises(ValueError, match="^plan must be a JSON object$"):
+        plan_from_json(doc)
+
+
+@pytest.mark.parametrize("key", ["scenario", "parities", "additions"])
+def test_plan_from_json_names_a_missing_key(key):
+    # once a bare KeyError: 'scenario'
+    doc = plan_to_json(reference_plan())
+    del doc[key]
+    with pytest.raises(ValueError, match=f"^plan JSON missing key '{key}'$"):
+        plan_from_json(doc)
+
+
 @pytest.mark.parametrize(
     "field, at, value",
     [

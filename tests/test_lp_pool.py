@@ -1,8 +1,11 @@
-"""The pooled contextual fraction and its lockstep simplex, against the
-one-LP route: the same values, pivots and refusals, model by model."""
+"""The certified-LP route, _certified_lps, and its lockstep simplex,
+against the one-LP route: the same values, prices, pivots and refusals,
+model by model."""
 
 import random
 from collections import defaultdict
+from itertools import chain
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,16 +13,21 @@ from hypothesis import strategies as st
 
 import amcc.lp
 from amcc.errors import VerificationError
-from amcc.lp import contextual_fraction, simplex_solve
+from amcc.lp import certified_fraction, contextual_fraction, simplex_solve
 from amcc.model import EmpiricalModel, corpus, corpus_names, mix_models, uniform_model
-from amcc.rational import rat
-from amcc.scenario import bell_scenario, incidence_matrix, slot_count
+from amcc.rational import fractions_over, rat
+from amcc.scenario import bell_scenario, incidence_matrix
 from amcc.verify import _equivalence_pool, _random_models, random_no_signaling_model
 
 
 def _loop(models):
     """What the pool stands for: contextual_fraction model by model."""
     return [(res.ncf, res.cf) for res in map(contextual_fraction, models)]
+
+
+def _pooled(models):
+    """(ncf, cf) of every model, off the full route's LPs of the pool."""
+    return [(ncf, 1 - ncf) for ncf, *_ in amcc.lp._certified_lps(models)]
 
 
 def _outcome(route, models):
@@ -34,8 +42,9 @@ def _groups(models):
     """{scenario: [the full LP's rhs per model]}, in input order."""
     groups = defaultdict(list)
     for model in models:
-        sc = model.scenario
-        groups[sc].append(amcc.lp._scaled_rhs(model, range(slot_count(sc)))[1])
+        v = list(chain.from_iterable(model.rows))
+        g = gcd(model.den, *v)
+        groups[model.scenario].append([x // g for x in v])
     return groups
 
 
@@ -69,7 +78,7 @@ def test_the_pool_equals_the_loop_on_both_verify_pools(pool):
         models = _check_lp_oracle_pool()
     else:
         models = [m for _, m in _equivalence_pool()]
-    assert amcc.lp._pooled_fractions(models) == _loop(models)
+    assert _pooled(models) == _loop(models)
     _assert_lockstep_pivots_as_alone(models)
 
 
@@ -98,7 +107,7 @@ def test_a_non_unit_pivot_hands_the_lp_to_the_array_kernel(monkeypatch):
     # the lockstep took the first 30 pivots, _run_array the rest
     models = [NOISY_322, corpus("uniform(3,2,2)"), NOISY_322]
     resumed = _hand_offs(monkeypatch)
-    assert amcc.lp._pooled_fractions(models) == _loop(models)
+    assert _pooled(models) == _loop(models)
     assert resumed[:2] == [30, 30]
     _assert_lockstep_pivots_as_alone(models)
 
@@ -122,7 +131,7 @@ def test_lps_the_stack_cannot_share_run_on_simplex_solve(monkeypatch):
     assert 257 * 513 > amcc.lp.LOCKSTEP_CELLS
     models = [corpus("uniform(4,2,2)"), corpus("parity_amcc_422"), corpus("ghz_322")]
     shapes = _solved_alone_shapes(monkeypatch)
-    pooled = amcc.lp._pooled_fractions(models)
+    pooled = _pooled(models)
     assert shapes == [(256, 256), (256, 256), (64, 64)]
     assert pooled == _loop(models)
 
@@ -136,7 +145,7 @@ def test_an_rhs_past_the_int64_limit_runs_on_simplex_solve(monkeypatch):
     assert max(_groups(models)[sc][1]) >= 2
     monkeypatch.setattr(amcc.lp, "_INT64_LIMIT", 2)
     shapes = _solved_alone_shapes(monkeypatch)
-    pooled = amcc.lp._pooled_fractions(models)
+    pooled = _pooled(models)
     assert shapes == [(16, 16)]
     assert pooled == _loop(models)
 
@@ -164,7 +173,7 @@ def test_a_mixed_pool_equals_the_loop_under_any_int64_limit(models, bits):
     with pytest.MonkeyPatch.context() as mp:
         if bits is not None:
             mp.setattr(amcc.lp, "_INT64_LIMIT", 1 << bits)
-        assert amcc.lp._pooled_fractions(models) == _loop(models)
+        assert _pooled(models) == _loop(models)
         _assert_lockstep_pivots_as_alone(models)
 
 
@@ -193,7 +202,7 @@ def test_a_refused_pool_raises_what_the_loop_raises_first(models, at, work):
             mp.setattr(amcc.lp, "MAX_SIMPLEX_WORK", work)
         expected = _outcome(_loop, models)
         assert isinstance(expected, tuple)
-        assert _outcome(amcc.lp._pooled_fractions, models) == expected
+        assert _outcome(_pooled, models) == expected
 
 
 def test_a_work_budget_trip_is_the_loops_at_the_same_model_and_pivot(monkeypatch):
@@ -202,7 +211,7 @@ def test_a_work_budget_trip_is_the_loops_at_the_same_model_and_pivot(monkeypatch
     monkeypatch.setattr(amcc.lp, "MAX_SIMPLEX_WORK", 600)
     expected = _outcome(_loop, models)
     assert expected[0].__name__ == "ResourceLimitError"
-    assert _outcome(amcc.lp._pooled_fractions, models) == expected
+    assert _outcome(_pooled, models) == expected
     # the budget stops an LP with pivots left to take
     assert int(expected[1].split()[4]) < max(pivots)
 
@@ -233,7 +242,9 @@ def test_a_lying_lockstep_is_refused_by_the_certificates(monkeypatch):
 
     monkeypatch.setattr(amcc.lp, "_run_lockstep", lying_lockstep)
     with pytest.raises(VerificationError) as pooled:
-        amcc.lp._pooled_fractions(models)
+        _pooled(models)
+    # the loop's lone LPs pass through _run_lockstep too, untold
+    monkeypatch.setattr(amcc.lp, "_run_lockstep", run)
     monkeypatch.setattr(amcc.lp, "simplex_solve", lying_solve)
     with pytest.raises(VerificationError) as looped:
         _loop(models)
@@ -252,6 +263,38 @@ def test_the_stack_fits_the_lockstep_budget(monkeypatch):
 
     monkeypatch.setattr(amcc.lp, "mmap", spy)
     models = _random_models(bell_scenario(3, 2, 2), 20, 3)
-    assert amcc.lp._pooled_fractions(models) == _loop(models)
+    assert _pooled(models) == _loop(models)
     assert sizes == [15 * 65 * 129 * 8]
     assert sizes[0] <= amcc.lp.LOCKSTEP_CELLS * 8 == 1 << 20
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a strongly contextual model reached the LP")
+
+
+@pytest.mark.parametrize("name", ["pr_box(0)", "ghz_322", "parity_amcc_422"])
+def test_a_strongly_contextual_model_runs_no_lp(monkeypatch, name):
+    # no global is compatible with the support, so ncf is 0 with no LP
+    for fn in ("simplex_solve", "_run_lockstep", "incidence_matrix"):
+        monkeypatch.setattr(amcc.lp, fn, _refuse)
+    ncf, cf, prices = certified_fraction(corpus(name))
+    assert (ncf, cf) == (0, 1)
+    assert len(prices) == sum(corpus(name).scenario.section_sizes)
+
+
+@given(_pools())
+@example([corpus("pr_box(1)"), NOISY_322, corpus("uniform(2,2,2)"), corpus("ghz_322")])
+@settings(max_examples=30, deadline=None)
+def test_the_route_is_each_public_fraction_model_by_model(models):
+    # with compatible, certified_fraction's (ncf, cf, prices); without,
+    # contextual_fraction's ncf, prices and pivots
+    presolved = [
+        (ncf, 1 - ncf, fractions_over(prices, det))
+        for ncf, _, (det, prices), _ in amcc.lp._certified_lps(models, compatible=True)
+    ]
+    assert presolved == list(map(certified_fraction, models))
+    full = [
+        (ncf, fractions_over(prices, det), pivots)
+        for ncf, _, (det, prices), pivots in amcc.lp._certified_lps(models)
+    ]
+    assert full == [(r.ncf, r.prices, r.pivots) for r in map(contextual_fraction, models)]

@@ -351,7 +351,11 @@ def test_maximal_marginals_requires_no_signaling():
         (rat(1, 4),) * 4,
         (rat(1, 4),) * 4,
     )
-    with pytest.raises(PreconditionError):
+    # the refusal of cf and classify, naming the pair and the outcome
+    with pytest.raises(
+        PreconditionError,
+        match=r"^model is signaling: contexts 0 and 1 disagree on Y1 @ 0: 1 vs 1/2$",
+    ):
         is_maximal_marginals(EmpiricalModel(sc, tables))
 
 

@@ -378,6 +378,27 @@ def test_invalid_scenarios_are_rejected(kwargs):
         MeasurementScenario(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "labels, error, message",
+    [
+        ((1, 2, 3), TypeError, "got 1$"),
+        ((None, True), TypeError, "got None$"),
+        (("a", 1.5), TypeError, "got 1.5$"),
+        (("a", ["q"]), TypeError, r"got \['q'\]$"),
+        (("a", ""), ValueError, "^measurement labels must be nonempty$"),
+    ],
+)
+def test_measurement_labels_must_be_nonempty_strings(labels, error, message):
+    # all but the list were once accepted, and failed only where a message
+    # joined the labels; the list failed as unhashable
+    n = len(labels)
+    with pytest.raises(error, match=message):
+        MeasurementScenario(labels, (2,) * n, (tuple(range(n)),))
+    doc = {"measurements": list(labels), "outcomes": [2] * n, "cover": [list(range(n))]}
+    with pytest.raises(error, match="^measurement labels must be"):
+        scenario_from_json(doc)
+
+
 def test_bell_size_guard_trips_before_building():
     # both trip on arithmetic alone; neither scenario is ever enumerated
     assert bell_scenario(2, 8, 2).n_contexts == 64 <= MAX_BELL_CONTEXTS

@@ -294,7 +294,7 @@ def test_covering_oracle_runs_without_the_main_solver(monkeypatch):
         "_pivot_array",
         "_leaving_row",
         "_run_lockstep",
-        "_pooled_fractions",
+        "_certified_lps",
     ):
         original = getattr(amcc.lp, name)
         for modname, module in list(sys.modules.items()):
