@@ -36,6 +36,7 @@ from amcc.csp import AugmentationPlan, apply_plan, plan_counts, reference_plan, 
 from amcc.errors import PreconditionError, ResourceLimitError, VerificationError
 from amcc.model import (
     EmpiricalModel,
+    _party_rows,
     context_containing,
     deterministic_model,
     marginalize,
@@ -526,6 +527,35 @@ def test_overlap_rows_are_the_bucketed_pair_rows(sc):
         for ci, cj, shared, _, _ in overlaps(sc)
         for k in range(prod(sc.outcomes[m] for m in shared))
     )
+
+
+# sha256 over the layout tables of TABLE_SCENARIOS, in order: the dtype,
+# shape and bytes of every array, and the repr of every label tuple and
+# count, of overlap_rows, model._party_rows (where the scenario has
+# parties), affine._ns_arrays and affine._pivot_rows
+LAYOUT_DIGEST = "eec170aa4f7786bafc7b483de4ace720c3c1e8016d8ab80bff7fa7fe43c010da"
+
+
+def _layout_parts(sc):
+    tables = [overlap_rows(sc)]
+    if sc.parties is not None:
+        tables.append(_party_rows(sc))
+    tables += [amcc.affine._ns_arrays(sc), (_pivot_rows(sc),)]
+    for table in tables:
+        for part in table:
+            if isinstance(part, np.ndarray):
+                yield f"{part.dtype.str} {part.shape}".encode()
+                yield part.tobytes()
+            else:
+                yield repr(part).encode()
+
+
+def test_layout_tables_are_pinned():
+    h = hashlib.sha256()
+    for sc in TABLE_SCENARIOS:
+        for part in _layout_parts(sc):
+            h.update(part)
+    assert h.hexdigest() == LAYOUT_DIGEST
 
 
 @given(st.sampled_from([(3, 2, 2), (2, 3, 2), (2, 2, 3), TRIANGLE, CHAIN]).flatmap(_supports))
