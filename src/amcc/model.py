@@ -176,7 +176,7 @@ def is_no_signaling(model):
     """Check that overlapping contexts induce identical marginals.
 
     Returns (True, None) or (False, witness) where the witness names the first
-    violating pair in `overlaps` order: (ci, cj, shared measurements, outcome
+    violating pair in `overlap_rows` order: (ci, cj, shared measurements, outcome
     tuple, lhs, rhs). One reduceat over the model's numerators sums every
     row of overlap_rows, ci's marginal minus cj's at one outcome; the first
     nonzero row is the pair and its first differing outcome in packed order."""
@@ -262,7 +262,7 @@ def _party_rows(scenario):
     reports a subset that no context holds."""
     subsets = list(party_setting_subsets(scenario))
     lengths = list(map(len, subsets))
-    held, _ = _membership(scenario)
+    held = _membership(scenario)
     need = np.zeros((len(subsets), held.shape[1]), np.int64)
     need[np.repeat(np.arange(len(subsets)), lengths), list(chain(*subsets))] = 1
     holds = need @ held.T == np.array(lengths, np.int64)[:, None]

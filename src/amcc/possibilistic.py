@@ -157,7 +157,7 @@ def possibilistic_no_signaling(support):
     """Check that overlapping contexts agree on which joint outcomes of their
     shared measurements are possible. Returns (True, None) or (False,
     (ci, cj, shared, outcome tuple)) for the first failing pair in
-    `overlaps` order, at the smallest shared-outcome tuple in packed order
+    `overlap_rows` order, at the smallest shared-outcome tuple in packed order
     that one context allows and the other does not: the first overlap_rows
     row with possible slots on one side only."""
     sc = support.scenario

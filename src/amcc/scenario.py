@@ -17,15 +17,13 @@ mixed-radix decoder. The restriction map of the sheaf-theoretic framework
 (Abramsky and Brandenburger, New J. Phys. 13, 113036, 2011) comes in two
 packed forms. `projection` gives, for each section of a context, the packed
 index of its outcomes on a subset of the context's measurements, in the
-subset's order; the cached `overlaps` holds those projections for every
-pair of contexts onto their shared measurements; `restriction_table` does
-the same for global sections onto each context. `marginal_rows` is the one
-layout of marginals as rows of slots, one per outcome; every no-signaling
-and marginal check reads such rows, the cached `overlap_rows` for pairs.
-Both pack each distinct side's projection once, not once per marginal, and
-`overlap_rows` finds the sharing pairs and lays out their rows in array
-passes, a block of pairs at a time, with no per-pair projection. A (context
-c, section s) cell has one address, its slot slot_offsets[c] + s; the cached
+subset's order; `restriction_table` does the same for global sections onto
+each context. `marginal_rows` is the one layout of marginals as rows of
+slots, one per outcome, and packs each distinct side's projection once, not
+once per marginal; every no-signaling and marginal check reads such rows.
+The cached `overlap_rows` is `marginal_rows` over every pair of contexts
+that share a measurement, on the shared measurements. A (context c,
+section s) cell has one address, its slot slot_offsets[c] + s; the cached
 slot table `_global_slots` is every scan's and certificate's restriction map.
 
 Every size limit of the package lives here, and `_require` is the one check
@@ -37,7 +35,7 @@ updates, which no count known in advance bounds.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, chain, product, repeat
+from itertools import accumulate, chain, combinations, product, repeat
 from math import prod
 
 import numpy as np
@@ -64,7 +62,6 @@ __all__ = [
     "global_outcomes",
     "restrict",
     "projection",
-    "overlaps",
     "marginal_rows",
     "overlap_rows",
     "restriction_table",
@@ -322,61 +319,12 @@ def projection(scenario, ci, measurements):
 
 
 def _membership(scenario):
-    """(held, bit), int64 arrays of (n_contexts, n_measurements): held[c, m]
-    is 1 where context c holds measurement m, 0 elsewhere, and bit[c, m] is
-    then 1 << p, p the position of m in c. The cover is an antichain over
-    at most 64 measurements, so a context that shares one has at most 63
-    positions, and its masks in _pair_sides fit in int64."""
+    """int64 array (n_contexts, n_measurements): held[c, m] is 1 where
+    context c holds measurement m, 0 elsewhere."""
     lengths = list(map(len, scenario.cover))
-    owner = np.repeat(np.arange(len(lengths)), lengths)
-    members = list(chain.from_iterable(scenario.cover))
-    position = np.arange(owner.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     held = np.zeros((len(lengths), len(scenario.measurements)), np.int64)
-    bit = np.zeros_like(held)
-    held[owner, members] = 1
-    bit[owner, members] = np.left_shift(1, position)
-    return held, bit
-
-
-def _positions(mask, n):
-    """The positions p < n whose bit 1 << p is set in mask, ascending."""
-    return [p for p in range(n) if mask >> p & 1]
-
-
-def _pair_sides(scenario):
-    """(ci, cj, shared, key, keys) of every pair of contexts that share a
-    measurement, in `combinations` order: shared[i] lists pair i's shared
-    measurements ascending, and key[i] and key[n + i] index in keys the
-    (outcome counts, positions) of its two sides, positions ascending,
-    each distinct side listed once. Contexts are sorted, so both sides of a
-    pair list the shared measurements ascending. Raises ResourceLimitError,
-    before the pairs are scanned, past MAX_TABLE_CELLS entries, at most
-    (n_contexts - 1) * slots."""
-    rows, cols = scenario.n_contexts - 1, slot_count(scenario)
-    _require(rows * cols, f"cells in the overlap table of {rows} x {cols}", MAX_TABLE_CELLS)
-    held, bit = _membership(scenario)
-    # row by row, so ascending (ci, cj): combinations order
-    ci, cj = np.nonzero(held @ held.T)
-    keep = ci < cj
-    ci, cj = ci[keep], cj[keep]
-    # masks[a, b]: the positions of context a that context b holds too
-    masks = bit @ held.T
-    ctx, mask = np.concatenate([ci, cj]), np.concatenate([masks[ci, cj], masks[cj, ci]])
-    radices = [tuple(scenario.outcomes[m] for m in c) for c in scenario.cover]
-    # each side's kind, the first context with its outcome counts, and the
-    # distinct (kind, mask) of the sides in one sort
-    kinds = {}
-    kind = np.array([kinds.setdefault(r, c) for c, r in enumerate(radices)], np.int64)[ctx]
-    order = np.lexsort((mask, kind))
-    kind, mask = kind[order], mask[order]
-    new = (np.diff(kind, prepend=-1) != 0) | (np.diff(mask, prepend=0) != 0)
-    key = np.empty_like(order)
-    key[order] = np.cumsum(new) - 1
-    distinct = zip(kind[new].tolist(), mask[new].tolist())
-    keys = [(radices[c], _positions(m, len(radices[c]))) for c, m in distinct]
-    cover, firsts = scenario.cover, key[: ci.size].tolist()
-    shared = [tuple(cover[c][p] for p in keys[k][1]) for c, k in zip(ci.tolist(), firsts)]
-    return ci, cj, shared, key, keys
+    held[np.repeat(np.arange(len(lengths)), lengths), list(chain.from_iterable(scenario.cover))] = 1
+    return held
 
 
 def _sources(keys):
@@ -462,22 +410,6 @@ def _repeated(items, counts):
     return chain.from_iterable(map(repeat, items, counts))
 
 
-@lru_cache(maxsize=64)
-def overlaps(scenario):
-    """(ci, cj, shared, proj_i, proj_j) for every pair of contexts that share
-    a measurement, in `combinations` order: `shared` lists the shared
-    measurements ascending and proj_c is projection(scenario, c, shared),
-    packed once per distinct side. Raises ResourceLimitError, before the
-    pairs are scanned, past MAX_TABLE_CELLS entries, at most
-    (n_contexts - 1) * slots."""
-    ci, cj, shared, key, keys = _pair_sides(scenario)
-    source, proj, rank = _sources(keys)
-    projs = [tuple(source[a:b].tolist()) for a, b in zip(proj.tolist(), rank.tolist())]
-    sides = list(map(projs.__getitem__, key.tolist()))
-    n = len(shared)
-    return tuple(zip(ci.tolist(), cj.tolist(), shared, sides[:n], sides[n:]))
-
-
 def marginal_rows(scenario, marginals):
     """(slot, sign, start, rows) of marginals, each (measurements, contexts)
     with one or two contexts that hold every measurement: per outcome k of
@@ -485,15 +417,24 @@ def marginal_rows(scenario, marginals):
     first context's slots whose sections project onto k (sign +1), then the
     second's (-1), each ascending. Row r is entries start[r]:start[r + 1]
     of slot (int32) and sign (int8), rows[r] is (contexts, measurements,
-    k), and no row is empty. Read-only. Laid out by _lay_out."""
+    k), and no row is empty. Read-only. Laid out by _lay_out, each distinct
+    side keyed once by its (outcome counts, positions)."""
     marginals = [(tuple(ms), tuple(cs)) for ms, cs in marginals]
-    keys, sides = {}, []
-    for i, (ms, cs) in enumerate(marginals):
-        for t, c in enumerate(cs):
-            ctx = scenario.cover[c]
-            side = tuple(scenario.outcomes[m] for m in ctx), tuple(map(ctx.index, ms))
-            sides.append((i, c, t, keys.setdefault(side, len(keys))))
-    which, ctx, second, key = np.array(sides, np.int64).reshape(-1, 4).T
+    radices = [tuple(scenario.outcomes[m] for m in c) for c in scenario.cover]
+    # position[c](m): the position of measurement m in context c
+    position = [dict(zip(c, range(len(c)))).__getitem__ for c in scenario.cover]
+    sides = [len(cs) for _, cs in marginals]
+    n = sum(sides)
+    which = np.fromiter(_repeated(range(len(sides)), sides), np.int64, n)
+    second = np.fromiter(chain.from_iterable(map(range, sides)), np.int64, n)
+    ctx = np.fromiter(chain.from_iterable(cs for _, cs in marginals), np.int64, n)
+    keys = {}
+    side_keys = (
+        keys.setdefault((radices[c], tuple(map(position[c], ms))), len(keys))
+        for ms, cs in marginals
+        for c in cs
+    )
+    key = np.fromiter(side_keys, np.int64, n)
     slot, sign, start, counts, k = _lay_out(scenario, which, ctx, second, key, list(keys))
     n = counts.tolist()
     contexts = _repeated((cs for _, cs in marginals), n)
@@ -503,16 +444,21 @@ def marginal_rows(scenario, marginals):
 
 @lru_cache(maxsize=64)
 def overlap_rows(scenario):
-    """marginal_rows of overlaps(scenario), in order, each pair ci's marginal
-    minus cj's: weights are no-signaling when every row sums to 0. Laid out
-    in array passes over _pair_sides, with no per-pair projection."""
-    ci, cj, shared, key, keys = _pair_sides(scenario)
-    ctx = np.concatenate([ci, cj])
-    which, second = np.tile(np.arange(ci.size), 2), np.repeat([0, 1], ci.size)
-    slot, sign, start, counts, k = _lay_out(scenario, which, ctx, second, key, keys)
-    n = counts.tolist()
-    pairs = _repeated(zip(ci.tolist(), cj.tolist()), n)
-    return slot, sign, start, tuple(zip(pairs, _repeated(shared, n), k.tolist()))
+    """marginal_rows of every pair of contexts (ci, cj) that share a
+    measurement, in `combinations` order, on their shared measurements
+    ascending: each row is ci's marginal minus cj's at one shared outcome,
+    so weights are no-signaling when every row sums to 0, and its label is
+    ((ci, cj), shared, k). Raises ResourceLimitError, before the pairs are
+    scanned, past MAX_TABLE_CELLS entries, at most (n_contexts - 1) * slots."""
+    rows, cols = scenario.n_contexts - 1, slot_count(scenario)
+    _require(rows * cols, f"cells in the overlap table of {rows} x {cols}", MAX_TABLE_CELLS)
+    sets = list(map(set, scenario.cover))
+    pairs = (
+        (tuple(sorted(sets[i] & sets[j])), (i, j))
+        for i, j in combinations(range(len(sets)), 2)
+        if not sets[i].isdisjoint(sets[j])
+    )
+    return marginal_rows(scenario, pairs)
 
 
 @lru_cache(maxsize=64)

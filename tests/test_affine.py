@@ -5,7 +5,7 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import prod
 
 import numpy as np
@@ -52,7 +52,7 @@ from amcc.scenario import (
     bell_scenario,
     global_size,
     overlap_rows,
-    overlaps,
+    projection,
     section_size,
     slot_count,
     slot_offsets,
@@ -390,13 +390,23 @@ def test_normalization_pass_ends_where_the_pivot_loop_does(support):
     assert once[3] == each[3]
 
 
+def _sharing_pairs(scenario):
+    # (ci, cj, shared, proj_i, proj_j) of every pair of contexts that share
+    # a measurement, in combinations order: the shared measurements
+    # ascending and each context's projection onto them, pair by pair
+    for ci, cj in combinations(range(scenario.n_contexts), 2):
+        shared = tuple(sorted(set(scenario.cover[ci]) & set(scenario.cover[cj])))
+        if shared:
+            yield ci, cj, shared, projection(scenario, ci, shared), projection(scenario, cj, shared)
+
+
 def _shortcut_pivot_rows(scenario):
     # the pivot-row template as it was built with the implied-row shortcut:
     # each overlapping pair's last shared-outcome row was never fed to the
     # elimination; kept as the oracle
     rows = ns_equations(scenario)
     last, end = set(), scenario.n_contexts
-    for _, _, shared, _, _ in overlaps(scenario):
+    for _, _, shared, _, _ in _sharing_pairs(scenario):
         end += prod(scenario.outcomes[m] for m in shared)
         last.add(end - 1)
     fed = [row for i, row in enumerate(rows) if i not in last]
@@ -480,7 +490,7 @@ def _bucketed_ns_equations(scenario, support=None):
         for ci in range(scenario.n_contexts)
     ]
     rows = [({offs[ci] + si: 1 for si in sections}, 1) for ci, sections in enumerate(kept)]
-    for ci, cj, _, proj_i, proj_j in overlaps(scenario):
+    for ci, cj, _, proj_i, proj_j in _sharing_pairs(scenario):
         buckets = {}
         for c, proj, sign in ((ci, proj_i, 1), (cj, proj_j, -1)):
             for si in kept[c]:
@@ -521,10 +531,10 @@ def test_overlap_rows_are_the_bucketed_pair_rows(sc):
     expected = _bucketed_ns_equations(sc)
     assert _ordered(rows) == _ordered(expected[sc.n_contexts :])
     assert _ordered(ns_equations(sc)) == _ordered(expected)
-    # each row's pair and packed shared outcome, pair by pair in overlaps order
+    # each row's pair and packed shared outcome, pair by pair in combinations order
     assert labels == tuple(
         ((ci, cj), shared, k)
-        for ci, cj, shared, _, _ in overlaps(sc)
+        for ci, cj, shared, _, _ in _sharing_pairs(sc)
         for k in range(prod(sc.outcomes[m] for m in shared))
     )
 

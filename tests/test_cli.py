@@ -23,7 +23,7 @@ from amcc.model import (
 )
 from amcc.possibilistic import SupportModel, support_of, support_to_json
 from amcc.rational import rat
-from amcc.scenario import bell_scenario, overlap_rows, overlaps
+from amcc.scenario import bell_scenario, overlap_rows
 from amcc.verify import random_no_signaling_model
 
 
@@ -184,14 +184,13 @@ def test_the_overlap_table_guard_trips_before_any_table_is_built(
     # limit the same way; its table is never built here
     path = _write_json(tmp_path / "u.json", model_to_json(uniform_model(bell_scenario(4, 2, 2))))
     monkeypatch.setattr(amcc.scenario, "MAX_TABLE_CELLS", 15 * 256 - 1)
-    overlaps.cache_clear()
     overlap_rows.cache_clear()
     code, out, err = run(cmd, path)
     assert (code, out) == (5, "")
     assert err == (
         "resource limit: 3840 cells in the overlap table of 15 x 256 is over the limit 3839\n"
     )
-    assert overlaps.cache_info().currsize == overlap_rows.cache_info().currsize == 0
+    assert overlap_rows.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize(

@@ -68,24 +68,6 @@ def test_every_size_limit_has_one_home_and_one_check():
     assert len(raises) == 1 and raises[0] in set(ast.walk(require))
 
 
-def test_only_the_scenario_module_reads_overlaps():
-    # the one layout of the overlapping pairs' slots is scenario.overlap_rows;
-    # every other module reads that table, never the raw projections.
-    # overlap_rows is built from the pairs' masks, not from overlaps, so
-    # only scenario may call it; the tests' calls show that the scan works
-    def callers(paths):
-        return {
-            path.stem
-            for path in paths
-            for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.Call)
-            and "overlaps" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-        }
-
-    assert callers(Path(amcc.__file__).parent.glob("*.py")) <= {"scenario"}
-    assert {"test_scenario", "test_affine"} <= callers(Path(__file__).parent.glob("*.py"))
-
-
 def _callers(module, names):
     """{name: the dotted scopes that call it} over one module of amcc."""
     tree = ast.parse((Path(amcc.__file__).parent / f"{module}.py").read_text())

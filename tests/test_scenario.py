@@ -25,7 +25,6 @@ from amcc.scenario import (
     incidence_matrix,
     marginal_rows,
     overlap_rows,
-    overlaps,
     projection,
     restrict,
     restriction_table,
@@ -191,26 +190,6 @@ def test_projection_matches_pointwise_decoding(sc, data):
         want.append(_pack(u, radices))
         assert unpack(want[-1], radices) == u
     assert projection(sc, ci, ms) == tuple(want)
-
-
-@given(SCENARIOS)
-@settings(max_examples=20, deadline=None)
-def test_overlaps_list_every_sharing_pair_with_its_projections(sc):
-    want = []
-    for ci, cj in combinations(range(sc.n_contexts), 2):
-        shared = tuple(sorted(set(sc.cover[ci]) & set(sc.cover[cj])))
-        if not shared:
-            continue
-        radices = [sc.outcomes[m] for m in shared]
-        projs = []
-        for c in (ci, cj):
-            pos = [sc.cover[c].index(m) for m in shared]
-            projs.append(tuple(
-                _pack([section_outcomes(sc, c, si)[p] for p in pos], radices)
-                for si in range(section_size(sc, c))
-            ))
-        want.append((ci, cj, shared, *projs))
-    assert overlaps(sc) == tuple(want)
 
 
 def test_incidence_matrix_columns_hit_every_context_once():
