@@ -1,14 +1,15 @@
 """Command-line front end.
 
 Subcommands wrap the library operations one-to-one and share a fixed
-exit-code convention: 0 ok, 2 unreadable input or unusable argument value,
-3 precondition violated, 4 verification failure, 5 resource limit. Machine
-formats carry exact rationals as "a/b" strings; decimals appear only in
-human output.
+exit-code convention: 0 ok, 1 stdout closed by its reader, 2 unreadable
+input or unusable argument value, 3 precondition violated, 4 verification
+failure, 5 resource limit. Machine formats carry exact rationals as "a/b"
+strings; decimals appear only in human output.
 """
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from functools import lru_cache
@@ -387,6 +388,12 @@ def main(argv=None):
         return exc.code
     try:
         code = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader is gone: what is left of the output, and the
+        # flush at exit, go to os.devnull, as the signal module's docs advise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

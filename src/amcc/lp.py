@@ -300,8 +300,11 @@ def _run_lockstep(incidence, rhss):
     m, n = incidence.shape
     out = [None] * len(rhss)
     lanes = LOCKSTEP_CELLS // ((m + 1) * (n + m + 1))
-    queue = [i for i, rhs in enumerate(rhss) if 0 <= min(rhs) and max(rhs) < _INT64_LIMIT]
-    if lanes < 2 or len(queue) < 2:
+    queue = []
+    # a lone lane or a lone LP runs alone, before any rhs is scanned
+    if lanes > 1 and len(rhss) > 1:
+        queue = [i for i, rhs in enumerate(rhss) if 0 <= min(rhs) and max(rhs) < _INT64_LIMIT]
+    if len(queue) < 2:
         queue = []
     queued = set(queue)
     for i, rhs in enumerate(rhss):

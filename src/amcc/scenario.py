@@ -421,7 +421,10 @@ def marginal_rows(scenario, marginals):
     side keyed once by its (outcome counts, positions)."""
     marginals = [(tuple(ms), tuple(cs)) for ms, cs in marginals]
     radices = [tuple(scenario.outcomes[m] for m in c) for c in scenario.cover]
-    # position[c](m): the position of measurement m in context c
+    # kind[c]: the first context with c's outcome counts; position[c](m):
+    # the position of measurement m in context c
+    kinds = {}
+    kind = [kinds.setdefault(r, c) for c, r in enumerate(radices)]
     position = [dict(zip(c, range(len(c)))).__getitem__ for c in scenario.cover]
     sides = [len(cs) for _, cs in marginals]
     n = sum(sides)
@@ -430,12 +433,13 @@ def marginal_rows(scenario, marginals):
     ctx = np.fromiter(chain.from_iterable(cs for _, cs in marginals), np.int64, n)
     keys = {}
     side_keys = (
-        keys.setdefault((radices[c], tuple(map(position[c], ms))), len(keys))
+        keys.setdefault((kind[c], tuple(map(position[c], ms))), len(keys))
         for ms, cs in marginals
         for c in cs
     )
     key = np.fromiter(side_keys, np.int64, n)
-    slot, sign, start, counts, k = _lay_out(scenario, which, ctx, second, key, list(keys))
+    keys = [(radices[c], positions) for c, positions in keys]
+    slot, sign, start, counts, k = _lay_out(scenario, which, ctx, second, key, keys)
     n = counts.tolist()
     contexts = _repeated((cs for _, cs in marginals), n)
     measurements = _repeated((ms for ms, _ in marginals), n)

@@ -1,8 +1,12 @@
 """End-to-end CLI behavior: output text, file handling, exit codes."""
 
 import json
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -173,6 +177,24 @@ def test_argparse_refusals_and_help_are_returned_as_exit_codes(capsys):
     assert "invalid <lambda> value: 'zz'" in capsys.readouterr().err
     assert main(["--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: amcc")
+
+
+def test_a_closed_stdout_exits_1_without_a_traceback():
+    # the pipe's read end is closed before the process starts, so its first
+    # write to stdout fails; neither the command nor the flush at exit
+    # prints a traceback or "Exception ignored"
+    src = str(Path(amcc.scenario.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "amcc.cli", "emit-parity-model", "4", "2", "0x1c00"],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, b"")
 
 
 @pytest.mark.parametrize("cmd", ["nosignaling", "cf"])

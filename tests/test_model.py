@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from amcc.affine import classify, solve_support
 from amcc.errors import PreconditionError
 from amcc.model import (
     EmpiricalModel,
@@ -34,6 +35,7 @@ from amcc.model import (
     uniform_model,
 )
 from amcc.parity import build_symmetric_model, parity_system_from_vector
+from amcc.possibilistic import possibilistic_no_signaling, strong_contextuality, support_of
 from amcc.rational import ONE, ZERO, over_lcm, rat, rat_str
 from amcc.scenario import (
     MeasurementScenario,
@@ -973,3 +975,83 @@ def test_tables_and_rows_given_as_iterators_are_refused_as_lists_are():
                 EmpiricalModel(sc, [good, iter(bad), good, good])
     with pytest.raises(ValueError, match="need one distribution per context"):
         EmpiricalModel(sc, (row for row in [good, good, good]))
+
+
+# ---------------------------------------------------------------------------
+# Bell relabelings: permuting the parties, swapping a party's settings and
+# flipping a measurement's outcomes leave every verdict unchanged, while
+# the relabeled model reaches every slot layout in another order
+
+
+def _relabeled(model, perm, swaps, flips):
+    """The image of a model on bell_scenario(n, 2, 2): party p's setting x
+    and outcome o become party perm[p]'s setting x ^ swaps[p] and outcome
+    o ^ flips[2 * p + x]. Context indices pack the settings, and section
+    indices the outcomes, as big-endian bits in party order."""
+    n = len(perm)
+
+    def moved(bits, flip):
+        out = [0] * n
+        for p, (b, f) in enumerate(zip(bits, flip)):
+            out[perm[p]] = b ^ f
+        return sum(b << (n - 1 - q) for q, b in enumerate(out))
+
+    tables = [None] * model.scenario.n_contexts
+    for ci, row in enumerate(model.tables):
+        x = unpack(ci, (2,) * n)
+        flip = [flips[2 * p + x[p]] for p in range(n)]
+        image = [None] * len(row)
+        for si, w in enumerate(row):
+            image[moved(unpack(si, (2,) * n), flip)] = w
+        tables[moved(x, swaps)] = image
+    return EmpiricalModel(model.scenario, tables)
+
+
+@st.composite
+def _relabeling_cases(draw):
+    """A model at (2,2,2)-(4,2,2), random no-signaling or a parity model,
+    half the time made signaling by moving part of one section's mass to
+    another section of its context, and a Bell relabeling of it."""
+    n = draw(st.integers(2, 4))
+    sc = bell_scenario(n, 2, 2)
+    if draw(st.booleans()):
+        model = random_no_signaling_model(sc, random.Random(draw(st.integers(0, 2**32 - 1))))
+    else:
+        vector = draw(st.integers(0, 2**sc.n_contexts - 1))
+        model = build_symmetric_model(parity_system_from_vector(sc, vector))
+    if draw(st.booleans()):
+        ci = draw(st.integers(0, sc.n_contexts - 1))
+        row = list(model.tables[ci])
+        src = draw(st.sampled_from([si for si, w in enumerate(row) if w]))
+        dst = draw(st.sampled_from([si for si in range(len(row)) if si != src]))
+        mass = row[src] * Fraction(draw(st.integers(1, 4)), 4)
+        row[src], row[dst] = row[src] - mass, row[dst] + mass
+        model = EmpiricalModel(sc, model.tables[:ci] + (tuple(row),) + model.tables[ci + 1 :])
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    relabeling = draw(st.permutations(range(n))), draw(bits), draw(bits) + draw(bits)
+    return model, relabeling
+
+
+@given(_relabeling_cases())
+@example((pr_box(0), ((1, 0), [1, 0], [0, 1, 1, 0])))
+@settings(max_examples=60, deadline=None)
+def test_bell_relabelings_keep_every_verdict(case):
+    model, relabeling = case
+    image = _relabeled(model, *relabeling)
+    ns = is_no_signaling(model)[0]
+    assert is_no_signaling(image)[0] == ns
+    support, support_image = support_of(model), support_of(image)
+    assert possibilistic_no_signaling(support_image)[0] == possibilistic_no_signaling(support)[0]
+    assert strong_contextuality(support_image)[0] == strong_contextuality(support)[0]
+    family, family_image = solve_support(support), solve_support(support_image)
+    assert (family is None) == (family_image is None)
+    if family is not None:
+        assert family.dimension == family_image.dimension
+    if not ns:
+        for m in (model, image):
+            with pytest.raises(PreconditionError, match="model is signaling"):
+                is_maximal_marginals(m)
+        return
+    assert is_maximal_marginals(image)[0] == is_maximal_marginals(model)[0]
+    ours, theirs = classify(model), classify(image)
+    assert (ours.cf, ours.verdict) == (theirs.cf, theirs.verdict)
