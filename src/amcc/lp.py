@@ -31,30 +31,36 @@ pivot step, _pivot_array, is also the step of affine's Gauss-Jordan
 elimination. The loop counts the cells its pivots update and stops past
 MAX_SIMPLEX_WORK.
 
-Every certified LP runs on one route, _certified_lps: for each model in
-turn it refuses a signaling model, builds the LP over a set of global
-assignments and the slots they touch, hands the LPs that share a matrix
-to _run_lockstep together, and checks two exact certificates over every
-global assignment, on the LP's numerators and the model's `rows`. In
-lockstep the tableaux share one int64 stack of lanes, at most
+Every certified LP runs on one route, _certified_lps: it refuses a
+signaling model, builds each model's LP over a set of global assignments
+and the slots they touch, hands the LPs that share a matrix to
+_run_lockstep together, and checks two exact certificates over every
+global assignment, on the LP's numerators and the model's `rows`. The
+models of one scenario take the signaling refusal and the compatibility
+scan as array passes over one matrix of their numerators, and the LPs
+that ran together take both certificates as array passes
+(_price_refusals, _weight_loads), where a lone model takes the one-model
+checks; a refusal is still the first the loop over the models meets. In
+lockstep the tableaux share one int32 stack of lanes, at most
 LOCKSTEP_CELLS cells, and each numpy step takes one Bland pivot in every
 lane; a lane takes the step only when its pivot is 1 at det 1 and its
-running bound passes _pivot_array's int64 test, and on any other step its
-LP is handed to _run_array, which resumes from its tableau, basis, pivot
-count and work. So every LP pivots exactly as it does alone, and a lone
-LP, or one too large to share the stack, runs on simplex_solve. The
-prices bound ncf above: global g's slots, one per context, are column g
-of scenario's slot table `_global_slots`, so what every global collects
-is one numpy sum over it, in int64 whenever the totals are bounded below
-2**63. The weights total ncf and load no slot past the model's weight, so
-ncf is also attained. `contextual_fraction` keeps every global: each slot
-is then some global's, so the LP is the scenario's cached incidence
-matrix, in its row order, and the decomposition is read off the checked
-integer slot loads. verify-paper's pools take the same full LPs, many at
-once. `certified_fraction`, the cheap route to the value alone, keeps
-only the support's compatible globals: a global that restricts to a
-zero-weight slot is forced to weight 0. Fractions are built only where
-the two public functions hand them out.
+running bound keeps every entry in int32, and on any other step its LP
+is handed to _run_array, which resumes from its tableau (as int64),
+basis, pivot count and work. So every LP pivots exactly as it does
+alone, and a lone LP, or one too large to share the stack, runs on
+simplex_solve. The prices bound ncf above: global g's slots, one per
+context, are column g of scenario's slot table `_global_slots`, so what
+every global collects is one numpy sum over it, in int64 whenever the
+totals are bounded below 2**63. The weights total ncf and load no slot
+past the model's weight, so ncf is also attained. `contextual_fraction`
+keeps every global: each slot is then some global's, so the LP is the
+scenario's cached incidence matrix, in its row order, and the
+decomposition is read off the checked integer slot loads. verify-paper's
+pools take the same full LPs, many at once. `certified_fraction`, the
+cheap route to the value alone, keeps only the support's compatible
+globals: a global that restricts to a zero-weight slot is forced to
+weight 0. Fractions are built only where the two public functions hand
+them out.
 """
 
 from dataclasses import dataclass
@@ -66,8 +72,8 @@ from operator import index, mul
 import numpy as np
 
 from .errors import PreconditionError, ResourceLimitError, VerificationError
-from .model import _model_from_ints, _require_no_signaling
-from .possibilistic import compatible_globals, support_of
+from .model import _by_scenario, _model_from_ints, _require_no_signaling, _signaling, _slot_rows
+from .possibilistic import _compatible
 from .rational import ONE, fractions_over, rat
 from .scenario import (
     MAX_SIMPLEX_WORK,
@@ -91,7 +97,7 @@ __all__ = [
 # entries keeps it below this; past it the tableau holds Python ints
 _INT64_LIMIT = 1 << 62
 
-# the lockstep's int64 stack holds at most this many cells, 1 MiB: its
+# the lockstep's int32 stack holds at most this many cells, 512 KiB: its
 # lanes are this over one tableau's cells, so a (2,2,2) group runs 233
 # LPs at once, a (3,2,2) group 15, and a (4,2,2) tableau (131,841 cells)
 # never shares the stack
@@ -283,27 +289,30 @@ def _run_lockstep(incidence, rhss):
     call's result or the refusal it raises, with every LP pivoting as it
     does alone. rhss are lists of ints.
 
-    The LPs share one int64 stack of lanes, LOCKSTEP_CELLS // the cells of
+    The LPs share one int32 stack of lanes, LOCKSTEP_CELLS // the cells of
     one tableau, and each step pivots every lane at once by Bland's rule:
     the least column of negative reduced cost enters, the leaving row is
-    _leaving_row's (a float proposal, then int64 cross-multiplication
+    _leaving_row's (a float proposal, then integer cross-multiplication
     against it: a row below it, ties to the least basic variable), and
     the unit update row - f * prow runs on the rows with f != 0. A lane
     takes the step only when the pivot is 1 at det 1 and its running
-    bound passes _pivot_array's int64 test, so the update is exact and has
-    nothing to divide, and when the step keeps its work within
-    MAX_SIMPLEX_WORK; otherwise the LP goes on alone in _run_array from
-    its tableau, basis, pivots and work, which also raises what it would
-    raise alone. When an LP finishes, its lane takes the next one. An LP
-    whose rhs is negative or passes _INT64_LIMIT, and every LP when one
-    lane or one LP is all there is, runs on simplex_solve."""
+    bound b keeps b + b * b below min(2**31, _INT64_LIMIT), so the update
+    is exact in int32 and has nothing to divide, and when the step keeps
+    its work within MAX_SIMPLEX_WORK; otherwise the LP goes on alone in
+    _run_array from its tableau, as int64, its basis, pivots and work,
+    which also raises what it would raise alone. When an LP finishes, its
+    lane takes the next one. An LP whose rhs is negative or passes that
+    limit, and every LP when one lane or one LP is all there is, runs on
+    simplex_solve."""
     m, n = incidence.shape
     out = [None] * len(rhss)
     lanes = LOCKSTEP_CELLS // ((m + 1) * (n + m + 1))
     queue = []
+    # every product a step forms stays below limit, so the lanes hold int32
+    limit = min(1 << 31, _INT64_LIMIT)
     # a lone lane or a lone LP runs alone, before any rhs is scanned
     if lanes > 1 and len(rhss) > 1:
-        queue = [i for i, rhs in enumerate(rhss) if 0 <= min(rhs) and max(rhs) < _INT64_LIMIT]
+        queue = [i for i, rhs in enumerate(rhss) if 0 <= min(rhs) and max(rhs) < limit]
     if len(queue) < 2:
         queue = []
     queued = set(queue)
@@ -318,17 +327,18 @@ def _run_lockstep(incidence, rhss):
     lanes = min(lanes, len(queue))
     queue.reverse()
     base, start = _slack_tableau(incidence, [0] * m)
+    base = base.astype(np.int32)
     # the stack gets its own anonymous mapping, whose pages go back to the
     # system whole when the last view of it goes: allocated from the heap,
     # a 1 MiB stack freed between pools left the heap that much larger and
     # raised verify-paper's peak RSS by 1.2 MiB
-    stack = np.frombuffer(mmap(-1, lanes * base.nbytes), np.int64).reshape(lanes, *base.shape)
+    stack = np.frombuffer(mmap(-1, lanes * base.nbytes), np.int32).reshape(lanes, *base.shape)
     basis = np.tile(start, (lanes, 1))
     owner = np.full(lanes, -1)
     pivots, work, bound = (np.zeros(lanes, np.int64) for _ in range(3))
-    # the largest bound b whose unit pivot passes the int64 test, b + b * b
-    # < _INT64_LIMIT, or (2b + 1)**2 <= 4 * _INT64_LIMIT - 3
-    cap = (isqrt(4 * _INT64_LIMIT - 3) - 1) // 2
+    # the largest bound b whose unit pivot keeps every entry below limit,
+    # b + b * b < limit, or (2b + 1)**2 <= 4 * limit - 3
+    cap = (isqrt(4 * limit - 3) - 1) // 2
 
     def load(lane):
         """Give the lane the next LP, or leave it idle with no pivot to take."""
@@ -380,7 +390,8 @@ def _run_lockstep(incidence, rhss):
         )
         if np.count_nonzero(take) < busy:
             for lane in np.flatnonzero(going & ~take):
-                i, tableau, rows = owner[lane], stack[lane].copy(), basis[lane].tolist()
+                i, rows = owner[lane], basis[lane].tolist()
+                tableau = stack[lane].astype(np.int64)
                 try:
                     tableau, det, done = _run_array(tableau, rows, int(pivots[lane]), int(work[lane]))
                     out[i] = _solution(tableau, rows, n, det, done)
@@ -484,16 +495,43 @@ def _certified_lps(models, compatible=False):
     touches one, 0 on every other slot the LP did not see, and the LP's
     prices elsewhere.
 
-    A refused model raises what the loop over the models raises first, in
-    input order: a signaling model, a size guard, a work budget trip or a
-    failed certificate. Once a model is refused before its LP is built,
-    the models after it are not solved."""
+    The models of one scenario are checked at once, on one matrix of
+    their numerators (_slot_rows): one reduceat finds the signaling ones
+    (model._signaling), one compatibility scan gives every kept set
+    (possibilistic._compatible), and the LPs that ran together pass
+    _price_refusals and _weight_loads together. A model alone in its
+    scenario, or in its LP, takes the one-model forms, _require_no_signaling,
+    _check_prices and _check_weights. A refused model raises what the loop
+    over the models raises first, in input order: a signaling model, a
+    size guard, a work budget trip or a failed certificate. Once a model
+    is refused before its LP is built, the models after it are not
+    solved."""
+    models = list(models)
+    scenarios = _by_scenario(models)
+    row_of = {i: r for members in scenarios.values() for r, i in enumerate(members)}
+    # values: each scenario's _slot_rows; suspects: the models that
+    # _require_no_signaling checks, a lone model or one the reduceat flags
+    values, suspects, compatibles = {}, set(), {}
     lps, groups, refused = [], {}, None
     for i, model in enumerate(models):
+        sc = model.scenario
+        members = scenarios[sc]
         try:
-            _require_no_signaling(model)
-            sc = model.scenario
-            kept = compatible_globals(support_of(model)) if compatible else range(global_size(sc))
+            if i == members[0]:
+                # a lone model takes is_no_signaling itself, and a lone full
+                # LP reads no numerator matrix
+                lone = len(members) == 1
+                if compatible or not lone:
+                    values[sc] = _slot_rows([models[j] for j in members])
+                suspects.update(members if lone else compress(members, _signaling(sc, values[sc])))
+            if i in suspects:
+                _require_no_signaling(model)
+            if compatible:
+                if sc not in compatibles:
+                    compatibles[sc] = _compatible(sc, values[sc] != 0)
+                kept = np.flatnonzero(compatibles[sc][row_of[i]]).tolist()
+            else:
+                kept = range(global_size(sc))
             incidence = incidence_matrix(sc) if kept else None
         except _REFUSALS as exc:
             refused = exc
@@ -507,33 +545,81 @@ def _certified_lps(models, compatible=False):
             rows = range(len(incidence))
         v = list(chain.from_iterable(model.rows))
         g = gcd(model.den, *(v[r] for r in rows))
-        lps.append((model, kept, rows, model.den // g, v))
-        if kept:
-            # a compatible LP has a matrix of its own; the full LPs of one
-            # scenario share its cached one
-            group = groups.setdefault(i if compatible else sc, (incidence, [], []))
-            group[1].append(i)
-            group[2].append([v[r] // g for r in rows])
-    solved = {}
-    for incidence, members, rhss in groups.values():
-        solved.update(zip(members, _run_lockstep(incidence, rhss)))
-    out = []
-    for i, (model, kept, rows, scale, v) in enumerate(lps):
-        solution = solved.get(i, (0, (), (), 1, 0))
-        if isinstance(solution, Exception):
-            raise solution
-        value, weights, reduced, det, pivots = solution
-        prices = [0 if x else det for x in v]
-        for r, y in zip(rows, reduced):
-            prices[r] = y
-        den = det * scale
-        ncf = rat(value, den)
-        _check_prices(model, prices, det, ncf)
-        loads = _check_weights(model, kept, weights, den, ncf)
-        out.append((ncf, (den, weights, loads), (det, prices), pivots))
+        lps.append((rows, model.den // g, v))
+        # a compatible LP has a matrix of its own; the full LPs of one
+        # scenario share its cached one
+        group = groups.setdefault(i if compatible else sc, (incidence, kept, [], []))
+        group[2].append(i)
+        group[3].append([v[r] // g for r in rows])
+    out = [None] * len(lps)
+    for incidence, kept, members, rhss in groups.values():
+        solved = _run_lockstep(incidence, rhss) if kept else [(0, (), (), 1, 0)]
+        live = []
+        for i, solution in zip(members, solved):
+            if isinstance(solution, Exception):
+                out[i] = solution
+                continue
+            rows, scale, v = lps[i]
+            value, weights, reduced, det, pivots = solution
+            if len(reduced) == len(v):
+                prices = list(reduced)
+            else:
+                prices = [0 if x else det for x in v]
+                for r, y in zip(rows, reduced):
+                    prices[r] = y
+            live.append(i)
+            out[i] = [rat(value, det * scale), det * scale, weights, det, prices, pivots]
+        if live:
+            sc = models[live[0]].scenario
+            at = [row_of[i] for i in live]
+            group = [models[i] for i in live]
+            checked = _certify(group, values.get(sc), at, kept, [out[i] for i in live])
+            for i, loads in zip(live, checked):
+                ncf, den, weights, det, prices, pivots = out[i]
+                out[i] = loads if isinstance(loads, Exception) else (
+                    ncf, (den, weights, loads), (det, prices), pivots
+                )
+    for result in out:
+        if isinstance(result, Exception):
+            raise result
     if refused is not None:
         raise refused
     return out
+
+
+def _certify(models, values, rows, kept, solved):
+    """Every slot's loads, a list over den, of each solved LP [ncf, den,
+    weights, det, prices, pivots] once both its certificates pass, or its
+    first refusal. The LPs share a scenario and kept, and their models'
+    numerators are the given rows of values (_slot_rows). A lone LP takes
+    _check_prices and _check_weights, which at one model beat array
+    passes; many take _price_refusals and _weight_loads at once."""
+    ncfs, dens, weights, dets, prices, _ = zip(*solved)
+    if len(solved) > 1:
+        values = values[rows]
+        refusals = _price_refusals(models, values, prices, dets, ncfs)
+        loads = _weight_loads(models, values, kept, weights, dens, ncfs)
+        return [refusal or x for refusal, x in zip(refusals, loads)]
+    try:
+        _check_prices(models[0], prices[0], dets[0], ncfs[0])
+        return [_check_weights(models[0], kept, weights[0], dens[0], ncfs[0])]
+    except VerificationError as exc:
+        return [exc]
+
+
+def _int_rows(rows):
+    """rows, sequences of ints of one length, as one 2-D array: int64 when
+    every entry fits, Python ints otherwise."""
+    try:
+        return np.array(rows, np.int64)
+    except OverflowError:
+        return np.array(rows, object)
+
+
+def _dtype(bound, *arrays):
+    """int64 when bound is below 2**63 and no array holds Python ints,
+    object otherwise."""
+    return object if bound >= 2**63 or any(a.dtype == object for a in arrays) else np.int64
 
 
 def _check_prices(model, prices, den, ncf):
@@ -556,7 +642,7 @@ def _check_prices(model, prices, den, ncf):
         raise VerificationError("a slot price is negative")
     sc = model.scenario
     dtype = np.int64 if max(den, sc.n_contexts * max(prices)) < 2**63 else object
-    collected = np.array(prices, dtype=dtype)[_global_slots(sc)].sum(axis=0)
+    collected = np.array(prices, dtype=dtype).take(_global_slots(sc)).sum(axis=0)
     if collected.min() < den:
         g = int((collected < den).argmax())
         raise VerificationError(
@@ -569,6 +655,55 @@ def _check_prices(model, prices, den, ncf):
             "priced weights differ from the noncontextual fraction",
             details={"cost": cost, "ncf": ncf},
         )
+
+
+def _price_refusals(models, values, prices, dens, ncfs):
+    """_check_prices on models of one scenario at once, values their
+    numerators (_slot_rows), prices one row per model over dens: the
+    VerificationError it raises on each model, or None.
+
+    Global g's slots are column g of the slot table, one per context, so
+    one gather and sum over the table gives what every global collects
+    under every row of prices, and the priced weights are one product of
+    the numerator and price rows, every row over its den times its
+    model's. A row with a negative price is refused before its sums are
+    read, so the largest price bounds every sum that is read: no total
+    exceeds n_contexts or the slot count times it (and the model's den).
+    The sums run in int64 while those bounds and every den are below
+    2**63, and on Python ints otherwise."""
+    sc = models[0].scenario
+    prices = _int_rows(prices)
+    top = int(prices.max(initial=0))
+    dtype = _dtype(max(*dens, sc.n_contexts * top), prices)
+    collected = prices.astype(dtype, copy=False).take(_global_slots(sc), axis=1).sum(axis=1)
+    short = collected < np.array(dens, dtype)[:, None]
+    dtype = _dtype(slot_count(sc) * top * max(m.den for m in models), prices, values)
+    costs = (values.astype(dtype, copy=False) * prices.astype(dtype, copy=False)).sum(axis=1)
+    checks = zip(
+        models, dens, ncfs, (prices < 0).any(axis=1).tolist(), short.any(axis=1).tolist(),
+        short.argmax(axis=1).tolist(), collected, costs.tolist(),
+    )
+    out = []
+    for model, den, ncf, negative, underpriced, g, row, cost in checks:
+        refusal = None
+        if ncf < 0 or ncf > 1:
+            refusal = VerificationError(
+                "noncontextual fraction outside [0, 1]", details={"ncf": ncf}
+            )
+        elif negative:
+            refusal = VerificationError("a slot price is negative")
+        elif underpriced:
+            refusal = VerificationError(
+                "a global assignment collects price below 1",
+                details={"global": g, "price": rat(int(row[g]), den)},
+            )
+        elif cost * ncf.denominator != ncf.numerator * model.den * den:
+            refusal = VerificationError(
+                "priced weights differ from the noncontextual fraction",
+                details={"cost": rat(cost, model.den * den), "ncf": ncf},
+            )
+        out.append(refusal)
+    return out
 
 
 def _check_weights(model, kept, weights, den, ncf):
@@ -614,3 +749,62 @@ def _check_weights(model, kept, weights, den, ncf):
                 details={"slot": s, "load": rat(loads[s], den), "weight": rat(v[s], wden)},
             )
     return loads
+
+
+def _weight_loads(models, values, kept, weights, dens, ncfs):
+    """_check_weights on models of one scenario that keep the same
+    ascending globals, values their numerators (_slot_rows), weights one
+    row per model over dens: each model's slot loads, a list over its den,
+    or the VerificationError _check_weights raises on it.
+
+    Global g puts its weight on slot _global_slots[c, g] of every context
+    c, so one scatter of the nonzero weights over their columns of the
+    table sums every model's loads, and each load is compared with the
+    model's numerators, every row over its one denominator. A row with a
+    negative weight is refused before its loads are read, so no load that
+    is read exceeds len(kept) times the largest weight. The sums and
+    products run in int64 when none can reach 2**63, and on Python ints
+    otherwise."""
+    sc = models[0].scenario
+    w = _int_rows(weights)
+    top = int(w.max(initial=0))
+    w = w.astype(_dtype(len(kept) * top, w), copy=False)
+    model_of, col = np.nonzero(w)
+    slots = _global_slots(sc).take(np.asarray(kept, np.intp)[col], axis=1)
+    loads = np.zeros((len(models), slot_count(sc)), w.dtype)
+    np.add.at(loads, (model_of, slots), w[model_of, col])
+    wdens = [m.den for m in models]
+    dtype = _dtype(max(len(kept) * top, *dens) * max(wdens), w, values)
+    over = (
+        loads.astype(dtype, copy=False) * np.array(wdens, dtype)[:, None]
+        > values.astype(dtype, copy=False) * np.array(dens, dtype)[:, None]
+    )
+    negative = w < 0
+    checks = zip(
+        models, weights, dens, ncfs, negative.any(axis=1).tolist(), negative,
+        w.sum(axis=1).tolist(), over.any(axis=1).tolist(), over.argmax(axis=1).tolist(),
+        loads, values,
+    )
+    out = []
+    for model, ws, den, ncf, signed, neg, total, overloaded, s, load, v in checks:
+        result = load.tolist()
+        if signed:
+            i = int(neg.argmax())
+            result = VerificationError(
+                "a global assignment has negative weight",
+                details={"global": kept[i], "weight": rat(ws[i], den)},
+            )
+        elif total * ncf.denominator != ncf.numerator * den:
+            result = VerificationError(
+                "weights differ from the noncontextual fraction",
+                details={"total": rat(total, den), "ncf": ncf},
+            )
+        elif overloaded:
+            result = VerificationError(
+                "a slot carries more weight than the model",
+                details={
+                    "slot": s, "load": rat(int(load[s]), den), "weight": rat(int(v[s]), model.den)
+                },
+            )
+        out.append(result)
+    return out

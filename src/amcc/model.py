@@ -165,11 +165,35 @@ def marginalize(model, ci, measurements):
     return MarginalTable(measurements=ms, outcomes=outs, weights=fractions_over(acc, model.den))
 
 
+def _by_scenario(models):
+    """{scenario: the indices of its models}, both in input order."""
+    groups = {}
+    for i, model in enumerate(models):
+        groups.setdefault(model.scenario, []).append(i)
+    return groups
+
+
+def _slot_rows(models):
+    """_slot_values of models of one scenario, one row per model."""
+    dtype = np.int64 if max(m.den for m in models) < 2**62 else object
+    n = sum(models[0].scenario.section_sizes)
+    cells = chain.from_iterable(chain.from_iterable(m.rows for m in models))
+    return np.fromiter(cells, dtype, count=len(models) * n).reshape(len(models), n)
+
+
 def _slot_values(model):
     """(den, the model's numerators as one array in slot order): int64
     while den < 2**62, Python ints above, so that no row sum wraps."""
     dtype = np.int64 if model.den < 2**62 else object
     return model.den, np.fromiter(chain.from_iterable(model.rows), dtype=dtype)
+
+
+def _signaling(scenario, values):
+    """bool per row of values, _slot_rows of models of scenario: whether
+    is_no_signaling finds that model signaling, by its one reduceat over
+    every row at once."""
+    slot, sign, start, _ = overlap_rows(scenario)
+    return np.add.reduceat(values.take(slot, axis=1) * sign, start[:-1], axis=1).any(axis=1)
 
 
 def is_no_signaling(model):
@@ -183,7 +207,7 @@ def is_no_signaling(model):
     sc = model.scenario
     slot, sign, start, rows = overlap_rows(sc)
     den, values = _slot_values(model)
-    bad = np.flatnonzero(np.add.reduceat(values[slot] * sign, start[:-1]))
+    bad = np.flatnonzero(np.add.reduceat(values.take(slot) * sign, start[:-1]))
     if not bad.size:
         return True, None
     (ci, cj), shared, k = rows[bad[0]]
@@ -244,7 +268,7 @@ def uniform_marginals(model):
         raise PreconditionError("maximal-marginals check needs party structure")
     slot, _, start, rows, sizes = _party_rows(sc)
     den, values = _slot_values(model)
-    sums = np.add.reduceat(values[slot], start[:-1])
+    sums = np.add.reduceat(values.take(slot), start[:-1])
     k = sizes.astype(values.dtype, copy=False)  # b * k == den, with no product past int64
     bad = np.flatnonzero((sums != den // k) | (den % k != 0))
     if not bad.size:

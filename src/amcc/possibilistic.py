@@ -142,15 +142,39 @@ def compatible_globals(support):
     return [int(g) for g in np.nonzero(mask)[0]]
 
 
+def _compatible(scenario, possible):
+    """bool (supports, globals): compatible_globals of supports of one
+    scenario at once, possible one bool row per support of its possible
+    slots in slot order, after the same MAX_GLOBALS guard."""
+    _require(global_size(scenario), "global assignments", MAX_GLOBALS)
+    return compatible_mask(possible, _global_slots(scenario))
+
+
 def strong_contextuality(support):
     """(True, None) when no global assignment is compatible with the support,
     else (False, example global index). The example is re-checked against
     every context's support before it is returned."""
-    found = compatible_globals(support)
-    if not found:
-        return True, None
-    _check_witness(restriction_table(support.scenario), support.masks, found[0])
-    return False, found[0]
+    return _strong_contextualities(support.scenario, [support.masks])[0]
+
+
+def _strong_contextualities(scenario, masks):
+    """strong_contextuality of supports of one scenario at once, masks[i]
+    support i's masks: the number of global assignments is held to
+    MAX_GLOBALS before any row is packed, one compatible_mask call scans
+    every row, and each row's least compatible global is re-checked by
+    _check_witness on its masks."""
+    _require(global_size(scenario), "global assignments", MAX_GLOBALS)
+    found = compatible_mask(_pack_masks(scenario, masks), _global_slots(scenario))
+    witness = np.where(found.any(axis=1), found.argmax(axis=1), -1).tolist()
+    table = restriction_table(scenario)
+    out = []
+    for row, gi in zip(masks, witness):
+        if gi < 0:
+            out.append((True, None))
+        else:
+            _check_witness(table, row, gi)
+            out.append((False, gi))
+    return out
 
 
 def possibilistic_no_signaling(support):

@@ -46,9 +46,10 @@ def rat(value, den=None):
 
 
 def _json_int(value):
-    """int(value) for a JSON integer field: a float raises TypeError, as in rat."""
-    if isinstance(value, float):
-        raise TypeError(f"refusing float {value!r} where an integer is expected")
+    """int(value) for a JSON integer field: a float raises TypeError, as in
+    rat, and so does a bool, which int() would read as 0 or 1."""
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"refusing {type(value).__name__} {value!r} where an integer is expected")
     return int(value)
 
 

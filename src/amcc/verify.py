@@ -7,12 +7,18 @@ The suite also carries two independent routes to the noncontextual mass
 of a (2,2,2) model: a covering program solved by a self-contained integer
 tableau that calls nothing in `lp`, and a closed form from the eight
 two-party correlator bounds.
+
+The two pool checks take their models a scenario at a time: the LPs and
+their certificates through lp's one route, strong contextuality in one
+compatibility scan (possibilistic), and the covering programs as lanes
+of one numpy lockstep (_covering_pool).
 """
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import chain
+from operator import mul
 from time import perf_counter
 
 import numpy as np
@@ -23,6 +29,7 @@ from .errors import PreconditionError, VerificationError
 from .kernels import scan_satisfiable
 from .lp import _certified_lps, contextual_fraction
 from .model import (
+    _by_scenario,
     _deterministic_view,
     _mixed_view,
     _model_from_ints,
@@ -42,7 +49,7 @@ from .parity import (
     parity_scan,
     parity_system_from_vector,
 )
-from .possibilistic import strong_contextuality, support_of
+from .possibilistic import _strong_contextualities, support_of
 from .rational import ZERO, fractions_over, rat, rat_str
 from .scenario import bell_scenario, global_size, incidence_matrix
 
@@ -90,6 +97,12 @@ def _random_models(scenario, count, seed):
 # independent routes to the noncontextual mass
 
 
+# the covering tableaux of a group stay int64 while twice the square of a
+# running bound on their entries, which bounds every product a pivot or a
+# ratio test forms, is below this; past it the group holds Python ints
+_INT64_LIMIT = 1 << 62
+
+
 def covering_ncf(model):
     """Noncontextual mass from the covering side, independently solved.
 
@@ -99,102 +112,162 @@ def covering_ncf(model):
     total price at least 1, at minimum total cost. Any feasible covering
     price bounds every dominated mass from above, so when the two
     optimal values agree the common value is certified optimal. Solved
-    here by a self-contained integer tableau, sharing no code with the
-    main solver: one row per global assignment (prices, surplus and
-    penalty columns, rhs 1), and the objective extended with a formal
-    infinite penalty as two integer rows, penalty multiples and unit
-    costs, the model's numerators (its weights over den, the lcm of their
-    denominators). Each pivot divides exactly by the previous one
-    (Edmonds; Bareiss, Math. Comp. 22, 1968), so every stored entry is
-    the true one times det > 0; when the pivot equals det only the rows
-    with a nonzero entering entry and the pivot row's nonzero columns
-    change, and when det is 1 there is nothing to divide. Returns (value,
+    by a self-contained integer tableau that shares no code with the main
+    solver, as the one-model pool of _covering_pool. Returns (value,
     prices) after verifying feasibility exactly.
     """
-    sc = model.scenario
-    cover = incidence_matrix(sc).T.tolist()  # the slots of each global
-    scale = model.den
-    weights = [w for row in model.rows for w in row]  # slot order
-    n_rows = len(cover)  # covering constraints, one per global assignment
-    n_y = len(cover[0])  # price variables, one per slot
+    return _covering_pool([model])[0]
+
+
+def _covering_pool(models):
+    """[covering_ncf(m) for m in models]: the models of one scenario are
+    solved together, or the first refusal in input order is raised.
+
+    Each model's tableau has one row per global assignment (prices,
+    surplus and penalty columns, rhs 1) and the objective extended with a
+    formal infinite penalty as two integer rows, penalty multiples and
+    unit costs, the model's numerators (its weights over den, the lcm of
+    their denominators). The tableaux of one scenario are lanes of one
+    stack, and each numpy step takes one Bland pivot in every lane: the
+    least column whose cost (penalty, unit) is below (0, 0) enters, and
+    the leaving row is the least rhs / head, proposed in floats and made
+    exact by integer cross-multiplication, ties to the least basic
+    variable. The update is (p * row - f * prow) // det with the lane's
+    pivot p and previous pivot det (Edmonds; Bareiss, Math. Comp. 22,
+    1968), so every stored entry is the true one times det > 0; when
+    every p equals its det only the rows with a nonzero entering entry
+    change. The stack is int64 while a running bound shows that every
+    product fits, and Python ints for the group past that point. A lane
+    leaves the stack when no column enters, and the feasibility,
+    nonnegativity and underpricing checks then run on the group's prices
+    at once."""
+    out = [None] * len(models)
+    for members in _by_scenario(models).values():
+        for i, res in zip(members, _covering_group([models[i] for i in members])):
+            out[i] = res
+    for res in out:
+        if isinstance(res, VerificationError):
+            raise res
+    return out
+
+
+def _covering_group(models):
+    """_covering_pool's result per model of one scenario: (value, prices),
+    or the VerificationError that model's solve raises."""
+    sc = models[0].scenario
+    inc = incidence_matrix(sc)  # slot x global, the covering rows' transpose
+    n_y, n_rows = inc.shape  # price variables, covering constraints
     width = n_y + 2 * n_rows  # prices, surplus, penalty columns
-
-    tableau = []
-    for g, slots in enumerate(cover):
-        row = slots + [0] * (2 * n_rows + 1)
-        row[n_y + g] = -1
-        row[n_y + n_rows + g] = 1
-        row[width] = 1
-        tableau.append(row)
-    basis = [n_y + n_rows + g for g in range(n_rows)]
-
+    weights = [list(chain.from_iterable(m.rows)) for m in models]  # slot order
+    base = np.zeros((n_rows + 2, width + 1), np.int64)
+    base[:n_rows, :n_y] = inc.T
+    eye = np.eye(n_rows, dtype=np.int64)
+    base[:n_rows, n_y:n_y + n_rows] = -eye
+    base[:n_rows, n_y + n_rows:width] = eye
+    base[:n_rows, width] = 1
     # reduced costs live in the ordered extension {a*penalty + b}, kept as
-    # the rows (a, b * scale) compared lexicographically; penalty columns
-    # cost (1, 0)
-    penalty = [-sum(col) for col in zip(*tableau)]
-    for j in range(n_y + n_rows, width):
-        penalty[j] += 1
-    unit = weights + [0] * (2 * n_rows + 1)
-    everything = (*tableau, penalty, unit)
-
-    det = 1
-    while True:
-        # the least column whose cost (penalty[j], unit[j]) is below (0, 0)
-        for enter in range(width):
-            a = penalty[enter]
-            if a < 0 or (a == 0 and unit[enter] < 0):
+    # the rows (a, b * den); penalty columns cost (1, 0)
+    base[n_rows] = -base[:n_rows].sum(0)
+    base[n_rows, n_y + n_rows:width] += 1
+    bound = max(n_rows, *map(max, weights))
+    dtype = np.int64 if 2 * bound * bound < _INT64_LIMIT else object
+    stack = np.repeat(base[None].astype(dtype), len(models), 0)
+    stack[:, n_rows + 1, :n_y] = weights
+    lanes = np.arange(len(models))  # the model in each lane
+    basis = np.tile(np.arange(n_y + n_rows, width), (len(models), 1))
+    det = np.ones(len(models), dtype)
+    done = [None] * len(models)  # (rhs, basis, det) off each final tableau
+    while len(lanes):
+        if stack.dtype != object and 2 * bound * bound >= _INT64_LIMIT:
+            bound = int(np.abs(stack).max())
+            if 2 * bound * bound >= _INT64_LIMIT:
+                stack, det = stack.astype(object), det.astype(object)
+        at = np.arange(len(lanes))
+        penalty, unit = stack[:, n_rows, :width], stack[:, n_rows + 1, :width]
+        neg = (penalty < 0) | ((penalty == 0) & (unit < 0))
+        enter = neg.argmax(1)
+        col = stack[at, :, enter]
+        heads, rhs = col[:, :n_rows], stack[:, :n_rows, width]
+        pos = heads > 0
+        going = neg[at, enter]
+        bounded = pos.any(1)
+        if not (going & bounded).all():
+            for lane in np.flatnonzero(~going):
+                done[lanes[lane]] = (rhs[lane].tolist(), basis[lane].tolist(), int(det[lane]))
+            for lane in np.flatnonzero(going & ~bounded):
+                done[lanes[lane]] = VerificationError("covering program must be bounded")
+            keep = going & bounded
+            stack, basis, det, lanes = stack[keep], basis[keep], det[keep], lanes[keep]
+            continue
+        # a float proposal of the least rhs / head, then every row against
+        # it cross-multiplied as heads are positive: a row below it replaces
+        # it, and the rows equal to it tie
+        ratio = np.where(pos, rhs, 0) / np.where(pos, heads, 1)
+        best = np.where(pos, ratio, np.inf).argmin(1)
+        while True:
+            d = np.where(pos, rhs * heads[at, best, None] - rhs[at, best, None] * heads, 1)
+            low = d.min(1) < 0
+            if not low.any():
                 break
+            best = np.where(low, d.argmin(1), best)
+        leave = np.where(d == 0, basis, width).argmin(1)
+        p = col[at, leave]
+        f = col
+        f[at, leave] = 0
+        prow = stack[at, leave]
+        if stack.dtype != object:
+            # no entry of the update f * prow passes max|f| * max|prow|
+            span = int(np.abs(f).max()) * int(np.abs(prow).max())
+            bound = max(bound, (int(p.max()) * bound + span) // int(det.min()))
+        update = f[:, :, None] * prow[:, None]
+        if (p == det).all():
+            # rows with f = 0 keep their entries, and det divides f * x
+            # because it divides p * row - f * x
+            if (det != 1).any():
+                update //= det[:, None, None]
+            stack -= update
         else:
-            break
-        col = [row[enter] for row in everything]
-        leave = None
-        for i in compress(range(n_rows), col):
-            a = col[i]
-            if a > 0:
-                # b / a against best_b / best_a, cross-multiplied as a > 0
-                b = tableau[i][width]
-                d = -1 if leave is None else b * best_a - best_b * a
-                if d < 0 or (d == 0 and basis[i] < basis[leave]):
-                    leave, best_b, best_a = i, b, a
-        if leave is None:
-            raise VerificationError("covering program must be bounded")
-        prow = tableau[leave]
-        p = col[leave]
-        if p == det:
-            # row <- (p * row - f * prow) // det; det divides f * x because
-            # it divides p * row[j] - f * x
-            nonzero = [(j, prow[j]) for j in compress(range(width + 1), prow)]
-            for row, f in zip(compress(everything, col), compress(col, col)):
-                if row is prow:
-                    continue
-                if det == 1:
-                    for j, x in nonzero:
-                        row[j] -= f * x
-                else:
-                    for j, x in nonzero:
-                        row[j] -= f * x // det
-        else:
-            for row, f in zip(everything, col):
-                if row is not prow:
-                    row[:] = [(p * y - f * x) // det for y, x in zip(row, prow)]
+            stack *= p[:, None, None]
+            stack -= update
+            stack //= det[:, None, None]
+            stack[at, leave] = prow
         det = p
-        basis[leave] = enter
+        basis[at, leave] = enter
+    return _covering_checks(models, inc, weights, done)
 
-    # prices are the basic rhs over det; the checks stay on numerators
-    prices = [0] * n_y
-    for row, bi in zip(tableau, basis):
-        if bi < n_y:
-            prices[bi] = row[width]
-        elif bi >= n_y + n_rows and row[width] != 0:
-            raise VerificationError("covering program must be feasible")
 
-    if any(y < 0 for y in prices):
-        raise VerificationError("covering prices must be nonnegative")
-    for g, slots in enumerate(cover):
-        if sum(compress(prices, slots)) < det:
-            raise VerificationError(f"global assignment {g} is underpriced")
-    value = rat(sum(w * y for w, y in zip(weights, prices)), scale * det)
-    return value, fractions_over(prices, det)
+def _covering_checks(models, inc, weights, done):
+    """Each solved lane's (value, prices), after the exact checks on the
+    group's prices at once: no penalty column basic at a nonzero rhs
+    (feasibility), no negative price, and every global assignment
+    collecting at least det over its slots; or the first check's refusal."""
+    n_y, n_rows = inc.shape
+    solved = [i for i, res in enumerate(done) if not isinstance(res, Exception)]
+    if not solved:
+        return done
+    rhs, basis, det = zip(*(done[i] for i in solved))
+    largest = max(max(det), *(max(map(abs, r)) for r in rhs))
+    dtype = np.int64 if n_y * largest < 2**63 else object
+    rhs, basis, det = np.array(rhs, dtype), np.array(basis), np.array(det, dtype)
+    infeasible = ((basis >= n_y + n_rows) & (rhs != 0)).any(1)
+    prices = np.zeros((len(solved), n_y), dtype)
+    lane, row = np.nonzero(basis < n_y)
+    prices[lane, basis[lane, row]] = rhs[lane, row]
+    negative = (prices < 0).any(1)
+    under = prices @ inc < det[:, None]
+    out = list(done)
+    for j, i in enumerate(solved):
+        if infeasible[j]:
+            out[i] = VerificationError("covering program must be feasible")
+        elif negative[j]:
+            out[i] = VerificationError("covering prices must be nonnegative")
+        elif under[j].any():
+            out[i] = VerificationError(f"global assignment {int(under[j].argmax())} is underpriced")
+        else:
+            y, den = prices[j].tolist(), int(det[j])
+            value = rat(sum(map(mul, weights[i], y)), models[i].den * den)
+            out[i] = value, fractions_over(y, den)
+    return out
 
 
 def chsh_cf(model):
@@ -354,9 +427,13 @@ def _check_cf_iff_sc():
     mismatches = []
     ones = 0
     fractions = _certified_lps(m for _, m in models)
-    for (name, m), (ncf, *_) in zip(models, fractions):
+    verdicts = [None] * len(models)
+    for sc, members in _by_scenario([m for _, m in models]).items():
+        masks = [support_of(models[i][1]).masks for i in members]
+        for i, verdict in zip(members, _strong_contextualities(sc, masks)):
+            verdicts[i] = verdict
+    for (name, m), (ncf, *_), (is_sc, _) in zip(models, fractions, verdicts):
         cf = 1 - ncf
-        is_sc, _ = strong_contextuality(support_of(m))
         ones += cf == 1
         if (cf == 1) != is_sc:
             mismatches.append(
@@ -379,8 +456,8 @@ def _check_lp_oracle():
         models.append((f"random-(2,2,2)-{i}", m))
     mismatches = []
     fractions = _certified_lps(m for _, m in models)
-    for (name, m), (ncf, *_) in zip(models, fractions):
-        cover, _ = covering_ncf(m)
+    covers = _covering_pool([m for _, m in models])
+    for (name, m), (ncf, *_), (cover, _) in zip(models, fractions, covers):
         closed = 1 - chsh_cf(m)
         if not ncf == cover == closed:
             mismatches.append(

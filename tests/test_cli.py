@@ -27,7 +27,7 @@ from amcc.model import (
 )
 from amcc.possibilistic import SupportModel, support_of, support_to_json
 from amcc.rational import rat
-from amcc.scenario import bell_scenario, overlap_rows
+from amcc.scenario import MeasurementScenario, bell_scenario, overlap_rows
 from amcc.verify import random_no_signaling_model
 
 
@@ -248,6 +248,46 @@ def test_cf_refuses_a_float_in_an_integer_scenario_field(run, tmp_path, explicit
     code, out, err = run("cf", _write_json(tmp_path / "floats.json", doc))
     assert code == 2 and out == ""
     assert "does not decode" in err and "refusing float" in err
+
+
+def _one_outcome_bell_doc():
+    """A uniform model over the (2,2,2) cover whose first measurement has
+    one outcome, its scenario written out."""
+    sc = bell_scenario(2, 2, 2)
+    sc = MeasurementScenario(sc.measurements, (1, 2, 2, 2), sc.cover, sc.parties)
+    doc = model_to_json(uniform_model(sc))
+    doc["scenario"] = {
+        "measurements": list(sc.measurements),
+        "outcomes": list(sc.outcomes),
+        "cover": [list(ctx) for ctx in sc.cover],
+        "parties": list(sc.parties),
+    }
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        (model_to_json(uniform_model(bell_scenario(1, 2, 2))), ("parties",)),
+        (_one_outcome_bell_doc(), ("outcomes", 0)),
+    ],
+    ids=["parties", "outcomes"],
+)
+def test_cf_refuses_a_bool_in_an_integer_scenario_field(run, tmp_path, doc, path):
+    # int() reads true as 1: {"parties": true, ...} decoded to a one-party
+    # scenario and "outcomes": [true, 2, 2, 2] to (1, 2, 2, 2), and cf on
+    # a model over either exited 0
+    code, out, _ = run("cf", _write_json(tmp_path / "ints.json", doc))
+    assert code == 0 and "CF = 0" in out
+    *keys, last = path
+    target = doc["scenario"]
+    for key in keys:
+        target = target[key]
+    assert target[last] == 1
+    target[last] = True
+    code, out, err = run("cf", _write_json(tmp_path / "bools.json", doc))
+    assert code == 2 and out == ""
+    assert "does not decode" in err and "refusing bool True" in err
 
 
 def test_cf_rejects_a_signaling_model(run, signaling_file):

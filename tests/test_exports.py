@@ -167,8 +167,9 @@ def test_no_module_imports_a_name_it_does_not_use():
 def test_one_array_pivot_divides_by_the_previous_pivot():
     # Edmonds/Bareiss exact division by the previous pivot, det, is written
     # in lp's one array pivot, which the simplex and the affine Gauss-Jordan
-    # share; verify.covering_ncf, the covering oracle, keeps its own so that
-    # it stays independent of the main solver
+    # share; verify._covering_group, the covering oracle's lockstep, keeps
+    # its own, by each lane's det, so that it stays independent of the main
+    # solver
     dividers = set()
     defined = set()
     for path in sorted(Path(amcc.__file__).parent.glob("*.py")):
@@ -183,9 +184,11 @@ def test_one_array_pivot_divides_by_the_previous_pivot():
                     else node.value if isinstance(node, ast.AugAssign)
                     else None
                 )
+                if isinstance(divisor, ast.Subscript):
+                    divisor = divisor.value
                 if isinstance(getattr(node, "op", None), ast.FloorDiv) and (
                     isinstance(divisor, ast.Name) and divisor.id == "det"
                 ):
                     dividers.add((path.stem, func.name))
-    assert dividers == {("lp", "_pivot_array"), ("verify", "covering_ncf")}
+    assert dividers == {("lp", "_pivot_array"), ("verify", "_covering_group")}
     assert ("affine", "back_substitute") not in defined

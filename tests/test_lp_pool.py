@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import amcc.lp
 from amcc.errors import VerificationError
 from amcc.lp import certified_fraction, contextual_fraction, simplex_solve
-from amcc.model import EmpiricalModel, corpus, corpus_names, mix_models, uniform_model
+from amcc.model import EmpiricalModel, _slot_rows, corpus, corpus_names, mix_models, uniform_model
 from amcc.rational import fractions_over, rat
 from amcc.scenario import bell_scenario, incidence_matrix
 from amcc.verify import _equivalence_pool, _random_models, random_no_signaling_model
@@ -253,7 +253,7 @@ def test_a_lying_lockstep_is_refused_by_the_certificates(monkeypatch):
 
 def test_the_stack_fits_the_lockstep_budget(monkeypatch):
     # lanes are LOCKSTEP_CELLS over one tableau's cells: 15 (3,2,2) LPs at
-    # a time, in one int64 stack of at most 1 MiB
+    # a time, in one int32 stack of at most 512 KiB
     sizes = []
     mapping = amcc.lp.mmap
 
@@ -264,8 +264,8 @@ def test_the_stack_fits_the_lockstep_budget(monkeypatch):
     monkeypatch.setattr(amcc.lp, "mmap", spy)
     models = _random_models(bell_scenario(3, 2, 2), 20, 3)
     assert _pooled(models) == _loop(models)
-    assert sizes == [15 * 65 * 129 * 8]
-    assert sizes[0] <= amcc.lp.LOCKSTEP_CELLS * 8 == 1 << 20
+    assert sizes == [15 * 65 * 129 * 4]
+    assert sizes[0] <= amcc.lp.LOCKSTEP_CELLS * 4 == 1 << 19
 
 
 def _refuse(*args, **kwargs):
@@ -298,3 +298,188 @@ def test_the_route_is_each_public_fraction_model_by_model(models):
         for ncf, _, (det, prices), pivots in amcc.lp._certified_lps(models)
     ]
     assert full == [(r.ncf, r.prices, r.pivots) for r in map(contextual_fraction, models)]
+
+
+def _solved_rhss(monkeypatch):
+    """The rhs of every LP handed to _run_lockstep, in call order."""
+    solved = []
+    run = amcc.lp._run_lockstep
+
+    def spy(incidence, rhss):
+        solved.extend(map(tuple, rhss))
+        return run(incidence, rhss)
+
+    monkeypatch.setattr(amcc.lp, "_run_lockstep", spy)
+    return solved
+
+
+@pytest.mark.parametrize("at", [0, 2, 5])
+def test_a_signaling_model_is_refused_before_the_models_after_it_are_solved(monkeypatch, at):
+    # the reduceat over each scenario's numerators flags the signaling
+    # model; it raises the loop's refusal, and only the models before it
+    # reach the LP
+    models = _random_models(bell_scenario(2, 2, 2), 3, 21) + _random_models(bell_scenario(3, 2, 2), 3, 22)
+    models.insert(at, _signaling(models[at]))
+    expected = _outcome(_loop, models)
+    assert expected[0].__name__ == "PreconditionError"
+    solved = _solved_rhss(monkeypatch)
+    assert _outcome(_pooled, models) == expected
+    before = [rhs for rhss in _groups(models[:at]).values() for rhs in rhss]
+    assert sorted(solved) == sorted(map(tuple, before))
+
+
+def _lowered_price(solution):
+    """solution with every positive price lowered by 1: a global then
+    collects too little, or the priced weights no longer total the
+    value."""
+    value, x, prices, det, pivots = solution
+    return value, x, tuple(y - 1 if y > 0 else y for y in prices), det, pivots
+
+
+def _raised_weight(solution):
+    """solution with one weight raised by 1: the weights no longer total
+    the value."""
+    value, x, prices, det, pivots = solution
+    x = list(x)
+    x[0] += 1
+    return value, tuple(x), prices, det, pivots
+
+
+@pytest.mark.parametrize("lie", [_lowered_price, _raised_weight])
+@pytest.mark.parametrize("at", [0, 3])
+def test_a_lying_lockstep_gets_the_per_model_refusal(monkeypatch, lie, at):
+    # the group's price and weight passes refuse model at with the very
+    # message and details the one-model checks give the same lie told by
+    # simplex_solve in the loop
+    models = _random_models(bell_scenario(2, 2, 2), 5, 11)
+    run, solve = amcc.lp._run_lockstep, amcc.lp.simplex_solve
+
+    def lying_lockstep(incidence, rhss):
+        out = run(incidence, rhss)
+        out[at] = lie(out[at])
+        return out
+
+    calls = []
+
+    def lying_solve(incidence, rhs):
+        calls.append(rhs)
+        out = solve(incidence, rhs)
+        return lie(out) if len(calls) == at + 1 else out
+
+    monkeypatch.setattr(amcc.lp, "_run_lockstep", lying_lockstep)
+    with pytest.raises(VerificationError) as pooled:
+        _pooled(models)
+    monkeypatch.setattr(amcc.lp, "_run_lockstep", run)
+    monkeypatch.setattr(amcc.lp, "simplex_solve", lying_solve)
+    with pytest.raises(VerificationError) as looped:
+        _loop(models)
+    assert (str(pooled.value), pooled.value.details) == (str(looped.value), looped.value.details)
+
+
+def test_an_lp_past_the_int32_cap_is_handed_off_mid_solve(monkeypatch):
+    # 1/1499 of the uniform model puts rhs entries between 11985 and 44949,
+    # so the lanes start below the int32 cap (46340), and their running
+    # bounds pass it a few pivots in: each LP goes on in _run_array, as
+    # int64, and pivots as it does alone
+    sc = bell_scenario(3, 2, 2)
+    t = rat(1, 1499)
+    models = [mix_models([(t, uniform_model(sc)), (1 - t, m)]) for m in _random_models(sc, 3, 9)]
+    rhss = _groups(models)[sc]
+    assert 46340 ** 2 + 46340 < 2**31 <= 46341 ** 2 + 46341
+    assert max(map(max, rhss)) <= 46340
+    # each hand-off, then the pivot and det of each array pivot after it
+    seen = []
+    run, pivot = amcc.lp._run_array, amcc.lp._pivot_array
+
+    def resume(tableau, basis, pivots=0, work=0):
+        seen.append(("resumed at", pivots))
+        return run(tableau, basis, pivots, work)
+
+    def step(tableau, leave, enter, det, bound):
+        seen.append((int(tableau[leave, enter]), det))
+        return pivot(tableau, leave, enter, det, bound)
+
+    monkeypatch.setattr(amcc.lp, "_run_array", resume)
+    monkeypatch.setattr(amcc.lp, "_pivot_array", step)
+    pooled = _pooled(models)
+    monkeypatch.setattr(amcc.lp, "_run_array", run)
+    monkeypatch.setattr(amcc.lp, "_pivot_array", pivot)
+    assert pooled == _loop(models)
+    # an LP left the lockstep part way, before a unit pivot at det 1: its
+    # bound, not its pivot, sent it on
+    at = seen.index(next(e for e in seen if e[0] == "resumed at"))
+    assert seen[at][1] > 0 and seen[at + 1] == (1, 1)
+    _assert_lockstep_pivots_as_alone(models)
+
+
+def _refusal_or(call):
+    """call(), or the message and details of the VerificationError it raises."""
+    try:
+        return call()
+    except VerificationError as exc:
+        return str(exc), exc.details
+
+
+_PRICE_LIES = {
+    "none": lambda y, det, ncf: (y, ncf),
+    "ncf-above-1": lambda y, det, ncf: (y, ncf + 2),
+    "negative": lambda y, det, ncf: ([-1] + y[1:], ncf),
+    "lowered": lambda y, det, ncf: ([p - 1 if p > 0 else p for p in y], ncf),
+    "raised": lambda y, det, ncf: ([p + det for p in y], ncf),
+}
+_WEIGHT_LIES = {
+    "none": lambda w, den, ncf: (w, ncf),
+    # the first negative weight is reported, by its global
+    "negative": lambda w, den, ncf: (w[:2] + [-w[2] - 1] + w[3:], ncf),
+    "total-off": lambda w, den, ncf: (w, ncf + rat(1, 3 * ncf.denominator)),
+    # no slot weighs more than 1, so two more on one global overload it
+    "overloaded": lambda w, den, ncf: ([w[0] + 2 * den] + w[1:], ncf + 2),
+}
+
+
+def _assert_group_checks_are_alone(models, price_lies, weight_lies):
+    # each model of a scenario, its certificates told one lie each or
+    # none: every row of the array passes is what the one-model check
+    # returns or raises on it
+    for sc in _groups(models):
+        group = [m for m in models if m.scenario == sc]
+        kept = range(incidence_matrix(sc).shape[1])
+        cases = []
+        solved = amcc.lp._certified_lps(group)
+        for (ncf, (den, w, _), (det, y), _), p_lie, w_lie in zip(solved, price_lies, weight_lies):
+            y, price_ncf = _PRICE_LIES[p_lie](list(y), det, ncf)
+            w, weight_ncf = _WEIGHT_LIES[w_lie](list(w), den, ncf)
+            cases.append((y, det, price_ncf, w, den, weight_ncf))
+        values = _slot_rows(group)
+        y, det, price_ncf, w, den, weight_ncf = zip(*cases)
+        refusals = amcc.lp._price_refusals(group, values, y, det, price_ncf)
+        loads = amcc.lp._weight_loads(group, values, kept, w, den, weight_ncf)
+        for m, case, refusal, load in zip(group, cases, refusals, loads):
+            y, det, price_ncf, w, den, weight_ncf = case
+            alone = _refusal_or(lambda: amcc.lp._check_prices(m, y, det, price_ncf))
+            assert alone == (None if refusal is None else (str(refusal), refusal.details))
+            alone = _refusal_or(lambda: amcc.lp._check_weights(m, kept, w, den, weight_ncf))
+            assert alone == (load if isinstance(load, list) else (str(load), load.details))
+
+
+_LIES = st.tuples(
+    st.lists(st.sampled_from(sorted(_PRICE_LIES)), min_size=8, max_size=8),
+    st.lists(st.sampled_from(sorted(_WEIGHT_LIES)), min_size=8, max_size=8),
+)
+
+
+@given(_pools(), _LIES)
+@settings(max_examples=30, deadline=None)
+def test_the_group_checks_are_the_one_model_checks_row_by_row(models, lies):
+    _assert_group_checks_are_alone(models, *lies)
+
+
+@given(_LIES)
+@settings(max_examples=10, deadline=None)
+def test_the_group_checks_hold_on_python_ints(lies):
+    # dens past 2**64 put the numerators, and so every sum, on Python ints
+    sc = bell_scenario(2, 2, 2)
+    t = rat(1, 2**64 + 13)
+    models = [mix_models([(t, uniform_model(sc)), (1 - t, m)]) for m in _random_models(sc, 3, 17)]
+    assert _slot_rows(models).dtype == object
+    _assert_group_checks_are_alone(models, *lies)

@@ -4,7 +4,7 @@ import dataclasses
 import json
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import gcd, lcm
 
 import pytest
@@ -12,7 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amcc.affine import classify, solve_support
+import amcc.lp
 from amcc.errors import PreconditionError
+from amcc.lp import certified_fraction, contextual_fraction
 from amcc.model import (
     EmpiricalModel,
     _model_from_ints,
@@ -983,11 +985,12 @@ def test_tables_and_rows_given_as_iterators_are_refused_as_lists_are():
 # the relabeled model reaches every slot layout in another order
 
 
-def _relabeled(model, perm, swaps, flips):
-    """The image of a model on bell_scenario(n, 2, 2): party p's setting x
-    and outcome o become party perm[p]'s setting x ^ swaps[p] and outcome
-    o ^ flips[2 * p + x]. Context indices pack the settings, and section
-    indices the outcomes, as big-endian bits in party order."""
+def _moved_slots(perm, swaps, flips):
+    """The (context, section) each slot of bell_scenario(n, 2, 2) moves to,
+    in slot order: party p's setting x and outcome o become party
+    perm[p]'s setting x ^ swaps[p] and outcome o ^ flips[2 * p + x].
+    Context indices pack the settings, and section indices the outcomes,
+    as big-endian bits in party order."""
     n = len(perm)
 
     def moved(bits, flip):
@@ -996,14 +999,20 @@ def _relabeled(model, perm, swaps, flips):
             out[perm[p]] = b ^ f
         return sum(b << (n - 1 - q) for q, b in enumerate(out))
 
-    tables = [None] * model.scenario.n_contexts
-    for ci, row in enumerate(model.tables):
+    slots = []
+    for ci in range(2**n):
         x = unpack(ci, (2,) * n)
         flip = [flips[2 * p + x[p]] for p in range(n)]
-        image = [None] * len(row)
-        for si, w in enumerate(row):
-            image[moved(unpack(si, (2,) * n), flip)] = w
-        tables[moved(x, swaps)] = image
+        slots += [(moved(x, swaps), moved(unpack(si, (2,) * n), flip)) for si in range(2**n)]
+    return slots
+
+
+def _relabeled(model, perm, swaps, flips):
+    """The image of a model on bell_scenario(n, 2, 2) under the relabeling
+    of _moved_slots."""
+    tables = [[None] * len(row) for row in model.tables]
+    for (cj, sj), w in zip(_moved_slots(perm, swaps, flips), chain.from_iterable(model.tables)):
+        tables[cj][sj] = w
     return EmpiricalModel(model.scenario, tables)
 
 
@@ -1055,3 +1064,49 @@ def test_bell_relabelings_keep_every_verdict(case):
     assert is_maximal_marginals(image)[0] == is_maximal_marginals(model)[0]
     ours, theirs = classify(model), classify(image)
     assert (ours.cf, ours.verdict) == (theirs.cf, theirs.verdict)
+
+
+@st.composite
+def _fraction_cases(draw):
+    """A no-signaling model at (2,2,2)-(4,2,2), random, a point mass, a
+    parity model or, up to (3,2,2), dense (a random model mixed with the
+    uniform model: a dense (4,2,2) LP takes seconds), and a Bell
+    relabeling of it."""
+    n = draw(st.integers(2, 4))
+    sc = bell_scenario(n, 2, 2)
+    kind = draw(st.sampled_from(["random", "point-mass", "parity"] + ["dense"] * (n < 4)))
+    if kind == "point-mass":
+        model = deterministic_model(sc, draw(st.integers(0, global_size(sc) - 1)))
+    elif kind == "parity":
+        vector = draw(st.integers(0, 2**sc.n_contexts - 1))
+        model = build_symmetric_model(parity_system_from_vector(sc, vector))
+    else:
+        model = random_no_signaling_model(sc, random.Random(draw(st.integers(0, 2**32 - 1))))
+    if kind == "dense":
+        t = draw(st.sampled_from([rat(1, 3), rat(1, 2), rat(4, 5)]))
+        model = mix_models([(t, uniform_model(sc)), (1 - t, model)])
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    relabeling = draw(st.permutations(range(n))), draw(bits), draw(bits) + draw(bits)
+    return model, relabeling
+
+
+@given(_fraction_cases())
+@example((mix_models([(rat(1, 2), pr_box(0)), (rat(1, 2), uniform_model(bell_scenario(2, 2, 2)))]),
+          ((1, 0), [1, 0], [0, 1, 1, 0])))
+@settings(max_examples=60, deadline=None)
+def test_bell_relabelings_keep_the_fraction_and_carry_its_certificate(case):
+    # the ncf of certified_fraction, and of contextual_fraction up to
+    # (3,2,2), is the model's and its image's; the model's prices, each
+    # moved to its slot's image, pass the price check on the image
+    model, relabeling = case
+    image = _relabeled(model, *relabeling)
+    ncf, _, prices = certified_fraction(model)
+    assert certified_fraction(image)[0] == ncf
+    if model.scenario.n_contexts <= 8:
+        assert contextual_fraction(model).ncf == contextual_fraction(image).ncf == ncf
+    size = len(model.tables[0])
+    moved = [None] * len(prices)
+    for (cj, sj), y in zip(_moved_slots(*relabeling), prices):
+        moved[cj * size + sj] = y
+    den, nums = over_lcm(moved)
+    amcc.lp._check_prices(image, nums, den, ncf)

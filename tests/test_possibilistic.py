@@ -246,8 +246,8 @@ def test_an_incompatible_scan_witness_raises(monkeypatch):
     sup = support_of(pr_box(0))  # strongly contextual: no global is compatible
 
     def wrong_mask(support, table):
-        mask = np.zeros(table.shape[1], dtype=np.bool_)
-        mask[5] = True
+        mask = np.zeros((*support.shape[:-1], table.shape[1]), dtype=np.bool_)
+        mask[..., 5] = True
         return mask
 
     monkeypatch.setattr(possibilistic, "compatible_mask", wrong_mask)

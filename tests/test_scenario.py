@@ -265,13 +265,15 @@ def test_json_floats_are_refused_where_integers_are_expected(explicit, path, val
 
 
 def test_json_integer_fields_still_decode_what_int_accepts():
-    # only floats are refused; integer strings and bools decode as before
+    # integer strings decode as before; floats and bools are refused
     bell = {"parties": "2", "settings": "2", "outcomes": 2}
     assert scenario_from_json(bell) == bell_scenario(2, 2, 2)
     doc = _explicit_bell_doc()
     doc["cover"][0] = ["0", "2"]
-    doc["parties"] = [False, False, True, True]
     assert scenario_from_json(doc) == scenario_from_json(_explicit_bell_doc())
+    doc["parties"] = [False, False, True, True]
+    with pytest.raises(TypeError, match="refusing bool False where an integer is expected"):
+        scenario_from_json(doc)
 
 
 @pytest.mark.parametrize(
@@ -312,8 +314,14 @@ def test_the_constructor_refuses_floats_where_integers_are_expected(field, value
 
 
 def test_the_constructor_still_decodes_integer_strings_and_bools():
-    sc = MeasurementScenario(("a", "b"), ("2", 2), (("0", True),), (False, "1"))
+    # integer strings decode as before; a bool, which int() reads as 0 or
+    # 1, is refused like a float
+    sc = MeasurementScenario(("a", "b"), ("2", 2), (("0", "1"),), ("0", "1"))
     assert sc == MeasurementScenario(("a", "b"), (2, 2), ((0, 1),), (0, 1))
+    with pytest.raises(TypeError, match="refusing bool True"):
+        MeasurementScenario(("a", "b"), ("2", 2), (("0", True),), ("0", "1"))
+    with pytest.raises(TypeError, match="refusing bool False"):
+        MeasurementScenario(("a", "b"), ("2", 2), (("0", "1"),), (False, "1"))
 
 
 def test_explicit_json_still_refuses_null_parties():

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import amcc.lp
+import amcc.verify
 from amcc.errors import PreconditionError, VerificationError
 from amcc.lp import contextual_fraction
 from amcc.parity import column_vectors, in_gf2_span
@@ -22,7 +23,7 @@ from amcc.model import (
     pr_box,
     uniform_model,
 )
-from amcc.rational import ONE, ZERO, rat, rat_str
+from amcc.rational import ONE, ZERO, over_lcm, rat, rat_str
 from amcc.scenario import (
     bell_scenario,
     global_size,
@@ -40,7 +41,7 @@ from amcc.verify import (
     report_text,
     run_checks,
 )
-from amcc.verify import _decider_mask
+from amcc.verify import _covering_pool, _decider_mask
 
 
 def test_reference_vector_constant():
@@ -301,6 +302,101 @@ def test_covering_oracle_runs_without_the_main_solver(monkeypatch):
             if modname.split(".")[0] == "amcc" and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, refuse)
     assert _covering_digest() == COVERING_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# the covering pool: many models' tableaux in one lockstep
+
+
+@st.composite
+def _covering_pools(draw):
+    """2-8 models mixing (2,2,2) and (3,2,2): random models, corpus models,
+    point masses, and mixtures of any of them with the uniform model."""
+    names = [n for n in corpus_names() if corpus(n).scenario.n_contexts <= 8]
+    models = []
+    for _ in range(draw(st.integers(2, 8))):
+        sc = bell_scenario(draw(st.sampled_from([2, 3])), 2, 2)
+        kind = draw(st.sampled_from(["random", "corpus", "point-mass"]))
+        if kind == "random":
+            model = random_no_signaling_model(sc, random.Random(draw(st.integers(0, 2**32 - 1))))
+        elif kind == "corpus":
+            model = corpus(draw(st.sampled_from(names)))
+        else:
+            model = deterministic_model(sc, draw(st.integers(0, global_size(sc) - 1)))
+        if draw(st.booleans()):
+            t = draw(st.sampled_from([rat(1, 3), rat(1, 2), rat(5, 7)]))
+            model = mix_models([(t, uniform_model(model.scenario)), (1 - t, model)])
+        models.append(model)
+    return models
+
+
+@given(_covering_pools())
+@example([pr_box(3), random_no_signaling_model(bell_scenario(3, 2, 2), random.Random(4)), pr_box(3)])
+@settings(max_examples=15, deadline=None)
+def test_the_covering_pool_is_each_model_alone(models):
+    # the one-model calls are pinned to the Fraction tableau at three
+    # parties by COVERING_DIGEST, where it takes about 1.4 s a model, so the
+    # pool meets it at two parties
+    pooled = _covering_pool(models)
+    assert pooled == [covering_ncf(m) for m in models]
+    for model, cover in zip(models, pooled):
+        if model.scenario.n_contexts == 4:
+            assert cover == _fraction_covering(model)
+
+
+class _RecordedLimit:
+    """An int64 limit that records each test made against it: whether the
+    tableaux start in int64, then, step by step, whether the running bound
+    (and, past it, the largest entry) reaches it."""
+
+    def __init__(self, value):
+        self.value, self.starts, self.steps = value, [], []
+
+    def __gt__(self, start):  # 2 * bound**2 < limit: the tableaux start in int64
+        self.starts.append(start < self.value)
+        return self.value > start
+
+    def __le__(self, step):  # 2 * bound**2 >= limit: read the largest entry, or leave int64
+        self.steps.append(step >= self.value)
+        return self.value <= step
+
+
+def test_a_covering_group_moves_to_python_ints_mid_solve(monkeypatch):
+    # (3,2,2) models mixed with the uniform model, whose weights pass every
+    # other starting entry; with the limit just above twice the square of
+    # the largest weight the group starts in int64, takes int64 pivots,
+    # and then reads its largest entry past the bound and leaves int64
+    sc = bell_scenario(3, 2, 2)
+    randoms = [random_no_signaling_model(sc, random.Random(s)) for s in range(6)]
+    models = [mix_models([(rat(2, 9), uniform_model(sc)), (rat(7, 9), m)]) for m in randoms]
+    alone = [covering_ncf(m) for m in models]
+    start = max(global_size(sc), *(w for m in models for row in m.rows for w in row))
+    limit = _RecordedLimit(2 * start * start + 1)
+    monkeypatch.setattr(amcc.verify, "_INT64_LIMIT", limit)
+    assert _covering_pool(models) == alone
+    assert limit.starts == [True]
+    # the last two tests are the read of the largest entry and the move:
+    # after it no test is made
+    assert limit.steps[0] is False and limit.steps[-2:] == [True, True]
+
+
+def test_the_covering_pool_refuses_the_first_model_in_input_order(monkeypatch):
+    # the (2,2,2) group, models 0 and 2, is solved first, and its model 2
+    # fails; model 1, alone in its (3,2,2) group, fails too and is raised
+    sc2, sc3 = bell_scenario(2, 2, 2), bell_scenario(3, 2, 2)
+    models = [pr_box(0), uniform_model(sc3), pr_box(1)]
+    assert [v for v, _ in _covering_pool(models)] == [ZERO, ONE, ZERO]
+    solve = amcc.verify._covering_group
+
+    def failing(group):
+        out = solve(group)
+        if group[0].scenario == sc2:
+            return out[:1] + [VerificationError("model 2 fails")]
+        return [VerificationError("model 1 fails")]
+
+    monkeypatch.setattr(amcc.verify, "_covering_group", failing)
+    with pytest.raises(VerificationError, match="model 1 fails"):
+        _covering_pool(models)
 
 
 # ---------------------------------------------------------------------------
