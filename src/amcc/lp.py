@@ -39,8 +39,8 @@ global assignment, on the LP's numerators and the model's `rows`. The
 models of one scenario take the signaling refusal and the compatibility
 scan as array passes over one matrix of their numerators, and the LPs
 that ran together take both certificates as array passes
-(_price_refusals, _weight_loads), where a lone model takes the one-model
-checks; a refusal is still the first the loop over the models meets. In
+(_price_refusals, _weight_loads), of which a lone LP is the one-row case;
+a refusal is still the first the loop over the models meets. In
 lockstep the tableaux share one int32 stack of lanes, at most
 LOCKSTEP_CELLS cells, and each numpy step takes one Bland pivot in every
 lane; a lane takes the step only when its pivot is 1 at det 1 and its
@@ -67,12 +67,12 @@ from dataclasses import dataclass
 from itertools import chain, compress, islice
 from math import gcd, isqrt
 from mmap import mmap
-from operator import index, mul
+from operator import index
 
 import numpy as np
 
 from .errors import PreconditionError, ResourceLimitError, VerificationError
-from .model import _by_scenario, _model_from_ints, _require_no_signaling, _signaling, _slot_rows
+from .model import _by_scenario, _model_from_ints, _overlap_sums, _require_no_signaling, _slot_rows
 from .possibilistic import _compatible
 from .rational import ONE, fractions_over, rat
 from .scenario import (
@@ -497,15 +497,13 @@ def _certified_lps(models, compatible=False):
 
     The models of one scenario are checked at once, on one matrix of
     their numerators (_slot_rows): one reduceat finds the signaling ones
-    (model._signaling), one compatibility scan gives every kept set
+    (model._overlap_sums), one compatibility scan gives every kept set
     (possibilistic._compatible), and the LPs that ran together pass
-    _price_refusals and _weight_loads together. A model alone in its
-    scenario, or in its LP, takes the one-model forms, _require_no_signaling,
-    _check_prices and _check_weights. A refused model raises what the loop
-    over the models raises first, in input order: a signaling model, a
-    size guard, a work budget trip or a failed certificate. Once a model
-    is refused before its LP is built, the models after it are not
-    solved."""
+    _price_refusals and _weight_loads together. A refused model raises
+    what the loop over the models raises first, in input order: a
+    signaling model, a size guard, a work budget trip or a failed
+    certificate. Once a model is refused before its LP is built, the
+    models after it are not solved."""
     models = list(models)
     scenarios = _by_scenario(models)
     row_of = {i: r for members in scenarios.values() for r, i in enumerate(members)}
@@ -518,12 +516,13 @@ def _certified_lps(models, compatible=False):
         members = scenarios[sc]
         try:
             if i == members[0]:
-                # a lone model takes is_no_signaling itself, and a lone full
-                # LP reads no numerator matrix
-                lone = len(members) == 1
-                if compatible or not lone:
-                    values[sc] = _slot_rows([models[j] for j in members])
-                suspects.update(members if lone else compress(members, _signaling(sc, values[sc])))
+                values[sc] = _slot_rows([models[j] for j in members])
+                # a lone model goes through is_no_signaling itself, the call
+                # perfbench's tracer counts once per classify
+                if len(members) == 1:
+                    suspects.add(i)
+                else:
+                    suspects.update(compress(members, _overlap_sums(sc, values[sc]).any(axis=1)))
             if i in suspects:
                 _require_no_signaling(model)
             if compatible:
@@ -573,7 +572,7 @@ def _certified_lps(models, compatible=False):
             sc = models[live[0]].scenario
             at = [row_of[i] for i in live]
             group = [models[i] for i in live]
-            checked = _certify(group, values.get(sc), at, kept, [out[i] for i in live])
+            checked = _certify(group, values[sc][at], kept, [out[i] for i in live])
             for i, loads in zip(live, checked):
                 ncf, den, weights, det, prices, pivots = out[i]
                 out[i] = loads if isinstance(loads, Exception) else (
@@ -587,24 +586,15 @@ def _certified_lps(models, compatible=False):
     return out
 
 
-def _certify(models, values, rows, kept, solved):
+def _certify(models, values, kept, solved):
     """Every slot's loads, a list over den, of each solved LP [ncf, den,
     weights, det, prices, pivots] once both its certificates pass, or its
-    first refusal. The LPs share a scenario and kept, and their models'
-    numerators are the given rows of values (_slot_rows). A lone LP takes
-    _check_prices and _check_weights, which at one model beat array
-    passes; many take _price_refusals and _weight_loads at once."""
+    first refusal. The LPs share a scenario and kept, and values holds
+    their models' numerators (_slot_rows)."""
     ncfs, dens, weights, dets, prices, _ = zip(*solved)
-    if len(solved) > 1:
-        values = values[rows]
-        refusals = _price_refusals(models, values, prices, dets, ncfs)
-        loads = _weight_loads(models, values, kept, weights, dens, ncfs)
-        return [refusal or x for refusal, x in zip(refusals, loads)]
-    try:
-        _check_prices(models[0], prices[0], dets[0], ncfs[0])
-        return [_check_weights(models[0], kept, weights[0], dens[0], ncfs[0])]
-    except VerificationError as exc:
-        return [exc]
+    refusals = _price_refusals(models, values, prices, dets, ncfs)
+    loads = _weight_loads(models, values, kept, weights, dens, ncfs)
+    return [refusal or x for refusal, x in zip(refusals, loads)]
 
 
 def _int_rows(rows):
@@ -626,35 +616,12 @@ def _check_prices(model, prices, den, ncf):
     """Dual certificate, checked exactly: ncf lies in [0, 1], prices are
     nonnegative, every global assignment collects at least 1 over its
     slots, and the priced weights total ncf. By weak duality no dominated
-    mixture of global assignments is heavier than ncf.
-
-    The prices are integer numerators over one positive den. Global g's
-    slots are column g of the slot table, one per context, so one numpy
-    sum over the table gives what every global collects. No total exceeds
-    n_contexts times the largest numerator; while that bound and den are
-    below 2**63 the sum runs in int64, otherwise on Python ints. The
-    priced weights are one integer dot product with the model's
-    numerators, every row over its one denominator."""
-    if ncf < 0 or ncf > 1:
-        raise VerificationError("noncontextual fraction outside [0, 1]",
-                                details={"ncf": ncf})
-    if min(prices) < 0:
-        raise VerificationError("a slot price is negative")
-    sc = model.scenario
-    dtype = np.int64 if max(den, sc.n_contexts * max(prices)) < 2**63 else object
-    collected = np.array(prices, dtype=dtype).take(_global_slots(sc)).sum(axis=0)
-    if collected.min() < den:
-        g = int((collected < den).argmax())
-        raise VerificationError(
-            "a global assignment collects price below 1",
-            details={"global": g, "price": rat(int(collected[g]), den)},
-        )
-    cost = rat(sum(map(mul, chain.from_iterable(model.rows), prices)), model.den * den)
-    if cost != ncf:
-        raise VerificationError(
-            "priced weights differ from the noncontextual fraction",
-            details={"cost": cost, "ncf": ncf},
-        )
+    mixture of global assignments is heavier than ncf. The prices are
+    integer numerators over one positive den; the check is the one-row
+    case of _price_refusals, and raises its refusal."""
+    [refusal] = _price_refusals([model], _slot_rows([model]), [prices], [den], [ncf])
+    if refusal is not None:
+        raise refusal
 
 
 def _price_refusals(models, values, prices, dens, ncfs):
@@ -711,43 +678,12 @@ def _check_weights(model, kept, weights, den, ncf):
     every weight is nonnegative, the weights total ncf, and no slot carries
     more than the model's weight there. Their mixture is then dominated by
     the model, so the fraction is at least ncf; the prices bound it above.
-
-    The weights are integer numerators over one positive den. Global g
-    puts its weight on slot _global_slots[c, g] of every context c, so the
-    loads are summed over the weighted globals' columns alone, and each
-    loaded slot is compared with the model's numerators, every row over
-    its one denominator, in slot order. Returns every slot's load over
-    den."""
-    if min(weights, default=0) < 0:
-        neg = next(i for i, w in enumerate(weights) if w < 0)
-        raise VerificationError(
-            "a global assignment has negative weight",
-            details={"global": kept[neg], "weight": rat(weights[neg], den)},
-        )
-    total = rat(sum(weights), den)
-    if total != ncf:
-        raise VerificationError(
-            "weights differ from the noncontextual fraction",
-            details={"total": total, "ncf": ncf},
-        )
-    sc = model.scenario
-    weighted = list(compress(range(len(weights)), weights))
-    slots = _global_slots(sc)[:, [kept[i] for i in weighted]].T.tolist()
-    loads = [0] * slot_count(sc)
-    loaded = set()
-    for i, row in zip(weighted, slots):
-        w = weights[i]
-        loaded.update(row)
-        for s in row:
-            loads[s] += w
-    wden = model.den
-    v = list(chain.from_iterable(model.rows))
-    for s in sorted(loaded):
-        if loads[s] * wden > v[s] * den:
-            raise VerificationError(
-                "a slot carries more weight than the model",
-                details={"slot": s, "load": rat(loads[s], den), "weight": rat(v[s], wden)},
-            )
+    The weights are integer numerators over one positive den; the check is
+    the one-row case of _weight_loads, which returns every slot's load
+    over den or raises its refusal."""
+    [loads] = _weight_loads([model], _slot_rows([model]), kept, [weights], [den], [ncf])
+    if isinstance(loads, Exception):
+        raise loads
     return loads
 
 

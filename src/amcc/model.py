@@ -188,12 +188,12 @@ def _slot_values(model):
     return model.den, np.fromiter(chain.from_iterable(model.rows), dtype=dtype)
 
 
-def _signaling(scenario, values):
-    """bool per row of values, _slot_rows of models of scenario: whether
-    is_no_signaling finds that model signaling, by its one reduceat over
-    every row at once."""
+def _overlap_sums(scenario, values):
+    """One row per row of values, _slot_rows of models of scenario: every
+    row of overlap_rows summed by one reduceat, ci's marginal minus cj's
+    at one outcome, so a model is no-signaling iff its row is all 0."""
     slot, sign, start, _ = overlap_rows(scenario)
-    return np.add.reduceat(values.take(slot, axis=1) * sign, start[:-1], axis=1).any(axis=1)
+    return np.add.reduceat(values.take(slot, axis=1) * sign, start[:-1], axis=1)
 
 
 def is_no_signaling(model):
@@ -201,15 +201,14 @@ def is_no_signaling(model):
 
     Returns (True, None) or (False, witness) where the witness names the first
     violating pair in `overlap_rows` order: (ci, cj, shared measurements, outcome
-    tuple, lhs, rhs). One reduceat over the model's numerators sums every
-    row of overlap_rows, ci's marginal minus cj's at one outcome; the first
-    nonzero row is the pair and its first differing outcome in packed order."""
+    tuple, lhs, rhs). The first nonzero entry of the model's _overlap_sums
+    is the pair and its first differing outcome in packed order."""
     sc = model.scenario
-    slot, sign, start, rows = overlap_rows(sc)
     den, values = _slot_values(model)
-    bad = np.flatnonzero(np.add.reduceat(values.take(slot) * sign, start[:-1]))
+    bad = np.flatnonzero(_overlap_sums(sc, values[None])[0])
     if not bad.size:
         return True, None
+    slot, sign, start, rows = overlap_rows(sc)
     (ci, cj), shared, k = rows[bad[0]]
     entries = slice(start[bad[0]], start[bad[0] + 1])
     lhs, rhs = (int(values[slot[entries]][sign[entries] == s].sum()) for s in (1, -1))

@@ -6,9 +6,9 @@ slot (`_pack_masks`). Strong contextuality is the statement that no global
 assignment restricts into every context's support; the compatibility scan
 over the slot table decides it, and `strong_contextuality` re-checks its
 witness on the masks and the restriction table, apart from the packing.
-The scan enumerates every global assignment, so `compatible_globals` first
-holds their number to MAX_GLOBALS through `scenario._require`, the one check
-of every size limit.
+The scan enumerates every global assignment, so `_compatible`, the one scan
+of every support, first holds their number to MAX_GLOBALS through
+`scenario._require`, the one check of every size limit.
 
 Possibilistic no-signaling asks overlapping contexts to allow the same joint
 outcomes of their shared measurements: each row of the scenario's
@@ -136,17 +136,18 @@ def _check_witness(table, masks, gi):
 def compatible_globals(support):
     """Global assignments whose every restriction is possible, as a sorted
     list of packed indices."""
-    sc = support.scenario
-    _require(global_size(sc), "global assignments", MAX_GLOBALS)
-    mask = compatible_mask(_possible_slots(support), _global_slots(sc))
-    return [int(g) for g in np.nonzero(mask)[0]]
+    return np.flatnonzero(_compatible(support.scenario, [support.masks])[0]).tolist()
 
 
 def _compatible(scenario, possible):
-    """bool (supports, globals): compatible_globals of supports of one
-    scenario at once, possible one bool row per support of its possible
-    slots in slot order, after the same MAX_GLOBALS guard."""
+    """bool (supports, globals): the compatible globals of supports of one
+    scenario at once. possible is one bool row per support of its possible
+    slots in slot order, or one row of context masks per support, packed
+    by _pack_masks only once the number of global assignments is held to
+    MAX_GLOBALS."""
     _require(global_size(scenario), "global assignments", MAX_GLOBALS)
+    if not isinstance(possible, np.ndarray):
+        possible = _pack_masks(scenario, possible)
     return compatible_mask(possible, _global_slots(scenario))
 
 
@@ -159,12 +160,9 @@ def strong_contextuality(support):
 
 def _strong_contextualities(scenario, masks):
     """strong_contextuality of supports of one scenario at once, masks[i]
-    support i's masks: the number of global assignments is held to
-    MAX_GLOBALS before any row is packed, one compatible_mask call scans
-    every row, and each row's least compatible global is re-checked by
-    _check_witness on its masks."""
-    _require(global_size(scenario), "global assignments", MAX_GLOBALS)
-    found = compatible_mask(_pack_masks(scenario, masks), _global_slots(scenario))
+    support i's masks: one _compatible scan over every row, and each row's
+    least compatible global re-checked by _check_witness on its masks."""
+    found = _compatible(scenario, masks)
     witness = np.where(found.any(axis=1), found.argmax(axis=1), -1).tolist()
     table = restriction_table(scenario)
     out = []

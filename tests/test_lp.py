@@ -926,14 +926,14 @@ def _weight_certificates(model):
     contextual_fraction check them, the weights as Fractions: the
     compatible globals' weights, then every global's."""
     seen = []
-    check = amcc.lp._check_weights
+    check = amcc.lp._weight_loads
 
-    def spy(model, kept, weights, den, ncf):
-        seen.append((kept, fractions_over(weights, den), ncf))
-        return check(model, kept, weights, den, ncf)
+    def spy(models, values, kept, weights, dens, ncfs):
+        seen.extend((kept, fractions_over(w, den), ncf) for w, den, ncf in zip(weights, dens, ncfs))
+        return check(models, values, kept, weights, dens, ncfs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(amcc.lp, "_check_weights", spy)
+        mp.setattr(amcc.lp, "_weight_loads", spy)
         certified_fraction(model)
         contextual_fraction(model)
     return seen
