@@ -637,29 +637,31 @@ def _price_refusals(models, values, prices, dens, ncfs):
     read, so the largest price bounds every sum that is read: no total
     exceeds n_contexts or the slot count times it (and the model's den).
     The sums run in int64 while those bounds and every den are below
-    2**63, and on Python ints otherwise."""
+    2**63, and on Python ints otherwise. Each row is read through its
+    least price and least collected total, and only a refused row is
+    searched for its first short global."""
     sc = models[0].scenario
     prices = _int_rows(prices)
-    top = int(prices.max(initial=0))
+    top = int(prices.max())
     dtype = _dtype(max(*dens, sc.n_contexts * top), prices)
     collected = prices.astype(dtype, copy=False).take(_global_slots(sc), axis=1).sum(axis=1)
-    short = collected < np.array(dens, dtype)[:, None]
     dtype = _dtype(slot_count(sc) * top * max(m.den for m in models), prices, values)
     costs = (values.astype(dtype, copy=False) * prices.astype(dtype, copy=False)).sum(axis=1)
     checks = zip(
-        models, dens, ncfs, (prices < 0).any(axis=1).tolist(), short.any(axis=1).tolist(),
-        short.argmax(axis=1).tolist(), collected, costs.tolist(),
+        models, dens, ncfs, prices.min(axis=1).tolist(), collected.min(axis=1).tolist(),
+        costs.tolist(), collected,
     )
     out = []
-    for model, den, ncf, negative, underpriced, g, row, cost in checks:
+    for model, den, ncf, least, low, cost, row in checks:
         refusal = None
         if ncf < 0 or ncf > 1:
             refusal = VerificationError(
                 "noncontextual fraction outside [0, 1]", details={"ncf": ncf}
             )
-        elif negative:
+        elif least < 0:
             refusal = VerificationError("a slot price is negative")
-        elif underpriced:
+        elif low < den:
+            g = int((row < den).argmax())
             refusal = VerificationError(
                 "a global assignment collects price below 1",
                 details={"global": g, "price": rat(int(row[g]), den)},
@@ -696,7 +698,8 @@ def _weight_loads(models, values, kept, weights, dens, ncfs):
     Global g puts its weight on slot _global_slots[c, g] of every context
     c, so one scatter of the nonzero weights over their columns of the
     table sums every model's loads, and each load is compared with the
-    model's numerators, every row over its one denominator. A row with a
+    model's numerators, every row over its one denominator, through the
+    largest excess load * wden - numerator * den of the row. A row with a
     negative weight is refused before its loads are read, so no load that
     is read exceeds len(kept) times the largest weight. The sums and
     products run in int64 when none can reach 2**63, and on Python ints
@@ -711,21 +714,18 @@ def _weight_loads(models, values, kept, weights, dens, ncfs):
     np.add.at(loads, (model_of, slots), w[model_of, col])
     wdens = [m.den for m in models]
     dtype = _dtype(max(len(kept) * top, *dens) * max(wdens), w, values)
-    over = (
-        loads.astype(dtype, copy=False) * np.array(wdens, dtype)[:, None]
-        > values.astype(dtype, copy=False) * np.array(dens, dtype)[:, None]
-    )
-    negative = w < 0
+    scale = np.array([wdens, dens], dtype)
+    excess = loads.astype(dtype, copy=False) * scale[0, :, None]
+    excess -= values.astype(dtype, copy=False) * scale[1, :, None]
     checks = zip(
-        models, weights, dens, ncfs, negative.any(axis=1).tolist(), negative,
-        w.sum(axis=1).tolist(), over.any(axis=1).tolist(), over.argmax(axis=1).tolist(),
-        loads, values,
+        models, weights, dens, ncfs, w.min(axis=1, initial=0).tolist(), w.sum(axis=1).tolist(),
+        excess.max(axis=1).tolist(), loads.tolist(),
     )
     out = []
-    for model, ws, den, ncf, signed, neg, total, overloaded, s, load, v in checks:
-        result = load.tolist()
-        if signed:
-            i = int(neg.argmax())
+    for k, (model, ws, den, ncf, least, total, worst, load) in enumerate(checks):
+        result = load
+        if least < 0:
+            i = next(i for i, x in enumerate(ws) if x < 0)
             result = VerificationError(
                 "a global assignment has negative weight",
                 details={"global": kept[i], "weight": rat(ws[i], den)},
@@ -735,11 +735,12 @@ def _weight_loads(models, values, kept, weights, dens, ncfs):
                 "weights differ from the noncontextual fraction",
                 details={"total": rat(total, den), "ncf": ncf},
             )
-        elif overloaded:
+        elif worst > 0:
+            s = int((excess[k] > 0).argmax())
             result = VerificationError(
                 "a slot carries more weight than the model",
                 details={
-                    "slot": s, "load": rat(int(load[s]), den), "weight": rat(int(v[s]), model.den)
+                    "slot": s, "load": rat(load[s], den), "weight": rat(int(values[k, s]), model.den)
                 },
             )
         out.append(result)
