@@ -47,8 +47,8 @@ import numpy as np
 
 from .errors import PreconditionError, VerificationError
 from .model import _model_from_ints, render_table_csv, uniform_marginals
-from .lp import _INT64_LIMIT, _pivot_array, certified_fraction
-from .rational import ZERO, _listed, fractions_over, over_lcm_rows, rat, rat_str
+from .lp import _INT64_LIMIT, _certified_lps, _pivot_array
+from .rational import ONE, ZERO, _listed, fractions_over, over_lcm_rows, rat, rat_str
 from .scenario import (
     MAX_TABLE_CELLS,
     _require,
@@ -636,9 +636,11 @@ def classify(model):
     """Joint contextuality/marginals classification of a no-signaling model:
     AMCC when cf = 1 with maximal marginals, non-AMCC when cf = 1 without,
     otherwise not maximal. The fraction is the presolved one of
-    certified_fraction, certified by its prices and its weights."""
-    ncf, cf, _ = certified_fraction(model)
-    # certified_fraction has already refused a signaling model
+    certified_fraction, certified by its prices and its weights, read off
+    the route's integer result: no Fraction price is built."""
+    [(ncf, *_)] = _certified_lps([model], compatible=True)
+    cf = ONE - ncf
+    # the route has already refused a signaling model
     mm, wit = uniform_marginals(model)
     if cf == 1:
         kind = "maximally_contextual"

@@ -35,32 +35,37 @@ Every certified LP runs on one route, _certified_lps: it refuses a
 signaling model, builds each model's LP over a set of global assignments
 and the slots they touch, hands the LPs that share a matrix to
 _run_lockstep together, and checks two exact certificates over every
-global assignment, on the LP's numerators and the model's `rows`. The
-models of one scenario take the signaling refusal and the compatibility
-scan as array passes over one matrix of their numerators, and the LPs
-that ran together take both certificates as array passes
+global assignment, on the LP's numerators and the model's numerator
+row. The models of one scenario take the signaling refusal and the
+compatibility scan as array passes over one matrix of their numerators,
+and the LPs that ran together take both certificates as array passes
 (_price_refusals, _weight_loads), of which a lone LP is the one-row case;
 a refusal is still the first the loop over the models meets. In
 lockstep the tableaux share one int32 stack of lanes, at most
 LOCKSTEP_CELLS cells, and each numpy step takes one Bland pivot in every
-lane; a lane takes the step only when its pivot is 1 at det 1 and its
-running bound keeps every entry in int32, and on any other step its LP
-is handed to _run_array, which resumes from its tableau (as int64),
-basis, pivot count and work. So every LP pivots exactly as it does
-alone, and a lone LP, or one too large to share the stack, runs on
-simplex_solve. The prices bound ncf above: global g's slots, one per
-context, are column g of scenario's slot table `_global_slots`, so what
-every global collects is one numpy sum over it, in int64 whenever the
-totals are bounded below 2**63. The weights total ncf and load no slot
-past the model's weight, so ncf is also attained. `contextual_fraction`
-keeps every global: each slot is then some global's, so the LP is the
-scenario's cached incidence matrix, in its row order, and the
-decomposition is read off the checked integer slot loads. verify-paper's
-pools take the same full LPs, many at once. `certified_fraction`, the
-cheap route to the value alone, keeps only the support's compatible
-globals: a global that restricts to a zero-weight slot is forced to
-weight 0. Fractions are built only where the two public functions hand
-them out.
+lane; its ratio test compares float64 quotients, which order ratios of
+entries below 2**16 exactly. A lane takes the step only when its pivot
+is 1 at det 1 and its running bound keeps every entry in int32, and on
+any other step its LP is handed to _run_array, which resumes from its
+tableau (as int64), basis, pivot count and work. So every LP pivots
+exactly as it does alone, and a lone LP, or one too large to share the
+stack, runs on simplex_solve. The prices bound ncf above: global g's
+slots, one per context, are column g of scenario's slot table
+`_global_slots`, so what every global collects is one numpy sum over it,
+in int64 whenever the totals are bounded below 2**63. The weights total
+ncf and load no slot past the model's weight, so ncf is also attained.
+`contextual_fraction` keeps every global: each slot is then some
+global's, so the LP is the scenario's cached incidence matrix, in its row
+order, and the decomposition is read off the checked integer slot loads.
+verify-paper's pools take the same full LPs, many at once.
+`certified_fraction`, the cheap route to the value alone, keeps only the
+support's compatible globals: a global that restricts to a zero-weight
+slot is forced to weight 0. A lone model, as classify and the two
+public functions hand it in, is a group of one on the model's own
+numerator row (EmpiricalModel._values): its rhs, full price row and slot
+loads stay numpy rows from it through both certificate passes. Fractions
+are built only where the public functions hand them out; classify reads
+the route's integer result.
 """
 
 from dataclasses import dataclass
@@ -82,7 +87,6 @@ from .scenario import (
     _require,
     global_size,
     incidence_matrix,
-    slot_count,
 )
 
 __all__ = [
@@ -136,22 +140,25 @@ def simplex_solve(incidence, rhs):
 
 def _slack_tableau(incidence, rhs):
     """simplex_solve's starting tableau and its slack basis, after the
-    size guard and the rhs checks."""
+    size guard and the rhs checks. An integer numpy rhs is read as it
+    is; any other goes through operator.index entry by entry."""
     m, n = incidence.shape
     width = n + m
-    _require(
-        (m + 1) * (width + 1),
-        f"cells in the simplex tableau of {m + 1} x {width + 1}",
-        MAX_TABLEAU_CELLS,
-    )
-    rhs = list(map(index, rhs))
+    cells = (m + 1) * (width + 1)
+    if cells > MAX_TABLEAU_CELLS:
+        _require(cells, f"cells in the simplex tableau of {m + 1} x {width + 1}", MAX_TABLEAU_CELLS)
+    if isinstance(rhs, np.ndarray) and rhs.dtype.kind in "iu":
+        rhs = rhs.tolist()
+    else:
+        rhs = list(map(index, rhs))
     if min(rhs, default=0) < 0:
         i, b = next((i, b) for i, b in enumerate(rhs) if b < 0)
         raise PreconditionError(f"right-hand side {b} of row {i} is negative")
     dtype = np.int64 if max(rhs, default=0) < _INT64_LIMIT else object
     tableau = np.zeros((m + 1, width + 1), dtype)
     tableau[:m, :n] = incidence
-    tableau[:m, n:width] = np.eye(m, dtype=np.uint8)
+    # the slack identity, one entry per row, through the flat view
+    tableau.reshape(-1)[n : m * (width + 2) : width + 2] = 1
     tableau[:m, -1] = rhs
     tableau[m, :n] = -1
     return tableau, list(range(n, width))
@@ -287,13 +294,13 @@ def _pivot_array(tableau, leave, enter, det, bound):
 def _run_lockstep(incidence, rhss):
     """[simplex_solve(incidence, rhs) for rhs in rhss], each entry that
     call's result or the refusal it raises, with every LP pivoting as it
-    does alone. rhss are lists of ints.
+    does alone. rhss are integer rows, lists or numpy arrays.
 
     The LPs share one int32 stack of lanes, LOCKSTEP_CELLS // the cells of
     one tableau, and each step pivots every lane at once by Bland's rule:
     the least column of negative reduced cost enters, the leaving row is
-    _leaving_row's (a float proposal, then integer cross-multiplication
-    against it: a row below it, ties to the least basic variable), and
+    _leaving_row's (the least float quotient rhs / head, ties to the least
+    basic variable, which is exact while the entries stay in int32), and
     the unit update row - f * prow runs on the rows with f != 0. A lane
     takes the step only when the pivot is 1 at det 1 and its running
     bound b keeps b + b * b below min(2**31, _INT64_LIMIT), so the update
@@ -305,6 +312,7 @@ def _run_lockstep(incidence, rhss):
     limit, and every LP when one lane or one LP is all there is, runs on
     simplex_solve."""
     m, n = incidence.shape
+    rhss = [np.asarray(rhs) for rhs in rhss]
     out = [None] * len(rhss)
     lanes = LOCKSTEP_CELLS // ((m + 1) * (n + m + 1))
     queue = []
@@ -312,7 +320,7 @@ def _run_lockstep(incidence, rhss):
     limit = min(1 << 31, _INT64_LIMIT)
     # a lone lane or a lone LP runs alone, before any rhs is scanned
     if lanes > 1 and len(rhss) > 1:
-        queue = [i for i, rhs in enumerate(rhss) if 0 <= min(rhs) and max(rhs) < limit]
+        queue = [i for i, rhs in enumerate(rhss) if 0 <= rhs.min() and rhs.max() < limit]
     if len(queue) < 2:
         queue = []
     queued = set(queue)
@@ -348,7 +356,7 @@ def _run_lockstep(incidence, rhss):
             stack[lane, :m, -1] = rhss[i]
             basis[lane] = start
             pivots[lane] = work[lane] = 0
-            bound[lane] = max(1, *rhss[i])
+            bound[lane] = max(1, int(rhss[i].max()))
         else:
             owner[lane] = -1
             stack[lane, m] = 0
@@ -370,24 +378,22 @@ def _run_lockstep(incidence, rhss):
         col = stack[at, :, enter]
         heads, rhs = col[:, :m], stack[:, :m, -1]
         pos = heads > 0
+        # a lane steps only while its entries are at most cap < 2**16, so a
+        # ratio rhs / head is b / a with 0 <= b <= cap and 1 <= a <= cap.
+        # Two such ratios that differ differ by at least 1 / (a * a') >
+        # 2**-32, and each lies in [0, cap], where rounding to float64 moves
+        # it by at most cap * 2**-53 < 2**-36: correctly rounded quotients
+        # order unequal ratios exactly and round equal ones alike, so the
+        # least quotient's rows are exactly the rows of least ratio
         ratio = np.divide(rhs, heads, out=np.full(heads.shape, np.inf), where=pos)
-        best = ratio.argmin(1)
-        # each rhs / head against the proposal's, cross-multiplied: 0 on its
-        # ties, below 0 where the float ratios misordered a row
-        d = np.where(pos, rhs * heads[at, best, None] - rhs[at, best, None] * heads, 1)
-        leave = np.where(d == 0, basis, n + m).argmin(1)
+        ties = ratio == ratio.min(1, keepdims=True)
+        leave = np.where(ties, basis, n + m).argmin(1)
         f = col.copy()
         f[at, leave] = 0
         prow = stack[at, leave]
         lane_of, row = np.nonzero(f)
         cells = np.bincount(lane_of, minlength=lanes) * np.count_nonzero(prow, 1)
-        take = (
-            going
-            & (col[at, leave] == 1)
-            & (bound <= cap)
-            & (d.min(1) >= 0)
-            & (work + cells <= MAX_SIMPLEX_WORK)
-        )
+        take = going & (col[at, leave] == 1) & (bound <= cap) & (work + cells <= MAX_SIMPLEX_WORK)
         if np.count_nonzero(take) < busy:
             for lane in np.flatnonzero(going & ~take):
                 i, rows = owner[lane], basis[lane].tolist()
@@ -437,6 +443,7 @@ def contextual_fraction(model):
     noncontextual = strongly_contextual = None
     # every context's loads total mass = ncf * den, the weights' numerators
     mass = sum(weights)
+    loads = loads.tolist()
     if ncf > 0:
         noncontextual = _model_of(sc, mass, loads)
     if cf > 0:
@@ -453,7 +460,7 @@ def contextual_fraction(model):
         noncontextual=noncontextual,
         strongly_contextual=strongly_contextual,
         pivots=pivots,
-        prices=fractions_over(prices, det),
+        prices=fractions_over(prices.tolist(), det),
     )
 
 
@@ -474,14 +481,15 @@ def certified_fraction(model):
     as contextual_fraction's, over every global assignment, so a wrong
     compatible set raises VerificationError."""
     [(ncf, _, (det, prices), _)] = _certified_lps([model], compatible=True)
-    return ncf, ONE - ncf, fractions_over(prices, det)
+    return ncf, ONE - ncf, fractions_over(prices.tolist(), det)
 
 
 def _certified_lps(models, compatible=False):
     """[(ncf, (den, weights, loads), (det, prices), pivots) per model], each
     after both certificates pass: weights[i], global kept[i]'s weight, and
-    every slot's load are numerators over den, and the prices one
-    numerator per slot over det, the LP's last pivot.
+    every slot's load, a numpy row, are numerators over den, and the
+    prices a numpy row of one numerator per slot over det, the LP's last
+    pivot.
 
     Each model's LP runs over its kept globals, every global or, with
     compatible, those compatible with its support, and the slots they
@@ -490,18 +498,18 @@ def _certified_lps(models, compatible=False):
     (model.den // g). With every global kept every slot is touched, so the
     LP is the scenario's cached incidence matrix as it is, and the full
     LPs of one scenario run together in _run_lockstep, each pivoting as it
-    does alone. The full price vector puts det, a price of 1, on every
+    does alone. The full price row puts det, a price of 1, on every
     zero-weight slot, which costs nothing and covers every global that
     touches one, 0 on every other slot the LP did not see, and the LP's
     prices elsewhere.
 
     The models of one scenario are checked at once, on one matrix of
-    their numerators (_slot_rows): one reduceat finds the signaling ones
-    (model._overlap_sums), one compatibility scan gives every kept set
-    (possibilistic._compatible), and the LPs that ran together pass
-    _price_refusals and _weight_loads together. A refused model raises
-    what the loop over the models raises first, in input order: a
-    signaling model, a size guard, a work budget trip or a failed
+    their numerators (_slot_rows, a lone model's own row): one reduceat
+    finds the signaling ones (model._overlap_sums), one compatibility scan
+    gives every kept set (possibilistic._compatible), and the LPs that ran
+    together pass _price_refusals and _weight_loads together. A refused
+    model raises what the loop over the models raises first, in input
+    order: a signaling model, a size guard, a work budget trip or a failed
     certificate. Once a model is refused before its LP is built, the
     models after it are not solved."""
     models = list(models)
@@ -528,28 +536,27 @@ def _certified_lps(models, compatible=False):
             if compatible:
                 if sc not in compatibles:
                     compatibles[sc] = _compatible(sc, values[sc] != 0)
-                kept = np.flatnonzero(compatibles[sc][row_of[i]]).tolist()
+                kept = compatibles[sc][row_of[i]].nonzero()[0].tolist()
             else:
                 kept = range(global_size(sc))
             incidence = incidence_matrix(sc) if kept else None
         except _REFUSALS as exc:
             refused = exc
             break
-        rows = ()
+        v = values[sc][row_of[i]]
+        rows = slice(None) if kept else slice(0)
         if kept and compatible:
             incidence = incidence[:, kept]
-            rows = np.flatnonzero(incidence.any(axis=1)).tolist()
+            rows = incidence.any(axis=1).nonzero()[0]
             incidence = incidence[rows]
-        elif kept:
-            rows = range(len(incidence))
-        v = list(chain.from_iterable(model.rows))
-        g = gcd(model.den, *(v[r] for r in rows))
-        lps.append((rows, model.den // g, v))
+        rhs = v[rows]
+        g = gcd(model.den, int(np.gcd.reduce(rhs)))
+        lps.append((rows, model.den // g))
         # a compatible LP has a matrix of its own; the full LPs of one
         # scenario share its cached one
         group = groups.setdefault(i if compatible else sc, (incidence, kept, [], []))
         group[2].append(i)
-        group[3].append([v[r] // g for r in rows])
+        group[3].append(rhs // g)
     out = [None] * len(lps)
     for incidence, kept, members, rhss in groups.values():
         solved = _run_lockstep(incidence, rhss) if kept else [(0, (), (), 1, 0)]
@@ -558,23 +565,18 @@ def _certified_lps(models, compatible=False):
             if isinstance(solution, Exception):
                 out[i] = solution
                 continue
-            rows, scale, v = lps[i]
             value, weights, reduced, det, pivots = solution
-            if len(reduced) == len(v):
-                prices = list(reduced)
-            else:
-                prices = [0 if x else det for x in v]
-                for r, y in zip(rows, reduced):
-                    prices[r] = y
+            scale = lps[i][1]
             live.append(i)
-            out[i] = [rat(value, det * scale), det * scale, weights, det, prices, pivots]
+            out[i] = [rat(value, det * scale), det * scale, weights, det, reduced, pivots]
         if live:
             sc = models[live[0]].scenario
             at = [row_of[i] for i in live]
             group = [models[i] for i in live]
-            checked = _certify(group, values[sc][at], kept, [out[i] for i in live])
-            for i, loads in zip(live, checked):
-                ncf, den, weights, det, prices, pivots = out[i]
+            rows = [lps[i][0] for i in live]
+            checked = _certify(group, values[sc][at], kept, [out[i] for i in live], rows)
+            for i, (loads, prices) in zip(live, checked):
+                ncf, den, weights, det, _, pivots = out[i]
                 out[i] = loads if isinstance(loads, Exception) else (
                     ncf, (den, weights, loads), (det, prices), pivots
                 )
@@ -586,20 +588,38 @@ def _certified_lps(models, compatible=False):
     return out
 
 
-def _certify(models, values, kept, solved):
-    """Every slot's loads, a list over den, of each solved LP [ncf, den,
-    weights, det, prices, pivots] once both its certificates pass, or its
-    first refusal. The LPs share a scenario and kept, and values holds
-    their models' numerators (_slot_rows)."""
-    ncfs, dens, weights, dets, prices, _ = zip(*solved)
+def _certify(models, values, kept, solved, rows):
+    """[(loads, prices)] of each solved LP [ncf, den, weights, det,
+    reduced, pivots] over the slots rows of its model, loads every slot's
+    over den once both its certificates pass, or its first refusal, and
+    prices its full price row (_price_rows). The LPs share a scenario and
+    kept, and values holds their models' numerators (_slot_rows)."""
+    ncfs, dens, weights, dets, reduced, _ = zip(*solved)
+    prices = _price_rows(values == 0, dets, list(zip(rows, reduced)))
     refusals = _price_refusals(models, values, prices, dets, ncfs)
     loads = _weight_loads(models, values, kept, weights, dens, ncfs)
-    return [refusal or x for refusal, x in zip(refusals, loads)]
+    return [(refusal or x, y) for refusal, x, y in zip(refusals, loads, prices)]
+
+
+def _price_rows(zero, dets, scattered, dtype=np.int64):
+    """One full price row per LP, (rows, prices) in scattered: det, a price
+    of 1, where zero marks a zero-weight slot, 0 on the other slots, then
+    the LP's prices on its rows; int64 while every entry fits, Python ints
+    otherwise."""
+    try:
+        prices = zero * np.array(dets, dtype)[:, None]
+        for row, (rows, y) in zip(prices, scattered):
+            row[rows] = y
+    except OverflowError:
+        return _price_rows(zero, dets, scattered, object)
+    return prices
 
 
 def _int_rows(rows):
     """rows, sequences of ints of one length, as one 2-D array: int64 when
-    every entry fits, Python ints otherwise."""
+    every entry fits, Python ints otherwise; an array is already one."""
+    if isinstance(rows, np.ndarray):
+        return rows
     try:
         return np.array(rows, np.int64)
     except OverflowError:
@@ -609,7 +629,12 @@ def _int_rows(rows):
 def _dtype(bound, *arrays):
     """int64 when bound is below 2**63 and no array holds Python ints,
     object otherwise."""
-    return object if bound >= 2**63 or any(a.dtype == object for a in arrays) else np.int64
+    if bound >= 2**63:
+        return object
+    for a in arrays:
+        if a.dtype.hasobject:
+            return object
+    return np.int64
 
 
 def _check_prices(model, prices, den, ncf):
@@ -645,7 +670,7 @@ def _price_refusals(models, values, prices, dens, ncfs):
     top = int(prices.max())
     dtype = _dtype(max(*dens, sc.n_contexts * top), prices)
     collected = prices.astype(dtype, copy=False).take(_global_slots(sc), axis=1).sum(axis=1)
-    dtype = _dtype(slot_count(sc) * top * max(m.den for m in models), prices, values)
+    dtype = _dtype(values.shape[1] * top * max(m.den for m in models), prices, values)
     costs = (values.astype(dtype, copy=False) * prices.astype(dtype, copy=False)).sum(axis=1)
     checks = zip(
         models, dens, ncfs, prices.min(axis=1).tolist(), collected.min(axis=1).tolist(),
@@ -654,7 +679,7 @@ def _price_refusals(models, values, prices, dens, ncfs):
     out = []
     for model, den, ncf, least, low, cost, row in checks:
         refusal = None
-        if ncf < 0 or ncf > 1:
+        if not 0 <= ncf.numerator <= ncf.denominator:
             refusal = VerificationError(
                 "noncontextual fraction outside [0, 1]", details={"ncf": ncf}
             )
@@ -681,19 +706,19 @@ def _check_weights(model, kept, weights, den, ncf):
     more than the model's weight there. Their mixture is then dominated by
     the model, so the fraction is at least ncf; the prices bound it above.
     The weights are integer numerators over one positive den; the check is
-    the one-row case of _weight_loads, which returns every slot's load
-    over den or raises its refusal."""
+    the one-row case of _weight_loads, and returns every slot's load over
+    den as a list, or raises its refusal."""
     [loads] = _weight_loads([model], _slot_rows([model]), kept, [weights], [den], [ncf])
     if isinstance(loads, Exception):
         raise loads
-    return loads
+    return loads.tolist()
 
 
 def _weight_loads(models, values, kept, weights, dens, ncfs):
     """_check_weights on models of one scenario that keep the same
     ascending globals, values their numerators (_slot_rows), weights one
-    row per model over dens: each model's slot loads, a list over its den,
-    or the VerificationError _check_weights raises on it.
+    row per model over dens: each model's slot loads, a numpy row over its
+    den, or the VerificationError _check_weights raises on it.
 
     Global g puts its weight on slot _global_slots[c, g] of every context
     c, so one scatter of the nonzero weights over their columns of the
@@ -710,7 +735,7 @@ def _weight_loads(models, values, kept, weights, dens, ncfs):
     w = w.astype(_dtype(len(kept) * top, w), copy=False)
     model_of, col = np.nonzero(w)
     slots = _global_slots(sc).take(np.asarray(kept, np.intp)[col], axis=1)
-    loads = np.zeros((len(models), slot_count(sc)), w.dtype)
+    loads = np.zeros(values.shape, w.dtype)
     np.add.at(loads, (model_of, slots), w[model_of, col])
     wdens = [m.den for m in models]
     dtype = _dtype(max(len(kept) * top, *dens) * max(wdens), w, values)
@@ -719,7 +744,7 @@ def _weight_loads(models, values, kept, weights, dens, ncfs):
     excess -= values.astype(dtype, copy=False) * scale[1, :, None]
     checks = zip(
         models, weights, dens, ncfs, w.min(axis=1, initial=0).tolist(), w.sum(axis=1).tolist(),
-        excess.max(axis=1).tolist(), loads.tolist(),
+        excess.max(axis=1).tolist(), loads,
     )
     out = []
     for k, (model, ws, den, ncf, least, total, worst, load) in enumerate(checks):
@@ -740,7 +765,9 @@ def _weight_loads(models, values, kept, weights, dens, ncfs):
             result = VerificationError(
                 "a slot carries more weight than the model",
                 details={
-                    "slot": s, "load": rat(load[s], den), "weight": rat(int(values[k, s]), model.den)
+                    "slot": s,
+                    "load": rat(int(load[s]), den),
+                    "weight": rat(int(values[k, s]), model.den),
                 },
             )
         out.append(result)

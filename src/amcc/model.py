@@ -4,9 +4,11 @@ Includes marginalization, the no-signaling and maximal-marginals checks, a
 small corpus of named reference models, and JSON/CSV serialization. Weights
 are exact: integer numerators over one denominator; "a/b" strings in files,
 which model_from_json, like the constructor, decodes straight to those
-integers with rational.over_lcm_rows. Both checks are one numpy pass
-over a per-scenario row table: scenario.overlap_rows, and _party_rows for
-the marginals.
+integers with rational.over_lcm_rows, and then to one numpy row in slot
+order, checked in array passes and kept with the model. Both checks are
+one numpy pass over that row and a per-scenario row table:
+scenario.overlap_rows, and _party_rows for the marginals, which lays out
+its sides with those the overlap table packed.
 """
 
 from collections.abc import Iterator
@@ -18,14 +20,14 @@ from math import gcd, lcm, prod
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, ResourceLimitError
 from .rational import _listed, fractions_over, over_lcm_rows, rat, rat_str
 from .scenario import (
     MeasurementScenario,
+    _marginal_rows,
     _membership,
     bell_scenario,
     global_size,
-    marginal_rows,
     overlap_rows,
     projection,
     restriction_table,
@@ -33,6 +35,7 @@ from .scenario import (
     scenario_to_json,
     section_outcomes,
     section_size,
+    slot_offsets,
     unpack,
 )
 
@@ -66,7 +69,11 @@ class EmpiricalModel:
     the weights' denominators: canonical, so the fields compare, hash and
     print as the weights do. Built from tables, one row of rationals per
     context in canonical section order, decoded by over_lcm_rows; a bad
-    row is refused as a row-by-row check would (_refuse_rows)."""
+    row is refused as a row-by-row check would (_refuse_rows). Not a field:
+    _values, the numerators in slot order as one read-only numpy row,
+    int64 while den times the longest context row is below 2**63 (so no
+    sum of a row, nor den times a row's length, wraps) and Python ints
+    otherwise; every check of the model reads it."""
 
     scenario: MeasurementScenario
     den: int
@@ -108,23 +115,35 @@ def _refuse_rows(scenario, tables):
 
 
 def _set_rows(model, scenario, den, rows):
-    """Check the weights rows[c][s] / den, all rows at once, and set the
-    model's fields to den and rows over their common gcd. A failed check
-    raises _refuse_rows's refusal of the first bad row."""
+    """Check the weights rows[c][s] / den in array passes over their row in
+    slot order, and set the model's fields to den and rows over their
+    common gcd, and _values to that row. A failed check raises
+    _refuse_rows's refusal of the first bad row."""
+    sizes = scenario.section_sizes
+    values = None
+    if list(map(len, rows)) == list(sizes):
+        dtype = np.int64 if den * max(sizes) < 2**63 else object
+        try:
+            values = np.fromiter(chain.from_iterable(rows), dtype, sum(sizes))
+        except OverflowError:  # an entry past int64: refused below
+            pass
     if (
-        len(rows) != scenario.n_contexts
-        or list(map(len, rows)) != list(scenario.section_sizes)
-        or min(map(min, rows), default=0) < 0
-        or not set(map(sum, rows)) <= {den}
+        values is None
+        or values.min() < 0
+        or values.max() > den
+        or not set(np.add.reduceat(values, slot_offsets(scenario)).tolist()) <= {den}
     ):
         _refuse_rows(scenario, [[Fraction(x, den) for x in nums] for nums in rows])
-    g = gcd(den, *chain.from_iterable(rows))
+    g = gcd(den, int(np.gcd.reduce(values)))
     if g > 1:
         den //= g
         rows = [[x // g for x in nums] for nums in rows]
+        values = values // g
+    values.setflags(write=False)
     object.__setattr__(model, "scenario", scenario)
     object.__setattr__(model, "den", den)
     object.__setattr__(model, "rows", tuple(map(tuple, rows)))
+    object.__setattr__(model, "_values", values)
 
 
 def _model_from_ints(scenario, den, rows):
@@ -174,26 +193,21 @@ def _by_scenario(models):
 
 
 def _slot_rows(models):
-    """_slot_values of models of one scenario, one row per model."""
-    dtype = np.int64 if max(m.den for m in models) < 2**62 else object
-    n = sum(models[0].scenario.section_sizes)
-    cells = chain.from_iterable(chain.from_iterable(m.rows for m in models))
-    return np.fromiter(cells, dtype, count=len(models) * n).reshape(len(models), n)
-
-
-def _slot_values(model):
-    """(den, the model's numerators as one array in slot order): int64
-    while den < 2**62, Python ints above, so that no row sum wraps."""
-    dtype = np.int64 if model.den < 2**62 else object
-    return model.den, np.fromiter(chain.from_iterable(model.rows), dtype=dtype)
+    """The _values rows of models of one scenario, one row per model: a
+    lone model's own read-only row, and Python ints when any row holds
+    them."""
+    if len(models) == 1:
+        return models[0]._values[None]
+    return np.stack([m._values for m in models])
 
 
 def _overlap_sums(scenario, values):
-    """One row per row of values, _slot_rows of models of scenario: every
-    row of overlap_rows summed by one reduceat, ci's marginal minus cj's
-    at one outcome, so a model is no-signaling iff its row is all 0."""
+    """One row per row of values, _slot_rows of models of scenario (or one
+    row for one model's numerator row): every row of overlap_rows summed
+    by one reduceat, ci's marginal minus cj's at one outcome, so a model
+    is no-signaling iff its row is all 0."""
     slot, sign, start, _ = overlap_rows(scenario)
-    return np.add.reduceat(values.take(slot, axis=1) * sign, start[:-1], axis=1)
+    return np.add.reduceat(values.take(slot, axis=-1) * sign, start[:-1], axis=-1)
 
 
 def is_no_signaling(model):
@@ -203,9 +217,8 @@ def is_no_signaling(model):
     violating pair in `overlap_rows` order: (ci, cj, shared measurements, outcome
     tuple, lhs, rhs). The first nonzero entry of the model's _overlap_sums
     is the pair and its first differing outcome in packed order."""
-    sc = model.scenario
-    den, values = _slot_values(model)
-    bad = np.flatnonzero(_overlap_sums(sc, values[None])[0])
+    sc, den, values = model.scenario, model.den, model._values
+    bad = _overlap_sums(sc, values).nonzero()[0]
     if not bad.size:
         return True, None
     slot, sign, start, rows = overlap_rows(sc)
@@ -261,15 +274,15 @@ def uniform_marginals(model):
 
     One reduceat over the model's numerators sums each row of _party_rows,
     an outcome's weight b of a marginal over k outcomes, times den; the
-    first row where b * k != den is the witness."""
+    first row where b * k != den is the witness. b is at most den and k at
+    most a context row's length, so b * k stays in the row's dtype."""
     sc = model.scenario
     if sc.parties is None:
         raise PreconditionError("maximal-marginals check needs party structure")
     slot, _, start, rows, sizes = _party_rows(sc)
-    den, values = _slot_values(model)
+    den, values = model.den, model._values
     sums = np.add.reduceat(values.take(slot), start[:-1])
-    k = sizes.astype(values.dtype, copy=False)  # b * k == den, with no product past int64
-    bad = np.flatnonzero((sums != den // k) | (den % k != 0))
+    bad = (sums * sizes != den).nonzero()[0]
     if not bad.size:
         return True, None
     (_, ms, i), b, n = rows[bad[0]], int(sums[bad[0]]), int(sizes[bad[0]])
@@ -282,7 +295,8 @@ def _party_rows(scenario):
     context holding it, and each row's outcome count (int64, read-only).
     The first holding context of every subset is read off one product of
     the subsets' and the contexts' membership rows; context_containing
-    reports a subset that no context holds."""
+    reports a subset that no context holds. Its sides are laid out with
+    those overlap_rows packed."""
     subsets = list(party_setting_subsets(scenario))
     lengths = list(map(len, subsets))
     held = _membership(scenario)
@@ -292,9 +306,14 @@ def _party_rows(scenario):
     for i in np.flatnonzero(~holds.any(axis=1))[:1]:
         context_containing(scenario, subsets[i])
     marginals = zip(subsets, zip(holds.argmax(axis=1).tolist()))
-    slot, sign, start, rows = marginal_rows(scenario, marginals)
-    counts = [prod(scenario.outcomes[m] for m in ms) for ms in subsets]
-    sizes = np.repeat(np.array(counts, np.int64), counts)
+    # the sides overlap_rows packed are not packed again; a table past the
+    # overlap guard has none to share
+    try:
+        packed = dict(overlap_rows(scenario).packed)
+    except ResourceLimitError:
+        packed = {}
+    (slot, sign, start, rows), counts = _marginal_rows(scenario, marginals, packed)
+    sizes = np.repeat(counts, counts)
     sizes.setflags(write=False)
     return slot, sign, start, rows, sizes
 

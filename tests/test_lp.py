@@ -502,9 +502,10 @@ def test_stacked_weights_are_context_major():
     ids=["noisy-pr-box", "pr-box-point-mass", "random-322", "point-mass"],
 )
 def test_the_lp_takes_the_model_numerators_over_their_gcd_with_den(route, model):
-    # the rhs is the numerators of the slots the kept globals touch, Python
-    # ints over their gcd g with den: the same integers as those weights
-    # over the lcm of their denominators, den // g, so in lowest terms
+    # the rhs is the numerators of the slots the kept globals touch, an
+    # integer numpy row over their gcd g with den: the same integers as
+    # those weights over the lcm of their denominators, den // g, so in
+    # lowest terms
     kept = range(global_size(model.scenario))
     if route is certified_fraction:
         kept = compatible_globals(support_of(model))
@@ -513,6 +514,8 @@ def test_the_lp_takes_the_model_numerators_over_their_gcd_with_den(route, model)
     nums = [x for x, t in zip(nums, touched) if t]
     g = gcd(model.den, *nums)
     (rhs,) = _lp_rhs(route, model)
+    assert rhs.dtype == np.int64
+    rhs = rhs.tolist()
     assert all(type(b) is int for b in rhs)
     assert rhs == [x // g for x in nums]
     assert rhs == over_lcm(fractions_over(nums, model.den))[1]

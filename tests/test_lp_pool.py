@@ -5,8 +5,9 @@ model by model."""
 import random
 from collections import defaultdict
 from itertools import chain
-from math import gcd
+from math import gcd, isqrt
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -459,7 +460,8 @@ def _assert_group_checks_are_alone(models, price_lies, weight_lies):
             alone = _refusal_or(lambda: amcc.lp._check_prices(m, y, det, price_ncf))
             assert alone == (None if refusal is None else (str(refusal), refusal.details))
             alone = _refusal_or(lambda: amcc.lp._check_weights(m, kept, w, den, weight_ncf))
-            assert alone == (load if isinstance(load, list) else (str(load), load.details))
+            refused = isinstance(load, Exception)
+            assert alone == ((str(load), load.details) if refused else load.tolist())
 
 
 _LIES = st.tuples(
@@ -483,3 +485,51 @@ def test_the_group_checks_hold_on_python_ints(lies):
     models = [mix_models([(t, uniform_model(sc)), (1 - t, m)]) for m in _random_models(sc, 3, 17)]
     assert _slot_rows(models).dtype == object
     _assert_group_checks_are_alone(models, *lies)
+
+
+# the largest entry a lockstep lane steps with: b + b * b < 2**31
+_CAP = (isqrt(4 * 2**31 - 3) - 1) // 2
+
+
+@st.composite
+def _ratio_rows(draw):
+    """(heads, rhs, basis) of a ratio test whose entries are at most _CAP,
+    heads positive: random rows, rows whose ratios tie exactly (multiples
+    of one pair), rows a unit apart from a tie and rows at the pair's
+    Farey neighbour, whose ratio differs from it by 1 / (head * head'),
+    so that the least ratio is often shared or nearly shared."""
+    a, b = draw(st.integers(1, _CAP)), draw(st.integers(0, _CAP))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["random", "tie", "near", "farey"]))
+        if kind == "random":
+            rows.append((draw(st.integers(1, _CAP)), draw(st.integers(0, _CAP))))
+        elif kind == "farey":
+            # b' * a - b * a' = 1 with 1 <= a' <= a, when b / a is in lowest terms
+            g = gcd(a, b)
+            head = (-pow(b // g, -1, a // g)) % (a // g) or a // g
+            rows.append((head, min(_CAP, (1 + (b // g) * head) // (a // g))))
+        else:
+            k = draw(st.integers(1, max(1, _CAP // max(a, b, 1))))
+            head, rhs = k * a, k * b
+            if kind == "near":
+                rhs = min(_CAP, max(0, rhs + draw(st.sampled_from([-1, 1]))))
+            rows.append((head, rhs))
+    heads, rhs = zip(*rows)
+    basis = draw(st.permutations(range(len(rows) + 8)))[: len(rows)]
+    return list(heads), list(rhs), basis
+
+
+@given(_ratio_rows())
+@settings(max_examples=300, deadline=None)
+def test_float_quotients_pick_the_exact_leaving_row(case):
+    # the lockstep's ratio test: float64 quotients of int32 entries, the
+    # least of them, ties to the least basic variable; with every entry
+    # at most _CAP it is _leaving_row's exact cross-multiplied choice
+    assert _CAP == 46340 < 2**16
+    heads, rhs, basis = case
+    heads32, rhs32 = np.array(heads, np.int32), np.array(rhs, np.int32)
+    ratio = np.divide(rhs32, heads32, out=np.full(len(heads), np.inf), where=heads32 > 0)
+    ties = ratio == ratio.min()
+    leave = int(np.where(ties, basis, len(basis) + 8).argmin())
+    assert leave == amcc.lp._leaving_row(range(len(heads)), heads, rhs, basis)

@@ -36,7 +36,12 @@ from amcc.model import (
     uniform_marginals,
     uniform_model,
 )
-from amcc.parity import build_symmetric_model, parity_system_from_vector
+from amcc.parity import (
+    ParitySystem,
+    build_symmetric_model,
+    parity_satisfiable,
+    parity_system_from_vector,
+)
 from amcc.possibilistic import possibilistic_no_signaling, strong_contextuality, support_of
 from amcc.rational import ONE, ZERO, over_lcm, rat, rat_str
 from amcc.scenario import (
@@ -1090,6 +1095,41 @@ def _fraction_cases(draw):
     return model, relabeling
 
 
+def _relabeled_system(system, perm, swaps, flips):
+    """The image of a parity system on bell_scenario(n, 2, 2) under the
+    relabeling of _moved_slots: context ci moves where its slots move, and
+    its target flips with the parity of the outcomes flipped there, read
+    off the image of its all-zero section."""
+    size = 2 ** len(perm)  # sections per context
+    parities = [None] * len(system.parities)
+    moved = _moved_slots(perm, swaps, flips)
+    for ci, target in enumerate(system.parities):
+        cj, sj = moved[ci * size]
+        parities[cj] = target ^ (sj.bit_count() & 1)
+    return ParitySystem(system.scenario, tuple(parities))
+
+
+@st.composite
+def _parity_relabelings(draw):
+    """A parity system at (2,2,2)-(4,2,2) and a Bell relabeling of it."""
+    n = draw(st.integers(2, 4))
+    sc = bell_scenario(n, 2, 2)
+    system = parity_system_from_vector(sc, draw(st.integers(0, 2**sc.n_contexts - 1)))
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    return system, (draw(st.permutations(range(n))), draw(bits), draw(bits) + draw(bits))
+
+
+@given(_parity_relabelings())
+@settings(max_examples=60, deadline=None)
+def test_bell_relabelings_keep_parity_satisfiability(case):
+    # the image system's symmetric model is the relabeled symmetric model,
+    # and a system is satisfiable exactly when its image is
+    system, relabeling = case
+    image = _relabeled_system(system, *relabeling)
+    assert build_symmetric_model(image) == _relabeled(build_symmetric_model(system), *relabeling)
+    assert parity_satisfiable(image) == parity_satisfiable(system)
+
+
 @given(_fraction_cases())
 @example((mix_models([(rat(1, 2), pr_box(0)), (rat(1, 2), uniform_model(bell_scenario(2, 2, 2)))]),
           ((1, 0), [1, 0], [0, 1, 1, 0])))
@@ -1110,3 +1150,55 @@ def test_bell_relabelings_keep_the_fraction_and_carry_its_certificate(case):
         moved[cj * size + sj] = y
     den, nums = over_lcm(moved)
     amcc.lp._check_prices(image, nums, den, ncf)
+
+
+# ---------------------------------------------------------------------------
+# classify reads the certified route's integer result and the marginal check
+
+
+@given(_fraction_cases())
+@example((parity_amcc_422(), ((0, 1, 2, 3), [0] * 4, [0] * 8)))
+@example((deterministic_model(bell_scenario(4, 2, 2), 77), ((0, 1, 2, 3), [0] * 4, [0] * 8)))
+@settings(max_examples=60, deadline=None)
+def test_classify_is_the_certified_fraction_and_the_marginal_check(case):
+    # random, dense (up to (3,2,2)), point-mass and parity models: the
+    # fraction is certified_fraction's, the marginal verdict and witness
+    # is_maximal_marginals', and the verdict follows from the two
+    model, _ = case
+    result = classify(model)
+    ncf, cf, _ = certified_fraction(model)
+    assert (result.ncf, result.cf) == (ncf, cf)
+    assert type(result.cf) is Fraction and type(result.ncf) is Fraction
+    maximal, witness = is_maximal_marginals(model)
+    assert (result.maximal_marginals, result.marginal_witness) == (maximal, witness)
+    if cf == 1:
+        assert result.verdict == ("AMCC" if maximal else "non-AMCC")
+    else:
+        assert result.verdict == "not maximal"
+
+
+def _half_moved(model):
+    """model with half of context 0's first possible section's weight moved
+    onto the next section: a signaling model."""
+    tables = [list(row) for row in model.tables]
+    a = next(s for s, w in enumerate(tables[0]) if w)
+    tables[0][a], tables[0][a + 1] = tables[0][a] / 2, tables[0][a + 1] + tables[0][a] / 2
+    return EmpiricalModel(model.scenario, tables)
+
+
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        (pr_box(0), "contexts 0 and 2 disagree on Y2 @ 0: 1/4 vs 1/2"),
+        (parity_amcc_422(), "contexts 0 and 2 disagree on Y1 Y2 Y4 @ 0,0,0: 1/16 vs 1/8"),
+    ],
+    ids=["pr-box", "parity-amcc-422"],
+)
+def test_classify_refuses_a_signaling_model_with_the_first_witness(model, message):
+    # the first disagreeing pair and outcome in overlap_rows order, as
+    # certified_fraction and is_maximal_marginals name it
+    signaling = _half_moved(model)
+    for check in (classify, certified_fraction, is_maximal_marginals):
+        with pytest.raises(PreconditionError) as refused:
+            check(signaling)
+        assert str(refused.value) == "model is signaling: " + message

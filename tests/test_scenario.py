@@ -591,3 +591,60 @@ def test_tables_laid_out_in_small_blocks_match_pointwise_decoding(sc, monkeypatc
         assert _listed(marginal_rows(sc, singles)) == pointwise_marginal_rows(sc, singles)
     finally:
         overlap_rows.cache_clear()
+
+
+def test_a_cold_overlap_and_party_table_pack_each_side_once(monkeypatch):
+    # (4,2,2): the party table's sides, each party subset's positions in
+    # its first holding context, are sides the overlap table packed, so it
+    # packs none; every distinct (outcome counts, positions) is packed once
+    sc = bell_scenario(4, 2, 2)
+    packed = []
+    pack = amcc.scenario._packed
+
+    def spy(radices, orders, dtype=np.int64):
+        # orders come in pairs, a side's positions then the other positions
+        packed.extend((tuple(radices), tuple(positions)) for positions in orders[0::2])
+        return pack(radices, orders, dtype)
+
+    monkeypatch.setattr(amcc.scenario, "_packed", spy)
+    overlap_rows.cache_clear()
+    _party_rows.cache_clear()
+    try:
+        overlap_rows(sc)
+        overlapping = len(packed)
+        _party_rows(sc)
+    finally:
+        overlap_rows.cache_clear()
+        _party_rows.cache_clear()
+    radices = (2, 2, 2, 2)
+    sides = {
+        (radices, tuple(p for p, m in enumerate(sc.cover[c]) if m in sc.cover[d]))
+        for ci, cj in combinations(range(sc.n_contexts), 2)
+        if set(sc.cover[ci]) & set(sc.cover[cj])
+        for c, d in ((ci, cj), (cj, ci))
+    }
+    assert sorted(packed) == sorted(sides)
+    assert len(packed) == overlapping == 14
+
+
+def test_a_party_table_past_the_overlap_guard_packs_its_own_sides(monkeypatch):
+    # the overlap table of (4,2,2) needs 15 x 256 cells; under a limit one
+    # below it the party table has no packed sides to share, and lays out
+    # the same rows packing its own
+    sc = bell_scenario(4, 2, 2)
+    expected = _party_rows(sc)
+    monkeypatch.setattr(amcc.scenario, "MAX_TABLE_CELLS", 15 * 256 - 1)
+    overlap_rows.cache_clear()
+    _party_rows.cache_clear()
+    try:
+        with pytest.raises(ResourceLimitError, match="cells in the overlap table"):
+            overlap_rows(sc)
+        alone = _party_rows(sc)
+    finally:
+        overlap_rows.cache_clear()
+        _party_rows.cache_clear()
+    for got, want in zip(alone, expected):
+        if isinstance(want, np.ndarray):
+            assert (got.dtype, got.tolist()) == (want.dtype, want.tolist())
+        else:
+            assert got == want
