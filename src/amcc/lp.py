@@ -144,9 +144,11 @@ def _slack_tableau(incidence, rhs):
     is; any other goes through operator.index entry by entry."""
     m, n = incidence.shape
     width = n + m
-    cells = (m + 1) * (width + 1)
-    if cells > MAX_TABLEAU_CELLS:
-        _require(cells, f"cells in the simplex tableau of {m + 1} x {width + 1}", MAX_TABLEAU_CELLS)
+    _require(
+        (m + 1) * (width + 1),
+        f"cells in the simplex tableau of {m + 1} x {width + 1}",
+        MAX_TABLEAU_CELLS,
+    )
     if isinstance(rhs, np.ndarray) and rhs.dtype.kind in "iu":
         rhs = rhs.tolist()
     else:
@@ -157,8 +159,7 @@ def _slack_tableau(incidence, rhs):
     dtype = np.int64 if max(rhs, default=0) < _INT64_LIMIT else object
     tableau = np.zeros((m + 1, width + 1), dtype)
     tableau[:m, :n] = incidence
-    # the slack identity, one entry per row, through the flat view
-    tableau.reshape(-1)[n : m * (width + 2) : width + 2] = 1
+    tableau[:m, n:width] = np.eye(m, dtype=np.uint8)
     tableau[:m, -1] = rhs
     tableau[m, :n] = -1
     return tableau, list(range(n, width))
@@ -299,8 +300,8 @@ def _run_lockstep(incidence, rhss):
     The LPs share one int32 stack of lanes, LOCKSTEP_CELLS // the cells of
     one tableau, and each step pivots every lane at once by Bland's rule:
     the least column of negative reduced cost enters, the leaving row is
-    _leaving_row's (the least float quotient rhs / head, ties to the least
-    basic variable, which is exact while the entries stay in int32), and
+    _leaving_row's, found on float64 quotients (_float_leaving_rows, exact
+    while a lane's entries stay at most cap, below), and
     the unit update row - f * prow runs on the rows with f != 0. A lane
     takes the step only when the pivot is 1 at det 1 and its running
     bound b keeps b + b * b below min(2**31, _INT64_LIMIT), so the update
@@ -377,17 +378,7 @@ def _run_lockstep(incidence, rhss):
             continue
         col = stack[at, :, enter]
         heads, rhs = col[:, :m], stack[:, :m, -1]
-        pos = heads > 0
-        # a lane steps only while its entries are at most cap < 2**16, so a
-        # ratio rhs / head is b / a with 0 <= b <= cap and 1 <= a <= cap.
-        # Two such ratios that differ differ by at least 1 / (a * a') >
-        # 2**-32, and each lies in [0, cap], where rounding to float64 moves
-        # it by at most cap * 2**-53 < 2**-36: correctly rounded quotients
-        # order unequal ratios exactly and round equal ones alike, so the
-        # least quotient's rows are exactly the rows of least ratio
-        ratio = np.divide(rhs, heads, out=np.full(heads.shape, np.inf), where=pos)
-        ties = ratio == ratio.min(1, keepdims=True)
-        leave = np.where(ties, basis, n + m).argmin(1)
+        leave = _float_leaving_rows(heads, rhs, basis)
         f = col.copy()
         f[at, leave] = 0
         prow = stack[at, leave]
@@ -414,6 +405,23 @@ def _run_lockstep(incidence, rhss):
         work += cells * take
         bound += np.abs(f).max(1) * np.abs(prow).max(1) * take
     return out
+
+
+def _float_leaving_rows(heads, rhs, basis):
+    """_run_lockstep's ratio test: per lane, the row of least float64
+    quotient rhs / head over its positive heads, ties to the least basic
+    variable (the least row where a lane has no positive head).
+
+    A lane steps only while its entries are at most cap < 2**16, so a
+    ratio is b / a with 0 <= b <= cap and 1 <= a <= cap. Two such ratios
+    that differ differ by at least 1 / (a * a') > 2**-32, and each lies in
+    [0, cap], where rounding to float64 moves it by at most
+    cap * 2**-53 < 2**-36: correctly rounded quotients order unequal
+    ratios exactly and round equal ones alike, so the least quotient's
+    rows are exactly the rows of least ratio, _leaving_row's choice."""
+    ratio = np.divide(rhs, heads, out=np.full(heads.shape, np.inf), where=heads > 0)
+    ties = ratio == ratio.min(1, keepdims=True)
+    return np.where(ties, basis, np.iinfo(basis.dtype).max).argmin(1)
 
 
 @dataclass(frozen=True)
@@ -629,12 +637,7 @@ def _int_rows(rows):
 def _dtype(bound, *arrays):
     """int64 when bound is below 2**63 and no array holds Python ints,
     object otherwise."""
-    if bound >= 2**63:
-        return object
-    for a in arrays:
-        if a.dtype.hasobject:
-            return object
-    return np.int64
+    return object if bound >= 2**63 or any(a.dtype == object for a in arrays) else np.int64
 
 
 def _check_prices(model, prices, den, ncf):

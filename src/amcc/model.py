@@ -7,8 +7,7 @@ which model_from_json, like the constructor, decodes straight to those
 integers with rational.over_lcm_rows, and then to one numpy row in slot
 order, checked in array passes and kept with the model. Both checks are
 one numpy pass over that row and a per-scenario row table:
-scenario.overlap_rows, and _party_rows for the marginals, which lays out
-its sides with those the overlap table packed.
+scenario.overlap_rows, and _party_rows for the marginals.
 """
 
 from collections.abc import Iterator
@@ -20,14 +19,14 @@ from math import gcd, lcm, prod
 
 import numpy as np
 
-from .errors import PreconditionError, ResourceLimitError
+from .errors import PreconditionError
 from .rational import _listed, fractions_over, over_lcm_rows, rat, rat_str
 from .scenario import (
     MeasurementScenario,
-    _marginal_rows,
     _membership,
     bell_scenario,
     global_size,
+    marginal_rows,
     overlap_rows,
     projection,
     restriction_table,
@@ -295,8 +294,7 @@ def _party_rows(scenario):
     context holding it, and each row's outcome count (int64, read-only).
     The first holding context of every subset is read off one product of
     the subsets' and the contexts' membership rows; context_containing
-    reports a subset that no context holds. Its sides are laid out with
-    those overlap_rows packed."""
+    reports a subset that no context holds."""
     subsets = list(party_setting_subsets(scenario))
     lengths = list(map(len, subsets))
     held = _membership(scenario)
@@ -306,14 +304,9 @@ def _party_rows(scenario):
     for i in np.flatnonzero(~holds.any(axis=1))[:1]:
         context_containing(scenario, subsets[i])
     marginals = zip(subsets, zip(holds.argmax(axis=1).tolist()))
-    # the sides overlap_rows packed are not packed again; a table past the
-    # overlap guard has none to share
-    try:
-        packed = dict(overlap_rows(scenario).packed)
-    except ResourceLimitError:
-        packed = {}
-    (slot, sign, start, rows), counts = _marginal_rows(scenario, marginals, packed)
-    sizes = np.repeat(counts, counts)
+    slot, sign, start, rows = marginal_rows(scenario, marginals)
+    counts = [prod(scenario.outcomes[m] for m in ms) for ms in subsets]
+    sizes = np.repeat(np.array(counts, np.int64), counts)
     sizes.setflags(write=False)
     return slot, sign, start, rows, sizes
 

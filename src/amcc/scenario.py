@@ -23,11 +23,9 @@ slots, one per outcome, and packs each distinct side's projection once, not
 once per marginal; every no-signaling and marginal check reads such rows.
 The cached `overlap_rows` is `marginal_rows` over every pair of contexts
 that share a measurement, on the shared measurements, with its pairs and
-sides found in array passes; it keeps the sides it packed, which the
-party marginals (model._party_rows) then lay out without packing them
-again. A (context c,
-section s) cell has one address, its slot slot_offsets[c] + s; the cached
-slot table `_global_slots` is every scan's and certificate's restriction map.
+sides found in array passes. A (context c, section s) cell has one
+address, its slot slot_offsets[c] + s; the cached slot table
+`_global_slots` is every scan's and certificate's restriction map.
 
 Every size limit of the package lives here, and `_require` is the one check
 that enforces them: each guard calls it with a count computed by arithmetic
@@ -38,7 +36,7 @@ updates, which no count known in advance bounds.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, chain, product
+from itertools import accumulate, chain, product, repeat
 from math import prod
 
 import numpy as np
@@ -342,50 +340,52 @@ def _membership(scenario):
     return held
 
 
-def _pack_sides(keys, packed):
-    """Pack every side of keys, each (outcome counts, positions), that
-    packed lacks: packed[key] becomes its _packed row onto its positions,
-    then its row onto the other positions, ascending, one array. The sides
-    of one tuple of outcome counts are packed in one _packed call."""
+def _sources(keys):
+    """(source, proj, rank) of sides keyed by their (outcome counts,
+    positions) in keys: side i's _packed row onto its positions starts at
+    source[proj[i]], its row onto the other positions, ascending, at
+    source[rank[i]]. The sides of one tuple of outcome counts are packed
+    together."""
     groups = {}
-    for key in keys:
-        if key not in packed:
-            groups.setdefault(key[0], []).append(key)
+    for i, (radices, _) in enumerate(keys):
+        groups.setdefault(radices, []).append(i)
+    proj = np.zeros(len(keys), np.int64)
+    tables, end = [np.empty(0, np.int64)], 0
     for radices, members in groups.items():
         orders = []
-        for _, positions in members:
+        for i in members:
+            positions = keys[i][1]
             orders += [positions, [p for p in range(len(radices)) if p not in positions]]
         rows = _packed(radices, orders)
-        for t, key in enumerate(members):
-            packed[key] = rows[2 * t : 2 * t + 2].reshape(-1)
+        proj[members] = end + 2 * rows.shape[1] * np.arange(len(members))
+        end += rows.size
+        tables.append(rows.ravel())
+    rank = proj + np.array([prod(radices) for radices, _ in keys], np.int64)
+    return np.concatenate(tables), proj, rank
 
 
 # section entries laid out per block of sides, bounding the temporaries
 _LAYOUT_BLOCK = 1 << 16
 
 
-def _lay_out(scenario, which, ctx, second, key, keys, packed):
+def _lay_out(scenario, which, ctx, second, key, keys):
     """(slot, sign, start, counts, k) of marginals given as arrays, each
     with one or two sides: entry j is the first or, if second[j], the
-    second side of marginal which[j], on context ctx[j], onto its positions
-    keys[key[j]][1] (keys lists each distinct (outcome counts, positions)
-    of a side once). A section lies on the row of its projection onto the
-    positions, and is placed in that row by its projection onto the other
-    positions, ascending, since that orders the sections of one row as
-    their indices do; _pack_sides packs both once per key, into packed,
-    reading what packed already holds. Marginal i has counts[i] rows, one
-    more than its last section's row. Row k of marginal i lists its first
-    side's slots, ascending, sign +1, then its second side's, sign -1; k[r]
-    is row r's index in its marginal. The entries are scattered straight
-    to their places, a block of sides at a time."""
-    _pack_sides(keys, packed)
-    rows = [packed[k] for k in keys]
-    half = np.array([len(r) // 2 for r in rows], np.int64)
-    source = np.concatenate([np.empty(0, np.int64), *rows])
-    proj = (np.cumsum(2 * half) - 2 * half)[key]
-    rank = proj + half[key]
+    second side of marginal which[j], each marginal's first side before
+    its second, on context ctx[j], onto its positions keys[key[j]][1]
+    (keys lists each distinct (outcome counts, positions) of a side once).
+    A section lies on the row of its projection onto the positions, and is
+    placed in that row by its projection onto the other positions,
+    ascending, since that orders the sections of one row as their indices
+    do; _sources packs both once per key. Marginal i has counts[i] rows,
+    one more than its last section's row. Row k of marginal i lists its
+    first side's slots, ascending, sign +1, then its second side's, sign
+    -1; k[r] is row r's index in its marginal. The entries are scattered
+    straight to their places, a block of sides at a time."""
+    source, proj, rank = _sources(keys)
+    proj, rank = proj[key], rank[key]
     offs = np.array(slot_offsets(scenario), np.int64)
-    size = half[key]
+    size = np.array(scenario.section_sizes, np.int64)[ctx]
     counts = np.zeros(int(which.max(initial=-1)) + 1, np.int64)
     counts[which] = source[proj + size - 1] + 1
     per_row = size // counts[which]
@@ -426,6 +426,11 @@ def _kinds(scenario):
     return radices, [kinds.setdefault(r, c) for c, r in enumerate(radices)]
 
 
+def _repeated(items, counts):
+    """Each of items, counts[i] times in turn."""
+    return chain.from_iterable(map(repeat, items, counts))
+
+
 def marginal_rows(scenario, marginals):
     """(slot, sign, start, rows) of marginals, each (measurements, contexts)
     with one or two contexts that hold every measurement: per outcome k of
@@ -435,20 +440,14 @@ def marginal_rows(scenario, marginals):
     of slot (int32) and sign (int8), rows[r] is (contexts, measurements,
     k), and no row is empty. Read-only. Laid out by _lay_out, each distinct
     side keyed once by its (outcome counts, positions)."""
-    return _marginal_rows(scenario, marginals, {})[0]
-
-
-def _marginal_rows(scenario, marginals, packed):
-    """(marginal_rows, each marginal's outcome count), reading and
-    extending packed, the sides packed so far (_lay_out)."""
     marginals = [(tuple(ms), tuple(cs)) for ms, cs in marginals]
     radices, kind = _kinds(scenario)
     # position[c](m): the position of measurement m in context c
     position = [dict(zip(c, range(len(c)))).__getitem__ for c in scenario.cover]
     sides = [len(cs) for _, cs in marginals]
     n = sum(sides)
-    which = np.repeat(np.arange(len(sides)), sides)
-    second = np.arange(n) - np.repeat(np.cumsum(sides) - sides, sides)
+    which = np.fromiter(_repeated(range(len(sides)), sides), np.int64, n)
+    second = np.fromiter(chain.from_iterable(map(range, sides)), np.int64, n)
     ctx = np.fromiter(chain.from_iterable(cs for _, cs in marginals), np.int64, n)
     keys = {}
     side_keys = (
@@ -458,22 +457,11 @@ def _marginal_rows(scenario, marginals, packed):
     )
     key = np.fromiter(side_keys, np.int64, n)
     keys = [(radices[c], positions) for c, positions in keys]
-    slot, sign, start, counts, k = _lay_out(scenario, which, ctx, second, key, keys, packed)
-    marginal = np.repeat(np.arange(len(marginals)), counts).tolist()
-    contexts = map([cs for _, cs in marginals].__getitem__, marginal)
-    measurements = map([ms for ms, _ in marginals].__getitem__, marginal)
-    return (slot, sign, start, tuple(zip(contexts, measurements, k.tolist()))), counts
-
-
-class _Rows(tuple):
-    """overlap_rows's (slot, sign, start, rows), which also keeps the sides
-    it packed (_lay_out's packed), so that a later layout over the same
-    scenario packs only the sides it lacks."""
-
-    def __new__(cls, table, packed):
-        rows = super().__new__(cls, table)
-        rows.packed = packed
-        return rows
+    slot, sign, start, counts, k = _lay_out(scenario, which, ctx, second, key, keys)
+    n = counts.tolist()
+    contexts = _repeated((cs for _, cs in marginals), n)
+    measurements = _repeated((ms for ms, _ in marginals), n)
+    return slot, sign, start, tuple(zip(contexts, measurements, k.tolist()))
 
 
 @lru_cache(maxsize=64)
@@ -486,9 +474,10 @@ def overlap_rows(scenario):
     scanned, past MAX_TABLE_CELLS entries, at most (n_contexts - 1) * slots.
 
     The pairs and their sides' keys come from array passes: one product of
-    the membership rows finds the sharing pairs, a side's positions are the
-    bits of one int64 (a context holds at most 64 measurements), set a
-    position at a time, and each distinct shared set is named once."""
+    the membership rows finds the sharing pairs, a side's code marks the
+    positions of its context that the other context holds, a pair's shared
+    set the measurements both hold, and each distinct code, (context kind,
+    code) and shared set is named once."""
     rows, cols = scenario.n_contexts - 1, slot_count(scenario)
     _require(rows * cols, f"cells in the overlap table of {rows} x {cols}", MAX_TABLE_CELLS)
     held = _membership(scenario)
@@ -497,8 +486,7 @@ def overlap_rows(scenario):
     i, j = i[keep], j[keep]
     # side 2t is pair t's first context, side 2t + 1 its second, each read
     # against the other
-    ctx, other = np.empty(2 * i.size, np.int64), np.empty(2 * i.size, np.int64)
-    ctx[0::2], ctx[1::2], other[0::2], other[1::2] = i, j, j, i
+    ctx, other = np.stack([i, j], 1).ravel(), np.stack([j, i], 1).ravel()
     # at[c, p]: context c's measurement at position p, or a column of held
     # that no context holds past its end
     lengths = list(map(len, scenario.cover))
@@ -506,45 +494,44 @@ def overlap_rows(scenario):
     at = np.full((len(lengths), max(lengths)), held.shape[1] - 1)
     places = list(chain.from_iterable(map(range, lengths)))
     at[np.repeat(np.arange(len(lengths)), lengths), places] = list(chain(*scenario.cover))
-    # bit p of a side's code: its measurement at position p is the other's
-    # too; bit 63 wraps to the sign, which keeps every code distinct
-    code = np.zeros(ctx.size, np.int64)
+    # mark[s, p]: side s's measurement at position p is the other's too
+    mark = np.empty((ctx.size, at.shape[1]), np.uint8)
     for p in range(at.shape[1]):
-        code |= held[other, at[ctx, p]] << p
-    codes, code = _first_index(code.tolist())
+        mark[:, p] = held[other, at[ctx, p]]
+    positions, code = _distinct_bits(np.packbits(mark, axis=1, bitorder="little"))
     radices, kind = _kinds(scenario)
-    found, key = _first_index((np.array(kind)[ctx] * len(codes) + code).tolist())
-    positions = _bit_positions([codes[f % len(codes)] for f in found])
-    keys = [(radices[f // len(codes)], p) for f, p in zip(found, positions)]
+    found, key = _first_index((np.array(kind)[ctx] * len(positions) + code).tolist())
+    keys = [(radices[f // len(positions)], positions[f % len(positions)]) for f in found]
     which = np.repeat(np.arange(i.size), 2)
     second = np.arange(ctx.size) % 2
-    packed = {}
-    slot, sign, start, counts, k = _lay_out(scenario, which, ctx, second, key, keys, packed)
-    # each pair's shared measurements, one tuple per distinct set
-    bits = held @ (1 << np.arange(held.shape[1], dtype=np.int64))
-    sets, shared = _first_index((bits[i] & bits[j]).tolist())
+    slot, sign, start, counts, k = _lay_out(scenario, which, ctx, second, key, keys)
+    # each pair's shared measurements: the bits its contexts' membership
+    # rows share
+    bits = np.packbits(held, axis=1, bitorder="little")
+    sets, shared = _distinct_bits(bits[i] & bits[j])
     pair = np.repeat(np.arange(i.size), counts)
     contexts = map(list(zip(i.tolist(), j.tolist())).__getitem__, pair.tolist())
-    measurements = map(_bit_positions(sets).__getitem__, shared[pair].tolist())
-    return _Rows((slot, sign, start, tuple(zip(contexts, measurements, k.tolist()))), packed)
+    measurements = map(sets.__getitem__, shared[pair].tolist())
+    return slot, sign, start, tuple(zip(contexts, measurements, k.tolist()))
+
+
+def _distinct_bits(octets):
+    """(bits, index) of the rows of octets, uint8, bit p of a row being bit
+    p % 8 of its octet p // 8: the set bits of each distinct row,
+    ascending, in order of first occurrence, and each row's place among
+    them, int64."""
+    distinct, index = _first_index(octets.view(f"V{octets.shape[1]}").ravel().tolist())
+    rows = np.frombuffer(b"".join(distinct), np.uint8).reshape(len(distinct), octets.shape[1])
+    bits = np.unpackbits(rows, axis=1, bitorder="little").tolist()
+    return [tuple(p for p, b in enumerate(row) if b) for row in bits], index
 
 
 def _first_index(values):
-    """(distinct, index) of a list of ints: its distinct values in order of
-    first occurrence, and each entry's place among them, int64."""
+    """(distinct, index) of a list of hashable values: its distinct values
+    in order of first occurrence, and each entry's place among them, int64."""
     distinct = list(dict.fromkeys(values))
     place = dict(zip(distinct, range(len(distinct)))).__getitem__
     return distinct, np.fromiter(map(place, values), np.int64, len(values))
-
-
-def _bit_positions(words):
-    """The positions of the set bits of each of words, 64-bit ints in two's
-    complement, ascending: one tuple per word."""
-    octets = np.array(words, "<i8").view(np.uint8).reshape(-1, 8)
-    word, bit = np.nonzero(np.unpackbits(octets, axis=1, bitorder="little"))
-    ends = np.cumsum(np.bincount(word, minlength=len(words))).tolist()
-    bit = bit.tolist()
-    return [tuple(bit[a:b]) for a, b in zip([0, *ends], ends)]
 
 
 @lru_cache(maxsize=64)

@@ -523,13 +523,11 @@ def _ratio_rows(draw):
 @given(_ratio_rows())
 @settings(max_examples=300, deadline=None)
 def test_float_quotients_pick_the_exact_leaving_row(case):
-    # the lockstep's ratio test: float64 quotients of int32 entries, the
-    # least of them, ties to the least basic variable; with every entry
-    # at most _CAP it is _leaving_row's exact cross-multiplied choice
+    # the lockstep's ratio test on int32 lanes, float64 quotients alone:
+    # with every entry at most _CAP it is _leaving_row's exact
+    # cross-multiplied choice
     assert _CAP == 46340 < 2**16
     heads, rhs, basis = case
-    heads32, rhs32 = np.array(heads, np.int32), np.array(rhs, np.int32)
-    ratio = np.divide(rhs32, heads32, out=np.full(len(heads), np.inf), where=heads32 > 0)
-    ties = ratio == ratio.min()
-    leave = int(np.where(ties, basis, len(basis) + 8).argmin())
+    lane = [np.array([row], np.int32) for row in (heads, rhs, basis)]
+    [leave] = amcc.lp._float_leaving_rows(*lane).tolist()
     assert leave == amcc.lp._leaving_row(range(len(heads)), heads, rhs, basis)

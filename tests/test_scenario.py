@@ -2,6 +2,7 @@
 
 import re
 from dataclasses import fields
+from fractions import Fraction
 from itertools import combinations
 from math import prod
 
@@ -12,7 +13,13 @@ from hypothesis import strategies as st
 
 import amcc.scenario
 from amcc.errors import PreconditionError, ResourceLimitError
-from amcc.model import _party_rows, party_setting_subsets
+from amcc.model import (
+    EmpiricalModel,
+    _party_rows,
+    _require_no_signaling,
+    is_no_signaling,
+    party_setting_subsets,
+)
 from amcc.scenario import (
     MAX_BELL_CONTEXTS,
     MAX_BELL_MEASUREMENTS,
@@ -593,58 +600,39 @@ def test_tables_laid_out_in_small_blocks_match_pointwise_decoding(sc, monkeypatc
         overlap_rows.cache_clear()
 
 
-def test_a_cold_overlap_and_party_table_pack_each_side_once(monkeypatch):
-    # (4,2,2): the party table's sides, each party subset's positions in
-    # its first holding context, are sides the overlap table packed, so it
-    # packs none; every distinct (outcome counts, positions) is packed once
-    sc = bell_scenario(4, 2, 2)
-    packed = []
-    pack = amcc.scenario._packed
+def _cycle_70():
+    # a 70-cycle of two-measurement contexts; context 69 is (0, 69)
+    cover = [(t, t + 1) for t in range(69)] + [(0, 69)]
+    sc = MeasurementScenario(tuple(f"M{t}" for t in range(70)), (2,) * 70, tuple(cover))
+    tables = [[Fraction(1, 4)] * 4] * 69 + [[Fraction(1, 2), 0, Fraction(1, 2), 0]]
+    return sc, tables, (68, 69, (69,), (0,), Fraction(1, 2), Fraction(1)), "M69 @ 0: 1/2 vs 1"
 
-    def spy(radices, orders, dtype=np.int64):
-        # orders come in pairs, a side's positions then the other positions
-        packed.extend((tuple(radices), tuple(positions)) for positions in orders[0::2])
-        return pack(radices, orders, dtype)
 
-    monkeypatch.setattr(amcc.scenario, "_packed", spy)
-    overlap_rows.cache_clear()
-    _party_rows.cache_clear()
-    try:
-        overlap_rows(sc)
-        overlapping = len(packed)
-        _party_rows(sc)
-    finally:
-        overlap_rows.cache_clear()
-        _party_rows.cache_clear()
-    radices = (2, 2, 2, 2)
-    sides = {
-        (radices, tuple(p for p, m in enumerate(sc.cover[c]) if m in sc.cover[d]))
+def _wide_pair():
+    # a context of 67 measurements sharing its positions 65 and 66 with a
+    # second context; every measurement but those two has one outcome
+    outcomes = tuple(2 if t in (65, 66) else 1 for t in range(70))
+    cover = (tuple(range(67)), (65, 66, 67, 68, 69))
+    sc = MeasurementScenario(tuple(f"W{t}" for t in range(70)), outcomes, cover)
+    tables = [[Fraction(1, 4)] * 4, [Fraction(1, 2), Fraction(1, 2), 0, 0]]
+    return sc, tables, (0, 1, (65, 66), (0, 0), Fraction(1, 4), Fraction(1, 2)), "W65 W66 @ 0,0: 1/4 vs 1/2"
+
+
+@pytest.mark.parametrize("make", [_cycle_70, _wide_pair], ids=["cycle70", "wide"])
+def test_overlaps_past_64_measurements_name_their_shared_measurements(make):
+    # shared measurements and positions at 64 and above are labelled as
+    # pointwise decoding labels them, and a signaling model's witness
+    # names them
+    sc, tables, witness, message = make()
+    pairs = [
+        (tuple(sorted(set(sc.cover[ci]) & set(sc.cover[cj]))), (ci, cj))
         for ci, cj in combinations(range(sc.n_contexts), 2)
         if set(sc.cover[ci]) & set(sc.cover[cj])
-        for c, d in ((ci, cj), (cj, ci))
-    }
-    assert sorted(packed) == sorted(sides)
-    assert len(packed) == overlapping == 14
-
-
-def test_a_party_table_past_the_overlap_guard_packs_its_own_sides(monkeypatch):
-    # the overlap table of (4,2,2) needs 15 x 256 cells; under a limit one
-    # below it the party table has no packed sides to share, and lays out
-    # the same rows packing its own
-    sc = bell_scenario(4, 2, 2)
-    expected = _party_rows(sc)
-    monkeypatch.setattr(amcc.scenario, "MAX_TABLE_CELLS", 15 * 256 - 1)
-    overlap_rows.cache_clear()
-    _party_rows.cache_clear()
-    try:
-        with pytest.raises(ResourceLimitError, match="cells in the overlap table"):
-            overlap_rows(sc)
-        alone = _party_rows(sc)
-    finally:
-        overlap_rows.cache_clear()
-        _party_rows.cache_clear()
-    for got, want in zip(alone, expected):
-        if isinstance(want, np.ndarray):
-            assert (got.dtype, got.tolist()) == (want.dtype, want.tolist())
-        else:
-            assert got == want
+    ]
+    assert _listed(overlap_rows(sc)) == pointwise_marginal_rows(sc, pairs)
+    model = EmpiricalModel(sc, tables)
+    assert is_no_signaling(model) == (False, witness)
+    ci, cj = witness[:2]
+    with pytest.raises(PreconditionError) as info:
+        _require_no_signaling(model)
+    assert str(info.value) == f"model is signaling: contexts {ci} and {cj} disagree on {message}"
