@@ -97,10 +97,19 @@ def _random_models(scenario, count, seed):
 # independent routes to the noncontextual mass
 
 
-# the covering tableaux of a group stay int64 while twice the square of a
+# the covering tableaux of a group are int32 while twice the square of a
 # running bound on their entries, which bounds every product a pivot or a
-# ratio test forms, is below this; past it the group holds Python ints
+# ratio test forms, is below _INT32_LIMIT, int64 while it is below
+# _INT64_LIMIT, and Python ints past that
+_INT32_LIMIT = 1 << 31
 _INT64_LIMIT = 1 << 62
+
+
+def _lane_type(bound):
+    """The covering stack's type for a running bound on its entries."""
+    if 2 * bound * bound < _INT32_LIMIT:
+        return np.dtype(np.int32)
+    return np.dtype(np.int64 if 2 * bound * bound < _INT64_LIMIT else object)
 
 
 def covering_ncf(model):
@@ -136,11 +145,11 @@ def _covering_pool(models):
     pivot p and previous pivot det (Edmonds; Bareiss, Math. Comp. 22,
     1968), so every stored entry is the true one times det > 0; when
     every p equals its det only the rows with a nonzero entering entry
-    change. The stack is int64 while a running bound shows that every
-    product fits, and Python ints for the group past that point. A lane
-    leaves the stack when no column enters, and the feasibility,
-    nonnegativity and underpricing checks then run on the group's prices
-    at once."""
+    change. The stack is int32, then int64, while a running bound shows
+    that every product fits, and Python ints for the group past that
+    point. A lane leaves the stack when no column enters, and the
+    feasibility, nonnegativity and underpricing checks then run on the
+    group's prices at once."""
     out = [None] * len(models)
     for members in _by_scenario(models).values():
         for i, res in zip(members, _covering_group([models[i] for i in members])):
@@ -170,7 +179,7 @@ def _covering_group(models):
     base[n_rows] = -base[:n_rows].sum(0)
     base[n_rows, n_y + n_rows:width] += 1
     bound = max(n_rows, *map(max, weights))
-    dtype = np.int64 if 2 * bound * bound < _INT64_LIMIT else object
+    dtype = _lane_type(bound)
     stack = np.repeat(base[None].astype(dtype), len(models), 0)
     stack[:, n_rows + 1, :n_y] = weights
     lanes = np.arange(len(models))  # the model in each lane
@@ -178,10 +187,11 @@ def _covering_group(models):
     det = np.ones(len(models), dtype)
     done = [None] * len(models)  # (rhs, basis, det) off each final tableau
     while len(lanes):
-        if stack.dtype != object and 2 * bound * bound >= _INT64_LIMIT:
+        if stack.dtype != object and _lane_type(bound) != stack.dtype:
+            # the bound asks for another type: take the largest entry's
             bound = int(np.abs(stack).max())
-            if 2 * bound * bound >= _INT64_LIMIT:
-                stack, det = stack.astype(object), det.astype(object)
+            dtype = _lane_type(bound)
+            stack, det = stack.astype(dtype, copy=False), det.astype(dtype, copy=False)
         at = np.arange(len(lanes))
         penalty, unit = stack[:, n_rows, :width], stack[:, n_rows + 1, :width]
         neg = (penalty < 0) | ((penalty == 0) & (unit < 0))

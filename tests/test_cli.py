@@ -621,7 +621,7 @@ def test_a_search_precondition_still_exits_3(run, argv, message):
 
 def test_search_plans_refuses_too_many_trials_before_the_first_draw(run, monkeypatch):
     draws = []
-    monkeypatch.setattr(amcc.csp, "_sample_sorted", lambda *a: draws.append(a))
+    monkeypatch.setattr(amcc.csp, "_draw", lambda *a: draws.append(a))
     code, out, err = run(
         "search-plans", "--counts", ",".join(["1"] * 16), "--trials", "1000000000", "--seed", "1"
     )

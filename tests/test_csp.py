@@ -14,7 +14,8 @@ import amcc.csp as csp
 from amcc.csp import (
     AugmentationPlan,
     _augmented_masks,
-    _sample_sorted,
+    _draw,
+    _draw_schedule,
     apply_plan,
     opposite_sections,
     plan_counts,
@@ -322,9 +323,11 @@ def test_search_validation():
     assert search_plans(base, (0,) * 16, trials=0, seed=0) == []
 
 
-def test_sample_sorted_reproduces_random_sample_and_its_state():
+def test_the_draw_reproduces_random_sample_and_its_state():
     # every k <= n for n up to 90 covers both of CPython's branches: the
-    # pool swap (n at most the set size) and the rejection set (above it)
+    # pool swap (n at most the set size) and the rejection set (above it).
+    # Each schedule is drawn twice, so a draw that leaves anything of its
+    # own behind in the schedule differs from the second sample.
     branches = set()
     for seed in (0, 1, 20261017):
         for n in range(91):
@@ -332,19 +335,36 @@ def test_sample_sorted_reproduces_random_sample_and_its_state():
             oracle = random.Random(seed)
             rng = random.Random(seed)
             for k in range(n + 1):
-                want = tuple(sorted(oracle.sample(population, k)))
-                assert _sample_sorted(rng.getrandbits, population, k) == want
-                assert rng.getstate() == oracle.getstate()
+                schedule = _draw_schedule([(population, k)])
+                for _ in range(2):
+                    want = sorted(oracle.sample(population, k))
+                    flat = [-1]
+                    _draw(rng.getrandbits, schedule, flat)
+                    assert flat == [-1, *want]
+                    assert rng.getstate() == oracle.getstate()
                 setsize = 21 + (4 ** ceil(log(3 * k, 4)) if k > 5 else 0)
                 branches.add(n <= setsize)
     assert branches == {True, False}
 
 
-def test_sample_sorted_refuses_what_random_sample_refuses():
-    rng = random.Random(0)
+def test_one_draw_appends_every_scheduled_sample_in_order():
+    # the pool rule (3 of 8), the set rule (5 of 32) and an empty draw in one pass
+    populations = (tuple(range(8, 0, -1)), tuple(range(100, 132)), (7, 3))
+    counts = (3, 5, 0)
+    for seed in (0, 1, 20261017):
+        oracle = random.Random(seed)
+        want = [x for p, k in zip(populations, counts) for x in sorted(oracle.sample(p, k))]
+        rng = random.Random(seed)
+        flat = []
+        _draw(rng.getrandbits, _draw_schedule(zip(populations, counts)), flat)
+        assert flat == want
+        assert rng.getstate() == oracle.getstate()
+
+
+def test_the_draw_schedule_refuses_what_random_sample_refuses():
     for k in (-1, 4):
         with pytest.raises(ValueError, match="Sample larger than population"):
-            _sample_sorted(rng.getrandbits, (1, 2, 3), k)
+            _draw_schedule([((1, 2, 3), k)])
 
 
 def _per_trial_search(base, counts, trials, seed):

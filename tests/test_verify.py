@@ -3,6 +3,7 @@
 import hashlib
 import random
 import sys
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -344,40 +345,35 @@ def test_the_covering_pool_is_each_model_alone(models):
             assert cover == _fraction_covering(model)
 
 
-class _RecordedLimit:
-    """An int64 limit that records each test made against it: whether the
-    tableaux start in int64, then, step by step, whether the running bound
-    (and, past it, the largest entry) reaches it."""
-
-    def __init__(self, value):
-        self.value, self.starts, self.steps = value, [], []
-
-    def __gt__(self, start):  # 2 * bound**2 < limit: the tableaux start in int64
-        self.starts.append(start < self.value)
-        return self.value > start
-
-    def __le__(self, step):  # 2 * bound**2 >= limit: read the largest entry, or leave int64
-        self.steps.append(step >= self.value)
-        return self.value <= step
-
-
 def test_a_covering_group_moves_to_python_ints_mid_solve(monkeypatch):
     # (3,2,2) models mixed with the uniform model, whose weights pass every
-    # other starting entry; with the limit just above twice the square of
-    # the largest weight the group starts in int64, takes int64 pivots,
-    # and then reads its largest entry past the bound and leaves int64
+    # other starting entry; with the int32 limit just above twice the
+    # square of the largest weight and the int64 limit four times that, the
+    # group starts in int32, takes int32 pivots, moves to int64, takes
+    # int64 pivots, and ends in Python ints
     sc = bell_scenario(3, 2, 2)
     randoms = [random_no_signaling_model(sc, random.Random(s)) for s in range(6)]
     models = [mix_models([(rat(2, 9), uniform_model(sc)), (rat(7, 9), m)]) for m in randoms]
     alone = [covering_ncf(m) for m in models]
     start = max(global_size(sc), *(w for m in models for row in m.rows for w in row))
-    limit = _RecordedLimit(2 * start * start + 1)
-    monkeypatch.setattr(amcc.verify, "_INT64_LIMIT", limit)
+    monkeypatch.setattr(amcc.verify, "_INT32_LIMIT", 2 * start * start + 1)
+    monkeypatch.setattr(amcc.verify, "_INT64_LIMIT", 8 * start * start + 1)
+    lane_type, types = amcc.verify._lane_type, []
+
+    def recorded(bound):
+        types.append(lane_type(bound))
+        return types[-1]
+
+    monkeypatch.setattr(amcc.verify, "_lane_type", recorded)
     assert _covering_pool(models) == alone
-    assert limit.starts == [True]
-    # the last two tests are the read of the largest entry and the move:
-    # after it no test is made
-    assert limit.steps[0] is False and limit.steps[-2:] == [True, True]
+    # the type is taken once at the start and once before each step, and
+    # read again from the largest entry when it differs from the stack's,
+    # so a type taken twice in a row was pivoted in; once the stack holds
+    # Python ints no type is taken
+    runs = [(str(dtype), len(list(run))) for dtype, run in groupby(types)]
+    assert runs[0] == ("int32", 2)
+    assert max(n for dtype, n in runs if dtype == "int64") >= 2
+    assert runs[-1] == ("object", 2)
 
 
 def test_the_covering_pool_refuses_the_first_model_in_input_order(monkeypatch):
