@@ -3,7 +3,8 @@
 Two scans dominate the integer work: marking which parity-pattern values are
 realized by some global assignment, and marking which global assignments are
 compatible with a per-context support. Both are pure bit/index work; the
-exact-rational code (LP, affine solving) never comes through here.
+exact-rational code (LP, affine solving) never comes through here. The
+parity-pattern scan is the oracle verify and the tests hold elimination to.
 
 The compatibility scan reads supports in slot order through the slot table
 and takes leading batch axes, so a block of them is decided in one gather.

@@ -5,21 +5,22 @@ to equal a target bit. Packed form: bit ci of the vector is context ci's
 target (LSB = context 0, contexts in canonical cover order), so the
 (4,2,2) system with odd targets on contexts 10, 11, 12 is 0x1c00.
 
-Satisfiability of one system is decided by GF(2) elimination against the
-measurement column vectors. Brute enumeration of global assignments through
-the numpy pattern scan classifies whole scenarios (parity_scan), whose count
-is cross-checked against the rank. Both enumerations are bounded by
-`scenario._require`, before they allocate: parity_scan by MAX_SCAN_VECTORS
-parity vectors, and parity_patterns by MAX_GLOBALS global assignments and by
+Satisfiability is decided by GF(2) elimination: the satisfiable vectors are
+exactly the span of the measurement column vectors. parity_scan counts them
+as 2^rank and walks span tests up from 0 to its examples, a walk bounded by
+`scenario._require` to MAX_SCAN_VECTORS tests before it starts. The checks
+and tests hold it against parity_patterns, which enumerates every global
+assignment's vector and is bounded by MAX_GLOBALS global assignments and by
 62 contexts, the bits of one packed int64 pattern.
 """
 
+import operator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .errors import PreconditionError, VerificationError
-from .kernels import scan_satisfiable
+from .errors import PreconditionError
 from .model import _parity_model
 from .scenario import MAX_GLOBALS, MAX_SCAN_VECTORS, _require, global_size
 
@@ -109,15 +110,18 @@ def gf2_rank(vectors):
     return len(gf2_basis(vectors))
 
 
-def in_gf2_span(vector, vectors):
-    basis = gf2_basis(vectors)
-    v = vector
+def _reduce(v, basis):
+    """v reduced against an echelon basis: 0 exactly when v is in its span."""
     while v:
         h = v.bit_length() - 1
         if h not in basis:
-            return False
+            return v
         v ^= basis[h]
-    return True
+    return v
+
+
+def in_gf2_span(vector, vectors):
+    return not _reduce(vector, gf2_basis(vectors))
 
 
 def parity_patterns(scenario):
@@ -155,40 +159,29 @@ class ParityScan:
 def parity_scan(scenario, threads=1, examples=8):
     """Classify every parity vector of the scenario as satisfiable or not.
 
-    The enumeration count is cross-checked against the elimination count
-    2^contexts - 2^rank, and each collected example is re-verified by
-    elimination; any mismatch raises.
+    2^rank vectors are satisfiable. The first `examples` (a non-negative
+    integer) unsatisfiable ones come from span tests walked up from 0: at
+    most examples + 2^rank tests, held to MAX_SCAN_VECTORS before the walk.
 
     The scan is single-threaded. `threads` is kept so that existing callers
     passing threads=1 still work; any other value raises PreconditionError."""
     if threads != 1:
         raise PreconditionError(f"threads must be 1, not {threads!r}")
-    _require_binary(scenario)
-    n_vec = _require(1 << scenario.n_contexts, "parity vectors", MAX_SCAN_VECTORS)
-    sat = scan_satisfiable(parity_patterns(scenario), n_vec)
-    n_sat = int(sat.sum())
-    n_unsat = n_vec - n_sat
-    cols = column_vectors(scenario)
-    rank = gf2_rank(cols)
-    if n_sat != 1 << rank:
-        raise VerificationError(
-            "parity scan disagrees with elimination count",
-            details={"enumerated": n_sat, "rank": rank},
-        )
-    unsat_idx = np.nonzero(~sat)[0][:examples]
-    ex = tuple(int(v) for v in unsat_idx)
-    for v in ex:
-        if in_gf2_span(v, cols):
-            raise VerificationError(
-                "scan marked a spanned vector unsatisfiable", details={"vector": v}
-            )
+    examples = operator.index(examples)
+    if examples < 0:
+        raise PreconditionError(f"examples must be 0 or more, not {examples}")
+    basis = gf2_basis(column_vectors(scenario))
+    rank = len(basis)
+    total = 1 << scenario.n_contexts
+    _require(min(examples + (1 << rank), total), "span tests", MAX_SCAN_VECTORS)
+    unsat = (v for v in range(total) if _reduce(v, basis))
     return ParityScan(
         n_contexts=scenario.n_contexts,
-        total=n_vec,
-        satisfiable=n_sat,
-        unsatisfiable=n_unsat,
+        total=total,
+        satisfiable=1 << rank,
+        unsatisfiable=total - (1 << rank),
         rank=rank,
-        examples=ex,
+        examples=tuple(islice(unsat, examples)),
     )
 
 

@@ -168,7 +168,7 @@ MAX_BELL_CONTEXTS = 1 << 10  # settings ** parties
 # global assignments
 MAX_GLOBALS = 1 << 20
 
-MAX_SCAN_VECTORS = 1 << 24  # full parity scans enumerate every parity vector
+MAX_SCAN_VECTORS = 1 << 24  # span tests of parity_scan's walk to its examples
 
 # cells of one restriction table, incidence matrix or support elimination
 # table: (6,2,2)'s incidence matrix has 2**24, (7,2,2)'s 2**28 (256 MiB of

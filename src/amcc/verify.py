@@ -347,16 +347,18 @@ def _check_scan_422():
     scan = parity_scan(sc, threads=1)
     decided = _decider_mask(sc)
     mask = scan_satisfiable(parity_patterns(sc), 1 << sc.n_contexts)
+    enumerated = int(mask.sum())
     disagreements = int(np.count_nonzero(mask != decided))
     passed = (
         scan.unsatisfiable == 65504
-        and scan.satisfiable == 32 == 1 << scan.rank
+        and enumerated == scan.satisfiable == 32
         and disagreements == 0
     )
     expected = "65504 of 65536 vectors unsatisfiable, 32 = 2^rank satisfiable, both deciders agreeing"
     actual = (
         f"unsatisfiable = {scan.unsatisfiable}, satisfiable = {scan.satisfiable}, "
-        f"rank = {scan.rank}, decider disagreements = {disagreements}"
+        f"rank = {scan.rank}, enumerated satisfiable = {enumerated}, "
+        f"decider disagreements = {disagreements}"
     )
     return expected, actual, passed
 

@@ -26,7 +26,8 @@ def test_benchmark_tracer_binds_and_traced_ops_run(monkeypatch):
         plan = reference_plan()
         hits = amcc.csp.search_plans(plan.base, plan_counts(plan), 1, 1, threads=1)
         assert isinstance(hits, list)
-        amcc.parity.parity_scan(bell_scenario(2, 2, 2), threads=1)
+        # parity_scan only eliminates; the pattern scan runs in verify's check
+        assert amcc.verify.run_checks(["parity-scan-422"]).overall is True
     finally:
         tracer.uninstall()
     assert tracer.counts["csp.trials"] == 1

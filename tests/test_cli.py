@@ -550,6 +550,22 @@ def test_parity_scan_json(run):
     assert len(doc["unsatisfiable_examples"]) == 8
 
 
+def test_parity_scan_answers_past_an_enumerable_vector_count(run):
+    # 2^32 and 2^27 parity vectors: elimination counts them without a scan
+    code, out, _ = run("parity-scan", "5", "2", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["total"] == 4294967296
+    assert doc["satisfiable"] == 64
+    assert doc["rank"] == 6
+    assert doc["unsatisfiable"] == 4294967232
+    assert doc["unsatisfiable_examples"] == [f"0x{v:08x}" for v in range(1, 9)]
+    code, out, _ = run("parity-scan", "3", "3")
+    assert code == 0
+    assert "scenario: (3,3,2), 27 contexts, 134217728 parity vectors" in out
+    assert "satisfiable: 128 (= 2^7)" in out
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -563,7 +579,8 @@ def test_threads_flag_is_not_accepted(capsys, argv):
 
 
 def test_parity_scan_resource_limit(run):
-    code, _, err = run("parity-scan", "2", "5")
+    # rank 25: the walk to 8 examples may take 2^25 + 8 span tests
+    code, _, err = run("parity-scan", "2", "13")
     assert code == 5
     assert "resource limit:" in err
 

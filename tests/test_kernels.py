@@ -66,13 +66,14 @@ def test_scan_matches_the_unique_form(values, n_values):
 
 def test_parity_scan_leaves_numpy_ma_unloaded():
     # np.unique imports numpy.ma on its first call, which makes a fresh
-    # process's first parity scan tens of times slower than a warm one
+    # process's first pattern scan tens of times slower than a warm one
     src = str(Path(amcc.__file__).resolve().parents[1])
     code = (
         "import sys\n"
-        "from amcc.parity import parity_scan\n"
+        "from amcc.kernels import scan_satisfiable\n"
+        "from amcc.parity import parity_patterns\n"
         "from amcc.scenario import bell_scenario\n"
-        "assert parity_scan(bell_scenario(2, 2, 2)).satisfiable\n"
+        "assert scan_satisfiable(parity_patterns(bell_scenario(2, 2, 2)), 16).any()\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amcc.errors import PreconditionError, ResourceLimitError
+from amcc.kernels import scan_satisfiable
 from amcc.model import parity_amcc_422, pr_box
 from amcc.parity import (
+    ParityScan,
     ParitySystem,
     build_symmetric_model,
     column_vectors,
@@ -135,6 +137,15 @@ def test_scan_examples_are_the_smallest_unsatisfiable_vectors():
         assert parity_satisfiable(sys_) == (v not in scan.examples)
 
 
+def test_scan_refuses_a_negative_or_fractional_example_count():
+    sc = bell_scenario(2, 2, 2)
+    with pytest.raises(PreconditionError, match="examples must be 0 or more, not -1"):
+        parity_scan(sc, examples=-1)
+    with pytest.raises(TypeError):
+        parity_scan(sc, examples=2.0)
+    assert parity_scan(sc, examples=np.int64(2)).examples == (0x1, 0x2)
+
+
 def test_scan_accepts_only_one_thread():
     sc = bell_scenario(3, 2, 2)
     assert parity_scan(sc, threads=1) == parity_scan(sc)
@@ -178,9 +189,13 @@ def test_symmetric_models_of_unsatisfiable_222_vectors_are_pr_boxes():
 
 
 def test_scan_limit_guard():
-    # one context per measurement pair over 8 settings: C(16,2) > 24 contexts
-    sc = bell_scenario(2, 8, 2)
-    with pytest.raises(ResourceLimitError, match="parity vectors is over the limit"):
+    # 169 contexts over 26 measurements, rank 25: the walk to 8 examples may
+    # take 2^25 + 8 span tests, refused before the first. (2,8,2) has 64
+    # contexts but rank 15, so it answers
+    sc = bell_scenario(2, 13, 2)
+    with pytest.raises(
+        ResourceLimitError, match="^33554440 span tests is over the limit 16777216$"
+    ):
         parity_scan(sc)
 
 
@@ -231,3 +246,33 @@ def test_elimination_agrees_with_enumeration_on_every_vector():
         for vector in range(1 << sc.n_contexts):
             sys_ = parity_system_from_vector(sc, vector)
             assert parity_satisfiable(sys_) == (parity_witness(sys_) is not None)
+
+
+SCAN_ORACLE_SCENARIOS = (
+    [bell_scenario(*shape) for shape in ((2, 2, 2), (3, 2, 2), (4, 2, 2), (2, 3, 2))]
+    + [_chain(n) for n in (2, 5, 9)]
+    + [MeasurementScenario(("a", "b", "c"), (2, 2, 2), ((0, 1), (0, 2), (1, 2)))]
+)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    SCAN_ORACLE_SCENARIOS,
+    ids=["222", "322", "422", "232", "chain2", "chain5", "chain9", "triangle"],
+)
+def test_scan_equals_the_enumeration_oracle(scenario):
+    # the oracle enumerates every global assignment's parity vector and
+    # marks the ones some assignment realizes; the scan only eliminates
+    n = scenario.n_contexts
+    sat = scan_satisfiable(parity_patterns(scenario), 1 << n)
+    n_sat = int(sat.sum())
+    unsat = [int(v) for v in np.nonzero(~sat)[0]]
+    for examples in (0, 1, 8, 16, len(unsat) + 1):
+        assert parity_scan(scenario, examples=examples) == ParityScan(
+            n_contexts=n,
+            total=1 << n,
+            satisfiable=n_sat,
+            unsatisfiable=len(unsat),
+            rank=n_sat.bit_length() - 1,
+            examples=tuple(unsat[:examples]),
+        )
