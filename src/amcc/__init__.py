@@ -60,7 +60,7 @@ from .possibilistic import (
     support_of,
     support_to_json,
 )
-from .rational import BACKEND, rat, rat_from_str, rat_str
+from .rational import rat, rat_from_str, rat_str
 from .scenario import MeasurementScenario, bell_scenario
 from .verify import covering_ncf, chsh_cf, random_no_signaling_model, run_checks
 

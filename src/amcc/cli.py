@@ -242,7 +242,7 @@ def cmd_reconstruct_tables(args):
             print(json.dumps(exc.details, indent=1, default=rat_str), file=sys.stderr)
         return 4
     if args.csv:
-        _write_csv(args.csv, report.csv)
+        _write_csv(args.csv, family_to_csv(family))
     if args.json:
         _print_doc(report_to_json(report))
         return
@@ -253,7 +253,7 @@ def cmd_reconstruct_tables(args):
     if args.csv:
         print(f"csv written to {args.csv}")
     else:
-        print(report.csv, end="")
+        print(family_to_csv(family), end="")
 
 
 def cmd_search_plans(args):

@@ -24,7 +24,7 @@ from math import ceil, log
 
 import numpy as np
 
-from .affine import family_to_csv, lin_str, parameter_bounds, solve_support
+from .affine import lin_str, parameter_bounds, solve_support
 from .errors import PreconditionError, VerificationError
 from .parity import ParitySystem
 from .kernels import compatible_mask
@@ -339,7 +339,6 @@ class ReconstructionReport:
     bounds: tuple  # (lo, hi) of the family parameter
     diffs: tuple  # (context, section, expected, actual) symbolic strings
     interval_ok: bool
-    csv: str
     ok: bool
 
 
@@ -396,7 +395,6 @@ def reconstruct_tables():
         bounds=bounds,
         diffs=tuple(diffs),
         interval_ok=interval_ok,
-        csv=family_to_csv(family),
         ok=not diffs and interval_ok,
     )
     if not report.ok:

@@ -568,45 +568,30 @@ def _certified_lps(models, compatible=False):
     out = [None] * len(lps)
     for incidence, kept, members, rhss in groups.values():
         solved = _run_lockstep(incidence, rhss) if kept else [(0, (), (), 1, 0)]
-        live = []
         for i, solution in zip(members, solved):
-            if isinstance(solution, Exception):
-                out[i] = solution
-                continue
-            value, weights, reduced, det, pivots = solution
-            scale = lps[i][1]
-            live.append(i)
-            out[i] = [rat(value, det * scale), det * scale, weights, det, reduced, pivots]
-        if live:
-            sc = models[live[0]].scenario
-            at = [row_of[i] for i in live]
-            group = [models[i] for i in live]
-            rows = [lps[i][0] for i in live]
-            checked = _certify(group, values[sc][at], kept, [out[i] for i in live], rows)
-            for i, (loads, prices) in zip(live, checked):
-                ncf, den, weights, det, _, pivots = out[i]
-                out[i] = loads if isinstance(loads, Exception) else (
-                    ncf, (den, weights, loads), (det, prices), pivots
-                )
+            out[i] = solution
+        live = [(i, *out[i]) for i in members if not isinstance(out[i], Exception)]
+        if not live:
+            continue
+        ids, objectives, weights, reduced, dets, pivots = zip(*live)
+        dens = [det * lps[i][1] for i, det in zip(ids, dets)]
+        ncfs = list(map(rat, objectives, dens))
+        group = [models[i] for i in ids]
+        v = values[group[0].scenario][[row_of[i] for i in ids]]
+        prices = _price_rows(v == 0, dets, [(lps[i][0], y) for i, y in zip(ids, reduced)])
+        refusals = _price_refusals(group, v, prices, dets, ncfs)
+        loads = _weight_loads(group, v, kept, weights, dens, ncfs)
+        checked = zip(ids, ncfs, dens, weights, loads, dets, prices, pivots, refusals)
+        for i, ncf, den, ws, load, det, y, p, refusal in checked:
+            if not isinstance(load, Exception):
+                load = ncf, (den, ws, load), (det, y), p
+            out[i] = refusal or load
     for result in out:
         if isinstance(result, Exception):
             raise result
     if refused is not None:
         raise refused
     return out
-
-
-def _certify(models, values, kept, solved, rows):
-    """[(loads, prices)] of each solved LP [ncf, den, weights, det,
-    reduced, pivots] over the slots rows of its model, loads every slot's
-    over den once both its certificates pass, or its first refusal, and
-    prices its full price row (_price_rows). The LPs share a scenario and
-    kept, and values holds their models' numerators (_slot_rows)."""
-    ncfs, dens, weights, dets, reduced, _ = zip(*solved)
-    prices = _price_rows(values == 0, dets, list(zip(rows, reduced)))
-    refusals = _price_refusals(models, values, prices, dets, ncfs)
-    loads = _weight_loads(models, values, kept, weights, dens, ncfs)
-    return [(refusal or x, y) for refusal, x, y in zip(refusals, loads, prices)]
 
 
 def _price_rows(zero, dets, scattered, dtype=np.int64):

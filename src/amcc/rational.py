@@ -47,8 +47,9 @@ def rat(value, den=None):
 
 def _json_int(value):
     """int(value) for a JSON integer field: a float raises TypeError, as in
-    rat, and so does a bool, which int() would read as 0 or 1."""
-    if isinstance(value, (float, bool)):
+    rat, and so do a bool, which int() would read as 0 or 1, and a string,
+    which int() would parse."""
+    if isinstance(value, (float, bool, str)):
         raise TypeError(f"refusing {type(value).__name__} {value!r} where an integer is expected")
     return int(value)
 

@@ -8,6 +8,11 @@ of a (2,2,2) model: a covering program solved by a self-contained integer
 tableau that calls nothing in `lp`, and a closed form from the eight
 two-party correlator bounds.
 
+The three AMCC headline checks ask classify once per model and run no
+LP: no global is compatible with these strongly contextual supports, so
+the dual certificate alone proves cf = 1. The corpus pool of
+cf-iff-strong-contextuality solves those models' full LPs.
+
 The two pool checks take their models a scenario at a time: the LPs and
 their certificates through lp's one route, strong contextuality in one
 compatibility scan (possibilistic), and the covering programs as lanes
@@ -27,7 +32,7 @@ from .affine import classify, ns_dimension, ns_dimension_closed_form
 from .csp import reconstruct_tables
 from .errors import PreconditionError, VerificationError
 from .kernels import scan_satisfiable
-from .lp import _certified_lps, contextual_fraction
+from .lp import _certified_lps
 from .model import (
     _by_scenario,
     _deterministic_view,
@@ -37,7 +42,6 @@ from .model import (
     corpus,
     corpus_names,
     ghz_322,
-    is_maximal_marginals,
     pr_box,
 )
 from .parity import (
@@ -308,23 +312,19 @@ def chsh_cf(model):
 def _check_pr_boxes():
     bad = []
     for k in range(8):
-        m = pr_box(k)
-        res = contextual_fraction(m)
-        mm, _ = is_maximal_marginals(m)
-        if res.cf != 1 or not mm:
-            bad.append(f"k={k}: cf={rat_str(res.cf)}, maximal_marginals={mm}")
+        c = classify(pr_box(k))
+        if c.cf != 1 or not c.maximal_marginals:
+            bad.append(f"k={k}: cf={rat_str(c.cf)}, maximal_marginals={c.maximal_marginals}")
     expected = "cf = 1 and maximal marginals for every box k = 0..7"
     actual = "all 8 boxes: cf = 1, maximal marginals" if not bad else "; ".join(bad)
     return expected, actual, not bad
 
 
 def _check_ghz():
-    m = ghz_322()
-    res = contextual_fraction(m)
-    mm, _ = is_maximal_marginals(m)
-    passed = res.cf == 1 and mm
+    c = classify(ghz_322())
+    passed = c.cf == 1 and c.maximal_marginals
     expected = "cf = 1 and maximal marginals"
-    actual = f"cf = {rat_str(res.cf)}, maximal_marginals = {mm}"
+    actual = f"cf = {rat_str(c.cf)}, maximal_marginals = {c.maximal_marginals}"
     return expected, actual, passed
 
 
@@ -344,7 +344,7 @@ def _decider_mask(scenario):
 
 def _check_scan_422():
     sc = bell_scenario(4, 2, 2)
-    scan = parity_scan(sc, threads=1)
+    scan = parity_scan(sc)
     decided = _decider_mask(sc)
     mask = scan_satisfiable(parity_patterns(sc), 1 << sc.n_contexts)
     enumerated = int(mask.sum())
@@ -368,17 +368,17 @@ def _check_reference_vector():
     system = parity_system_from_vector(sc, REFERENCE_VECTOR_422)
     sat = parity_satisfiable(system)
     m = build_symmetric_model(system)
-    res = contextual_fraction(m)
-    mm, _ = is_maximal_marginals(m)
-    eighth = rat(1, 8)
-    entries_ok = all(w == 0 or w == eighth for row in m.tables for w in row)
-    passed = not sat and res.cf == 1 and mm and entries_ok
+    c = classify(m)
+    mm = c.maximal_marginals
+    # every weight is 0 or 1/8: numerators 0 or 1 over den 8
+    entries_ok = m.den == 8 and {x for row in m.rows for x in row} <= {0, 1}
+    passed = not sat and c.cf == 1 and mm and entries_ok
     expected = (
         "vector 0x1c00 unsatisfiable; symmetric model: cf = 1, maximal "
         "marginals, nonzero entries all 1/8"
     )
     actual = (
-        f"satisfiable = {sat}, cf = {rat_str(res.cf)}, maximal_marginals = {mm}, "
+        f"satisfiable = {sat}, cf = {rat_str(c.cf)}, maximal_marginals = {mm}, "
         f"entries in {{0, 1/8}} = {entries_ok}"
     )
     return expected, actual, passed

@@ -290,6 +290,28 @@ def test_cf_refuses_a_bool_in_an_integer_scenario_field(run, tmp_path, doc, path
     assert "does not decode" in err and "refusing bool True" in err
 
 
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        (model_to_json(pr_box(0)), ("parties",)),
+        (_one_outcome_bell_doc(), ("cover", 0, 0)),
+    ],
+    ids=["parties", "cover"],
+)
+def test_cf_refuses_an_integer_string_in_an_integer_scenario_field(run, tmp_path, doc, path):
+    # int() parses "2": {"parties": "2", ...} and a cover entry "0" decoded
+    # to the scenario the integers name, and cf on a model over it exited 0
+    *keys, last = path
+    target = doc["scenario"]
+    for key in keys:
+        target = target[key]
+    target[last] = str(target[last])
+    code, out, err = run("cf", _write_json(tmp_path / "strings.json", doc))
+    assert code == 2 and out == ""
+    assert "does not decode" in err and f"refusing str {target[last]!r}" in err
+    assert "Traceback" not in err
+
+
 def test_cf_rejects_a_signaling_model(run, signaling_file):
     code, _, err = run("cf", signaling_file)
     assert code == 3

@@ -271,13 +271,17 @@ def test_json_floats_are_refused_where_integers_are_expected(explicit, path, val
         scenario_from_json(doc)
 
 
-def test_json_integer_fields_still_decode_what_int_accepts():
-    # integer strings decode as before; floats and bools are refused
-    bell = {"parties": "2", "settings": "2", "outcomes": 2}
-    assert scenario_from_json(bell) == bell_scenario(2, 2, 2)
+def test_json_integer_fields_refuse_strings_and_bools():
+    # int() would parse "2" and read False as 0: a JSON integer field takes
+    # a JSON integer only
+    bell = {"parties": "2", "settings": 2, "outcomes": 2}
+    with pytest.raises(TypeError, match="refusing str '2' where an integer is expected"):
+        scenario_from_json(bell)
     doc = _explicit_bell_doc()
-    doc["cover"][0] = ["0", "2"]
-    assert scenario_from_json(doc) == scenario_from_json(_explicit_bell_doc())
+    doc["cover"][0] = ["0", 2]
+    with pytest.raises(TypeError, match="refusing str '0' where an integer is expected"):
+        scenario_from_json(doc)
+    doc = _explicit_bell_doc()
     doc["parties"] = [False, False, True, True]
     with pytest.raises(TypeError, match="refusing bool False where an integer is expected"):
         scenario_from_json(doc)
@@ -320,15 +324,20 @@ def test_the_constructor_refuses_floats_where_integers_are_expected(field, value
         MeasurementScenario(**kwargs)
 
 
-def test_the_constructor_still_decodes_integer_strings_and_bools():
-    # integer strings decode as before; a bool, which int() reads as 0 or
-    # 1, is refused like a float
-    sc = MeasurementScenario(("a", "b"), ("2", 2), (("0", "1"),), ("0", "1"))
-    assert sc == MeasurementScenario(("a", "b"), (2, 2), ((0, 1),), (0, 1))
+def test_the_constructor_refuses_integer_strings_and_bools():
+    # the constructor reads its integer fields as the JSON reader does: an
+    # integer string, which int() parses, and a bool, which int() reads as
+    # 0 or 1, are refused like a float
+    sc = MeasurementScenario(("a", "b"), (2, 2), ((0, 1),), (0, 1))
+    assert sc.outcomes == (2, 2) and sc.cover == ((0, 1),) and sc.parties == (0, 1)
+    with pytest.raises(TypeError, match="refusing str '2'"):
+        MeasurementScenario(("a", "b"), ("2", 2), ((0, 1),), (0, 1))
+    with pytest.raises(TypeError, match="refusing str '1'"):
+        MeasurementScenario(("a", "b"), (2, 2), ((0, "1"),), (0, 1))
     with pytest.raises(TypeError, match="refusing bool True"):
-        MeasurementScenario(("a", "b"), ("2", 2), (("0", True),), ("0", "1"))
+        MeasurementScenario(("a", "b"), (2, 2), ((0, True),), (0, 1))
     with pytest.raises(TypeError, match="refusing bool False"):
-        MeasurementScenario(("a", "b"), ("2", 2), (("0", "1"),), (False, "1"))
+        MeasurementScenario(("a", "b"), (2, 2), ((0, 1),), (False, 1))
 
 
 def test_explicit_json_still_refuses_null_parties():

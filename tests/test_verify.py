@@ -422,6 +422,35 @@ def test_run_checks_subset():
         assert c.runtime < c.budget
 
 
+def test_the_amcc_headline_checks_run_no_lp(monkeypatch):
+    # each headline model is strongly contextual, so classify certifies
+    # cf = 1 with no compatible global and no LP; the rows are the ones the
+    # checks gave when each model's full LP was solved
+    def refuse(*args, **kwargs):
+        raise AssertionError("a headline check solved an LP")
+
+    monkeypatch.setattr(amcc.lp, "simplex_solve", refuse)
+    monkeypatch.setattr(amcc.lp, "_run_lockstep", refuse)
+    report = run_checks(["pr-box-cf", "ghz-cf", "symmetric-reference-vector"])
+    rows = [(c.name, c.expected, c.actual, c.passed) for c in report.checks]
+    assert rows == [
+        (
+            "pr-box-cf",
+            "cf = 1 and maximal marginals for every box k = 0..7",
+            "all 8 boxes: cf = 1, maximal marginals",
+            True,
+        ),
+        ("ghz-cf", "cf = 1 and maximal marginals", "cf = 1, maximal_marginals = True", True),
+        (
+            "symmetric-reference-vector",
+            "vector 0x1c00 unsatisfiable; symmetric model: cf = 1, maximal "
+            "marginals, nonzero entries all 1/8",
+            "satisfiable = False, cf = 1, maximal_marginals = True, entries in {0, 1/8} = True",
+            True,
+        ),
+    ]
+
+
 def test_run_checks_rejects_unknown_names():
     with pytest.raises(PreconditionError, match="unknown checks"):
         run_checks(["pr-box-cf", "warp-drive"])
