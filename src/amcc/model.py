@@ -243,7 +243,10 @@ def _require_no_signaling(model):
 
 def party_setting_subsets(scenario):
     """All one-measurement-per-party choices for every proper nonempty party
-    subset, yielded as measurement tuples in ascending order."""
+    subset, smaller subsets first and each size in `combinations` order of
+    the party indices, yielded as measurement tuples in party order, which
+    need not be ascending: with parties (2, 1, 0) the subset of parties 0
+    and 1 yields (2, 1)."""
     parties = scenario.parties
     by_party = {}
     for m, p in enumerate(parties):

@@ -22,8 +22,8 @@ each context. `marginal_rows` is the one layout of marginals as rows of
 slots, one per outcome, and packs each distinct side's projection once, not
 once per marginal; every no-signaling and marginal check reads such rows.
 The cached `overlap_rows` is `marginal_rows` over every pair of contexts
-that share a measurement, on the shared measurements, with its pairs and
-sides found in array passes. A (context c, section s) cell has one
+that share a measurement, on the shared measurements, so every layout
+finds its sides' keys in one place. A (context c, section s) cell has one
 address, its slot slot_offsets[c] + s; the cached slot table
 `_global_slots` is every scan's and certificate's restriction map.
 
@@ -36,7 +36,7 @@ updates, which no count known in advance bounds.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, chain, product, repeat
+from itertools import accumulate, chain, combinations, product, repeat
 from math import prod
 
 import numpy as np
@@ -439,7 +439,9 @@ def marginal_rows(scenario, marginals):
     second's (-1), each ascending. Row r is entries start[r]:start[r + 1]
     of slot (int32) and sign (int8), rows[r] is (contexts, measurements,
     k), and no row is empty. Read-only. Laid out by _lay_out, each distinct
-    side keyed once by its (outcome counts, positions)."""
+    side keyed once by its (outcome counts, positions). Raises ValueError,
+    as projection does, on a side whose context lacks one of its
+    measurements or whose measurements repeat one."""
     marginals = [(tuple(ms), tuple(cs)) for ms, cs in marginals]
     radices, kind = _kinds(scenario)
     # position[c](m): the position of measurement m in context c
@@ -450,12 +452,24 @@ def marginal_rows(scenario, marginals):
     second = np.fromiter(chain.from_iterable(map(range, sides)), np.int64, n)
     ctx = np.fromiter(chain.from_iterable(cs for _, cs in marginals), np.int64, n)
     keys = {}
-    side_keys = (
-        keys.setdefault((kind[c], tuple(map(position[c], ms))), len(keys))
-        for ms, cs in marginals
-        for c in cs
-    )
-    key = np.fromiter(side_keys, np.int64, n)
+
+    def side_keys():
+        # a side's positions are checked for repeats when their key is new
+        for ms, cs in marginals:
+            for c in cs:
+                try:
+                    side = kind[c], tuple(map(position[c], ms))
+                except KeyError:
+                    held = scenario.cover[c]
+                    raise ValueError(f"measurements {ms} not all inside context {held}") from None
+                found = keys.get(side)
+                if found is None:
+                    if len(set(side[1])) != len(ms):
+                        raise ValueError("repeated measurement in marginal subset")
+                    found = keys[side] = len(keys)
+                yield found
+
+    key = np.fromiter(side_keys(), np.int64, n)
     keys = [(radices[c], positions) for c, positions in keys]
     slot, sign, start, counts, k = _lay_out(scenario, which, ctx, second, key, keys)
     n = counts.tolist()
@@ -471,67 +485,16 @@ def overlap_rows(scenario):
     ascending: each row is ci's marginal minus cj's at one shared outcome,
     so weights are no-signaling when every row sums to 0, and its label is
     ((ci, cj), shared, k). Raises ResourceLimitError, before the pairs are
-    scanned, past MAX_TABLE_CELLS entries, at most (n_contexts - 1) * slots.
-
-    The pairs and their sides' keys come from array passes: one product of
-    the membership rows finds the sharing pairs, a side's code marks the
-    positions of its context that the other context holds, a pair's shared
-    set the measurements both hold, and each distinct code, (context kind,
-    code) and shared set is named once."""
+    scanned, past MAX_TABLE_CELLS entries, at most (n_contexts - 1) * slots."""
     rows, cols = scenario.n_contexts - 1, slot_count(scenario)
     _require(rows * cols, f"cells in the overlap table of {rows} x {cols}", MAX_TABLE_CELLS)
-    held = _membership(scenario)
-    i, j = np.nonzero(held @ held.T)
-    keep = i < j
-    i, j = i[keep], j[keep]
-    # side 2t is pair t's first context, side 2t + 1 its second, each read
-    # against the other
-    ctx, other = np.stack([i, j], 1).ravel(), np.stack([j, i], 1).ravel()
-    # at[c, p]: context c's measurement at position p, or a column of held
-    # that no context holds past its end
-    lengths = list(map(len, scenario.cover))
-    held = np.concatenate([held, np.zeros((len(held), 1), np.int64)], axis=1)
-    at = np.full((len(lengths), max(lengths)), held.shape[1] - 1)
-    places = list(chain.from_iterable(map(range, lengths)))
-    at[np.repeat(np.arange(len(lengths)), lengths), places] = list(chain(*scenario.cover))
-    # mark[s, p]: side s's measurement at position p is the other's too
-    mark = np.empty((ctx.size, at.shape[1]), np.uint8)
-    for p in range(at.shape[1]):
-        mark[:, p] = held[other, at[ctx, p]]
-    positions, code = _distinct_bits(np.packbits(mark, axis=1, bitorder="little"))
-    radices, kind = _kinds(scenario)
-    found, key = _first_index((np.array(kind)[ctx] * len(positions) + code).tolist())
-    keys = [(radices[f // len(positions)], positions[f % len(positions)]) for f in found]
-    which = np.repeat(np.arange(i.size), 2)
-    second = np.arange(ctx.size) % 2
-    slot, sign, start, counts, k = _lay_out(scenario, which, ctx, second, key, keys)
-    # each pair's shared measurements: the bits its contexts' membership
-    # rows share
-    bits = np.packbits(held, axis=1, bitorder="little")
-    sets, shared = _distinct_bits(bits[i] & bits[j])
-    pair = np.repeat(np.arange(i.size), counts)
-    contexts = map(list(zip(i.tolist(), j.tolist())).__getitem__, pair.tolist())
-    measurements = map(sets.__getitem__, shared[pair].tolist())
-    return slot, sign, start, tuple(zip(contexts, measurements, k.tolist()))
-
-
-def _distinct_bits(octets):
-    """(bits, index) of the rows of octets, uint8, bit p of a row being bit
-    p % 8 of its octet p // 8: the set bits of each distinct row,
-    ascending, in order of first occurrence, and each row's place among
-    them, int64."""
-    distinct, index = _first_index(octets.view(f"V{octets.shape[1]}").ravel().tolist())
-    rows = np.frombuffer(b"".join(distinct), np.uint8).reshape(len(distinct), octets.shape[1])
-    bits = np.unpackbits(rows, axis=1, bitorder="little").tolist()
-    return [tuple(p for p, b in enumerate(row) if b) for row in bits], index
-
-
-def _first_index(values):
-    """(distinct, index) of a list of hashable values: its distinct values
-    in order of first occurrence, and each entry's place among them, int64."""
-    distinct = list(dict.fromkeys(values))
-    place = dict(zip(distinct, range(len(distinct)))).__getitem__
-    return distinct, np.fromiter(map(place, values), np.int64, len(values))
+    held = list(map(set, scenario.cover))
+    pairs = [
+        (sorted(a & b), (ci, cj))
+        for (ci, a), (cj, b) in combinations(enumerate(held), 2)
+        if not a.isdisjoint(b)
+    ]
+    return marginal_rows(scenario, pairs)
 
 
 @lru_cache(maxsize=64)
@@ -581,20 +544,25 @@ def incidence_matrix(scenario):
 
 
 def scenario_to_json(scenario):
+    """The Bell form {parties, settings, outcomes} of a scenario equal to
+    bell_scenario of its shape, else the explicit form. A shape whose
+    context count is not settings ** parties, or that bell_scenario
+    refuses, is written explicitly, so every valid scenario is written."""
     if scenario.parties is not None:
         ps = sorted(set(scenario.parties))
         per_party = [sum(1 for p in scenario.parties if p == q) for q in ps]
+        parties, settings, outcomes = len(ps), per_party[0], scenario.outcomes[0]
         # compact Bell form only when fully regular
         if (
             len(set(per_party)) == 1
             and len(set(scenario.outcomes)) == 1
-            and scenario == bell_scenario(len(ps), per_party[0], scenario.outcomes[0])
+            and scenario.n_contexts == settings**parties
         ):
-            return {
-                "parties": len(ps),
-                "settings": per_party[0],
-                "outcomes": scenario.outcomes[0],
-            }
+            try:
+                if scenario == bell_scenario(parties, settings, outcomes):
+                    return {"parties": parties, "settings": settings, "outcomes": outcomes}
+            except ResourceLimitError:
+                pass
     doc = {
         "measurements": list(scenario.measurements),
         "outcomes": list(scenario.outcomes),

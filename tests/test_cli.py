@@ -741,6 +741,24 @@ def test_solve_support_csv_refusal_leaves_the_file_as_it_was(run, tmp_path):
     assert csv_path.read_bytes() == b"kept,as,is\n"
 
 
+def test_solve_support_writes_a_regular_non_bell_scenario_explicitly(run, tmp_path):
+    # 11 parties of two one-outcome settings, in two contexts: the Bell
+    # scenario of that shape has 2**11 contexts, over the Bell limit, so
+    # the scenario is echoed in its explicit form
+    doc = {
+        "measurements": [f"Y{p + 1}" + "'" * s for p in range(11) for s in range(2)],
+        "outcomes": [1] * 22,
+        "cover": [list(range(0, 22, 2)), list(range(1, 22, 2))],
+        "parties": [p for p in range(11) for _ in range(2)],
+    }
+    path = _write_json(tmp_path / "sup.json", {"scenario": doc, "tables": [["1"], ["1"]]})
+    code, out, err = run("solve-support", path)
+    assert (code, err) == (0, "")
+    family = json.loads(out)
+    assert family["scenario"] == doc
+    assert (family["base"], family["directions"]) == (["1", "1"], [])
+
+
 @pytest.mark.parametrize("where", ["missing", "directory"])
 @pytest.mark.parametrize("command", ["solve-support", "reconstruct-tables"])
 def test_unwritable_csv_path_exits_2_and_names_it(run, tmp_path, command, where):

@@ -199,6 +199,25 @@ def test_projection_matches_pointwise_decoding(sc, data):
     assert projection(sc, ci, ms) == tuple(want)
 
 
+@pytest.mark.parametrize(
+    "marginals, ci, ms",
+    [
+        ([((1,), (0,))], 0, (1,)),
+        ([((0, 0), (0,))], 0, (0, 0)),
+        # the first bad side in order is refused: a second side, after a
+        # good marginal, and a repeat after good sides of the same context
+        ([((0,), (0,)), ((0, 3), (1, 3))], 3, (0, 3)),
+        ([((0,), (0, 1)), ((0, 0), (0,))], 0, (0, 0)),
+    ],
+)
+def test_marginal_rows_refuses_a_bad_side_as_projection_does(marginals, ci, ms):
+    sc = bell_scenario(2, 2, 2)
+    with pytest.raises(ValueError) as want:
+        projection(sc, ci, ms)
+    with pytest.raises(ValueError, match=re.escape(str(want.value))):
+        marginal_rows(sc, marginals)
+
+
 def test_incidence_matrix_columns_hit_every_context_once():
     sc = bell_scenario(3, 2, 2)
     mat = incidence_matrix(sc)
@@ -235,6 +254,34 @@ def test_explicit_json_roundtrip():
     sc = triangle_scenario()
     doc = scenario_to_json(sc)
     assert "cover" in doc
+    assert scenario_from_json(doc) == sc
+
+
+def _regular_parties_scenario(parties, outcomes, cover):
+    """Two settings per party, every measurement with the same outcome
+    count, party-major labels as bell_scenario gives them, and the cover
+    given: a regular shape that need not be a Bell scenario."""
+    return MeasurementScenario(
+        measurements=tuple(f"Y{p + 1}" + "'" * s for p in range(parties) for s in range(2)),
+        outcomes=(outcomes,) * (2 * parties),
+        cover=cover,
+        parties=tuple(p for p in range(parties) for _ in range(2)),
+    )
+
+
+@pytest.mark.parametrize(
+    "sc",
+    [
+        # 2**11 contexts in its Bell shape: bell_scenario refuses it
+        _regular_parties_scenario(11, 1, (tuple(range(0, 22, 2)), tuple(range(1, 22, 2)))),
+        # 2**5 contexts, as in its Bell shape, whose 18**5 slots
+        # bell_scenario refuses
+        _regular_parties_scenario(5, 9, tuple(combinations(range(10), 2))[:32]),
+    ],
+)
+def test_a_shape_that_bell_scenario_refuses_round_trips_explicitly(sc):
+    doc = scenario_to_json(sc)
+    assert doc["cover"] == [list(c) for c in sc.cover]
     assert scenario_from_json(doc) == sc
 
 
