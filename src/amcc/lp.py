@@ -135,7 +135,9 @@ def simplex_solve(incidence, rhs):
     Python ints once its entries no longer provably fit."""
     tableau, basis = _slack_tableau(incidence, rhs)
     tableau, det, pivots = _run_array(tableau, basis)
-    return _solution(tableau, basis, incidence.shape[1], det, pivots)
+    m = len(basis)
+    values, obj = tableau[:m, -1].tolist(), tableau[m].tolist()
+    return _solution(values, obj, basis, incidence.shape[1], det, pivots)
 
 
 def _slack_tableau(incidence, rhs):
@@ -165,11 +167,11 @@ def _slack_tableau(incidence, rhs):
     return tableau, list(range(n, width))
 
 
-def _solution(tableau, basis, n, det, pivots):
+def _solution(values, obj, basis, n, det, pivots):
     """simplex_solve's result off an optimal tableau of n structural
-    columns."""
+    columns, read as lists: values, its rhs column above the objective
+    row, and obj, that row."""
     m = len(basis)
-    values, obj = tableau[:m, -1].tolist(), tableau[m].tolist()
     x = [0] * n
     for bv, b in zip(basis, values):
         if bv < n:
@@ -211,7 +213,7 @@ def _run_array(tableau, basis, pivots=0, work=0):
     which names the work and the pivots done."""
     m = len(basis)
     det = 1
-    bound = int(np.abs(tableau).max())
+    bound = max(int(tableau.max()), -int(tableau.min()))
     while True:
         obj = tableau[m]
         # the last entry, the objective value times det, is never negative,
@@ -265,7 +267,7 @@ def _pivot_array(tableau, leave, enter, det, bound):
     if tableau.dtype != object and p * bound + bound * bound >= _INT64_LIMIT:
         span = int(np.abs(f).max()) * int(np.abs(prow).max())
         if p * bound + span >= _INT64_LIMIT:
-            bound = int(np.abs(tableau).max())
+            bound = max(int(tableau.max()), -int(tableau.min()))
             if p * bound + span >= _INT64_LIMIT:
                 tableau, f = tableau.astype(object), f.astype(object)
                 prow = tableau[leave]
@@ -308,10 +310,11 @@ def _run_lockstep(incidence, rhss):
     is exact in int32 and has nothing to divide, and when the step keeps
     its work within MAX_SIMPLEX_WORK; otherwise the LP goes on alone in
     _run_array from its tableau, as int64, its basis, pivots and work,
-    which also raises what it would raise alone. When an LP finishes, its
-    lane takes the next one. An LP whose rhs is negative or passes that
-    limit, and every LP when one lane or one LP is all there is, runs on
-    simplex_solve."""
+    which also raises what it would raise alone. The lanes take the LPs
+    longest first (_longest_first); the lanes whose LPs finish or are
+    handed off in one step are read, and take the next LPs, in array
+    passes. An LP whose rhs is negative or passes that limit, and every
+    LP when one lane or one LP is all there is, runs on simplex_solve."""
     m, n = incidence.shape
     rhss = [np.asarray(rhs) for rhs in rhss]
     out = [None] * len(rhss)
@@ -321,7 +324,8 @@ def _run_lockstep(incidence, rhss):
     limit = min(1 << 31, _INT64_LIMIT)
     # a lone lane or a lone LP runs alone, before any rhs is scanned
     if lanes > 1 and len(rhss) > 1:
-        queue = [i for i, rhs in enumerate(rhss) if 0 <= rhs.min() and rhs.max() < limit]
+        table = np.stack(rhss)
+        queue = np.flatnonzero((table.min(1) >= 0) & (table.max(1) < limit)).tolist()
     if len(queue) < 2:
         queue = []
     queued = set(queue)
@@ -333,8 +337,11 @@ def _run_lockstep(incidence, rhss):
                 out[i] = exc
     if not queue:
         return out
+    queue = _longest_first(table, np.array(queue))
+    # the queued rhs rows in queue order, each below limit
+    table = table[queue].astype(np.int64)
+    tops = np.maximum(table.max(1), 1)
     lanes = min(lanes, len(queue))
-    queue.reverse()
     base, start = _slack_tableau(incidence, [0] * m)
     base = base.astype(np.int32)
     # the stack gets its own anonymous mapping, whose pages go back to the
@@ -348,22 +355,24 @@ def _run_lockstep(incidence, rhss):
     # the largest bound b whose unit pivot keeps every entry below limit,
     # b + b * b < limit, or (2b + 1)**2 <= 4 * limit - 3
     cap = (isqrt(4 * limit - 3) - 1) // 2
+    head = 0  # the queue's next LP
 
-    def load(lane):
-        """Give the lane the next LP, or leave it idle with no pivot to take."""
-        if queue:
-            i = owner[lane] = queue.pop()
-            stack[lane] = base
-            stack[lane, :m, -1] = rhss[i]
-            basis[lane] = start
-            pivots[lane] = work[lane] = 0
-            bound[lane] = max(1, int(rhss[i].max()))
-        else:
-            owner[lane] = -1
-            stack[lane, m] = 0
+    def load(idle):
+        """Give the idle lanes the next LPs in lane order, and leave those
+        past the queue's end idle with no pivot to take."""
+        nonlocal head
+        fill, rest = idle[:len(queue) - head], idle[len(queue) - head:]
+        ids = slice(head, head + len(fill))
+        head += len(fill)
+        owner[fill], owner[rest] = queue[ids], -1
+        stack[fill] = base
+        stack[fill, :m, -1] = table[ids]
+        stack[rest, m] = 0
+        basis[fill] = start
+        pivots[fill] = work[fill] = 0
+        bound[fill] = tops[ids]
 
-    for lane in range(lanes):
-        load(lane)
+    load(np.arange(lanes))
     at = np.arange(lanes)
     busy = lanes
     while busy:
@@ -371,9 +380,14 @@ def _run_lockstep(incidence, rhss):
         enter = neg.argmax(1)
         going = neg[at, enter]
         if np.count_nonzero(going) < busy:
-            for lane in np.flatnonzero(~going & (owner >= 0)):
-                out[owner[lane]] = _solution(stack[lane], basis[lane].tolist(), n, 1, int(pivots[lane]))
-                load(lane)
+            finished = np.flatnonzero(~going & (owner >= 0))
+            solved = zip(
+                owner[finished].tolist(), stack[finished, :m, -1].tolist(),
+                stack[finished, m].tolist(), basis[finished].tolist(), pivots[finished].tolist(),
+            )
+            for i, values, obj, rows, count in solved:
+                out[i] = _solution(values, obj, rows, n, 1, count)
+            load(finished)
             busy = np.count_nonzero(owner >= 0)
             continue
         col = stack[at, :, enter]
@@ -386,15 +400,16 @@ def _run_lockstep(incidence, rhss):
         cells = np.bincount(lane_of, minlength=lanes) * np.count_nonzero(prow, 1)
         take = going & (col[at, leave] == 1) & (bound <= cap) & (work + cells <= MAX_SIMPLEX_WORK)
         if np.count_nonzero(take) < busy:
-            for lane in np.flatnonzero(going & ~take):
+            handed = np.flatnonzero(going & ~take)
+            for lane in handed:
                 i, rows = owner[lane], basis[lane].tolist()
                 tableau = stack[lane].astype(np.int64)
                 try:
                     tableau, det, done = _run_array(tableau, rows, int(pivots[lane]), int(work[lane]))
-                    out[i] = _solution(tableau, rows, n, det, done)
+                    out[i] = _solution(tableau[:m, -1].tolist(), tableau[m].tolist(), rows, n, det, done)
                 except _REFUSALS as exc:
                     out[i] = exc
-                load(lane)
+            load(handed)
             busy = np.count_nonzero(owner >= 0)
             keep = take[lane_of]
             lane_of, row = lane_of[keep], row[keep]
@@ -405,6 +420,14 @@ def _run_lockstep(incidence, rhss):
         work += cells * take
         bound += np.abs(f).max(1) * np.abs(prow).max(1) * take
     return out
+
+
+def _longest_first(table, queue):
+    """The rows queue of table, _run_lockstep's LPs, in the order its lanes
+    take them: longest first, by descending count of nonzero rhs entries,
+    ties in input order (Graham's rule, SIAM J. Appl. Math. 17, 1969), so
+    that no lane is left alone with a long LP at the end."""
+    return queue[np.argsort(-np.count_nonzero(table[queue], 1), kind="stable")]
 
 
 def _float_leaving_rows(heads, rhs, basis):

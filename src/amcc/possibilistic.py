@@ -4,11 +4,12 @@ A support model remembers only which sections are possible in each context,
 as a bitmask over section indices, which the scans read as one bool per
 slot (`_pack_masks`). Strong contextuality is the statement that no global
 assignment restricts into every context's support; the compatibility scan
-over the slot table decides it, and `strong_contextuality` re-checks its
-witness on the masks and the restriction table, apart from the packing.
-The scan enumerates every global assignment, so `_compatible`, the one scan
-of every support, first holds their number to MAX_GLOBALS through
-`scenario._require`, the one check of every size limit.
+over the slot table decides it, and `strong_contextuality` re-checks each
+witness apart from the scan, in one gather of its slots; a witness the
+gather refuses is named by `_check_witness`, on the masks and the
+restriction table. The scan enumerates every global assignment, so
+`_possible_rows`, the one entry of every scan, first holds their number to
+MAX_GLOBALS through `scenario._require`, the one check of every size limit.
 
 Possibilistic no-signaling asks overlapping contexts to allow the same joint
 outcomes of their shared measurements: each row of the scenario's
@@ -141,14 +142,20 @@ def compatible_globals(support):
 
 def _compatible(scenario, possible):
     """bool (supports, globals): the compatible globals of supports of one
-    scenario at once. possible is one bool row per support of its possible
-    slots in slot order, or one row of context masks per support, packed
-    by _pack_masks only once the number of global assignments is held to
+    scenario at once, possible as _possible_rows takes it."""
+    return compatible_mask(_possible_rows(scenario, possible), _global_slots(scenario))
+
+
+def _possible_rows(scenario, possible):
+    """One bool row per support of its possible slots in slot order:
+    possible itself when it is such an array, else one row of context
+    masks per support, packed by _pack_masks only once the number of
+    global assignments, which every scan of the rows reads, is held to
     MAX_GLOBALS."""
     _require(global_size(scenario), "global assignments", MAX_GLOBALS)
     if not isinstance(possible, np.ndarray):
         possible = _pack_masks(scenario, possible)
-    return compatible_mask(possible, _global_slots(scenario))
+    return possible
 
 
 def strong_contextuality(support):
@@ -158,21 +165,32 @@ def strong_contextuality(support):
     return _strong_contextualities(support.scenario, [support.masks])[0]
 
 
-def _strong_contextualities(scenario, masks):
-    """strong_contextuality of supports of one scenario at once, masks[i]
-    support i's masks: one _compatible scan over every row, and each row's
-    least compatible global re-checked by _check_witness on its masks."""
-    found = _compatible(scenario, masks)
-    witness = np.where(found.any(axis=1), found.argmax(axis=1), -1).tolist()
-    table = restriction_table(scenario)
-    out = []
-    for row, gi in zip(masks, witness):
-        if gi < 0:
-            out.append((True, None))
-        else:
-            _check_witness(table, row, gi)
-            out.append((False, gi))
-    return out
+def _strong_contextualities(scenario, possible):
+    """strong_contextuality of supports of one scenario at once, possible
+    as _possible_rows takes it: one compatibility scan over every row, and
+    each row's least compatible global re-checked in one gather of the row
+    at that global's slots; if one is wrong, _check_witness on the first
+    such row's masks raises VerificationError."""
+    possible = _possible_rows(scenario, possible)
+    slots = _global_slots(scenario)
+    found = compatible_mask(possible, slots)
+    has_witness = found.any(axis=1)
+    witnesses = found.argmax(axis=1)
+    allowed = np.take_along_axis(possible, slots[:, witnesses].T, axis=1).all(axis=1)
+    wrong = np.flatnonzero(has_witness & ~allowed)
+    if wrong.size:
+        k = wrong[0]
+        _check_witness(restriction_table(scenario), _row_masks(scenario, possible[k]), int(witnesses[k]))
+    verdicts = zip(has_witness.tolist(), witnesses.tolist())
+    return [(False, gi) if some else (True, None) for some, gi in verdicts]
+
+
+def _row_masks(scenario, possible):
+    """The context masks of one bool row of possible slots: _pack_masks
+    undone."""
+    bits = int.from_bytes(np.packbits(possible, bitorder="little").tobytes(), "little")
+    offsets = slot_offsets(scenario)
+    return [bits >> at & (1 << size) - 1 for at, size in zip(offsets, scenario.section_sizes)]
 
 
 def possibilistic_no_signaling(support):

@@ -13,10 +13,14 @@ LP: no global is compatible with these strongly contextual supports, so
 the dual certificate alone proves cf = 1. The corpus pool of
 cf-iff-strong-contextuality solves those models' full LPs.
 
-The two pool checks take their models a scenario at a time: the LPs and
-their certificates through lp's one route, strong contextuality in one
-compatibility scan (possibilistic), and the covering programs as lanes
-of one numpy lockstep (_covering_pool).
+The two pool checks draw their random models a pool at a time
+(_random_pool): the draws one model after another, as the one-model
+generator makes them, and the numerators as one integer matrix. They take
+their models a scenario at a time: the LPs and their certificates through
+lp's one route, whose lanes take the longest LPs first, strong
+contextuality in one compatibility scan of the numerators' nonzero slots
+(possibilistic), and the covering programs as lanes of one numpy lockstep
+(_covering_pool).
 """
 
 import random
@@ -35,16 +39,15 @@ from .kernels import scan_satisfiable
 from .lp import _certified_lps
 from .model import (
     _by_scenario,
-    _deterministic_view,
-    _mixed_view,
     _model_from_ints,
-    _parity_view,
+    _slot_rows,
     corpus,
     corpus_names,
     ghz_322,
     pr_box,
 )
 from .parity import (
+    _require_binary,
     build_symmetric_model,
     column_vectors,
     gf2_basis,
@@ -53,9 +56,9 @@ from .parity import (
     parity_scan,
     parity_system_from_vector,
 )
-from .possibilistic import _strong_contextualities, support_of
+from .possibilistic import _strong_contextualities
 from .rational import ZERO, fractions_over, rat, rat_str
-from .scenario import bell_scenario, global_size, incidence_matrix
+from .scenario import _global_slots, bell_scenario, global_size, incidence_matrix, slot_offsets
 
 REFERENCE_VECTOR_422 = 0x1C00  # parity targets 1 exactly at contexts 10..12
 
@@ -71,30 +74,76 @@ def random_no_signaling_model(scenario, rng):
     which is strongly contextual exactly when its parity system is
     unsatisfiable. Otherwise it is a rational convex mixture of
     deterministic models, half the time blended with a symmetric parity
-    block. Every ingredient is no-signaling, so the mixture is too. The
-    ingredients are mixed as integer rows, and only the mixture is built
-    and checked as a model.
+    block. Every ingredient is no-signaling, so the mixture is too. It is
+    the one-model pool of _random_pool.
     """
-
-    def parity_system():
-        return parity_system_from_vector(scenario, rng.randrange(1 << scenario.n_contexts))
-
-    if rng.randrange(4) == 0:
-        return build_symmetric_model(parity_system())
-    terms = []
-    if rng.randrange(2) == 0:
-        terms.append(_parity_view(scenario, parity_system().parities))
-    for _ in range(rng.randrange(1, 4)):
-        terms.append(_deterministic_view(scenario, rng.randrange(global_size(scenario))))
-    weights = [rng.randrange(1, 9) for _ in terms]
-    total = sum(weights)
-    mixed = _mixed_view([(Fraction(w, total), view) for w, view in zip(weights, terms)])
-    return _model_from_ints(scenario, *mixed)
+    return _random_pool(scenario, rng, 1)[0]
 
 
 def _random_models(scenario, count, seed):
-    rng = random.Random(seed)
-    return [random_no_signaling_model(scenario, rng) for _ in range(count)]
+    return _random_pool(scenario, random.Random(seed), count)
+
+
+def _random_pool(scenario, rng, count):
+    """count random_no_signaling_model draws from rng, in order.
+
+    The draws are made one model at a time, in the order and number the
+    generator has always made them: a non-binary scenario is refused at
+    its first parity vector's draw, and one past the restriction table's
+    limit at its first global's. The pool's numerators are then one
+    integer matrix, a row per model over the slots, every ingredient
+    scaled to one scale L: with a parity block in the pool, the outcomes
+    are binary and L is the lcm of every context's 2^(k - 1), otherwise 1.
+    A parity block puts 2L / 2^k on each section of a context of k
+    measurements whose popcount parity is the context's target bit, and a
+    point mass puts L on global g's slot of every context, column g of
+    the slot table. A model's row is its integer weights times its
+    ingredients' rows, over its total weight times L, and is checked and
+    reduced by _model_from_ints: the model the Fraction mixture gives."""
+    n, n_globals = scenario.n_contexts, global_size(scenario)
+    # (model, weight, parity vector) and (model, weight, global) per term
+    parities, points, totals = [], [], []
+    slots = None
+    for i in range(count):
+        pure = rng.randrange(4) == 0
+        blended = pure or rng.randrange(2) == 0
+        if blended:
+            vector = rng.randrange(1 << n)
+            _require_binary(scenario)
+        drawn = []
+        for _ in range(0 if pure else rng.randrange(1, 4)):
+            drawn.append(rng.randrange(n_globals))
+            if slots is None:
+                slots = _global_slots(scenario)
+        weights = [1] if pure else [rng.randrange(1, 9) for _ in range(blended + len(drawn))]
+        if blended:
+            parities.append((i, weights[0], vector))
+        points += [(i, w, g) for w, g in zip(weights[blended:], drawn)]
+        totals.append(sum(weights))
+    sizes = scenario.section_sizes
+    scale = max(sizes) // 2 if parities else 1
+    nums = np.zeros((count, sum(sizes)), np.int64)
+    if parities:
+        rows, weights, vectors = zip(*parities)
+        nbytes = (n + 7) // 8
+        raw = b"".join(v.to_bytes(nbytes, "little") for v in vectors)
+        targets = np.unpackbits(
+            np.frombuffer(raw, np.uint8).reshape(len(vectors), nbytes),
+            axis=1, count=n, bitorder="little",
+        )
+        # every slot's context, and the popcount parity of its section index
+        context = np.repeat(np.arange(n), sizes)
+        odd = np.array([si.bit_count() & 1 for size in sizes for si in range(size)], np.uint8)
+        share = np.repeat([2 * scale // size for size in sizes], sizes)
+        nums[list(rows)] = (targets[:, context] == odd) * share * np.array(weights)[:, None]
+    if points:
+        rows, weights, drawn = map(list, zip(*points))
+        np.add.at(nums, (np.array(rows)[:, None], slots[:, drawn].T), scale * np.array(weights)[:, None])
+    cuts = [*slot_offsets(scenario), nums.shape[1]]
+    return [
+        _model_from_ints(scenario, total * scale, [row[a:b] for a, b in zip(cuts, cuts[1:])])
+        for total, row in zip(totals, nums.tolist())
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +490,8 @@ def _check_cf_iff_sc():
     fractions = _certified_lps(m for _, m in models)
     verdicts = [None] * len(models)
     for sc, members in _by_scenario([m for _, m in models]).items():
-        masks = [support_of(models[i][1]).masks for i in members]
-        for i, verdict in zip(members, _strong_contextualities(sc, masks)):
+        possible = _slot_rows([models[i][1] for i in members]) != 0
+        for i, verdict in zip(members, _strong_contextualities(sc, possible)):
             verdicts[i] = verdict
     for (name, m), (ncf, *_), (is_sc, _) in zip(models, fractions, verdicts):
         cf = 1 - ncf

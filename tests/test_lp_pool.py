@@ -83,6 +83,58 @@ def test_the_pool_equals_the_loop_on_both_verify_pools(pool):
     _assert_lockstep_pivots_as_alone(models)
 
 
+@pytest.mark.parametrize(
+    "pool, pivots", [("cf-iff-strong-contextuality", 2459), ("lp-oracle-agreement", 662)]
+)
+def test_the_verify_pools_take_their_pinned_pivot_totals(pool, pivots):
+    if pool == "lp-oracle-agreement":
+        models = _check_lp_oracle_pool()
+    else:
+        models = [m for _, m in _equivalence_pool()]
+    assert sum(p for *_, p in amcc.lp._certified_lps(models)) == pivots
+
+
+def _lane_orders(monkeypatch, reverse=False):
+    """The nonzero-rhs count of every LP of each lockstep, in the order its
+    lanes take them; with reverse, the lanes take them in the reverse of
+    _longest_first's order."""
+    orders = []
+    order = amcc.lp._longest_first
+
+    def spy(table, queue):
+        queue = order(table, queue)[::-1] if reverse else order(table, queue)
+        orders.append(np.count_nonzero(table[queue], 1).tolist())
+        return queue
+
+    monkeypatch.setattr(amcc.lp, "_longest_first", spy)
+    return orders
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_the_lanes_take_the_longest_lps_first_and_order_changes_no_result(monkeypatch, reverse):
+    # a (3,2,2) pool given shortest first, by nonzero rhs entries: the
+    # lanes take it longest first, and in either order every LP's result
+    # comes back in input order, as it is alone
+    models = sorted(_random_models(bell_scenario(3, 2, 2), 60, 202), key=lambda m: np.count_nonzero(m._values))
+    orders = _lane_orders(monkeypatch, reverse)
+    _assert_lockstep_pivots_as_alone(models)
+    [counts] = orders
+    assert len(counts) == 60 and counts[0] != counts[-1]
+    assert counts == sorted(counts, reverse=not reverse)
+
+
+def test_an_rhs_past_int64_beside_the_lanes_runs_alone():
+    # the lanes sort and load the small rhs rows alone; the Python-int
+    # row between them runs on simplex_solve
+    sc = bell_scenario(2, 2, 2)
+    small = _random_models(sc, 2, 17)
+    big = mix_models([(rat(1, 2**64 + 13), uniform_model(sc)), (1 - rat(1, 2**64 + 13), small[0])])
+    models = [small[0], big, small[1]]
+    assert max(_groups(models)[sc][1]) >= 2**63
+    _assert_lockstep_pivots_as_alone(models)
+    assert _pooled(models) == _loop(models)
+
+
 def _hand_offs(monkeypatch):
     """The pivot count at which each hand-off to _run_array resumed."""
     resumed = []

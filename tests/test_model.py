@@ -57,7 +57,7 @@ from amcc.scenario import (
     section_size,
     unpack,
 )
-from amcc.verify import random_no_signaling_model
+from amcc.verify import _random_models, _random_pool, random_no_signaling_model
 
 
 def test_rows_must_be_distributions():
@@ -786,6 +786,67 @@ def test_random_models_match_the_fraction_mixture_draw_for_draw(parties):
         rng, reference_rng = random.Random(seed), random.Random(seed)
         _same_model(random_no_signaling_model(sc, rng), _reference_random_model(sc, reference_rng))
         assert rng.getstate() == reference_rng.getstate()
+
+
+@pytest.mark.parametrize(
+    "sc",
+    [bell_scenario(2, 2, 2), bell_scenario(3, 2, 2), bell_scenario(4, 2, 2), UNEVEN],
+    ids=["222", "322", "422", "uneven"],
+)
+@pytest.mark.parametrize("seed", [101, 202, 303])
+def test_random_pools_match_the_fraction_mixture_model_by_model(sc, seed):
+    # the pool's one integer matrix against the Fraction mixture of every
+    # draw; the pool, the generator looped over one rng and the reference
+    # leave their rngs in one state
+    reference_rng = random.Random(seed)
+    reference = [_reference_random_model(sc, reference_rng) for _ in range(60)]
+    pool_rng, shared_rng = random.Random(seed), random.Random(seed)
+    pools = (
+        _random_models(sc, 60, seed),
+        _random_pool(sc, pool_rng, 60),
+        [random_no_signaling_model(sc, shared_rng) for _ in range(60)],
+    )
+    for pool in pools:
+        assert len(pool) == len(reference)
+        for model, want in zip(pool, reference):
+            _same_model(model, want)
+    assert pool_rng.getstate() == shared_rng.getstate() == reference_rng.getstate()
+
+
+class _ParityDrawStop(Exception):
+    pass
+
+
+class _LoggedRandom(random.Random):
+    """A Random that logs the arguments of every randrange call, and
+    raises _ParityDrawStop after a call with arguments stop_at."""
+
+    def __init__(self, seed, stop_at=None):
+        super().__init__(seed)
+        self.log, self.stop_at = [], stop_at
+
+    def randrange(self, *args):
+        out = super().randrange(*args)
+        self.log.append(args)
+        if args == self.stop_at:
+            raise _ParityDrawStop
+        return out
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_random_pool_refuses_non_binary_outcomes_at_the_first_parity_draw(seed):
+    # the reference draws until its first parity vector, which no other
+    # draw of (2,2,3) shares the range of; the pool makes those same draws,
+    # then refuses
+    sc = bell_scenario(2, 2, 3)
+    assert 1 << sc.n_contexts != global_size(sc)
+    pool_rng, reference_rng = _LoggedRandom(seed), _LoggedRandom(seed, stop_at=(1 << sc.n_contexts,))
+    with pytest.raises(_ParityDrawStop):
+        for _ in range(20):
+            _reference_random_model(sc, reference_rng)
+    with pytest.raises(PreconditionError, match="^parity systems need binary outcomes everywhere$"):
+        _random_pool(sc, pool_rng, 20)
+    assert pool_rng.log == reference_rng.log
 
 
 def _refusal(build, *args):
