@@ -31,13 +31,14 @@ from .csp import (
 from .errors import PreconditionError, ResourceLimitError, VerificationError
 from .lp import contextual_fraction
 from .model import (
+    _party_settings,
     _require_no_signaling,
+    _require_party_marginals,
     context_containing,
     is_no_signaling,
     marginalize,
     model_from_json,
     model_to_json,
-    party_setting_subsets,
 )
 from .parity import (
     build_symmetric_model,
@@ -162,11 +163,11 @@ def cmd_marginals(args):
     if not 1 <= args.k < n_parties:
         raise PreconditionError(f"marginal size must be between 1 and {n_parties - 1}")
     _require_no_signaling(model)
+    _require_party_marginals(sc, [args.k])
     # every table is computed before any is printed, so a refusal prints none
     tables = [
         (ms, marginalize(model, context_containing(sc, ms), ms))
-        for ms in party_setting_subsets(sc)
-        if len(ms) == args.k
+        for ms in _party_settings(sc, args.k)
     ]
     for ms, table in tables:
         cells = " ".join(_frac(w) for w in table.weights)

@@ -8,10 +8,10 @@ search for further augmentations that remain strongly contextual. Every
 augmented parity support is possibilistically no-signaling (see
 `search_plans`), so the search checks strong contextuality alone. It works
 out CPython's sample rule once per search, draws each trial in one pass
-over that schedule, decides a block of trials with one compatibility scan
-and re-checks the witness of every trial the scan rejects. Its hits are
-valid plans by construction, so only AugmentationPlan's public constructor
-runs the per-section check.
+over that schedule, and decides a block of trials at a time with
+possibilistic's strong-contextuality scan, which re-checks the witness of
+every trial it rejects. Its hits are valid plans by construction, so only
+AugmentationPlan's public constructor runs the per-section check.
 """
 
 import json
@@ -27,16 +27,13 @@ import numpy as np
 from .affine import lin_str, parameter_bounds, solve_support
 from .errors import PreconditionError, VerificationError
 from .parity import ParitySystem
-from .kernels import compatible_mask
-from .possibilistic import SupportModel, _check_witness, _pack_masks
+from .possibilistic import SupportModel, _pack_masks, _strong_contextualities
 from .rational import _json_int, _listed, rat, rat_str
 from .scenario import (
     MAX_GLOBALS,
     MAX_TRIALS,
-    _global_slots,
     _require,
     global_size,
-    restriction_table,
     scenario_from_json,
     scenario_to_json,
     section_size,
@@ -260,14 +257,12 @@ def search_plans(base, counts, trials, seed, threads=1):
 
     Strong contextuality is decided a block of trials at a time: the
     block's supports are set straight from the parity classes and the drawn
-    sections into one bool array of trials x slots, and one compatible_mask
-    call scans them all. A block gathers at most BLOCK_CELLS slot-table
-    cells. A trial is a hit when no global assignment is compatible with its
-    support. Every miss's first compatible global is re-checked against
-    the block array in one gather; if one is wrong, _check_witness on the
-    first such trial's masks raises VerificationError. MAX_GLOBALS is
-    checked before any section list is built, and MAX_TRIALS before the
-    first draw, as every hit is held.
+    sections into one bool array of trials x slots, which gathers at most
+    BLOCK_CELLS slot-table cells, and each block goes through
+    `_strong_contextualities`. A trial is a hit when no global assignment
+    is compatible with its support. MAX_GLOBALS is checked before any
+    section list is built, and MAX_TRIALS before the first draw, as every
+    hit is held.
 
     Trials run one after another. `threads` is kept so that existing callers
     passing threads=1 still work; any other value raises PreconditionError.
@@ -290,10 +285,9 @@ def search_plans(base, counts, trials, seed, threads=1):
         raise PreconditionError("trials must be nonnegative")
     _require(trials, "trials", MAX_TRIALS)
     block = max(1, BLOCK_CELLS // (n_contexts * n_globals))
-    slots = _global_slots(sc)
     parity_cells = _pack_masks(sc, (_parity_masks(base),))
-    # flat offset of each trial's row of a block array, and of the row plus
-    # the offset of every drawn section's context, in the order _draw appends
+    # flat offset in a block array of each trial's row plus the offset of
+    # every drawn section's context, in the order _draw appends
     rows = np.arange(block)[:, None] * parity_cells.shape[1]
     per_trial = sum(counts)
     drawn_rows = (rows + np.repeat(slot_offsets(sc), counts)).ravel()
@@ -319,17 +313,9 @@ def search_plans(base, counts, trials, seed, threads=1):
             reseed(seed * 1_000_003 + trial)
             _draw(getrandbits, schedule, flat)
         support = parity_cells.repeat(n, axis=0)
-        cells = support.reshape(-1)
-        cells[drawn_rows[: n * per_trial] + np.array(flat, np.intp)] = True
-        found = compatible_mask(support, slots)
-        misses = found.any(axis=1)
-        witnesses = found.argmax(axis=1)
-        allowed = cells[rows[:n] + slots[:, witnesses].T].all(axis=1)
-        wrong = np.flatnonzero(misses & ~allowed)
-        if wrong.size:
-            t = wrong[0]
-            _check_witness(restriction_table(sc), _augmented_masks(base, additions(flat, t)), int(witnesses[t]))
-        hits.extend(_plan_from_draws(base, additions(flat, t)) for t in np.flatnonzero(~misses).tolist())
+        support.reshape(-1)[drawn_rows[: n * per_trial] + np.array(flat, np.intp)] = True
+        verdicts = _strong_contextualities(sc, support)
+        hits.extend(_plan_from_draws(base, additions(flat, t)) for t, (hit, _) in enumerate(verdicts) if hit)
     return hits
 
 

@@ -22,8 +22,11 @@ import numpy as np
 from .errors import PreconditionError
 from .rational import _listed, fractions_over, over_lcm_rows, rat, rat_str
 from .scenario import (
+    MAX_GLOBALS,
+    MAX_TABLE_CELLS,
     MeasurementScenario,
     _membership,
+    _require,
     bell_scenario,
     global_size,
     marginal_rows,
@@ -247,16 +250,40 @@ def party_setting_subsets(scenario):
     the party indices, yielded as measurement tuples in party order, which
     need not be ascending: with parties (2, 1, 0) the subset of parties 0
     and 1 yields (2, 1)."""
-    parties = scenario.parties
+    for k in range(1, len(set(scenario.parties))):
+        yield from _party_settings(scenario, k)
+
+
+def _party_settings(scenario, k):
+    """party_setting_subsets' measurement tuples of k parties."""
     by_party = {}
-    for m, p in enumerate(parties):
+    for m, p in enumerate(scenario.parties):
         by_party.setdefault(p, []).append(m)
-    plist = sorted(by_party)
-    n = len(plist)
-    for k in range(1, n):
-        for ps in combinations(plist, k):
-            for choice in product(*(by_party[p] for p in ps)):
-                yield tuple(choice)
+    for ps in combinations(sorted(by_party), k):
+        yield from product(*(by_party[p] for p in ps))
+
+
+def _require_party_marginals(scenario, sizes):
+    """Hold the marginals of the party subsets of the given sizes, counted
+    by arithmetic before any is listed: their outcomes, one row each of
+    _party_rows, to MAX_GLOBALS, and their entries, at most the measurement
+    tuples times the largest context, to MAX_TABLE_CELLS. At size k the
+    tuples are the coefficient of x**k in the product over the parties of
+    (1 + m x), m the party's measurement count, and the outcomes the same
+    with m the sum of their outcome counts. ResourceLimitError past
+    either."""
+    counts = {}
+    for m, p in enumerate(scenario.parties):
+        n, a = counts.get(p, (0, 0))
+        counts[p] = n + 1, a + scenario.outcomes[m]
+    tuples, outcomes = [1], [1]
+    for n, a in counts.values():
+        tuples = [x + n * y for x, y in zip(tuples + [0], [0] + tuples)]
+        outcomes = [x + a * y for x, y in zip(outcomes + [0], [0] + outcomes)]
+    rows = sum(outcomes[k] for k in sizes)
+    _require(rows, "rows in the party-marginal table", MAX_GLOBALS)
+    cells = sum(tuples[k] for k in sizes) * max(scenario.section_sizes)
+    _require(cells, "cells in the party-marginal table", MAX_TABLE_CELLS)
 
 
 def is_maximal_marginals(model):
@@ -297,7 +324,9 @@ def _party_rows(scenario):
     context holding it, and each row's outcome count (int64, read-only).
     The first holding context of every subset is read off one product of
     the subsets' and the contexts' membership rows; context_containing
-    reports a subset that no context holds."""
+    reports a subset that no context holds. _require_party_marginals holds
+    the table's size before any subset is listed."""
+    _require_party_marginals(scenario, range(1, len(set(scenario.parties))))
     subsets = list(party_setting_subsets(scenario))
     lengths = list(map(len, subsets))
     held = _membership(scenario)
@@ -328,22 +357,18 @@ def context_containing(scenario, measurements):
 # corpus
 
 
-def _parity_view(scenario, parities):
-    """(den, rows), integer rows over one den, of uniform weight on each
-    context's parity-respecting sections: context i keeps the sections
-    whose outcome bits XOR to parities[i]. The outcomes are binary, so a
-    section index's binary digits are its outcome bits, and their XOR is
-    the parity of its popcount."""
+def _parity_model(scenario, parities):
+    """Uniform weight on each context's parity-respecting sections: context
+    i keeps the sections whose outcome bits XOR to parities[i]. The
+    outcomes are binary, so a section index's binary digits are its outcome
+    bits, and their XOR is the parity of its popcount."""
     rows = []
     for size, parity in zip(scenario.section_sizes, parities):
         rows.append([int(si.bit_count() & 1 == parity) for si in range(size)])
     keeps = [sum(row) for row in rows]
     den = lcm(*keeps)
-    return den, [row if k == den else [x * (den // k) for x in row] for k, row in zip(keeps, rows)]
-
-
-def _parity_model(scenario, parities):
-    return _model_from_ints(scenario, *_parity_view(scenario, parities))
+    rows = [row if k == den else [x * (den // k) for x in row] for k, row in zip(keeps, rows)]
+    return _model_from_ints(scenario, den, rows)
 
 
 def pr_box(k):
@@ -391,14 +416,9 @@ def uniform_model(scenario):
 
 
 def deterministic_model(scenario, gi):
-    """Point mass induced by one global assignment."""
-    return _model_from_ints(scenario, *_deterministic_view(scenario, gi))
-
-
-def _deterministic_view(scenario, gi):
-    """(1, rows) of the point mass at global gi: context c's row is 1 at
-    section restriction_table[c, gi], 0 elsewhere. Raises ValueError when
-    gi is not a global section, and ResourceLimitError where
+    """Point mass induced by one global assignment: context c's row is 1
+    at section restriction_table[c, gi], 0 elsewhere. Raises ValueError
+    when gi is not a global section, and ResourceLimitError where
     restriction_table does."""
     if not 0 <= gi < global_size(scenario):
         raise ValueError(f"global section {gi} out of range")
@@ -407,7 +427,7 @@ def _deterministic_view(scenario, gi):
         row = [0] * size
         row[si] = 1
         rows.append(row)
-    return 1, rows
+    return _model_from_ints(scenario, 1, rows)
 
 
 def mix_models(pairs):
@@ -424,16 +444,9 @@ def mix_models(pairs):
         raise PreconditionError("mixture terms live on different scenarios")
     if any(w < 0 for w, _ in pairs) or sum(w for w, _ in pairs) != 1:
         raise PreconditionError("weights must be nonnegative and sum to 1")
-    return _model_from_ints(sc, *_mixed_view([(w, (m.den, m.rows)) for w, m in pairs]))
-
-
-def _mixed_view(terms):
-    """(den, rows) of the sum of w * view over the (w, view) in terms, w
-    a Fraction and view a model's (den, rows); den is the lcm of the
-    terms' w.denominator * den. A term with w == 0 is skipped."""
-    # term t is w.numerator * nums[si] / (w.denominator * den), summed
-    # over the lcm of those denominators
-    terms = [(w.numerator, w.denominator * den, rows) for w, (den, rows) in terms if w]
+    # term t is w.numerator * nums[si] / (w.denominator * m.den), summed
+    # over the lcm of those denominators; a term with w == 0 is skipped
+    terms = [(w.numerator, w.denominator * m.den, m.rows) for w, m in pairs if w]
     total = lcm(*(d for _, d, _ in terms))
     acc = [[0] * len(nums) for nums in terms[0][2]]
     for a, d, rows in terms:
@@ -442,7 +455,7 @@ def _mixed_view(terms):
             for si, x in enumerate(nums):
                 if x:
                     out[si] += f * x
-    return total, acc
+    return _model_from_ints(sc, total, acc)
 
 
 def corpus_names():

@@ -4,12 +4,14 @@ A support model remembers only which sections are possible in each context,
 as a bitmask over section indices, which the scans read as one bool per
 slot (`_pack_masks`). Strong contextuality is the statement that no global
 assignment restricts into every context's support; the compatibility scan
-over the slot table decides it, and `strong_contextuality` re-checks each
-witness apart from the scan, in one gather of its slots; a witness the
-gather refuses is named by `_check_witness`, on the masks and the
-restriction table. The scan enumerates every global assignment, so
-`_possible_rows`, the one entry of every scan, first holds their number to
-MAX_GLOBALS through `scenario._require`, the one check of every size limit.
+over the slot table decides it. `_strong_contextualities` is the one scan
+of `strong_contextuality`, verify-paper's pools and the augmentation
+search (`csp.search_plans`): it re-checks each witness apart from the
+scan, in one gather of its slots, and names a witness the gather refuses,
+with the contexts that refuse it, off that gathered row. The scan
+enumerates every global assignment, so `_possible_rows`, the one entry of
+every scan, first holds their number to MAX_GLOBALS through
+`scenario._require`, the one check of every size limit.
 
 Possibilistic no-signaling asks overlapping contexts to allow the same joint
 outcomes of their shared measurements: each row of the scenario's
@@ -32,7 +34,6 @@ from .scenario import (
     _require,
     global_size,
     overlap_rows,
-    restriction_table,
     scenario_from_json,
     scenario_to_json,
     section_size,
@@ -121,19 +122,6 @@ def _possible_slots(support):
     return _pack_masks(support.scenario, (support.masks,))[0]
 
 
-def _check_witness(table, masks, gi):
-    """Raise VerificationError unless global gi restricts, through the
-    restriction table, into every context's mask: the re-check of a
-    compatibility scan's witness."""
-    sections = table[:, gi].tolist()
-    bad = [ci for ci, (mask, si) in enumerate(zip(masks, sections)) if not (mask >> si) & 1]
-    if bad:
-        raise VerificationError(
-            "compatibility scan returned an incompatible global assignment",
-            details={"global": gi, "contexts": bad},
-        )
-
-
 def compatible_globals(support):
     """Global assignments whose every restriction is possible, as a sorted
     list of packed indices."""
@@ -169,28 +157,23 @@ def _strong_contextualities(scenario, possible):
     """strong_contextuality of supports of one scenario at once, possible
     as _possible_rows takes it: one compatibility scan over every row, and
     each row's least compatible global re-checked in one gather of the row
-    at that global's slots; if one is wrong, _check_witness on the first
-    such row's masks raises VerificationError."""
+    at that global's slots. If one is wrong, VerificationError names the
+    first such row's global and the contexts its gathered row refuses."""
     possible = _possible_rows(scenario, possible)
     slots = _global_slots(scenario)
     found = compatible_mask(possible, slots)
     has_witness = found.any(axis=1)
     witnesses = found.argmax(axis=1)
-    allowed = np.take_along_axis(possible, slots[:, witnesses].T, axis=1).all(axis=1)
-    wrong = np.flatnonzero(has_witness & ~allowed)
+    allowed = possible[np.arange(len(possible))[:, None], slots[:, witnesses].T]
+    wrong = np.flatnonzero(has_witness & ~allowed.all(axis=1))
     if wrong.size:
         k = wrong[0]
-        _check_witness(restriction_table(scenario), _row_masks(scenario, possible[k]), int(witnesses[k]))
+        raise VerificationError(
+            "compatibility scan returned an incompatible global assignment",
+            details={"global": int(witnesses[k]), "contexts": np.flatnonzero(~allowed[k]).tolist()},
+        )
     verdicts = zip(has_witness.tolist(), witnesses.tolist())
     return [(False, gi) if some else (True, None) for some, gi in verdicts]
-
-
-def _row_masks(scenario, possible):
-    """The context masks of one bool row of possible slots: _pack_masks
-    undone."""
-    bits = int.from_bytes(np.packbits(possible, bitorder="little").tobytes(), "little")
-    offsets = slot_offsets(scenario)
-    return [bits >> at & (1 << size) - 1 for at, size in zip(offsets, scenario.section_sizes)]
 
 
 def possibilistic_no_signaling(support):

@@ -13,6 +13,7 @@ import pytest
 import amcc.affine
 import amcc.csp
 import amcc.lp
+import amcc.model
 import amcc.scenario
 from amcc.cli import build_parser, main
 from amcc.csp import apply_plan, reference_plan, reconstruct_tables
@@ -369,6 +370,42 @@ def test_cf_and_classify_refuse_a_six_party_tableau(run, tmp_path, cmd):
     code, out, err = run(cmd, _write_json(tmp_path / "six.json", doc))
     assert code == 5 and out == ""
     assert "resource limit:" in err and "simplex tableau of 4097 x 8193" in err
+
+
+def _one_outcome_parties(n):
+    # n one-outcome parties of one setting each, in one context: every
+    # decoder guard passes, but the party subsets number 2**n - 2
+    return {
+        "scenario": {
+            "measurements": [f"Y{i + 1}" for i in range(n)],
+            "outcomes": [1] * n,
+            "cover": [list(range(n))],
+            "parties": list(range(n)),
+        },
+        "tables": [["1"]],
+    }
+
+
+def test_classify_refuses_a_40_party_marginal_table_before_listing_it(run, tmp_path, monkeypatch):
+    def no_walk(scenario):
+        raise AssertionError("the party subsets were listed")
+
+    monkeypatch.setattr(amcc.model, "party_setting_subsets", no_walk)
+    code, out, err = run("classify", _write_json(tmp_path / "m40.json", _one_outcome_parties(40)))
+    assert code == 5 and out == ""
+    assert "resource limit: 1099511627774 rows in the party-marginal table" in err
+
+
+def test_marginals_of_40_parties_walk_only_the_asked_size(run, tmp_path):
+    path = _write_json(tmp_path / "m40.json", _one_outcome_parties(40))
+    code, out, _ = run("marginals", path, "1")
+    assert code == 0
+    assert out.splitlines() == [f"Y{i + 1}: 1/1" for i in range(40)]
+    code, out, _ = run("marginals", path, "39")
+    assert code == 0 and len(out.splitlines()) == 40
+    code, out, err = run("marginals", path, "20")
+    assert code == 5 and out == ""
+    assert "137846528820 rows in the party-marginal table" in err
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import amcc.csp as csp
+import amcc.possibilistic as possibilistic
 from amcc.affine import family_to_csv
 from amcc.csp import (
     AugmentationPlan,
@@ -460,7 +461,7 @@ def test_an_incompatible_block_witness_raises(monkeypatch):
         found[..., 5] = True
         return found
 
-    monkeypatch.setattr(csp, "compatible_mask", wrong_mask)
+    monkeypatch.setattr(possibilistic, "compatible_mask", wrong_mask)
     with pytest.raises(VerificationError, match="incompatible global") as exc:
         search_plans(_base_system(), plan_counts(reference_plan()), 3, 1)
     assert exc.value.details["global"] == 5
@@ -473,7 +474,7 @@ def test_a_later_trials_wrong_witness_is_the_one_named(monkeypatch):
     # witness; only trial 15 is given a wrong one
     base = _base_system()
     counts = tuple(min(c + 2, 8) for c in plan_counts(reference_plan()))
-    real_mask = csp.compatible_mask
+    real_mask = possibilistic.compatible_mask
 
     def one_wrong_witness(support, table):
         found = real_mask(support, table)
@@ -481,7 +482,7 @@ def test_a_later_trials_wrong_witness_is_the_one_named(monkeypatch):
         found[15, 5] = True
         return found
 
-    monkeypatch.setattr(csp, "compatible_mask", one_wrong_witness)
+    monkeypatch.setattr(possibilistic, "compatible_mask", one_wrong_witness)
     with pytest.raises(VerificationError, match="incompatible global") as exc:
         search_plans(base, counts, 16, 5)
     rng = random.Random(5 * 1_000_003 + 15)

@@ -5,7 +5,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import chain, combinations, product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,11 +13,15 @@ from hypothesis import strategies as st
 
 from amcc.affine import classify, solve_support
 import amcc.lp
-from amcc.errors import PreconditionError
+import amcc.model
+from amcc.errors import PreconditionError, ResourceLimitError
 from amcc.lp import certified_fraction, contextual_fraction
 from amcc.model import (
     EmpiricalModel,
     _model_from_ints,
+    _party_rows,
+    _party_settings,
+    _require_party_marginals,
     context_containing,
     corpus,
     corpus_names,
@@ -455,6 +459,56 @@ def test_party_setting_subsets_cover_all_proper_sizes():
     assert sum(1 for ms in subsets if len(ms) == 1) == 6
     assert sum(1 for ms in subsets if len(ms) == 2) == 12
     assert all(len(ms) < 3 for ms in subsets)
+
+
+# parties of unlike measurement and outcome counts: party 0 holds a binary
+# and a ternary measurement, party 1 one binary, party 2 two binary ones
+UNLIKE_PARTIES = MeasurementScenario(
+    measurements=("a", "a'", "b", "c", "c'"),
+    outcomes=(2, 3, 2, 2, 2),
+    cover=((0, 2, 3), (0, 2, 4), (1, 2, 3), (1, 2, 4)),
+    parties=(0, 0, 1, 2, 2),
+)
+
+
+@pytest.mark.parametrize(
+    "sc",
+    [bell_scenario(n, 2, 2) for n in (2, 3, 4, 5)]
+    + [bell_scenario(2, 3, 3), bell_scenario(3, 3, 2), UNLIKE_PARTIES],
+    ids=["222", "322", "422", "522", "233", "332", "unlike"],
+)
+def test_the_party_marginal_guard_counts_the_table_it_holds(monkeypatch, sc):
+    # the guard counts by arithmetic the rows _party_rows lists, and bounds
+    # its entries by the measurement tuples times the largest context; a
+    # limit one below either count refuses
+    slot, _, _, rows, _ = _party_rows(sc)
+    n_parties = len(set(sc.parties))
+    sizes = range(1, n_parties)
+    tuples = [list(_party_settings(sc, k)) for k in range(n_parties + 1)]
+    assert list(party_setting_subsets(sc)) == [ms for k in sizes for ms in tuples[k]]
+    cells = sum(map(len, tuples[1:-1])) * max(sc.section_sizes)
+    assert len(slot) <= cells
+    if len(set(sc.section_sizes)) == 1:
+        assert len(slot) == cells
+    monkeypatch.setattr(amcc.model, "MAX_GLOBALS", len(rows))
+    monkeypatch.setattr(amcc.model, "MAX_TABLE_CELLS", cells)
+    _require_party_marginals(sc, sizes)
+    monkeypatch.setattr(amcc.model, "MAX_GLOBALS", len(rows) - 1)
+    with pytest.raises(ResourceLimitError, match=f"^{len(rows)} rows in the party-marginal table"):
+        _require_party_marginals(sc, sizes)
+    monkeypatch.setattr(amcc.model, "MAX_GLOBALS", len(rows))
+    monkeypatch.setattr(amcc.model, "MAX_TABLE_CELLS", cells - 1)
+    with pytest.raises(ResourceLimitError, match=f"^{cells} cells in the party-marginal table"):
+        _require_party_marginals(sc, sizes)
+    # one size at a time: the outcomes of its tuples
+    monkeypatch.setattr(amcc.model, "MAX_TABLE_CELLS", cells)
+    for k in sizes:
+        outcomes = sum(prod(sc.outcomes[m] for m in ms) for ms in tuples[k])
+        monkeypatch.setattr(amcc.model, "MAX_GLOBALS", outcomes)
+        _require_party_marginals(sc, [k])
+        monkeypatch.setattr(amcc.model, "MAX_GLOBALS", outcomes - 1)
+        with pytest.raises(ResourceLimitError, match=f"^{outcomes} rows"):
+            _require_party_marginals(sc, [k])
 
 
 def test_mix_models_blends_tables_exactly():

@@ -242,6 +242,13 @@ def test_formula_evaluation_matches_the_scan(sup):
     assert strong_contextuality(sup) == ((False, sat[0]) if sat else (True, None))
 
 
+def _refusing_contexts(support, gi):
+    # the contexts whose mask lacks global gi's section, read off the masks
+    # and the restriction table: the oracle of a wrong witness's report
+    table = restriction_table(support.scenario)
+    return [ci for ci, mask in enumerate(support.masks) if not mask >> int(table[ci, gi]) & 1]
+
+
 def test_an_incompatible_scan_witness_raises(monkeypatch):
     sup = support_of(pr_box(0))  # strongly contextual: no global is compatible
 
@@ -253,7 +260,36 @@ def test_an_incompatible_scan_witness_raises(monkeypatch):
     monkeypatch.setattr(possibilistic, "compatible_mask", wrong_mask)
     with pytest.raises(VerificationError, match="incompatible global") as exc:
         strong_contextuality(sup)
-    assert exc.value.details["global"] == 5
+    contexts = _refusing_contexts(sup, 5)
+    assert contexts
+    assert exc.value.details == {"global": 5, "contexts": contexts}
+
+
+def test_a_pools_wrong_witness_names_its_own_rows_contexts(monkeypatch):
+    # row 0 is strongly contextual, row 1 has a true witness (global 9),
+    # and only row 2 is given a wrong one; row 0's masks would refuse
+    # global 5 in other contexts, so the report is row 2's
+    sc = bell_scenario(2, 2, 2)
+    pool = [support_of(pr_box(1)), support_of(deterministic_model(sc, 9)), support_of(pr_box(0))]
+    real_mask = possibilistic.compatible_mask
+
+    def one_wrong_witness(support, table):
+        found = real_mask(support, table)
+        assert not found[2].any()
+        found[2, 5] = True
+        return found
+
+    assert possibilistic._strong_contextualities(sc, [s.masks for s in pool]) == [
+        (True, None),
+        (False, 9),
+        (True, None),
+    ]
+    monkeypatch.setattr(possibilistic, "compatible_mask", one_wrong_witness)
+    with pytest.raises(VerificationError, match="incompatible global") as exc:
+        possibilistic._strong_contextualities(sc, [s.masks for s in pool])
+    contexts = _refusing_contexts(pool[2], 5)
+    assert contexts != _refusing_contexts(pool[0], 5)
+    assert exc.value.details == {"global": 5, "contexts": contexts}
 
 
 def test_formula_strings_read_as_disjunctions_of_conjunctions():
